@@ -1,6 +1,8 @@
 // Package repro's root benchmarks regenerate, at reduced scale, the
 // measurement behind every table and figure of the paper (run cmd/bench
-// for the full-scale report) and the ablations called out in DESIGN.md.
+// for the full-scale report) plus three ablations of this reproduction's
+// own design choices: BenchmarkAblationLocalization, BenchmarkAblationCoT
+// and BenchmarkFormalStrategies.
 // Accuracy-style results are attached as custom benchmark metrics
 // (pass@1, pass@5, coverage) so `go test -bench` output carries the same
 // series the paper plots.
@@ -222,7 +224,7 @@ func BenchmarkFig5Ablation(b *testing.B) {
 }
 
 // BenchmarkAblationLocalization drops one localiser feature family at a
-// time (DESIGN.md ablation) and reports golden-hit accuracy.
+// time (mentions, cone, lm) and reports golden-hit accuracy.
 func BenchmarkAblationLocalization(b *testing.B) {
 	f := getFixture(b)
 	bench := f.evalSlice(14)
@@ -256,7 +258,7 @@ func BenchmarkAblationLocalization(b *testing.B) {
 }
 
 // BenchmarkAblationCoT contrasts SFT trained on all samples versus only
-// CoT-validated samples (DESIGN.md ablation).
+// the samples whose chain of thought passed Stage-3 validation.
 func BenchmarkAblationCoT(b *testing.B) {
 	f := getFixture(b)
 	var cotOnly []dataset.SVASample
@@ -285,8 +287,8 @@ func BenchmarkAblationCoT(b *testing.B) {
 }
 
 // BenchmarkFormalStrategies contrasts the verifier's exploration
-// strategies (DESIGN.md ablation): sequence-exhaustive designs versus
-// directed+random fallback.
+// strategies, scalar and 64 lanes wide: sequence-exhaustive designs versus
+// the directed+random fallback.
 func BenchmarkFormalStrategies(b *testing.B) {
 	tiny := corpus.EdgeDetect()  // 1-bit input: exhaustive sequences
 	big := corpus.Counter(8, 23) // wide input space: directed+random
@@ -338,7 +340,7 @@ func BenchmarkSimulator(b *testing.B) {
 	recordSimBench(b, "Simulator")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tr, err := sim.Run(d, stim)
+		tr, err := sim.Run(context.Background(), d, stim, sim.TwoState)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -356,7 +358,7 @@ func BenchmarkSimulatorReference(b *testing.B) {
 	recordSimBench(b, "SimulatorReference")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tr, err := sim.RunReference(d, stim)
+		tr, err := sim.RunReferenceCtx(context.Background(), d, stim, sim.TwoState)
 		if err != nil {
 			b.Fatal(err)
 		}

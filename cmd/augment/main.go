@@ -44,24 +44,11 @@ func main() {
 		genN      = flag.Int("n", 0, "procedurally generated designs added to the fixed catalog")
 		workers   = flag.Int("workers", 0, "concurrent stage-2/3 designs (0 = GOMAXPROCS; output is identical for any value)")
 		format    = flag.String("format", "json", "output format: json (monolithic), jsonl (sharded text), bin (sharded binary)")
-		jsonl     = flag.Bool("jsonl", false, "deprecated alias for -format jsonl")
 		shards    = flag.Int("shards", 4, "shard files per dataset with -format jsonl|bin")
 		statsOnly = flag.Bool("stats", false, "print statistics only, write nothing")
 	)
 	flag.Parse()
 
-	formatSet := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "format" {
-			formatSet = true
-		}
-	})
-	if *jsonl {
-		if formatSet && *format != "jsonl" {
-			log.Fatalf("-jsonl contradicts -format %s (drop the deprecated -jsonl flag)", *format)
-		}
-		*format = "jsonl"
-	}
 	switch *format {
 	case "json", "jsonl", "bin":
 	default:

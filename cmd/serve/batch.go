@@ -14,11 +14,8 @@ import (
 
 // batcher packs compatible queued stimulus checks into single lane runs.
 // Requests arriving within one batching window that drive the same design,
-// input list, depth and value domain become lanes of one packed simulation
-// (up to the lane cap); a group flushes when full or when its window timer
-// fires. Lanes whose packed check fails — and whole batches the lane
-// engine cannot handle — are replayed on the scalar engine, which carries
-// the full failure detail and is the semantic reference.
+// input list, depth and value domain become one sva.Batch (up to the lane
+// cap); a group flushes when full or when its window timer fires.
 type batcher struct {
 	lanes  int
 	window time.Duration
@@ -120,86 +117,43 @@ func (b *batcher) flush(g *group) {
 	b.run(g)
 }
 
-// run executes one detached group. The batch simulates under a background
-// context: one client disconnecting must not cancel the other lanes.
+// run executes one detached group through sva.CheckBatch, which packs it
+// into one lane run when the lane engine can decide it and runs it on the
+// scalar engine otherwise. The batch simulates under a background context:
+// one client disconnecting must not cancel the other lanes.
 func (b *batcher) run(g *group) {
-	if len(g.subs) == 1 || b.lanes <= 1 {
-		for _, sub := range g.subs {
-			sub.deliver(b.runScalar(g.key, sub.stim))
-		}
-		return
-	}
 	stims := make([]sim.VecStimulus, len(g.subs))
 	for i, sub := range g.subs {
 		stims[i] = sub.stim
 	}
-	ls, err := sim.PackStimuli(stims)
-	if err == nil {
-		var lt *sim.LaneTrace
-		lt, err = sim.RunLanesCtx(context.Background(), g.key.d, ls, g.key.mode)
-		if err == nil {
-			var lr *sva.LaneResult
-			lr, err = sva.CheckLanes(lt)
-			if err == nil {
-				b.runs.Add(1)
-				b.batched.Add(uint64(len(g.subs)))
-				for l, sub := range g.subs {
-					sub.deliver(b.laneOutcome(g.key, lt, lr, l))
-				}
-				return
-			}
-		}
+	// CheckBatch's only error is ctx.Err(), and a background context is
+	// never cancelled.
+	bt, _ := sva.CheckBatch(context.Background(), g.key.d, stims, g.key.mode)
+	if bt.Packed {
+		b.runs.Add(1)
+		b.batched.Add(uint64(len(stims)))
+	} else {
+		b.scalar.Add(uint64(len(stims)))
 	}
-	// Lane engine unavailable for this batch (multi-clock design,
-	// un-lowered expression, execution error in any lane): replay every
-	// lane on the scalar engine, which reproduces scalar semantics exactly.
-	for _, sub := range g.subs {
-		sub.deliver(b.runScalar(g.key, sub.stim))
+	for i, sub := range g.subs {
+		sub.deliver(outcome(g.key, bt, i))
 	}
 }
 
-// laneOutcome reads lane l's verdict out of a packed run. Failing lanes
-// are demuxed and re-checked scalar so the response carries the same
-// failure log a scalar run would have produced.
-func (b *batcher) laneOutcome(key groupKey, lt *sim.LaneTrace, lr *sva.LaneResult, l int) submitResult {
-	if lr.Failed>>uint(l)&1 == 0 {
-		return submitResult{resp: stimulusResponse{
-			Pass:    true,
-			Log:     fmt.Sprintf("%s: all assertions passed (%d cycles)\n", key.d.Module.Name, lt.Len()),
-			Batched: true,
-		}}
-	}
-	res, err := sva.Check(lt.Demux(l))
+// outcome renders stimulus i's verdict as its response. A failing stimulus
+// carries the scalar checker's failure log whichever engine ran it.
+func outcome(key groupKey, bt *sva.Batch, i int) submitResult {
+	o, err := bt.Lane(i)
 	if err != nil {
 		return submitResult{err: err}
 	}
-	resp := stimulusResponse{
-		Pass:    !res.Failed(),
-		Log:     sva.FormatLog(key.d.Module.Name, lt.Demux(l), res.Failures),
-		Batched: true,
+	resp := stimulusResponse{Pass: o.Pass, Batched: bt.Packed}
+	if o.Result == nil {
+		resp.Log = fmt.Sprintf("%s: all assertions passed (%d cycles)\n", key.d.Module.Name, key.depth)
+		return submitResult{resp: resp}
 	}
-	for _, f := range res.Failures {
-		resp.FailedAsserts = appendUnique(resp.FailedAsserts, f.Assert.Name)
-	}
-	return submitResult{resp: resp}
-}
-
-// runScalar answers one stimulus on the scalar engine.
-func (b *batcher) runScalar(key groupKey, stim sim.VecStimulus) submitResult {
-	b.scalar.Add(1)
-	tr, err := sim.RunVecCtx(context.Background(), key.d, stim, key.mode)
-	if err != nil {
-		return submitResult{err: err}
-	}
-	res, err := sva.Check(tr)
-	if err != nil {
-		return submitResult{err: err}
-	}
-	resp := stimulusResponse{
-		Pass: !res.Failed(),
-		Log:  sva.FormatLog(key.d.Module.Name, tr, res.Failures),
-	}
-	for _, f := range res.Failures {
+	resp.Log = sva.FormatLog(key.d.Module.Name, o.Trace, o.Result.Failures)
+	for _, f := range o.Result.Failures {
 		resp.FailedAsserts = appendUnique(resp.FailedAsserts, f.Assert.Name)
 	}
 	return submitResult{resp: resp}

@@ -6,14 +6,19 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/compile"
 	"repro/internal/corpus"
+	"repro/internal/sim"
+	"repro/internal/sva"
 	"repro/internal/verify"
 )
 
@@ -351,6 +356,112 @@ func TestServeStimulusBatching(t *testing.T) {
 	}); resp.StatusCode != http.StatusUnprocessableEntity {
 		t.Fatalf("bad input name: status %d (%s), want 422", resp.StatusCode, body)
 	}
+}
+
+// TestServeStimulusMultiClock fires concurrent compatible /stimulus
+// requests at the two-clock CDCCross design (golden and with a skipped
+// synchronizer stage), naming both clock columns, in both value domains.
+// The lane checker cannot decide multi-clock batches, so every stimulus
+// must be answered by the scalar engine — and every reply must equal an
+// in-process scalar run, check and log of the same stimulus.
+func TestServeStimulusMultiClock(t *testing.T) {
+	ts, _ := testServer(t, nil, serverConfig{BatchWindow: 100 * time.Millisecond, BatchLanes: 8})
+	golden := corpus.CDCCross().Source()
+	buggy := strings.Replace(golden, "q <= meta;", "q <= d;", 1)
+	if buggy == golden {
+		t.Fatal("bug injection did not apply")
+	}
+	columns := []string{"clk_a", "clk_b", "rst_n", "d"}
+	rng := rand.New(rand.NewSource(7))
+	type reqCase struct {
+		req  stimulusRequest
+		want stimulusResponse
+	}
+	var cases []reqCase
+	for _, src := range []string{golden, buggy} {
+		d, diags, err := compile.Compile(src)
+		if err != nil || compile.HasErrors(diags) {
+			t.Fatalf("fixture does not compile: %v %s", err, compile.FormatDiags(diags))
+		}
+		inputs := make([]*compile.Signal, len(columns))
+		for i, name := range columns {
+			inputs[i] = d.Signals[name]
+		}
+		for _, mode := range []sim.Mode{sim.TwoState, sim.FourState} {
+			for k := 0; k < 4; k++ {
+				phase := rng.Intn(4)
+				rows := make([][]uint64, 24)
+				for c := range rows {
+					rows[c] = []uint64{uint64(c % 2), uint64((c + phase) / 2 % 2), boolBit(c >= 2), rng.Uint64() & 1}
+				}
+				tr, err := sim.RunVecCtx(context.Background(), d, sim.VecStimulus{Inputs: inputs, Rows: rows}, mode)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := sva.Check(tr)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := stimulusResponse{Pass: !res.Failed(), Log: sva.FormatLog(d.Module.Name, tr, res.Failures)}
+				for _, f := range res.Failures {
+					want.FailedAsserts = appendUnique(want.FailedAsserts, f.Assert.Name)
+				}
+				cases = append(cases, reqCase{
+					req:  stimulusRequest{Source: src, Inputs: columns, Rows: rows, FourState: mode == sim.FourState},
+					want: want,
+				})
+			}
+		}
+	}
+	failing := 0
+	for _, tc := range cases {
+		if !tc.want.Pass {
+			failing++
+		}
+	}
+	if failing == 0 || failing == len(cases) {
+		t.Fatalf("%d of %d reference runs fail; want a mix of passing and failing stimuli", failing, len(cases))
+	}
+
+	var wg sync.WaitGroup
+	errs := make(chan error, len(cases))
+	for i, tc := range cases {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, body := postJSON(t, ts.URL+"/stimulus", tc.req)
+			if resp.StatusCode != http.StatusOK {
+				errs <- fmt.Errorf("case %d: status %d: %s", i, resp.StatusCode, body)
+				return
+			}
+			var got stimulusResponse
+			if err := json.Unmarshal(body, &got); err != nil {
+				errs <- err
+				return
+			}
+			if !reflect.DeepEqual(got, tc.want) {
+				errs <- fmt.Errorf("case %d: reply differs from the in-process scalar check:\n got %+v\nwant %+v", i, got, tc.want)
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+
+	sm := getMetrics(t, ts.URL).Server
+	if sm.ScalarRuns != uint64(len(cases)) || sm.BatchedStimuli != 0 || sm.BatchedRuns != 0 {
+		t.Fatalf("scalar_runs=%d batched_stimuli=%d batched_runs=%d, want every one of %d multi-clock stimuli scalar",
+			sm.ScalarRuns, sm.BatchedStimuli, sm.BatchedRuns, len(cases))
+	}
+}
+
+func boolBit(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 func TestServeRateLimit(t *testing.T) {

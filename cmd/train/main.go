@@ -1,8 +1,9 @@
 // Command train runs the paper's training recipe (Fig. 2-II) over datasets
 // produced by cmd/augment — either the monolithic *.json files or the
-// sharded *-NNNNN.jsonl streams of its -jsonl mode: continual pretraining
-// on Verilog-PT, supervised fine-tuning on SVA-Bug + Verilog-Bug, and DPO
-// on challenging cases. It saves the resulting models:
+// *-NNNNN.jsonl and *-NNNNN.bin shard streams of its -format jsonl and
+// -format bin modes: continual pretraining on Verilog-PT, supervised
+// fine-tuning on SVA-Bug + Verilog-Bug, and DPO on challenging cases. It
+// saves the resulting models:
 //
 //	base.model  - untrained baseline
 //	sft.model   - after PT + SFT

@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -71,8 +72,8 @@ func assertDifferential(t *testing.T, name, src string, seed int64) {
 	dRef, _, _ := compile.Compile(src)
 	stim := diffStim(d, seed, 24)
 
-	tr, errPlan := sim.Run(d, stim)
-	ref, errRef := sim.RunReference(dRef, stim)
+	tr, errPlan := sim.Run(context.Background(), d, stim, sim.TwoState)
+	ref, errRef := sim.RunReferenceCtx(context.Background(), dRef, stim, sim.TwoState)
 	if (errPlan == nil) != (errRef == nil) {
 		t.Fatalf("%s: plan err=%v, reference err=%v", name, errPlan, errRef)
 	}
@@ -133,7 +134,7 @@ func assertLaneLeg(t *testing.T, name string, d *compile.Design, stim sim.Stimul
 	if err != nil {
 		t.Fatalf("%s: pack: %v", name, err)
 	}
-	lt, err := sim.RunLanes(d, ls, sim.TwoState)
+	lt, err := sim.RunLanesCtx(context.Background(), d, ls, sim.TwoState)
 	if err != nil {
 		// No lane plan at all is a legitimate fallback; a runtime error on a
 		// uniform batch the plan simulated fine is a divergence.
@@ -217,11 +218,11 @@ func TestHierarchicalDifferentialBothDomains(t *testing.T) {
 		stim := diffStim(d, int64(3000+i), 32)
 		for _, mode := range []sim.Mode{sim.TwoState, sim.FourState} {
 			dRef, _, _ := compile.Compile(src)
-			tr, err := sim.RunMode(d, stim, mode)
+			tr, err := sim.Run(context.Background(), d, stim, mode)
 			if err != nil {
 				t.Fatalf("%s %v: plan: %v", bp.Name(), mode, err)
 			}
-			ref, err := sim.RunReferenceMode(dRef, stim, mode)
+			ref, err := sim.RunReferenceCtx(context.Background(), dRef, stim, mode)
 			if err != nil {
 				t.Fatalf("%s %v: reference: %v", bp.Name(), mode, err)
 			}
@@ -242,7 +243,7 @@ func TestHierarchicalDifferentialBothDomains(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s %v: pack: %v", bp.Name(), mode, err)
 			}
-			lt, err := sim.RunLanes(d, ls, mode)
+			lt, err := sim.RunLanesCtx(context.Background(), d, ls, mode)
 			if err != nil {
 				if !sim.LanesOK(d, mode) {
 					continue

@@ -71,7 +71,7 @@ func main() {
 			"d":     uint64(c / 3 % 2),
 		}
 	}
-	tr, err := sim.Run(d, stim)
+	tr, err := sim.Run(context.Background(), d, stim, sim.TwoState)
 	must(err)
 
 	bIdx := domainIndex(d, "clk_b")

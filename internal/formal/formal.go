@@ -54,13 +54,14 @@ type Options struct {
 	// sequences as the default two-state check, which remains the compiled
 	// fast path.
 	FourState bool
-	// Lanes batches stimuli through the lane-parallel engine (sim.RunLanes),
-	// up to Lanes at a time (max 64). Zero and one both mean scalar mode —
-	// the zero value must stay a safe default, like the NoRandom sentinel —
-	// and designs the lane compiler cannot lower fall back to scalar runs
-	// automatically. Results are byte-identical to scalar mode: failing
-	// lanes are demuxed and replayed on the scalar engine, and run counts
-	// and attempt bookkeeping follow the same enumeration order.
+	// Lanes batches stimuli through sva.CheckBatch, up to Lanes at a time
+	// (max 64), which runs them on the lane-parallel engine. Zero and one
+	// both mean scalar mode — the zero value must stay a safe default, like
+	// the NoRandom sentinel — and designs the lane compiler cannot lower
+	// fall back to scalar runs automatically. Results are byte-identical to
+	// scalar mode: failing lanes are demuxed and checked on the scalar
+	// checker, and run counts and attempt bookkeeping follow the same
+	// enumeration order.
 	Lanes int
 }
 
@@ -129,95 +130,56 @@ func Check(ctx context.Context, d *compile.Design, opts Options) (*Result, error
 	totalBits := totalWidth(inputs)
 
 	res := &Result{Pass: true}
-	attempted := map[string]bool{}
+	attempted := make([]bool, len(d.Asserts))
 	done := ctx.Done()
 
 	mode := sim.TwoState
 	if opts.FourState {
 		mode = sim.FourState
 	}
-	runOne := func(stim sim.VecStimulus) (bool, error) {
+	// take folds one stimulus' outcome into the result and reports whether
+	// the check stops there: the first failure is the counterexample.
+	take := func(o sva.Outcome) bool {
 		res.Runs++
-		tr, err := sim.RunVecCtx(ctx, d, stim, mode)
-		if err != nil {
-			return false, err
-		}
-		cres, err := sva.Check(tr)
-		if err != nil {
-			return false, err
-		}
-		for name := range cres.Attempts {
-			attempted[name] = true
-		}
-		if cres.Failed() {
-			f := cres.FirstFailure()
-			res.Pass = false
-			res.Failure = f
-			res.Trace = tr
-			res.Log = sva.FormatLog(d.Module.Name, tr, cres.Failures)
-			return true, nil
-		}
-		return false, nil
-	}
-
-	// Lane batching: strategies submit stimuli in enumeration order; full
-	// batches run 64-wide through the lane engine, and sva.CheckLanes
-	// decides all lanes from packed truth words. Passing lanes only touch
-	// the run/attempt bookkeeping; the first failing lane (in submission
-	// order) is replayed on the scalar engine so Failure/Trace/Log — and
-	// Runs — come out byte-identical to a scalar check. Any lane-engine
-	// error demotes the batch to scalar runs, which *is* the reference
-	// behaviour, so correctness never depends on the lane compiler covering
-	// a construct.
-	useLanes := opts.Lanes > 1 && sim.LanesOK(d, mode)
-	var batch []sim.VecStimulus
-
-	runScalarBatch := func(stims []sim.VecStimulus) (bool, error) {
-		for _, st := range stims {
-			if stop, err := runOne(st); err != nil || stop {
-				return stop, err
+		for i, a := range d.Asserts {
+			if !attempted[i] && o.Attempted(a.Name) {
+				attempted[i] = true
 			}
 		}
-		return false, nil
+		if o.Pass {
+			return false
+		}
+		res.Pass = false
+		res.Failure = o.Result.FirstFailure()
+		res.Trace = o.Trace
+		res.Log = sva.FormatLog(d.Module.Name, o.Trace, o.Result.Failures)
+		return true
 	}
 
+	// Lane batching: strategies submit stimuli in enumeration order, and
+	// each full batch goes through sva.CheckBatch, which packs it into one
+	// lane run when the lane engine can decide the design and runs it
+	// scalar otherwise. Outcomes are taken in submission order, so the stop
+	// point, Runs and the failing stimulus' Failure/Trace/Log come out
+	// byte-identical to a scalar check.
+	var batch []sim.VecStimulus
 	flush := func() (bool, error) {
 		stims := batch
 		batch = nil
 		if len(stims) == 0 {
 			return false, nil
 		}
-		ls, err := sim.PackStimuli(stims)
+		b, err := sva.CheckBatch(ctx, d, stims, mode)
 		if err != nil {
-			return runScalarBatch(stims)
+			return false, err
 		}
-		lt, err := sim.RunLanesCtx(ctx, d, ls, mode)
-		if err != nil {
-			if ctx.Err() != nil {
-				// A cancelled batch is not a lane-engine shortfall; don't
-				// demote to scalar replays that would each re-fail the same way.
-				return false, ctx.Err()
+		for i := range stims {
+			o, err := b.Lane(i)
+			if err != nil {
+				return false, err
 			}
-			return runScalarBatch(stims)
-		}
-		lres, err := sva.CheckLanes(lt)
-		if err != nil {
-			return runScalarBatch(stims)
-		}
-		for l, st := range stims {
-			if lres.Failed>>uint(l)&1 == 1 {
-				// Scalar replay of the failing lane; earlier lanes passed and
-				// are already counted, so the stop point matches scalar runs.
-				if stop, err := runOne(st); err != nil || stop {
-					return stop, err
-				}
-				continue // lane engine over-reported; trust the scalar verdict
-			}
-			res.Runs++
-			for name, w := range lres.Attempted {
-				if w>>uint(l)&1 == 1 {
-					attempted[name] = true
-				}
+			if take(o) {
+				return true, nil
 			}
 		}
 		return false, nil
@@ -232,8 +194,12 @@ func Check(ctx context.Context, d *compile.Design, opts Options) (*Result, error
 			return false, ctx.Err()
 		default:
 		}
-		if !useLanes {
-			return runOne(stim)
+		if opts.Lanes == 0 {
+			o, err := sva.CheckStimulus(ctx, d, stim, mode)
+			if err != nil {
+				return false, err
+			}
+			return take(o), nil
 		}
 		batch = append(batch, stim)
 		if len(batch) >= opts.Lanes {
@@ -243,8 +209,8 @@ func Check(ctx context.Context, d *compile.Design, opts Options) (*Result, error
 	}
 
 	finish := func() *Result {
-		for _, a := range d.Asserts {
-			if !attempted[a.Name] {
+		for i, a := range d.Asserts {
+			if !attempted[i] {
 				res.VacuousAsserts = append(res.VacuousAsserts, a.Name)
 			}
 		}
@@ -278,10 +244,8 @@ func Check(ctx context.Context, d *compile.Design, opts Options) (*Result, error
 				return finish(), nil
 			}
 		}
-		if stop, err := flush(); err != nil {
+		if _, err := flush(); err != nil {
 			return nil, err
-		} else if stop {
-			return finish(), nil
 		}
 		return finish(), nil
 	}
@@ -323,10 +287,8 @@ func Check(ctx context.Context, d *compile.Design, opts Options) (*Result, error
 			return finish(), nil
 		}
 	}
-	if stop, err := flush(); err != nil {
+	if _, err := flush(); err != nil {
 		return nil, err
-	} else if stop {
-		return finish(), nil
 	}
 	return finish(), nil
 }
@@ -334,7 +296,7 @@ func Check(ctx context.Context, d *compile.Design, opts Options) (*Result, error
 // driveSet is the precomputed drive list for one design: the non-clock/reset
 // inputs plus the reset input (when present) as the last column. Stimulus
 // generators fill dense per-cycle vectors parallel to this list, and
-// sim.RunVec writes them straight into state slots — no per-cycle maps, no
+// sim.RunVecCtx writes them straight into state slots — no per-cycle maps, no
 // name hashing.
 //
 // On a multi-clock design the domain clocks are removed from the enumerated

@@ -12,8 +12,9 @@ import (
 	"repro/internal/verilog"
 )
 
-// resultFingerprint flattens everything observable about a Result except
-// the trace pointer (traces are compared through the failure they carry).
+// resultFingerprint flattens everything observable about a Result: the
+// counterexample trace enters as every row's value and unknown planes and
+// the fired mask of the edge after it.
 type resultFingerprint struct {
 	Pass     bool
 	Strategy string
@@ -21,22 +22,28 @@ type resultFingerprint struct {
 	Log      string
 	Vacuous  []string
 	Failure  *sva.Failure
-	TraceLen int
+	Rows     [][]uint64
+	Unks     [][]uint64
+	Fired    []uint64
 }
 
 func fingerprint(r *Result) resultFingerprint {
 	fp := resultFingerprint{Pass: r.Pass, Strategy: r.Strategy, Runs: r.Runs,
 		Log: r.Log, Vacuous: r.VacuousAsserts, Failure: r.Failure}
-	if r.Trace != nil {
-		fp.TraceLen = r.Trace.Len()
+	if tr := r.Trace; tr != nil {
+		for c := 0; c < tr.Len(); c++ {
+			fp.Rows = append(fp.Rows, tr.Row(c))
+			fp.Unks = append(fp.Unks, tr.UnkRow(c))
+			fp.Fired = append(fp.Fired, tr.Fired(c))
+		}
 	}
 	return fp
 }
 
 // TestLanesByteIdenticalAcrossCorpus is the formal driver's contract: a
 // lane-batched check produces exactly the same Result as a scalar one —
-// same pass/fail, same counterexample, same log text, same run count, same
-// strategy label, same vacuity report — for every corpus golden and a
+// same pass/fail, same counterexample trace row for row, same log text,
+// same run count, same strategy label, same vacuity report — for every corpus golden and a
 // sample of its mutants, in both value domains.
 func TestLanesByteIdenticalAcrossCorpus(t *testing.T) {
 	check := func(name, src string, fourState bool) {

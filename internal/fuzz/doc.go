@@ -32,11 +32,11 @@
 // depends on.
 //
 // Engine equivalence (EngineEquivalence): the compiled slot-indexed plan
-// (sim.RunVec) and the reference interpreter (sim.RunReference) must
-// produce byte-identical traces, identical SVA verdicts and identical
-// failure logs under the same random stimulus — the corpus-wide
-// differential test of PR 2, extended to arbitrary generated programs.
-// The lane-parallel engine (sim.RunLanes) rides along as a third leg in
+// (sim.RunVecCtx, sim.Run) and the reference interpreter
+// (sim.RunReferenceCtx) must produce byte-identical traces, identical SVA
+// verdicts and identical failure logs under the same random stimulus — the
+// corpus-wide differential test, extended to arbitrary generated programs.
+// The lane-parallel engine (sim.RunLanesCtx) rides along as a third leg in
 // both value domains: the same stimulus is packed into a ragged batch
 // with random siblings, every demuxed lane is held to its own scalar plan
 // run, and the batched SVA checker's per-lane verdict masks must match

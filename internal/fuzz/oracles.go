@@ -104,8 +104,8 @@ func RoundTripSource(src string) error {
 // ---------------------------------------------------------------------------
 
 // EngineEquivalence simulates the program on the compiled slot-indexed plan
-// (sim.RunVec) and the reference interpreter (sim.RunReference) under the
-// same random stimulus and requires byte-identical traces, identical SVA
+// (sim.RunVecCtx) and the reference interpreter (sim.RunReferenceCtx) under
+// the same random stimulus and requires byte-identical traces, identical SVA
 // verdicts and identical failure logs — first in the two-state domain, then
 // in the four-state domain, where both value planes (Val and Unk) are
 // compared on every trace row. Programs that do not compile are out of
@@ -121,8 +121,8 @@ func EngineEquivalence(src string, seed int64) error {
 	depth := 6 + rng.Intn(12)
 	vec, maps := randomStimulus(d1, rng, depth)
 
-	tr1, err1 := sim.RunVec(d1, vec)
-	tr2, err2 := sim.RunReference(d2, maps)
+	tr1, err1 := sim.RunVecCtx(context.Background(), d1, vec, sim.TwoState)
+	tr2, err2 := sim.RunReferenceCtx(context.Background(), d2, maps, sim.TwoState)
 	if (err1 == nil) != (err2 == nil) {
 		return violation("engine-equivalence", "sim-error", src, "plan err=%v, reference err=%v", err1, err2)
 	}
@@ -133,8 +133,8 @@ func EngineEquivalence(src string, seed int64) error {
 	}
 
 	// Four-state pass: same stimulus over x-initialised state.
-	tr3, err3 := sim.RunMode(d1, maps, sim.FourState)
-	tr4, err4 := sim.RunReferenceMode(d2, maps, sim.FourState)
+	tr3, err3 := sim.Run(context.Background(), d1, maps, sim.FourState)
+	tr4, err4 := sim.RunReferenceCtx(context.Background(), d2, maps, sim.FourState)
 	if (err3 == nil) != (err4 == nil) {
 		return violation("engine-equivalence", "sim-error-4state", src, "plan err=%v, reference err=%v", err3, err4)
 	}
@@ -170,7 +170,7 @@ func laneEquivalence(src string, d *compile.Design, vec sim.VecStimulus, rng *ra
 	if err != nil {
 		return violation("engine-equivalence", "lane-pack"+suffix, src, "pack: %v", err)
 	}
-	lt, laneErr := sim.RunLanes(d, ls, mode)
+	lt, laneErr := sim.RunLanesCtx(context.Background(), d, ls, mode)
 	if laneErr != nil {
 		return nil // fallback contract: callers rerun lanes on the scalar engine
 	}
@@ -178,7 +178,7 @@ func laneEquivalence(src string, d *compile.Design, vec sim.VecStimulus, rng *ra
 	wantAttempted := map[string]uint64{}
 	svaOK := true
 	for l := range stims {
-		tr, err := sim.RunVecMode(d, stims[l], mode)
+		tr, err := sim.RunVecCtx(context.Background(), d, stims[l], mode)
 		if err != nil {
 			return violation("engine-equivalence", "lane-sim-error"+suffix, src,
 				"lane batch passed but lane %d errs on the scalar engine: %v", l, err)
@@ -388,7 +388,7 @@ func simRejects(src string) bool {
 	for c := range stim {
 		stim[c] = map[string]uint64{}
 	}
-	_, err = sim.RunReference(d, stim)
+	_, err = sim.RunReferenceCtx(context.Background(), d, stim, sim.TwoState)
 	return err != nil
 }
 
@@ -416,7 +416,7 @@ func replayCounterexample(src string, res *formal.Result) error {
 		}
 		stim[c] = cyc
 	}
-	rtr, err := sim.RunReference(d2, stim)
+	rtr, err := sim.RunReferenceCtx(context.Background(), d2, stim, sim.TwoState)
 	if err != nil {
 		return violation("formal-consistency", "replay-miss", src, "counterexample does not replay: %v", err)
 	}

@@ -1,9 +1,6 @@
 package sim
 
 import (
-	"fmt"
-
-	"repro/internal/compile"
 	"repro/internal/verilog"
 )
 
@@ -47,39 +44,3 @@ func (s *Simulator) RecordBranches() {
 // Branches returns the accumulated branch coverage (nil unless
 // RecordBranches was called).
 func (s *Simulator) Branches() BranchCoverage { return s.branches }
-
-// RunReferenceBranches simulates the design on the reference interpreter in
-// the given value domain with branch recording enabled, returning the
-// sampled trace and the if-statement polarity coverage of the whole run. It
-// is the dynamic half of the lint-vs-sim dead-branch contract: a branch the
-// analyzer proved dead must have its polarity bit clear in the returned
-// coverage.
-func RunReferenceBranches(d *compile.Design, stim Stimulus, mode Mode) (*Trace, BranchCoverage, error) {
-	s, err := NewMode(d, mode)
-	if err != nil {
-		return nil, nil, err
-	}
-	s.RecordBranches()
-	tr := &Trace{Design: d, rows: make([][]uint64, 0, len(stim))}
-	if mode == FourState {
-		tr.unks = make([][]uint64, 0, len(stim))
-	}
-	for i, cyc := range stim {
-		for name, v := range cyc {
-			if err := s.SetInput(name, v); err != nil {
-				return nil, nil, fmt.Errorf("cycle %d: %w", i, err)
-			}
-		}
-		if err := s.Settle(); err != nil {
-			return nil, nil, fmt.Errorf("cycle %d: %w", i, err)
-		}
-		tr.rows = append(tr.rows, s.snapshotRow())
-		if tr.unks != nil {
-			tr.unks = append(tr.unks, s.snapshotUnkRow())
-		}
-		if err := s.Edge(); err != nil {
-			return nil, nil, fmt.Errorf("cycle %d: %w", i, err)
-		}
-	}
-	return tr, s.Branches(), nil
-}

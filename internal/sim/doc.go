@@ -22,15 +22,29 @@
 // lazily on the first four-state run, so the two-state plan, which is the
 // formal checker's hot path, pays nothing for it. Both domains share one
 // definition of the operator semantics (v4.go), and the interpretive
-// Simulator remains the reference implementation for each: Run/RunMode
-// fall back to it (via RunReferenceMode) for designs the planner cannot
-// lower (dynamic slice bounds, non-constant replication counts), and the
-// differential tests plus the cross-engine fuzzer hold the two backends
-// identical plane-for-plane.
+// Simulator remains the reference implementation for each: Run and
+// RunVecCtx fall back to it (via RunReferenceCtx) for designs the planner
+// cannot lower (dynamic slice bounds, non-constant replication counts),
+// and the differential tests plus the cross-engine fuzzer hold the two
+// backends identical plane-for-plane.
+//
+// # Entry points and the run loop
+//
+// Five functions run a simulation, each taking a context and a value
+// domain: Run (name-map Stimulus) and RunVecCtx (slot-vector VecStimulus)
+// on the compiled plan, RunReferenceCtx and RunReferenceBranches on the
+// reference interpreter, and RunLanesCtx on the lane engine. All of them
+// reach one per-cycle loop (run.go): poll for cancellation, capture the
+// domain clocks, apply the row's inputs, settle, sample the row and the
+// fired mask, run the edge. Each engine — plan, reference interpreter,
+// lanes, in either value domain — supplies only that step set, one call
+// per step per cycle, so its settle and edge loops stay monomorphic. An
+// error inside a cycle is reported as "cycle N: <cause>"; a cancelled run
+// returns ctx.Err().
 //
 // # Lane-parallel execution
 //
-// PlanLanes/RunLanes add a third backend: a bit-sliced,
+// PlanLanes/RunLanesCtx add a third backend: a bit-sliced,
 // structure-of-arrays engine that advances up to 64 independent stimuli
 // (lanes) per pass. Signals that are one bit wide are packed one lane per
 // bit of a uint64, so a single bitwise word operation evaluates all lanes
@@ -47,8 +61,9 @@
 // sva.CheckLanes must reproduce the per-lane scalar verdicts. Anything
 // the lane lowering cannot express exactly — and any runtime evaluation
 // error, since predication evaluates a superset of each lane's
-// expressions — is reported as an error for the whole batch, and callers
-// (internal/formal, internal/verify) rerun the batch lane-by-lane on the
+// expressions — is reported as an error for the whole batch, and
+// sva.CheckBatch, the one place internal/formal and cmd/serve choose
+// between lane and scalar runs, reruns the batch lane-by-lane on the
 // scalar engine. LanesOK reports lowering support up front; PackStimuli
 // accepts 1..64 stimuli of equal depth and replicates the last lane to
 // fill the word, with ActiveMask masking the padding back out at the API
@@ -83,15 +98,15 @@
 // become per-domain lane masks, so different lanes can tick different
 // subsets of domains on the same row — but sva.CheckLanes declines them
 // with an error: per-lane clock stimuli make the tick subsequences
-// diverge across lanes, which the packed truth words cannot represent,
-// so callers fall back to demuxed per-lane scalar checking (the
-// documented lane-fallback contract).
+// diverge across lanes, which the packed truth words cannot represent.
+// LanesOK therefore rejects multi-clock designs, and sva.CheckBatch runs
+// their batches on the scalar engine.
 //
 // # Value domains
 //
-// Mode selects the semantics; TwoState is the zero value and the default
-// for every pre-existing entry point (Run, RunVec, RunReference, New), so
-// corpora, goldens and benchmark trajectories remain comparable across
+// Mode selects the semantics; TwoState is the zero value, the domain New
+// builds, and the one the formal checker runs unless asked for four-state,
+// so corpora, goldens and benchmark trajectories remain comparable across
 // versions.
 //
 // TwoState is the historical documented substitution: x and z do not
@@ -99,10 +114,10 @@
 // declaration initialiser or initial block says otherwise; division and
 // modulus by zero yield 0.
 //
-// FourState (RunMode/RunVecMode/RunReferenceMode/NewMode) models unknowns
-// as a value plane plus an unknown-bit mask (V4); z folds into x — there
-// is no drive-strength model, so a floating bit and an unknown bit are
-// both just "unknown". Its rules, IEEE 1364-faithful on the supported
+// FourState (the mode argument of every entry point, or NewMode) models
+// unknowns as a value plane plus an unknown-bit mask (V4); z folds into x
+// — there is no drive-strength model, so a floating bit and an unknown bit
+// are both just "unknown". Its rules, IEEE 1364-faithful on the supported
 // subset:
 //   - registers initialise to x until reset or first assignment;
 //     declaration/initial-block initialisers apply, with x/z literal bits

@@ -25,173 +25,66 @@ import (
 // edge degenerates to the unconditional loop.
 const firedAll = ^uint64(0)
 
-// domainClocks tracks domain clock slots for the scalar slot-addressed
-// engines (plan, plan4). domainClocksOf returns nil for single-domain
-// designs.
-type domainClocks struct {
+// clocks tracks a multi-clock design's domain clocks across one run.
+// Every quantity is a word: a packed 64-lane word on the lane engine, and
+// the slot value itself — a one-lane word — on the scalar engines, whose
+// fired mask takes bit 0 of each domain's word (Trace.record). Elaboration
+// validated every domain clock as a 1-bit input port, so a scalar word is
+// 0 or 1. clocksOf returns nil for single-domain designs.
+type clocks struct {
 	slots []int32
 	neg   []bool
-	prevV []uint64 // previous cycle's clock bit per domain
-	prevU []uint64 // previous unknown bit per domain (stays 0 in two-state)
+	prevV []uint64 // committed clock word per domain before this cycle's inputs
+	prevU []uint64 // its unknown plane (stays 0 in two-state runs)
+	fired []uint64 // scratch: per-domain fired words of the coming edge
 }
 
-func domainClocksOf(d *compile.Design) *domainClocks {
+func clocksOf(d *compile.Design) *clocks {
 	if !d.MultiClock() {
 		return nil
 	}
 	n := len(d.Domains)
-	dc := &domainClocks{
+	ck := &clocks{
 		slots: make([]int32, n),
 		neg:   make([]bool, n),
 		prevV: make([]uint64, n),
 		prevU: make([]uint64, n),
+		fired: make([]uint64, n),
 	}
 	for k, dom := range d.Domains {
-		// Elaboration validated every domain clock as a 1-bit input port.
-		dc.slots[k] = int32(d.Signals[dom.Signal].Slot)
-		dc.neg[k] = dom.Edge == verilog.EdgeNeg
+		ck.slots[k] = int32(d.Signals[dom.Signal].Slot)
+		ck.neg[k] = dom.Edge == verilog.EdgeNeg
 	}
-	return dc
+	return ck
 }
 
-// capture records the committed clock values before this cycle's inputs are
-// applied. unks is nil in two-state runs; the very first capture sees the
+// capture records the committed clock words before a cycle's inputs are
+// applied. unks is nil in two-state runs; the first capture sees the
 // machine's initial state.
-func (dc *domainClocks) capture(vals, unks []uint64) {
-	for k, slot := range dc.slots {
-		dc.prevV[k] = vals[slot] & 1
+func (ck *clocks) capture(vals, unks []uint64) {
+	for k, slot := range ck.slots {
+		ck.prevV[k] = vals[slot]
 		if unks != nil {
-			dc.prevU[k] = unks[slot] & 1
+			ck.prevU[k] = unks[slot]
 		}
 	}
 }
 
-// fired computes the per-domain fired mask for the upcoming edge from the
-// captured previous samples and the post-input clock state.
-func (dc *domainClocks) fired(vals, unks []uint64) uint64 {
-	var f uint64
-	for k, slot := range dc.slots {
-		if dc.prevU[k] != 0 || (unks != nil && unks[slot]&1 != 0) {
-			continue
+// fire computes the per-domain fired words of the coming edge from the
+// captured words and the post-input clock state. The returned slice is
+// scratch reused across cycles; callers that retain it must copy.
+func (ck *clocks) fire(vals, unks []uint64) []uint64 {
+	for k, slot := range ck.slots {
+		cur := vals[slot]
+		f := cur &^ ck.prevV[k]
+		if ck.neg[k] {
+			f = ck.prevV[k] &^ cur
 		}
-		cv := vals[slot] & 1
-		if dc.neg[k] {
-			if dc.prevV[k] == 1 && cv == 0 {
-				f |= 1 << uint(k)
-			}
-		} else if dc.prevV[k] == 0 && cv == 1 {
-			f |= 1 << uint(k)
+		f &^= ck.prevU[k]
+		if unks != nil {
+			f &^= unks[slot]
 		}
+		ck.fired[k] = f
 	}
-	return f
-}
-
-// refClocks is domainClocks for the name-keyed reference interpreter.
-type refClocks struct {
-	names []string
-	neg   []bool
-	prev  []V4
-}
-
-func refClocksOf(d *compile.Design) *refClocks {
-	if !d.MultiClock() {
-		return nil
-	}
-	n := len(d.Domains)
-	rc := &refClocks{names: make([]string, n), neg: make([]bool, n), prev: make([]V4, n)}
-	for k, dom := range d.Domains {
-		rc.names[k] = dom.Signal
-		rc.neg[k] = dom.Edge == verilog.EdgeNeg
-	}
-	return rc
-}
-
-func (rc *refClocks) capture(s *Simulator) {
-	for k, name := range rc.names {
-		v, _ := s.get4(name)
-		rc.prev[k] = V4{Val: v.Val & 1, Unk: v.Unk & 1}
-	}
-}
-
-func (rc *refClocks) fired(s *Simulator) uint64 {
-	var f uint64
-	for k, name := range rc.names {
-		cur, _ := s.get4(name)
-		if (rc.prev[k].Unk|cur.Unk)&1 != 0 {
-			continue
-		}
-		pv, cv := rc.prev[k].Val&1, cur.Val&1
-		if rc.neg[k] {
-			if pv == 1 && cv == 0 {
-				f |= 1 << uint(k)
-			}
-		} else if pv == 0 && cv == 1 {
-			f |= 1 << uint(k)
-		}
-	}
-	return f
-}
-
-// laneClocks is domainClocks for the lane engines: every quantity is a
-// packed 64-lane word, so the fired masks are per-domain lane masks (lane l
-// of fired[k] set when domain k ticked in lane l). Clock slots are always
-// packed words — elaboration forces domain clocks to 1-bit inputs.
-type laneClocks struct {
-	slots []int32
-	neg   []bool
-	prevV []uint64
-	prevU []uint64
-	mask  []uint64 // scratch: per-domain fired lane masks for one cycle
-}
-
-func laneClocksOf(d *compile.Design) *laneClocks {
-	if !d.MultiClock() {
-		return nil
-	}
-	n := len(d.Domains)
-	lc := &laneClocks{
-		slots: make([]int32, n),
-		neg:   make([]bool, n),
-		prevV: make([]uint64, n),
-		prevU: make([]uint64, n),
-		mask:  make([]uint64, n),
-	}
-	for k, dom := range d.Domains {
-		lc.slots[k] = int32(d.Signals[dom.Signal].Slot)
-		lc.neg[k] = dom.Edge == verilog.EdgeNeg
-	}
-	return lc
-}
-
-// capture records the committed packed clock words before input application.
-// ubits is nil in two-state batches; four-state initial state is all-unknown,
-// so no lane fires on the first row there.
-func (lc *laneClocks) capture(bits, ubits []uint64) {
-	for k, slot := range lc.slots {
-		lc.prevV[k] = bits[slot]
-		if ubits != nil {
-			lc.prevU[k] = ubits[slot]
-		}
-	}
-}
-
-// fired computes the per-domain fired lane masks for the upcoming edge. The
-// returned slice is scratch reused across cycles; callers that retain it
-// must copy.
-func (lc *laneClocks) fired(bits, ubits []uint64) []uint64 {
-	for k, slot := range lc.slots {
-		cur := bits[slot]
-		var f uint64
-		if lc.neg[k] {
-			f = lc.prevV[k] &^ cur
-		} else {
-			f = cur &^ lc.prevV[k]
-		}
-		f &^= lc.prevU[k]
-		if ubits != nil {
-			f &^= ubits[slot]
-		}
-		lc.mask[k] = f
-	}
-	return lc.mask
+	return ck.fired
 }

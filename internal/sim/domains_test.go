@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/compile"
@@ -40,14 +41,8 @@ func TestMultiClockFunctional(t *testing.T) {
 	if !d.MultiClock() {
 		t.Fatalf("cross not multi-clock: %v", d.Domains)
 	}
-	clkA := []uint64{0, 1, 0, 1, 0, 1, 0, 1}
-	clkB := []uint64{0, 0, 1, 1, 0, 0, 1, 1}
-	din := []uint64{1, 1, 1, 1, 0, 0, 0, 0}
-	stim := make(Stimulus, len(clkA))
-	for c := range stim {
-		stim[c] = map[string]uint64{"clk_a": clkA[c], "clk_b": clkB[c], "rst_n": 1, "d": din[c]}
-	}
-	tr, err := Run(d, stim)
+	stim := crossSchedule()
+	tr, err := Run(context.Background(), d, stim, TwoState)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,6 +58,42 @@ func TestMultiClockFunctional(t *testing.T) {
 		if got := tr.Fired(c); got != wantFired[c] {
 			t.Errorf("cycle %d: fired=%b, want %b", c, got, wantFired[c])
 		}
+	}
+}
+
+// crossSchedule drives twoClockSrc with clk_a toggling every row and clk_b
+// every second row.
+func crossSchedule() Stimulus {
+	clkA := []uint64{0, 1, 0, 1, 0, 1, 0, 1}
+	clkB := []uint64{0, 0, 1, 1, 0, 0, 1, 1}
+	din := []uint64{1, 1, 1, 1, 0, 0, 0, 0}
+	stim := make(Stimulus, len(clkA))
+	for c := range stim {
+		stim[c] = map[string]uint64{"clk_a": clkA[c], "clk_b": clkB[c], "rst_n": 1, "d": din[c]}
+	}
+	return stim
+}
+
+// TestReferenceBranchesMultiClock holds the branch-recording reference run
+// to the plain reference run on a two-clock design in both value domains:
+// same rows, same unknown planes, same fired masks. The lint-vs-sim oracle
+// reads its traces, so it must clock domains exactly as every other engine.
+func TestReferenceBranchesMultiClock(t *testing.T) {
+	d := mustCompile(t, twoClockSrc)
+	stim := crossSchedule()
+	for _, mode := range []Mode{TwoState, FourState} {
+		want, err := RunReferenceCtx(context.Background(), d, stim, mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, cov, err := RunReferenceBranches(d, stim, mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(cov) == 0 {
+			t.Fatalf("mode %v: no branch coverage recorded", mode)
+		}
+		diffTraces(t, got, want, mode, 0, "branches vs reference")
 	}
 }
 
@@ -86,7 +117,7 @@ endmodule
 	for c := range stim {
 		stim[c] = map[string]uint64{"clk": clk[c], "d": din[c]}
 	}
-	tr, err := Run(d, stim)
+	tr, err := Run(context.Background(), d, stim, TwoState)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +136,7 @@ endmodule
 // model: no fired plane is recorded and Fired reports every domain.
 func TestSingleClockFiredNil(t *testing.T) {
 	d := mustCompile(t, counterSrc)
-	tr, err := Run(d, Stimulus{{"rst_n": 1, "en": 1}, {"rst_n": 1, "en": 1}})
+	tr, err := Run(context.Background(), d, Stimulus{{"rst_n": 1, "en": 1}, {"rst_n": 1, "en": 1}}, TwoState)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,11 +196,11 @@ func TestMultiClockDifferential(t *testing.T) {
 		// Scalar plan vs reference interpreter, per lane stimulus.
 		scalar := make([]*Trace, lanes)
 		for l, vs := range stims {
-			pt, err := RunVecMode(d, vs, mode)
+			pt, err := RunVecCtx(context.Background(), d, vs, mode)
 			if err != nil {
 				t.Fatalf("mode %v lane %d plan: %v", mode, l, err)
 			}
-			rt, err := RunReferenceMode(d, vs.maps(), mode)
+			rt, err := RunReferenceCtx(context.Background(), d, vs.maps(), mode)
 			if err != nil {
 				t.Fatalf("mode %v lane %d reference: %v", mode, l, err)
 			}
@@ -181,7 +212,7 @@ func TestMultiClockDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lt, err := RunLanes(d, ls, mode)
+		lt, err := RunLanesCtx(context.Background(), d, ls, mode)
 		if err != nil {
 			t.Fatalf("mode %v lanes: %v", mode, err)
 		}

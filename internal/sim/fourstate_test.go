@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/compile"
@@ -15,16 +16,16 @@ func runBoth4(t *testing.T, src string, stim Stimulus) *Trace {
 		t.Fatalf("compile: %v %v", err, diags)
 	}
 	d2, _, _ := compile.Compile(src)
-	tr1, err := RunMode(d1, stim, FourState)
+	tr1, err := Run(context.Background(), d1, stim, FourState)
 	if err != nil {
-		t.Fatalf("RunMode: %v", err)
+		t.Fatalf("Run: %v", err)
 	}
 	if PlanOf(d1) != nil && PlanOf(d1).fourState() != nil && tr1.Mode() != FourState {
 		t.Fatalf("plan-backed four-state trace reports mode %v", tr1.Mode())
 	}
-	tr2, err := RunReferenceMode(d2, stim, FourState)
+	tr2, err := RunReferenceCtx(context.Background(), d2, stim, FourState)
 	if err != nil {
-		t.Fatalf("RunReferenceMode: %v", err)
+		t.Fatalf("RunReferenceCtx: %v", err)
 	}
 	for c := 0; c < tr1.Len(); c++ {
 		for _, name := range d1.Order {
@@ -70,7 +71,7 @@ endmodule
 	}
 	// Two-state keeps the historical 0.
 	d, _, _ := compile.Compile(src)
-	tr2, err := Run(d, stimCycles(2, map[string]uint64{"in0": 0}))
+	tr2, err := Run(context.Background(), d, stimCycles(2, map[string]uint64{"in0": 0}), TwoState)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +232,7 @@ endmodule
 	}
 	// Two-state: cnt starts 0 and counts.
 	d, _, _ := compile.Compile(src)
-	tr2, err := Run(d, stim)
+	tr2, err := Run(context.Background(), d, stim, TwoState)
 	if err != nil {
 		t.Fatal(err)
 	}

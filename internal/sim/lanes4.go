@@ -1,11 +1,9 @@
 package sim
 
 import (
-	"context"
 	"fmt"
 	"math/bits"
 
-	"repro/internal/compile"
 	"repro/internal/verilog"
 )
 
@@ -404,71 +402,6 @@ func (m *lmach) evalAtVec4(fn laneVec4Fn, idx int) ([]uint64, []uint64) {
 	v, u := fn(m)
 	m.bits, m.ubits, m.wide, m.uwide, m.idx = sb, sub, sw, suw, si
 	return v, u
-}
-
-// ---------------------------------------------------------------------------
-// Run / trace entry points
-// ---------------------------------------------------------------------------
-
-// runLanes4 is RunLanes' four-state branch.
-func runLanes4(ctx context.Context, d *compile.Design, ls *LaneStimulus) (*LaneTrace, error) {
-	done := ctx.Done()
-	p := PlanOf(d)
-	if p == nil {
-		return nil, fmt.Errorf("sim: design has no execution plan (lane mode unavailable)")
-	}
-	lp := p.lanes4()
-	if lp == nil {
-		return nil, fmt.Errorf("sim: design has no four-state lane plan (lane mode unavailable)")
-	}
-	slots, err := laneInputSlots(d, ls.Inputs)
-	if err != nil {
-		return nil, err
-	}
-	m := newLmach4(lp)
-	if err := m.settleLanes4(); err != nil {
-		return nil, err
-	}
-	lc := laneClocksOf(d)
-	lt := &LaneTrace{Design: d, plan: p, lp4: lp, n: ls.N,
-		rows:  make([]laneRow, 0, ls.Depth),
-		urows: make([]laneRow, 0, ls.Depth)}
-	zero := make([]uint64, 64)
-	for c := 0; c < ls.Depth; c++ {
-		if stopped(done) {
-			return nil, ctx.Err()
-		}
-		if lc != nil {
-			lc.capture(m.bits, m.ubits)
-		}
-		for i, slot := range slots {
-			if lp.isBit[slot] {
-				m.bits[slot] = replicateLanes(ls.Bits[c][i], ls.N)
-				m.ubits[slot] = 0
-				continue
-			}
-			dst := m.wide[slot]
-			copy(dst, ls.Wide[c][i])
-			for l := ls.N; l < 64; l++ {
-				dst[l] = dst[ls.N-1]
-			}
-			copy(m.uwide[slot], zero)
-		}
-		if err := m.settleLanes4(); err != nil {
-			return nil, fmt.Errorf("cycle %d: %w", c, err)
-		}
-		lt.rows = append(lt.rows, snapshotLaneRow(m.bits, m.wide))
-		lt.urows = append(lt.urows, snapshotLaneRow(m.ubits, m.uwide))
-		var fired []uint64
-		if lc != nil {
-			fired = lc.fired(m.bits, m.ubits)
-			lt.fired = append(lt.fired, append([]uint64(nil), fired...))
-		}
-		if err := m.edgeLanes4(fired); err != nil {
-			return nil, fmt.Errorf("cycle %d: %w", c, err)
-		}
-	}
-	return lt, nil
 }
 
 // compileLaneBool4 is CompileLaneBool's four-state branch: trueMask selects

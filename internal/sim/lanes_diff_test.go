@@ -8,6 +8,7 @@
 package sim_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -118,7 +119,7 @@ func assertLaneDifferential(t *testing.T, name, src string, seed int64, lanes in
 	if err != nil {
 		t.Fatalf("%s: pack: %v", name, err)
 	}
-	lt, laneErr := sim.RunLanes(d, ls, mode)
+	lt, laneErr := sim.RunLanesCtx(context.Background(), d, ls, mode)
 
 	// Scalar legs. Lane mode may error on a superset of the scalar runs
 	// (predication evaluates untaken branches), so a lane error only
@@ -126,8 +127,8 @@ func assertLaneDifferential(t *testing.T, name, src string, seed int64, lanes in
 	// a lane success with any scalar error is always a divergence.
 	for l := 0; l < lanes; l++ {
 		lname := name
-		tr, scalarErr := sim.RunVecMode(d, vecs[l], mode)
-		ref, refErr := sim.RunReferenceMode(dRef, maps[l], mode)
+		tr, scalarErr := sim.RunVecCtx(context.Background(), d, vecs[l], mode)
+		ref, refErr := sim.RunReferenceCtx(context.Background(), dRef, maps[l], mode)
 		if (scalarErr == nil) != (refErr == nil) {
 			t.Fatalf("%s: lane %d: plan err=%v, reference err=%v", lname, l, scalarErr, refErr)
 		}
@@ -171,7 +172,7 @@ func assertLaneDifferential(t *testing.T, name, src string, seed int64, lanes in
 	var wantFailed uint64
 	wantAttempted := map[string]uint64{}
 	for l := 0; l < lanes; l++ {
-		tr, err := sim.RunVecMode(d, vecs[l], mode)
+		tr, err := sim.RunVecCtx(context.Background(), d, vecs[l], mode)
 		if err != nil {
 			t.Fatalf("%s: lane %d rerun: %v", name, l, err)
 		}

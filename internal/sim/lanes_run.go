@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/compile"
@@ -11,7 +10,7 @@ import (
 // LaneStimulus drives a lane batch: up to 64 independent stimuli over the
 // same input list and depth, packed one bit per lane for single-bit inputs
 // and one 64-entry vector per cycle for wider ones. Lanes >= N are ignored
-// (RunLanes replicates lane N-1 into them so word kernels never see
+// (RunLanesCtx replicates lane N-1 into them so word kernels never see
 // garbage).
 type LaneStimulus struct {
 	Inputs []*compile.Signal
@@ -71,7 +70,7 @@ func PackStimuli(stims []VecStimulus) (*LaneStimulus, error) {
 }
 
 // LaneStimulusAt demuxes lane l back to the concrete scalar stimulus it
-// encodes — the replay path for failing lanes.
+// encodes, the input of the scalar run a lane must reproduce.
 func (ls *LaneStimulus) LaneStimulusAt(l int) VecStimulus {
 	rows := make([][]uint64, ls.Depth)
 	for c := range rows {
@@ -224,90 +223,6 @@ func (t *LaneTrace) CompileLaneBool(e verilog.Expr) CompiledLaneBool {
 		}
 		return w, 0, m.err
 	}
-}
-
-// RunLanes simulates a lane batch in the given value domain. Any execution
-// error (unsettled logic, failing sampled-value call in any lane — lane
-// mode evaluates a superset of each lane's scalar expressions under
-// predication) aborts the whole batch; callers re-run the lanes one by one
-// on the scalar engine, which reproduces scalar behaviour exactly.
-func RunLanes(d *compile.Design, ls *LaneStimulus, mode Mode) (*LaneTrace, error) {
-	return RunLanesCtx(context.Background(), d, ls, mode)
-}
-
-// RunLanesCtx is RunLanes under a context, polled between cycles like the
-// scalar run loops. A cancelled batch returns ctx.Err(); formal's lane
-// batching propagates that instead of demoting the batch to scalar runs.
-func RunLanesCtx(ctx context.Context, d *compile.Design, ls *LaneStimulus, mode Mode) (*LaneTrace, error) {
-	if ls.N < 1 || ls.N > 64 {
-		return nil, fmt.Errorf("sim: lane batch must hold 1..64 lanes, got %d", ls.N)
-	}
-	if mode == FourState {
-		return runLanes4(ctx, d, ls)
-	}
-	done := ctx.Done()
-	p := PlanOf(d)
-	if p == nil {
-		return nil, fmt.Errorf("sim: design has no execution plan (lane mode unavailable)")
-	}
-	lp := p.lanes()
-	if lp == nil {
-		return nil, fmt.Errorf("sim: design has no lane plan (lane mode unavailable)")
-	}
-	slots, err := laneInputSlots(d, ls.Inputs)
-	if err != nil {
-		return nil, err
-	}
-	m := newLmach(lp)
-	if err := m.settleLanes(); err != nil {
-		return nil, err
-	}
-	lc := laneClocksOf(d)
-	lt := &LaneTrace{Design: d, plan: p, lp: lp, n: ls.N, rows: make([]laneRow, 0, ls.Depth)}
-	for c := 0; c < ls.Depth; c++ {
-		if stopped(done) {
-			return nil, ctx.Err()
-		}
-		if lc != nil {
-			lc.capture(m.bits, nil)
-		}
-		for i, slot := range slots {
-			if lp.isBit[slot] {
-				m.bits[slot] = replicateLanes(ls.Bits[c][i], ls.N)
-				continue
-			}
-			dst := m.wide[slot]
-			copy(dst, ls.Wide[c][i])
-			for l := ls.N; l < 64; l++ {
-				dst[l] = dst[ls.N-1]
-			}
-		}
-		if err := m.settleLanes(); err != nil {
-			return nil, fmt.Errorf("cycle %d: %w", c, err)
-		}
-		lt.rows = append(lt.rows, snapshotLaneRow(m.bits, m.wide))
-		var fired []uint64
-		if lc != nil {
-			fired = lc.fired(m.bits, nil)
-			lt.fired = append(lt.fired, append([]uint64(nil), fired...))
-		}
-		if err := m.edgeLanes(fired); err != nil {
-			return nil, fmt.Errorf("cycle %d: %w", c, err)
-		}
-	}
-	return lt, nil
-}
-
-func laneInputSlots(d *compile.Design, inputs []*compile.Signal) ([]int32, error) {
-	slots := make([]int32, len(inputs))
-	for i, in := range inputs {
-		sig := d.Signals[in.Name]
-		if sig == nil || sig.Kind != compile.SigInput {
-			return nil, fmt.Errorf("sim: %q is not an input", in.Name)
-		}
-		slots[i] = int32(sig.Slot)
-	}
-	return slots, nil
 }
 
 func snapshotLaneRow(bits []uint64, wide [][]uint64) laneRow {

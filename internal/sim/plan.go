@@ -120,20 +120,18 @@ type mach struct {
 	err error
 }
 
-func newMach(p *Plan) *mach {
+// setup makes a zero mach the initial execution state of one run of p.
+func (m *mach) setup(p *Plan) {
 	n := p.nslots
-	m := &mach{
-		p:      p,
-		vals:   make([]uint64, n),
-		ovlVal: make([]uint64, n),
-		ovlGen: make([]uint32, n),
-		gen:    1,
-		nbaVal: make([]uint64, n),
-		nbaGen: make([]uint32, n),
-		ngen:   1,
-	}
+	m.p = p
+	m.vals = make([]uint64, n)
+	m.ovlVal = make([]uint64, n)
+	m.ovlGen = make([]uint32, n)
+	m.gen = 1
+	m.nbaVal = make([]uint64, n)
+	m.nbaGen = make([]uint32, n)
+	m.ngen = 1
 	copy(m.vals, p.initRow)
-	return m
 }
 
 // traceMach returns a machine for evaluating compiled expressions over
@@ -179,8 +177,16 @@ func (m *mach) setInput(name string, v uint64) error {
 	if sig == nil || sig.Kind != compile.SigInput {
 		return fmt.Errorf("sim: %q is not an input", name)
 	}
-	m.vals[sig.Slot] = v & m.p.masks[sig.Slot]
+	m.setSlot(int32(sig.Slot), v)
 	return nil
+}
+
+// setSlot drives an input slot with a fully known value.
+func (m *mach) setSlot(slot int32, v uint64) {
+	m.vals[slot] = v & m.p.masks[slot]
+	if m.unks != nil {
+		m.unks[slot] = 0
+	}
 }
 
 // settle evaluates continuous assignments and combinational always blocks
@@ -220,13 +226,10 @@ func (m *mach) settle() error {
 
 // edge mirrors Simulator.edge: sequential blocks run against pre-edge
 // values with a per-block blocking overlay, writes commit in program order,
-// then combinational logic settles.
-func (m *mach) edge() error { return m.edgeFired(firedAll) }
-
-// edgeFired runs the clock edge for the domains selected by fired (bit k =
-// design.Domains[k] ticked). Single-domain plans have no seqDomain and run
-// every block regardless of the mask.
-func (m *mach) edgeFired(fired uint64) error {
+// then combinational logic settles. Only the domains selected by fired run
+// (bit k = design.Domains[k] ticked); single-domain plans have no seqDomain
+// and run every block regardless of the mask.
+func (m *mach) edge(fired uint64) error {
 	m.ngen++
 	m.nbaList = m.nbaList[:0]
 	dom := m.p.seqDomain

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/bits"
 
-	"repro/internal/compile"
 	"repro/internal/verilog"
 )
 
@@ -115,16 +114,15 @@ func buildPlan4(p *Plan) *plan4 {
 // Four-state machine state
 // ---------------------------------------------------------------------------
 
-// newMach4 returns a machine with both value planes allocated and the
-// initial unknown masks applied (every signal x except declared initials).
-func newMach4(p *Plan, p4 *plan4) *mach {
-	m := newMach(p)
+// setup4 is setup with both value planes allocated and the initial unknown
+// masks applied (every signal x except declared initials).
+func (m *mach) setup4(p *Plan, p4 *plan4) {
+	m.setup(p)
 	n := p.nslots
 	m.unks = make([]uint64, n)
 	m.ovlUnk = make([]uint64, n)
 	m.nbaUnk = make([]uint64, n)
 	copy(m.unks, p4.initUnk)
-	return m
 }
 
 // traceMach4 returns a machine for evaluating compiled expressions over a
@@ -194,12 +192,10 @@ func (m *mach) settle4(p4 *plan4) error {
 	return fmt.Errorf("sim: combinational logic did not settle (cycle?)")
 }
 
-// edge4 mirrors mach.edge over both value planes.
-func (m *mach) edge4(p4 *plan4) error { return m.edge4Fired(p4, firedAll) }
-
-// edge4Fired mirrors mach.edgeFired: the edge runs only the blocks whose
-// domain bit is set in fired (seqs4 is index-aligned with seqDomain).
-func (m *mach) edge4Fired(p4 *plan4, fired uint64) error {
+// edge4 mirrors mach.edge over both value planes: the edge runs only the
+// blocks whose domain bit is set in fired (seqs4 is index-aligned with
+// seqDomain).
+func (m *mach) edge4(p4 *plan4, fired uint64) error {
 	m.ngen++
 	m.nbaList = m.nbaList[:0]
 	dom := m.p.seqDomain
@@ -219,16 +215,6 @@ func (m *mach) edge4Fired(p4 *plan4, fired uint64) error {
 		m.unks[slot] = m.nbaUnk[slot]
 	}
 	return m.settle4(p4)
-}
-
-func (m *mach) setInput4(name string, v uint64) error {
-	sig := m.p.design.Signals[name]
-	if sig == nil || sig.Kind != compile.SigInput {
-		return fmt.Errorf("sim: %q is not an input", name)
-	}
-	m.vals[sig.Slot] = v & m.p.masks[sig.Slot]
-	m.unks[sig.Slot] = 0
-	return nil
 }
 
 // evalAt4 evaluates a compiled expression against an earlier sampled row,

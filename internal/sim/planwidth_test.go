@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/compile"
@@ -76,8 +77,8 @@ module ix (
 endmodule
 `
 	d := mustCompile(t, src)
-	_, errPlan := Run(d, Stimulus{{"v": 1}})
-	_, errRef := RunReference(mustCompile(t, src), Stimulus{{"v": 1}})
+	_, errPlan := Run(context.Background(), d, Stimulus{{"v": 1}}, TwoState)
+	_, errRef := RunReferenceCtx(context.Background(), mustCompile(t, src), Stimulus{{"v": 1}}, TwoState)
 	if errPlan == nil || errRef == nil {
 		t.Fatalf("invalid slice must fail on both backends: plan=%v reference=%v", errPlan, errRef)
 	}

@@ -3,6 +3,7 @@
 package sim_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -71,7 +72,7 @@ func TestQuickLaneFailureReplay(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		lt, err := sim.RunLanes(d, ls, mode)
+		lt, err := sim.RunLanesCtx(context.Background(), d, ls, mode)
 		if err != nil {
 			return false
 		}
@@ -80,7 +81,7 @@ func TestQuickLaneFailureReplay(t *testing.T) {
 			return false
 		}
 		for l := 0; l < n; l++ {
-			tr, err := sim.RunVecMode(d, ls.LaneStimulusAt(l), mode)
+			tr, err := sim.RunVecCtx(context.Background(), d, ls.LaneStimulusAt(l), mode)
 			if err != nil {
 				return false
 			}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -40,8 +41,8 @@ func TestQuickSimDeterminism(t *testing.T) {
 				"step":  uint64(rng.Intn(16)),
 			}
 		}
-		tr1, err1 := Run(d, stim)
-		tr2, err2 := Run(d, stim)
+		tr1, err1 := Run(context.Background(), d, stim, TwoState)
+		tr2, err2 := Run(context.Background(), d, stim, TwoState)
 		if err1 != nil || err2 != nil {
 			return false
 		}
@@ -76,7 +77,7 @@ func TestQuickSimMasking(t *testing.T) {
 				"step":  rng.Uint64(),
 			}
 		}
-		tr, err := Run(d, stim)
+		tr, err := Run(context.Background(), d, stim, TwoState)
 		if err != nil {
 			return false
 		}
@@ -116,7 +117,7 @@ func TestQuickResetDominates(t *testing.T) {
 				"step":  uint64(1 + rng.Intn(15)),
 			}
 		}
-		tr, err := Run(d, stim)
+		tr, err := Run(context.Background(), d, stim, TwoState)
 		if err != nil {
 			return false
 		}

@@ -1,0 +1,421 @@
+package sim
+
+import (
+	"context"
+	"fmt"
+	"slices"
+
+	"repro/internal/compile"
+)
+
+// This file holds the one simulation run loop and the five entry points
+// that reach it. Every engine — the compiled plan in either value domain,
+// the reference interpreter and the lane engine in either value domain —
+// advances a run through drive, which owns the per-cycle sequence; an
+// engine supplies only its step set. Each step is one call per cycle, so
+// the settle and edge loops behind it stay monomorphic.
+
+// stepper is one engine's per-cycle step set.
+type stepper interface {
+	// capture samples the committed domain clocks (multi-clock runs only).
+	capture()
+	// apply drives row c's inputs.
+	apply(c int) error
+	settle() error
+	// sample records the settled state as the preponed sample of the
+	// current cycle, plus the fired mask of the coming edge.
+	sample()
+	edge() error
+}
+
+// drive runs rows cycles of e: each cycle captures the domain clocks,
+// applies the row's inputs, settles, samples, and runs the edge. It polls
+// ctx between cycles and returns ctx.Err() once it is cancelled, so a
+// caller-side deadline or disconnect stops a long run within one cycle.
+func drive(ctx context.Context, e stepper, rows int) error {
+	done := ctx.Done()
+	for c := 0; c < rows; c++ {
+		if stopped(done) {
+			return ctx.Err()
+		}
+		e.capture()
+		if err := e.apply(c); err != nil {
+			return fmt.Errorf("cycle %d: %w", c, err)
+		}
+		if err := e.settle(); err != nil {
+			return fmt.Errorf("cycle %d: %w", c, err)
+		}
+		e.sample()
+		if err := e.edge(); err != nil {
+			return fmt.Errorf("cycle %d: %w", c, err)
+		}
+	}
+	return nil
+}
+
+// stopped polls a context's done channel between simulated cycles. The
+// channel is hoisted out of the run loop so an uncancellable context
+// (Background's Done is nil) costs one nil check per cycle — the formal
+// checker's hot loops must not pay for cancellation they never use.
+func stopped(done <-chan struct{}) bool {
+	if done == nil {
+		return false
+	}
+	select {
+	case <-done:
+		return true
+	default:
+		return false
+	}
+}
+
+// Run simulates the design over the stimulus in the given value domain and
+// returns the sampled trace. Inputs not mentioned in a cycle hold their
+// previous value. Simulation executes on the design's compiled plan (in
+// FourState mode its four-state lowering, with every signal starting x
+// except declared initials); designs the planner cannot lower run on the
+// reference interpreter instead, with identical semantics.
+func Run(ctx context.Context, d *compile.Design, stim Stimulus, mode Mode) (*Trace, error) {
+	p, p4, ok := planFor(d, mode)
+	if !ok {
+		return RunReferenceCtx(ctx, d, stim, mode)
+	}
+	return runPlan(ctx, &planRun{p4: p4, named: stim}, d, p, mode, len(stim))
+}
+
+// RunVecCtx simulates the design over a vectorised stimulus, driving input
+// slots directly: every input in stim.Inputs is set every cycle, with no
+// per-cycle maps and no name hashing. It is the bounded model checker's
+// hot path. Designs the planner cannot lower run on the reference
+// interpreter, as in Run.
+func RunVecCtx(ctx context.Context, d *compile.Design, stim VecStimulus, mode Mode) (*Trace, error) {
+	p, p4, ok := planFor(d, mode)
+	if !ok {
+		return RunReferenceCtx(ctx, d, stim.maps(), mode)
+	}
+	slots, err := inputSlots(d, stim.Inputs)
+	if err != nil {
+		return nil, err
+	}
+	return runPlan(ctx, &planRun{p4: p4, slots: slots, rows: stim.Rows}, d, p, mode, len(stim.Rows))
+}
+
+// RunReferenceCtx simulates the design on the reference interpreter in the
+// given value domain. It is the semantic oracle the differential tests
+// hold the compiled plan against, and the fallback for designs the
+// planner cannot lower.
+func RunReferenceCtx(ctx context.Context, d *compile.Design, stim Stimulus, mode Mode) (*Trace, error) {
+	s, err := NewMode(d, mode)
+	if err != nil {
+		return nil, err
+	}
+	return runReference(ctx, s, stim)
+}
+
+// RunReferenceBranches is RunReferenceCtx with branch recording enabled,
+// returning the sampled trace and the if-statement polarity coverage of
+// the whole run. It is the dynamic half of the lint-vs-sim dead-branch
+// contract: a branch the analyzer proved dead must have its polarity bit
+// clear in the returned coverage.
+func RunReferenceBranches(d *compile.Design, stim Stimulus, mode Mode) (*Trace, BranchCoverage, error) {
+	s, err := NewMode(d, mode)
+	if err != nil {
+		return nil, nil, err
+	}
+	s.RecordBranches()
+	tr, err := runReference(context.Background(), s, stim)
+	if err != nil {
+		return nil, nil, err
+	}
+	return tr, s.Branches(), nil
+}
+
+// RunLanesCtx simulates a lane batch in the given value domain. Any
+// execution error (unsettled logic, failing sampled-value call in any lane
+// — lane mode evaluates a superset of each lane's scalar expressions under
+// predication) aborts the whole batch; callers re-run the lanes one by one
+// on the scalar engine, which reproduces scalar behaviour exactly. A
+// cancelled batch returns ctx.Err().
+func RunLanesCtx(ctx context.Context, d *compile.Design, ls *LaneStimulus, mode Mode) (*LaneTrace, error) {
+	if ls.N < 1 || ls.N > 64 {
+		return nil, fmt.Errorf("sim: lane batch must hold 1..64 lanes, got %d", ls.N)
+	}
+	p := PlanOf(d)
+	if p == nil {
+		return nil, fmt.Errorf("sim: design has no execution plan (lane mode unavailable)")
+	}
+	lt := &LaneTrace{Design: d, plan: p, n: ls.N, rows: make([]laneRow, 0, ls.Depth)}
+	r := &laneRun{ls: ls, lt: lt, ck: clocksOf(d)}
+	if mode == FourState {
+		lp := p.lanes4()
+		if lp == nil {
+			return nil, fmt.Errorf("sim: design has no four-state lane plan (lane mode unavailable)")
+		}
+		lt.lp4, lt.urows, r.isBit = lp, make([]laneRow, 0, ls.Depth), lp.isBit
+		r.m = newLmach4(lp)
+	} else {
+		lp := p.lanes()
+		if lp == nil {
+			return nil, fmt.Errorf("sim: design has no lane plan (lane mode unavailable)")
+		}
+		lt.lp, r.isBit = lp, lp.isBit
+		r.m = newLmach(lp)
+	}
+	var err error
+	if r.slots, err = inputSlots(d, ls.Inputs); err != nil {
+		return nil, err
+	}
+	if err := r.settle(); err != nil {
+		return nil, err
+	}
+	if err := drive(ctx, r, ls.Depth); err != nil {
+		return nil, err
+	}
+	return lt, nil
+}
+
+// planFor returns the design's compiled plan and, in FourState mode, its
+// four-state lowering; ok is false when either is unavailable and the run
+// belongs on the reference interpreter.
+func planFor(d *compile.Design, mode Mode) (p *Plan, p4 *plan4, ok bool) {
+	if p = PlanOf(d); p == nil {
+		return nil, nil, false
+	}
+	if mode == FourState {
+		if p4 = p.fourState(); p4 == nil {
+			return nil, nil, false
+		}
+	}
+	return p, p4, true
+}
+
+// inputSlots resolves a driven input list to state slots once per run.
+func inputSlots(d *compile.Design, inputs []*compile.Signal) ([]int32, error) {
+	slots := make([]int32, len(inputs))
+	for i, in := range inputs {
+		sig := d.Signals[in.Name]
+		if sig == nil || sig.Kind != compile.SigInput {
+			return nil, fmt.Errorf("sim: %q is not an input", in.Name)
+		}
+		slots[i] = int32(sig.Slot)
+	}
+	return slots, nil
+}
+
+// newTrace allocates a scalar trace for rows cycles in mode's planes.
+func newTrace(d *compile.Design, p *Plan, mode Mode, rows int) *Trace {
+	tr := &Trace{Design: d, plan: p, rows: make([][]uint64, 0, rows)}
+	if mode == FourState {
+		tr.unks = make([][]uint64, 0, rows)
+	}
+	return tr
+}
+
+// record appends one sampled row, taking ownership of row and unk (nil in
+// two-state runs), and returns the fired mask of the coming edge.
+func (t *Trace) record(row, unk []uint64, ck *clocks) uint64 {
+	t.rows = append(t.rows, row)
+	if unk != nil {
+		t.unks = append(t.unks, unk)
+	}
+	if ck == nil {
+		return firedAll
+	}
+	var f uint64 // bit k: domain k's one-lane fired word
+	for k, w := range ck.fire(row, unk) {
+		f |= (w & 1) << uint(k)
+	}
+	t.fired = append(t.fired, f)
+	return f
+}
+
+// planRun is the compiled plan's step set, in either value domain. Its
+// inputs arrive in one of two forms: a name map per cycle (named) or a
+// slot vector per cycle (slots resolved once, rows). The machine is held
+// by value so a run allocates one step set, not a step set plus a machine.
+type planRun struct {
+	m     mach
+	p4    *plan4 // nil in two-state runs
+	tr    *Trace
+	ck    *clocks
+	fired uint64
+
+	named Stimulus
+	slots []int32
+	rows  [][]uint64
+}
+
+func runPlan(ctx context.Context, r *planRun, d *compile.Design, p *Plan, mode Mode, rows int) (*Trace, error) {
+	r.tr, r.ck = newTrace(d, p, mode, rows), clocksOf(d)
+	if mode == FourState {
+		r.m.setup4(p, r.p4)
+	} else {
+		r.m.setup(p)
+	}
+	if err := r.settle(); err != nil {
+		return nil, err
+	}
+	if err := drive(ctx, r, rows); err != nil {
+		return nil, err
+	}
+	return r.tr, nil
+}
+
+func (r *planRun) capture() {
+	if r.ck != nil {
+		r.ck.capture(r.m.vals, r.m.unks)
+	}
+}
+
+func (r *planRun) apply(c int) error {
+	if r.named != nil {
+		for name, v := range r.named[c] {
+			if err := r.m.setInput(name, v); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	row := r.rows[c]
+	for i, slot := range r.slots {
+		r.m.setSlot(slot, row[i])
+	}
+	return nil
+}
+
+func (r *planRun) settle() error {
+	if r.p4 != nil {
+		return r.m.settle4(r.p4)
+	}
+	return r.m.settle()
+}
+
+func (r *planRun) sample() {
+	r.fired = r.tr.record(cloneRow(r.m.vals), cloneRow(r.m.unks), r.ck)
+}
+
+func (r *planRun) edge() error {
+	if r.p4 != nil {
+		return r.m.edge4(r.p4, r.fired)
+	}
+	return r.m.edge(r.fired)
+}
+
+// cloneRow copies a state plane into a fresh trace row (nil stays nil).
+func cloneRow(plane []uint64) []uint64 {
+	if plane == nil {
+		return nil
+	}
+	row := make([]uint64, len(plane))
+	copy(row, plane)
+	return row
+}
+
+// refRun is the reference interpreter's step set. Its state is name-keyed,
+// so the clock tracker reads dense slot snapshots of it.
+type refRun struct {
+	s     *Simulator
+	stim  Stimulus
+	tr    *Trace
+	ck    *clocks
+	fired uint64
+}
+
+func runReference(ctx context.Context, s *Simulator, stim Stimulus) (*Trace, error) {
+	r := &refRun{s: s, stim: stim, tr: newTrace(s.design, nil, s.mode, len(stim)), ck: clocksOf(s.design)}
+	if err := drive(ctx, r, len(stim)); err != nil {
+		return nil, err
+	}
+	return r.tr, nil
+}
+
+func (r *refRun) capture() {
+	if r.ck != nil {
+		r.ck.capture(r.s.snapshotRow(), r.s.snapshotUnkRow())
+	}
+}
+
+func (r *refRun) apply(c int) error {
+	for name, v := range r.stim[c] {
+		if err := r.s.SetInput(name, v); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (r *refRun) settle() error { return r.s.settle() }
+
+func (r *refRun) sample() {
+	r.fired = r.tr.record(r.s.snapshotRow(), r.s.snapshotUnkRow(), r.ck)
+}
+
+func (r *refRun) edge() error { return r.s.edge(r.fired) }
+
+// laneRun is the lane engine's step set, in either value domain (the
+// machine's lp4 is set in four-state batches).
+type laneRun struct {
+	m     *lmach
+	isBit []bool
+	ls    *LaneStimulus
+	slots []int32
+	lt    *LaneTrace
+	ck    *clocks
+	fired []uint64 // per-domain fired lane masks; nil for single-domain batches
+}
+
+func (r *laneRun) capture() {
+	if r.ck != nil {
+		r.ck.capture(r.m.bits, r.m.ubits)
+	}
+}
+
+// apply drives row c into every lane; lanes >= N replicate lane N-1 so
+// word kernels never see garbage.
+func (r *laneRun) apply(c int) error {
+	ls, m := r.ls, r.m
+	for i, slot := range r.slots {
+		if r.isBit[slot] {
+			m.bits[slot] = replicateLanes(ls.Bits[c][i], ls.N)
+			if m.ubits != nil {
+				m.ubits[slot] = 0
+			}
+			continue
+		}
+		dst := m.wide[slot]
+		copy(dst, ls.Wide[c][i])
+		for l := ls.N; l < 64; l++ {
+			dst[l] = dst[ls.N-1]
+		}
+		if m.uwide != nil {
+			clear(m.uwide[slot])
+		}
+	}
+	return nil
+}
+
+func (r *laneRun) settle() error {
+	if r.m.lp4 != nil {
+		return r.m.settleLanes4()
+	}
+	return r.m.settleLanes()
+}
+
+func (r *laneRun) sample() {
+	m := r.m
+	r.lt.rows = append(r.lt.rows, snapshotLaneRow(m.bits, m.wide))
+	if m.lp4 != nil {
+		r.lt.urows = append(r.lt.urows, snapshotLaneRow(m.ubits, m.uwide))
+	}
+	if r.ck != nil {
+		r.fired = r.ck.fire(m.bits, m.ubits)
+		r.lt.fired = append(r.lt.fired, slices.Clone(r.fired))
+	}
+}
+
+func (r *laneRun) edge() error {
+	if r.m.lp4 != nil {
+		return r.m.edgeLanes4(r.fired)
+	}
+	return r.m.edgeLanes(r.fired)
+}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -16,11 +17,11 @@ func runBoth(t *testing.T, src string, stim Stimulus) *Trace {
 	if PlanOf(d) == nil {
 		t.Fatalf("design unexpectedly unplannable")
 	}
-	tr, err := Run(d, stim)
+	tr, err := Run(context.Background(), d, stim, TwoState)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := RunReference(mustCompile(t, src), stim)
+	ref, err := RunReferenceCtx(context.Background(), mustCompile(t, src), stim, TwoState)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +231,7 @@ module pd (
 endmodule
 `
 	d := mustCompile(t, src)
-	tr, err := Run(d, Stimulus{{"x": 1}, {"x": 2}})
+	tr, err := Run(context.Background(), d, Stimulus{{"x": 1}, {"x": 2}}, TwoState)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -390,31 +390,6 @@ func (s *Simulator) execCase(x *verilog.Case, updates map[string]V4, env simEnv)
 	return nil
 }
 
-// Step advances one clock cycle: combinational logic is settled against the
-// current inputs, sequential blocks execute at the clock edge, nonblocking
-// updates commit, and combinational logic settles again.
-func (s *Simulator) Step() error {
-	if err := s.settle(); err != nil {
-		return err
-	}
-	return s.edge(firedAll)
-}
-
-// Settle re-evaluates combinational logic against the current inputs without
-// advancing the clock. Callers that need a preponed sample (the value set
-// just before the clock edge) call Settle, read Snapshot, then Edge.
-func (s *Simulator) Settle() error { return s.settle() }
-
-// Edge executes the clock edge only: sequential blocks run against the
-// current (pre-edge) values, nonblocking updates commit, and combinational
-// logic settles. On a multi-clock design Edge ticks every domain at once;
-// callers that advance domains independently use EdgeFired.
-func (s *Simulator) Edge() error { return s.edge(firedAll) }
-
-// EdgeFired executes the clock edge for the domains selected by fired (bit
-// k = design.Domains()[k] ticked). Single-domain designs ignore the mask.
-func (s *Simulator) EdgeFired(fired uint64) error { return s.edge(fired) }
-
 // edge runs the selected sequential blocks against pre-edge values and
 // commits the resulting writes. Within one block, writes to the same signal
 // commit in program order: the last assignment wins at the edge whether it
@@ -533,16 +508,6 @@ func (s *Simulator) execSeq(stmt verilog.Stmt, commit, blocking map[string]V4) e
 		return nil
 	}
 	return nil
-}
-
-// Snapshot copies the current value of every signal, keyed by name (known
-// plane only; unknown bits read as 0).
-func (s *Simulator) Snapshot() map[string]uint64 {
-	out := make(map[string]uint64, len(s.design.Order))
-	for _, name := range s.design.Order {
-		out[name] = s.vals[name]
-	}
-	return out
 }
 
 // snapshotRow copies the current known-bit values into a dense slot vector.

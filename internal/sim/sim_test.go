@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -48,7 +49,7 @@ func TestCounterBasic(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		stim = append(stim, map[string]uint64{"rst_n": 1, "en": 1})
 	}
-	tr, err := Run(d, stim)
+	tr, err := Run(context.Background(), d, stim, TwoState)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +86,7 @@ func TestEnableGating(t *testing.T) {
 		{"rst_n": 1, "en": 1},
 		{"rst_n": 1, "en": 1},
 	}
-	tr, err := Run(d, stim)
+	tr, err := Run(context.Background(), d, stim, TwoState)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +108,7 @@ func TestMidRunReset(t *testing.T) {
 		{"rst_n": 0, "en": 1}, // async reset pulse
 		{"rst_n": 1, "en": 1},
 	}
-	tr, err := Run(d, stim)
+	tr, err := Run(context.Background(), d, stim, TwoState)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +157,7 @@ func TestAccu(t *testing.T) {
 		{"rst_n": 1, "in": 40, "valid_in": 1},
 		{"rst_n": 1, "in": 0, "valid_in": 0},
 	}
-	tr, err := Run(d, stim)
+	tr, err := Run(context.Background(), d, stim, TwoState)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +195,7 @@ endmodule
 	dB := mustCompile(t, bSrc)
 	stim := Stimulus{{"d": 1}, {"d": 0}, {"d": 0}}
 
-	trNB, err := Run(dNB, stim)
+	trNB, err := Run(context.Background(), dNB, stim, TwoState)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +210,7 @@ endmodule
 		t.Errorf("NBA q2 cycle2 = %d, want 1", v)
 	}
 
-	trB, err := Run(dB, stim)
+	trB, err := Run(context.Background(), dB, stim, TwoState)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +238,7 @@ endmodule
 `
 	d := mustCompile(t, src)
 	for sel, want := range map[uint64]uint64{0: 1, 1: 2, 2: 4, 3: 8} {
-		tr, err := Run(d, Stimulus{{"sel": sel}})
+		tr, err := Run(context.Background(), d, Stimulus{{"sel": sel}}, TwoState)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -259,7 +260,7 @@ module osc (
 endmodule
 `
 	d := mustCompile(t, src)
-	if _, err := Run(d, Stimulus{{"a": 0}}); err == nil {
+	if _, err := Run(context.Background(), d, Stimulus{{"a": 0}}, TwoState); err == nil {
 		t.Fatal("want combinational settle error")
 	}
 }
@@ -278,7 +279,7 @@ module bits (
 endmodule
 `
 	d := mustCompile(t, src)
-	tr, err := Run(d, Stimulus{{"d": 0xA5}, {"d": 0xA5}})
+	tr, err := Run(context.Background(), d, Stimulus{{"d": 0xA5}, {"d": 0xA5}}, TwoState)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +301,7 @@ module cc (
 endmodule
 `
 	d := mustCompile(t, src)
-	tr, err := Run(d, Stimulus{{"a": 0xC, "b": 0x3}})
+	tr, err := Run(context.Background(), d, Stimulus{{"a": 0xC, "b": 0x3}}, TwoState)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +321,7 @@ module ini (
 endmodule
 `
 	d := mustCompile(t, src)
-	tr, err := Run(d, Stimulus{{}, {}})
+	tr, err := Run(context.Background(), d, Stimulus{{}, {}}, TwoState)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +335,7 @@ endmodule
 
 func TestTraceFormat(t *testing.T) {
 	d := mustCompile(t, counterSrc)
-	tr, err := Run(d, Stimulus{{"rst_n": 0, "en": 0}, {"rst_n": 1, "en": 1}})
+	tr, err := Run(context.Background(), d, Stimulus{{"rst_n": 0, "en": 0}, {"rst_n": 1, "en": 1}}, TwoState)
 	if err != nil {
 		t.Fatal(err)
 	}

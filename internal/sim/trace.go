@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -292,185 +291,6 @@ type VecStimulus struct {
 	Rows   [][]uint64
 }
 
-// Run simulates the design over the stimulus and returns the sampled trace.
-// Inputs not mentioned in a cycle hold their previous value. Simulation
-// executes on the design's compiled plan; designs the planner cannot lower
-// run on the reference interpreter instead (identical semantics). Run is
-// two-state; RunMode selects the value domain.
-func Run(d *compile.Design, stim Stimulus) (*Trace, error) {
-	return RunMode(d, stim, TwoState)
-}
-
-// RunMode simulates the design over the stimulus in the given value domain.
-// In FourState mode every signal starts x (except declared initials) and
-// the compiled four-state lowering executes; designs it cannot lower fall
-// back to the four-state reference interpreter.
-func RunMode(d *compile.Design, stim Stimulus, mode Mode) (*Trace, error) {
-	return RunModeCtx(context.Background(), d, stim, mode)
-}
-
-// stopped polls a context's done channel between simulated cycles. The
-// channel is hoisted out of the run loops so an uncancellable context
-// (Background's Done is nil) costs one nil check per cycle — the formal
-// checker's hot loops must not pay for cancellation they never use.
-func stopped(done <-chan struct{}) bool {
-	if done == nil {
-		return false
-	}
-	select {
-	case <-done:
-		return true
-	default:
-		return false
-	}
-}
-
-// RunModeCtx is RunMode under a context: the run loop polls ctx between
-// cycles and returns ctx.Err() once it is cancelled, so a caller-side
-// deadline or disconnect stops a long simulation within one cycle.
-func RunModeCtx(ctx context.Context, d *compile.Design, stim Stimulus, mode Mode) (*Trace, error) {
-	done := ctx.Done()
-	p := PlanOf(d)
-	if p == nil {
-		return RunReferenceCtx(ctx, d, stim, mode)
-	}
-	if mode == FourState {
-		p4 := p.fourState()
-		if p4 == nil {
-			return RunReferenceCtx(ctx, d, stim, mode)
-		}
-		m := newMach4(p, p4)
-		if err := m.settle4(p4); err != nil {
-			return nil, err
-		}
-		dc := domainClocksOf(d)
-		tr := &Trace{Design: d, plan: p,
-			rows: make([][]uint64, 0, len(stim)),
-			unks: make([][]uint64, 0, len(stim))}
-		for i, cyc := range stim {
-			if stopped(done) {
-				return nil, ctx.Err()
-			}
-			if dc != nil {
-				dc.capture(m.vals, m.unks)
-			}
-			for name, v := range cyc {
-				if err := m.setInput4(name, v); err != nil {
-					return nil, fmt.Errorf("cycle %d: %w", i, err)
-				}
-			}
-			if err := m.settle4(p4); err != nil {
-				return nil, fmt.Errorf("cycle %d: %w", i, err)
-			}
-			row := make([]uint64, p.nslots)
-			copy(row, m.vals)
-			unk := make([]uint64, p.nslots)
-			copy(unk, m.unks)
-			tr.rows = append(tr.rows, row)
-			tr.unks = append(tr.unks, unk)
-			f := firedAll
-			if dc != nil {
-				f = dc.fired(m.vals, m.unks)
-				tr.fired = append(tr.fired, f)
-			}
-			if err := m.edge4Fired(p4, f); err != nil {
-				return nil, fmt.Errorf("cycle %d: %w", i, err)
-			}
-		}
-		return tr, nil
-	}
-	m := newMach(p)
-	if err := m.settle(); err != nil {
-		return nil, err
-	}
-	dc := domainClocksOf(d)
-	tr := &Trace{Design: d, plan: p, rows: make([][]uint64, 0, len(stim))}
-	for i, cyc := range stim {
-		if stopped(done) {
-			return nil, ctx.Err()
-		}
-		if dc != nil {
-			dc.capture(m.vals, nil)
-		}
-		for name, v := range cyc {
-			if err := m.setInput(name, v); err != nil {
-				return nil, fmt.Errorf("cycle %d: %w", i, err)
-			}
-		}
-		if err := m.settle(); err != nil {
-			return nil, fmt.Errorf("cycle %d: %w", i, err)
-		}
-		row := make([]uint64, p.nslots)
-		copy(row, m.vals)
-		tr.rows = append(tr.rows, row)
-		f := firedAll
-		if dc != nil {
-			f = dc.fired(m.vals, nil)
-			tr.fired = append(tr.fired, f)
-		}
-		if err := m.edgeFired(f); err != nil {
-			return nil, fmt.Errorf("cycle %d: %w", i, err)
-		}
-	}
-	return tr, nil
-}
-
-// RunVec simulates the design over a vectorised stimulus, driving input
-// slots directly. Every input in stim.Inputs is set every cycle. RunVec is
-// two-state — it is the bounded model checker's hot path; RunVecMode
-// selects the value domain.
-func RunVec(d *compile.Design, stim VecStimulus) (*Trace, error) {
-	return runVec(context.Background(), d, stim)
-}
-
-func runVec(ctx context.Context, d *compile.Design, stim VecStimulus) (*Trace, error) {
-	done := ctx.Done()
-	p := PlanOf(d)
-	if p == nil {
-		return RunReferenceCtx(ctx, d, stim.maps(), TwoState)
-	}
-	slots := make([]int32, len(stim.Inputs))
-	for i, in := range stim.Inputs {
-		sig := d.Signals[in.Name]
-		if sig == nil || sig.Kind != compile.SigInput {
-			return nil, fmt.Errorf("sim: %q is not an input", in.Name)
-		}
-		slots[i] = int32(sig.Slot)
-	}
-	m := newMach(p)
-	if err := m.settle(); err != nil {
-		return nil, err
-	}
-	dc := domainClocksOf(d)
-	tr := &Trace{Design: d, plan: p, rows: make([][]uint64, 0, len(stim.Rows))}
-	for c, in := range stim.Rows {
-		if stopped(done) {
-			return nil, ctx.Err()
-		}
-		if dc != nil {
-			dc.capture(m.vals, nil)
-		}
-		for i, slot := range slots {
-			m.vals[slot] = in[i] & p.masks[slot]
-		}
-		if err := m.settle(); err != nil {
-			return nil, fmt.Errorf("cycle %d: %w", c, err)
-		}
-		row := make([]uint64, p.nslots)
-		copy(row, m.vals)
-		tr.rows = append(tr.rows, row)
-		f := firedAll
-		if dc != nil {
-			f = dc.fired(m.vals, nil)
-			tr.fired = append(tr.fired, f)
-		}
-		if err := m.edgeFired(f); err != nil {
-			return nil, fmt.Errorf("cycle %d: %w", c, err)
-		}
-	}
-	return tr, nil
-}
-
 // maps materialises the equivalent map stimulus for reference fallbacks.
 func (st VecStimulus) maps() Stimulus {
 	ms := make(Stimulus, len(st.Rows))
@@ -482,136 +302,4 @@ func (st VecStimulus) maps() Stimulus {
 		ms[c] = cyc
 	}
 	return ms
-}
-
-// RunVecMode is RunVec in an explicit value domain. FourState runs execute
-// on the plan's four-state lowering (falling back to the reference
-// interpreter when it is unavailable), so the formal checker can drive the
-// same known-value stimulus enumeration over x-initialised state.
-func RunVecMode(d *compile.Design, stim VecStimulus, mode Mode) (*Trace, error) {
-	return RunVecCtx(context.Background(), d, stim, mode)
-}
-
-// RunVecCtx is RunVecMode under a context: the run loop polls ctx between
-// cycles and returns ctx.Err() once it is cancelled. This is the seam the
-// formal checker threads its context through, so a cancelled bounded check
-// stops mid-run rather than finishing the stimulus.
-func RunVecCtx(ctx context.Context, d *compile.Design, stim VecStimulus, mode Mode) (*Trace, error) {
-	if mode != FourState {
-		return runVec(ctx, d, stim)
-	}
-	done := ctx.Done()
-	p := PlanOf(d)
-	var p4 *plan4
-	if p != nil {
-		p4 = p.fourState()
-	}
-	if p == nil || p4 == nil {
-		return RunReferenceCtx(ctx, d, stim.maps(), FourState)
-	}
-	slots := make([]int32, len(stim.Inputs))
-	for i, in := range stim.Inputs {
-		sig := d.Signals[in.Name]
-		if sig == nil || sig.Kind != compile.SigInput {
-			return nil, fmt.Errorf("sim: %q is not an input", in.Name)
-		}
-		slots[i] = int32(sig.Slot)
-	}
-	m := newMach4(p, p4)
-	if err := m.settle4(p4); err != nil {
-		return nil, err
-	}
-	dc := domainClocksOf(d)
-	tr := &Trace{Design: d, plan: p,
-		rows: make([][]uint64, 0, len(stim.Rows)),
-		unks: make([][]uint64, 0, len(stim.Rows))}
-	for c, in := range stim.Rows {
-		if stopped(done) {
-			return nil, ctx.Err()
-		}
-		if dc != nil {
-			dc.capture(m.vals, m.unks)
-		}
-		for i, slot := range slots {
-			m.vals[slot] = in[i] & p.masks[slot]
-			m.unks[slot] = 0
-		}
-		if err := m.settle4(p4); err != nil {
-			return nil, fmt.Errorf("cycle %d: %w", c, err)
-		}
-		row := make([]uint64, p.nslots)
-		copy(row, m.vals)
-		unk := make([]uint64, p.nslots)
-		copy(unk, m.unks)
-		tr.rows = append(tr.rows, row)
-		tr.unks = append(tr.unks, unk)
-		f := firedAll
-		if dc != nil {
-			f = dc.fired(m.vals, m.unks)
-			tr.fired = append(tr.fired, f)
-		}
-		if err := m.edge4Fired(p4, f); err != nil {
-			return nil, fmt.Errorf("cycle %d: %w", c, err)
-		}
-	}
-	return tr, nil
-}
-
-// RunReference simulates the design on the two-state reference interpreter.
-// It is the semantic oracle the differential tests hold Run's compiled plan
-// against, and the fallback for designs the planner cannot lower.
-func RunReference(d *compile.Design, stim Stimulus) (*Trace, error) {
-	return RunReferenceMode(d, stim, TwoState)
-}
-
-// RunReferenceMode simulates the design on the reference interpreter in the
-// given value domain.
-func RunReferenceMode(d *compile.Design, stim Stimulus, mode Mode) (*Trace, error) {
-	return RunReferenceCtx(context.Background(), d, stim, mode)
-}
-
-// RunReferenceCtx is RunReferenceMode under a context, polled between
-// cycles like the compiled run loops — the reference interpreter is the
-// fallback for designs the planner cannot lower, and those are exactly the
-// runs slow enough to be worth cancelling.
-func RunReferenceCtx(ctx context.Context, d *compile.Design, stim Stimulus, mode Mode) (*Trace, error) {
-	done := ctx.Done()
-	s, err := NewMode(d, mode)
-	if err != nil {
-		return nil, err
-	}
-	rc := refClocksOf(d)
-	tr := &Trace{Design: d, rows: make([][]uint64, 0, len(stim))}
-	if mode == FourState {
-		tr.unks = make([][]uint64, 0, len(stim))
-	}
-	for i, cyc := range stim {
-		if stopped(done) {
-			return nil, ctx.Err()
-		}
-		if rc != nil {
-			rc.capture(s)
-		}
-		for name, v := range cyc {
-			if err := s.SetInput(name, v); err != nil {
-				return nil, fmt.Errorf("cycle %d: %w", i, err)
-			}
-		}
-		if err := s.Settle(); err != nil {
-			return nil, fmt.Errorf("cycle %d: %w", i, err)
-		}
-		tr.rows = append(tr.rows, s.snapshotRow())
-		if tr.unks != nil {
-			tr.unks = append(tr.unks, s.snapshotUnkRow())
-		}
-		f := firedAll
-		if rc != nil {
-			f = rc.fired(s)
-			tr.fired = append(tr.fired, f)
-		}
-		if err := s.EdgeFired(f); err != nil {
-			return nil, fmt.Errorf("cycle %d: %w", i, err)
-		}
-	}
-	return tr, nil
 }

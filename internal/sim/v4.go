@@ -8,9 +8,9 @@ import (
 // Mode selects the simulator's value domain.
 type Mode int
 
-// Simulation modes. TwoState is the zero value: every existing entry point
-// (Run, RunVec, RunReference, New) keeps today's two-valued semantics, so
-// corpora, goldens and benchmark trajectories stay comparable. FourState
+// Simulation modes. TwoState is the zero value and New's domain: it keeps
+// the historical two-valued semantics, so corpora, goldens and benchmark
+// trajectories stay comparable. FourState
 // enables the x-propagating domain: registers initialise to x until reset
 // or first assignment, x/z literal bits are honoured, and division by zero
 // yields all-x instead of zero.

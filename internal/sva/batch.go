@@ -1,0 +1,112 @@
+package sva
+
+import (
+	"context"
+
+	"repro/internal/compile"
+	"repro/internal/sim"
+)
+
+// Outcome is one stimulus' verdict from CheckStimulus or a Batch.
+type Outcome struct {
+	// Pass reports that no assertion failed.
+	Pass bool
+	// Result and Trace are the scalar check and the trace it ran over. They
+	// are set for every stimulus the scalar engine ran and for every failing
+	// lane of a packed batch, whose trace is demuxed from the lane run; a
+	// lane the packed check passed leaves both nil.
+	Result *Result
+	Trace  *sim.Trace
+
+	lanes *LaneResult
+	lane  int
+}
+
+// Attempted reports whether the named assertion logged at least one
+// counted (pass or fail) attempt.
+func (o Outcome) Attempted(name string) bool {
+	if o.Result != nil {
+		return o.Result.Attempts[name] > 0
+	}
+	return o.lanes.Attempted[name]>>uint(o.lane)&1 != 0
+}
+
+// CheckStimulus simulates one stimulus on the scalar engine and checks
+// every assertion over its trace.
+func CheckStimulus(ctx context.Context, d *compile.Design, stim sim.VecStimulus, mode sim.Mode) (Outcome, error) {
+	tr, err := sim.RunVecCtx(ctx, d, stim, mode)
+	if err != nil {
+		return Outcome{}, err
+	}
+	return checkTrace(tr)
+}
+
+func checkTrace(tr *sim.Trace) (Outcome, error) {
+	res, err := Check(tr)
+	if err != nil {
+		return Outcome{}, err
+	}
+	return Outcome{Pass: !res.Failed(), Result: res, Trace: tr}, nil
+}
+
+// Batch is a set of stimuli checked against one design's assertions. It
+// is the one place that chooses between the lane engine and the scalar
+// engine: a batch runs lane-packed when it holds at least two stimuli and
+// sim.LanesOK accepts the design in the value domain. Otherwise — and when
+// the packed run or CheckLanes fails at run time, since predication
+// evaluates a superset of each lane's expressions — every stimulus runs on
+// the scalar engine, lazily, when its outcome is first asked for. Either
+// way each outcome's verdict and attempted set equal CheckStimulus's for
+// that stimulus, and so do Result and Trace wherever the outcome has them.
+type Batch struct {
+	// Packed reports that a lane-packed run decided the batch.
+	Packed bool
+
+	// ctx is the context CheckBatch ran under; the lazy scalar runs use it.
+	ctx   context.Context
+	d     *compile.Design
+	mode  sim.Mode
+	stims []sim.VecStimulus
+	lt    *sim.LaneTrace
+	lr    *LaneResult
+}
+
+// CheckBatch checks stims against d's assertions in mode. Its only error is
+// ctx.Err() for a cancelled packed run: a cancelled batch is not demoted to
+// scalar runs that would each fail the same way.
+func CheckBatch(ctx context.Context, d *compile.Design, stims []sim.VecStimulus, mode sim.Mode) (*Batch, error) {
+	b := &Batch{ctx: ctx, d: d, mode: mode, stims: stims}
+	if len(stims) < 2 || !sim.LanesOK(d, mode) {
+		return b, nil
+	}
+	ls, err := sim.PackStimuli(stims)
+	if err != nil {
+		return b, nil
+	}
+	lt, err := sim.RunLanesCtx(ctx, d, ls, mode)
+	if err != nil {
+		if ctx.Err() != nil {
+			return nil, ctx.Err()
+		}
+		return b, nil
+	}
+	lr, err := CheckLanes(lt)
+	if err != nil {
+		return b, nil
+	}
+	b.Packed, b.lt, b.lr = true, lt, lr
+	return b, nil
+}
+
+// Lane returns stimulus i's outcome. A failing lane of a packed batch is
+// demuxed and checked on the scalar checker, so its Result and Trace are
+// exactly CheckStimulus's; on a scalar batch stimulus i simulates now.
+func (b *Batch) Lane(i int) (Outcome, error) {
+	if !b.Packed {
+		return CheckStimulus(b.ctx, b.d, b.stims[i], b.mode)
+	}
+	if b.lr.Failed>>uint(i)&1 == 0 {
+		return Outcome{Pass: true, lanes: b.lr, lane: i}, nil
+	}
+	return checkTrace(b.lt.Demux(i))
+}

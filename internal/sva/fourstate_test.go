@@ -1,6 +1,7 @@
 package sva
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -17,11 +18,11 @@ func checkBoth4(t *testing.T, src string, stim sim.Stimulus) *Result {
 		t.Fatalf("compile: %v %v", err, diags)
 	}
 	d2, _, _ := compile.Compile(src)
-	tr1, err := sim.RunMode(d1, stim, sim.FourState)
+	tr1, err := sim.Run(context.Background(), d1, stim, sim.FourState)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr2, err := sim.RunReferenceMode(d2, stim, sim.FourState)
+	tr2, err := sim.RunReferenceCtx(context.Background(), d2, stim, sim.FourState)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,11 +8,11 @@ import (
 )
 
 // LaneResult summarises checking all assertions against one lane batch.
-// It deliberately carries only what the formal driver needs to stay
-// byte-equivalent with scalar runs: which lanes failed (those are demuxed
-// and replayed on the scalar engine for the full Failure/log detail) and,
-// per assertion, which lanes logged at least one counted (non-vacuous)
-// attempt — formal.Check only records attempted-ness, not counts.
+// It deliberately carries only what Batch needs to stay byte-equivalent
+// with scalar runs: which lanes failed (those are demuxed and checked on
+// the scalar checker for the full Failure/log detail) and, per assertion,
+// which lanes logged at least one counted (non-vacuous) attempt — callers
+// record attempted-ness, not counts.
 type LaneResult struct {
 	// Failed has bit l set when lane l failed at least one assertion.
 	Failed uint64
@@ -25,7 +25,7 @@ type LaneResult struct {
 // lanes at once, running the same bounded attempt automaton as Check but on
 // packed truth words: one word op decides a term for 64 lanes. It returns
 // an error when any property expression was not lane-compiled (or fails to
-// evaluate); callers fall back to demuxing and checking per lane, which
+// evaluate); Batch then checks every stimulus on the scalar engine, which
 // reproduces scalar semantics exactly.
 func CheckLanes(lt *sim.LaneTrace) (*LaneResult, error) {
 	// Multi-clock designs are out of the packed model's reach: assertions
@@ -33,7 +33,7 @@ func CheckLanes(lt *sim.LaneTrace) (*LaneResult, error) {
 	// clock stimulus, so the tick subsequences diverge across lanes and no
 	// single truth word describes "the same attempt position" in all of
 	// them. Report it as a lane-compilation gap so callers fall back to
-	// demuxed scalar checking, which applies per-lane domain ticks exactly.
+	// scalar checking, which applies per-stimulus domain ticks exactly.
 	if lt.Design.MultiClock() {
 		return nil, fmt.Errorf("sva: lane checking does not support multi-clock designs (%d domains)", len(lt.Design.Domains))
 	}

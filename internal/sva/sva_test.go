@@ -1,6 +1,7 @@
 package sva
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -23,7 +24,7 @@ func mustCompile(t *testing.T, src string) *compile.Design {
 func runAndCheck(t *testing.T, src string, stim sim.Stimulus) *Result {
 	t.Helper()
 	d := mustCompile(t, src)
-	tr, err := sim.Run(d, stim)
+	tr, err := sim.Run(context.Background(), d, stim, sim.TwoState)
 	if err != nil {
 		t.Fatalf("sim: %v", err)
 	}
@@ -282,7 +283,7 @@ endmodule
 func TestFormatLog(t *testing.T) {
 	bad := strings.Replace(accuGood, "else if (end_cnt) valid_out <= 1;", "else if (!end_cnt) valid_out <= 1;", 1)
 	d := mustCompile(t, bad)
-	tr, err := sim.Run(d, accuStim())
+	tr, err := sim.Run(context.Background(), d, accuStim(), sim.TwoState)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +304,7 @@ func TestFormatLog(t *testing.T) {
 	}
 	// Passing log.
 	dGood := mustCompile(t, accuGood)
-	trGood, err := sim.Run(dGood, accuStim())
+	trGood, err := sim.Run(context.Background(), dGood, accuStim(), sim.TwoState)
 	if err != nil {
 		t.Fatal(err)
 	}

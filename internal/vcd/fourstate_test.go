@@ -1,6 +1,7 @@
 package vcd
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -29,7 +30,7 @@ endmodule
 	if err != nil || compile.HasErrors(diags) {
 		t.Fatalf("compile: %v %v", err, diags)
 	}
-	tr, err := sim.RunMode(d, sim.Stimulus{{"en": 0}, {"en": 1}, {"en": 0}}, sim.FourState)
+	tr, err := sim.Run(context.Background(), d, sim.Stimulus{{"en": 0}, {"en": 1}, {"en": 0}}, sim.FourState)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +82,7 @@ endmodule
 	if err != nil || compile.HasErrors(diags) {
 		t.Fatalf("compile: %v %v", err, diags)
 	}
-	tr, err := sim.RunMode(d, sim.Stimulus{{}}, sim.FourState)
+	tr, err := sim.Run(context.Background(), d, sim.Stimulus{{}}, sim.FourState)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +99,7 @@ endmodule
 // contains x value characters.
 func TestWriteTwoStateUnchanged(t *testing.T) {
 	trSrc := fourStateTrace(t)
-	tr, err := sim.Run(trSrc.Design, sim.Stimulus{{"en": 0}, {"en": 1}, {"en": 0}})
+	tr, err := sim.Run(context.Background(), trSrc.Design, sim.Stimulus{{"en": 0}, {"en": 1}, {"en": 0}}, sim.TwoState)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package vcd
 
 import (
+	"context"
 	"strconv"
 	"strings"
 	"testing"
@@ -26,9 +27,9 @@ endmodule
 	if err != nil || compile.HasErrors(diags) {
 		t.Fatal("fixture broken")
 	}
-	tr, err := sim.Run(d, sim.Stimulus{
+	tr, err := sim.Run(context.Background(), d, sim.Stimulus{
 		{"d": 5}, {"d": 5}, {"d": 9}, {"d": 9},
-	})
+	}, sim.TwoState)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +212,7 @@ endmodule
 	if err != nil || compile.HasErrors(diags) {
 		t.Fatalf("fixture broken: %v %v", err, diags)
 	}
-	tr, err := sim.Run(d, sim.Stimulus{{"rst_n": 1}, {"rst_n": 1}})
+	tr, err := sim.Run(context.Background(), d, sim.Stimulus{{"rst_n": 1}, {"rst_n": 1}}, sim.TwoState)
 	if err != nil {
 		t.Fatal(err)
 	}
