@@ -3,25 +3,33 @@ package main
 import (
 	"context"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/compile"
 	"repro/internal/sim"
 	"repro/internal/sva"
 )
 
-// batcher packs compatible queued stimulus checks into single lane runs.
-// Requests arriving within one batching window that drive the same design,
-// input list, depth and value domain become one sva.Batch (up to the lane
-// cap); a group flushes when full or when its window timer fires.
+// batcher runs /stimulus checks, packing compatible ones into single lane
+// runs. It is work-conserving: a stimulus whose group key (design, input
+// list, depth and value domain) has no run in flight runs at once on its
+// handler goroutine, so a lone request never waits. Stimuli that arrive
+// while a run for their key is in flight queue on that key and run together
+// as the next sva.Batch when it ends. Batches therefore form only when
+// requests compete for a key. A queue that reaches the lane cap runs at
+// once beside the run in flight; the admission queue bounds every queue.
 type batcher struct {
-	lanes  int
-	window time.Duration
+	lanes int
+	// check decides one batch. It is sva.CheckBatch; tests wrap it to hold
+	// a run in flight.
+	check func(context.Context, *compile.Design, []sim.VecStimulus, sim.Mode) (*sva.Batch, error)
 
-	mu     sync.Mutex
-	groups map[groupKey]*group
+	mu sync.Mutex
+	// queued has an entry for each key with a run in flight: the stimuli
+	// waiting for that run to end. A key is deleted when it goes idle.
+	queued map[groupKey][]*submission
 
 	runs    atomic.Uint64 // lane-packed simulations executed
 	batched atomic.Uint64 // stimuli answered from lane runs
@@ -38,32 +46,22 @@ type groupKey struct {
 	names string
 }
 
-type group struct {
-	key   groupKey
-	subs  []*submission
-	timer *time.Timer
-}
-
 type submission struct {
 	stim sim.VecStimulus
-	ch   chan submitResult
-}
-
-type submitResult struct {
 	resp stimulusResponse
 	err  error
+	done chan struct{} // closed once resp and err are set
 }
 
-func newBatcher(lanes int, window time.Duration) *batcher {
+func newBatcher(lanes int) *batcher {
 	if lanes > 64 {
 		lanes = 64
 	}
-	return &batcher{lanes: lanes, window: window, groups: map[groupKey]*group{}}
+	return &batcher{lanes: lanes, check: sva.CheckBatch, queued: map[groupKey][]*submission{}}
 }
 
-// submit queues one stimulus for the design and blocks until its batch has
-// run (or ctx is cancelled, in which case the batch still runs for the
-// other lanes and this caller's slot is discarded).
+// submit checks one stimulus and blocks until its verdict is ready, or ctx
+// is cancelled: its batch still runs, and this caller's verdict is dropped.
 func (b *batcher) submit(ctx context.Context, d *compile.Design, req stimulusRequest) (stimulusResponse, error) {
 	stim, err := buildStimulus(d, req)
 	if err != nil {
@@ -74,93 +72,101 @@ func (b *batcher) submit(ctx context.Context, d *compile.Design, req stimulusReq
 		mode = sim.FourState
 	}
 
-	sub := &submission{stim: stim, ch: make(chan submitResult, 1)}
-	key := groupKey{d: d, mode: mode, depth: len(stim.Rows), names: inputNames(stim.Inputs)}
+	sub := &submission{stim: stim, done: make(chan struct{})}
+	// An empty column list names the design's default inputs.
+	key := groupKey{d: d, mode: mode, depth: len(stim.Rows), names: strings.Join(req.Inputs, "\x00")}
 
 	b.mu.Lock()
-	g := b.groups[key]
-	if g == nil {
-		g = &group{key: key}
-		b.groups[key] = g
-		g.timer = time.AfterFunc(b.window, func() { b.flush(g) })
-	}
-	g.subs = append(g.subs, sub)
-	if len(g.subs) >= b.lanes {
-		// Full: detach under the lock so late arrivals start a new group,
-		// then run without it.
-		delete(b.groups, key)
-		g.timer.Stop()
+	waiting, busy := b.queued[key]
+	switch {
+	case !busy:
+		b.queued[key] = nil
 		b.mu.Unlock()
-		b.run(g)
-	} else {
+		b.drain(key, []*submission{sub})
+	case len(waiting)+1 >= b.lanes:
+		b.queued[key] = nil
+		b.mu.Unlock()
+		full := append(waiting, sub)
+		b.run(key, full)
+		deliver(full)
+	default:
+		b.queued[key] = append(waiting, sub)
 		b.mu.Unlock()
 	}
 
 	select {
-	case r := <-sub.ch:
-		return r.resp, r.err
+	case <-sub.done:
+		return sub.resp, sub.err
 	case <-ctx.Done():
 		return stimulusResponse{}, ctx.Err()
 	}
 }
 
-// flush is the window-timer path: detach the group if it is still queued
-// and run it.
-func (b *batcher) flush(g *group) {
+// drain runs subs as key's run in flight, then takes what queued meanwhile
+// (or deletes the idle key) before delivering, so a key is idle once its
+// last verdict is out. What queued runs next, on a goroutine of its own.
+func (b *batcher) drain(key groupKey, subs []*submission) {
+	b.run(key, subs)
 	b.mu.Lock()
-	if b.groups[g.key] != g {
-		b.mu.Unlock()
-		return // already flushed by the full-batch path
+	next := b.queued[key]
+	if len(next) == 0 {
+		delete(b.queued, key)
+	} else {
+		b.queued[key] = nil
 	}
-	delete(b.groups, g.key)
 	b.mu.Unlock()
-	b.run(g)
+	deliver(subs)
+	if len(next) > 0 {
+		go b.drain(key, next)
+	}
 }
 
-// run executes one detached group through sva.CheckBatch, which packs it
-// into one lane run when the lane engine can decide it and runs it on the
-// scalar engine otherwise. The batch simulates under a background context:
-// one client disconnecting must not cancel the other lanes.
-func (b *batcher) run(g *group) {
-	stims := make([]sim.VecStimulus, len(g.subs))
-	for i, sub := range g.subs {
+// run decides subs as one sva.Batch and stores each verdict in its
+// submission. It runs under a background context: one client disconnecting
+// must not cancel the other stimuli.
+func (b *batcher) run(key groupKey, subs []*submission) {
+	stims := make([]sim.VecStimulus, len(subs))
+	for i, sub := range subs {
 		stims[i] = sub.stim
 	}
 	// CheckBatch's only error is ctx.Err(), and a background context is
 	// never cancelled.
-	bt, _ := sva.CheckBatch(context.Background(), g.key.d, stims, g.key.mode)
+	bt, _ := b.check(context.Background(), key.d, stims, key.mode)
 	if bt.Packed {
 		b.runs.Add(1)
 		b.batched.Add(uint64(len(stims)))
 	} else {
 		b.scalar.Add(uint64(len(stims)))
 	}
-	for i, sub := range g.subs {
-		sub.deliver(outcome(g.key, bt, i))
+	for i, sub := range subs {
+		sub.resp, sub.err = outcome(key, bt, i)
 	}
 }
 
 // outcome renders stimulus i's verdict as its response. A failing stimulus
 // carries the scalar checker's failure log whichever engine ran it.
-func outcome(key groupKey, bt *sva.Batch, i int) submitResult {
+func outcome(key groupKey, bt *sva.Batch, i int) (stimulusResponse, error) {
 	o, err := bt.Lane(i)
 	if err != nil {
-		return submitResult{err: err}
+		return stimulusResponse{}, err
 	}
 	resp := stimulusResponse{Pass: o.Pass, Batched: bt.Packed}
 	if o.Result == nil {
 		resp.Log = fmt.Sprintf("%s: all assertions passed (%d cycles)\n", key.d.Module.Name, key.depth)
-		return submitResult{resp: resp}
+		return resp, nil
 	}
 	resp.Log = sva.FormatLog(key.d.Module.Name, o.Trace, o.Result.Failures)
 	for _, f := range o.Result.Failures {
 		resp.FailedAsserts = appendUnique(resp.FailedAsserts, f.Assert.Name)
 	}
-	return submitResult{resp: resp}
+	return resp, nil
 }
 
-func (s *submission) deliver(r submitResult) {
-	s.ch <- r // buffered; a departed waiter never blocks the batch
+// deliver wakes each submission's waiter, if it has not departed.
+func deliver(subs []*submission) {
+	for _, sub := range subs {
+		close(sub.done)
+	}
 }
 
 func appendUnique(names []string, n string) []string {
@@ -173,7 +179,8 @@ func appendUnique(names []string, n string) []string {
 }
 
 // buildStimulus resolves the request's input names against the design and
-// shapes the rows into a sim.VecStimulus.
+// shapes the rows into a sim.VecStimulus. The stimulus shares the request's
+// rows, which nothing else holds.
 func buildStimulus(d *compile.Design, req stimulusRequest) (sim.VecStimulus, error) {
 	var inputs []*compile.Signal
 	if len(req.Inputs) == 0 {
@@ -182,29 +189,19 @@ func buildStimulus(d *compile.Design, req stimulusRequest) (sim.VecStimulus, err
 		// extra clocks name their columns explicitly.
 		inputs = d.Inputs(true)
 	} else {
-		for _, name := range req.Inputs {
+		inputs = make([]*compile.Signal, len(req.Inputs))
+		for i, name := range req.Inputs {
 			sig := d.Signals[name]
 			if sig == nil || sig.Kind != compile.SigInput {
 				return sim.VecStimulus{}, fmt.Errorf("%q is not an input of %s", name, d.Module.Name)
 			}
-			inputs = append(inputs, sig)
+			inputs[i] = sig
 		}
 	}
-	rows := make([][]uint64, len(req.Rows))
 	for c, row := range req.Rows {
 		if len(row) != len(inputs) {
 			return sim.VecStimulus{}, fmt.Errorf("row %d has %d values for %d inputs", c, len(row), len(inputs))
 		}
-		rows[c] = append([]uint64(nil), row...)
 	}
-	return sim.VecStimulus{Inputs: inputs, Rows: rows}, nil
-}
-
-// inputNames renders the driven column list as a group-key component.
-func inputNames(inputs []*compile.Signal) string {
-	var s string
-	for _, in := range inputs {
-		s += in.Name + "\x00"
-	}
-	return s
+	return sim.VecStimulus{Inputs: inputs, Rows: req.Rows}, nil
 }

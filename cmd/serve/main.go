@@ -9,9 +9,12 @@
 //	                 re-elaboration). The client disconnecting cancels the
 //	                 check mid-enumeration.
 //	POST /stimulus - run one concrete stimulus against a design's
-//	                 assertions. Compatible queued requests (same design,
-//	                 value domain and shape) are packed into a single
-//	                 lane-parallel simulation, up to 64 per run.
+//	                 assertions. A request whose design, value domain and
+//	                 shape has no run in flight runs at once; requests that
+//	                 arrive while one does queue and run together as one
+//	                 lane-parallel simulation, up to 64 per run, when it
+//	                 ends. Batches form only when requests compete for a
+//	                 key; a lone request never waits.
 //	GET  /metrics  - verification-service counters (hits, misses,
 //	                 coalesced waiters, evictions, in-flight, disk hits)
 //	                 plus the server's admission/batching counters.
@@ -20,7 +23,8 @@
 // over the same directory answers repeated checks from disk without
 // recomputing. Admission control is a bounded concurrency queue (overflow
 // is rejected with 429) plus a per-client token bucket (X-Client header,
-// falling back to the remote address).
+// falling back to the remote address). Request bodies over 1 MiB
+// (maxBodyBytes) are rejected with 413.
 package main
 
 import (
@@ -54,7 +58,6 @@ func main() {
 		queue    = flag.Int("queue", 64, "admission queue: concurrent requests beyond this are rejected with 429")
 		rate     = flag.Float64("rate", 50, "per-client request rate limit per second (0 = unlimited)")
 		burst    = flag.Float64("burst", 100, "per-client token-bucket burst size")
-		window   = flag.Duration("batch-window", 5*time.Millisecond, "stimulus batching window")
 		lanes    = flag.Int("lanes", 64, "max stimuli packed into one lane run (1 = scalar)")
 	)
 	flag.Parse()
@@ -71,11 +74,10 @@ func main() {
 	}
 
 	srv := newServer(svc, serverConfig{
-		Queue:       *queue,
-		Rate:        *rate,
-		Burst:       *burst,
-		BatchWindow: *window,
-		BatchLanes:  *lanes,
+		Queue:      *queue,
+		Rate:       *rate,
+		Burst:      *burst,
+		BatchLanes: *lanes,
 	})
 	httpSrv := &http.Server{Addr: *addr, Handler: srv.routes()}
 
@@ -105,13 +107,19 @@ func main() {
 	}
 }
 
-// serverConfig bundles the admission, rate-limit and batching knobs.
+// serverConfig bundles the admission, rate-limit and batching knobs. The
+// one batching knob is the lane cap: a /stimulus batch runs as soon as its
+// key is idle, so there is no window to wait out, and batches form only
+// when requests compete for a key.
 type serverConfig struct {
 	Queue       int
 	Rate, Burst float64
-	BatchWindow time.Duration
 	BatchLanes  int
 }
+
+// maxBodyBytes caps every request body; a larger one is answered 413. The
+// largest catalog design source is about 12 KB.
+const maxBodyBytes = 1 << 20
 
 // server is the HTTP front end over one verification service.
 type server struct {
@@ -132,14 +140,11 @@ func newServer(svc *verify.Service, cfg serverConfig) *server {
 	if cfg.BatchLanes <= 0 {
 		cfg.BatchLanes = 64
 	}
-	if cfg.BatchWindow <= 0 {
-		cfg.BatchWindow = 5 * time.Millisecond
-	}
 	return &server{
 		svc:   svc,
 		admit: make(chan struct{}, cfg.Queue),
 		rl:    newRateLimiter(cfg.Rate, cfg.Burst),
-		batch: newBatcher(cfg.BatchLanes, cfg.BatchWindow),
+		batch: newBatcher(cfg.BatchLanes),
 	}
 }
 
@@ -249,8 +254,7 @@ func parseAssertions(text string) ([]verilog.Item, error) {
 
 func (s *server) handleCheck(w http.ResponseWriter, r *http.Request) {
 	var req checkRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if req.Source == "" {
@@ -283,6 +287,23 @@ func (s *server) handleCheck(w http.ResponseWriter, r *http.Request) {
 		resp.Cached = v.Cached
 	}
 	writeJSON(w, resp)
+}
+
+// decodeBody decodes the JSON request body into v, reading at most
+// maxBodyBytes. It answers 413 for a larger body and 400 for malformed
+// JSON, and reports whether v was decoded.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	status := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	http.Error(w, err.Error(), status)
+	return false
 }
 
 // replyError maps a failed check to a transport status: client-caused
@@ -328,8 +349,7 @@ type stimulusResponse struct {
 
 func (s *server) handleStimulus(w http.ResponseWriter, r *http.Request) {
 	var req stimulusRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if req.Source == "" || len(req.Rows) == 0 {

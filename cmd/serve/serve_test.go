@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -24,7 +25,7 @@ import (
 
 // testServer boots the HTTP front end over a fresh service (plus optional
 // store) the way main() wires it, behind an httptest listener.
-func testServer(t *testing.T, store verify.Store, cfg serverConfig) (*httptest.Server, *verify.Service) {
+func testServer(t *testing.T, store verify.Store, cfg serverConfig) (*httptest.Server, *server) {
 	t.Helper()
 	svc := verify.New(4)
 	if store != nil {
@@ -33,7 +34,7 @@ func testServer(t *testing.T, store verify.Store, cfg serverConfig) (*httptest.S
 	srv := newServer(svc, cfg)
 	ts := httptest.NewServer(srv.routes())
 	t.Cleanup(ts.Close)
-	return ts, svc
+	return ts, srv
 }
 
 func postJSON(t *testing.T, url string, body any) (*http.Response, []byte) {
@@ -255,19 +256,243 @@ func TestServePersistenceAcrossRestart(t *testing.T) {
 	}
 }
 
-// TestServeStimulusBatching fires compatible stimulus checks concurrently
-// and requires the lane path to carry them: the packed run must agree with
-// scalar semantics on both passing and failing stimuli.
-func TestServeStimulusBatching(t *testing.T) {
-	ts, _ := testServer(t, nil, serverConfig{BatchWindow: 100 * time.Millisecond, BatchLanes: 8})
+// stimulusCase is one /stimulus request and the reply the server owes it.
+type stimulusCase struct {
+	req  stimulusRequest
+	want stimulusResponse
+}
 
-	// A broken edge detector: pulse stays high as long as sig is high, so
-	// any stimulus holding sig for two sampled cycles fails p_pulse.
+// scalarReference pairs a request with its in-process scalar run, check and
+// log; want.Batched is left for the caller to set.
+func scalarReference(t *testing.T, req stimulusRequest) stimulusCase {
+	t.Helper()
+	d, diags, err := compile.Compile(req.Source)
+	if err != nil || compile.HasErrors(diags) {
+		t.Fatalf("fixture does not compile: %v %s", err, compile.FormatDiags(diags))
+	}
+	inputs := d.Inputs(true)
+	if len(req.Inputs) > 0 {
+		inputs = make([]*compile.Signal, len(req.Inputs))
+		for i, name := range req.Inputs {
+			inputs[i] = d.Signals[name]
+		}
+	}
+	mode := sim.TwoState
+	if req.FourState {
+		mode = sim.FourState
+	}
+	tr, err := sim.RunVecCtx(context.Background(), d, sim.VecStimulus{Inputs: inputs, Rows: req.Rows}, mode)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sva.Check(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := stimulusResponse{Pass: !res.Failed(), Log: sva.FormatLog(d.Module.Name, tr, res.Failures)}
+	for _, f := range res.Failures {
+		want.FailedAsserts = appendUnique(want.FailedAsserts, f.Assert.Name)
+	}
+	return stimulusCase{req: req, want: want}
+}
+
+// postStimulus sends one case and compares the reply with its reference.
+// With anyBatched the reply's Batched flag is not compared.
+func postStimulus(url string, tc stimulusCase, anyBatched bool) error {
+	buf, err := json.Marshal(tc.req)
+	if err != nil {
+		return err
+	}
+	resp, err := http.Post(url+"/stimulus", "application/json", bytes.NewReader(buf))
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return err
+	}
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("status %d: %s", resp.StatusCode, body)
+	}
+	var got stimulusResponse
+	if err := json.Unmarshal(body, &got); err != nil {
+		return err
+	}
+	if anyBatched {
+		tc.want.Batched = got.Batched
+	}
+	if !reflect.DeepEqual(got, tc.want) {
+		return fmt.Errorf("reply differs from the in-process scalar check:\n got %+v\nwant %+v", got, tc.want)
+	}
+	return nil
+}
+
+// postAll sends every case concurrently, reporting failures on errs.
+func postAll(url string, cases []stimulusCase, anyBatched bool, wg *sync.WaitGroup, errs chan<- error) {
+	for i, tc := range cases {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := postStimulus(url, tc, anyBatched); err != nil {
+				errs <- fmt.Errorf("case %d (%d rows): %w", i, len(tc.req.Rows), err)
+			}
+		}()
+	}
+}
+
+// drainErrors fails the test with every error sent on errs.
+func drainErrors(t *testing.T, errs chan error) {
+	t.Helper()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if t.Failed() {
+		t.FailNow()
+	}
+}
+
+// batchRun is one batch a batcher decided.
+type batchRun struct {
+	size   int
+	packed bool
+}
+
+type gateKey struct {
+	d    *compile.Design
+	mode sim.Mode
+}
+
+// runGate wraps a batcher's check: the first run of each (design, mode)
+// is held in flight until release is closed, and every decided batch is
+// recorded per key in the order it finished.
+type runGate struct {
+	b       *batcher
+	release chan struct{}
+
+	mu      sync.Mutex
+	started map[gateKey]bool
+	held    int
+	runs    map[gateKey][]batchRun
+}
+
+func holdFirstRuns(b *batcher) *runGate {
+	g := &runGate{b: b, release: make(chan struct{}), started: map[gateKey]bool{}, runs: map[gateKey][]batchRun{}}
+	check := b.check
+	b.check = func(ctx context.Context, d *compile.Design, stims []sim.VecStimulus, mode sim.Mode) (*sva.Batch, error) {
+		k := gateKey{d, mode}
+		g.mu.Lock()
+		first := !g.started[k]
+		g.started[k] = true
+		if first {
+			g.held++
+		}
+		g.mu.Unlock()
+		if first {
+			<-g.release
+		}
+		bt, err := check(ctx, d, stims, mode)
+		g.mu.Lock()
+		g.runs[k] = append(g.runs[k], batchRun{len(stims), bt.Packed})
+		g.mu.Unlock()
+		return bt, err
+	}
+	return g
+}
+
+// pending is the number of stimuli queued behind runs in flight.
+func (g *runGate) pending() int {
+	g.b.mu.Lock()
+	defer g.b.mu.Unlock()
+	n := 0
+	for _, q := range g.b.queued {
+		n += len(q)
+	}
+	return n
+}
+
+func (g *runGate) heldRuns() int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.held
+}
+
+// finished is the number of stimuli in batches that have been decided.
+func (g *runGate) finished() int {
+	n := 0
+	for _, runs := range g.batches() {
+		for _, r := range runs {
+			n += r.size
+		}
+	}
+	return n
+}
+
+// batches copies the decided batches, per key.
+func (g *runGate) batches() map[gateKey][]batchRun {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	out := map[gateKey][]batchRun{}
+	for k, runs := range g.runs {
+		out[k] = slices.Clone(runs)
+	}
+	return out
+}
+
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// sendBehindHeldRuns sends lead, one case per key, and waits until each
+// one's run is held in flight. It then sends rest, waits until every one
+// of them is queued or decided, releases the held runs, and checks every
+// reply against its reference.
+func sendBehindHeldRuns(t *testing.T, url string, g *runGate, lead, rest []stimulusCase) {
+	t.Helper()
+	var wg sync.WaitGroup
+	errs := make(chan error, len(lead)+len(rest))
+	postAll(url, lead, false, &wg, errs)
+	waitFor(t, "the lead runs to be held", func() bool { return g.heldRuns() == len(lead) })
+	postAll(url, rest, false, &wg, errs)
+	waitFor(t, "every stimulus to queue", func() bool { return g.pending()+g.finished() == len(rest) })
+	close(g.release)
+	wg.Wait()
+	drainErrors(t, errs)
+}
+
+// brokenEdgeDetect is EdgeDetect with a bug: pulse stays high as long as
+// sig is high, so any stimulus holding sig for two sampled cycles fails
+// p_pulse.
+func brokenEdgeDetect(t *testing.T) string {
+	t.Helper()
 	src := strings.Replace(corpus.EdgeDetect().Source(),
 		"assign pulse = sig && !sig_d;", "assign pulse = sig;", 1)
 	if src == corpus.EdgeDetect().Source() {
 		t.Fatal("bug injection did not apply")
 	}
+	return src
+}
+
+func testServerBatcher(t *testing.T, lanes int) (*httptest.Server, *runGate) {
+	ts, srv := testServer(t, nil, serverConfig{BatchLanes: lanes})
+	return ts, holdFirstRuns(srv.batch)
+}
+
+// TestServeStimulusBatching holds the first run of a key in flight until
+// the other seven compatible stimuli have queued behind it: they must run
+// as one packed lane batch once it ends, and every reply must equal the
+// in-process scalar check of its stimulus.
+func TestServeStimulusBatching(t *testing.T) {
+	ts, g := testServerBatcher(t, 8)
+	src := brokenEdgeDetect(t)
 
 	stim := func(sig ...uint64) [][]uint64 {
 		rows := make([][]uint64, len(sig))
@@ -289,46 +514,28 @@ func TestServeStimulusBatching(t *testing.T) {
 		{stim(0, 0, 0, 1, 1, 1), false},
 		{stim(0, 1, 0, 1, 1, 0), false},
 	}
-	var wg sync.WaitGroup
-	errs := make(chan error, len(cases))
-	for i, tc := range cases {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			resp, body := postJSON(t, ts.URL+"/stimulus", stimulusRequest{
-				Source: src, Rows: tc.rows,
-			})
-			if resp.StatusCode != http.StatusOK {
-				errs <- fmt.Errorf("case %d: status %d: %s", i, resp.StatusCode, body)
-				return
-			}
-			var got stimulusResponse
-			if err := json.Unmarshal(body, &got); err != nil {
-				errs <- err
-				return
-			}
-			if got.Pass != tc.pass {
-				errs <- fmt.Errorf("case %d: pass = %v, want %v (%s)", i, got.Pass, tc.pass, got.Log)
-				return
-			}
-			if !tc.pass && len(got.FailedAsserts) == 0 {
-				errs <- fmt.Errorf("case %d: failing stimulus named no assertions", i)
-			}
-		}()
+	var all []stimulusCase
+	for i, c := range cases {
+		tc := scalarReference(t, stimulusRequest{Source: src, Rows: c.rows})
+		if tc.want.Pass != c.pass || (!c.pass && len(tc.want.FailedAsserts) == 0) {
+			t.Fatalf("case %d: reference pass = %v (%v), want %v", i, tc.want.Pass, tc.want.FailedAsserts, c.pass)
+		}
+		tc.want.Batched = i > 0
+		all = append(all, tc)
 	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
+	sendBehindHeldRuns(t, ts.URL, g, all[:1], all[1:])
 
-	sm := getMetrics(t, ts.URL).Server
-	if total := sm.BatchedStimuli + sm.ScalarRuns; total != uint64(len(cases)) {
-		t.Fatalf("batched(%d) + scalar(%d) = %d stimuli accounted, want %d",
-			sm.BatchedStimuli, sm.ScalarRuns, total, len(cases))
+	var runs []batchRun
+	for _, r := range g.batches() {
+		runs = append(runs, r...)
 	}
-	if sm.BatchedRuns == 0 {
-		t.Fatalf("no lane-packed runs despite %d concurrent compatible stimuli: %+v", len(cases), sm)
+	if want := []batchRun{{1, false}, {len(cases) - 1, true}}; !reflect.DeepEqual(runs, want) {
+		t.Fatalf("batches = %+v, want one scalar run of 1 then one packed run of %d", runs, len(cases)-1)
+	}
+	sm := getMetrics(t, ts.URL).Server
+	if sm.ScalarRuns != 1 || sm.BatchedRuns != 1 || sm.BatchedStimuli != uint64(len(cases)-1) {
+		t.Fatalf("scalar_runs=%d batched_runs=%d batched_stimuli=%d, want 1, 1, %d",
+			sm.ScalarRuns, sm.BatchedRuns, sm.BatchedStimuli, len(cases)-1)
 	}
 
 	// Named-column path: drive the counter's reset explicitly.
@@ -358,14 +565,92 @@ func TestServeStimulusBatching(t *testing.T) {
 	}
 }
 
-// TestServeStimulusMultiClock fires concurrent compatible /stimulus
-// requests at the two-clock CDCCross design (golden and with a skipped
-// synchronizer stage), naming both clock columns, in both value domains.
-// The lane checker cannot decide multi-clock batches, so every stimulus
-// must be answered by the scalar engine — and every reply must equal an
-// in-process scalar run, check and log of the same stimulus.
+// TestServeStimulusLaneCap queues 19 stimuli behind a held run with an
+// 8-lane cap: every queue that reaches the cap must run at once, so no
+// batch holds more than 8 stimuli and all 20 are answered.
+func TestServeStimulusLaneCap(t *testing.T) {
+	const lanes, total = 8, 20
+	ts, g := testServerBatcher(t, lanes)
+	src := brokenEdgeDetect(t)
+	rng := rand.New(rand.NewSource(5))
+	var cases []stimulusCase
+	for i := 0; i < total; i++ {
+		rows := make([][]uint64, 6)
+		for c := range rows {
+			rows[c] = []uint64{rng.Uint64() & 1}
+		}
+		tc := scalarReference(t, stimulusRequest{Source: src, Rows: rows})
+		tc.want.Batched = i > 0
+		cases = append(cases, tc)
+	}
+	sendBehindHeldRuns(t, ts.URL, g, cases[:1], cases[1:])
+
+	var sizes []int
+	for _, runs := range g.batches() {
+		for _, r := range runs {
+			if r.size > lanes {
+				t.Errorf("batch of %d stimuli exceeds the %d-lane cap", r.size, lanes)
+			}
+			sizes = append(sizes, r.size)
+		}
+	}
+	slices.Sort(sizes)
+	if want := []int{1, 3, 8, 8}; !slices.Equal(sizes, want) {
+		t.Errorf("batch sizes = %v, want %v", sizes, want)
+	}
+	if sm := getMetrics(t, ts.URL).Server; sm.BatchedStimuli+sm.ScalarRuns != total {
+		t.Fatalf("batched(%d) + scalar(%d) stimuli accounted, want %d", sm.BatchedStimuli, sm.ScalarRuns, total)
+	}
+}
+
+// TestServeStimulusIdle spreads concurrent stimuli over many keys (depths
+// and value domains), several per key: once every reply has arrived, the
+// batcher must hold no per-key state, so its memory does not grow with the
+// number of distinct keys ever seen.
+func TestServeStimulusIdle(t *testing.T) {
+	ts, srv := testServer(t, nil, serverConfig{BatchLanes: 8})
+	src := brokenEdgeDetect(t)
+	rng := rand.New(rand.NewSource(9))
+	var cases []stimulusCase
+	for depth := 1; depth <= 8; depth++ {
+		for _, four := range []bool{false, true} {
+			for k := 0; k < 3; k++ {
+				rows := make([][]uint64, depth)
+				for c := range rows {
+					rows[c] = []uint64{rng.Uint64() & 1}
+				}
+				cases = append(cases, scalarReference(t, stimulusRequest{Source: src, Rows: rows, FourState: four}))
+			}
+		}
+	}
+	// Which requests share a batch depends on arrival timing; the verdict,
+	// failed set and log must not.
+	var wg sync.WaitGroup
+	errs := make(chan error, len(cases))
+	postAll(ts.URL, cases, true, &wg, errs)
+	wg.Wait()
+	drainErrors(t, errs)
+	srv.batch.mu.Lock()
+	left := len(srv.batch.queued)
+	srv.batch.mu.Unlock()
+	if left != 0 {
+		t.Fatalf("%d keys still held after every reply arrived, want 0", left)
+	}
+	sm := getMetrics(t, ts.URL).Server
+	if total := sm.BatchedStimuli + sm.ScalarRuns; total != uint64(len(cases)) {
+		t.Fatalf("batched(%d) + scalar(%d) = %d stimuli accounted, want %d", sm.BatchedStimuli, sm.ScalarRuns, total, len(cases))
+	}
+}
+
+// TestServeStimulusMultiClock holds the first run of each key of the
+// two-clock CDCCross design (golden and with a skipped synchronizer stage,
+// in both value domains, naming both clock columns) until the other
+// stimuli have queued. The lane checker cannot decide multi-clock batches,
+// so each key must run one scalar stimulus and then its queue on the
+// scalar engine, and every reply must equal an in-process scalar run,
+// check and log of the same stimulus.
 func TestServeStimulusMultiClock(t *testing.T) {
-	ts, _ := testServer(t, nil, serverConfig{BatchWindow: 100 * time.Millisecond, BatchLanes: 8})
+	ts, g := testServerBatcher(t, 8)
 	golden := corpus.CDCCross().Source()
 	buggy := strings.Replace(golden, "q <= meta;", "q <= d;", 1)
 	if buggy == golden {
@@ -373,87 +658,47 @@ func TestServeStimulusMultiClock(t *testing.T) {
 	}
 	columns := []string{"clk_a", "clk_b", "rst_n", "d"}
 	rng := rand.New(rand.NewSource(7))
-	type reqCase struct {
-		req  stimulusRequest
-		want stimulusResponse
-	}
-	var cases []reqCase
+	const perKey = 4
+	var lead, rest []stimulusCase
+	failing := 0
 	for _, src := range []string{golden, buggy} {
-		d, diags, err := compile.Compile(src)
-		if err != nil || compile.HasErrors(diags) {
-			t.Fatalf("fixture does not compile: %v %s", err, compile.FormatDiags(diags))
-		}
-		inputs := make([]*compile.Signal, len(columns))
-		for i, name := range columns {
-			inputs[i] = d.Signals[name]
-		}
-		for _, mode := range []sim.Mode{sim.TwoState, sim.FourState} {
-			for k := 0; k < 4; k++ {
+		for _, four := range []bool{false, true} {
+			for k := 0; k < perKey; k++ {
 				phase := rng.Intn(4)
 				rows := make([][]uint64, 24)
 				for c := range rows {
 					rows[c] = []uint64{uint64(c % 2), uint64((c + phase) / 2 % 2), boolBit(c >= 2), rng.Uint64() & 1}
 				}
-				tr, err := sim.RunVecCtx(context.Background(), d, sim.VecStimulus{Inputs: inputs, Rows: rows}, mode)
-				if err != nil {
-					t.Fatal(err)
+				tc := scalarReference(t, stimulusRequest{Source: src, Inputs: columns, Rows: rows, FourState: four})
+				if !tc.want.Pass {
+					failing++
 				}
-				res, err := sva.Check(tr)
-				if err != nil {
-					t.Fatal(err)
+				if k == 0 {
+					lead = append(lead, tc)
+				} else {
+					rest = append(rest, tc)
 				}
-				want := stimulusResponse{Pass: !res.Failed(), Log: sva.FormatLog(d.Module.Name, tr, res.Failures)}
-				for _, f := range res.Failures {
-					want.FailedAsserts = appendUnique(want.FailedAsserts, f.Assert.Name)
-				}
-				cases = append(cases, reqCase{
-					req:  stimulusRequest{Source: src, Inputs: columns, Rows: rows, FourState: mode == sim.FourState},
-					want: want,
-				})
 			}
 		}
 	}
-	failing := 0
-	for _, tc := range cases {
-		if !tc.want.Pass {
-			failing++
+	if total := len(lead) + len(rest); failing == 0 || failing == total {
+		t.Fatalf("%d of %d reference runs fail; want a mix of passing and failing stimuli", failing, total)
+	}
+	sendBehindHeldRuns(t, ts.URL, g, lead, rest)
+
+	batches := g.batches()
+	if len(batches) != len(lead) {
+		t.Fatalf("%d keys ran, want %d", len(batches), len(lead))
+	}
+	for k, runs := range batches {
+		if want := []batchRun{{1, false}, {perKey - 1, false}}; !reflect.DeepEqual(runs, want) {
+			t.Errorf("%s mode %v: batches = %+v, want %+v", k.d.Module.Name, k.mode, runs, want)
 		}
 	}
-	if failing == 0 || failing == len(cases) {
-		t.Fatalf("%d of %d reference runs fail; want a mix of passing and failing stimuli", failing, len(cases))
-	}
-
-	var wg sync.WaitGroup
-	errs := make(chan error, len(cases))
-	for i, tc := range cases {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			resp, body := postJSON(t, ts.URL+"/stimulus", tc.req)
-			if resp.StatusCode != http.StatusOK {
-				errs <- fmt.Errorf("case %d: status %d: %s", i, resp.StatusCode, body)
-				return
-			}
-			var got stimulusResponse
-			if err := json.Unmarshal(body, &got); err != nil {
-				errs <- err
-				return
-			}
-			if !reflect.DeepEqual(got, tc.want) {
-				errs <- fmt.Errorf("case %d: reply differs from the in-process scalar check:\n got %+v\nwant %+v", i, got, tc.want)
-			}
-		}()
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Error(err)
-	}
-
 	sm := getMetrics(t, ts.URL).Server
-	if sm.ScalarRuns != uint64(len(cases)) || sm.BatchedStimuli != 0 || sm.BatchedRuns != 0 {
+	if total := len(lead) + len(rest); sm.ScalarRuns != uint64(total) || sm.BatchedStimuli != 0 || sm.BatchedRuns != 0 {
 		t.Fatalf("scalar_runs=%d batched_stimuli=%d batched_runs=%d, want every one of %d multi-clock stimuli scalar",
-			sm.ScalarRuns, sm.BatchedStimuli, sm.BatchedRuns, len(cases))
+			sm.ScalarRuns, sm.BatchedStimuli, sm.BatchedRuns, total)
 	}
 }
 
@@ -499,7 +744,7 @@ func TestServeRateLimit(t *testing.T) {
 // check and requires overflow to be rejected immediately with 429 — and
 // the slot to come back once the occupying client disconnects.
 func TestServeAdmissionQueue(t *testing.T) {
-	ts, svc := testServer(t, nil, serverConfig{Queue: 1})
+	ts, srv := testServer(t, nil, serverConfig{Queue: 1})
 
 	slow, _ := json.Marshal(checkRequest{
 		Source: corpus.EdgeDetect().Source(),
@@ -524,7 +769,7 @@ func TestServeAdmissionQueue(t *testing.T) {
 
 	// Wait until the slow check occupies the one queue slot.
 	deadline := time.Now().Add(5 * time.Second)
-	for svc.Metrics().InFlight == 0 {
+	for srv.svc.Metrics().InFlight == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("slow check never started")
 		}
@@ -557,5 +802,135 @@ func TestServeAdmissionQueue(t *testing.T) {
 			t.Fatalf("queue slot never freed after client disconnect (last status %d)", resp.StatusCode)
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// oversized is a JSON request body whose source string alone exceeds
+// maxBodyBytes.
+func oversized(t *testing.T) []byte {
+	t.Helper()
+	buf, err := json.Marshal(stimulusRequest{
+		Source: "module m(input clk);\n" + strings.Repeat("// padding\n", maxBodyBytes/11+1) + "endmodule\n",
+		Rows:   [][]uint64{{0}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return buf
+}
+
+func postRaw(t *testing.T, url string, body []byte) (int, string) {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	out, _ := io.ReadAll(resp.Body)
+	return resp.StatusCode, string(out)
+}
+
+func TestServeBodyLimitCheck(t *testing.T) {
+	ts, _ := testServer(t, nil, serverConfig{})
+	if code, body := postRaw(t, ts.URL+"/check", oversized(t)); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized /check: status %d (%s), want 413", code, body)
+	}
+}
+
+func TestServeBodyLimitStimulus(t *testing.T) {
+	ts, _ := testServer(t, nil, serverConfig{})
+	if code, body := postRaw(t, ts.URL+"/stimulus", oversized(t)); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized /stimulus: status %d (%s), want 413", code, body)
+	}
+}
+
+// TestServeBodyLimitLargestGolden sends the largest catalog source to both
+// endpoints: the body cap must leave every real design well inside it.
+func TestServeBodyLimitLargestGolden(t *testing.T) {
+	ts, _ := testServer(t, nil, serverConfig{})
+	var largest *corpus.Blueprint
+	for _, bp := range corpus.Catalog() {
+		if largest == nil || len(bp.Source()) > len(largest.Source()) {
+			largest = bp
+		}
+	}
+	resp, body := postJSON(t, ts.URL+"/check", checkRequest{
+		Source:  largest.Source(),
+		Options: checkOptions{CompileOnly: true},
+	})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/check of %s (%d bytes): status %d: %s", largest.Name(), len(largest.Source()), resp.StatusCode, body)
+	}
+	d, diags, err := compile.Compile(largest.Source())
+	if err != nil || compile.HasErrors(diags) {
+		t.Fatalf("%s does not compile: %v", largest.Name(), err)
+	}
+	rows := make([][]uint64, 8)
+	for c := range rows {
+		rows[c] = make([]uint64, len(d.Inputs(true)))
+	}
+	resp, body = postJSON(t, ts.URL+"/stimulus", stimulusRequest{Source: largest.Source(), Rows: rows})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/stimulus of %s: status %d: %s", largest.Name(), resp.StatusCode, body)
+	}
+}
+
+// BenchmarkStimulusHandler drives POST /stimulus through the server's
+// routes in process, one request at a time, over the five designs of the
+// benchmark's serve-stimulus workload (CDCCross naming both clock columns)
+// in both value domains. Every design is compiled and cached before timing.
+func BenchmarkStimulusHandler(b *testing.B) {
+	h := newServer(verify.New(2), serverConfig{}).routes()
+	rng := rand.New(rand.NewSource(1))
+	var bodies [][]byte
+	for _, bp := range []*corpus.Blueprint{corpus.Accu(8, 2), corpus.FIFOFlags(4, 3),
+		corpus.Handshake(3), corpus.SeqMultiplier(4), corpus.CDCCross()} {
+		d, _, err := compile.Compile(bp.Source())
+		if err != nil || d == nil {
+			b.Fatalf("%s does not compile: %v", bp.Name(), err)
+		}
+		var names []string
+		for _, in := range d.Inputs(false) {
+			if d.MultiClock() || in.Name != d.Domains[0].Signal {
+				names = append(names, in.Name)
+			}
+		}
+		for _, four := range []bool{false, true} {
+			rows := make([][]uint64, 24)
+			for c := range rows {
+				rows[c] = make([]uint64, len(names))
+				for i, name := range names {
+					switch {
+					case d.MultiClock() && name == d.Domains[0].Signal:
+						rows[c][i] = uint64(c % 2)
+					case d.MultiClock() && strings.HasPrefix(name, "clk"):
+						rows[c][i] = uint64(c / 2 % 2)
+					case name == d.Reset().Name:
+						rows[c][i] = boolBit((c >= 2) == d.Reset().ActiveLow)
+					default:
+						rows[c][i] = rng.Uint64() & d.Signals[name].Mask()
+					}
+				}
+			}
+			body, err := json.Marshal(stimulusRequest{Source: bp.Source(), Inputs: names, Rows: rows, FourState: four})
+			if err != nil {
+				b.Fatal(err)
+			}
+			bodies = append(bodies, body)
+		}
+	}
+	serve := func(body []byte) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("POST", "/stimulus", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+	}
+	for _, body := range bodies {
+		serve(body)
+	}
+	b.ReportAllocs()
+	for i := 0; b.Loop(); i++ {
+		serve(bodies[i%len(bodies)])
 	}
 }
