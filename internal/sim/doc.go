@@ -28,6 +28,21 @@
 // and the differential tests plus the cross-engine fuzzer hold the two
 // backends identical plane-for-plane.
 //
+// Every lowering — the plan and the lane engine, in either value domain —
+// runs through one front end (lower.go). It walks the design's
+// statements, assignment targets and expressions, and decides
+// plannability once for all four engines: the unknown-signal and
+// unsupported-target checks, constant slice bounds, replication counts
+// and $past depths (folded two-state or four-state, where an x-bearing
+// constant does not lower), and the static widths masks depend on. Each
+// unplannable reason is therefore spelled in one place. The engines are
+// emitters behind a small build-time interface: given operands the front
+// end has already lowered, an emitter returns the closure its machine runs
+// for a block, if, case, whole-signal store by write mode, bit, slice or
+// concat store, or expression kernel. The front end itself creates no
+// closure a cycle runs, so each engine's per-cycle code stays specialised
+// to its own state layout and pays no dispatch.
+//
 // # Entry points and the run loop
 //
 // Five functions run a simulation, each taking a context and a value
@@ -54,7 +69,11 @@
 // if execute under complementary write masks, so a packed batch never
 // branches on data. The four-state domain has its own lane lowering
 // (lanes4.go) applying the shared v4.go per-bit formulas word-wide over
-// paired Val/Unk planes.
+// paired Val/Unk planes. Both lane lowerings are emitters of the same
+// front end as the plan, so a design lowers to lanes exactly when its
+// constructs lower to the plan of the same domain, except that lanes also
+// require constant $past depths: the sampled-frame swap is whole-machine,
+// so a per-lane history offset cannot be batched.
 //
 // The contract is byte-identity, not best-effort: LaneTrace.Demux(l) must
 // equal the scalar plan trace of LaneStimulusAt(l) for every lane, and
@@ -157,6 +176,8 @@
 //     pre-edge bits; blocking select writes, like blocking reads, see only
 //     the blocking overlay (a pending nonblocking commit is invisible to
 //     them, as in event-driven simulation);
+//   - a bit-select write through an index >= 64, past the widest signal,
+//     has no effect, as the matching read yields 0;
 //   - $past depths must be in [1, 2^31-1]; other depths (including
 //     negative values that wrapped around as uint64) are EvalErrors rather
 //     than undefined history accesses;

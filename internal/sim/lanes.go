@@ -61,15 +61,10 @@ type LanePlan struct {
 	nregs  int
 	consts []laneConst
 
-	assigns []laneStmtFn
-	combs   []laneStmtFn
-	seqs    []laneStmtFn
-
-	// svaLane maps assertion-reachable expressions to lane evaluators,
-	// keyed by AST node identity like Plan.svaExpr. allSVA reports that
-	// every assertion expression compiled, the gate for lane-mode formal.
-	svaLane map[verilog.Expr]lexpr
-	allSVA  bool
+	// lowered mirrors Plan.lowered: sva maps assertion-reachable
+	// expressions to lane evaluators, and allSVA, the gate for lane-mode
+	// formal, reports that every one of them lowered.
+	lowered[lexpr, laneStmtFn, laneStmtFn]
 }
 
 // laneConst prefills one vector register with a broadcast constant.
@@ -118,65 +113,23 @@ func LanesOK(d *compile.Design, mode Mode) bool {
 }
 
 func buildLanePlan(p *Plan) *LanePlan {
-	d := p.design
-	lp := &LanePlan{p: p, svaLane: map[verilog.Expr]lexpr{}}
-	lp.isBit = make([]bool, p.nslots)
-	for _, name := range d.Order {
-		sig := d.Signals[name]
-		lp.isBit[sig.Slot] = sig.Width == 1
-	}
-	c := &laneCompiler{c: planCompiler{d: d, p: p}, lp: lp}
-	ok := func() bool {
-		for _, as := range d.Assigns {
-			fn, err := c.compileAssign(as.LHS, as.RHS, wAssign)
-			if err != nil {
-				return false
-			}
-			lp.assigns = append(lp.assigns, fn)
-		}
-		for _, al := range d.CombAlways {
-			body, err := c.compileStmt(al.Body, false)
-			if err != nil {
-				return false
-			}
-			lp.combs = append(lp.combs, body)
-		}
-		for _, al := range d.SeqAlways {
-			body, err := c.compileStmt(al.Body, true)
-			if err != nil {
-				return false
-			}
-			lp.seqs = append(lp.seqs, body)
-		}
-		return true
-	}()
+	lp := &LanePlan{p: p, isBit: bitSlots(p.design)}
+	l, ok := lower[lexpr, laneStmtFn, laneStoreFn, laneStmtFn](p.design, &laneEmitter{lp: lp}, false, true)
 	if !ok {
 		return nil
 	}
-	lp.allSVA = true
-	compileSVA := func(e verilog.Expr) {
-		if e == nil {
-			return
-		}
-		if le, err := c.expr(e); err == nil {
-			lp.svaLane[e] = le
-		} else {
-			lp.allSVA = false
-		}
-	}
-	for i := range d.Asserts {
-		a := &d.Asserts[i]
-		compileSVA(a.DisableIff)
-		if a.Seq != nil {
-			for _, t := range a.Seq.Antecedent {
-				compileSVA(t.Expr)
-			}
-			for _, t := range a.Seq.Consequent {
-				compileSVA(t.Expr)
-			}
-		}
-	}
+	lp.lowered = l
 	return lp
+}
+
+// bitSlots marks the single-bit slots, which lane machines hold packed.
+func bitSlots(d *compile.Design) []bool {
+	isBit := make([]bool, d.SlotCount())
+	for _, name := range d.Order {
+		sig := d.Signals[name]
+		isBit[sig.Slot] = sig.Width == 1
+	}
+	return isBit
 }
 
 // ---------------------------------------------------------------------------
@@ -485,24 +438,22 @@ func (m *lmach) evalAtVec(fn laneVecFn, idx int) []uint64 {
 }
 
 // ---------------------------------------------------------------------------
-// Statement compilation
+// Emitter state
 // ---------------------------------------------------------------------------
 
-// laneCompiler lowers AST nodes into lane closures, sharing the scalar
-// compiler's constant folding and static width analysis so both lowerings
-// agree on masks and plannability.
-type laneCompiler struct {
-	c  planCompiler
+// laneEmitter emits the two-state lane closures over lmach, allocating the
+// vector registers they compute into.
+type laneEmitter struct {
 	lp *LanePlan
 }
 
-func (c *laneCompiler) newReg() int {
+func (c *laneEmitter) newReg() int {
 	r := c.lp.nregs
 	c.lp.nregs++
 	return r
 }
 
-func (c *laneCompiler) constReg(v uint64) int {
+func (c *laneEmitter) constReg(v uint64) int {
 	r := c.newReg()
 	c.lp.consts = append(c.lp.consts, laneConst{reg: r, v: v})
 	return r
@@ -510,7 +461,7 @@ func (c *laneCompiler) constReg(v uint64) int {
 
 // asVec adapts any lane expression to per-lane register form: a packed word
 // expands to {0,1} per lane, exactly the scalar values it encodes.
-func (c *laneCompiler) asVec(e lexpr) laneVecFn {
+func (c *laneEmitter) asVec(e lexpr) laneVecFn {
 	if e.vec != nil {
 		return e.vec
 	}
@@ -527,7 +478,7 @@ func (c *laneCompiler) asVec(e lexpr) laneVecFn {
 }
 
 // truth compiles a per-lane nonzero test into a packed word.
-func (c *laneCompiler) truth(e lexpr) laneBitFn {
+func (c *laneEmitter) truth(e lexpr) laneBitFn {
 	if e.bit != nil {
 		return e.bit // values are {0,1}: the word is its own truth mask
 	}
@@ -546,7 +497,7 @@ func (c *laneCompiler) truth(e lexpr) laneBitFn {
 
 // lsb compiles the per-lane least-significant bit into a packed word (the
 // $rose/$fell sampling rule).
-func (c *laneCompiler) lsb(e lexpr) laneBitFn {
+func (c *laneEmitter) lsb(e lexpr) laneBitFn {
 	if e.bit != nil {
 		return e.bit
 	}
@@ -561,405 +512,304 @@ func (c *laneCompiler) lsb(e lexpr) laneBitFn {
 	}
 }
 
-func (c *laneCompiler) compileStmt(s verilog.Stmt, seq bool) (laneStmtFn, error) {
-	switch x := s.(type) {
-	case nil:
-		return func(*lmach) {}, nil
-	case *verilog.Block:
-		fns := make([]laneStmtFn, 0, len(x.Stmts))
-		for _, sub := range x.Stmts {
-			fn, err := c.compileStmt(sub, seq)
-			if err != nil {
-				return nil, err
-			}
-			fns = append(fns, fn)
-		}
-		return func(m *lmach) {
-			for _, fn := range fns {
-				fn(m)
-				if m.err != nil {
-					return
-				}
-			}
-		}, nil
-	case *verilog.Blocking:
-		mode := wComb
-		if seq {
-			mode = wSeqBlocking
-		}
-		return c.compileAssign(x.LHS, x.RHS, mode)
-	case *verilog.NonBlocking:
-		// In combinational blocks the interpreter executes nonblocking
-		// assignments with blocking semantics; mirror that.
-		mode := wComb
-		if seq {
-			mode = wSeqNBA
-		}
-		return c.compileAssign(x.LHS, x.RHS, mode)
-	case *verilog.If:
-		ce, err := c.expr(x.Cond)
-		if err != nil {
-			return nil, err
-		}
-		cf := c.truth(ce)
-		then, err := c.compileStmt(x.Then, seq)
-		if err != nil {
-			return nil, err
-		}
-		var els laneStmtFn
-		if x.Else != nil {
-			els, err = c.compileStmt(x.Else, seq)
-			if err != nil {
-				return nil, err
-			}
-		}
-		return func(m *lmach) {
-			cw := cf(m)
+// ---------------------------------------------------------------------------
+// Statements and stores
+// ---------------------------------------------------------------------------
+
+func (c *laneEmitter) nop() laneStmtFn { return func(*lmach) {} }
+
+func (c *laneEmitter) block(body []laneStmtFn) laneStmtFn { return laneBlock(body) }
+
+// laneBlock runs a block's statements in order, stopping at the first
+// error; both lane domains share it.
+func laneBlock(body []laneStmtFn) laneStmtFn {
+	return func(m *lmach) {
+		for _, fn := range body {
+			fn(m)
 			if m.err != nil {
 				return
 			}
-			save := m.wm
-			if tw := save & cw; tw != 0 {
-				m.wm = tw
-				then(m)
+		}
+	}
+}
+
+// ifStmt runs both branches under complementary write masks.
+func (c *laneEmitter) ifStmt(ce lexpr, then, els laneStmtFn) laneStmtFn {
+	cf := c.truth(ce)
+	return func(m *lmach) {
+		cw := cf(m)
+		if m.err != nil {
+			return
+		}
+		save := m.wm
+		if tw := save & cw; tw != 0 {
+			m.wm = tw
+			then(m)
+			if m.err != nil {
+				m.wm = save
+				return
+			}
+		}
+		if els != nil {
+			if ew := save &^ cw; ew != 0 {
+				m.wm = ew
+				els(m)
+			}
+		}
+		m.wm = save
+	}
+}
+
+func (c *laneEmitter) caseStmt(se lexpr, items []caseArm[lexpr, laneStmtFn], deflt laneStmtFn) laneStmtFn {
+	// Snapshot the subject into a dedicated register: arm bodies may
+	// write the subject signal, and later labels must still compare
+	// against the value sampled at case entry (scalar semantics).
+	sf := c.asVec(se)
+	subjReg := c.newReg()
+	arms := make([]caseArm[laneVecFn, laneStmtFn], len(items))
+	for i, item := range items {
+		arms[i].body = item.body
+		arms[i].labels = make([]laneVecFn, len(item.labels))
+		for j, le := range item.labels {
+			arms[i].labels[j] = c.asVec(le)
+		}
+	}
+	return func(m *lmach) {
+		sv := sf(m)
+		if m.err != nil {
+			return
+		}
+		subj := m.regs[subjReg]
+		copy(subj, sv)
+		save := m.wm
+		remaining := save
+		for i := range arms {
+			if remaining == 0 {
+				break
+			}
+			for _, lf := range arms[i].labels {
+				if remaining == 0 {
+					break
+				}
+				lv := lf(m)
 				if m.err != nil {
 					m.wm = save
 					return
 				}
-			}
-			if els != nil {
-				if ew := save &^ cw; ew != 0 {
-					m.wm = ew
-					els(m)
-				}
-			}
-			m.wm = save
-		}, nil
-	case *verilog.Case:
-		se, err := c.expr(x.Subject)
-		if err != nil {
-			return nil, err
-		}
-		// Snapshot the subject into a dedicated register: arm bodies may
-		// write the subject signal, and later labels must still compare
-		// against the value sampled at case entry (scalar semantics).
-		sf := c.asVec(se)
-		subjReg := c.newReg()
-		type laneArm struct {
-			labels []laneVecFn
-			body   laneStmtFn
-		}
-		arms := make([]laneArm, 0, len(x.Items))
-		var deflt laneStmtFn
-		for _, item := range x.Items {
-			body, err := c.compileStmt(item.Body, seq)
-			if err != nil {
-				return nil, err
-			}
-			if item.Exprs == nil {
-				deflt = body
-				continue
-			}
-			labels := make([]laneVecFn, 0, len(item.Exprs))
-			for _, le := range item.Exprs {
-				lf, err := c.expr(le)
-				if err != nil {
-					return nil, err
-				}
-				labels = append(labels, c.asVec(lf))
-			}
-			arms = append(arms, laneArm{labels: labels, body: body})
-		}
-		return func(m *lmach) {
-			sv := sf(m)
-			if m.err != nil {
-				return
-			}
-			subj := m.regs[subjReg]
-			copy(subj, sv)
-			save := m.wm
-			remaining := save
-			for i := range arms {
-				if remaining == 0 {
-					break
-				}
-				for _, lf := range arms[i].labels {
-					if remaining == 0 {
-						break
+				var mw uint64
+				for l := 0; l < 64; l++ {
+					if subj[l] == lv[l] {
+						mw |= 1 << uint(l)
 					}
-					lv := lf(m)
+				}
+				if aw := remaining & mw; aw != 0 {
+					remaining &^= aw
+					m.wm = aw
+					arms[i].body(m)
 					if m.err != nil {
 						m.wm = save
 						return
 					}
-					var mw uint64
-					for l := 0; l < 64; l++ {
-						if subj[l] == lv[l] {
-							mw |= 1 << uint(l)
-						}
-					}
-					if aw := remaining & mw; aw != 0 {
-						remaining &^= aw
-						m.wm = aw
-						arms[i].body(m)
-						if m.err != nil {
-							m.wm = save
-							return
-						}
-					}
 				}
 			}
-			if deflt != nil && remaining != 0 {
-				m.wm = remaining
-				deflt(m)
-			}
-			m.wm = save
-		}, nil
+		}
+		if deflt != nil && remaining != 0 {
+			m.wm = remaining
+			deflt(m)
+		}
+		m.wm = save
 	}
-	return nil, errUnplannable{fmt.Sprintf("statement %T (lanes)", s)}
 }
 
-func (c *laneCompiler) compileAssign(lhs, rhs verilog.Expr, mode writeMode) (laneStmtFn, error) {
-	re, err := c.expr(rhs)
-	if err != nil {
-		return nil, err
-	}
-	// Fast path: a packed RHS stored whole into a single-bit signal stays
-	// word-wide end to end (the value is already in {0,1} per lane, so the
-	// width mask is a no-op).
-	if id, ok := lhs.(*verilog.Ident); ok && re.bit != nil {
-		if sig := c.c.d.Signals[id.Name]; sig != nil && sig.Width == 1 {
-			slot := int32(sig.Slot)
-			bf := re.bit
-			switch mode {
-			case wAssign:
-				return func(m *lmach) {
-					w := bf(m)
-					nv := (m.bits[slot] &^ m.wm) | (w & m.wm)
-					if nv != m.bits[slot] {
-						m.bits[slot] = nv
-						m.changed = true
-					}
-				}, nil
-			case wComb:
-				return func(m *lmach) { m.writeOvlBit(slot, bf(m)) }, nil
-			case wSeqBlocking:
-				return func(m *lmach) {
-					w := bf(m)
-					m.writeOvlBit(slot, w)
-					m.writeNBABit(slot, w)
-				}, nil
-			default: // wSeqNBA
-				return func(m *lmach) { m.writeNBABit(slot, bf(m)) }, nil
+// packs selects the fast path: a packed RHS stored whole into a single-bit
+// signal stays word-wide end to end (the value is already in {0,1} per
+// lane, so the width mask is a no-op).
+func (c *laneEmitter) packs(re lexpr, sig *compile.Signal) bool {
+	return sig != nil && sig.Width == 1 && re.bit != nil
+}
+
+func (c *laneEmitter) assign(re lexpr, mode writeMode, sig *compile.Signal, store laneStoreFn) laneStmtFn {
+	if c.packs(re, sig) {
+		slot := int32(sig.Slot)
+		bf := re.bit
+		switch mode {
+		case wAssign:
+			return func(m *lmach) {
+				w := bf(m)
+				nv := (m.bits[slot] &^ m.wm) | (w & m.wm)
+				if nv != m.bits[slot] {
+					m.bits[slot] = nv
+					m.changed = true
+				}
 			}
+		case wComb:
+			return func(m *lmach) { m.writeOvlBit(slot, bf(m)) }
+		case wSeqBlocking:
+			return func(m *lmach) {
+				w := bf(m)
+				m.writeOvlBit(slot, w)
+				m.writeNBABit(slot, w)
+			}
+		default: // wSeqNBA
+			return func(m *lmach) { m.writeNBABit(slot, bf(m)) }
 		}
 	}
 	vf := c.asVec(re)
-	store, err := c.store(lhs, mode)
-	if err != nil {
-		return nil, err
-	}
-	return func(m *lmach) { store(m, vf(m)) }, nil
+	return func(m *lmach) { store(m, vf(m)) }
 }
 
-// store lowers an assignment target to a per-lane store. The incoming
-// register holds the unmasked RHS per lane; the store applies the slot's
-// width mask and the mode's write discipline, like compileStore.
-func (c *laneCompiler) store(lhs verilog.Expr, mode writeMode) (laneStoreFn, error) {
-	switch x := lhs.(type) {
-	case *verilog.Ident:
-		sig := c.c.d.Signals[x.Name]
-		if sig == nil {
-			return nil, errUnplannable{"assignment to unknown signal " + x.Name}
-		}
-		slot := int32(sig.Slot)
-		mask := sig.Mask()
-		if sig.Width == 1 {
-			// Pack the per-lane LSBs and reuse the packed write path.
-			pack := func(vv []uint64) uint64 {
-				var w uint64
-				for l := 0; l < 64; l++ {
-					w |= (vv[l] & 1) << uint(l)
-				}
-				return w
+func (c *laneEmitter) contAssign(re lexpr, sig *compile.Signal, store laneStoreFn) laneStmtFn {
+	return c.assign(re, wAssign, sig, store)
+}
+
+// store lowers a whole-signal store. The incoming register holds the
+// unmasked RHS per lane; the store applies the slot's width mask and the
+// mode's write discipline under the write mask.
+func (c *laneEmitter) store(sig *compile.Signal, mode writeMode) laneStoreFn {
+	slot := int32(sig.Slot)
+	mask := sig.Mask()
+	if sig.Width == 1 {
+		// Pack the per-lane LSBs and reuse the packed write path.
+		pack := func(vv []uint64) uint64 {
+			var w uint64
+			for l := 0; l < 64; l++ {
+				w |= (vv[l] & 1) << uint(l)
 			}
-			switch mode {
-			case wAssign:
-				return func(m *lmach, vv []uint64) {
-					w := pack(vv)
-					nv := (m.bits[slot] &^ m.wm) | (w & m.wm)
-					if nv != m.bits[slot] {
-						m.bits[slot] = nv
-						m.changed = true
-					}
-				}, nil
-			case wComb:
-				return func(m *lmach, vv []uint64) { m.writeOvlBit(slot, pack(vv)) }, nil
-			case wSeqBlocking:
-				return func(m *lmach, vv []uint64) {
-					w := pack(vv)
-					m.writeOvlBit(slot, w)
-					m.writeNBABit(slot, w)
-				}, nil
-			default: // wSeqNBA
-				return func(m *lmach, vv []uint64) { m.writeNBABit(slot, pack(vv)) }, nil
-			}
+			return w
 		}
 		switch mode {
 		case wAssign:
 			return func(m *lmach, vv []uint64) {
-				dst := m.wide[slot]
-				for l := 0; l < 64; l++ {
-					if m.wm>>uint(l)&1 == 1 {
-						if nv := vv[l] & mask; dst[l] != nv {
-							dst[l] = nv
-							m.changed = true
-						}
+				w := pack(vv)
+				nv := (m.bits[slot] &^ m.wm) | (w & m.wm)
+				if nv != m.bits[slot] {
+					m.bits[slot] = nv
+					m.changed = true
+				}
+			}
+		case wComb:
+			return func(m *lmach, vv []uint64) { m.writeOvlBit(slot, pack(vv)) }
+		case wSeqBlocking:
+			return func(m *lmach, vv []uint64) {
+				w := pack(vv)
+				m.writeOvlBit(slot, w)
+				m.writeNBABit(slot, w)
+			}
+		default: // wSeqNBA
+			return func(m *lmach, vv []uint64) { m.writeNBABit(slot, pack(vv)) }
+		}
+	}
+	switch mode {
+	case wAssign:
+		return func(m *lmach, vv []uint64) {
+			dst := m.wide[slot]
+			for l := 0; l < 64; l++ {
+				if m.wm>>uint(l)&1 == 1 {
+					if nv := vv[l] & mask; dst[l] != nv {
+						dst[l] = nv
+						m.changed = true
 					}
 				}
-			}, nil
-		case wComb:
-			reg := c.newReg()
-			return func(m *lmach, vv []uint64) {
-				mv := m.regs[reg]
-				for l := 0; l < 64; l++ {
-					mv[l] = vv[l] & mask
-				}
-				m.writeOvlVec(slot, mv)
-			}, nil
-		case wSeqBlocking:
-			reg := c.newReg()
-			return func(m *lmach, vv []uint64) {
-				mv := m.regs[reg]
-				for l := 0; l < 64; l++ {
-					mv[l] = vv[l] & mask
-				}
-				m.writeOvlVec(slot, mv)
-				m.writeNBAVec(slot, mv)
-			}, nil
-		default: // wSeqNBA
-			reg := c.newReg()
-			return func(m *lmach, vv []uint64) {
-				mv := m.regs[reg]
-				for l := 0; l < 64; l++ {
-					mv[l] = vv[l] & mask
-				}
-				m.writeNBAVec(slot, mv)
-			}, nil
+			}
 		}
-	case *verilog.Index:
-		id, ok := x.X.(*verilog.Ident)
-		if !ok {
-			return nil, errUnplannable{"unsupported assignment target"}
-		}
-		sig := c.c.d.Signals[id.Name]
-		if sig == nil {
-			return nil, errUnplannable{"assignment to unknown signal " + id.Name}
-		}
-		ie, err := c.expr(x.Idx)
-		if err != nil {
-			return nil, err
-		}
-		idxFn := c.asVec(ie)
-		base := c.rmwBase(int32(sig.Slot), mode)
-		inner, err := c.store(id, mode)
-		if err != nil {
-			return nil, err
-		}
+	case wComb:
 		reg := c.newReg()
 		return func(m *lmach, vv []uint64) {
-			iv := idxFn(m)
+			mv := m.regs[reg]
+			for l := 0; l < 64; l++ {
+				mv[l] = vv[l] & mask
+			}
+			m.writeOvlVec(slot, mv)
+		}
+	case wSeqBlocking:
+		reg := c.newReg()
+		return func(m *lmach, vv []uint64) {
+			mv := m.regs[reg]
+			for l := 0; l < 64; l++ {
+				mv[l] = vv[l] & mask
+			}
+			m.writeOvlVec(slot, mv)
+			m.writeNBAVec(slot, mv)
+		}
+	default: // wSeqNBA
+		reg := c.newReg()
+		return func(m *lmach, vv []uint64) {
+			mv := m.regs[reg]
+			for l := 0; l < 64; l++ {
+				mv[l] = vv[l] & mask
+			}
+			m.writeNBAVec(slot, mv)
+		}
+	}
+}
+
+func (c *laneEmitter) storeIndex(sig *compile.Signal, ie lexpr, mode writeMode, inner laneStoreFn) laneStoreFn {
+	idxFn := c.asVec(ie)
+	base := c.rmwBase(int32(sig.Slot), mode)
+	reg := c.newReg()
+	return func(m *lmach, vv []uint64) {
+		iv := idxFn(m)
+		if m.err != nil {
+			return
+		}
+		bv := base(m)
+		out := m.regs[reg]
+		// Lanes whose index is >= 64 skip the write entirely (the scalar
+		// engine's no-effect rule), via the predication mask.
+		var inRange uint64
+		for l := 0; l < 64; l++ {
+			idx := iv[l]
+			if idx >= 64 {
+				continue
+			}
+			inRange |= 1 << uint(l)
+			bit := uint64(1) << idx
+			out[l] = (bv[l] &^ bit) | ((vv[l] & 1) << idx)
+		}
+		save := m.wm
+		if w := save & inRange; w != 0 {
+			m.wm = w
+			inner(m, out)
+		}
+		m.wm = save
+	}
+}
+
+func (c *laneEmitter) storeSlice(sig *compile.Signal, shift uint, sm uint64, mode writeMode, inner laneStoreFn) laneStoreFn {
+	base := c.rmwBase(int32(sig.Slot), mode)
+	reg := c.newReg()
+	return func(m *lmach, vv []uint64) {
+		bv := base(m)
+		out := m.regs[reg]
+		for l := 0; l < 64; l++ {
+			out[l] = (bv[l] &^ sm) | ((vv[l] << shift) & sm)
+		}
+		inner(m, out)
+	}
+}
+
+func (c *laneEmitter) storeConcat(parts []laneStoreFn, shifts []uint, masks []uint64) laneStoreFn {
+	regs := make([]int, len(parts))
+	for i := range regs {
+		regs[i] = c.newReg()
+	}
+	return func(m *lmach, vv []uint64) {
+		for i, st := range parts {
+			out := m.regs[regs[i]]
+			for l := 0; l < 64; l++ {
+				out[l] = (vv[l] >> shifts[i]) & masks[i]
+			}
+			st(m, out)
 			if m.err != nil {
 				return
 			}
-			bv := base(m)
-			out := m.regs[reg]
-			for l := 0; l < 64; l++ {
-				idx := iv[l] & 63
-				bit := uint64(1) << idx
-				out[l] = (bv[l] &^ bit) | ((vv[l] & 1) << idx)
-			}
-			inner(m, out)
-		}, nil
-	case *verilog.Slice:
-		id, ok := x.X.(*verilog.Ident)
-		if !ok {
-			return nil, errUnplannable{"unsupported assignment target"}
 		}
-		sig := c.c.d.Signals[id.Name]
-		if sig == nil {
-			return nil, errUnplannable{"assignment to unknown signal " + id.Name}
-		}
-		hi, ok1 := c.c.constEval(x.Hi)
-		lo, ok2 := c.c.constEval(x.Lo)
-		if !ok1 || !ok2 {
-			return nil, errUnplannable{"dynamic slice bounds in assignment target"}
-		}
-		if lo > hi {
-			return nil, errUnplannable{"invalid slice target"}
-		}
-		base := c.rmwBase(int32(sig.Slot), mode)
-		inner, err := c.store(id, mode)
-		if err != nil {
-			return nil, err
-		}
-		sm := maskFor(int(hi-lo)+1) << lo
-		shift := uint(lo)
-		reg := c.newReg()
-		return func(m *lmach, vv []uint64) {
-			bv := base(m)
-			out := m.regs[reg]
-			for l := 0; l < 64; l++ {
-				out[l] = (bv[l] &^ sm) | ((vv[l] << shift) & sm)
-			}
-			inner(m, out)
-		}, nil
-	case *verilog.Concat:
-		total := 0
-		widths := make([]int, len(x.Elems))
-		for i, el := range x.Elems {
-			w, ok := c.c.staticWidth(el)
-			if !ok {
-				return nil, errUnplannable{"dynamic width in concat assignment target"}
-			}
-			widths[i] = w
-			total += w
-		}
-		stores := make([]laneStoreFn, len(x.Elems))
-		shifts := make([]uint, len(x.Elems))
-		elMasks := make([]uint64, len(x.Elems))
-		regs := make([]int, len(x.Elems))
-		shift := total
-		for i, el := range x.Elems {
-			shift -= widths[i]
-			st, err := c.store(el, mode)
-			if err != nil {
-				return nil, err
-			}
-			stores[i] = st
-			shifts[i] = uint(shift)
-			elMasks[i] = maskFor(widths[i])
-			regs[i] = c.newReg()
-		}
-		return func(m *lmach, vv []uint64) {
-			for i, st := range stores {
-				out := m.regs[regs[i]]
-				for l := 0; l < 64; l++ {
-					out[l] = (vv[l] >> shifts[i]) & elMasks[i]
-				}
-				st(m, out)
-				if m.err != nil {
-					return
-				}
-			}
-		}, nil
 	}
-	return nil, errUnplannable{fmt.Sprintf("assignment target %T (lanes)", lhs)}
 }
 
 // rmwBase returns the per-lane base values for bit/slice read-modify-write
-// under the given mode, mirroring planCompiler.rmwBase's overlay threading.
-func (c *laneCompiler) rmwBase(slot int32, mode writeMode) laneVecFn {
+// under the given mode, mirroring the scalar rmwBase's overlay threading.
+func (c *laneEmitter) rmwBase(slot int32, mode writeMode) laneVecFn {
 	isBit := c.lp.isBit[slot]
 	expand := func(reg int) laneVecFn {
 		return func(m *lmach) []uint64 {
@@ -1022,221 +872,19 @@ func (c *laneCompiler) rmwBase(slot int32, mode writeMode) laneVecFn {
 }
 
 // ---------------------------------------------------------------------------
-// Expression compilation
+// Expressions
 // ---------------------------------------------------------------------------
+//
+// Nodes whose scalar value is provably in {0,1} and that have a word-wide
+// kernel emit packed form; everything else emits a per-lane loop with the
+// exact scalar formulas — in particular all arithmetic, whose carries a
+// packed word cannot represent.
 
-// expr lowers an expression. Nodes whose scalar value is provably in {0,1}
-// and that have a word-wide kernel compile to packed form; everything else
-// compiles to a per-lane loop with the exact scalar formulas — in
-// particular all arithmetic, whose carries a packed word cannot represent.
-func (c *laneCompiler) expr(e verilog.Expr) (lexpr, error) {
-	switch x := e.(type) {
-	case *verilog.Number:
-		return c.constExpr(x.Value), nil
-	case *verilog.Ident:
-		if sig := c.c.d.Signals[x.Name]; sig != nil {
-			slot := int32(sig.Slot)
-			if sig.Width == 1 {
-				return lexpr{bit: func(m *lmach) uint64 { return m.readBit(slot) }}, nil
-			}
-			return lexpr{vec: func(m *lmach) []uint64 { return m.readVec(slot) }}, nil
-		}
-		if v, ok := c.c.d.Params[x.Name]; ok {
-			return c.constExpr(v), nil
-		}
-		return lexpr{}, errUnplannable{"unknown signal " + x.Name}
-	case *verilog.Unary:
-		return c.unary(x)
-	case *verilog.Binary:
-		return c.binary(x)
-	case *verilog.Ternary:
-		ce, err := c.expr(x.Cond)
-		if err != nil {
-			return lexpr{}, err
-		}
-		cf := c.truth(ce)
-		xe, err := c.expr(x.X)
-		if err != nil {
-			return lexpr{}, err
-		}
-		ye, err := c.expr(x.Y)
-		if err != nil {
-			return lexpr{}, err
-		}
-		if xe.bit != nil && ye.bit != nil {
-			xf, yf := xe.bit, ye.bit
-			return lexpr{bit: func(m *lmach) uint64 {
-				cw := cf(m)
-				// Arms evaluate lazily like the scalar plan when the
-				// selection is uniform across lanes.
-				if cw == ^uint64(0) {
-					return xf(m)
-				}
-				if cw == 0 {
-					return yf(m)
-				}
-				return (cw & xf(m)) | (^cw & yf(m))
-			}}, nil
-		}
-		xf, yf := c.asVec(xe), c.asVec(ye)
-		reg := c.newReg()
-		return lexpr{vec: func(m *lmach) []uint64 {
-			cw := cf(m)
-			if cw == ^uint64(0) {
-				return xf(m)
-			}
-			if cw == 0 {
-				return yf(m)
-			}
-			xv := xf(m)
-			yv := yf(m)
-			out := m.regs[reg]
-			for l := 0; l < 64; l++ {
-				if cw>>uint(l)&1 == 1 {
-					out[l] = xv[l]
-				} else {
-					out[l] = yv[l]
-				}
-			}
-			return out
-		}}, nil
-	case *verilog.Index:
-		xe, err := c.expr(x.X)
-		if err != nil {
-			return lexpr{}, err
-		}
-		ie, err := c.expr(x.Idx)
-		if err != nil {
-			return lexpr{}, err
-		}
-		xf, idxFn := c.asVec(xe), c.asVec(ie)
-		return lexpr{bit: func(m *lmach) uint64 {
-			// Base before index, matching the interpreter's order.
-			v := xf(m)
-			iv := idxFn(m)
-			var w uint64
-			for l := 0; l < 64; l++ {
-				if idx := iv[l]; idx < 64 {
-					w |= ((v[l] >> idx) & 1) << uint(l)
-				}
-			}
-			return w
-		}}, nil
-	case *verilog.Slice:
-		xe, err := c.expr(x.X)
-		if err != nil {
-			return lexpr{}, err
-		}
-		hi, ok1 := c.c.constEval(x.Hi)
-		lo, ok2 := c.c.constEval(x.Lo)
-		if !ok1 || !ok2 {
-			return lexpr{}, errUnplannable{"dynamic slice bounds"}
-		}
-		if lo > hi || lo >= 64 {
-			pos := x.Pos
-			hiC, loC := hi, lo
-			reg := c.constReg(0)
-			return lexpr{vec: func(m *lmach) []uint64 {
-				m.fail(evalErrf(pos, "invalid slice [%d:%d]", hiC, loC))
-				return m.regs[reg]
-			}}, nil
-		}
-		xf := c.asVec(xe)
-		shift := uint(lo)
-		mask := maskFor(int(hi-lo) + 1)
-		if mask == 1 {
-			return lexpr{bit: func(m *lmach) uint64 {
-				v := xf(m)
-				var w uint64
-				for l := 0; l < 64; l++ {
-					w |= ((v[l] >> shift) & 1) << uint(l)
-				}
-				return w
-			}}, nil
-		}
-		reg := c.newReg()
-		return lexpr{vec: func(m *lmach) []uint64 {
-			v := xf(m)
-			out := m.regs[reg]
-			for l := 0; l < 64; l++ {
-				out[l] = (v[l] >> shift) & mask
-			}
-			return out
-		}}, nil
-	case *verilog.Concat:
-		fns := make([]laneVecFn, len(x.Elems))
-		widths := make([]uint, len(x.Elems))
-		elMasks := make([]uint64, len(x.Elems))
-		for i, el := range x.Elems {
-			w, ok := c.c.staticWidth(el)
-			if !ok {
-				return lexpr{}, errUnplannable{"dynamic width in concat"}
-			}
-			fe, err := c.expr(el)
-			if err != nil {
-				return lexpr{}, err
-			}
-			fns[i] = c.asVec(fe)
-			widths[i] = uint(w)
-			elMasks[i] = maskFor(w)
-		}
-		reg := c.newReg()
-		return lexpr{vec: func(m *lmach) []uint64 {
-			out := m.regs[reg]
-			for l := 0; l < 64; l++ {
-				out[l] = 0
-			}
-			for i, fn := range fns {
-				v := fn(m)
-				for l := 0; l < 64; l++ {
-					out[l] = (out[l] << widths[i]) | (v[l] & elMasks[i])
-				}
-			}
-			return out
-		}}, nil
-	case *verilog.Repl:
-		n, ok := c.c.constEval(x.Count)
-		if !ok {
-			return lexpr{}, errUnplannable{"dynamic replication count"}
-		}
-		w, ok := c.c.staticWidth(x.Elem)
-		if !ok {
-			return lexpr{}, errUnplannable{"dynamic width in replication"}
-		}
-		fe, err := c.expr(x.Elem)
-		if err != nil {
-			return lexpr{}, err
-		}
-		fn := c.asVec(fe)
-		mask := maskFor(w)
-		uw := uint(w)
-		if n > 64 {
-			n = 64 // matches the interpreter's i < 64 bound
-		}
-		reps := int(n)
-		reg := c.newReg()
-		return lexpr{vec: func(m *lmach) []uint64 {
-			v := fn(m)
-			out := m.regs[reg]
-			for l := 0; l < 64; l++ {
-				ev := v[l] & mask
-				var o uint64
-				for i := 0; i < reps; i++ {
-					o = (o << uw) | ev
-				}
-				out[l] = o
-			}
-			return out
-		}}, nil
-	case *verilog.Call:
-		return c.call(x)
-	}
-	return lexpr{}, errUnplannable{fmt.Sprintf("expression %T (lanes)", e)}
-}
+func (c *laneEmitter) number(x *verilog.Number) lexpr { return c.param(x.Value) }
 
-// constExpr classifies a broadcast constant: {0,1} values pack, anything
-// else becomes a prefilled vector register holding the raw scalar value.
-func (c *laneCompiler) constExpr(v uint64) lexpr {
+// param classifies a broadcast constant: {0,1} values pack, anything else
+// becomes a prefilled vector register holding the raw scalar value.
+func (c *laneEmitter) param(v uint64) lexpr {
 	if v <= 1 {
 		var w uint64
 		if v == 1 {
@@ -1248,28 +896,154 @@ func (c *laneCompiler) constExpr(v uint64) lexpr {
 	return lexpr{vec: func(m *lmach) []uint64 { return m.regs[reg] }}
 }
 
-func (c *laneCompiler) unary(x *verilog.Unary) (lexpr, error) {
-	xe, err := c.expr(x.X)
-	if err != nil {
-		return lexpr{}, err
+func (c *laneEmitter) signal(sig *compile.Signal) lexpr {
+	slot := int32(sig.Slot)
+	if sig.Width == 1 {
+		return lexpr{bit: func(m *lmach) uint64 { return m.readBit(slot) }}
 	}
-	w, ok := c.c.staticWidth(x.X)
-	if !ok {
-		return lexpr{}, errUnplannable{"dynamic operand width"}
+	return lexpr{vec: func(m *lmach) []uint64 { return m.readVec(slot) }}
+}
+
+func (c *laneEmitter) fail(err error) lexpr {
+	reg := c.constReg(0)
+	return lexpr{vec: func(m *lmach) []uint64 {
+		m.fail(err)
+		return m.regs[reg]
+	}}
+}
+
+func (c *laneEmitter) ternary(ce, xe, ye lexpr) lexpr {
+	cf := c.truth(ce)
+	if xe.bit != nil && ye.bit != nil {
+		xf, yf := xe.bit, ye.bit
+		return lexpr{bit: func(m *lmach) uint64 {
+			cw := cf(m)
+			// Arms evaluate lazily like the scalar plan when the
+			// selection is uniform across lanes.
+			if cw == ^uint64(0) {
+				return xf(m)
+			}
+			if cw == 0 {
+				return yf(m)
+			}
+			return (cw & xf(m)) | (^cw & yf(m))
+		}}
 	}
-	mask := maskFor(w)
+	xf, yf := c.asVec(xe), c.asVec(ye)
+	reg := c.newReg()
+	return lexpr{vec: func(m *lmach) []uint64 {
+		cw := cf(m)
+		if cw == ^uint64(0) {
+			return xf(m)
+		}
+		if cw == 0 {
+			return yf(m)
+		}
+		xv := xf(m)
+		yv := yf(m)
+		out := m.regs[reg]
+		for l := 0; l < 64; l++ {
+			if cw>>uint(l)&1 == 1 {
+				out[l] = xv[l]
+			} else {
+				out[l] = yv[l]
+			}
+		}
+		return out
+	}}
+}
+
+func (c *laneEmitter) index(xe, ie lexpr) lexpr {
+	xf, idxFn := c.asVec(xe), c.asVec(ie)
+	return lexpr{bit: func(m *lmach) uint64 {
+		// Base before index, matching the interpreter's order.
+		v := xf(m)
+		iv := idxFn(m)
+		var w uint64
+		for l := 0; l < 64; l++ {
+			if idx := iv[l]; idx < 64 {
+				w |= ((v[l] >> idx) & 1) << uint(l)
+			}
+		}
+		return w
+	}}
+}
+
+func (c *laneEmitter) slice(xe lexpr, shift uint, mask uint64) lexpr {
+	xf := c.asVec(xe)
+	if mask == 1 {
+		return lexpr{bit: func(m *lmach) uint64 {
+			v := xf(m)
+			var w uint64
+			for l := 0; l < 64; l++ {
+				w |= ((v[l] >> shift) & 1) << uint(l)
+			}
+			return w
+		}}
+	}
+	reg := c.newReg()
+	return lexpr{vec: func(m *lmach) []uint64 {
+		v := xf(m)
+		out := m.regs[reg]
+		for l := 0; l < 64; l++ {
+			out[l] = (v[l] >> shift) & mask
+		}
+		return out
+	}}
+}
+
+func (c *laneEmitter) concat(elems []lexpr, widths []uint, masks []uint64) lexpr {
+	fns := make([]laneVecFn, len(elems))
+	for i, fe := range elems {
+		fns[i] = c.asVec(fe)
+	}
+	reg := c.newReg()
+	return lexpr{vec: func(m *lmach) []uint64 {
+		out := m.regs[reg]
+		for l := 0; l < 64; l++ {
+			out[l] = 0
+		}
+		for i, fn := range fns {
+			v := fn(m)
+			for l := 0; l < 64; l++ {
+				out[l] = (out[l] << widths[i]) | (v[l] & masks[i])
+			}
+		}
+		return out
+	}}
+}
+
+func (c *laneEmitter) repl(fe lexpr, reps int, uw uint, mask uint64) lexpr {
+	fn := c.asVec(fe)
+	reg := c.newReg()
+	return lexpr{vec: func(m *lmach) []uint64 {
+		v := fn(m)
+		out := m.regs[reg]
+		for l := 0; l < 64; l++ {
+			ev := v[l] & mask
+			var o uint64
+			for i := 0; i < reps; i++ {
+				o = (o << uw) | ev
+			}
+			out[l] = o
+		}
+		return out
+	}}
+}
+
+func (c *laneEmitter) unary(op verilog.UnaryOp, xe lexpr, mask uint64) (lexpr, bool) {
 	// Packed kernels are valid only when the operand is packed AND the
 	// static mask is 1: a {0,1}-valued operand with a wider static width
 	// (e.g. a 1-valued parameter) must reduce over the full mask.
 	if xe.bit != nil && mask == 1 {
 		bf := xe.bit
-		switch x.Op {
+		switch op {
 		case verilog.UnaryLogicalNot, verilog.UnaryBitNot, verilog.UnaryRedXnor:
-			return lexpr{bit: func(m *lmach) uint64 { return ^bf(m) }}, nil
+			return lexpr{bit: func(m *lmach) uint64 { return ^bf(m) }}, true
 		case verilog.UnaryMinus, verilog.UnaryPlus, verilog.UnaryRedAnd,
 			verilog.UnaryRedOr, verilog.UnaryRedXor:
 			// All identities on a single bit: -(v&1)&1 == v for v in {0,1}.
-			return lexpr{bit: bf}, nil
+			return lexpr{bit: bf}, true
 		}
 	}
 	xf := c.asVec(xe)
@@ -1294,38 +1068,30 @@ func (c *laneCompiler) unary(x *verilog.Unary) (lexpr, error) {
 			return out
 		}}
 	}
-	switch x.Op {
+	switch op {
 	case verilog.UnaryLogicalNot:
-		return packed(func(v uint64) uint64 { return boolVal(v&mask == 0) }), nil
+		return packed(func(v uint64) uint64 { return boolVal(v&mask == 0) }), true
 	case verilog.UnaryBitNot:
-		return vec(func(v uint64) uint64 { return ^v & mask }), nil
+		return vec(func(v uint64) uint64 { return ^v & mask }), true
 	case verilog.UnaryMinus:
-		return vec(func(v uint64) uint64 { return -(v & mask) & mask }), nil
+		return vec(func(v uint64) uint64 { return -(v & mask) & mask }), true
 	case verilog.UnaryPlus:
-		return vec(func(v uint64) uint64 { return v & mask }), nil
+		return vec(func(v uint64) uint64 { return v & mask }), true
 	case verilog.UnaryRedAnd:
-		return packed(func(v uint64) uint64 { return boolVal(v&mask == mask) }), nil
+		return packed(func(v uint64) uint64 { return boolVal(v&mask == mask) }), true
 	case verilog.UnaryRedOr:
-		return packed(func(v uint64) uint64 { return boolVal(v&mask != 0) }), nil
+		return packed(func(v uint64) uint64 { return boolVal(v&mask != 0) }), true
 	case verilog.UnaryRedXor:
-		return packed(func(v uint64) uint64 { return uint64(bits.OnesCount64(v&mask) & 1) }), nil
+		return packed(func(v uint64) uint64 { return uint64(bits.OnesCount64(v&mask) & 1) }), true
 	case verilog.UnaryRedXnor:
-		return packed(func(v uint64) uint64 { return uint64(1 - bits.OnesCount64(v&mask)&1) }), nil
+		return packed(func(v uint64) uint64 { return uint64(1 - bits.OnesCount64(v&mask)&1) }), true
 	}
-	return lexpr{}, errUnplannable{"unary operator " + x.Op.String()}
+	return lexpr{}, false
 }
 
-func (c *laneCompiler) binary(x *verilog.Binary) (lexpr, error) {
-	ae, err := c.expr(x.X)
-	if err != nil {
-		return lexpr{}, err
-	}
-	be, err := c.expr(x.Y)
-	if err != nil {
-		return lexpr{}, err
-	}
+func (c *laneEmitter) binary(op verilog.BinaryOp, ae, be lexpr, w int) (lexpr, bool) {
 	bothBit := ae.bit != nil && be.bit != nil
-	switch x.Op {
+	switch op {
 	case verilog.BinLogAnd:
 		af, bf := c.truth(ae), c.truth(be)
 		return lexpr{bit: func(m *lmach) uint64 {
@@ -1335,7 +1101,7 @@ func (c *laneCompiler) binary(x *verilog.Binary) (lexpr, error) {
 				return 0
 			}
 			return a & bf(m)
-		}}, nil
+		}}, true
 	case verilog.BinLogOr:
 		af, bf := c.truth(ae), c.truth(be)
 		return lexpr{bit: func(m *lmach) uint64 {
@@ -1344,123 +1110,114 @@ func (c *laneCompiler) binary(x *verilog.Binary) (lexpr, error) {
 				return a
 			}
 			return a | bf(m)
-		}}, nil
+		}}, true
 	case verilog.BinAnd:
 		if bothBit {
 			af, bf := ae.bit, be.bit
-			return lexpr{bit: func(m *lmach) uint64 { return af(m) & bf(m) }}, nil
+			return lexpr{bit: func(m *lmach) uint64 { return af(m) & bf(m) }}, true
 		}
-		return c.vecBin(ae, be, func(a, b uint64) uint64 { return a & b }), nil
+		return c.vecBin(ae, be, func(a, b uint64) uint64 { return a & b }), true
 	case verilog.BinOr:
 		if bothBit {
 			af, bf := ae.bit, be.bit
-			return lexpr{bit: func(m *lmach) uint64 { return af(m) | bf(m) }}, nil
+			return lexpr{bit: func(m *lmach) uint64 { return af(m) | bf(m) }}, true
 		}
-		return c.vecBin(ae, be, func(a, b uint64) uint64 { return a | b }), nil
+		return c.vecBin(ae, be, func(a, b uint64) uint64 { return a | b }), true
 	case verilog.BinXor:
 		if bothBit {
 			af, bf := ae.bit, be.bit
-			return lexpr{bit: func(m *lmach) uint64 { return af(m) ^ bf(m) }}, nil
+			return lexpr{bit: func(m *lmach) uint64 { return af(m) ^ bf(m) }}, true
 		}
-		return c.vecBin(ae, be, func(a, b uint64) uint64 { return a ^ b }), nil
+		return c.vecBin(ae, be, func(a, b uint64) uint64 { return a ^ b }), true
 	case verilog.BinXnor:
-		wx, ok1 := c.c.staticWidth(x.X)
-		wy, ok2 := c.c.staticWidth(x.Y)
-		if !ok1 || !ok2 {
-			return lexpr{}, errUnplannable{"dynamic operand width"}
-		}
-		mask := maskFor(max(wx, wy))
+		mask := maskFor(w)
 		if bothBit && mask == 1 {
 			af, bf := ae.bit, be.bit
-			return lexpr{bit: func(m *lmach) uint64 { return ^(af(m) ^ bf(m)) }}, nil
+			return lexpr{bit: func(m *lmach) uint64 { return ^(af(m) ^ bf(m)) }}, true
 		}
-		return c.vecBin(ae, be, func(a, b uint64) uint64 { return ^(a ^ b) & mask }), nil
+		return c.vecBin(ae, be, func(a, b uint64) uint64 { return ^(a ^ b) & mask }), true
 	case verilog.BinEq, verilog.BinCaseEq:
 		if bothBit {
 			af, bf := ae.bit, be.bit
-			return lexpr{bit: func(m *lmach) uint64 { return ^(af(m) ^ bf(m)) }}, nil
+			return lexpr{bit: func(m *lmach) uint64 { return ^(af(m) ^ bf(m)) }}, true
 		}
-		return c.packedCmp(ae, be, func(a, b uint64) bool { return a == b }), nil
+		return c.packedCmp(ae, be, func(a, b uint64) bool { return a == b }), true
 	case verilog.BinNe, verilog.BinCaseNe:
 		if bothBit {
 			af, bf := ae.bit, be.bit
-			return lexpr{bit: func(m *lmach) uint64 { return af(m) ^ bf(m) }}, nil
+			return lexpr{bit: func(m *lmach) uint64 { return af(m) ^ bf(m) }}, true
 		}
-		return c.packedCmp(ae, be, func(a, b uint64) bool { return a != b }), nil
+		return c.packedCmp(ae, be, func(a, b uint64) bool { return a != b }), true
 	case verilog.BinLt:
 		if bothBit {
 			af, bf := ae.bit, be.bit
-			return lexpr{bit: func(m *lmach) uint64 { return ^af(m) & bf(m) }}, nil
+			return lexpr{bit: func(m *lmach) uint64 { return ^af(m) & bf(m) }}, true
 		}
-		return c.packedCmp(ae, be, func(a, b uint64) bool { return a < b }), nil
+		return c.packedCmp(ae, be, func(a, b uint64) bool { return a < b }), true
 	case verilog.BinLe:
 		if bothBit {
 			af, bf := ae.bit, be.bit
-			return lexpr{bit: func(m *lmach) uint64 { return ^af(m) | bf(m) }}, nil
+			return lexpr{bit: func(m *lmach) uint64 { return ^af(m) | bf(m) }}, true
 		}
-		return c.packedCmp(ae, be, func(a, b uint64) bool { return a <= b }), nil
+		return c.packedCmp(ae, be, func(a, b uint64) bool { return a <= b }), true
 	case verilog.BinGt:
 		if bothBit {
 			af, bf := ae.bit, be.bit
-			return lexpr{bit: func(m *lmach) uint64 { return af(m) & ^bf(m) }}, nil
+			return lexpr{bit: func(m *lmach) uint64 { return af(m) & ^bf(m) }}, true
 		}
-		return c.packedCmp(ae, be, func(a, b uint64) bool { return a > b }), nil
+		return c.packedCmp(ae, be, func(a, b uint64) bool { return a > b }), true
 	case verilog.BinGe:
 		if bothBit {
 			af, bf := ae.bit, be.bit
-			return lexpr{bit: func(m *lmach) uint64 { return af(m) | ^bf(m) }}, nil
+			return lexpr{bit: func(m *lmach) uint64 { return af(m) | ^bf(m) }}, true
 		}
-		return c.packedCmp(ae, be, func(a, b uint64) bool { return a >= b }), nil
+		return c.packedCmp(ae, be, func(a, b uint64) bool { return a >= b }), true
 	case verilog.BinAdd:
 		// Never a packed kernel even for 1-bit operands: the scalar engine
 		// computes 1+1 = 2 in 64 bits and the carry is observable through
 		// enclosing comparisons, shifts and indexing.
-		return c.vecBin(ae, be, func(a, b uint64) uint64 { return a + b }), nil
+		return c.vecBin(ae, be, func(a, b uint64) uint64 { return a + b }), true
 	case verilog.BinSub:
-		return c.vecBin(ae, be, func(a, b uint64) uint64 { return a - b }), nil
+		return c.vecBin(ae, be, func(a, b uint64) uint64 { return a - b }), true
 	case verilog.BinMul:
-		return c.vecBin(ae, be, func(a, b uint64) uint64 { return a * b }), nil
+		return c.vecBin(ae, be, func(a, b uint64) uint64 { return a * b }), true
 	case verilog.BinDiv:
 		return c.vecBin(ae, be, func(a, b uint64) uint64 {
 			if b == 0 {
 				return 0 // x in 4-state Verilog; 0 under two-state
 			}
 			return a / b
-		}), nil
+		}), true
 	case verilog.BinMod:
 		return c.vecBin(ae, be, func(a, b uint64) uint64 {
 			if b == 0 {
 				return 0
 			}
 			return a % b
-		}), nil
+		}), true
 	case verilog.BinShl:
 		return c.vecBin(ae, be, func(a, b uint64) uint64 {
 			if b >= 64 {
 				return 0
 			}
 			return a << b
-		}), nil
+		}), true
 	case verilog.BinShr:
 		return c.vecBin(ae, be, func(a, b uint64) uint64 {
 			if b >= 64 {
 				return 0
 			}
 			return a >> b
-		}), nil
+		}), true
 	case verilog.BinAShr:
-		w, ok := c.c.staticWidth(x.X)
-		if !ok {
-			return lexpr{}, errUnplannable{"dynamic operand width"}
-		}
-		return c.vecBin(ae, be, func(a, b uint64) uint64 { return ashr(a, b, w) }), nil
+		return c.vecBin(ae, be, func(a, b uint64) uint64 { return ashr(a, b, w) }), true
 	}
-	return lexpr{}, errUnplannable{"binary operator " + x.Op.String()}
+	return lexpr{}, false
 }
 
 // vecBin lowers a binary operator to a per-lane loop over the exact scalar
 // formula.
-func (c *laneCompiler) vecBin(ae, be lexpr, op func(a, b uint64) uint64) lexpr {
+func (c *laneEmitter) vecBin(ae, be lexpr, op func(a, b uint64) uint64) lexpr {
 	af, bf := c.asVec(ae), c.asVec(be)
 	reg := c.newReg()
 	return lexpr{vec: func(m *lmach) []uint64 {
@@ -1475,7 +1232,7 @@ func (c *laneCompiler) vecBin(ae, be lexpr, op func(a, b uint64) uint64) lexpr {
 }
 
 // packedCmp lowers a comparison to per-lane evaluation packed into a word.
-func (c *laneCompiler) packedCmp(ae, be lexpr, op func(a, b uint64) bool) lexpr {
+func (c *laneEmitter) packedCmp(ae, be lexpr, op func(a, b uint64) bool) lexpr {
 	af, bf := c.asVec(ae), c.asVec(be)
 	return lexpr{bit: func(m *lmach) uint64 {
 		av := af(m)
@@ -1490,196 +1247,149 @@ func (c *laneCompiler) packedCmp(ae, be lexpr, op func(a, b uint64) bool) lexpr 
 	}}
 }
 
-func (c *laneCompiler) call(x *verilog.Call) (lexpr, error) {
-	if len(x.Args) == 0 {
-		return lexpr{}, errUnplannable{x.Name + " without arguments"}
-	}
-	arg := x.Args[0]
-	switch x.Name {
-	case "$countones", "$onehot", "$onehot0":
-		fe, err := c.expr(arg)
-		if err != nil {
-			return lexpr{}, err
-		}
-		w, ok := c.c.staticWidth(arg)
-		if !ok {
-			return lexpr{}, errUnplannable{"dynamic operand width"}
-		}
-		mask := maskFor(w)
-		fn := c.asVec(fe)
-		switch x.Name {
-		case "$countones":
-			reg := c.newReg()
-			return lexpr{vec: func(m *lmach) []uint64 {
-				v := fn(m)
-				out := m.regs[reg]
-				for l := 0; l < 64; l++ {
-					out[l] = uint64(bits.OnesCount64(v[l] & mask))
-				}
-				return out
-			}}, nil
-		case "$onehot":
-			return lexpr{bit: func(m *lmach) uint64 {
-				v := fn(m)
-				var w uint64
-				for l := 0; l < 64; l++ {
-					if bits.OnesCount64(v[l]&mask) == 1 {
-						w |= 1 << uint(l)
-					}
-				}
-				return w
-			}}, nil
-		default:
-			return lexpr{bit: func(m *lmach) uint64 {
-				v := fn(m)
-				var w uint64
-				for l := 0; l < 64; l++ {
-					if bits.OnesCount64(v[l]&mask) <= 1 {
-						w |= 1 << uint(l)
-					}
-				}
-				return w
-			}}, nil
-		}
-	case "$isunknown":
-		fe, err := c.expr(arg)
-		if err != nil {
-			return lexpr{}, err
-		}
+func (c *laneEmitter) reduce(name string, fe lexpr, mask uint64) lexpr {
+	if name == "$isunknown" {
 		// Two-state: never unknown; evaluate the argument for error effects.
 		if fe.bit != nil {
 			bf := fe.bit
-			return lexpr{bit: func(m *lmach) uint64 { bf(m); return 0 }}, nil
+			return lexpr{bit: func(m *lmach) uint64 { bf(m); return 0 }}
 		}
 		vf := fe.vec
-		return lexpr{bit: func(m *lmach) uint64 { vf(m); return 0 }}, nil
-	case "$signed", "$unsigned":
-		return c.expr(arg)
-	case "$past":
-		fe, err := c.expr(arg)
-		if err != nil {
-			return lexpr{}, err
-		}
-		pos := x.Pos
-		depth := uint64(1)
-		if len(x.Args) > 1 {
-			// Per-lane history offsets cannot be batched: the sampled frame
-			// swap is whole-machine. Only compile-time constant depths lane.
-			d, ok := c.c.constEval(x.Args[1])
-			if !ok {
-				return lexpr{}, errUnplannable{"non-constant $past depth (lanes)"}
-			}
-			depth = d
-		}
-		if depth == 0 || depth > maxPastDepth {
-			dc := depth
-			reg := c.constReg(0)
-			return lexpr{vec: func(m *lmach) []uint64 {
-				m.fail(evalErrf(pos, "$past depth %d out of range [1, %d]", dc, uint64(maxPastDepth)))
-				return m.regs[reg]
-			}}, nil
-		}
-		d := int(depth)
-		if fe.bit != nil {
-			bf := fe.bit
-			return lexpr{bit: func(m *lmach) uint64 {
-				if m.rows == nil {
-					m.fail(evalErrf(pos, "$past outside sampled context"))
-					return 0
-				}
-				j := m.idx - d
-				if j < 0 {
-					return 0 // before start of time: sampled default (0)
-				}
-				return m.evalAtBit(bf, j)
-			}}, nil
-		}
-		vf := fe.vec
-		zreg := c.constReg(0)
+		return lexpr{bit: func(m *lmach) uint64 { vf(m); return 0 }}
+	}
+	fn := c.asVec(fe)
+	switch name {
+	case "$countones":
+		reg := c.newReg()
 		return lexpr{vec: func(m *lmach) []uint64 {
+			v := fn(m)
+			out := m.regs[reg]
+			for l := 0; l < 64; l++ {
+				out[l] = uint64(bits.OnesCount64(v[l] & mask))
+			}
+			return out
+		}}
+	case "$onehot":
+		return lexpr{bit: func(m *lmach) uint64 {
+			v := fn(m)
+			var w uint64
+			for l := 0; l < 64; l++ {
+				if bits.OnesCount64(v[l]&mask) == 1 {
+					w |= 1 << uint(l)
+				}
+			}
+			return w
+		}}
+	default: // $onehot0
+		return lexpr{bit: func(m *lmach) uint64 {
+			v := fn(m)
+			var w uint64
+			for l := 0; l < 64; l++ {
+				if bits.OnesCount64(v[l]&mask) <= 1 {
+					w |= 1 << uint(l)
+				}
+			}
+			return w
+		}}
+	}
+}
+
+func (c *laneEmitter) past(pos verilog.Pos, fe, _ lexpr, depth uint64) lexpr {
+	d := int(depth)
+	if fe.bit != nil {
+		bf := fe.bit
+		return lexpr{bit: func(m *lmach) uint64 {
 			if m.rows == nil {
 				m.fail(evalErrf(pos, "$past outside sampled context"))
-				return m.regs[zreg]
+				return 0
 			}
 			j := m.idx - d
 			if j < 0 {
-				return m.regs[zreg]
+				return 0 // before start of time: sampled default (0)
 			}
-			return m.evalAtVec(vf, j)
-		}}, nil
-	case "$rose", "$fell", "$stable", "$changed":
-		fe, err := c.expr(arg)
-		if err != nil {
-			return lexpr{}, err
+			return m.evalAtBit(bf, j)
+		}}
+	}
+	vf := fe.vec
+	zreg := c.constReg(0)
+	return lexpr{vec: func(m *lmach) []uint64 {
+		if m.rows == nil {
+			m.fail(evalErrf(pos, "$past outside sampled context"))
+			return m.regs[zreg]
 		}
-		pos := x.Pos
-		name := x.Name
-		if name == "$rose" || name == "$fell" {
-			bf := c.lsb(fe)
-			rose := name == "$rose"
-			return lexpr{bit: func(m *lmach) uint64 {
-				if m.rows == nil {
-					m.fail(evalErrf(pos, "%s outside sampled context", name))
-					return 0
-				}
-				now := bf(m)
-				var before uint64
-				if m.idx > 0 {
-					before = m.evalAtBit(bf, m.idx-1)
-				}
-				if rose {
-					return ^before & now
-				}
-				return before & ^now
-			}}, nil
+		j := m.idx - d
+		if j < 0 {
+			return m.regs[zreg]
 		}
-		stable := name == "$stable"
-		if fe.bit != nil {
-			bf := fe.bit
-			return lexpr{bit: func(m *lmach) uint64 {
-				if m.rows == nil {
-					m.fail(evalErrf(pos, "%s outside sampled context", name))
-					return 0
-				}
-				now := bf(m)
-				var before uint64
-				if m.idx > 0 {
-					before = m.evalAtBit(bf, m.idx-1)
-				}
-				if stable {
-					return ^(before ^ now)
-				}
-				return before ^ now
-			}}, nil
-		}
-		vf := fe.vec
+		return m.evalAtVec(vf, j)
+	}}
+}
+
+func (c *laneEmitter) sampled(pos verilog.Pos, name string, fe lexpr) lexpr {
+	if name == "$rose" || name == "$fell" {
+		bf := c.lsb(fe)
+		rose := name == "$rose"
 		return lexpr{bit: func(m *lmach) uint64 {
 			if m.rows == nil {
 				m.fail(evalErrf(pos, "%s outside sampled context", name))
 				return 0
 			}
-			nv := vf(m)
-			var w uint64
+			now := bf(m)
+			var before uint64
 			if m.idx > 0 {
-				// Evaluate the past frame first: nv aliases a register the
-				// recursive evaluation would overwrite.
-				bvSaved := make([]uint64, 64)
-				copy(bvSaved, nv)
-				bv := m.evalAtVec(vf, m.idx-1)
-				for l := 0; l < 64; l++ {
-					if (bvSaved[l] == bv[l]) == stable {
-						w |= 1 << uint(l)
-					}
-				}
-				return w
+				before = m.evalAtBit(bf, m.idx-1)
 			}
+			if rose {
+				return ^before & now
+			}
+			return before & ^now
+		}}
+	}
+	stable := name == "$stable"
+	if fe.bit != nil {
+		bf := fe.bit
+		return lexpr{bit: func(m *lmach) uint64 {
+			if m.rows == nil {
+				m.fail(evalErrf(pos, "%s outside sampled context", name))
+				return 0
+			}
+			now := bf(m)
+			var before uint64
+			if m.idx > 0 {
+				before = m.evalAtBit(bf, m.idx-1)
+			}
+			if stable {
+				return ^(before ^ now)
+			}
+			return before ^ now
+		}}
+	}
+	vf := fe.vec
+	return lexpr{bit: func(m *lmach) uint64 {
+		if m.rows == nil {
+			m.fail(evalErrf(pos, "%s outside sampled context", name))
+			return 0
+		}
+		nv := vf(m)
+		var w uint64
+		if m.idx > 0 {
+			// Evaluate the past frame first: nv aliases a register the
+			// recursive evaluation would overwrite.
+			bvSaved := make([]uint64, 64)
+			copy(bvSaved, nv)
+			bv := m.evalAtVec(vf, m.idx-1)
 			for l := 0; l < 64; l++ {
-				if (nv[l] == 0) == stable {
+				if (bvSaved[l] == bv[l]) == stable {
 					w |= 1 << uint(l)
 				}
 			}
 			return w
-		}}, nil
-	}
-	return lexpr{}, errUnplannable{"system function " + x.Name + " (lanes)"}
+		}
+		for l := 0; l < 64; l++ {
+			if (nv[l] == 0) == stable {
+				w |= 1 << uint(l)
+			}
+		}
+		return w
+	}}
 }

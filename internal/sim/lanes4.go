@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 
+	"repro/internal/compile"
 	"repro/internal/verilog"
 )
 
@@ -47,12 +48,8 @@ type lanePlan4 struct {
 	nregs  int
 	consts []laneConst4
 
-	assigns []laneStmtFn
-	combs   []laneStmtFn
-	seqs    []laneStmtFn
-
-	svaLane4 map[verilog.Expr]lexpr4
-	allSVA   bool
+	// lowered mirrors LanePlan.lowered in the four-state domain.
+	lowered[lexpr4, laneStmtFn, laneStmtFn]
 }
 
 // laneConst4 prefills one register pair with a broadcast four-state value.
@@ -71,13 +68,7 @@ func buildLanePlan4(p *Plan) *lanePlan4 {
 	if p4 == nil {
 		return nil
 	}
-	d := p.design
-	lp := &lanePlan4{p: p, svaLane4: map[verilog.Expr]lexpr4{}}
-	lp.isBit = make([]bool, p.nslots)
-	for _, name := range d.Order {
-		sig := d.Signals[name]
-		lp.isBit[sig.Slot] = sig.Width == 1
-	}
+	lp := &lanePlan4{p: p, isBit: bitSlots(p.design)}
 	lp.initValBits = make([]uint64, p.nslots)
 	lp.initUnkBits = make([]uint64, p.nslots)
 	lp.initVal = make([]uint64, p.nslots)
@@ -94,57 +85,11 @@ func buildLanePlan4(p *Plan) *lanePlan4 {
 			}
 		}
 	}
-	c := &laneCompiler4{c: planCompiler{d: d, p: p}, c4: planCompiler4{c: planCompiler{d: d, p: p}}, lp: lp}
-	ok := func() bool {
-		for _, as := range d.Assigns {
-			fn, err := c.compileAssign(as.LHS, as.RHS, wAssign)
-			if err != nil {
-				return false
-			}
-			lp.assigns = append(lp.assigns, fn)
-		}
-		for _, al := range d.CombAlways {
-			body, err := c.compileStmt(al.Body, false)
-			if err != nil {
-				return false
-			}
-			lp.combs = append(lp.combs, body)
-		}
-		for _, al := range d.SeqAlways {
-			body, err := c.compileStmt(al.Body, true)
-			if err != nil {
-				return false
-			}
-			lp.seqs = append(lp.seqs, body)
-		}
-		return true
-	}()
+	l, ok := lower[lexpr4, laneStmtFn, laneStore4Fn, laneStmtFn](p.design, &lane4Emitter{lp: lp}, true, true)
 	if !ok {
 		return nil
 	}
-	lp.allSVA = true
-	compileSVA := func(e verilog.Expr) {
-		if e == nil {
-			return
-		}
-		if le, err := c.expr(e); err == nil {
-			lp.svaLane4[e] = le
-		} else {
-			lp.allSVA = false
-		}
-	}
-	for i := range d.Asserts {
-		a := &d.Asserts[i]
-		compileSVA(a.DisableIff)
-		if a.Seq != nil {
-			for _, t := range a.Seq.Antecedent {
-				compileSVA(t.Expr)
-			}
-			for _, t := range a.Seq.Consequent {
-				compileSVA(t.Expr)
-			}
-		}
-	}
+	lp.lowered = l
 	return lp
 }
 
@@ -407,7 +352,7 @@ func (m *lmach) evalAtVec4(fn laneVec4Fn, idx int) ([]uint64, []uint64) {
 // compileLaneBool4 is CompileLaneBool's four-state branch: trueMask selects
 // lanes whose value is a known nonzero, xMask lanes that sampled x.
 func (t *LaneTrace) compileLaneBool4(e verilog.Expr) CompiledLaneBool {
-	le, ok := t.lp4.svaLane4[e]
+	le, ok := t.lp4.sva[e]
 	if !ok {
 		return nil
 	}
@@ -445,31 +390,29 @@ func (t *LaneTrace) compileLaneBool4(e verilog.Expr) CompiledLaneBool {
 }
 
 // ---------------------------------------------------------------------------
-// Statement compilation
+// Emitter state
 // ---------------------------------------------------------------------------
 
-// laneCompiler4 lowers AST nodes into four-state lane closures, sharing the
-// scalar compilers' constant folding and width analysis.
-type laneCompiler4 struct {
-	c  planCompiler
-	c4 planCompiler4
+// lane4Emitter emits the four-state lane closures over lmach's paired
+// planes, allocating the register pairs they compute into.
+type lane4Emitter struct {
 	lp *lanePlan4
 }
 
-func (c *laneCompiler4) newReg() int {
+func (c *lane4Emitter) newReg() int {
 	r := c.lp.nregs
 	c.lp.nregs++
 	return r
 }
 
-func (c *laneCompiler4) constReg(val, unk uint64) int {
+func (c *lane4Emitter) constReg(val, unk uint64) int {
 	r := c.newReg()
 	c.lp.consts = append(c.lp.consts, laneConst4{reg: r, val: val, unk: unk})
 	return r
 }
 
 // asVec adapts any four-state lane expression to paired register form.
-func (c *laneCompiler4) asVec(e lexpr4) laneVec4Fn {
+func (c *lane4Emitter) asVec(e lexpr4) laneVec4Fn {
 	if e.vec != nil {
 		return e.vec
 	}
@@ -488,7 +431,7 @@ func (c *laneCompiler4) asVec(e lexpr4) laneVec4Fn {
 
 // bool3 compiles three-valued truth masks: tw = lanes with a known nonzero
 // value, xw = lanes whose truth is undetermined; false lanes are the rest.
-func (c *laneCompiler4) bool3(e lexpr4) func(m *lmach) (tw, xw uint64) {
+func (c *lane4Emitter) bool3(e lexpr4) func(m *lmach) (tw, xw uint64) {
 	if e.bit != nil {
 		bf := e.bit
 		// Canonical packed values: val bit set => true; else unk bit => x.
@@ -513,7 +456,7 @@ func (c *laneCompiler4) bool3(e lexpr4) func(m *lmach) (tw, xw uint64) {
 }
 
 // lsb4 packs the per-lane least-significant bit pair.
-func (c *laneCompiler4) lsb4(e lexpr4) laneBit4Fn {
+func (c *lane4Emitter) lsb4(e lexpr4) laneBit4Fn {
 	if e.bit != nil {
 		return e.bit
 	}
@@ -529,431 +472,307 @@ func (c *laneCompiler4) lsb4(e lexpr4) laneBit4Fn {
 	}
 }
 
-func (c *laneCompiler4) compileStmt(s verilog.Stmt, seq bool) (laneStmtFn, error) {
-	switch x := s.(type) {
-	case nil:
-		return func(*lmach) {}, nil
-	case *verilog.Block:
-		fns := make([]laneStmtFn, 0, len(x.Stmts))
-		for _, sub := range x.Stmts {
-			fn, err := c.compileStmt(sub, seq)
-			if err != nil {
-				return nil, err
-			}
-			fns = append(fns, fn)
+// ---------------------------------------------------------------------------
+// Statements and stores
+// ---------------------------------------------------------------------------
+
+func (c *lane4Emitter) nop() laneStmtFn { return func(*lmach) {} }
+
+func (c *lane4Emitter) block(body []laneStmtFn) laneStmtFn { return laneBlock(body) }
+
+func (c *lane4Emitter) ifStmt(ce lexpr4, then, els laneStmtFn) laneStmtFn {
+	cf := c.bool3(ce)
+	return func(m *lmach) {
+		// An x condition takes the else branch, like the scalar engine
+		// (IEEE 1364 §9.4: x is not true).
+		tw, _ := cf(m)
+		if m.err != nil {
+			return
 		}
-		return func(m *lmach) {
-			for _, fn := range fns {
-				fn(m)
-				if m.err != nil {
-					return
-				}
-			}
-		}, nil
-	case *verilog.Blocking:
-		mode := wComb
-		if seq {
-			mode = wSeqBlocking
-		}
-		return c.compileAssign(x.LHS, x.RHS, mode)
-	case *verilog.NonBlocking:
-		mode := wComb
-		if seq {
-			mode = wSeqNBA
-		}
-		return c.compileAssign(x.LHS, x.RHS, mode)
-	case *verilog.If:
-		ce, err := c.expr(x.Cond)
-		if err != nil {
-			return nil, err
-		}
-		cf := c.bool3(ce)
-		then, err := c.compileStmt(x.Then, seq)
-		if err != nil {
-			return nil, err
-		}
-		var els laneStmtFn
-		if x.Else != nil {
-			els, err = c.compileStmt(x.Else, seq)
-			if err != nil {
-				return nil, err
-			}
-		}
-		return func(m *lmach) {
-			// An x condition takes the else branch, like the scalar engine
-			// (IEEE 1364 §9.4: x is not true).
-			tw, _ := cf(m)
+		save := m.wm
+		if w := save & tw; w != 0 {
+			m.wm = w
+			then(m)
 			if m.err != nil {
+				m.wm = save
 				return
 			}
-			save := m.wm
-			if w := save & tw; w != 0 {
+		}
+		if els != nil {
+			if w := save &^ tw; w != 0 {
 				m.wm = w
-				then(m)
+				els(m)
+			}
+		}
+		m.wm = save
+	}
+}
+
+func (c *lane4Emitter) caseStmt(se lexpr4, items []caseArm[lexpr4, laneStmtFn], deflt laneStmtFn) laneStmtFn {
+	sf := c.asVec(se)
+	subjReg := c.newReg()
+	arms := make([]caseArm[laneVec4Fn, laneStmtFn], len(items))
+	for i, item := range items {
+		arms[i].body = item.body
+		arms[i].labels = make([]laneVec4Fn, len(item.labels))
+		for j, le := range item.labels {
+			arms[i].labels[j] = c.asVec(le)
+		}
+	}
+	return func(m *lmach) {
+		sv, su := sf(m)
+		if m.err != nil {
+			return
+		}
+		subjV, subjU := m.regs[subjReg], m.uregs[subjReg]
+		copy(subjV, sv)
+		copy(subjU, su)
+		save := m.wm
+		remaining := save
+		for i := range arms {
+			if remaining == 0 {
+				break
+			}
+			for _, lf := range arms[i].labels {
+				if remaining == 0 {
+					break
+				}
+				lv, lu := lf(m)
 				if m.err != nil {
 					m.wm = save
 					return
 				}
-			}
-			if els != nil {
-				if w := save &^ tw; w != 0 {
-					m.wm = w
-					els(m)
-				}
-			}
-			m.wm = save
-		}, nil
-	case *verilog.Case:
-		se, err := c.expr(x.Subject)
-		if err != nil {
-			return nil, err
-		}
-		sf := c.asVec(se)
-		subjReg := c.newReg()
-		type laneArm4 struct {
-			labels []laneVec4Fn
-			body   laneStmtFn
-		}
-		arms := make([]laneArm4, 0, len(x.Items))
-		var deflt laneStmtFn
-		for _, item := range x.Items {
-			body, err := c.compileStmt(item.Body, seq)
-			if err != nil {
-				return nil, err
-			}
-			if item.Exprs == nil {
-				deflt = body
-				continue
-			}
-			labels := make([]laneVec4Fn, 0, len(item.Exprs))
-			for _, le := range item.Exprs {
-				lf, err := c.expr(le)
-				if err != nil {
-					return nil, err
-				}
-				labels = append(labels, c.asVec(lf))
-			}
-			arms = append(arms, laneArm4{labels: labels, body: body})
-		}
-		return func(m *lmach) {
-			sv, su := sf(m)
-			if m.err != nil {
-				return
-			}
-			subjV, subjU := m.regs[subjReg], m.uregs[subjReg]
-			copy(subjV, sv)
-			copy(subjU, su)
-			save := m.wm
-			remaining := save
-			for i := range arms {
-				if remaining == 0 {
-					break
-				}
-				for _, lf := range arms[i].labels {
-					if remaining == 0 {
-						break
+				// Labels match by case equality over both planes.
+				var mw uint64
+				for l := 0; l < 64; l++ {
+					if subjV[l] == lv[l] && subjU[l] == lu[l] {
+						mw |= 1 << uint(l)
 					}
-					lv, lu := lf(m)
+				}
+				if aw := remaining & mw; aw != 0 {
+					remaining &^= aw
+					m.wm = aw
+					arms[i].body(m)
 					if m.err != nil {
 						m.wm = save
 						return
 					}
-					// Labels match by case equality over both planes.
-					var mw uint64
-					for l := 0; l < 64; l++ {
-						if subjV[l] == lv[l] && subjU[l] == lu[l] {
-							mw |= 1 << uint(l)
-						}
-					}
-					if aw := remaining & mw; aw != 0 {
-						remaining &^= aw
-						m.wm = aw
-						arms[i].body(m)
-						if m.err != nil {
-							m.wm = save
-							return
-						}
-					}
 				}
 			}
-			if deflt != nil && remaining != 0 {
-				m.wm = remaining
-				deflt(m)
-			}
-			m.wm = save
-		}, nil
+		}
+		if deflt != nil && remaining != 0 {
+			m.wm = remaining
+			deflt(m)
+		}
+		m.wm = save
 	}
-	return nil, errUnplannable{fmt.Sprintf("statement %T (lanes, four-state)", s)}
 }
 
-func (c *laneCompiler4) compileAssign(lhs, rhs verilog.Expr, mode writeMode) (laneStmtFn, error) {
-	re, err := c.expr(rhs)
-	if err != nil {
-		return nil, err
-	}
-	// Fast path: packed RHS stored whole into a single-bit signal.
-	if id, ok := lhs.(*verilog.Ident); ok && re.bit != nil {
-		if sig := c.c.d.Signals[id.Name]; sig != nil && sig.Width == 1 {
-			slot := int32(sig.Slot)
-			bf := re.bit
-			switch mode {
-			case wAssign:
-				return func(m *lmach) {
-					v, u := bf(m)
-					nv := (m.bits[slot] &^ m.wm) | (v & m.wm)
-					nu := (m.ubits[slot] &^ m.wm) | (u & m.wm)
-					if nv != m.bits[slot] || nu != m.ubits[slot] {
-						m.bits[slot] = nv
-						m.ubits[slot] = nu
-						m.changed = true
-					}
-				}, nil
-			case wComb:
-				return func(m *lmach) { v, u := bf(m); m.writeOvlBit4(slot, v, u) }, nil
-			case wSeqBlocking:
-				return func(m *lmach) {
-					v, u := bf(m)
-					m.writeOvlBit4(slot, v, u)
-					m.writeNBABit4(slot, v, u)
-				}, nil
-			default: // wSeqNBA
-				return func(m *lmach) { v, u := bf(m); m.writeNBABit4(slot, v, u) }, nil
+// packs selects the fast path: a packed RHS stored whole into a
+// single-bit signal.
+func (c *lane4Emitter) packs(re lexpr4, sig *compile.Signal) bool {
+	return sig != nil && sig.Width == 1 && re.bit != nil
+}
+
+func (c *lane4Emitter) assign(re lexpr4, mode writeMode, sig *compile.Signal, store laneStore4Fn) laneStmtFn {
+	if c.packs(re, sig) {
+		slot := int32(sig.Slot)
+		bf := re.bit
+		switch mode {
+		case wAssign:
+			return func(m *lmach) {
+				v, u := bf(m)
+				nv := (m.bits[slot] &^ m.wm) | (v & m.wm)
+				nu := (m.ubits[slot] &^ m.wm) | (u & m.wm)
+				if nv != m.bits[slot] || nu != m.ubits[slot] {
+					m.bits[slot] = nv
+					m.ubits[slot] = nu
+					m.changed = true
+				}
 			}
+		case wComb:
+			return func(m *lmach) { v, u := bf(m); m.writeOvlBit4(slot, v, u) }
+		case wSeqBlocking:
+			return func(m *lmach) {
+				v, u := bf(m)
+				m.writeOvlBit4(slot, v, u)
+				m.writeNBABit4(slot, v, u)
+			}
+		default: // wSeqNBA
+			return func(m *lmach) { v, u := bf(m); m.writeNBABit4(slot, v, u) }
 		}
 	}
 	vf := c.asVec(re)
-	store, err := c.store(lhs, mode)
-	if err != nil {
-		return nil, err
-	}
 	return func(m *lmach) {
 		vv, uu := vf(m)
 		store(m, vv, uu)
-	}, nil
+	}
 }
 
-func (c *laneCompiler4) store(lhs verilog.Expr, mode writeMode) (laneStore4Fn, error) {
-	switch x := lhs.(type) {
-	case *verilog.Ident:
-		sig := c.c.d.Signals[x.Name]
-		if sig == nil {
-			return nil, errUnplannable{"assignment to unknown signal " + x.Name}
-		}
-		slot := int32(sig.Slot)
-		mask := sig.Mask()
-		if sig.Width == 1 {
-			// maskV(1).norm() per lane, packed: unk wins over val.
-			pack := func(vv, uu []uint64) (uint64, uint64) {
-				var v, u uint64
-				for l := 0; l < 64; l++ {
-					ub := uu[l] & 1
-					u |= ub << uint(l)
-					v |= (vv[l] & 1 &^ ub) << uint(l)
-				}
-				return v, u
-			}
-			switch mode {
-			case wAssign:
-				return func(m *lmach, vv, uu []uint64) {
-					v, u := pack(vv, uu)
-					nv := (m.bits[slot] &^ m.wm) | (v & m.wm)
-					nu := (m.ubits[slot] &^ m.wm) | (u & m.wm)
-					if nv != m.bits[slot] || nu != m.ubits[slot] {
-						m.bits[slot] = nv
-						m.ubits[slot] = nu
-						m.changed = true
-					}
-				}, nil
-			case wComb:
-				return func(m *lmach, vv, uu []uint64) {
-					v, u := pack(vv, uu)
-					m.writeOvlBit4(slot, v, u)
-				}, nil
-			case wSeqBlocking:
-				return func(m *lmach, vv, uu []uint64) {
-					v, u := pack(vv, uu)
-					m.writeOvlBit4(slot, v, u)
-					m.writeNBABit4(slot, v, u)
-				}, nil
-			default: // wSeqNBA
-				return func(m *lmach, vv, uu []uint64) {
-					v, u := pack(vv, uu)
-					m.writeNBABit4(slot, v, u)
-				}, nil
-			}
-		}
-		norm := func(m *lmach, vv, uu []uint64, reg int) ([]uint64, []uint64) {
-			mv, mu := m.regs[reg], m.uregs[reg]
+func (c *lane4Emitter) contAssign(re lexpr4, sig *compile.Signal, store laneStore4Fn) laneStmtFn {
+	return c.assign(re, wAssign, sig, store)
+}
+
+func (c *lane4Emitter) store(sig *compile.Signal, mode writeMode) laneStore4Fn {
+	slot := int32(sig.Slot)
+	mask := sig.Mask()
+	if sig.Width == 1 {
+		// maskV(1).norm() per lane, packed: unk wins over val.
+		pack := func(vv, uu []uint64) (uint64, uint64) {
+			var v, u uint64
 			for l := 0; l < 64; l++ {
-				mu[l] = uu[l] & mask
-				mv[l] = vv[l] & mask &^ mu[l]
+				ub := uu[l] & 1
+				u |= ub << uint(l)
+				v |= (vv[l] & 1 &^ ub) << uint(l)
 			}
-			return mv, mu
+			return v, u
 		}
 		switch mode {
 		case wAssign:
 			return func(m *lmach, vv, uu []uint64) {
-				dv, du := m.wide[slot], m.uwide[slot]
-				for l := 0; l < 64; l++ {
-					if m.wm>>uint(l)&1 == 1 {
-						nu := uu[l] & mask
-						nv := vv[l] & mask &^ nu
-						if dv[l] != nv || du[l] != nu {
-							dv[l] = nv
-							du[l] = nu
-							m.changed = true
-						}
+				v, u := pack(vv, uu)
+				nv := (m.bits[slot] &^ m.wm) | (v & m.wm)
+				nu := (m.ubits[slot] &^ m.wm) | (u & m.wm)
+				if nv != m.bits[slot] || nu != m.ubits[slot] {
+					m.bits[slot] = nv
+					m.ubits[slot] = nu
+					m.changed = true
+				}
+			}
+		case wComb:
+			return func(m *lmach, vv, uu []uint64) {
+				v, u := pack(vv, uu)
+				m.writeOvlBit4(slot, v, u)
+			}
+		case wSeqBlocking:
+			return func(m *lmach, vv, uu []uint64) {
+				v, u := pack(vv, uu)
+				m.writeOvlBit4(slot, v, u)
+				m.writeNBABit4(slot, v, u)
+			}
+		default: // wSeqNBA
+			return func(m *lmach, vv, uu []uint64) {
+				v, u := pack(vv, uu)
+				m.writeNBABit4(slot, v, u)
+			}
+		}
+	}
+	norm := func(m *lmach, vv, uu []uint64, reg int) ([]uint64, []uint64) {
+		mv, mu := m.regs[reg], m.uregs[reg]
+		for l := 0; l < 64; l++ {
+			mu[l] = uu[l] & mask
+			mv[l] = vv[l] & mask &^ mu[l]
+		}
+		return mv, mu
+	}
+	switch mode {
+	case wAssign:
+		return func(m *lmach, vv, uu []uint64) {
+			dv, du := m.wide[slot], m.uwide[slot]
+			for l := 0; l < 64; l++ {
+				if m.wm>>uint(l)&1 == 1 {
+					nu := uu[l] & mask
+					nv := vv[l] & mask &^ nu
+					if dv[l] != nv || du[l] != nu {
+						dv[l] = nv
+						du[l] = nu
+						m.changed = true
 					}
 				}
-			}, nil
-		case wComb:
-			reg := c.newReg()
-			return func(m *lmach, vv, uu []uint64) {
-				mv, mu := norm(m, vv, uu, reg)
-				m.writeOvlVec4(slot, mv, mu)
-			}, nil
-		case wSeqBlocking:
-			reg := c.newReg()
-			return func(m *lmach, vv, uu []uint64) {
-				mv, mu := norm(m, vv, uu, reg)
-				m.writeOvlVec4(slot, mv, mu)
-				m.writeNBAVec4(slot, mv, mu)
-			}, nil
-		default: // wSeqNBA
-			reg := c.newReg()
-			return func(m *lmach, vv, uu []uint64) {
-				mv, mu := norm(m, vv, uu, reg)
-				m.writeNBAVec4(slot, mv, mu)
-			}, nil
+			}
 		}
-	case *verilog.Index:
-		id, ok := x.X.(*verilog.Ident)
-		if !ok {
-			return nil, errUnplannable{"unsupported assignment target"}
-		}
-		sig := c.c.d.Signals[id.Name]
-		if sig == nil {
-			return nil, errUnplannable{"assignment to unknown signal " + id.Name}
-		}
-		ie, err := c.expr(x.Idx)
-		if err != nil {
-			return nil, err
-		}
-		idxFn := c.asVec(ie)
-		base := c.rmwBase(int32(sig.Slot), mode)
-		inner, err := c.store(id, mode)
-		if err != nil {
-			return nil, err
-		}
+	case wComb:
 		reg := c.newReg()
 		return func(m *lmach, vv, uu []uint64) {
-			iv, iu := idxFn(m)
+			mv, mu := norm(m, vv, uu, reg)
+			m.writeOvlVec4(slot, mv, mu)
+		}
+	case wSeqBlocking:
+		reg := c.newReg()
+		return func(m *lmach, vv, uu []uint64) {
+			mv, mu := norm(m, vv, uu, reg)
+			m.writeOvlVec4(slot, mv, mu)
+			m.writeNBAVec4(slot, mv, mu)
+		}
+	default: // wSeqNBA
+		reg := c.newReg()
+		return func(m *lmach, vv, uu []uint64) {
+			mv, mu := norm(m, vv, uu, reg)
+			m.writeNBAVec4(slot, mv, mu)
+		}
+	}
+}
+
+func (c *lane4Emitter) storeIndex(sig *compile.Signal, ie lexpr4, mode writeMode, inner laneStore4Fn) laneStore4Fn {
+	idxFn := c.asVec(ie)
+	base := c.rmwBase(int32(sig.Slot), mode)
+	reg := c.newReg()
+	return func(m *lmach, vv, uu []uint64) {
+		iv, iu := idxFn(m)
+		if m.err != nil {
+			return
+		}
+		bv, bu := base(m)
+		ov, ou := m.regs[reg], m.uregs[reg]
+		// Lanes with an unknown index or one >= 64 skip the write entirely
+		// (the scalar engine's no-effect rule), via the predication mask.
+		var inRange uint64
+		for l := 0; l < 64; l++ {
+			sh := iv[l]
+			if iu[l] != 0 || sh >= 64 {
+				continue
+			}
+			inRange |= 1 << uint(l)
+			bit := uint64(1) << sh
+			ov[l] = (bv[l] &^ bit) | ((vv[l] & 1) << sh)
+			ou[l] = (bu[l] &^ bit) | ((uu[l] & 1) << sh)
+		}
+		save := m.wm
+		if w := save & inRange; w != 0 {
+			m.wm = w
+			inner(m, ov, ou)
+		}
+		m.wm = save
+	}
+}
+
+func (c *lane4Emitter) storeSlice(sig *compile.Signal, shift uint, sm uint64, mode writeMode, inner laneStore4Fn) laneStore4Fn {
+	base := c.rmwBase(int32(sig.Slot), mode)
+	reg := c.newReg()
+	return func(m *lmach, vv, uu []uint64) {
+		bv, bu := base(m)
+		ov, ou := m.regs[reg], m.uregs[reg]
+		for l := 0; l < 64; l++ {
+			ov[l] = (bv[l] &^ sm) | ((vv[l] << shift) & sm)
+			ou[l] = (bu[l] &^ sm) | ((uu[l] << shift) & sm)
+		}
+		inner(m, ov, ou)
+	}
+}
+
+func (c *lane4Emitter) storeConcat(parts []laneStore4Fn, shifts []uint, masks []uint64) laneStore4Fn {
+	regs := make([]int, len(parts))
+	for i := range regs {
+		regs[i] = c.newReg()
+	}
+	return func(m *lmach, vv, uu []uint64) {
+		for i, st := range parts {
+			ov, ou := m.regs[regs[i]], m.uregs[regs[i]]
+			for l := 0; l < 64; l++ {
+				ov[l] = (vv[l] >> shifts[i]) & masks[i]
+				ou[l] = (uu[l] >> shifts[i]) & masks[i]
+			}
+			st(m, ov, ou)
 			if m.err != nil {
 				return
 			}
-			bv, bu := base(m)
-			ov, ou := m.regs[reg], m.uregs[reg]
-			// Lanes with an unknown index skip the write entirely (the
-			// scalar engine's no-effect rule), via the predication mask.
-			var knownW uint64
-			for l := 0; l < 64; l++ {
-				if iu[l] != 0 {
-					continue
-				}
-				knownW |= 1 << uint(l)
-				sh := iv[l] & 63
-				bit := uint64(1) << sh
-				ov[l] = (bv[l] &^ bit) | ((vv[l] & 1) << sh)
-				ou[l] = (bu[l] &^ bit) | ((uu[l] & 1) << sh)
-			}
-			save := m.wm
-			if w := save & knownW; w != 0 {
-				m.wm = w
-				inner(m, ov, ou)
-			}
-			m.wm = save
-		}, nil
-	case *verilog.Slice:
-		id, ok := x.X.(*verilog.Ident)
-		if !ok {
-			return nil, errUnplannable{"unsupported assignment target"}
 		}
-		sig := c.c.d.Signals[id.Name]
-		if sig == nil {
-			return nil, errUnplannable{"assignment to unknown signal " + id.Name}
-		}
-		hi, ok1 := c.c4.constEval4(x.Hi)
-		lo, ok2 := c.c4.constEval4(x.Lo)
-		if !ok1 || !ok2 {
-			return nil, errUnplannable{"dynamic slice bounds in assignment target"}
-		}
-		if lo > hi {
-			return nil, errUnplannable{"invalid slice target"}
-		}
-		base := c.rmwBase(int32(sig.Slot), mode)
-		inner, err := c.store(id, mode)
-		if err != nil {
-			return nil, err
-		}
-		sm := maskFor(int(hi-lo)+1) << lo
-		shift := uint(lo)
-		reg := c.newReg()
-		return func(m *lmach, vv, uu []uint64) {
-			bv, bu := base(m)
-			ov, ou := m.regs[reg], m.uregs[reg]
-			for l := 0; l < 64; l++ {
-				ov[l] = (bv[l] &^ sm) | ((vv[l] << shift) & sm)
-				ou[l] = (bu[l] &^ sm) | ((uu[l] << shift) & sm)
-			}
-			inner(m, ov, ou)
-		}, nil
-	case *verilog.Concat:
-		total := 0
-		widths := make([]int, len(x.Elems))
-		for i, el := range x.Elems {
-			w, ok := c.c.staticWidth(el)
-			if !ok {
-				return nil, errUnplannable{"dynamic width in concat assignment target"}
-			}
-			widths[i] = w
-			total += w
-		}
-		stores := make([]laneStore4Fn, len(x.Elems))
-		shifts := make([]uint, len(x.Elems))
-		elMasks := make([]uint64, len(x.Elems))
-		regs := make([]int, len(x.Elems))
-		shift := total
-		for i, el := range x.Elems {
-			shift -= widths[i]
-			st, err := c.store(el, mode)
-			if err != nil {
-				return nil, err
-			}
-			stores[i] = st
-			shifts[i] = uint(shift)
-			elMasks[i] = maskFor(widths[i])
-			regs[i] = c.newReg()
-		}
-		return func(m *lmach, vv, uu []uint64) {
-			for i, st := range stores {
-				ov, ou := m.regs[regs[i]], m.uregs[regs[i]]
-				for l := 0; l < 64; l++ {
-					ov[l] = (vv[l] >> shifts[i]) & elMasks[i]
-					ou[l] = (uu[l] >> shifts[i]) & elMasks[i]
-				}
-				st(m, ov, ou)
-				if m.err != nil {
-					return
-				}
-			}
-		}, nil
 	}
-	return nil, errUnplannable{fmt.Sprintf("assignment target %T (lanes, four-state)", lhs)}
 }
 
 // rmwBase returns the per-lane paired base planes for read-modify-write
-// targets, mirroring planCompiler4.rmwBase4.
-func (c *laneCompiler4) rmwBase(slot int32, mode writeMode) func(m *lmach) ([]uint64, []uint64) {
+// targets, mirroring rmwBase4.
+func (c *lane4Emitter) rmwBase(slot int32, mode writeMode) func(m *lmach) ([]uint64, []uint64) {
 	isBit := c.lp.isBit[slot]
 	expand := func(reg int, readW func(m *lmach) (uint64, uint64)) func(m *lmach) ([]uint64, []uint64) {
 		return func(m *lmach) ([]uint64, []uint64) {
@@ -1012,235 +831,18 @@ func (c *laneCompiler4) rmwBase(slot int32, mode writeMode) func(m *lmach) ([]ui
 }
 
 // ---------------------------------------------------------------------------
-// Expression compilation
+// Expressions
 // ---------------------------------------------------------------------------
 
-func (c *laneCompiler4) expr(e verilog.Expr) (lexpr4, error) {
-	switch x := e.(type) {
-	case *verilog.Number:
-		v := V4{Val: x.Value, Unk: x.Unknown()}.norm()
-		return c.constExpr(v), nil
-	case *verilog.Ident:
-		if sig := c.c.d.Signals[x.Name]; sig != nil {
-			slot := int32(sig.Slot)
-			if sig.Width == 1 {
-				return lexpr4{bit: func(m *lmach) (uint64, uint64) { return m.readBit4(slot) }}, nil
-			}
-			return lexpr4{vec: func(m *lmach) ([]uint64, []uint64) { return m.readVec4(slot) }}, nil
-		}
-		if v, ok := c.c.d.Params[x.Name]; ok {
-			return c.constExpr(known(v)), nil
-		}
-		return lexpr4{}, errUnplannable{"unknown signal " + x.Name}
-	case *verilog.Unary:
-		return c.unary(x)
-	case *verilog.Binary:
-		return c.binary(x)
-	case *verilog.Ternary:
-		ce, err := c.expr(x.Cond)
-		if err != nil {
-			return lexpr4{}, err
-		}
-		cf := c.bool3(ce)
-		xe, err := c.expr(x.X)
-		if err != nil {
-			return lexpr4{}, err
-		}
-		ye, err := c.expr(x.Y)
-		if err != nil {
-			return lexpr4{}, err
-		}
-		if xe.bit != nil && ye.bit != nil {
-			xf, yf := xe.bit, ye.bit
-			return lexpr4{bit: func(m *lmach) (uint64, uint64) {
-				ct, cx := cf(m)
-				if ct == ^uint64(0) {
-					return xf(m)
-				}
-				if ct|cx == 0 {
-					return yf(m)
-				}
-				xv, xu := xf(m)
-				yv, yu := yf(m)
-				cfalse := ^(ct | cx)
-				// x-selected lanes merge the arms (v4Merge, word-wide).
-				mu := xu | yu | (xv ^ yv)
-				mv := xv & yv &^ mu
-				v := (ct & xv) | (cfalse & yv) | (cx & mv)
-				u := (ct & xu) | (cfalse & yu) | (cx & mu)
-				return v, u
-			}}, nil
-		}
-		xf, yf := c.asVec(xe), c.asVec(ye)
-		reg := c.newReg()
-		return lexpr4{vec: func(m *lmach) ([]uint64, []uint64) {
-			ct, cx := cf(m)
-			if ct == ^uint64(0) {
-				return xf(m)
-			}
-			if ct|cx == 0 {
-				return yf(m)
-			}
-			xv, xu := xf(m)
-			yv, yu := yf(m)
-			ov, ou := m.regs[reg], m.uregs[reg]
-			for l := 0; l < 64; l++ {
-				switch {
-				case ct>>uint(l)&1 == 1:
-					ov[l], ou[l] = xv[l], xu[l]
-				case cx>>uint(l)&1 == 0:
-					ov[l], ou[l] = yv[l], yu[l]
-				default:
-					mv := v4Merge(V4{Val: xv[l], Unk: xu[l]}, V4{Val: yv[l], Unk: yu[l]})
-					ov[l], ou[l] = mv.Val, mv.Unk
-				}
-			}
-			return ov, ou
-		}}, nil
-	case *verilog.Index:
-		xe, err := c.expr(x.X)
-		if err != nil {
-			return lexpr4{}, err
-		}
-		ie, err := c.expr(x.Idx)
-		if err != nil {
-			return lexpr4{}, err
-		}
-		xf, idxFn := c.asVec(xe), c.asVec(ie)
-		return lexpr4{bit: func(m *lmach) (uint64, uint64) {
-			// Base before index, matching the interpreter's order.
-			vv, uu := xf(m)
-			iv, iu := idxFn(m)
-			var v, u uint64
-			for l := 0; l < 64; l++ {
-				if iu[l] != 0 {
-					u |= 1 << uint(l) // unknown index: xBool
-					continue
-				}
-				if idx := iv[l]; idx < 64 {
-					v |= ((vv[l] >> idx) & 1) << uint(l)
-					u |= ((uu[l] >> idx) & 1) << uint(l)
-				}
-			}
-			return v &^ u, u
-		}}, nil
-	case *verilog.Slice:
-		xe, err := c.expr(x.X)
-		if err != nil {
-			return lexpr4{}, err
-		}
-		hi, ok1 := c.c4.constEval4(x.Hi)
-		lo, ok2 := c.c4.constEval4(x.Lo)
-		if !ok1 || !ok2 {
-			return lexpr4{}, errUnplannable{"dynamic slice bounds"}
-		}
-		if lo > hi || lo >= 64 {
-			pos := x.Pos
-			hiC, loC := hi, lo
-			reg := c.constReg(0, 0)
-			return lexpr4{vec: func(m *lmach) ([]uint64, []uint64) {
-				m.fail(evalErrf(pos, "invalid slice [%d:%d]", hiC, loC))
-				return m.regs[reg], m.uregs[reg]
-			}}, nil
-		}
-		xf := c.asVec(xe)
-		shift := uint(lo)
-		mask := maskFor(int(hi-lo) + 1)
-		if mask == 1 {
-			return lexpr4{bit: func(m *lmach) (uint64, uint64) {
-				vv, uu := xf(m)
-				var v, u uint64
-				for l := 0; l < 64; l++ {
-					v |= ((vv[l] >> shift) & 1) << uint(l)
-					u |= ((uu[l] >> shift) & 1) << uint(l)
-				}
-				return v, u
-			}}, nil
-		}
-		reg := c.newReg()
-		return lexpr4{vec: func(m *lmach) ([]uint64, []uint64) {
-			vv, uu := xf(m)
-			ov, ou := m.regs[reg], m.uregs[reg]
-			for l := 0; l < 64; l++ {
-				ov[l] = (vv[l] >> shift) & mask
-				ou[l] = (uu[l] >> shift) & mask
-			}
-			return ov, ou
-		}}, nil
-	case *verilog.Concat:
-		fns := make([]laneVec4Fn, len(x.Elems))
-		widths := make([]uint, len(x.Elems))
-		elMasks := make([]uint64, len(x.Elems))
-		for i, el := range x.Elems {
-			w, ok := c.c.staticWidth(el)
-			if !ok {
-				return lexpr4{}, errUnplannable{"dynamic width in concat"}
-			}
-			fe, err := c.expr(el)
-			if err != nil {
-				return lexpr4{}, err
-			}
-			fns[i] = c.asVec(fe)
-			widths[i] = uint(w)
-			elMasks[i] = maskFor(w)
-		}
-		reg := c.newReg()
-		return lexpr4{vec: func(m *lmach) ([]uint64, []uint64) {
-			ov, ou := m.regs[reg], m.uregs[reg]
-			for l := 0; l < 64; l++ {
-				ov[l], ou[l] = 0, 0
-			}
-			for i, fn := range fns {
-				vv, uu := fn(m)
-				for l := 0; l < 64; l++ {
-					ov[l] = (ov[l] << widths[i]) | (vv[l] & elMasks[i])
-					ou[l] = (ou[l] << widths[i]) | (uu[l] & elMasks[i])
-				}
-			}
-			return ov, ou
-		}}, nil
-	case *verilog.Repl:
-		n, ok := c.c4.constEval4(x.Count)
-		if !ok {
-			return lexpr4{}, errUnplannable{"dynamic replication count"}
-		}
-		w, ok := c.c.staticWidth(x.Elem)
-		if !ok {
-			return lexpr4{}, errUnplannable{"dynamic width in replication"}
-		}
-		fe, err := c.expr(x.Elem)
-		if err != nil {
-			return lexpr4{}, err
-		}
-		fn := c.asVec(fe)
-		mask := maskFor(w)
-		uw := uint(w)
-		if n > 64 {
-			n = 64 // matches the interpreter's i < 64 bound
-		}
-		reps := int(n)
-		reg := c.newReg()
-		return lexpr4{vec: func(m *lmach) ([]uint64, []uint64) {
-			vv, uu := fn(m)
-			ov, ou := m.regs[reg], m.uregs[reg]
-			for l := 0; l < 64; l++ {
-				ev, eu := vv[l]&mask, uu[l]&mask
-				var o, q uint64
-				for i := 0; i < reps; i++ {
-					o = (o << uw) | ev
-					q = (q << uw) | eu
-				}
-				ov[l], ou[l] = o, q
-			}
-			return ov, ou
-		}}, nil
-	case *verilog.Call:
-		return c.call(x)
-	}
-	return lexpr4{}, errUnplannable{fmt.Sprintf("expression %T (lanes, four-state)", e)}
+func (c *lane4Emitter) number(x *verilog.Number) lexpr4 {
+	return c.konst(V4{Val: x.Value, Unk: x.Unknown()}.norm())
 }
 
-func (c *laneCompiler4) constExpr(v V4) lexpr4 {
+func (c *lane4Emitter) param(v uint64) lexpr4 { return c.konst(known(v)) }
+
+// konst classifies a broadcast constant: single-bit values pack, anything
+// else becomes a prefilled register pair.
+func (c *lane4Emitter) konst(v V4) lexpr4 {
 	if v.Val|v.Unk <= 1 {
 		var vw, uw uint64
 		if v.Val == 1 {
@@ -1255,29 +857,174 @@ func (c *laneCompiler4) constExpr(v V4) lexpr4 {
 	return lexpr4{vec: func(m *lmach) ([]uint64, []uint64) { return m.regs[reg], m.uregs[reg] }}
 }
 
-func (c *laneCompiler4) unary(x *verilog.Unary) (lexpr4, error) {
-	xe, err := c.expr(x.X)
-	if err != nil {
-		return lexpr4{}, err
+func (c *lane4Emitter) signal(sig *compile.Signal) lexpr4 {
+	slot := int32(sig.Slot)
+	if sig.Width == 1 {
+		return lexpr4{bit: func(m *lmach) (uint64, uint64) { return m.readBit4(slot) }}
 	}
-	w, ok := c.c.staticWidth(x.X)
-	if !ok {
-		return lexpr4{}, errUnplannable{"dynamic operand width"}
+	return lexpr4{vec: func(m *lmach) ([]uint64, []uint64) { return m.readVec4(slot) }}
+}
+
+func (c *lane4Emitter) fail(err error) lexpr4 {
+	reg := c.constReg(0, 0)
+	return lexpr4{vec: func(m *lmach) ([]uint64, []uint64) {
+		m.fail(err)
+		return m.regs[reg], m.uregs[reg]
+	}}
+}
+
+func (c *lane4Emitter) ternary(ce, xe, ye lexpr4) lexpr4 {
+	cf := c.bool3(ce)
+	if xe.bit != nil && ye.bit != nil {
+		xf, yf := xe.bit, ye.bit
+		return lexpr4{bit: func(m *lmach) (uint64, uint64) {
+			ct, cx := cf(m)
+			if ct == ^uint64(0) {
+				return xf(m)
+			}
+			if ct|cx == 0 {
+				return yf(m)
+			}
+			xv, xu := xf(m)
+			yv, yu := yf(m)
+			cfalse := ^(ct | cx)
+			// x-selected lanes merge the arms (v4Merge, word-wide).
+			mu := xu | yu | (xv ^ yv)
+			mv := xv & yv &^ mu
+			v := (ct & xv) | (cfalse & yv) | (cx & mv)
+			u := (ct & xu) | (cfalse & yu) | (cx & mu)
+			return v, u
+		}}
 	}
-	mask := maskFor(w)
+	xf, yf := c.asVec(xe), c.asVec(ye)
+	reg := c.newReg()
+	return lexpr4{vec: func(m *lmach) ([]uint64, []uint64) {
+		ct, cx := cf(m)
+		if ct == ^uint64(0) {
+			return xf(m)
+		}
+		if ct|cx == 0 {
+			return yf(m)
+		}
+		xv, xu := xf(m)
+		yv, yu := yf(m)
+		ov, ou := m.regs[reg], m.uregs[reg]
+		for l := 0; l < 64; l++ {
+			switch {
+			case ct>>uint(l)&1 == 1:
+				ov[l], ou[l] = xv[l], xu[l]
+			case cx>>uint(l)&1 == 0:
+				ov[l], ou[l] = yv[l], yu[l]
+			default:
+				mv := v4Merge(V4{Val: xv[l], Unk: xu[l]}, V4{Val: yv[l], Unk: yu[l]})
+				ov[l], ou[l] = mv.Val, mv.Unk
+			}
+		}
+		return ov, ou
+	}}
+}
+
+func (c *lane4Emitter) index(xe, ie lexpr4) lexpr4 {
+	xf, idxFn := c.asVec(xe), c.asVec(ie)
+	return lexpr4{bit: func(m *lmach) (uint64, uint64) {
+		// Base before index, matching the interpreter's order.
+		vv, uu := xf(m)
+		iv, iu := idxFn(m)
+		var v, u uint64
+		for l := 0; l < 64; l++ {
+			if iu[l] != 0 {
+				u |= 1 << uint(l) // unknown index: xBool
+				continue
+			}
+			if idx := iv[l]; idx < 64 {
+				v |= ((vv[l] >> idx) & 1) << uint(l)
+				u |= ((uu[l] >> idx) & 1) << uint(l)
+			}
+		}
+		return v &^ u, u
+	}}
+}
+
+func (c *lane4Emitter) slice(xe lexpr4, shift uint, mask uint64) lexpr4 {
+	xf := c.asVec(xe)
+	if mask == 1 {
+		return lexpr4{bit: func(m *lmach) (uint64, uint64) {
+			vv, uu := xf(m)
+			var v, u uint64
+			for l := 0; l < 64; l++ {
+				v |= ((vv[l] >> shift) & 1) << uint(l)
+				u |= ((uu[l] >> shift) & 1) << uint(l)
+			}
+			return v, u
+		}}
+	}
+	reg := c.newReg()
+	return lexpr4{vec: func(m *lmach) ([]uint64, []uint64) {
+		vv, uu := xf(m)
+		ov, ou := m.regs[reg], m.uregs[reg]
+		for l := 0; l < 64; l++ {
+			ov[l] = (vv[l] >> shift) & mask
+			ou[l] = (uu[l] >> shift) & mask
+		}
+		return ov, ou
+	}}
+}
+
+func (c *lane4Emitter) concat(elems []lexpr4, widths []uint, masks []uint64) lexpr4 {
+	fns := make([]laneVec4Fn, len(elems))
+	for i, fe := range elems {
+		fns[i] = c.asVec(fe)
+	}
+	reg := c.newReg()
+	return lexpr4{vec: func(m *lmach) ([]uint64, []uint64) {
+		ov, ou := m.regs[reg], m.uregs[reg]
+		for l := 0; l < 64; l++ {
+			ov[l], ou[l] = 0, 0
+		}
+		for i, fn := range fns {
+			vv, uu := fn(m)
+			for l := 0; l < 64; l++ {
+				ov[l] = (ov[l] << widths[i]) | (vv[l] & masks[i])
+				ou[l] = (ou[l] << widths[i]) | (uu[l] & masks[i])
+			}
+		}
+		return ov, ou
+	}}
+}
+
+func (c *lane4Emitter) repl(fe lexpr4, reps int, uw uint, mask uint64) lexpr4 {
+	fn := c.asVec(fe)
+	reg := c.newReg()
+	return lexpr4{vec: func(m *lmach) ([]uint64, []uint64) {
+		vv, uu := fn(m)
+		ov, ou := m.regs[reg], m.uregs[reg]
+		for l := 0; l < 64; l++ {
+			ev, eu := vv[l]&mask, uu[l]&mask
+			var o, q uint64
+			for i := 0; i < reps; i++ {
+				o = (o << uw) | ev
+				q = (q << uw) | eu
+			}
+			ov[l], ou[l] = o, q
+		}
+		return ov, ou
+	}}
+}
+
+func (c *lane4Emitter) unary(op verilog.UnaryOp, xe lexpr4, mask uint64) (lexpr4, bool) {
 	if xe.bit != nil && mask == 1 {
 		bf := xe.bit
-		switch x.Op {
+		switch op {
 		case verilog.UnaryLogicalNot, verilog.UnaryBitNot, verilog.UnaryRedXnor:
 			// All equal v4Not on a single bit: known flips, x stays x.
 			return lexpr4{bit: func(m *lmach) (uint64, uint64) {
 				v, u := bf(m)
 				return ^(v | u), u
-			}}, nil
+			}}, true
 		case verilog.UnaryMinus, verilog.UnaryPlus, verilog.UnaryRedAnd,
 			verilog.UnaryRedOr, verilog.UnaryRedXor:
 			// Identities on a canonical single bit (x stays x, -v&1 == v).
-			return lexpr4{bit: bf}, nil
+			return lexpr4{bit: bf}, true
 		}
 	}
 	vf := c.asVec(xe)
@@ -1293,11 +1040,11 @@ func (c *laneCompiler4) unary(x *verilog.Unary) (lexpr4, error) {
 			return ov, ou
 		}}
 	}
-	switch x.Op {
+	switch op {
 	case verilog.UnaryLogicalNot:
-		return perLane(func(v V4) V4 { return v4LogNot(v.maskV(mask)) }), nil
+		return perLane(func(v V4) V4 { return v4LogNot(v.maskV(mask)) }), true
 	case verilog.UnaryBitNot:
-		return perLane(func(v V4) V4 { return v4Not(v, mask) }), nil
+		return perLane(func(v V4) V4 { return v4Not(v, mask) }), true
 	case verilog.UnaryMinus:
 		return perLane(func(v V4) V4 {
 			v = v.maskV(mask)
@@ -1305,32 +1052,24 @@ func (c *laneCompiler4) unary(x *verilog.Unary) (lexpr4, error) {
 				return V4{Unk: mask}
 			}
 			return known(-v.Val & mask)
-		}), nil
+		}), true
 	case verilog.UnaryPlus:
-		return perLane(func(v V4) V4 { return v.maskV(mask) }), nil
+		return perLane(func(v V4) V4 { return v.maskV(mask) }), true
 	case verilog.UnaryRedAnd:
-		return perLane(func(v V4) V4 { return v4RedAnd(v, mask) }), nil
+		return perLane(func(v V4) V4 { return v4RedAnd(v, mask) }), true
 	case verilog.UnaryRedOr:
-		return perLane(func(v V4) V4 { return v4RedOr(v, mask) }), nil
+		return perLane(func(v V4) V4 { return v4RedOr(v, mask) }), true
 	case verilog.UnaryRedXor:
-		return perLane(func(v V4) V4 { return v4RedXor(v, mask) }), nil
+		return perLane(func(v V4) V4 { return v4RedXor(v, mask) }), true
 	case verilog.UnaryRedXnor:
-		return perLane(func(v V4) V4 { return v4Not(v4RedXor(v, mask), 1) }), nil
+		return perLane(func(v V4) V4 { return v4Not(v4RedXor(v, mask), 1) }), true
 	}
-	return lexpr4{}, errUnplannable{"unary operator " + x.Op.String()}
+	return lexpr4{}, false
 }
 
-func (c *laneCompiler4) binary(x *verilog.Binary) (lexpr4, error) {
-	ae, err := c.expr(x.X)
-	if err != nil {
-		return lexpr4{}, err
-	}
-	be, err := c.expr(x.Y)
-	if err != nil {
-		return lexpr4{}, err
-	}
+func (c *lane4Emitter) binary(op verilog.BinaryOp, ae, be lexpr4, w int) (lexpr4, bool) {
 	bothBit := ae.bit != nil && be.bit != nil
-	switch x.Op {
+	switch op {
 	case verilog.BinLogAnd:
 		af, bf := c.bool3(ae), c.bool3(be)
 		return lexpr4{bit: func(m *lmach) (uint64, uint64) {
@@ -1342,7 +1081,7 @@ func (c *laneCompiler4) binary(x *verilog.Binary) (lexpr4, error) {
 			v := ta & tb
 			falseW := ^(ta | xa) | ^(tb | xb)
 			return v, ^(v | falseW)
-		}}, nil
+		}}, true
 	case verilog.BinLogOr:
 		af, bf := c.bool3(ae), c.bool3(be)
 		return lexpr4{bit: func(m *lmach) (uint64, uint64) {
@@ -1354,7 +1093,7 @@ func (c *laneCompiler4) binary(x *verilog.Binary) (lexpr4, error) {
 			v := ta | tb
 			falseW := ^(ta | xa) & ^(tb | xb)
 			return v, ^(v | falseW)
-		}}, nil
+		}}, true
 	case verilog.BinAnd:
 		if bothBit {
 			af, bf := ae.bit, be.bit
@@ -1365,9 +1104,9 @@ func (c *laneCompiler4) binary(x *verilog.Binary) (lexpr4, error) {
 				known0 := (^av & ^au) | (^bv & ^bu)
 				unk := (au | bu) &^ known0
 				return av & bv &^ unk, unk
-			}}, nil
+			}}, true
 		}
-		return c.vecBin4(ae, be, v4And), nil
+		return c.vecBin4(ae, be, v4And), true
 	case verilog.BinOr:
 		if bothBit {
 			af, bf := ae.bit, be.bit
@@ -1376,9 +1115,9 @@ func (c *laneCompiler4) binary(x *verilog.Binary) (lexpr4, error) {
 				bv, bu := bf(m)
 				known1 := av | bv
 				return known1, (au | bu) &^ known1
-			}}, nil
+			}}, true
 		}
-		return c.vecBin4(ae, be, v4Or), nil
+		return c.vecBin4(ae, be, v4Or), true
 	case verilog.BinXor:
 		if bothBit {
 			af, bf := ae.bit, be.bit
@@ -1387,16 +1126,11 @@ func (c *laneCompiler4) binary(x *verilog.Binary) (lexpr4, error) {
 				bv, bu := bf(m)
 				unk := au | bu
 				return (av ^ bv) &^ unk, unk
-			}}, nil
+			}}, true
 		}
-		return c.vecBin4(ae, be, v4Xor), nil
+		return c.vecBin4(ae, be, v4Xor), true
 	case verilog.BinXnor:
-		wx, ok1 := c.c.staticWidth(x.X)
-		wy, ok2 := c.c.staticWidth(x.Y)
-		if !ok1 || !ok2 {
-			return lexpr4{}, errUnplannable{"dynamic operand width"}
-		}
-		mask := maskFor(max(wx, wy))
+		mask := maskFor(w)
 		if bothBit && mask == 1 {
 			af, bf := ae.bit, be.bit
 			return lexpr4{bit: func(m *lmach) (uint64, uint64) {
@@ -1404,9 +1138,9 @@ func (c *laneCompiler4) binary(x *verilog.Binary) (lexpr4, error) {
 				bv, bu := bf(m)
 				unk := au | bu
 				return ^(av ^ bv) &^ unk, unk
-			}}, nil
+			}}, true
 		}
-		return c.vecBin4(ae, be, func(a, b V4) V4 { return v4Not(v4Xor(a, b), mask) }), nil
+		return c.vecBin4(ae, be, func(a, b V4) V4 { return v4Not(v4Xor(a, b), mask) }), true
 	case verilog.BinEq:
 		if bothBit {
 			af, bf := ae.bit, be.bit
@@ -1415,9 +1149,9 @@ func (c *laneCompiler4) binary(x *verilog.Binary) (lexpr4, error) {
 				bv, bu := bf(m)
 				unk := au | bu
 				return ^(av ^ bv) &^ unk, unk
-			}}, nil
+			}}, true
 		}
-		return c.packedCmp4(ae, be, v4Eq), nil
+		return c.packedCmp4(ae, be, v4Eq), true
 	case verilog.BinNe:
 		if bothBit {
 			af, bf := ae.bit, be.bit
@@ -1426,9 +1160,9 @@ func (c *laneCompiler4) binary(x *verilog.Binary) (lexpr4, error) {
 				bv, bu := bf(m)
 				unk := au | bu
 				return (av ^ bv) &^ unk, unk
-			}}, nil
+			}}, true
 		}
-		return c.packedCmp4(ae, be, func(a, b V4) V4 { return v4LogNot(v4Eq(a, b)) }), nil
+		return c.packedCmp4(ae, be, func(a, b V4) V4 { return v4LogNot(v4Eq(a, b)) }), true
 	case verilog.BinCaseEq:
 		if bothBit {
 			af, bf := ae.bit, be.bit
@@ -1436,9 +1170,9 @@ func (c *laneCompiler4) binary(x *verilog.Binary) (lexpr4, error) {
 				av, au := af(m)
 				bv, bu := bf(m)
 				return ^(av ^ bv) & ^(au ^ bu), 0
-			}}, nil
+			}}, true
 		}
-		return c.packedCmp4(ae, be, v4CaseEq), nil
+		return c.packedCmp4(ae, be, v4CaseEq), true
 	case verilog.BinCaseNe:
 		if bothBit {
 			af, bf := ae.bit, be.bit
@@ -1446,54 +1180,50 @@ func (c *laneCompiler4) binary(x *verilog.Binary) (lexpr4, error) {
 				av, au := af(m)
 				bv, bu := bf(m)
 				return (av ^ bv) | (au ^ bu), 0
-			}}, nil
+			}}, true
 		}
-		return c.packedCmp4(ae, be, func(a, b V4) V4 { return v4LogNot(v4CaseEq(a, b)) }), nil
+		return c.packedCmp4(ae, be, func(a, b V4) V4 { return v4LogNot(v4CaseEq(a, b)) }), true
 	case verilog.BinLt:
 		return c.relBin4(ae, be, bothBit, func(av, bv uint64) uint64 { return ^av & bv },
-			func(p, q uint64) bool { return p < q }), nil
+			func(p, q uint64) bool { return p < q }), true
 	case verilog.BinLe:
 		return c.relBin4(ae, be, bothBit, func(av, bv uint64) uint64 { return ^av | bv },
-			func(p, q uint64) bool { return p <= q }), nil
+			func(p, q uint64) bool { return p <= q }), true
 	case verilog.BinGt:
 		return c.relBin4(ae, be, bothBit, func(av, bv uint64) uint64 { return av & ^bv },
-			func(p, q uint64) bool { return p > q }), nil
+			func(p, q uint64) bool { return p > q }), true
 	case verilog.BinGe:
 		return c.relBin4(ae, be, bothBit, func(av, bv uint64) uint64 { return av | ^bv },
-			func(p, q uint64) bool { return p >= q }), nil
+			func(p, q uint64) bool { return p >= q }), true
 	case verilog.BinAdd:
 		return c.vecBin4(ae, be, func(a, b V4) V4 {
 			return v4Arith(a, b, func(p, q uint64) uint64 { return p + q })
-		}), nil
+		}), true
 	case verilog.BinSub:
 		return c.vecBin4(ae, be, func(a, b V4) V4 {
 			return v4Arith(a, b, func(p, q uint64) uint64 { return p - q })
-		}), nil
+		}), true
 	case verilog.BinMul:
 		return c.vecBin4(ae, be, func(a, b V4) V4 {
 			return v4Arith(a, b, func(p, q uint64) uint64 { return p * q })
-		}), nil
+		}), true
 	case verilog.BinDiv:
-		return c.vecBin4(ae, be, v4Div), nil
+		return c.vecBin4(ae, be, v4Div), true
 	case verilog.BinMod:
-		return c.vecBin4(ae, be, v4Mod), nil
+		return c.vecBin4(ae, be, v4Mod), true
 	case verilog.BinShl:
-		return c.vecBin4(ae, be, v4Shl), nil
+		return c.vecBin4(ae, be, v4Shl), true
 	case verilog.BinShr:
-		return c.vecBin4(ae, be, v4Shr), nil
+		return c.vecBin4(ae, be, v4Shr), true
 	case verilog.BinAShr:
-		w, ok := c.c.staticWidth(x.X)
-		if !ok {
-			return lexpr4{}, errUnplannable{"dynamic operand width"}
-		}
-		return c.vecBin4(ae, be, func(a, b V4) V4 { return v4AShr(a, b, w) }), nil
+		return c.vecBin4(ae, be, func(a, b V4) V4 { return v4AShr(a, b, w) }), true
 	}
-	return lexpr4{}, errUnplannable{"binary operator " + x.Op.String()}
+	return lexpr4{}, false
 }
 
 // vecBin4 lowers a binary operator to a per-lane loop over the shared V4
 // operator function.
-func (c *laneCompiler4) vecBin4(ae, be lexpr4, op func(a, b V4) V4) lexpr4 {
+func (c *lane4Emitter) vecBin4(ae, be lexpr4, op func(a, b V4) V4) lexpr4 {
 	af, bf := c.asVec(ae), c.asVec(be)
 	reg := c.newReg()
 	return lexpr4{vec: func(m *lmach) ([]uint64, []uint64) {
@@ -1510,7 +1240,7 @@ func (c *laneCompiler4) vecBin4(ae, be lexpr4, op func(a, b V4) V4) lexpr4 {
 
 // packedCmp4 lowers a single-bit-result operator to per-lane evaluation
 // packed into a word pair.
-func (c *laneCompiler4) packedCmp4(ae, be lexpr4, op func(a, b V4) V4) lexpr4 {
+func (c *lane4Emitter) packedCmp4(ae, be lexpr4, op func(a, b V4) V4) lexpr4 {
 	af, bf := c.asVec(ae), c.asVec(be)
 	return lexpr4{bit: func(m *lmach) (uint64, uint64) {
 		av, au := af(m)
@@ -1527,7 +1257,7 @@ func (c *laneCompiler4) packedCmp4(ae, be lexpr4, op func(a, b V4) V4) lexpr4 {
 
 // relBin4 lowers a relational operator: a word kernel for single-bit
 // operands (x if either is x), a per-lane v4RelArith loop otherwise.
-func (c *laneCompiler4) relBin4(ae, be lexpr4, bothBit bool, kernel func(av, bv uint64) uint64, op func(p, q uint64) bool) lexpr4 {
+func (c *lane4Emitter) relBin4(ae, be lexpr4, bothBit bool, kernel func(av, bv uint64) uint64, op func(p, q uint64) bool) lexpr4 {
 	if bothBit {
 		af, bf := ae.bit, be.bit
 		return lexpr4{bit: func(m *lmach) (uint64, uint64) {
@@ -1540,212 +1270,167 @@ func (c *laneCompiler4) relBin4(ae, be lexpr4, bothBit bool, kernel func(av, bv 
 	return c.packedCmp4(ae, be, func(a, b V4) V4 { return v4RelArith(a, b, op) })
 }
 
-func (c *laneCompiler4) call(x *verilog.Call) (lexpr4, error) {
-	if len(x.Args) == 0 {
-		return lexpr4{}, errUnplannable{x.Name + " without arguments"}
-	}
-	arg := x.Args[0]
-	switch x.Name {
-	case "$countones", "$onehot", "$onehot0", "$isunknown":
-		fe, err := c.expr(arg)
-		if err != nil {
-			return lexpr4{}, err
-		}
-		w, ok := c.c.staticWidth(arg)
-		if !ok {
-			return lexpr4{}, errUnplannable{"dynamic operand width"}
-		}
-		mask := maskFor(w)
-		vf := c.asVec(fe)
-		switch x.Name {
-		case "$countones":
-			reg := c.newReg()
-			return lexpr4{vec: func(m *lmach) ([]uint64, []uint64) {
-				vv, uu := vf(m)
-				ov, ou := m.regs[reg], m.uregs[reg]
-				for l := 0; l < 64; l++ {
-					if uu[l]&mask != 0 {
-						ov[l], ou[l] = 0, ^uint64(0)
-						continue
-					}
-					ov[l], ou[l] = uint64(bits.OnesCount64(vv[l]&mask)), 0
-				}
-				return ov, ou
-			}}, nil
-		case "$onehot", "$onehot0":
-			limit := 1
-			exact := x.Name == "$onehot"
-			return lexpr4{bit: func(m *lmach) (uint64, uint64) {
-				vv, uu := vf(m)
-				var v, u uint64
-				for l := 0; l < 64; l++ {
-					if uu[l]&mask != 0 {
-						u |= 1 << uint(l)
-						continue
-					}
-					n := bits.OnesCount64(vv[l] & mask)
-					if (exact && n == limit) || (!exact && n <= limit) {
-						v |= 1 << uint(l)
-					}
-				}
-				return v, u
-			}}, nil
-		default: // $isunknown
-			return lexpr4{bit: func(m *lmach) (uint64, uint64) {
-				vv, uu := vf(m)
-				_ = vv
-				var v uint64
-				for l := 0; l < 64; l++ {
-					if uu[l]&mask != 0 {
-						v |= 1 << uint(l)
-					}
-				}
-				return v, 0
-			}}, nil
-		}
-	case "$signed", "$unsigned":
-		return c.expr(arg)
-	case "$past":
-		fe, err := c.expr(arg)
-		if err != nil {
-			return lexpr4{}, err
-		}
-		pos := x.Pos
-		depth := uint64(1)
-		if len(x.Args) > 1 {
-			// Only compile-time constant depths lane (the sampled frame swap
-			// is whole-machine); others fall back per-expression.
-			d, ok := c.c4.constEval4(x.Args[1])
-			if !ok {
-				return lexpr4{}, errUnplannable{"non-constant $past depth (lanes)"}
-			}
-			depth = d
-		}
-		if depth == 0 || depth > maxPastDepth {
-			dc := depth
-			reg := c.constReg(0, 0)
-			return lexpr4{vec: func(m *lmach) ([]uint64, []uint64) {
-				m.fail(evalErrf(pos, "$past depth %d out of range [1, %d]", dc, uint64(maxPastDepth)))
-				return m.regs[reg], m.uregs[reg]
-			}}, nil
-		}
-		d := int(depth)
-		if fe.bit != nil {
-			bf := fe.bit
-			return lexpr4{bit: func(m *lmach) (uint64, uint64) {
-				if m.rows == nil {
-					m.fail(evalErrf(pos, "$past outside sampled context"))
-					return 0, 0
-				}
-				j := m.idx - d
-				if j < 0 {
-					return 0, 0 // before start of time: sampled default (0)
-				}
-				return m.evalAtBit4(bf, j)
-			}}, nil
-		}
-		vf := fe.vec
-		zreg := c.constReg(0, 0)
+func (c *lane4Emitter) reduce(name string, fe lexpr4, mask uint64) lexpr4 {
+	vf := c.asVec(fe)
+	switch name {
+	case "$countones":
+		reg := c.newReg()
 		return lexpr4{vec: func(m *lmach) ([]uint64, []uint64) {
+			vv, uu := vf(m)
+			ov, ou := m.regs[reg], m.uregs[reg]
+			for l := 0; l < 64; l++ {
+				if uu[l]&mask != 0 {
+					ov[l], ou[l] = 0, ^uint64(0)
+					continue
+				}
+				ov[l], ou[l] = uint64(bits.OnesCount64(vv[l]&mask)), 0
+			}
+			return ov, ou
+		}}
+	case "$onehot", "$onehot0":
+		limit := 1
+		exact := name == "$onehot"
+		return lexpr4{bit: func(m *lmach) (uint64, uint64) {
+			vv, uu := vf(m)
+			var v, u uint64
+			for l := 0; l < 64; l++ {
+				if uu[l]&mask != 0 {
+					u |= 1 << uint(l)
+					continue
+				}
+				n := bits.OnesCount64(vv[l] & mask)
+				if (exact && n == limit) || (!exact && n <= limit) {
+					v |= 1 << uint(l)
+				}
+			}
+			return v, u
+		}}
+	default: // $isunknown
+		return lexpr4{bit: func(m *lmach) (uint64, uint64) {
+			_, uu := vf(m)
+			var v uint64
+			for l := 0; l < 64; l++ {
+				if uu[l]&mask != 0 {
+					v |= 1 << uint(l)
+				}
+			}
+			return v, 0
+		}}
+	}
+}
+
+func (c *lane4Emitter) past(pos verilog.Pos, fe, _ lexpr4, depth uint64) lexpr4 {
+	d := int(depth)
+	if fe.bit != nil {
+		bf := fe.bit
+		return lexpr4{bit: func(m *lmach) (uint64, uint64) {
 			if m.rows == nil {
 				m.fail(evalErrf(pos, "$past outside sampled context"))
-				return m.regs[zreg], m.uregs[zreg]
+				return 0, 0
 			}
 			j := m.idx - d
 			if j < 0 {
-				return m.regs[zreg], m.uregs[zreg]
+				return 0, 0 // before start of time: sampled default (0)
 			}
-			return m.evalAtVec4(vf, j)
-		}}, nil
-	case "$rose", "$fell", "$stable", "$changed":
-		fe, err := c.expr(arg)
-		if err != nil {
-			return lexpr4{}, err
+			return m.evalAtBit4(bf, j)
+		}}
+	}
+	vf := fe.vec
+	zreg := c.constReg(0, 0)
+	return lexpr4{vec: func(m *lmach) ([]uint64, []uint64) {
+		if m.rows == nil {
+			m.fail(evalErrf(pos, "$past outside sampled context"))
+			return m.regs[zreg], m.uregs[zreg]
 		}
-		pos := x.Pos
-		name := x.Name
-		if name == "$rose" || name == "$fell" {
-			bf := c.lsb4(fe)
-			rose := name == "$rose"
-			return lexpr4{bit: func(m *lmach) (uint64, uint64) {
-				if m.rows == nil {
-					m.fail(evalErrf(pos, "%s outside sampled context", name))
-					return 0, 0
-				}
-				nv, nu := bf(m)
-				var bv, bu uint64
-				if m.idx > 0 {
-					bv, bu = m.evalAtBit4(bf, m.idx-1)
-				}
-				unk := bu | nu // any x in either sample: xBool (v4Sampled)
-				var v uint64
-				if rose {
-					v = ^bv & nv
-				} else {
-					v = bv & ^nv
-				}
-				return v &^ unk, unk
-			}}, nil
+		j := m.idx - d
+		if j < 0 {
+			return m.regs[zreg], m.uregs[zreg]
 		}
-		stable := name == "$stable"
-		if fe.bit != nil {
-			bf := fe.bit
-			return lexpr4{bit: func(m *lmach) (uint64, uint64) {
-				if m.rows == nil {
-					m.fail(evalErrf(pos, "%s outside sampled context", name))
-					return 0, 0
-				}
-				nv, nu := bf(m)
-				var bv, bu uint64
-				if m.idx > 0 {
-					bv, bu = m.evalAtBit4(bf, m.idx-1)
-				}
-				unk := bu | nu
-				v := ^(bv ^ nv)
-				if !stable {
-					v = bv ^ nv
-				}
-				return v &^ unk, unk
-			}}, nil
-		}
-		vf := fe.vec
+		return m.evalAtVec4(vf, j)
+	}}
+}
+
+func (c *lane4Emitter) sampled(pos verilog.Pos, name string, fe lexpr4) lexpr4 {
+	if name == "$rose" || name == "$fell" {
+		bf := c.lsb4(fe)
+		rose := name == "$rose"
 		return lexpr4{bit: func(m *lmach) (uint64, uint64) {
 			if m.rows == nil {
 				m.fail(evalErrf(pos, "%s outside sampled context", name))
 				return 0, 0
 			}
-			nv, nu := vf(m)
-			var v, u uint64
+			nv, nu := bf(m)
+			var bv, bu uint64
 			if m.idx > 0 {
-				// Copy the now-frame first: the past evaluation reuses the
-				// same registers.
-				nvc := make([]uint64, 64)
-				nuc := make([]uint64, 64)
-				copy(nvc, nv)
-				copy(nuc, nu)
-				bv, bu := m.evalAtVec4(vf, m.idx-1)
-				for l := 0; l < 64; l++ {
-					if nuc[l]|bu[l] != 0 {
-						u |= 1 << uint(l)
-						continue
-					}
-					if (bv[l] == nvc[l]) == stable {
-						v |= 1 << uint(l)
-					}
-				}
-				return v, u
+				bv, bu = m.evalAtBit4(bf, m.idx-1)
 			}
+			unk := bu | nu // any x in either sample: xBool (v4Sampled)
+			var v uint64
+			if rose {
+				v = ^bv & nv
+			} else {
+				v = bv & ^nv
+			}
+			return v &^ unk, unk
+		}}
+	}
+	stable := name == "$stable"
+	if fe.bit != nil {
+		bf := fe.bit
+		return lexpr4{bit: func(m *lmach) (uint64, uint64) {
+			if m.rows == nil {
+				m.fail(evalErrf(pos, "%s outside sampled context", name))
+				return 0, 0
+			}
+			nv, nu := bf(m)
+			var bv, bu uint64
+			if m.idx > 0 {
+				bv, bu = m.evalAtBit4(bf, m.idx-1)
+			}
+			unk := bu | nu
+			v := ^(bv ^ nv)
+			if !stable {
+				v = bv ^ nv
+			}
+			return v &^ unk, unk
+		}}
+	}
+	vf := fe.vec
+	return lexpr4{bit: func(m *lmach) (uint64, uint64) {
+		if m.rows == nil {
+			m.fail(evalErrf(pos, "%s outside sampled context", name))
+			return 0, 0
+		}
+		nv, nu := vf(m)
+		var v, u uint64
+		if m.idx > 0 {
+			// Copy the now-frame first: the past evaluation reuses the
+			// same registers.
+			nvc := make([]uint64, 64)
+			nuc := make([]uint64, 64)
+			copy(nvc, nv)
+			copy(nuc, nu)
+			bv, bu := m.evalAtVec4(vf, m.idx-1)
 			for l := 0; l < 64; l++ {
-				if nu[l] != 0 {
+				if nuc[l]|bu[l] != 0 {
 					u |= 1 << uint(l)
 					continue
 				}
-				if (nv[l] == 0) == stable {
+				if (bv[l] == nvc[l]) == stable {
 					v |= 1 << uint(l)
 				}
 			}
 			return v, u
-		}}, nil
-	}
-	return lexpr4{}, errUnplannable{"system function " + x.Name + " (lanes, four-state)"}
+		}
+		for l := 0; l < 64; l++ {
+			if nu[l] != 0 {
+				u |= 1 << uint(l)
+				continue
+			}
+			if (nv[l] == 0) == stable {
+				v |= 1 << uint(l)
+			}
+		}
+		return v, u
+	}}
 }

@@ -195,7 +195,7 @@ func (t *LaneTrace) CompileLaneBool(e verilog.Expr) CompiledLaneBool {
 	if t.urows != nil {
 		return t.compileLaneBool4(e)
 	}
-	le, ok := t.lp.svaLane[e]
+	le, ok := t.lp.sva[e]
 	if !ok {
 		return nil
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 
+	"repro/internal/compile"
 	"repro/internal/verilog"
 )
 
@@ -18,9 +19,6 @@ import (
 // evalFn4 evaluates a compiled expression against four-state machine state.
 type evalFn4 func(m *mach) V4
 
-// stmtFn4 executes a compiled statement against four-state machine state.
-type stmtFn4 func(m *mach)
-
 // stmtVFn4 stores a four-state value into a compiled assignment target.
 type stmtVFn4 func(m *mach, v V4)
 
@@ -34,12 +32,8 @@ type planAssign4 struct {
 type plan4 struct {
 	initUnk []uint64 // per-slot initial unknown masks (x until reset/init)
 
-	assigns4 []planAssign4
-	combs4   []stmtFn4
-	seqs4    []stmtFn4
-
-	// svaExpr4 mirrors Plan.svaExpr for four-state trace evaluation.
-	svaExpr4 map[verilog.Expr]evalFn4
+	// lowered mirrors Plan.lowered; sva serves four-state trace evaluation.
+	lowered[evalFn4, stmtFn, planAssign4]
 }
 
 // fourState returns the plan's four-state lowering, building it on first
@@ -52,9 +46,7 @@ func (p *Plan) fourState() *plan4 {
 
 func buildPlan4(p *Plan) *plan4 {
 	d := p.design
-	c := &planCompiler4{c: planCompiler{d: d, p: p}}
-	p4 := &plan4{svaExpr4: map[verilog.Expr]evalFn4{}}
-	p4.initUnk = make([]uint64, p.nslots)
+	p4 := &plan4{initUnk: make([]uint64, p.nslots)}
 	for _, name := range d.Order {
 		sig := d.Signals[name]
 		p4.initUnk[sig.Slot] = sig.Mask()
@@ -64,49 +56,11 @@ func buildPlan4(p *Plan) *plan4 {
 			p4.initUnk[sig.Slot] = d.RegInitX[name] & sig.Mask()
 		}
 	}
-	ok := func() bool {
-		for _, as := range d.Assigns {
-			rhs, err := c.compileExpr4(as.RHS)
-			if err != nil {
-				return false
-			}
-			store, err := c.compileStore4(as.LHS, wAssign)
-			if err != nil {
-				return false
-			}
-			p4.assigns4 = append(p4.assigns4, planAssign4{rhs: rhs, store: store})
-		}
-		for _, al := range d.CombAlways {
-			body, err := c.compileStmt4(al.Body, false)
-			if err != nil {
-				return false
-			}
-			p4.combs4 = append(p4.combs4, body)
-		}
-		for _, al := range d.SeqAlways {
-			body, err := c.compileStmt4(al.Body, true)
-			if err != nil {
-				return false
-			}
-			p4.seqs4 = append(p4.seqs4, body)
-		}
-		return true
-	}()
+	l, ok := lower[evalFn4, stmtFn, stmtVFn4, planAssign4](d, &plan4Emitter{}, true, false)
 	if !ok {
 		return nil
 	}
-	for i := range d.Asserts {
-		a := &d.Asserts[i]
-		c.compileSVAExpr4(p4, a.DisableIff)
-		if a.Seq != nil {
-			for _, t := range a.Seq.Antecedent {
-				c.compileSVAExpr4(p4, t.Expr)
-			}
-			for _, t := range a.Seq.Consequent {
-				c.compileSVAExpr4(p4, t.Expr)
-			}
-		}
-	}
+	p4.lowered = l
 	return p4
 }
 
@@ -164,11 +118,11 @@ func (m *mach) settle4(p4 *plan4) error {
 	for iter := 0; iter < maxCombIterations; iter++ {
 		m.changed = false
 		m.gen++ // assigns read committed state, never a stale overlay
-		for i := range p4.assigns4 {
-			a := &p4.assigns4[i]
+		for i := range p4.assigns {
+			a := &p4.assigns[i]
 			a.store(m, a.rhs(m))
 		}
-		for _, body := range p4.combs4 {
+		for _, body := range p4.combs {
 			m.gen++
 			m.touched = m.touched[:0]
 			body(m)
@@ -193,13 +147,13 @@ func (m *mach) settle4(p4 *plan4) error {
 }
 
 // edge4 mirrors mach.edge over both value planes: the edge runs only the
-// blocks whose domain bit is set in fired (seqs4 is index-aligned with
+// blocks whose domain bit is set in fired (seqs is index-aligned with
 // seqDomain).
 func (m *mach) edge4(p4 *plan4, fired uint64) error {
 	m.ngen++
 	m.nbaList = m.nbaList[:0]
 	dom := m.p.seqDomain
-	for i, body := range p4.seqs4 {
+	for i, body := range p4.seqs {
 		if dom != nil && fired>>uint(dom[i])&1 == 0 {
 			continue
 		}
@@ -228,294 +182,130 @@ func (m *mach) evalAt4(fn evalFn4, idx int) V4 {
 }
 
 // ---------------------------------------------------------------------------
-// Statement compilation
+// Statements and stores
 // ---------------------------------------------------------------------------
 
-// planCompiler4 lowers AST nodes into four-state closures, sharing the
-// two-state compiler's constant folding and static width analysis.
-type planCompiler4 struct {
-	c planCompiler
-}
+// plan4Emitter emits the four-state plan's closures over mach's two planes.
+type plan4Emitter struct{}
 
-// constEval4 evaluates a compile-time constant (parameters only, no
-// signals) in the four-state domain and requires every bit to be known.
-// An x/z-bearing bound or count (e.g. in[2'b1x:0]) makes the construct
-// unplannable, so the whole design falls back to the reference
-// interpreter's four-state rules (unknown bounds read all-x, unknown-bound
-// stores are no-ops) instead of silently constant-folding the x bits to 0.
-func (c *planCompiler4) constEval4(e verilog.Expr) (uint64, bool) {
-	v, err := Eval4(e, paramOnlyEnv{d: c.c.d})
-	if err != nil || v.Unk != 0 {
-		return 0, false
-	}
-	return v.Val, true
-}
+func (*plan4Emitter) nop() stmtFn { return func(*mach) {} }
 
-func (c *planCompiler4) compileSVAExpr4(p4 *plan4, e verilog.Expr) {
-	if e == nil {
-		return
-	}
-	if fn, err := c.compileExpr4(e); err == nil {
-		p4.svaExpr4[e] = fn
-	}
-}
+func (*plan4Emitter) block(body []stmtFn) stmtFn { return planBlock(body) }
 
-func (c *planCompiler4) compileStmt4(s verilog.Stmt, seq bool) (stmtFn4, error) {
-	switch x := s.(type) {
-	case nil:
-		return func(*mach) {}, nil
-	case *verilog.Block:
-		fns := make([]stmtFn4, 0, len(x.Stmts))
-		for _, sub := range x.Stmts {
-			fn, err := c.compileStmt4(sub, seq)
-			if err != nil {
-				return nil, err
-			}
-			fns = append(fns, fn)
-		}
+func (*plan4Emitter) ifStmt(cond evalFn4, then, els stmtFn) stmtFn {
+	// An x condition is treated as false (IEEE 1364 §9.4).
+	if els == nil {
 		return func(m *mach) {
-			for _, fn := range fns {
-				fn(m)
+			if cond(m).IsTrue() {
+				then(m)
+			}
+		}
+	}
+	return func(m *mach) {
+		if cond(m).IsTrue() {
+			then(m)
+		} else {
+			els(m)
+		}
+	}
+}
+
+func (*plan4Emitter) caseStmt(subj evalFn4, arms []caseArm[evalFn4, stmtFn], deflt stmtFn) stmtFn {
+	return func(m *mach) {
+		// Case labels match by case equality over both planes, like the
+		// four-state interpreter.
+		sv := subj(m)
+		for i := range arms {
+			for _, lf := range arms[i].labels {
+				if lf(m) == sv {
+					arms[i].body(m)
+					return
+				}
 				if m.err != nil {
 					return
 				}
 			}
-		}, nil
-	case *verilog.Blocking:
-		mode := wComb
-		if seq {
-			mode = wSeqBlocking
 		}
-		return c.compileAssignStmt4(x.LHS, x.RHS, mode)
-	case *verilog.NonBlocking:
-		// In combinational blocks the interpreter executes nonblocking
-		// assignments with blocking semantics; mirror that.
-		mode := wComb
-		if seq {
-			mode = wSeqNBA
+		if deflt != nil {
+			deflt(m)
 		}
-		return c.compileAssignStmt4(x.LHS, x.RHS, mode)
-	case *verilog.If:
-		cond, err := c.compileExpr4(x.Cond)
-		if err != nil {
-			return nil, err
-		}
-		then, err := c.compileStmt4(x.Then, seq)
-		if err != nil {
-			return nil, err
-		}
-		if x.Else == nil {
-			return func(m *mach) {
-				if cond(m).IsTrue() {
-					then(m)
-				}
-			}, nil
-		}
-		els, err := c.compileStmt4(x.Else, seq)
-		if err != nil {
-			return nil, err
-		}
-		return func(m *mach) {
-			// An x condition is treated as false (IEEE 1364 §9.4).
-			if cond(m).IsTrue() {
-				then(m)
-			} else {
-				els(m)
-			}
-		}, nil
-	case *verilog.Case:
-		subj, err := c.compileExpr4(x.Subject)
-		if err != nil {
-			return nil, err
-		}
-		type caseArm4 struct {
-			labels []evalFn4
-			body   stmtFn4
-		}
-		arms := make([]caseArm4, 0, len(x.Items))
-		var deflt stmtFn4
-		for _, item := range x.Items {
-			body, err := c.compileStmt4(item.Body, seq)
-			if err != nil {
-				return nil, err
-			}
-			if item.Exprs == nil {
-				deflt = body
-				continue
-			}
-			labels := make([]evalFn4, 0, len(item.Exprs))
-			for _, le := range item.Exprs {
-				lf, err := c.compileExpr4(le)
-				if err != nil {
-					return nil, err
-				}
-				labels = append(labels, lf)
-			}
-			arms = append(arms, caseArm4{labels: labels, body: body})
-		}
-		return func(m *mach) {
-			// Case labels match by case equality over both planes, like the
-			// four-state interpreter.
-			sv := subj(m)
-			for i := range arms {
-				for _, lf := range arms[i].labels {
-					if lf(m) == sv {
-						arms[i].body(m)
-						return
-					}
-					if m.err != nil {
-						return
-					}
-				}
-			}
-			if deflt != nil {
-				deflt(m)
-			}
-		}, nil
 	}
-	return nil, errUnplannable{"statement (four-state)"}
 }
 
-func (c *planCompiler4) compileAssignStmt4(lhs, rhs verilog.Expr, mode writeMode) (stmtFn4, error) {
-	rf, err := c.compileExpr4(rhs)
-	if err != nil {
-		return nil, err
-	}
-	store, err := c.compileStore4(lhs, mode)
-	if err != nil {
-		return nil, err
-	}
-	return func(m *mach) { store(m, rf(m)) }, nil
+func (*plan4Emitter) packs(evalFn4, *compile.Signal) bool { return false }
+
+func (*plan4Emitter) assign(rhs evalFn4, _ writeMode, _ *compile.Signal, store stmtVFn4) stmtFn {
+	return func(m *mach) { store(m, rhs(m)) }
 }
 
-func (c *planCompiler4) compileStore4(lhs verilog.Expr, mode writeMode) (stmtVFn4, error) {
-	switch x := lhs.(type) {
-	case *verilog.Ident:
-		sig := c.c.d.Signals[x.Name]
-		if sig == nil {
-			return nil, errUnplannable{"assignment to unknown signal " + x.Name}
-		}
-		slot := int32(sig.Slot)
-		mask := sig.Mask()
-		switch mode {
-		case wAssign:
-			return func(m *mach, v V4) {
-				v = v.maskV(mask).norm()
-				if m.vals[slot] != v.Val || m.unks[slot] != v.Unk {
-					m.vals[slot] = v.Val
-					m.unks[slot] = v.Unk
-					m.changed = true
-				}
-			}, nil
-		case wComb:
-			return func(m *mach, v V4) { m.writeOvl4(slot, v.maskV(mask).norm()) }, nil
-		case wSeqBlocking:
-			return func(m *mach, v V4) {
-				v = v.maskV(mask).norm()
-				m.writeOvl4(slot, v)
-				m.writeNBA4(slot, v)
-			}, nil
-		default: // wSeqNBA
-			return func(m *mach, v V4) { m.writeNBA4(slot, v.maskV(mask).norm()) }, nil
-		}
-	case *verilog.Index:
-		id, ok := x.X.(*verilog.Ident)
-		if !ok {
-			return nil, errUnplannable{"unsupported assignment target"}
-		}
-		sig := c.c.d.Signals[id.Name]
-		if sig == nil {
-			return nil, errUnplannable{"assignment to unknown signal " + id.Name}
-		}
-		idxFn, err := c.compileExpr4(x.Idx)
-		if err != nil {
-			return nil, err
-		}
-		base := c.rmwBase4(int32(sig.Slot), mode)
-		inner, err := c.compileStore4(id, mode)
-		if err != nil {
-			return nil, err
-		}
+func (*plan4Emitter) contAssign(rhs evalFn4, _ *compile.Signal, store stmtVFn4) planAssign4 {
+	return planAssign4{rhs: rhs, store: store}
+}
+
+func (*plan4Emitter) store(sig *compile.Signal, mode writeMode) stmtVFn4 {
+	slot := int32(sig.Slot)
+	mask := sig.Mask()
+	switch mode {
+	case wAssign:
 		return func(m *mach, v V4) {
-			idx := idxFn(m)
-			if idx.Unk != 0 {
-				return // write at an unknown index: no effect
+			v = v.maskV(mask).norm()
+			if m.vals[slot] != v.Val || m.unks[slot] != v.Unk {
+				m.vals[slot] = v.Val
+				m.unks[slot] = v.Unk
+				m.changed = true
 			}
-			sh := idx.Val & 63
-			bit := uint64(1) << sh
-			cur := base(m)
-			inner(m, V4{
-				Val: (cur.Val &^ bit) | ((v.Val & 1) << sh),
-				Unk: (cur.Unk &^ bit) | ((v.Unk & 1) << sh),
-			})
-		}, nil
-	case *verilog.Slice:
-		id, ok := x.X.(*verilog.Ident)
-		if !ok {
-			return nil, errUnplannable{"unsupported assignment target"}
 		}
-		sig := c.c.d.Signals[id.Name]
-		if sig == nil {
-			return nil, errUnplannable{"assignment to unknown signal " + id.Name}
-		}
-		hi, ok1 := c.constEval4(x.Hi)
-		lo, ok2 := c.constEval4(x.Lo)
-		if !ok1 || !ok2 {
-			return nil, errUnplannable{"dynamic slice bounds in assignment target"}
-		}
-		if lo > hi {
-			return nil, errUnplannable{"invalid slice target"}
-		}
-		base := c.rmwBase4(int32(sig.Slot), mode)
-		inner, err := c.compileStore4(id, mode)
-		if err != nil {
-			return nil, err
-		}
-		sm := maskFor(int(hi-lo)+1) << lo
-		shift := uint(lo)
+	case wComb:
+		return func(m *mach, v V4) { m.writeOvl4(slot, v.maskV(mask).norm()) }
+	case wSeqBlocking:
 		return func(m *mach, v V4) {
-			cur := base(m)
-			inner(m, V4{
-				Val: (cur.Val &^ sm) | ((v.Val << shift) & sm),
-				Unk: (cur.Unk &^ sm) | ((v.Unk << shift) & sm),
-			})
-		}, nil
-	case *verilog.Concat:
-		total := 0
-		widths := make([]int, len(x.Elems))
-		for i, el := range x.Elems {
-			w, ok := c.c.staticWidth(el)
-			if !ok {
-				return nil, errUnplannable{"dynamic width in concat assignment target"}
-			}
-			widths[i] = w
-			total += w
+			v = v.maskV(mask).norm()
+			m.writeOvl4(slot, v)
+			m.writeNBA4(slot, v)
 		}
-		stores := make([]stmtVFn4, len(x.Elems))
-		shifts := make([]uint, len(x.Elems))
-		elMasks := make([]uint64, len(x.Elems))
-		shift := total
-		for i, el := range x.Elems {
-			shift -= widths[i]
-			st, err := c.compileStore4(el, mode)
-			if err != nil {
-				return nil, err
-			}
-			stores[i] = st
-			shifts[i] = uint(shift)
-			elMasks[i] = maskFor(widths[i])
-		}
-		return func(m *mach, v V4) {
-			for i, st := range stores {
-				st(m, V4{Val: (v.Val >> shifts[i]) & elMasks[i], Unk: (v.Unk >> shifts[i]) & elMasks[i]})
-			}
-		}, nil
+	default: // wSeqNBA
+		return func(m *mach, v V4) { m.writeNBA4(slot, v.maskV(mask).norm()) }
 	}
-	return nil, errUnplannable{"assignment target (four-state)"}
+}
+
+func (*plan4Emitter) storeIndex(sig *compile.Signal, idxFn evalFn4, mode writeMode, inner stmtVFn4) stmtVFn4 {
+	base := rmwBase4(int32(sig.Slot), mode)
+	return func(m *mach, v V4) {
+		idx := idxFn(m)
+		if idx.Unk != 0 || idx.Val >= 64 {
+			return // write at an unknown or out-of-range index: no effect
+		}
+		sh := idx.Val
+		bit := uint64(1) << sh
+		cur := base(m)
+		inner(m, V4{
+			Val: (cur.Val &^ bit) | ((v.Val & 1) << sh),
+			Unk: (cur.Unk &^ bit) | ((v.Unk & 1) << sh),
+		})
+	}
+}
+
+func (*plan4Emitter) storeSlice(sig *compile.Signal, shift uint, sm uint64, mode writeMode, inner stmtVFn4) stmtVFn4 {
+	base := rmwBase4(int32(sig.Slot), mode)
+	return func(m *mach, v V4) {
+		cur := base(m)
+		inner(m, V4{
+			Val: (cur.Val &^ sm) | ((v.Val << shift) & sm),
+			Unk: (cur.Unk &^ sm) | ((v.Unk << shift) & sm),
+		})
+	}
+}
+
+func (*plan4Emitter) storeConcat(parts []stmtVFn4, shifts []uint, masks []uint64) stmtVFn4 {
+	return func(m *mach, v V4) {
+		for i, st := range parts {
+			st(m, V4{Val: (v.Val >> shifts[i]) & masks[i], Unk: (v.Unk >> shifts[i]) & masks[i]})
+		}
+	}
 }
 
 // rmwBase4 mirrors rmwBase over both planes.
-func (c *planCompiler4) rmwBase4(slot int32, mode writeMode) evalFn4 {
+func rmwBase4(slot int32, mode writeMode) evalFn4 {
 	switch mode {
 	case wAssign:
 		return func(m *mach) V4 { return V4{Val: m.vals[slot], Unk: m.unks[slot]} }
@@ -532,171 +322,94 @@ func (c *planCompiler4) rmwBase4(slot int32, mode writeMode) evalFn4 {
 }
 
 // ---------------------------------------------------------------------------
-// Expression compilation
+// Expressions
 // ---------------------------------------------------------------------------
 
-func (c *planCompiler4) compileExpr4(e verilog.Expr) (evalFn4, error) {
-	switch x := e.(type) {
-	case *verilog.Number:
-		v := V4{Val: x.Value, Unk: x.Unknown()}.norm()
-		return func(*mach) V4 { return v }, nil
-	case *verilog.Ident:
-		if sig := c.c.d.Signals[x.Name]; sig != nil {
-			slot := int32(sig.Slot)
-			return func(m *mach) V4 { return m.read4(slot) }, nil
-		}
-		if v, ok := c.c.d.Params[x.Name]; ok {
-			kv := known(v)
-			return func(*mach) V4 { return kv }, nil
-		}
-		return nil, errUnplannable{"unknown signal " + x.Name}
-	case *verilog.Unary:
-		return c.compileUnary4(x)
-	case *verilog.Binary:
-		return c.compileBinary4(x)
-	case *verilog.Ternary:
-		cond, err := c.compileExpr4(x.Cond)
-		if err != nil {
-			return nil, err
-		}
-		xf, err := c.compileExpr4(x.X)
-		if err != nil {
-			return nil, err
-		}
-		yf, err := c.compileExpr4(x.Y)
-		if err != nil {
-			return nil, err
-		}
-		return func(m *mach) V4 {
-			cv := cond(m)
-			if cv.IsTrue() {
-				return xf(m)
-			}
-			if cv.IsFalse() {
-				return yf(m)
-			}
-			return v4Merge(xf(m), yf(m))
-		}, nil
-	case *verilog.Index:
-		xf, err := c.compileExpr4(x.X)
-		if err != nil {
-			return nil, err
-		}
-		idxFn, err := c.compileExpr4(x.Idx)
-		if err != nil {
-			return nil, err
-		}
-		return func(m *mach) V4 {
-			// Base before index, matching the interpreter's order.
-			v := xf(m)
-			idx := idxFn(m)
-			if idx.Unk != 0 {
-				return xBool
-			}
-			if idx.Val >= 64 {
-				return V4{}
-			}
-			return V4{Val: (v.Val >> idx.Val) & 1, Unk: (v.Unk >> idx.Val) & 1}
-		}, nil
-	case *verilog.Slice:
-		xf, err := c.compileExpr4(x.X)
-		if err != nil {
-			return nil, err
-		}
-		hi, ok1 := c.constEval4(x.Hi)
-		lo, ok2 := c.constEval4(x.Lo)
-		if !ok1 || !ok2 {
-			return nil, errUnplannable{"dynamic slice bounds"}
-		}
-		if lo > hi || lo >= 64 {
-			pos := x.Pos
-			hiC, loC := hi, lo
-			return func(m *mach) V4 {
-				m.fail(evalErrf(pos, "invalid slice [%d:%d]", hiC, loC))
-				return V4{}
-			}, nil
-		}
-		shift := uint(lo)
-		mask := maskFor(int(hi-lo) + 1)
-		return func(m *mach) V4 {
-			v := xf(m)
-			return V4{Val: (v.Val >> shift) & mask, Unk: (v.Unk >> shift) & mask}
-		}, nil
-	case *verilog.Concat:
-		fns := make([]evalFn4, len(x.Elems))
-		widths := make([]uint, len(x.Elems))
-		elMasks := make([]uint64, len(x.Elems))
-		for i, el := range x.Elems {
-			w, ok := c.c.staticWidth(el)
-			if !ok {
-				return nil, errUnplannable{"dynamic width in concat"}
-			}
-			fn, err := c.compileExpr4(el)
-			if err != nil {
-				return nil, err
-			}
-			fns[i] = fn
-			widths[i] = uint(w)
-			elMasks[i] = maskFor(w)
-		}
-		return func(m *mach) V4 {
-			var out V4
-			for i, fn := range fns {
-				v := fn(m)
-				out.Val = (out.Val << widths[i]) | (v.Val & elMasks[i])
-				out.Unk = (out.Unk << widths[i]) | (v.Unk & elMasks[i])
-			}
-			return out
-		}, nil
-	case *verilog.Repl:
-		n, ok := c.constEval4(x.Count)
-		if !ok {
-			return nil, errUnplannable{"dynamic replication count"}
-		}
-		w, ok := c.c.staticWidth(x.Elem)
-		if !ok {
-			return nil, errUnplannable{"dynamic width in replication"}
-		}
-		fn, err := c.compileExpr4(x.Elem)
-		if err != nil {
-			return nil, err
-		}
-		mask := maskFor(w)
-		uw := uint(w)
-		if n > 64 {
-			n = 64 // matches the interpreter's i < 64 bound
-		}
-		reps := int(n)
-		return func(m *mach) V4 {
-			v := fn(m).maskV(mask)
-			var out V4
-			for i := 0; i < reps; i++ {
-				out.Val = (out.Val << uw) | v.Val
-				out.Unk = (out.Unk << uw) | v.Unk
-			}
-			return out
-		}, nil
-	case *verilog.Call:
-		return c.compileCall4(x)
-	}
-	return nil, errUnplannable{"expression (four-state)"}
+func (e *plan4Emitter) number(x *verilog.Number) evalFn4 {
+	return e.konst(V4{Val: x.Value, Unk: x.Unknown()}.norm())
 }
 
-func (c *planCompiler4) compileUnary4(x *verilog.Unary) (evalFn4, error) {
-	xf, err := c.compileExpr4(x.X)
-	if err != nil {
-		return nil, err
+func (e *plan4Emitter) param(v uint64) evalFn4 { return e.konst(known(v)) }
+
+func (*plan4Emitter) konst(v V4) evalFn4 { return func(*mach) V4 { return v } }
+
+func (*plan4Emitter) signal(sig *compile.Signal) evalFn4 {
+	slot := int32(sig.Slot)
+	return func(m *mach) V4 { return m.read4(slot) }
+}
+
+func (*plan4Emitter) fail(err error) evalFn4 {
+	return func(m *mach) V4 {
+		m.fail(err)
+		return V4{}
 	}
-	w, ok := c.c.staticWidth(x.X)
-	if !ok {
-		return nil, errUnplannable{"dynamic operand width"}
+}
+
+func (*plan4Emitter) ternary(cond, xf, yf evalFn4) evalFn4 {
+	return func(m *mach) V4 {
+		cv := cond(m)
+		if cv.IsTrue() {
+			return xf(m)
+		}
+		if cv.IsFalse() {
+			return yf(m)
+		}
+		return v4Merge(xf(m), yf(m))
 	}
-	mask := maskFor(w)
-	switch x.Op {
+}
+
+func (*plan4Emitter) index(xf, idxFn evalFn4) evalFn4 {
+	return func(m *mach) V4 {
+		// Base before index, matching the interpreter's order.
+		v := xf(m)
+		idx := idxFn(m)
+		if idx.Unk != 0 {
+			return xBool
+		}
+		if idx.Val >= 64 {
+			return V4{}
+		}
+		return V4{Val: (v.Val >> idx.Val) & 1, Unk: (v.Unk >> idx.Val) & 1}
+	}
+}
+
+func (*plan4Emitter) slice(xf evalFn4, shift uint, mask uint64) evalFn4 {
+	return func(m *mach) V4 {
+		v := xf(m)
+		return V4{Val: (v.Val >> shift) & mask, Unk: (v.Unk >> shift) & mask}
+	}
+}
+
+func (*plan4Emitter) concat(fns []evalFn4, widths []uint, masks []uint64) evalFn4 {
+	return func(m *mach) V4 {
+		var out V4
+		for i, fn := range fns {
+			v := fn(m)
+			out.Val = (out.Val << widths[i]) | (v.Val & masks[i])
+			out.Unk = (out.Unk << widths[i]) | (v.Unk & masks[i])
+		}
+		return out
+	}
+}
+
+func (*plan4Emitter) repl(fn evalFn4, reps int, uw uint, mask uint64) evalFn4 {
+	return func(m *mach) V4 {
+		v := fn(m).maskV(mask)
+		var out V4
+		for i := 0; i < reps; i++ {
+			out.Val = (out.Val << uw) | v.Val
+			out.Unk = (out.Unk << uw) | v.Unk
+		}
+		return out
+	}
+}
+
+func (*plan4Emitter) unary(op verilog.UnaryOp, xf evalFn4, mask uint64) (evalFn4, bool) {
+	switch op {
 	case verilog.UnaryLogicalNot:
-		return func(m *mach) V4 { return v4LogNot(xf(m).maskV(mask)) }, nil
+		return func(m *mach) V4 { return v4LogNot(xf(m).maskV(mask)) }, true
 	case verilog.UnaryBitNot:
-		return func(m *mach) V4 { return v4Not(xf(m), mask) }, nil
+		return func(m *mach) V4 { return v4Not(xf(m), mask) }, true
 	case verilog.UnaryMinus:
 		return func(m *mach) V4 {
 			v := xf(m).maskV(mask)
@@ -704,31 +417,23 @@ func (c *planCompiler4) compileUnary4(x *verilog.Unary) (evalFn4, error) {
 				return V4{Unk: mask}
 			}
 			return known(-v.Val & mask)
-		}, nil
+		}, true
 	case verilog.UnaryPlus:
-		return func(m *mach) V4 { return xf(m).maskV(mask) }, nil
+		return func(m *mach) V4 { return xf(m).maskV(mask) }, true
 	case verilog.UnaryRedAnd:
-		return func(m *mach) V4 { return v4RedAnd(xf(m), mask) }, nil
+		return func(m *mach) V4 { return v4RedAnd(xf(m), mask) }, true
 	case verilog.UnaryRedOr:
-		return func(m *mach) V4 { return v4RedOr(xf(m), mask) }, nil
+		return func(m *mach) V4 { return v4RedOr(xf(m), mask) }, true
 	case verilog.UnaryRedXor:
-		return func(m *mach) V4 { return v4RedXor(xf(m), mask) }, nil
+		return func(m *mach) V4 { return v4RedXor(xf(m), mask) }, true
 	case verilog.UnaryRedXnor:
-		return func(m *mach) V4 { return v4Not(v4RedXor(xf(m), mask), 1) }, nil
+		return func(m *mach) V4 { return v4Not(v4RedXor(xf(m), mask), 1) }, true
 	}
-	return nil, errUnplannable{"unary operator " + x.Op.String()}
+	return nil, false
 }
 
-func (c *planCompiler4) compileBinary4(x *verilog.Binary) (evalFn4, error) {
-	af, err := c.compileExpr4(x.X)
-	if err != nil {
-		return nil, err
-	}
-	bf, err := c.compileExpr4(x.Y)
-	if err != nil {
-		return nil, err
-	}
-	switch x.Op {
+func (*plan4Emitter) binary(op verilog.BinaryOp, af, bf evalFn4, w int) (evalFn4, bool) {
+	switch op {
 	case verilog.BinLogAnd:
 		return func(m *mach) V4 {
 			a := af(m)
@@ -736,7 +441,7 @@ func (c *planCompiler4) compileBinary4(x *verilog.Binary) (evalFn4, error) {
 				return V4{}
 			}
 			return v4LogAnd(a, bf(m))
-		}, nil
+		}, true
 	case verilog.BinLogOr:
 		return func(m *mach) V4 {
 			a := af(m)
@@ -744,177 +449,138 @@ func (c *planCompiler4) compileBinary4(x *verilog.Binary) (evalFn4, error) {
 				return V4{Val: 1}
 			}
 			return v4LogOr(a, bf(m))
-		}, nil
+		}, true
 	case verilog.BinAdd:
 		return func(m *mach) V4 {
 			return v4Arith(af(m), bf(m), func(p, q uint64) uint64 { return p + q })
-		}, nil
+		}, true
 	case verilog.BinSub:
 		return func(m *mach) V4 {
 			return v4Arith(af(m), bf(m), func(p, q uint64) uint64 { return p - q })
-		}, nil
+		}, true
 	case verilog.BinMul:
 		return func(m *mach) V4 {
 			return v4Arith(af(m), bf(m), func(p, q uint64) uint64 { return p * q })
-		}, nil
+		}, true
 	case verilog.BinDiv:
 		return func(m *mach) V4 {
 			// Operands evaluate in the interpreter's order before the zero
 			// check, so error effects agree between the engines.
 			a, b := af(m), bf(m)
 			return v4Div(a, b)
-		}, nil
+		}, true
 	case verilog.BinMod:
 		return func(m *mach) V4 {
 			a, b := af(m), bf(m)
 			return v4Mod(a, b)
-		}, nil
+		}, true
 	case verilog.BinAnd:
-		return func(m *mach) V4 { return v4And(af(m), bf(m)) }, nil
+		return func(m *mach) V4 { return v4And(af(m), bf(m)) }, true
 	case verilog.BinOr:
-		return func(m *mach) V4 { return v4Or(af(m), bf(m)) }, nil
+		return func(m *mach) V4 { return v4Or(af(m), bf(m)) }, true
 	case verilog.BinXor:
-		return func(m *mach) V4 { return v4Xor(af(m), bf(m)) }, nil
+		return func(m *mach) V4 { return v4Xor(af(m), bf(m)) }, true
 	case verilog.BinXnor:
-		wx, ok1 := c.c.staticWidth(x.X)
-		wy, ok2 := c.c.staticWidth(x.Y)
-		if !ok1 || !ok2 {
-			return nil, errUnplannable{"dynamic operand width"}
-		}
-		mask := maskFor(max(wx, wy))
-		return func(m *mach) V4 { return v4Not(v4Xor(af(m), bf(m)), mask) }, nil
+		mask := maskFor(w)
+		return func(m *mach) V4 { return v4Not(v4Xor(af(m), bf(m)), mask) }, true
 	case verilog.BinEq:
-		return func(m *mach) V4 { return v4Eq(af(m), bf(m)) }, nil
+		return func(m *mach) V4 { return v4Eq(af(m), bf(m)) }, true
 	case verilog.BinNe:
-		return func(m *mach) V4 { return v4LogNot(v4Eq(af(m), bf(m))) }, nil
+		return func(m *mach) V4 { return v4LogNot(v4Eq(af(m), bf(m))) }, true
 	case verilog.BinCaseEq:
-		return func(m *mach) V4 { return v4CaseEq(af(m), bf(m)) }, nil
+		return func(m *mach) V4 { return v4CaseEq(af(m), bf(m)) }, true
 	case verilog.BinCaseNe:
-		return func(m *mach) V4 { return v4LogNot(v4CaseEq(af(m), bf(m))) }, nil
+		return func(m *mach) V4 { return v4LogNot(v4CaseEq(af(m), bf(m))) }, true
 	case verilog.BinLt:
 		return func(m *mach) V4 {
 			return v4RelArith(af(m), bf(m), func(p, q uint64) bool { return p < q })
-		}, nil
+		}, true
 	case verilog.BinLe:
 		return func(m *mach) V4 {
 			return v4RelArith(af(m), bf(m), func(p, q uint64) bool { return p <= q })
-		}, nil
+		}, true
 	case verilog.BinGt:
 		return func(m *mach) V4 {
 			return v4RelArith(af(m), bf(m), func(p, q uint64) bool { return p > q })
-		}, nil
+		}, true
 	case verilog.BinGe:
 		return func(m *mach) V4 {
 			return v4RelArith(af(m), bf(m), func(p, q uint64) bool { return p >= q })
-		}, nil
+		}, true
 	case verilog.BinShl:
-		return func(m *mach) V4 { return v4Shl(af(m), bf(m)) }, nil
+		return func(m *mach) V4 { return v4Shl(af(m), bf(m)) }, true
 	case verilog.BinShr:
-		return func(m *mach) V4 { return v4Shr(af(m), bf(m)) }, nil
+		return func(m *mach) V4 { return v4Shr(af(m), bf(m)) }, true
 	case verilog.BinAShr:
-		w, ok := c.c.staticWidth(x.X)
-		if !ok {
-			return nil, errUnplannable{"dynamic operand width"}
-		}
-		return func(m *mach) V4 { return v4AShr(af(m), bf(m), w) }, nil
+		return func(m *mach) V4 { return v4AShr(af(m), bf(m), w) }, true
 	}
-	return nil, errUnplannable{"binary operator " + x.Op.String()}
+	return nil, false
 }
 
-func (c *planCompiler4) compileCall4(x *verilog.Call) (evalFn4, error) {
-	if len(x.Args) == 0 {
-		return nil, errUnplannable{x.Name + " without arguments"}
-	}
-	arg := x.Args[0]
-	switch x.Name {
-	case "$countones", "$onehot", "$onehot0", "$isunknown":
-		fn, err := c.compileExpr4(arg)
-		if err != nil {
-			return nil, err
-		}
-		w, ok := c.c.staticWidth(arg)
-		if !ok {
-			return nil, errUnplannable{"dynamic operand width"}
-		}
-		mask := maskFor(w)
-		switch x.Name {
-		case "$countones":
-			return func(m *mach) V4 {
-				v := fn(m).maskV(mask)
-				if v.Unk != 0 {
-					return allX
-				}
-				return known(uint64(bits.OnesCount64(v.Val)))
-			}, nil
-		case "$onehot":
-			return func(m *mach) V4 {
-				v := fn(m).maskV(mask)
-				if v.Unk != 0 {
-					return xBool
-				}
-				return boolV4(bits.OnesCount64(v.Val) == 1)
-			}, nil
-		case "$onehot0":
-			return func(m *mach) V4 {
-				v := fn(m).maskV(mask)
-				if v.Unk != 0 {
-					return xBool
-				}
-				return boolV4(bits.OnesCount64(v.Val) <= 1)
-			}, nil
-		default: // $isunknown
-			return func(m *mach) V4 { return boolV4(fn(m).Unk&mask != 0) }, nil
-		}
-	case "$signed", "$unsigned":
-		return c.compileExpr4(arg)
-	case "$past":
-		fn, err := c.compileExpr4(arg)
-		if err != nil {
-			return nil, err
-		}
-		pos := x.Pos
-		depthFn := evalFn4(func(*mach) V4 { return V4{Val: 1} })
-		if len(x.Args) > 1 {
-			depthFn, err = c.compileExpr4(x.Args[1])
-			if err != nil {
-				return nil, err
-			}
-		}
+func (*plan4Emitter) reduce(name string, fn evalFn4, mask uint64) evalFn4 {
+	switch name {
+	case "$countones":
 		return func(m *mach) V4 {
-			if m.rows == nil {
-				m.fail(evalErrf(pos, "$past outside sampled context"))
-				return V4{}
+			v := fn(m).maskV(mask)
+			if v.Unk != 0 {
+				return allX
 			}
-			nv := depthFn(m)
-			if nv.Unk != 0 || nv.Val == 0 || nv.Val > maxPastDepth {
-				m.fail(evalErrf(pos, "$past depth %d out of range [1, %d]", nv.Val, uint64(maxPastDepth)))
-				return V4{}
-			}
-			j := m.idx - int(nv.Val)
-			if j < 0 {
-				return V4{} // before start of time: sampled default (0)
-			}
-			return m.evalAt4(fn, j)
-		}, nil
-	case "$rose", "$fell", "$stable", "$changed":
-		fn, err := c.compileExpr4(arg)
-		if err != nil {
-			return nil, err
+			return known(uint64(bits.OnesCount64(v.Val)))
 		}
-		pos := x.Pos
-		name := x.Name
+	case "$onehot":
 		return func(m *mach) V4 {
-			if m.rows == nil {
-				m.fail(evalErrf(pos, "%s outside sampled context", name))
-				return V4{}
+			v := fn(m).maskV(mask)
+			if v.Unk != 0 {
+				return xBool
 			}
-			now := fn(m)
-			var before V4
-			if m.idx > 0 {
-				before = m.evalAt4(fn, m.idx-1)
+			return boolV4(bits.OnesCount64(v.Val) == 1)
+		}
+	case "$onehot0":
+		return func(m *mach) V4 {
+			v := fn(m).maskV(mask)
+			if v.Unk != 0 {
+				return xBool
 			}
-			return v4Sampled(name, before, now)
-		}, nil
+			return boolV4(bits.OnesCount64(v.Val) <= 1)
+		}
+	default: // $isunknown
+		return func(m *mach) V4 { return boolV4(fn(m).Unk&mask != 0) }
 	}
-	return nil, errUnplannable{"system function " + x.Name}
+}
+
+func (*plan4Emitter) past(pos verilog.Pos, fn, depthFn evalFn4, _ uint64) evalFn4 {
+	if depthFn == nil {
+		depthFn = func(*mach) V4 { return V4{Val: 1} }
+	}
+	return func(m *mach) V4 {
+		if m.rows == nil {
+			m.fail(evalErrf(pos, "$past outside sampled context"))
+			return V4{}
+		}
+		nv := depthFn(m)
+		if nv.Unk != 0 || nv.Val == 0 || nv.Val > maxPastDepth {
+			m.fail(evalErrf(pos, "$past depth %d out of range [1, %d]", nv.Val, uint64(maxPastDepth)))
+			return V4{}
+		}
+		j := m.idx - int(nv.Val)
+		if j < 0 {
+			return V4{} // before start of time: sampled default (0)
+		}
+		return m.evalAt4(fn, j)
+	}
+}
+
+func (*plan4Emitter) sampled(pos verilog.Pos, name string, fn evalFn4) evalFn4 {
+	return func(m *mach) V4 {
+		if m.rows == nil {
+			m.fail(evalErrf(pos, "%s outside sampled context", name))
+			return V4{}
+		}
+		now := fn(m)
+		var before V4
+		if m.idx > 0 {
+			before = m.evalAt4(fn, m.idx-1)
+		}
+		return v4Sampled(name, before, now)
+	}
 }

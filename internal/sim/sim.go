@@ -216,7 +216,8 @@ func (s *Simulator) settle() error {
 // index/bound expressions (and therefore sees the caller's blocking
 // overlay); apply receives each (signal, value) effect in program order.
 // In FourState mode a write through an unknown index or bound is a no-op
-// (IEEE 1364 §9.2.2: the assignment has no effect).
+// (IEEE 1364 §9.2.2: the assignment has no effect), and in both modes so is
+// a write through an index >= 64, past the widest signal.
 func (s *Simulator) storeInto(lhs verilog.Expr, v V4, env simEnv, base func(string) V4, apply func(string, V4)) error {
 	switch x := lhs.(type) {
 	case *verilog.Ident:
@@ -235,11 +236,11 @@ func (s *Simulator) storeInto(lhs verilog.Expr, v V4, env simEnv, base func(stri
 		if err != nil {
 			return err
 		}
-		if idx.Unk != 0 {
-			return nil // write at an unknown index: no effect
+		if idx.Unk != 0 || idx.Val >= 64 {
+			return nil // write at an unknown or out-of-range index: no effect
 		}
 		cur := base(id.Name)
-		sh := idx.Val & 63
+		sh := idx.Val
 		bit := uint64(1) << sh
 		nv := V4{
 			Val: (cur.Val &^ bit) | ((v.Val & 1) << sh),

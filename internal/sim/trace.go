@@ -115,7 +115,7 @@ type CompiledExpr func(cycle int) (uint64, error)
 // computes identical results.
 func (t *Trace) CompileExpr(e verilog.Expr) CompiledExpr {
 	if t.plan != nil {
-		if fn, ok := t.plan.svaExpr[e]; ok {
+		if fn, ok := t.plan.sva[e]; ok {
 			if t.em == nil {
 				t.em = traceMach(t.plan, t.rows)
 			}
@@ -146,7 +146,7 @@ type CompiledExpr4 func(cycle int) (V4, error)
 func (t *Trace) CompileExpr4(e verilog.Expr) CompiledExpr4 {
 	if t.unks == nil {
 		if t.plan != nil {
-			if fn, ok := t.plan.svaExpr[e]; ok {
+			if fn, ok := t.plan.sva[e]; ok {
 				if t.em == nil {
 					t.em = traceMach(t.plan, t.rows)
 				}
@@ -165,7 +165,7 @@ func (t *Trace) CompileExpr4(e verilog.Expr) CompiledExpr4 {
 	}
 	if t.plan != nil {
 		if p4 := t.plan.fourState(); p4 != nil {
-			if fn, ok := p4.svaExpr4[e]; ok {
+			if fn, ok := p4.sva[e]; ok {
 				if t.em4 == nil {
 					t.em4 = traceMach4(t.plan, t.rows, t.unks)
 				}
