@@ -306,6 +306,7 @@ func BenchmarkFormalStrategies(b *testing.B) {
 		}
 		b.Run(tc.name, func(b *testing.B) {
 			recordSimBench(b, "FormalStrategies/"+tc.name)
+			b.ReportAllocs()
 			var res *formal.Result
 			for i := 0; i < b.N; i++ {
 				var err error

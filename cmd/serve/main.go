@@ -24,7 +24,8 @@
 // recomputing. Admission control is a bounded concurrency queue (overflow
 // is rejected with 429) plus a per-client token bucket (X-Client header,
 // falling back to the remote address). Request bodies over 1 MiB
-// (maxBodyBytes) are rejected with 413.
+// (maxBodyBytes) are rejected with 413, and /stimulus requests deeper than
+// 4096 rows (maxStimulusRows) with 422.
 package main
 
 import (
@@ -120,6 +121,13 @@ type serverConfig struct {
 // maxBodyBytes caps every request body; a larger one is answered 413. The
 // largest catalog design source is about 12 KB.
 const maxBodyBytes = 1 << 20
+
+// maxStimulusRows caps a /stimulus request's depth; a deeper one is
+// answered 422. Each row simulates one cycle and records a trace row of
+// every signal slot (two in the four-state domain), so without the cap a
+// body under maxBodyBytes of "[0]," rows asks for about 260k cycles and
+// tens of MiB of trace. Formal checks run at depths of 16 to 64.
+const maxStimulusRows = 4096
 
 // server is the HTTP front end over one verification service.
 type server struct {
@@ -354,6 +362,10 @@ func (s *server) handleStimulus(w http.ResponseWriter, r *http.Request) {
 	}
 	if req.Source == "" || len(req.Rows) == 0 {
 		http.Error(w, "source and rows are required", http.StatusBadRequest)
+		return
+	}
+	if len(req.Rows) > maxStimulusRows {
+		http.Error(w, fmt.Sprintf("%d rows exceed the limit of %d", len(req.Rows), maxStimulusRows), http.StatusUnprocessableEntity)
 		return
 	}
 	// Elaborate through the service: identical designs share one cached,

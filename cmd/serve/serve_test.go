@@ -844,6 +844,36 @@ func TestServeBodyLimitStimulus(t *testing.T) {
 	}
 }
 
+// TestServeStimulusDepthLimit sends /stimulus requests at the row cap,
+// which runs, and one row past it, which is refused with 422 before the
+// design is elaborated or simulated.
+func TestServeStimulusDepthLimit(t *testing.T) {
+	ts, _ := testServer(t, nil, serverConfig{})
+	src := corpus.EdgeDetect().Source()
+	for _, tc := range []struct {
+		rows int
+		want int
+	}{{maxStimulusRows, http.StatusOK}, {maxStimulusRows + 1, http.StatusUnprocessableEntity}} {
+		rows := make([][]uint64, tc.rows)
+		for c := range rows {
+			rows[c] = []uint64{uint64(c) & 1}
+		}
+		resp, body := postJSON(t, ts.URL+"/stimulus", stimulusRequest{Source: src, Rows: rows})
+		if resp.StatusCode != tc.want {
+			t.Fatalf("%d rows: status %d (%s), want %d", tc.rows, resp.StatusCode, body, tc.want)
+		}
+		if tc.want == http.StatusOK {
+			var sr stimulusResponse
+			if err := json.Unmarshal(body, &sr); err != nil {
+				t.Fatal(err)
+			}
+			if want := fmt.Sprintf("(%d cycles)", tc.rows); !sr.Pass || !strings.Contains(sr.Log, want) {
+				t.Fatalf("%d rows: pass=%v log %q, want a pass over %s", tc.rows, sr.Pass, sr.Log, want)
+			}
+		}
+	}
+}
+
 // TestServeBodyLimitLargestGolden sends the largest catalog source to both
 // endpoints: the body cap must leave every real design well inside it.
 func TestServeBodyLimitLargestGolden(t *testing.T) {

@@ -124,6 +124,14 @@ type Result struct {
 // run loops, between simulated cycles, so a cancelled check returns within
 // roughly one run of the caller giving up; it then reports ctx.Err().
 func Check(ctx context.Context, d *compile.Design, opts Options) (*Result, error) {
+	return check(ctx, d, opts, false)
+}
+
+// check is Check. Scalar mode normally runs every stimulus on one
+// sva.Checker over one refilled row buffer; oneShot instead checks each
+// stimulus with its own sva.CheckStimulus on rows of its own, the form
+// the reuse must be indistinguishable from.
+func check(ctx context.Context, d *compile.Design, opts Options, oneShot bool) (*Result, error) {
 	opts = opts.withDefaults()
 	ds := newDriveSet(d)
 	inputs := ds.inputs
@@ -136,6 +144,18 @@ func Check(ctx context.Context, d *compile.Design, opts Options) (*Result, error
 	mode := sim.TwoState
 	if opts.FourState {
 		mode = sim.FourState
+	}
+	// Scalar mode runs every stimulus on one checker, so each stimulus is
+	// checked before the next is built and the generators refill one row
+	// buffer; lane batches hold their stimuli until a flush, so each keeps
+	// rows of its own.
+	scalar := func(stim sim.VecStimulus) (sva.Outcome, error) {
+		return sva.CheckStimulus(ctx, d, stim, mode)
+	}
+	if opts.Lanes == 0 && !oneShot {
+		chk := sva.NewChecker(d, mode)
+		scalar = func(stim sim.VecStimulus) (sva.Outcome, error) { return chk.Check(ctx, stim) }
+		ds.reuse = true
 	}
 	// take folds one stimulus' outcome into the result and reports whether
 	// the check stops there: the first failure is the counterexample.
@@ -195,7 +215,7 @@ func Check(ctx context.Context, d *compile.Design, opts Options) (*Result, error
 		default:
 		}
 		if opts.Lanes == 0 {
-			o, err := sva.CheckStimulus(ctx, d, stim, mode)
+			o, err := scalar(stim)
 			if err != nil {
 				return false, err
 			}
@@ -252,8 +272,8 @@ func Check(ctx context.Context, d *compile.Design, opts Options) (*Result, error
 
 	// Strategy 2: directed patterns, constant enumeration, then random.
 	res.Strategy = "directed+random"
-	for _, stim := range ds.directedStimuli(opts.Depth) {
-		if stop, err := submit(stim); err != nil {
+	for _, pat := range ds.directedPatterns(opts.Depth) {
+		if stop, err := submit(ds.patternStimulus(pat, opts.Depth)); err != nil {
 			return nil, err
 		} else if stop {
 			return finish(), nil
@@ -311,6 +331,11 @@ type driveSet struct {
 	all    []*compile.Signal // inputs plus reset and domain clocks (when present)
 	ri     int               // reset column index in all; -1 when absent
 	clocks []int             // domain-clock column indices in all (multi-clock only)
+
+	// reuse makes every generated stimulus share the rows in buf: set when
+	// each stimulus is run before the next one is built.
+	reuse bool
+	buf   [][]uint64
 }
 
 func newDriveSet(d *compile.Design) driveSet {
@@ -359,34 +384,49 @@ func newDriveSet(d *compile.Design) driveSet {
 	return ds
 }
 
-// newRow returns one stimulus row with the reset column filled (active for
-// the first two cycles, inactive afterwards) and, on multi-clock designs,
-// the domain-clock columns on their interleaved schedules.
-func (ds *driveSet) newRow(cycle int) []uint64 {
-	row := make([]uint64, len(ds.all))
-	if ds.ri >= 0 {
-		active := cycle < 2
-		v := uint64(0)
-		if ds.reset.ActiveLow != active {
-			// active-low & inactive -> 1; active-high & active -> 1
-			v = 1
+// stimRows returns depth stimulus rows with the reset column filled
+// (active for the first two cycles, inactive afterwards) and, on
+// multi-clock designs, the domain-clock columns on their interleaved
+// schedules; the generators fill the input columns. With reuse set the
+// rows are the one shared buffer, otherwise fresh rows cut from one slab.
+func (ds *driveSet) stimRows(depth int) [][]uint64 {
+	rows := ds.buf
+	if !ds.reuse || len(rows) != depth {
+		w := len(ds.all)
+		slab := make([]uint64, depth*w)
+		rows = make([][]uint64, depth)
+		for c := range rows {
+			rows[c] = slab[c*w : (c+1)*w : (c+1)*w]
 		}
-		row[ds.ri] = v
+		if ds.reuse {
+			ds.buf = rows
+		}
 	}
-	for j, col := range ds.clocks {
-		row[col] = uint64(cycle) >> uint(j) & 1
+	for c, row := range rows {
+		clear(row)
+		if ds.ri >= 0 {
+			active := c < 2
+			v := uint64(0)
+			if ds.reset.ActiveLow != active {
+				// active-low & inactive -> 1; active-high & active -> 1
+				v = 1
+			}
+			row[ds.ri] = v
+		}
+		for j, col := range ds.clocks {
+			row[col] = uint64(c) >> uint(j) & 1
+		}
 	}
-	return row
+	return rows
 }
 
 // decodeSequence expands an integer code into a full per-cycle stimulus for
 // exhaustive sequence enumeration. Cycle c draws its input bits from the
 // c-th bit group of the code, reset cycles included.
 func (ds *driveSet) decodeSequence(code uint64, depth, freeCycles int) sim.VecStimulus {
-	rows := make([][]uint64, depth)
+	rows := ds.stimRows(depth)
 	tw := totalWidth(ds.inputs)
-	for c := 0; c < depth; c++ {
-		row := ds.newRow(c)
+	for c, row := range rows {
 		free := c
 		if free >= freeCycles {
 			free = freeCycles - 1
@@ -397,7 +437,6 @@ func (ds *driveSet) decodeSequence(code uint64, depth, freeCycles int) sim.VecSt
 			row[i] = (code >> shift) & in.Mask()
 			offset += in.Width
 		}
-		rows[c] = row
 	}
 	return sim.VecStimulus{Inputs: ds.all, Rows: rows}
 }
@@ -411,98 +450,95 @@ func totalWidth(inputs []*compile.Signal) int {
 }
 
 func (ds *driveSet) constantStimulus(code uint64, depth int) sim.VecStimulus {
-	rows := make([][]uint64, depth)
-	for c := 0; c < depth; c++ {
-		row := ds.newRow(c)
+	rows := ds.stimRows(depth)
+	for _, row := range rows {
 		offset := 0
 		for i, in := range ds.inputs {
 			row[i] = (code >> uint(offset)) & in.Mask()
 			offset += in.Width
 		}
-		rows[c] = row
 	}
 	return sim.VecStimulus{Inputs: ds.all, Rows: rows}
 }
 
-// directedStimuli generates the canonical corner-case patterns: all zeros,
+// pattern gives an input's value at a cycle; patternStimulus masks it to
+// the input's width.
+type pattern func(in *compile.Signal, cycle int) uint64
+
+// directedPatterns returns the canonical corner-case patterns: all zeros,
 // all ones, per-input walking ones, a ramp, and alternating phases.
-func (ds *driveSet) directedStimuli(depth int) []sim.VecStimulus {
-	var out []sim.VecStimulus
+func (ds *driveSet) directedPatterns(depth int) []pattern {
 	inputs := ds.inputs
-
-	constant := func(value func(in *compile.Signal, cycle int) uint64) sim.VecStimulus {
-		rows := make([][]uint64, depth)
-		for c := 0; c < depth; c++ {
-			row := ds.newRow(c)
-			for i, in := range inputs {
-				row[i] = value(in, c) & in.Mask()
-			}
-			rows[c] = row
-		}
-		return sim.VecStimulus{Inputs: ds.all, Rows: rows}
-	}
-
-	out = append(out,
-		constant(func(*compile.Signal, int) uint64 { return 0 }),
-		constant(func(in *compile.Signal, _ int) uint64 { return in.Mask() }),
-		constant(func(_ *compile.Signal, c int) uint64 { return uint64(c) }),
-		constant(func(_ *compile.Signal, c int) uint64 {
+	out := []pattern{
+		func(*compile.Signal, int) uint64 { return 0 },
+		func(in *compile.Signal, _ int) uint64 { return in.Mask() },
+		func(_ *compile.Signal, c int) uint64 { return uint64(c) },
+		func(_ *compile.Signal, c int) uint64 {
 			if c%2 == 0 {
 				return 0
 			}
 			return ^uint64(0)
-		}),
-		constant(func(in *compile.Signal, _ int) uint64 { return 1 }),
-	)
+		},
+		func(in *compile.Signal, _ int) uint64 { return 1 },
+	}
 	// Walking one: each input raised alone, others zero, for a few phases.
 	for i := range inputs {
-		i := i
-		out = append(out, constant(func(in *compile.Signal, c int) uint64 {
+		out = append(out, func(in *compile.Signal, c int) uint64 {
 			if in.Name == inputs[i].Name {
 				return uint64(1) << uint(c%max(in.Width, 1))
 			}
 			return 0
-		}))
+		})
 	}
 	// One-hot per cycle across inputs (pulse each input in turn).
-	out = append(out, constant(func(in *compile.Signal, c int) uint64 {
+	out = append(out, func(in *compile.Signal, c int) uint64 {
 		for j, cand := range inputs {
 			if cand.Name == in.Name && c%max(len(inputs), 1) == j {
 				return cand.Mask()
 			}
 		}
 		return 0
-	}))
+	})
 	// Idle-then-burst and burst-then-idle: catch timeout/watchdog logic
 	// whose interesting transition needs a long quiet phase first.
 	out = append(out,
-		constant(func(in *compile.Signal, c int) uint64 {
+		func(in *compile.Signal, c int) uint64 {
 			if c < depth/2 {
 				return 0
 			}
 			return in.Mask()
-		}),
-		constant(func(in *compile.Signal, c int) uint64 {
+		},
+		func(in *compile.Signal, c int) uint64 {
 			if c < depth/2 {
 				return in.Mask()
 			}
 			return 0
-		}),
+		},
 		// Long idle with a single late pulse on every input.
-		constant(func(in *compile.Signal, c int) uint64 {
+		func(in *compile.Signal, c int) uint64 {
 			if c == depth-3 {
 				return in.Mask()
 			}
 			return 0
-		}),
+		},
 	)
 	return out
 }
 
+// patternStimulus builds the stimulus that drives every input by pat.
+func (ds *driveSet) patternStimulus(pat pattern, depth int) sim.VecStimulus {
+	rows := ds.stimRows(depth)
+	for c, row := range rows {
+		for i, in := range ds.inputs {
+			row[i] = pat(in, c) & in.Mask()
+		}
+	}
+	return sim.VecStimulus{Inputs: ds.all, Rows: rows}
+}
+
 func (ds *driveSet) randomStimulus(rng *rand.Rand, depth int) sim.VecStimulus {
-	rows := make([][]uint64, depth)
-	for c := 0; c < depth; c++ {
-		row := ds.newRow(c)
+	rows := ds.stimRows(depth)
+	for _, row := range rows {
 		for i, in := range ds.inputs {
 			switch rng.Intn(4) {
 			case 0:
@@ -513,7 +549,6 @@ func (ds *driveSet) randomStimulus(rng *rand.Rand, depth int) sim.VecStimulus {
 				row[i] = rng.Uint64() & in.Mask()
 			}
 		}
-		rows[c] = row
 	}
 	return sim.VecStimulus{Inputs: ds.all, Rows: rows}
 }
@@ -526,14 +561,17 @@ func (ds *driveSet) randomStimulus(rng *rand.Rand, depth int) sim.VecStimulus {
 func Differ(ctx context.Context, golden, mutant *compile.Design, opts Options) (bool, string, error) {
 	opts = opts.withDefaults()
 	ds := newDriveSet(golden)
+	ds.reuse = true // each stimulus is compared before the next is built
 	outputs := golden.Outputs()
+	runG := sim.NewVecRunner(golden, sim.TwoState)
+	runM := sim.NewVecRunner(mutant, sim.TwoState)
 
 	compareOn := func(stim sim.VecStimulus) (bool, string, error) {
-		trG, err := sim.RunVecCtx(ctx, golden, stim, sim.TwoState)
+		trG, err := runG.Run(ctx, stim)
 		if err != nil {
 			return false, "", err
 		}
-		trM, err := sim.RunVecCtx(ctx, mutant, stim, sim.TwoState)
+		trM, err := runM.Run(ctx, stim)
 		if err != nil {
 			if ctx.Err() != nil {
 				// Cancellation mid-run, not a broken mutant.
@@ -555,26 +593,26 @@ func Differ(ctx context.Context, golden, mutant *compile.Design, opts Options) (
 		return false, "", nil
 	}
 
-	var stims []sim.VecStimulus
-	stims = append(stims, ds.directedStimuli(opts.Depth)...)
+	// Stimuli are built one at a time, in the order directed, constant,
+	// random, and the first difference stops the search.
+	for _, pat := range ds.directedPatterns(opts.Depth) {
+		if diff, log, err := compareOn(ds.patternStimulus(pat, opts.Depth)); diff || err != nil {
+			return diff, log, err
+		}
+	}
 	totalBits := totalWidth(ds.inputs)
 	if totalBits > 0 && totalBits <= opts.MaxConstBits {
 		space := uint64(1) << uint(totalBits)
 		for code := uint64(0); code < space; code++ {
-			stims = append(stims, ds.constantStimulus(code, opts.Depth))
+			if diff, log, err := compareOn(ds.constantStimulus(code, opts.Depth)); diff || err != nil {
+				return diff, log, err
+			}
 		}
 	}
 	rng := rand.New(rand.NewSource(opts.Seed))
 	for i := 0; i < opts.RandomRuns; i++ {
-		stims = append(stims, ds.randomStimulus(rng, opts.Depth))
-	}
-	for _, stim := range stims {
-		diff, log, err := compareOn(stim)
-		if err != nil {
-			return false, "", err
-		}
-		if diff {
-			return true, log, nil
+		if diff, log, err := compareOn(ds.randomStimulus(rng, opts.Depth)); diff || err != nil {
+			return diff, log, err
 		}
 	}
 	return false, "", nil

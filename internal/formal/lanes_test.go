@@ -41,10 +41,12 @@ func fingerprint(r *Result) resultFingerprint {
 }
 
 // TestLanesByteIdenticalAcrossCorpus is the formal driver's contract: a
-// lane-batched check produces exactly the same Result as a scalar one —
-// same pass/fail, same counterexample trace row for row, same log text,
-// same run count, same strategy label, same vacuity report — for every corpus golden and a
-// sample of its mutants, in both value domains.
+// lane-batched check and a scalar check, which reuses one sva.Checker and
+// one stimulus row buffer across its runs, both produce exactly the Result
+// of a loop of one-shot sva.CheckStimulus calls on fresh rows — same
+// pass/fail, same counterexample trace row for row, same log text, same
+// run count, same strategy label, same vacuity report — for every corpus
+// golden and a sample of its mutants, in both value domains.
 func TestLanesByteIdenticalAcrossCorpus(t *testing.T) {
 	check := func(name, src string, fourState bool) {
 		d, diags, err := compile.Compile(src)
@@ -52,17 +54,22 @@ func TestLanesByteIdenticalAcrossCorpus(t *testing.T) {
 			return
 		}
 		dl, _, _ := compile.Compile(src)
+		d1, _, _ := compile.Compile(src)
 		opts := Options{Depth: 10, RandomRuns: 6, Seed: 11, FourState: fourState}
+		one, errO := check(context.Background(), d1, opts, true)
 		scalar, errS := Check(context.Background(), d, opts)
 		opts.Lanes = 64
 		lane, errL := Check(context.Background(), dl, opts)
-		if (errS == nil) != (errL == nil) {
-			t.Fatalf("%s (fourState=%v): scalar err=%v lane err=%v", name, fourState, errS, errL)
+		if (errO == nil) != (errS == nil) || (errS == nil) != (errL == nil) {
+			t.Fatalf("%s (fourState=%v): one-shot err=%v scalar err=%v lane err=%v", name, fourState, errO, errS, errL)
 		}
 		if errS != nil {
 			return
 		}
-		fs, fl := fingerprint(scalar), fingerprint(lane)
+		fo, fs, fl := fingerprint(one), fingerprint(scalar), fingerprint(lane)
+		if !reflect.DeepEqual(fo, fs) {
+			t.Fatalf("%s (fourState=%v): results diverge:\none-shot: %+v\nscalar:   %+v", name, fourState, fo, fs)
+		}
 		if !reflect.DeepEqual(fs, fl) {
 			t.Fatalf("%s (fourState=%v): results diverge:\nscalar: %+v\nlane:   %+v", name, fourState, fs, fl)
 		}

@@ -57,6 +57,19 @@
 // error inside a cycle is reported as "cycle N: <cause>"; a cancelled run
 // returns ctx.Err().
 //
+// # Reusable scalar run state
+//
+// A VecRunner is the scalar plan's run state for one design in one value
+// domain: the machine, the step set and the trace — one contiguous row
+// slab per value plane — are reset between runs instead of reallocated,
+// so a loop over many stimuli allocates per design, not per stimulus.
+// RunVecCtx is the one-shot use of that state, not a second code path.
+// The trace a VecRunner returns is its own, and the next run overwrites
+// it in place unless VecRunner.Detach hands it to the caller first.
+// internal/sva builds its Checker on this: a passing outcome's Trace and
+// Result are valid until the next check on the same checker, and a
+// failing outcome's are detached and belong to the caller for good.
+//
 // # Lane-parallel execution
 //
 // PlanLanes/RunLanesCtx add a third backend: a bit-sliced,

@@ -183,8 +183,10 @@ func boolU64(b bool) uint64 {
 
 // TestMultiClockDifferential holds all four engines byte-identical on the
 // two-clock design in both value domains: compiled plan vs reference
-// interpreter, and lane batch demux vs scalar runs, including the recorded
-// fired planes.
+// interpreter, one VecRunner reused across every lane's stimulus (every
+// other trace detached and rechecked after the later runs) vs one-shot
+// runs, and lane batch demux vs scalar runs, including the recorded fired
+// planes.
 func TestMultiClockDifferential(t *testing.T) {
 	d := mustCompile(t, twoClockSrc)
 	const depth, lanes = 32, 8
@@ -195,6 +197,8 @@ func TestMultiClockDifferential(t *testing.T) {
 	for _, mode := range []Mode{TwoState, FourState} {
 		// Scalar plan vs reference interpreter, per lane stimulus.
 		scalar := make([]*Trace, lanes)
+		runner := NewVecRunner(d, mode)
+		detached := make([]*Trace, lanes)
 		for l, vs := range stims {
 			pt, err := RunVecCtx(context.Background(), d, vs, mode)
 			if err != nil {
@@ -205,7 +209,21 @@ func TestMultiClockDifferential(t *testing.T) {
 				t.Fatalf("mode %v lane %d reference: %v", mode, l, err)
 			}
 			diffTraces(t, pt, rt, mode, l, "plan vs reference")
+			reused, err := runner.Run(context.Background(), vs)
+			if err != nil {
+				t.Fatalf("mode %v lane %d reused runner: %v", mode, l, err)
+			}
+			diffTraces(t, reused, pt, mode, l, "reused runner vs one-shot")
+			if l%2 == 1 {
+				runner.Detach()
+				detached[l] = reused
+			}
 			scalar[l] = pt
+		}
+		for l, tr := range detached {
+			if tr != nil {
+				diffTraces(t, tr, scalar[l], mode, l, "detached trace after later runs vs one-shot")
+			}
 		}
 		// Lane batch vs scalar, demuxed per lane.
 		ls, err := PackStimuli(stims)

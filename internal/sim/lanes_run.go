@@ -146,26 +146,22 @@ func (t *LaneTrace) ActiveMask() uint64 {
 // plan so the SVA checker evaluates it through the compiled path.
 func (t *LaneTrace) Demux(l int) *Trace {
 	p := t.plan
-	tr := &Trace{Design: t.Design, plan: p, rows: make([][]uint64, len(t.rows))}
-	demuxRow := func(lr laneRow) []uint64 {
-		row := make([]uint64, p.nslots)
-		for s := 0; s < p.nslots; s++ {
+	tr := &Trace{Design: t.Design, plan: p}
+	tr.reset(p.nslots, len(t.rows), t.Mode())
+	demuxRow := func(row []uint64, lr laneRow) {
+		for s := range row {
 			if lr.wide[s] != nil {
 				row[s] = lr.wide[s][l]
 			} else {
 				row[s] = (lr.bits[s] >> uint(l)) & 1
 			}
 		}
-		return row
 	}
 	for c, lr := range t.rows {
-		tr.rows[c] = demuxRow(lr)
+		demuxRow(tr.rows[c], lr)
 	}
-	if t.urows != nil {
-		tr.unks = make([][]uint64, len(t.urows))
-		for c, lr := range t.urows {
-			tr.unks[c] = demuxRow(lr)
-		}
+	for c, lr := range t.urows {
+		demuxRow(tr.unks[c], lr)
 	}
 	if t.fired != nil {
 		tr.fired = make([]uint64, len(t.fired))

@@ -116,18 +116,34 @@ type mach struct {
 	err error
 }
 
-// setup makes a zero mach the initial execution state of one run of p.
+// setup makes m the initial execution state of one run of p. A mach that
+// ran before is reset in place, reusing its planes, so a caller looping
+// over many stimuli allocates the machine once.
 func (m *mach) setup(p *Plan) {
 	n := p.nslots
 	m.p = p
-	m.vals = make([]uint64, n)
-	m.ovlVal = make([]uint64, n)
-	m.ovlGen = make([]uint32, n)
+	m.vals = zeroed(m.vals, n)
+	m.ovlVal = zeroed(m.ovlVal, n)
+	m.ovlGen = zeroed(m.ovlGen, n)
 	m.gen = 1
-	m.nbaVal = make([]uint64, n)
-	m.nbaGen = make([]uint32, n)
+	m.touched = m.touched[:0]
+	m.nbaVal = zeroed(m.nbaVal, n)
+	m.nbaGen = zeroed(m.nbaGen, n)
 	m.ngen = 1
+	m.nbaList = m.nbaList[:0]
+	m.changed, m.err = false, nil
 	copy(m.vals, p.initRow)
+}
+
+// zeroed returns buf resized to n zero entries, reusing its storage when
+// it is large enough.
+func zeroed[T uint64 | uint32](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
 }
 
 // traceMach returns a machine for evaluating compiled expressions over

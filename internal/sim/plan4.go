@@ -73,9 +73,9 @@ func buildPlan4(p *Plan) *plan4 {
 func (m *mach) setup4(p *Plan, p4 *plan4) {
 	m.setup(p)
 	n := p.nslots
-	m.unks = make([]uint64, n)
-	m.ovlUnk = make([]uint64, n)
-	m.nbaUnk = make([]uint64, n)
+	m.unks = zeroed(m.unks, n)
+	m.ovlUnk = zeroed(m.ovlUnk, n)
+	m.nbaUnk = zeroed(m.nbaUnk, n)
 	copy(m.unks, p4.initUnk)
 }
 

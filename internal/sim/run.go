@@ -22,9 +22,9 @@ type stepper interface {
 	// apply drives row c's inputs.
 	apply(c int) error
 	settle() error
-	// sample records the settled state as the preponed sample of the
-	// current cycle, plus the fired mask of the coming edge.
-	sample()
+	// sample records the settled state as the preponed sample of cycle
+	// c, plus the fired mask of the coming edge.
+	sample(c int)
 	edge() error
 }
 
@@ -45,7 +45,7 @@ func drive(ctx context.Context, e stepper, rows int) error {
 		if err := e.settle(); err != nil {
 			return fmt.Errorf("cycle %d: %w", c, err)
 		}
-		e.sample()
+		e.sample(c)
 		if err := e.edge(); err != nil {
 			return fmt.Errorf("cycle %d: %w", c, err)
 		}
@@ -80,25 +80,66 @@ func Run(ctx context.Context, d *compile.Design, stim Stimulus, mode Mode) (*Tra
 	if !ok {
 		return RunReferenceCtx(ctx, d, stim, mode)
 	}
-	return runPlan(ctx, &planRun{p4: p4, named: stim}, d, p, mode, len(stim))
+	r := &planRun{p4: p4, named: stim}
+	return r.run(ctx, d, p, mode, len(stim))
 }
 
 // RunVecCtx simulates the design over a vectorised stimulus, driving input
 // slots directly: every input in stim.Inputs is set every cycle, with no
-// per-cycle maps and no name hashing. It is the bounded model checker's
-// hot path. Designs the planner cannot lower run on the reference
-// interpreter, as in Run.
+// per-cycle maps and no name hashing. It is the one-shot use of a
+// VecRunner, so the trace belongs to the caller. Designs the planner
+// cannot lower run on the reference interpreter, as in Run.
 func RunVecCtx(ctx context.Context, d *compile.Design, stim VecStimulus, mode Mode) (*Trace, error) {
-	p, p4, ok := planFor(d, mode)
-	if !ok {
-		return RunReferenceCtx(ctx, d, stim.maps(), mode)
-	}
-	slots, err := inputSlots(d, stim.Inputs)
-	if err != nil {
-		return nil, err
-	}
-	return runPlan(ctx, &planRun{p4: p4, slots: slots, rows: stim.Rows}, d, p, mode, len(stim.Rows))
+	return NewVecRunner(d, mode).Run(ctx, stim)
 }
+
+// VecRunner is the scalar engine's reusable run state for one design in
+// one value domain, the bounded model checker's hot path. The plan
+// machine, the step set and the trace, with its one row slab per value
+// plane, are reset between runs instead of reallocated, so a caller
+// looping over many stimuli allocates per design rather than per stimulus.
+//
+// The trace Run returns is the runner's own and the next Run overwrites it,
+// unless Detach hands it to the caller first. Designs the planner cannot
+// lower run on the reference interpreter, each run with a trace of its
+// own. A VecRunner is not safe for concurrent use.
+type VecRunner struct {
+	d      *compile.Design
+	mode   Mode
+	p      *Plan // nil: every run goes to the reference interpreter
+	r      planRun
+	inputs []*compile.Signal // the input list r.slots was resolved from
+}
+
+// NewVecRunner returns run state for simulating d in mode.
+func NewVecRunner(d *compile.Design, mode Mode) *VecRunner {
+	v := &VecRunner{d: d, mode: mode}
+	if p, p4, ok := planFor(d, mode); ok {
+		v.p, v.r.p4 = p, p4
+	}
+	return v
+}
+
+// Run simulates one stimulus, driving every input in stim.Inputs every
+// cycle, and returns its trace.
+func (v *VecRunner) Run(ctx context.Context, stim VecStimulus) (*Trace, error) {
+	if v.p == nil {
+		return RunReferenceCtx(ctx, v.d, stim.maps(), v.mode)
+	}
+	if v.r.slots == nil || !slices.Equal(v.inputs, stim.Inputs) {
+		slots, err := inputSlots(v.d, stim.Inputs)
+		if err != nil {
+			return nil, err
+		}
+		v.r.slots, v.inputs = slots, append(v.inputs[:0], stim.Inputs...)
+	}
+	v.r.rows = stim.Rows
+	return v.r.run(ctx, v.d, v.p, v.mode, len(stim.Rows))
+}
+
+// Detach hands the trace of the last Run to the caller for good: the next
+// Run records into a trace of its own.
+func (v *VecRunner) Detach() { v.r.tr = nil }
 
 // RunReferenceCtx simulates the design on the reference interpreter in the
 // given value domain. It is the semantic oracle the differential tests
@@ -204,25 +245,23 @@ func inputSlots(d *compile.Design, inputs []*compile.Signal) ([]int32, error) {
 
 // newTrace allocates a scalar trace for rows cycles in mode's planes.
 func newTrace(d *compile.Design, p *Plan, mode Mode, rows int) *Trace {
-	tr := &Trace{Design: d, plan: p, rows: make([][]uint64, 0, rows)}
-	if mode == FourState {
-		tr.unks = make([][]uint64, 0, rows)
-	}
+	tr := &Trace{Design: d, plan: p}
+	tr.reset(d.SlotCount(), rows, mode)
 	return tr
 }
 
-// record appends one sampled row, taking ownership of row and unk (nil in
-// two-state runs), and returns the fired mask of the coming edge.
-func (t *Trace) record(row, unk []uint64, ck *clocks) uint64 {
-	t.rows = append(t.rows, row)
+// record copies cycle c's sampled planes into row c (unk is nil in
+// two-state runs) and returns the fired mask of the coming edge.
+func (t *Trace) record(c int, vals, unk []uint64, ck *clocks) uint64 {
+	copy(t.rows[c], vals)
 	if unk != nil {
-		t.unks = append(t.unks, unk)
+		copy(t.unks[c], unk)
 	}
 	if ck == nil {
 		return firedAll
 	}
 	var f uint64 // bit k: domain k's one-lane fired word
-	for k, w := range ck.fire(row, unk) {
+	for k, w := range ck.fire(vals, unk) {
 		f |= (w & 1) << uint(k)
 	}
 	t.fired = append(t.fired, f)
@@ -232,7 +271,8 @@ func (t *Trace) record(row, unk []uint64, ck *clocks) uint64 {
 // planRun is the compiled plan's step set, in either value domain. Its
 // inputs arrive in one of two forms: a name map per cycle (named) or a
 // slot vector per cycle (slots resolved once, rows). The machine is held
-// by value so a run allocates one step set, not a step set plus a machine.
+// by value so a run allocates one step set, not a step set plus a machine,
+// and a planRun that runs again resets its machine and trace in place.
 type planRun struct {
 	m     mach
 	p4    *plan4 // nil in two-state runs
@@ -245,8 +285,16 @@ type planRun struct {
 	rows  [][]uint64
 }
 
-func runPlan(ctx context.Context, r *planRun, d *compile.Design, p *Plan, mode Mode, rows int) (*Trace, error) {
-	r.tr, r.ck = newTrace(d, p, mode, rows), clocksOf(d)
+// run simulates rows cycles of the loaded stimulus, reusing the trace,
+// the clock tracker and the machine of r's previous run, if any.
+func (r *planRun) run(ctx context.Context, d *compile.Design, p *Plan, mode Mode, rows int) (*Trace, error) {
+	if r.tr == nil {
+		r.tr = &Trace{Design: d, plan: p}
+	}
+	if r.ck == nil {
+		r.ck = clocksOf(d)
+	}
+	r.tr.reset(p.nslots, rows, mode)
 	if mode == FourState {
 		r.m.setup4(p, r.p4)
 	} else {
@@ -290,8 +338,8 @@ func (r *planRun) settle() error {
 	return r.m.settle()
 }
 
-func (r *planRun) sample() {
-	r.fired = r.tr.record(cloneRow(r.m.vals), cloneRow(r.m.unks), r.ck)
+func (r *planRun) sample(c int) {
+	r.fired = r.tr.record(c, r.m.vals, r.m.unks, r.ck)
 }
 
 func (r *planRun) edge() error {
@@ -301,28 +349,25 @@ func (r *planRun) edge() error {
 	return r.m.edge(r.fired)
 }
 
-// cloneRow copies a state plane into a fresh trace row (nil stays nil).
-func cloneRow(plane []uint64) []uint64 {
-	if plane == nil {
-		return nil
-	}
-	row := make([]uint64, len(plane))
-	copy(row, plane)
-	return row
-}
-
 // refRun is the reference interpreter's step set. Its state is name-keyed,
-// so the clock tracker reads dense slot snapshots of it.
+// so the clock tracker and the trace read dense slot snapshots of it,
+// taken into one pair of scratch planes per run.
 type refRun struct {
-	s     *Simulator
-	stim  Stimulus
-	tr    *Trace
-	ck    *clocks
-	fired uint64
+	s          *Simulator
+	stim       Stimulus
+	tr         *Trace
+	ck         *clocks
+	fired      uint64
+	vals, unks []uint64 // snapshot planes; unks nil in two-state runs
 }
 
 func runReference(ctx context.Context, s *Simulator, stim Stimulus) (*Trace, error) {
-	r := &refRun{s: s, stim: stim, tr: newTrace(s.design, nil, s.mode, len(stim)), ck: clocksOf(s.design)}
+	d := s.design
+	r := &refRun{s: s, stim: stim, tr: newTrace(d, nil, s.mode, len(stim)), ck: clocksOf(d)}
+	r.vals = make([]uint64, d.SlotCount())
+	if s.mode == FourState {
+		r.unks = make([]uint64, d.SlotCount())
+	}
 	if err := drive(ctx, r, len(stim)); err != nil {
 		return nil, err
 	}
@@ -331,7 +376,8 @@ func runReference(ctx context.Context, s *Simulator, stim Stimulus) (*Trace, err
 
 func (r *refRun) capture() {
 	if r.ck != nil {
-		r.ck.capture(r.s.snapshotRow(), r.s.snapshotUnkRow())
+		r.s.snapshot(r.vals, r.unks)
+		r.ck.capture(r.vals, r.unks)
 	}
 }
 
@@ -346,8 +392,9 @@ func (r *refRun) apply(c int) error {
 
 func (r *refRun) settle() error { return r.s.settle() }
 
-func (r *refRun) sample() {
-	r.fired = r.tr.record(r.s.snapshotRow(), r.s.snapshotUnkRow(), r.ck)
+func (r *refRun) sample(c int) {
+	r.s.snapshot(r.vals, r.unks)
+	r.fired = r.tr.record(c, r.vals, r.unks, r.ck)
 }
 
 func (r *refRun) edge() error { return r.s.edge(r.fired) }
@@ -401,7 +448,7 @@ func (r *laneRun) settle() error {
 	return r.m.settleLanes()
 }
 
-func (r *laneRun) sample() {
+func (r *laneRun) sample(int) {
 	m := r.m
 	r.lt.rows = append(r.lt.rows, snapshotLaneRow(m.bits, m.wide))
 	if m.lp4 != nil {

@@ -511,24 +511,14 @@ func (s *Simulator) execSeq(stmt verilog.Stmt, commit, blocking map[string]V4) e
 	return nil
 }
 
-// snapshotRow copies the current known-bit values into a dense slot vector.
-func (s *Simulator) snapshotRow() []uint64 {
-	row := make([]uint64, len(s.design.Order))
+// snapshot copies the current state into dense slot vectors: known-bit
+// values into vals and, when unks is not nil, unknown-bit masks into unks.
+func (s *Simulator) snapshot(vals, unks []uint64) {
 	for _, name := range s.design.Order {
-		row[s.design.Signals[name].Slot] = s.vals[name]
+		slot := s.design.Signals[name].Slot
+		vals[slot] = s.vals[name]
+		if unks != nil {
+			unks[slot] = s.unks[name]
+		}
 	}
-	return row
-}
-
-// snapshotUnkRow copies the current unknown-bit masks into a dense slot
-// vector (nil when the simulator is two-state).
-func (s *Simulator) snapshotUnkRow() []uint64 {
-	if s.unks == nil {
-		return nil
-	}
-	row := make([]uint64, len(s.design.Order))
-	for _, name := range s.design.Order {
-		row[s.design.Signals[name].Slot] = s.unks[name]
-	}
-	return row
 }

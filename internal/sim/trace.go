@@ -17,12 +17,19 @@ import (
 // Rows are dense slot vectors indexed by compile.Signal.Slot; names are
 // materialised only at the API boundary (Value, Format). A Trace is not
 // safe for concurrent use while compiled expressions are being evaluated.
+//
+// A trace a VecRunner returns is the runner's own: the next run overwrites
+// it in place unless VecRunner.Detach hands it to the caller first.
 type Trace struct {
 	Design *compile.Design
 	rows   [][]uint64
 	// unks is the unknown-bit plane of a four-state trace, row-parallel to
 	// rows; nil for two-state traces (everything known).
 	unks [][]uint64
+	// vslab and uslab back rows and unks: one contiguous slab per value
+	// plane, row c at [c*n, (c+1)*n) for n slots.
+	vslab, uslab []uint64
+
 	plan *Plan // nil when produced by the reference interpreter
 	em   *mach // lazy shared machine for compiled evaluation
 	em4  *mach // lazy shared machine for compiled four-state evaluation
@@ -31,6 +38,43 @@ type Trace struct {
 	// (bit k set = Design.Domains[k] ticked); nil for single-domain traces,
 	// where every row is one tick of the only clock.
 	fired []uint64
+}
+
+// reset shapes the trace for a run of rows cycles over n slots in mode,
+// reusing its slabs when they are large enough. Every row is sliced up
+// front, so the run records cycle c by copying into row c, and the lazy
+// evaluation machines see the trace's final shape.
+func (t *Trace) reset(n, rows int, mode Mode) {
+	t.rows, t.vslab = sliceRows(t.rows, t.vslab, n, rows)
+	if mode == FourState {
+		t.unks, t.uslab = sliceRows(t.unks, t.uslab, n, rows)
+	} else {
+		t.unks = nil
+	}
+	t.fired = t.fired[:0]
+	if t.em != nil {
+		t.em.rows = t.rows
+	}
+	if t.em4 != nil {
+		t.em4.rows, t.em4.rows4 = t.rows, t.unks
+	}
+}
+
+// sliceRows cuts rows row headers of n slots each out of slab, growing
+// either when it is too small. The result is never nil, so a four-state
+// trace of zero rows still reports its mode.
+func sliceRows(hdr [][]uint64, slab []uint64, n, rows int) ([][]uint64, []uint64) {
+	if cap(slab) < n*rows {
+		slab = make([]uint64, n*rows)
+	}
+	if hdr == nil || cap(hdr) < rows {
+		hdr = make([][]uint64, rows)
+	}
+	hdr = hdr[:rows]
+	for c := range hdr {
+		hdr[c] = slab[c*n : (c+1)*n : (c+1)*n]
+	}
+	return hdr, slab
 }
 
 // Len returns the number of sampled cycles.

@@ -7,7 +7,13 @@ import (
 	"repro/internal/sim"
 )
 
-// Outcome is one stimulus' verdict from CheckStimulus or a Batch.
+// Outcome is one stimulus' verdict from a Checker, CheckStimulus or a
+// Batch.
+//
+// Ownership: a passing outcome's Trace and Result belong to the checker
+// that produced it and stay valid only until that checker's next check (a
+// Batch's scalar lanes share one checker). A failing outcome's Trace and
+// Result are detached from the checker and belong to the caller for good.
 type Outcome struct {
 	// Pass reports that no assertion failed.
 	Pass bool
@@ -31,14 +37,53 @@ func (o Outcome) Attempted(name string) bool {
 	return o.lanes.Attempted[name]>>uint(o.lane)&1 != 0
 }
 
-// CheckStimulus simulates one stimulus on the scalar engine and checks
-// every assertion over its trace.
-func CheckStimulus(ctx context.Context, d *compile.Design, stim sim.VecStimulus, mode sim.Mode) (Outcome, error) {
-	tr, err := sim.RunVecCtx(ctx, d, stim, mode)
+// Checker checks stimuli against one design's assertions on the scalar
+// engine. It keeps one sim.VecRunner, binds each assertion's compiled
+// evaluators to the runner's trace once, and refills one Result per
+// check, so a loop over many stimuli allocates per design rather than per
+// stimulus. A failing check hands its trace and Result to the caller (see
+// Outcome), and the next check runs on fresh ones.
+// A Checker is not safe for concurrent use.
+type Checker struct {
+	run *sim.VecRunner
+	b   binding
+	res *Result
+}
+
+// NewChecker returns a scalar checker for d's assertions in mode.
+func NewChecker(d *compile.Design, mode sim.Mode) *Checker {
+	return &Checker{run: sim.NewVecRunner(d, mode), res: &Result{Attempts: map[string]int{}}}
+}
+
+// Check simulates stim and checks every assertion over its trace.
+func (c *Checker) Check(ctx context.Context, stim sim.VecStimulus) (Outcome, error) {
+	tr, err := c.run.Run(ctx, stim)
 	if err != nil {
 		return Outcome{}, err
 	}
-	return checkTrace(tr)
+	if tr != c.b.tr {
+		c.b.bind(tr)
+	}
+	res := c.res
+	res.Failures = res.Failures[:0]
+	clear(res.Attempts)
+	if err := c.b.check(res); err != nil {
+		return Outcome{}, err
+	}
+	if !res.Failed() {
+		return Outcome{Pass: true, Result: res, Trace: tr}, nil
+	}
+	// Hand the failing trace and Result over; the next check starts fresh.
+	c.run.Detach()
+	c.res = &Result{Attempts: map[string]int{}}
+	return Outcome{Result: res, Trace: tr}, nil
+}
+
+// CheckStimulus simulates one stimulus on the scalar engine and checks
+// every assertion over its trace. It is the one-shot use of a Checker, so
+// the outcome belongs to the caller whether it passes or fails.
+func CheckStimulus(ctx context.Context, d *compile.Design, stim sim.VecStimulus, mode sim.Mode) (Outcome, error) {
+	return NewChecker(d, mode).Check(ctx, stim)
 }
 
 func checkTrace(tr *sim.Trace) (Outcome, error) {
@@ -69,6 +114,7 @@ type Batch struct {
 	stims []sim.VecStimulus
 	lt    *sim.LaneTrace
 	lr    *LaneResult
+	chk   *Checker // the scalar lanes' shared checker, made on first use
 }
 
 // CheckBatch checks stims against d's assertions in mode. Its only error is
@@ -100,10 +146,16 @@ func CheckBatch(ctx context.Context, d *compile.Design, stims []sim.VecStimulus,
 
 // Lane returns stimulus i's outcome. A failing lane of a packed batch is
 // demuxed and checked on the scalar checker, so its Result and Trace are
-// exactly CheckStimulus's; on a scalar batch stimulus i simulates now.
+// exactly CheckStimulus's; on a scalar batch stimulus i simulates now, on
+// the one Checker every scalar lane of the batch shares, so a passing
+// outcome's Trace and Result are valid until the next Lane call. A Batch
+// is not safe for concurrent use.
 func (b *Batch) Lane(i int) (Outcome, error) {
 	if !b.Packed {
-		return CheckStimulus(b.ctx, b.d, b.stims[i], b.mode)
+		if b.chk == nil {
+			b.chk = NewChecker(b.d, b.mode)
+		}
+		return b.chk.Check(b.ctx, b.stims[i])
 	}
 	if b.lr.Failed>>uint(i)&1 == 0 {
 		return Outcome{Pass: true, lanes: b.lr, lane: i}, nil

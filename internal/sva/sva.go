@@ -85,14 +85,41 @@ func (r *Result) FirstFailure() *Failure {
 // delays count ticks of the assertion's clock, not stimulus rows. The
 // sampled-value functions ($past and friends) still look back in stimulus
 // rows — their history plane is the raw trace.
+//
+// Check is the one-shot form of the binding a Checker keeps across runs.
 func Check(tr *sim.Trace) (*Result, error) {
+	var b binding
+	b.bind(tr)
 	res := &Result{Attempts: map[string]int{}}
-	for _, a := range tr.Design.Asserts {
-		if err := checkAssert(tr, a, res); err != nil {
-			return nil, err
-		}
+	if err := b.check(res); err != nil {
+		return nil, err
 	}
 	return res, nil
+}
+
+// binding is every assertion of a design compiled against one trace. The
+// evaluators read the trace's rows when called, so a binding stays valid
+// while the trace is refilled in place by later runs.
+type binding struct {
+	tr      *sim.Trace
+	asserts []compiledAssert
+}
+
+func (b *binding) bind(tr *sim.Trace) {
+	b.tr, b.asserts = tr, b.asserts[:0]
+	for _, a := range tr.Design.Asserts {
+		b.asserts = append(b.asserts, compileAssert(tr, a))
+	}
+}
+
+// check appends the trace's failures and attempt counts to res.
+func (b *binding) check(res *Result) error {
+	for i := range b.asserts {
+		if err := checkAssert(b.tr, &b.asserts[i], res); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // compiledAssert is one assertion with its property expressions resolved to
@@ -103,6 +130,7 @@ func Check(tr *sim.Trace) (*Result, error) {
 // term fails the attempt — the sampled expression is not true — with the
 // failure marked Unknown. An x disable-iff condition does not disable.
 type compiledAssert struct {
+	a       compile.ResolvedAssert
 	disable sim.CompiledExpr4 // nil when the property has no disable iff
 	ante    []compiledTerm
 	cons    []compiledTerm
@@ -116,7 +144,7 @@ type compiledTerm struct {
 }
 
 func compileAssert(tr *sim.Trace, a compile.ResolvedAssert) compiledAssert {
-	ca := compiledAssert{impl: a.Seq.Impl}
+	ca := compiledAssert{a: a, impl: a.Seq.Impl}
 	if a.DisableIff != nil {
 		ca.disable = tr.CompileExpr4(a.DisableIff)
 	}
@@ -129,8 +157,8 @@ func compileAssert(tr *sim.Trace, a compile.ResolvedAssert) compiledAssert {
 	return ca
 }
 
-func checkAssert(tr *sim.Trace, a compile.ResolvedAssert, res *Result) error {
-	ca := compileAssert(tr, a)
+func checkAssert(tr *sim.Trace, ca *compiledAssert, res *Result) error {
+	a := ca.a
 	ticks := assertTicks(tr, a)
 	n := tr.Len()
 	if ticks != nil {
@@ -203,7 +231,7 @@ type attemptOutcome struct {
 // start. Positions count ticks of the assertion's clock: with ticks nil
 // (single-domain traces) a position is a trace cycle; otherwise ticks maps
 // positions to the trace cycles sampled at that clock's edges.
-func evalAttempt(tr *sim.Trace, ca compiledAssert, ticks []int, start int) (attemptOutcome, error) {
+func evalAttempt(tr *sim.Trace, ca *compiledAssert, ticks []int, start int) (attemptOutcome, error) {
 	limit := tr.Len()
 	if ticks != nil {
 		limit = len(ticks)

@@ -1,0 +1,8 @@
+//go:build !race
+
+// Package testenv reports properties of the build that tests adapt to.
+package testenv
+
+// Race reports whether the binary was built with the race detector, which
+// changes allocation counts; allocation guards skip themselves under it.
+const Race = false
