@@ -23,9 +23,12 @@
 // over the same directory answers repeated checks from disk without
 // recomputing. Admission control is a bounded concurrency queue (overflow
 // is rejected with 429) plus a per-client token bucket (X-Client header,
-// falling back to the remote address). Request bodies over 1 MiB
-// (maxBodyBytes) are rejected with 413, and /stimulus requests deeper than
-// 4096 rows (maxStimulusRows) with 422.
+// falling back to the remote address); a bucket that has refilled is
+// dropped, so rotating X-Client values cannot grow the server's memory.
+// Request bodies over 1 MiB (maxBodyBytes) are rejected with 413,
+// /stimulus requests deeper than 4096 rows (maxStimulusRows) with 422, and
+// so are /check options past their caps (maxCheckDepth, maxRandomRuns,
+// maxExhaustiveBits, maxConstBits).
 package main
 
 import (
@@ -128,6 +131,21 @@ const maxBodyBytes = 1 << 20
 // body under maxBodyBytes of "[0]," rows asks for about 260k cycles and
 // tens of MiB of trace. Formal checks run at depths of 16 to 64.
 const maxStimulusRows = 4096
+
+// Caps on the /check options; a request past any of them is answered 422.
+// Each caps one factor of a check's cost: cycles per run (the same bound
+// as a /stimulus request), random runs, and the two enumeration budgets,
+// which allow up to 2^20 runs each. Zero and negative values keep their
+// meanings (the formal defaults; a negative RandomRuns disables the random
+// phase). The caps bound each factor, not their product: constant-input
+// enumeration at both caps is still 2^20 runs of 4096 cycles, which only
+// a per-request deadline would stop.
+const (
+	maxCheckDepth     = maxStimulusRows
+	maxRandomRuns     = 1024
+	maxExhaustiveBits = 20
+	maxConstBits      = 20
+)
 
 // server is the HTTP front end over one verification service.
 type server struct {
@@ -241,6 +259,24 @@ func (o checkOptions) verify() verify.Options {
 	}
 }
 
+// validate reports the first option past its cap, or nil.
+func (o checkOptions) validate() error {
+	for _, f := range []struct {
+		name   string
+		v, max int
+	}{
+		{"depth", o.Depth, maxCheckDepth},
+		{"random_runs", o.RandomRuns, maxRandomRuns},
+		{"max_exhaustive_bits", o.MaxExhaustiveBits, maxExhaustiveBits},
+		{"max_const_bits", o.MaxConstBits, maxConstBits},
+	} {
+		if f.v > f.max {
+			return fmt.Errorf("%s %d exceeds the limit of %d", f.name, f.v, f.max)
+		}
+	}
+	return nil
+}
+
 // checkResponse is the record plus transport-level fields.
 type checkResponse struct {
 	verify.Record
@@ -267,6 +303,10 @@ func (s *server) handleCheck(w http.ResponseWriter, r *http.Request) {
 	}
 	if req.Source == "" {
 		http.Error(w, "empty source", http.StatusBadRequest)
+		return
+	}
+	if err := req.Options.validate(); err != nil {
+		http.Error(w, err.Error(), http.StatusUnprocessableEntity)
 		return
 	}
 	items, err := parseAssertions(req.Assertions)
@@ -417,13 +457,24 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 // rateLimiter is a per-client token bucket: each client accrues rate
-// tokens per second up to burst; a request spends one.
+// tokens per second up to burst; a request spends one. A bucket that has
+// refilled to burst behaves exactly like an absent one, so such buckets
+// are swept out whenever the map reaches sweepAt entries. The map then
+// holds only clients seen within about burst/rate seconds, however many
+// X-Client values a sender rotates through.
 type rateLimiter struct {
 	rate, burst float64
+	now         func() time.Time // the clock; a seam for tests
 
 	mu      sync.Mutex
 	buckets map[string]*bucket
+	sweepAt int
 }
+
+// minSweep is the smallest bucket-map size that triggers a sweep. After a
+// sweep the next one waits until the map doubles what survived, so each
+// new client costs amortised O(1) sweep work.
+const minSweep = 1024
 
 type bucket struct {
 	tokens float64
@@ -434,7 +485,12 @@ func newRateLimiter(rate, burst float64) *rateLimiter {
 	if burst < 1 {
 		burst = 1
 	}
-	return &rateLimiter{rate: rate, burst: burst, buckets: map[string]*bucket{}}
+	return &rateLimiter{rate: rate, burst: burst, now: time.Now, buckets: map[string]*bucket{}, sweepAt: minSweep}
+}
+
+// refilled returns b's token count at now, capped at burst.
+func (rl *rateLimiter) refilled(b *bucket, now time.Time) float64 {
+	return min(b.tokens+now.Sub(b.last).Seconds()*rl.rate, rl.burst)
 }
 
 func (rl *rateLimiter) allow(client string) bool {
@@ -443,20 +499,31 @@ func (rl *rateLimiter) allow(client string) bool {
 	}
 	rl.mu.Lock()
 	defer rl.mu.Unlock()
-	now := time.Now()
+	now := rl.now()
 	b := rl.buckets[client]
 	if b == nil {
+		if len(rl.buckets) >= rl.sweepAt {
+			rl.sweep(now)
+		}
 		b = &bucket{tokens: rl.burst, last: now}
 		rl.buckets[client] = b
 	}
-	b.tokens += now.Sub(b.last).Seconds() * rl.rate
-	if b.tokens > rl.burst {
-		b.tokens = rl.burst
-	}
+	b.tokens = rl.refilled(b, now)
 	b.last = now
 	if b.tokens < 1 {
 		return false
 	}
 	b.tokens--
 	return true
+}
+
+// sweep deletes every bucket that has refilled to burst. Called with mu
+// held.
+func (rl *rateLimiter) sweep(now time.Time) {
+	for c, b := range rl.buckets {
+		if rl.refilled(b, now) >= rl.burst {
+			delete(rl.buckets, c)
+		}
+	}
+	rl.sweepAt = max(minSweep, 2*len(rl.buckets))
 }

@@ -748,8 +748,9 @@ func TestServeAdmissionQueue(t *testing.T) {
 
 	slow, _ := json.Marshal(checkRequest{
 		Source: corpus.EdgeDetect().Source(),
-		// 2^24 exhaustive sequences: effectively unbounded for this test.
-		Options: checkOptions{Seed: 1, Depth: 24, MaxExhaustiveBits: 24, RandomRuns: -1},
+		// 2^20 exhaustive sequences, the most the option caps allow:
+		// seconds of work, far longer than this test needs it in flight.
+		Options: checkOptions{Seed: 1, Depth: maxExhaustiveBits, MaxExhaustiveBits: maxExhaustiveBits, RandomRuns: -1},
 	})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -871,6 +872,93 @@ func TestServeStimulusDepthLimit(t *testing.T) {
 				t.Fatalf("%d rows: pass=%v log %q, want a pass over %s", tc.rows, sr.Pass, sr.Log, want)
 			}
 		}
+	}
+}
+
+// TestServeCheckOptionLimits sends /check requests with each capped
+// option at its cap, which runs, and one past it, which is refused with
+// 422 before anything is compiled. The benchmark's serve-check options
+// (depth up to 40, 10 random runs, 8 exhaustive bits) must pass.
+func TestServeCheckOptionLimits(t *testing.T) {
+	ts, srv := testServer(t, nil, serverConfig{})
+	src := corpus.EdgeDetect().Source()
+	for _, tc := range []struct {
+		name string
+		opts checkOptions
+		want int
+	}{
+		{"benchmark", checkOptions{Seed: 7, Depth: 40, RandomRuns: 10, MaxExhaustiveBits: 8, Lanes: 64}, http.StatusOK},
+		{"depth", checkOptions{Depth: maxCheckDepth, RandomRuns: 1}, http.StatusOK},
+		{"depth+1", checkOptions{Depth: maxCheckDepth + 1, RandomRuns: 1}, http.StatusUnprocessableEntity},
+		{"random_runs", checkOptions{Depth: 4, RandomRuns: maxRandomRuns}, http.StatusOK},
+		{"random_runs+1", checkOptions{Depth: 4, RandomRuns: maxRandomRuns + 1}, http.StatusUnprocessableEntity},
+		{"no_random", checkOptions{Depth: 4, RandomRuns: -1}, http.StatusOK},
+		{"max_exhaustive_bits", checkOptions{Depth: 8, MaxExhaustiveBits: maxExhaustiveBits}, http.StatusOK},
+		{"max_exhaustive_bits+1", checkOptions{Depth: 8, MaxExhaustiveBits: maxExhaustiveBits + 1}, http.StatusUnprocessableEntity},
+		{"max_const_bits", checkOptions{Depth: 8, MaxConstBits: maxConstBits}, http.StatusOK},
+		{"max_const_bits+1", checkOptions{Depth: 8, MaxConstBits: maxConstBits + 1}, http.StatusUnprocessableEntity},
+	} {
+		misses := srv.svc.Metrics().Misses
+		resp, body := postJSON(t, ts.URL+"/check", checkRequest{Source: src, Options: tc.opts})
+		if resp.StatusCode != tc.want {
+			t.Fatalf("%s: status %d (%s), want %d", tc.name, resp.StatusCode, body, tc.want)
+		}
+		if tc.want != http.StatusOK {
+			if got := srv.svc.Metrics().Misses; got != misses {
+				t.Errorf("%s: a refused request started %d checks", tc.name, got-misses)
+			}
+			continue
+		}
+		var got checkResponse
+		if err := json.Unmarshal(body, &got); err != nil {
+			t.Fatal(err)
+		}
+		if got.Status != verify.StatusPass {
+			t.Errorf("%s: status %v, want pass: %s", tc.name, got.Status, body)
+		}
+	}
+}
+
+// TestRateLimiterEvictsRefilledBuckets rotates through 10k client IDs and
+// requires the bucket map to stay bounded once old buckets have refilled,
+// while a bucket that has not refilled survives a sweep with its debt.
+func TestRateLimiterEvictsRefilledBuckets(t *testing.T) {
+	clock := time.Unix(0, 0)
+	newLimiter := func() *rateLimiter {
+		rl := newRateLimiter(50, 100) // the -rate and -burst defaults
+		rl.now = func() time.Time { return clock }
+		return rl
+	}
+
+	// One new client per millisecond: a bucket refills its one spent
+	// token 20 ms later, so almost every bucket is evictable at a sweep.
+	rl := newLimiter()
+	for i := 0; i < 10000; i++ {
+		clock = clock.Add(time.Millisecond)
+		if !rl.allow(fmt.Sprintf("client-%d", i)) {
+			t.Fatalf("client %d refused its first request", i)
+		}
+		if n := len(rl.buckets); n > minSweep {
+			t.Fatalf("after %d clients the map holds %d buckets, want at most %d", i+1, n, minSweep)
+		}
+	}
+
+	// All at one instant nothing refills: a drained client stays limited
+	// across the sweep the flood triggers, and no bucket is lost.
+	rl = newLimiter()
+	for i := 0; i < 100; i++ {
+		if !rl.allow("greedy") {
+			t.Fatalf("greedy refused within its burst at request %d", i)
+		}
+	}
+	for i := 0; i < minSweep+1; i++ {
+		rl.allow(fmt.Sprintf("client-%d", i))
+	}
+	if rl.allow("greedy") {
+		t.Fatal("a drained bucket was reset by the sweep")
+	}
+	if n := len(rl.buckets); n != minSweep+2 {
+		t.Fatalf("map holds %d buckets, want %d (none had refilled)", n, minSweep+2)
 	}
 }
 

@@ -25,9 +25,14 @@
 // Config.Generate is set, the procedural generator) to a pool of Stage-2/3
 // design workers, whose results a single writer goroutine re-establishes
 // in production order before handing them to a Sink. Nothing is
-// materialised beyond the channel buffers and the in-flight designs, so
-// corpus size is bounded by disk, not memory, and the emitted stream is
-// byte-identical for a fixed seed regardless of the worker count. Run
+// materialised beyond the channel buffers and the in-flight designs, and
+// every one-shot check runs outside the shared verdict cache
+// (verify.Service.Run). The only verdicts a run keeps are the compile-only
+// goldens Stage 1 hands to Stage 2, one per design and at most 8,192, so
+// memory grows only slowly with corpus size (cmd/augment -format bin peaks
+// at about 24 MiB for the catalog and 29 MiB with 200 generated designs on
+// a 2-core Xeon). The emitted stream is byte-identical for a fixed seed
+// regardless of the worker count. Run
 // collects the stream into an Output; RunStream hands it to a caller
 // Sink (cmd/augment streams it into sharded JSONL files).
 package augment
@@ -140,7 +145,7 @@ func (c Config) source(svc *verify.Service) corpus.Source {
 				RandomRuns: c.RandomRuns,
 				Lanes:      c.Lanes,
 			}
-			v, err := svc.Check(context.Background(), b.Source(), nil, opts)
+			v, err := svc.Run(context.Background(), b.Source(), nil, opts)
 			if err != nil || !v.Passed() || len(v.Vacuous()) != 0 {
 				return false
 			}
@@ -156,7 +161,7 @@ func (c Config) source(svc *verify.Service) corpus.Source {
 			// assertion depends on it), so they are valid targets for the
 			// reset-removal bug class.
 			opts.FourState = true
-			v4, err := svc.Check(context.Background(), b.Source(), nil, opts)
+			v4, err := svc.Run(context.Background(), b.Source(), nil, opts)
 			return err == nil && v4.Passed()
 		},
 	})
@@ -275,8 +280,8 @@ func Run(cfg Config) (*Output, error) {
 }
 
 // pipeBuf bounds every pipeline channel: at most this many designs (or
-// dataset entries) are in flight between stages, so memory stays flat no
-// matter how large the corpus grows.
+// dataset entries) are in flight between stages, however large the corpus
+// grows.
 const pipeBuf = 64
 
 // inflightCap bounds how many designs may be past the producer but not
@@ -506,7 +511,7 @@ func produce(cfg Config, svc *verify.Service, jobs chan<- designJob, ptCh chan<-
 			st.FilteredTrivial++
 			continue
 		}
-		v, cerr := svc.Check(context.Background(), e.Source, nil, verify.Options{CompileOnly: true})
+		v, cerr := svc.Run(context.Background(), e.Source, nil, verify.Options{CompileOnly: true})
 		if cerr != nil || !v.Passed() {
 			st.CompileFailed++
 			specText := "Function: unavailable (code failed to compile).\n"
@@ -572,10 +577,11 @@ type mutOutcome struct {
 // InjectAndValidate runs Stage 2 and Stage 3 for one golden blueprint,
 // returning its assertion-failure samples and functional-only bug entries.
 // Mutant verification — the hot path — fans out over the shared
-// verification service: every mutant is compiled, bounded-model-checked
-// and (when it passes) behaviourally diffed in parallel, then stats, CoT
-// generation and sample assembly run sequentially in enumeration order so
-// the output is byte-identical to a sequential pass.
+// verification service's worker pool but not its cache: every distinct
+// mutant is compiled, bounded-model-checked and (when it passes)
+// behaviourally diffed in parallel, then stats, CoT generation and sample
+// assembly run sequentially in enumeration order so the output is
+// byte-identical to a sequential pass.
 func InjectAndValidate(b *corpus.Blueprint, cfg Config, stats *Stats, cotGen *cot.Generator) ([]dataset.SVASample, []dataset.BugEntry, error) {
 	cfg = cfg.withDefaults()
 	svc := verify.Default()
@@ -607,7 +613,7 @@ func InjectAndValidate(b *corpus.Blueprint, cfg Config, stats *Stats, cotGen *co
 	opts4 := opts
 	opts4.FourState = true
 	if resetMuts := bugs.EnumerateResets(b.Module); len(resetMuts) > 0 {
-		if gv4, err := svc.Check(context.Background(), goldenSrc, nil, opts4); err == nil && gv4.Passed() {
+		if gv4, err := svc.Run(context.Background(), goldenSrc, nil, opts4); err == nil && gv4.Passed() {
 			muts = append(muts, resetMuts...)
 		}
 	}
@@ -620,11 +626,31 @@ func InjectAndValidate(b *corpus.Blueprint, cfg Config, stats *Stats, cotGen *co
 		muts = append(muts, bugs.EnumerateHier(b.Set(b.Module), limit)...)
 	}
 
-	// Parallel phase: verify (and diff) every mutant.
+	// Mutants that print to the same text in the same value domain share
+	// one verdict: only the first of each is checked, and the rest copy its
+	// outcome after the parallel phase.
+	type mutKey struct {
+		src  string
+		four bool
+	}
 	outcomes := make([]mutOutcome, len(muts))
+	firstOf := make([]int, len(muts))
+	seen := make(map[mutKey]int, len(muts))
+	for i, mu := range muts {
+		outcomes[i].src = b.SourceWith(mu.Mutant)
+		k := mutKey{outcomes[i].src, mu.Syn == bugs.SynReset}
+		if _, dup := seen[k]; !dup {
+			seen[k] = i
+		}
+		firstOf[i] = seen[k]
+	}
+
+	// Parallel phase: verify (and diff) every distinct mutant. Each check
+	// is one-shot, so it runs outside the verdict cache and its verdict
+	// dies with this design's outcomes.
 	workers := runtime.GOMAXPROCS(0)
-	if workers > len(muts) {
-		workers = len(muts)
+	if workers > len(seen) {
+		workers = len(seen)
 	}
 	idxCh := make(chan int)
 	var wg sync.WaitGroup
@@ -634,12 +660,11 @@ func InjectAndValidate(b *corpus.Blueprint, cfg Config, stats *Stats, cotGen *co
 			defer wg.Done()
 			for i := range idxCh {
 				o := &outcomes[i]
-				o.src = b.SourceWith(muts[i].Mutant)
 				checkOpts := opts
 				if muts[i].Syn == bugs.SynReset {
 					checkOpts = opts4
 				}
-				o.verdict, o.err = svc.Check(context.Background(), o.src, nil, checkOpts)
+				o.verdict, o.err = svc.Run(context.Background(), o.src, nil, checkOpts)
 				if o.verdict.Design != nil {
 					o.lintFlagged = !lint.Clean(lint.Analyze(o.verdict.Design).Findings)
 				}
@@ -649,11 +674,16 @@ func InjectAndValidate(b *corpus.Blueprint, cfg Config, stats *Stats, cotGen *co
 			}
 		}()
 	}
-	for i := range muts {
-		idxCh <- i
+	for i, j := range firstOf {
+		if i == j {
+			idxCh <- i
+		}
 	}
 	close(idxCh)
 	wg.Wait()
+	for i, j := range firstOf {
+		outcomes[i] = outcomes[j]
+	}
 
 	// Sequential phase, in enumeration order: classify outcomes, generate
 	// and validate CoT (the generator is stateful and deterministic).

@@ -5,10 +5,12 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/bugs"
 	"repro/internal/compile"
 	"repro/internal/corpus"
 	"repro/internal/cot"
 	"repro/internal/formal"
+	"repro/internal/verify"
 	"repro/internal/verilog"
 )
 
@@ -133,6 +135,74 @@ func TestRunPipelineSmall(t *testing.T) {
 	frac := float64(len(out.SVABug)) / float64(len(out.SVABug)+len(out.SVAEvalMachine))
 	if frac < 0.6 || frac > 0.98 {
 		t.Errorf("train fraction = %.2f, want near 0.9", frac)
+	}
+}
+
+// TestInjectAndValidateRunsOutsideCache pins the memory contract of Stage
+// 2: the only verdict a design leaves in the shared cache is its
+// compile-only golden (the hand-off from Stage 1), and every distinct
+// mutant text is checked exactly once, so duplicate mutants copy an
+// outcome instead of recomputing it.
+func TestInjectAndValidateRunsOutsideCache(t *testing.T) {
+	cfg := Config{Seed: 3, MutationsPerDesign: 8, BinCaps: [5]int{8, 8, 8, 8, 8}, RandomRuns: 8}
+	for _, tc := range []struct {
+		name string
+		bp   *corpus.Blueprint
+		dups bool // the enumeration holds duplicate mutant texts
+	}{
+		{"counter", corpus.Counter(4, 9), true},
+		{"shift-register", corpus.ShiftReg(3), false},
+		{"hierarchical", corpus.HierFIFO(2), false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b := tc.bp
+			svc := verify.Default()
+			lenBefore, before := svc.Len(), svc.Metrics()
+			var stats Stats
+			if _, _, err := InjectAndValidate(b, cfg, &stats, cot.NewGenerator(0.25, 1)); err != nil {
+				t.Fatal(err)
+			}
+			grown, after := svc.Len()-lenBefore, svc.Metrics()
+			if grown > 1 {
+				t.Errorf("verdict cache grew by %d entries, want at most 1 (the compile-only golden)", grown)
+			}
+
+			// Rebuild the mutant list the pipeline checked and count its
+			// distinct (text, value domain) pairs.
+			muts := bugs.Enumerate(b.Module, 8)
+			resets := bugs.EnumerateResets(b.Module)
+			if stats.MutantsReset > 0 {
+				muts = append(muts, resets...)
+			}
+			if len(b.Children) > 0 {
+				muts = append(muts, bugs.EnumerateHier(b.Set(b.Module), 8)...)
+			}
+			if stats.MutantsTried != len(muts) {
+				t.Fatalf("pipeline tried %d mutants, the rebuilt list holds %d", stats.MutantsTried, len(muts))
+			}
+			type mutKey struct {
+				src  string
+				four bool
+			}
+			distinct := map[mutKey]bool{}
+			for _, mu := range muts {
+				distinct[mutKey{b.SourceWith(mu.Mutant), mu.Syn == bugs.SynReset}] = true
+			}
+			if got := len(distinct) < len(muts); got != tc.dups {
+				t.Fatalf("%d distinct of %d mutants: duplicates present = %v, want %v", len(distinct), len(muts), got, tc.dups)
+			}
+			// Besides the mutants: the golden's four-state check when the
+			// design has reset mutants, and its compile-only check when it
+			// was not cached yet (the entry the cache grew by).
+			want := len(distinct) + grown
+			if len(resets) > 0 {
+				want++
+			}
+			if got := after.Misses - before.Misses; got != uint64(want) {
+				t.Errorf("misses grew by %d, want %d (%d distinct mutants, cache grew by %d, %d reset mutants)",
+					got, want, len(distinct), grown, len(resets))
+			}
+		})
 	}
 }
 

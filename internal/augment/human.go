@@ -35,7 +35,7 @@ func buildHumanSample(hc corpus.HumanCase, cfg Config) (dataset.SVASample, error
 	opts := verify.Options{Seed: seed, Depth: hc.CheckDepth, RandomRuns: cfg.RandomRuns, Lanes: cfg.Lanes}
 	svc := verify.Default()
 
-	gv, err := svc.Check(context.Background(), hc.Golden, nil, opts)
+	gv, err := svc.Run(context.Background(), hc.Golden, nil, opts)
 	if err != nil {
 		return zero, err
 	}
@@ -49,7 +49,7 @@ func buildHumanSample(hc corpus.HumanCase, cfg Config) (dataset.SVASample, error
 		return zero, fmt.Errorf("golden has vacuous assertions: %v", vac)
 	}
 
-	bv, err := svc.Check(context.Background(), hc.Buggy, nil, opts)
+	bv, err := svc.Run(context.Background(), hc.Buggy, nil, opts)
 	if err != nil {
 		return zero, err
 	}

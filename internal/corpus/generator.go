@@ -57,9 +57,9 @@ func (g *Generator) Name() string {
 // from the generator seed and the attempt index, so the stream does not
 // depend on how far previous iterations ran. Candidates are built and
 // Accept-validated speculatively in parallel windows (Accept is required
-// to be deterministic, and verification results are content-cached, so
-// speculation changes nothing but wall-clock time); emission always
-// follows attempt order.
+// to be deterministic, so speculation changes nothing but wall-clock
+// time); emission always follows attempt order. A candidate whose content
+// an earlier window already produced is never emitted, so it skips Accept.
 func (g *Generator) Blueprints() iter.Seq[*Blueprint] {
 	return func(yield func(*Blueprint) bool) {
 		maxAttempts := g.cfg.MaxAttempts
@@ -76,6 +76,7 @@ func (g *Generator) Blueprints() iter.Seq[*Blueprint] {
 		}
 		emitted := 0
 		cands := make([]*Blueprint, window)
+		hashes := make([][sha256.Size]byte, window)
 		accepted := make([]bool, window)
 		for base := 0; emitted < g.cfg.N && base < maxAttempts; base += window {
 			k := window
@@ -88,13 +89,14 @@ func (g *Generator) Blueprints() iter.Seq[*Blueprint] {
 				go func(j int) {
 					defer wg.Done()
 					b := sampleBlueprint(candidateRNG(g.cfg.Seed, base+j))
-					cands[j] = b
-					accepted[j] = g.cfg.Accept == nil || g.cfg.Accept(b)
+					cands[j], hashes[j] = b, b.ContentHash()
+					// seen is written only between windows.
+					accepted[j] = !seen[hashes[j]] && (g.cfg.Accept == nil || g.cfg.Accept(b))
 				}(j)
 			}
 			wg.Wait()
 			for j := 0; j < k && emitted < g.cfg.N; j++ {
-				h := cands[j].ContentHash()
+				h := hashes[j]
 				if seen[h] {
 					continue
 				}

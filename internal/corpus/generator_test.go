@@ -79,17 +79,20 @@ func TestGeneratorDeterministic(t *testing.T) {
 	}
 }
 
-// TestGeneratorExcludeAndAccept: excluded hashes are never emitted and
-// rejected candidates are resampled, still reaching N.
+// TestGeneratorExcludeAndAccept: excluded hashes are never emitted, nor
+// handed to Accept, and rejected candidates are resampled, still reaching
+// N.
 func TestGeneratorExcludeAndAccept(t *testing.T) {
 	probe := NewGenerator(GenConfig{Seed: 5, N: 4})
 	var exclude [][32]byte
+	excluded := map[[32]byte]bool{}
 	first := ""
 	for b := range probe.Blueprints() {
 		if first == "" {
 			first = b.Name()
 		}
 		exclude = append(exclude, b.ContentHash())
+		excluded[b.ContentHash()] = true
 	}
 	rejected := 0
 	g := NewGenerator(GenConfig{
@@ -97,6 +100,9 @@ func TestGeneratorExcludeAndAccept(t *testing.T) {
 		N:       8,
 		Exclude: exclude,
 		Accept: func(b *Blueprint) bool {
+			if excluded[b.ContentHash()] {
+				t.Errorf("excluded design %s handed to Accept", b.Name())
+			}
 			if b.Family == "pipeline" {
 				rejected++
 				return false

@@ -122,3 +122,68 @@ func TestCancellationIsDeadlineBounded(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 }
+
+// TestRunCancelledWhileQueued cancels a Run that is still waiting for a
+// worker slot: it must return ctx.Err() without running, and must not
+// take the slot with it, so a later Check on the same one-slot service
+// still completes once the holder finishes.
+func TestRunCancelledWhileQueued(t *testing.T) {
+	svc := New(1)
+	src := corpus.EdgeDetect().Source()
+
+	// Hold the only slot with a long check.
+	holdCtx, release := context.WithCancel(context.Background())
+	held := make(chan error, 1)
+	go func() {
+		_, err := svc.Check(holdCtx, src, nil, slowOpts())
+		held <- err
+	}()
+	deadline := time.Now().Add(2 * time.Second)
+	for svc.Metrics().InFlight != 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("holder never took the worker slot")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	errc := make(chan error, 1)
+	go func() {
+		_, err := svc.Run(ctx, passSrc, nil, Options{Depth: 8})
+		errc <- err
+	}()
+	time.Sleep(20 * time.Millisecond) // let Run queue for the slot
+	cancel()
+	select {
+	case err := <-errc:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("queued Run returned %v, want context.Canceled", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("cancelled Run did not return while queued")
+	}
+	if m := svc.Metrics(); m.InFlight != 1 {
+		t.Fatalf("in flight = %d after the queued Run left, want 1 (the holder)", m.InFlight)
+	}
+
+	release()
+	if err := <-held; !errors.Is(err, context.Canceled) {
+		t.Fatalf("holder returned %v, want context.Canceled", err)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		v, err := svc.Check(context.Background(), passSrc, nil, Options{Depth: 8})
+		if err != nil || v.Status != StatusPass {
+			t.Errorf("post-cancel check: status %v, err %v", v.Status, err)
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("worker slot leaked: post-cancel check never ran")
+	}
+	if m := svc.Metrics(); m.InFlight != 0 {
+		t.Errorf("in flight = %d after every check returned, want 0", m.InFlight)
+	}
+}

@@ -80,7 +80,8 @@ func (s *Service) SetStore(st Store) { s.store = st }
 type Metrics struct {
 	// Hits counts requests answered from a completed cache entry.
 	Hits uint64 `json:"hits"`
-	// Misses counts computations started (one per unique in-flight key).
+	// Misses counts computations started: one per unique in-flight key on
+	// the cached path, one per call of the uncached Run.
 	Misses uint64 `json:"misses"`
 	// Coalesced counts requests that joined an in-flight computation
 	// instead of starting their own.
@@ -89,7 +90,8 @@ type Metrics struct {
 	Evictions uint64 `json:"evictions"`
 	// DiskHits counts record requests answered by the persistent tier.
 	DiskHits uint64 `json:"disk_hits"`
-	// InFlight is the number of checks currently computing.
+	// InFlight is the number of checks currently holding a worker slot,
+	// cached and uncached alike.
 	InFlight int64 `json:"in_flight"`
 	// Entries is the resident verdict-cache size (both generations).
 	Entries int `json:"entries"`
@@ -180,22 +182,31 @@ func (s *Service) wait(ctx context.Context, key Key, e *entry, owner bool) (Verd
 	return v, e.err
 }
 
-// compute runs the check for one cache entry: it acquires a worker slot
-// (abortably — cancellation while queued must not leak the slot), runs
-// the compile/formal sequence under the entry's context, publishes the
-// verdict and writes the record behind to the store.
-func (s *Service) compute(key Key, e *entry, src string, assertions []verilog.Item, opts Options) {
-	defer close(e.done)
+// pooled runs one uncached check on a worker slot. Waiting for the slot
+// is abortable (cancellation while queued must not leak it), and the check
+// counts in InFlight while it holds the slot. A check cut short by ctx
+// reports ctx.Err() rather than a partial verdict.
+func (s *Service) pooled(ctx context.Context, src string, assertions []verilog.Item, opts Options) (Verdict, error) {
 	select {
 	case s.sem <- struct{}{}:
-	case <-e.cctx.Done():
-		e.err = e.cctx.Err()
-		return
+	case <-ctx.Done():
+		return Verdict{}, ctx.Err()
 	}
 	s.inFlight.Add(1)
-	v, err := run(e.cctx, src, assertions, opts)
+	v, err := run(ctx, src, assertions, opts)
 	s.inFlight.Add(-1)
 	<-s.sem
+	if err != nil && ctx.Err() != nil {
+		return Verdict{}, ctx.Err()
+	}
+	return v, err
+}
+
+// compute runs the check for one cache entry under the entry's context,
+// publishes the verdict and writes the record behind to the store.
+func (s *Service) compute(key Key, e *entry, src string, assertions []verilog.Item, opts Options) {
+	defer close(e.done)
+	v, err := s.pooled(e.cctx, src, assertions, opts)
 
 	s.mu.Lock()
 	if e.cctx.Err() != nil {
@@ -224,7 +235,9 @@ func (s *Service) compute(key Key, e *entry, src string, assertions []verilog.It
 // failures and assertion failures are ordinary verdicts. Results are
 // cached by content — source, assertion set and normalised options — and
 // concurrent duplicate requests coalesce into one computation that is
-// cancelled only when its last waiter leaves.
+// cancelled only when its last waiter leaves. Check is the cache lookup and
+// coalescing on top of the pooled computation Run performs; a one-shot
+// check should call Run, so its verdict does not stay resident.
 func (s *Service) Check(ctx context.Context, src string, assertions []verilog.Item, opts Options) (Verdict, error) {
 	key := cacheKey(src, assertions, opts)
 	e, joined := s.join(key)
@@ -232,6 +245,20 @@ func (s *Service) Check(ctx context.Context, src string, assertions []verilog.It
 		go s.compute(key, e, src, assertions, opts)
 	}
 	return s.wait(ctx, key, e, !joined)
+}
+
+// Run is Check without the cache: it runs one check on the service's
+// worker pool and never reads or fills the verdict cache or the store, so
+// the verdict (design, plans, counterexample trace) is garbage once the
+// caller drops it. It counts as a miss. Use Run for one-shot checks whose
+// key nothing will ask for again, such as a dataset build's mutants; use
+// Check where the same key recurs (a repair loop re-checking fixes, a
+// compiled golden handed from one pipeline stage to the next) or where
+// concurrent duplicates should coalesce. A Run's Record equals the Record
+// Check returns for the same arguments.
+func (s *Service) Run(ctx context.Context, src string, assertions []verilog.Item, opts Options) (Verdict, error) {
+	s.misses.Add(1)
+	return s.pooled(ctx, src, assertions, opts)
 }
 
 // CheckRecord is Check for callers that only need the serializable

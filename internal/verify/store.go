@@ -23,9 +23,11 @@ type Store interface {
 // maxGenEntries bounds one cache generation. A two-generation cache keeps
 // the current and the previous generation, so memory is capped at roughly
 // twice this many records while the recent working set (the fixes an
-// evaluation or repair loop keeps re-checking) stays resident. One-shot
-// checks — e.g. the tens of thousands of unique mutants of a full dataset
-// build — age out instead of accumulating for the life of the process.
+// evaluation or repair loop keeps re-checking) stays resident. The bound
+// only caps the cache; it does not keep one-shot checks out of it. Up to
+// 8,192 verdicts, each holding a compiled design and its plans, can stay
+// resident, so one-shot checks (a dataset build's mutants) go through
+// Service.Run and never enter the cache.
 const maxGenEntries = 4096
 
 // gen2 is the two-generation map shared by the Service's verdict cache

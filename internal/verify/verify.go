@@ -20,13 +20,15 @@
 //     framing); Tiered layers one over the other read-through/
 //     write-behind. A Service with a store answers repeated record
 //     checks across process restarts without recomputing.
-//   - Execution layer: Check and CheckRecord take a context. The context
+//   - Execution layer: Check, CheckRecord and Run take a context. The context
 //     threads through formal.Check into the simulator run loops, so a
 //     disconnected client or an expired deadline stops a 2^16 exhaustive
 //     enumeration mid-flight. Concurrent duplicate requests are coalesced
 //     into one computation (singleflight) that keeps running while any
 //     waiter remains; when the last waiter cancels, the computation is
-//     cancelled and the next requester recomputes from scratch.
+//     cancelled and the next requester recomputes from scratch. Run is
+//     the same pooled computation without the cache, for one-shot checks
+//     (a dataset build's mutants) whose verdicts nothing asks for again.
 //   - Front end: cmd/serve exposes the Service over HTTP/JSON with
 //     admission control, per-client rate limits and lane-batched
 //     stimulus checks.

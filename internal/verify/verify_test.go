@@ -3,6 +3,7 @@ package verify
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -74,6 +75,73 @@ const vacuousSrc = `module vtest(
         else $error("unreachable");
 endmodule
 `
+
+// loopSrc compiles but cannot simulate: x drives itself through an
+// inverter, so the combinational logic never settles (an error verdict).
+const loopSrc = `module vtest(
+    input clk,
+    input a,
+    output w
+);
+    wire x;
+    assign x = ~x | a;
+    assign w = x;
+    property p_w;
+        @(posedge clk) a |-> w;
+    endproperty
+    p_w_assertion: assert property (p_w)
+        else $error("w must follow a");
+endmodule
+`
+
+// TestRunMatchesCheck pins the uncached path to the cached one: for every
+// verdict class Run returns the Record Check returns, counts one miss and
+// leaves the cache untouched.
+func TestRunMatchesCheck(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		src    string
+		opts   Options
+		status Status
+	}{
+		{"pass", passSrc, Options{Depth: 8}, StatusPass},
+		{"vacuous", vacuousSrc, Options{Depth: 8}, StatusPass},
+		{"assert-fail", failSrc, Options{Depth: 8}, StatusAssertFail},
+		{"four-state", failSrc, Options{Depth: 8, FourState: true}, StatusAssertFail},
+		{"compile-only", failSrc, Options{CompileOnly: true}, StatusPass},
+		{"elaboration-error", elabErrSrc, Options{Depth: 8}, StatusCompileError},
+		{"parse-error", parseErrSrc, Options{Depth: 8}, StatusCompileError},
+		{"error", loopSrc, Options{Depth: 8}, StatusError},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			svc := New(2)
+			want, werr := svc.Check(context.Background(), tc.src, nil, tc.opts)
+			before := svc.Metrics()
+			got, gerr := svc.Run(context.Background(), tc.src, nil, tc.opts)
+			after := svc.Metrics()
+			if got.Status != tc.status {
+				t.Fatalf("Run status = %v, want %v; log:\n%s", got.Status, tc.status, got.Log)
+			}
+			if !reflect.DeepEqual(got.Record, want.Record) {
+				t.Errorf("Run record differs from Check's:\nRun:   %+v\nCheck: %+v", got.Record, want.Record)
+			}
+			if (gerr == nil) != (werr == nil) || (gerr != nil && gerr.Error() != werr.Error()) {
+				t.Errorf("Run err = %v, Check err = %v", gerr, werr)
+			}
+			if got.Cached {
+				t.Error("Run verdict reported as cached")
+			}
+			if after.Misses != before.Misses+1 || after.Hits != before.Hits {
+				t.Errorf("Run moved misses %d -> %d and hits %d -> %d; want one miss, no hit",
+					before.Misses, after.Misses, before.Hits, after.Hits)
+			}
+			if after.Entries != before.Entries || after.InFlight != 0 {
+				t.Errorf("Run left %d entries (was %d) and %d in flight; want the cache untouched and none in flight",
+					after.Entries, before.Entries, after.InFlight)
+			}
+		})
+	}
+}
 
 func TestCheckPassAndCacheHit(t *testing.T) {
 	svc := New(2)
