@@ -11,12 +11,11 @@
 // With -format jsonl or -format bin each dataset is written as -shards
 // streaming shard files (<name>-00000.jsonl or .bin) instead of one
 // monolithic JSON array; the pipeline then streams straight to disk and
-// holds no dataset in memory. Mutant checks run outside the verification
-// cache, which keeps only each golden design's compile-only verdict (at
-// most 8,192), so peak memory grows slowly with -n: on a 2-core Xeon,
-// -format bin peaks at about 24 MiB for the catalog alone and 29 MiB at
-// -n 200. The bin format is the
-// compact binary container of internal/dataset/binfmt (interned strings,
+// holds no dataset in memory. No check enters the verification cache, and
+// the pipeline holds only the designs and mutants in flight, so peak
+// memory barely grows with -n: on a 2-core Xeon, -format bin peaks at
+// about 15 MiB for the catalog alone and 17 MiB at -n 200. The bin format
+// is the compact binary container of internal/dataset/binfmt (interned strings,
 // packed traces, per-shard random-access index). cmd/train autodetects
 // whichever format was produced.
 //

@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -189,11 +190,16 @@ func buildStimulus(d *compile.Design, req stimulusRequest) (sim.VecStimulus, err
 		// extra clocks name their columns explicitly.
 		inputs = d.Inputs(true)
 	} else {
+		// Each column names a distinct input, so a request has at most as
+		// many columns as the design has inputs.
 		inputs = make([]*compile.Signal, len(req.Inputs))
 		for i, name := range req.Inputs {
 			sig := d.Signals[name]
 			if sig == nil || sig.Kind != compile.SigInput {
 				return sim.VecStimulus{}, fmt.Errorf("%q is not an input of %s", name, d.Module.Name)
+			}
+			if slices.Contains(inputs[:i], sig) {
+				return sim.VecStimulus{}, fmt.Errorf("input %q is named twice", name)
 			}
 			inputs[i] = sig
 		}

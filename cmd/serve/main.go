@@ -26,9 +26,10 @@
 // falling back to the remote address); a bucket that has refilled is
 // dropped, so rotating X-Client values cannot grow the server's memory.
 // Request bodies over 1 MiB (maxBodyBytes) are rejected with 413,
-// /stimulus requests deeper than 4096 rows (maxStimulusRows) with 422, and
-// so are /check options past their caps (maxCheckDepth, maxRandomRuns,
-// maxExhaustiveBits, maxConstBits).
+// /stimulus requests deeper than 4096 rows (maxStimulusRows) or naming an
+// input column twice with 422, and so are /check options past their caps
+// (maxCheckDepth, maxRandomRuns, maxExhaustiveBits, maxConstBits). A
+// /check still running after 30 s (checkDeadline) is cancelled with 503.
 package main
 
 import (
@@ -147,12 +148,20 @@ const (
 	maxConstBits      = 20
 )
 
+// checkDeadline bounds one /check request: a check still running when it
+// expires is cancelled and answered 503. The option caps bound each factor
+// of a check's cost but not their product, so this is what bounds a whole
+// request. Catalog checks at the formal defaults take milliseconds.
+const checkDeadline = 30 * time.Second
+
 // server is the HTTP front end over one verification service.
 type server struct {
 	svc   *verify.Service
 	admit chan struct{}
 	rl    *rateLimiter
 	batch *batcher
+	// deadline bounds one /check; it is checkDeadline, and tests shorten it.
+	deadline time.Duration
 
 	accepted      atomic.Uint64
 	rejectedQueue atomic.Uint64
@@ -167,10 +176,11 @@ func newServer(svc *verify.Service, cfg serverConfig) *server {
 		cfg.BatchLanes = 64
 	}
 	return &server{
-		svc:   svc,
-		admit: make(chan struct{}, cfg.Queue),
-		rl:    newRateLimiter(cfg.Rate, cfg.Burst),
-		batch: newBatcher(cfg.BatchLanes),
+		svc:      svc,
+		admit:    make(chan struct{}, cfg.Queue),
+		rl:       newRateLimiter(cfg.Rate, cfg.Burst),
+		batch:    newBatcher(cfg.BatchLanes),
+		deadline: checkDeadline,
 	}
 }
 
@@ -314,9 +324,11 @@ func (s *server) handleCheck(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	// The request context cancels the check when the client disconnects;
-	// the execution layer propagates it into the simulation loops.
-	ctx := r.Context()
+	// The request context cancels the check when the client disconnects or
+	// the deadline passes; the execution layer propagates it into the
+	// simulation loops.
+	ctx, cancel := context.WithTimeout(r.Context(), s.deadline)
+	defer cancel()
 	var resp checkResponse
 	if req.RecordOnly {
 		rec, err := s.svc.CheckRecord(ctx, req.Source, items, req.Options.verify())
@@ -354,8 +366,8 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	return false
 }
 
-// replyError maps a failed check to a transport status: client-caused
-// cancellation gets 499-style treatment (the client is gone anyway),
+// replyError maps a failed check to a transport status: a cancelled or
+// expired request context gets 503 (a departed client never reads it),
 // anything else is a 500.
 func replyError(w http.ResponseWriter, ctx context.Context, err error) {
 	if ctx.Err() != nil {

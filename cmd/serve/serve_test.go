@@ -875,6 +875,71 @@ func TestServeStimulusDepthLimit(t *testing.T) {
 	}
 }
 
+// TestServeStimulusDuplicateColumn: each column must name a distinct
+// input, so a request cannot grow its column count past the design's
+// inputs by repeating one. A repeated name is refused with 422.
+func TestServeStimulusDuplicateColumn(t *testing.T) {
+	ts, _ := testServer(t, nil, serverConfig{})
+	src := corpus.EdgeDetect().Source()
+	for _, tc := range []struct {
+		inputs []string
+		want   int
+	}{
+		{[]string{"clk", "sig"}, http.StatusOK},
+		{[]string{"sig", "sig"}, http.StatusUnprocessableEntity},
+		{[]string{"clk", "sig", "clk"}, http.StatusUnprocessableEntity},
+	} {
+		rows := make([][]uint64, 4)
+		for c := range rows {
+			rows[c] = make([]uint64, len(tc.inputs))
+		}
+		resp, body := postJSON(t, ts.URL+"/stimulus", stimulusRequest{Source: src, Inputs: tc.inputs, Rows: rows})
+		if resp.StatusCode != tc.want {
+			t.Errorf("inputs %v: status %d (%s), want %d", tc.inputs, resp.StatusCode, body, tc.want)
+		}
+	}
+}
+
+// TestServeCheckDeadline: a /check that outlives the server's deadline is
+// cancelled and answered 503, and its worker slot comes back.
+func TestServeCheckDeadline(t *testing.T) {
+	ts, srv := testServer(t, nil, serverConfig{})
+	srv.deadline = 50 * time.Millisecond
+	// 2^20 exhaustive sequences: seconds of work, far past the deadline.
+	slow := checkRequest{
+		Source:  corpus.EdgeDetect().Source(),
+		Options: checkOptions{Seed: 1, Depth: maxExhaustiveBits, MaxExhaustiveBits: maxExhaustiveBits, RandomRuns: -1},
+	}
+	start := time.Now()
+	resp, body := postJSON(t, ts.URL+"/check", slow)
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("slow check: status %d (%s), want 503", resp.StatusCode, body)
+	}
+	if took := time.Since(start); took > 5*time.Second {
+		t.Errorf("slow check answered after %v, want soon after the 50ms deadline", took)
+	}
+	slow.RecordOnly = true
+	if resp, body := postJSON(t, ts.URL+"/check", slow); resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("slow record-only check: status %d (%s), want 503", resp.StatusCode, body)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for srv.svc.Metrics().InFlight != 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("cancelled checks still hold worker slots")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	// With its slots back, the server answers the next check.
+	srv.deadline = checkDeadline
+	resp, body = postJSON(t, ts.URL+"/check", checkRequest{
+		Source:  corpus.Counter(4, 9).Source(),
+		Options: checkOptions{Seed: 1, Depth: 8},
+	})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("quick check: status %d (%s), want 200", resp.StatusCode, body)
+	}
+}
+
 // TestServeCheckOptionLimits sends /check requests with each capped
 // option at its cap, which runs, and one past it, which is refused with
 // 422 before anything is compiled. The benchmark's serve-check options

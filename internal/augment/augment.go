@@ -24,17 +24,17 @@
 // Stage 1 and feeds golden blueprints (from the fixed catalog and, when
 // Config.Generate is set, the procedural generator) to a pool of Stage-2/3
 // design workers, whose results a single writer goroutine re-establishes
-// in production order before handing them to a Sink. Nothing is
-// materialised beyond the channel buffers and the in-flight designs, and
-// every one-shot check runs outside the shared verdict cache
-// (verify.Service.Run). The only verdicts a run keeps are the compile-only
-// goldens Stage 1 hands to Stage 2, one per design and at most 8,192, so
-// memory grows only slowly with corpus size (cmd/augment -format bin peaks
-// at about 24 MiB for the catalog and 29 MiB with 200 generated designs on
-// a 2-core Xeon). The emitted stream is byte-identical for a fixed seed
-// regardless of the worker count. Run
-// collects the stream into an Output; RunStream hands it to a caller
-// Sink (cmd/augment streams it into sharded JSONL files).
+// in production order before handing them to a Sink. Every check runs
+// outside the shared verdict cache (verify.Service.Run), and live memory
+// follows the checks in flight rather than the designs queued or the
+// mutants done: the job queue holds blueprints, not compiled designs (a
+// golden is compiled once, by its Stage-2 worker), a design's mutants are
+// held as printed text and labels, and a checked mutant keeps only the
+// verdict fields its sample needs. cmd/augment -format bin peaks at about
+// 15 MiB for the catalog and 17 MiB with 200 generated designs on a 2-core
+// Xeon. The emitted stream is byte-identical for a fixed seed regardless
+// of the worker count. Run collects the stream into an Output; RunStream
+// hands it to a caller Sink (cmd/augment streams it into sharded files).
 package augment
 
 import (
@@ -430,10 +430,11 @@ func RunStream(cfg Config, sink Sink) (Stats, error) {
 }
 
 // produce is Stage 1: it streams golden blueprints from the source into
-// Stage-2 jobs (each with a Verilog-PT entry) and filters the defective
-// population into Verilog-PT. Each job first claims an in-flight token
-// (returned by the writer once the design is flushed), bounding the
-// reorder buffer. Sends abort when stop closes.
+// Stage-2 jobs (each with a Verilog-PT entry), leaving their compilation
+// to Stage 2, and filters the defective population into Verilog-PT. Each
+// job first claims an in-flight token (returned by the writer once the
+// design is flushed), bounding the reorder buffer. Sends abort when stop
+// closes.
 func produce(cfg Config, svc *verify.Service, jobs chan<- designJob, ptCh chan<- dataset.PTEntry, tokens chan<- struct{}, stop <-chan struct{}) (Stats, error) {
 	var st Stats
 	seen := map[string]bool{}
@@ -465,13 +466,9 @@ func produce(cfg Config, svc *verify.Service, jobs chan<- designJob, ptCh chan<-
 			continue
 		}
 		seen[bSrc] = true
-		v, err := svc.Check(context.Background(), bSrc, nil, verify.Options{CompileOnly: true})
-		if err != nil || !v.Passed() {
-			// Sources promise valid designs; a non-compiling golden is a
-			// corpus bug, not a filterable input.
-			return st, fmt.Errorf("augment: golden %s does not compile: %v %s",
-				b.Name(), v.CompileErr, compile.FormatDiags(v.Diags))
-		}
+		// The golden is compiled once, by the Stage-2 worker that injects
+		// its bugs (InjectAndValidate fails the run when it does not
+		// compile), so no compiled design waits in the job queue.
 		st.Compiled++
 		if !sendPT(dataset.PTEntry{Name: b.Name(), Code: bSrc, Spec: spec.Generate(b), Compiles: true}) {
 			return st, nil
@@ -557,36 +554,43 @@ func designSeed(base int64, name string) int64 {
 	return base ^ int64(h.Sum64()&0x7FFFFFFF)
 }
 
-// mutOutcome is the parallel-phase product for one mutant: its printed
-// source, its verification verdict, and — when it passed all assertions —
-// the behavioural diff against the golden design.
+// mutOutcome is what the sequential phase reads of one checked mutant.
+// The worker keeps only these fields and drops the verdict (compiled
+// design, plans, counterexample trace) as soon as the mutant is done, so
+// a design's finished mutants hold no compiled state while its others run.
 type mutOutcome struct {
-	src     string
-	verdict verify.Verdict
-	err     error
-	diff    bool
-	diffLog string
-	diffErr error
+	status verify.Status
+	err    error
+	log    string
+	// direct records whether a mutation-affected signal appears in the
+	// failing assertion's property (Table I's Direct/Indirect axis).
+	direct bool
 	// lintFlagged records whether the static analyzer flags the compiled
 	// mutant at warning level or above. Computed in the parallel phase
 	// (the verdict already carries the compiled design, so lint costs no
 	// extra compile), counted in the sequential phase.
 	lintFlagged bool
+	// diff, diffLog and diffErr are the behavioural diff against the
+	// golden design, run when the mutant passed all assertions.
+	diff    bool
+	diffLog string
+	diffErr error
 }
 
 // InjectAndValidate runs Stage 2 and Stage 3 for one golden blueprint,
 // returning its assertion-failure samples and functional-only bug entries.
-// Mutant verification — the hot path — fans out over the shared
-// verification service's worker pool but not its cache: every distinct
-// mutant is compiled, bounded-model-checked and (when it passes)
-// behaviourally diffed in parallel, then stats, CoT generation and sample
-// assembly run sequentially in enumeration order so the output is
-// byte-identical to a sequential pass.
+// It compiles the golden once and fails when it does not compile. Mutant
+// verification — the hot path — fans out over the shared verification
+// service's worker pool but not its cache: every distinct mutant is
+// compiled, bounded-model-checked and (when it passes) behaviourally
+// diffed in parallel, then stats, CoT generation and sample assembly run
+// sequentially in enumeration order so the output is byte-identical to a
+// sequential pass.
 func InjectAndValidate(b *corpus.Blueprint, cfg Config, stats *Stats, cotGen *cot.Generator) ([]dataset.SVASample, []dataset.BugEntry, error) {
 	cfg = cfg.withDefaults()
 	svc := verify.Default()
 	goldenSrc := b.Source()
-	gv, gerr := svc.Check(context.Background(), goldenSrc, nil, verify.Options{CompileOnly: true})
+	gv, gerr := svc.Run(context.Background(), goldenSrc, nil, verify.Options{CompileOnly: true})
 	if gerr != nil || !gv.Passed() {
 		return nil, nil, fmt.Errorf("golden does not compile: %v %s", gv.CompileErr, compile.FormatDiags(gv.Diags))
 	}
@@ -626,32 +630,33 @@ func InjectAndValidate(b *corpus.Blueprint, cfg Config, stats *Stats, cotGen *co
 		muts = append(muts, bugs.EnumerateHier(b.Set(b.Module), limit)...)
 	}
 
-	// Mutants that print to the same text in the same value domain share
-	// one verdict: only the first of each is checked, and the rest copy its
-	// outcome after the parallel phase.
+	// Print every mutant once and release its AST: later phases need only
+	// its text and labels. Mutants that print to the same text in the same
+	// value domain share that text and one verdict: only the first of each
+	// is checked, and the rest copy its outcome after the parallel phase.
 	type mutKey struct {
 		src  string
 		four bool
 	}
-	outcomes := make([]mutOutcome, len(muts))
+	srcs := make([]string, len(muts))
 	firstOf := make([]int, len(muts))
 	seen := make(map[mutKey]int, len(muts))
-	for i, mu := range muts {
-		outcomes[i].src = b.SourceWith(mu.Mutant)
-		k := mutKey{outcomes[i].src, mu.Syn == bugs.SynReset}
-		if _, dup := seen[k]; !dup {
+	for i := range muts {
+		k := mutKey{b.SourceWith(muts[i].Mutant), muts[i].Syn == bugs.SynReset}
+		muts[i].Mutant = nil
+		j, dup := seen[k]
+		if !dup {
+			j, srcs[i] = i, k.src
 			seen[k] = i
 		}
-		firstOf[i] = seen[k]
+		srcs[i], firstOf[i] = srcs[j], j // a duplicate shares the first text
 	}
 
 	// Parallel phase: verify (and diff) every distinct mutant. Each check
-	// is one-shot, so it runs outside the verdict cache and its verdict
-	// dies with this design's outcomes.
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(seen) {
-		workers = len(seen)
-	}
+	// is one-shot, so it runs outside the verdict cache, and only the
+	// fields the sequential phase reads outlive it.
+	outcomes := make([]mutOutcome, len(muts))
+	workers := min(runtime.GOMAXPROCS(0), len(seen))
 	idxCh := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -659,18 +664,11 @@ func InjectAndValidate(b *corpus.Blueprint, cfg Config, stats *Stats, cotGen *co
 		go func() {
 			defer wg.Done()
 			for i := range idxCh {
-				o := &outcomes[i]
 				checkOpts := opts
 				if muts[i].Syn == bugs.SynReset {
 					checkOpts = opts4
 				}
-				o.verdict, o.err = svc.Run(context.Background(), o.src, nil, checkOpts)
-				if o.verdict.Design != nil {
-					o.lintFlagged = !lint.Clean(lint.Analyze(o.verdict.Design).Findings)
-				}
-				if o.err == nil && o.verdict.Passed() {
-					o.diff, o.diffLog, o.diffErr = formal.Differ(context.Background(), goldenDesign, o.verdict.Design, diffOpts)
-				}
+				outcomes[i] = checkMutant(svc, srcs[i], &muts[i], goldenDesign, checkOpts, diffOpts)
 			}
 		}()
 	}
@@ -695,7 +693,7 @@ func InjectAndValidate(b *corpus.Blueprint, cfg Config, stats *Stats, cotGen *co
 		if mu.Syn == bugs.SynReset {
 			stats.MutantsReset++
 		}
-		if o.verdict.Status == verify.StatusCompileError {
+		if o.status == verify.StatusCompileError {
 			stats.MutantsNoncompile++
 			continue
 		}
@@ -706,9 +704,9 @@ func InjectAndValidate(b *corpus.Blueprint, cfg Config, stats *Stats, cotGen *co
 			stats.MutantsSimError++
 			continue
 		}
-		if o.verdict.Status == verify.StatusAssertFail {
+		if o.status == verify.StatusAssertFail {
 			stats.MutantsAssertFail++
-			s := buildSample(b, mu, i, specText, o.src, goldenSrc, o.verdict.Formal, depth)
+			s := buildSample(b, mu, i, specText, srcs[i], goldenSrc, o.log, o.direct, depth)
 			// Stage 3: CoT generation and validation.
 			stats.CoTGenerated++
 			cOut := cotGen.Generate(cot.Input{
@@ -741,7 +739,7 @@ func InjectAndValidate(b *corpus.Blueprint, cfg Config, stats *Stats, cotGen *co
 		bugEntries = append(bugEntries, dataset.BugEntry{
 			Name:       fmt.Sprintf("%s_fbug%d", b.Name(), i),
 			Spec:       specText,
-			BuggyCode:  o.src,
+			BuggyCode:  srcs[i],
 			BuggyLine:  mu.BuggyLine,
 			FixedLine:  mu.GoldenLine,
 			LineNo:     mu.LineNo,
@@ -751,13 +749,25 @@ func InjectAndValidate(b *corpus.Blueprint, cfg Config, stats *Stats, cotGen *co
 	return samples, bugEntries, nil
 }
 
-func buildSample(b *corpus.Blueprint, mu bugs.Mutation, idx int, specText, mutSrc, goldenSrc string, res *formal.Result, depth int) dataset.SVASample {
-	// Direct/Indirect: does a mutation-affected signal appear in the
-	// failing assertion's property?
-	isDirect := false
-	if res.Failure != nil {
-		isDirect = mu.IsDirect(sva.AssertSignals(res.Failure.Assert))
+// checkMutant verifies one printed mutant, lints it and, when it passes
+// every assertion, diffs it against the golden design. It returns only
+// what the sequential phase reads; the verdict dies with this call.
+func checkMutant(svc *verify.Service, src string, mu *bugs.Mutation, golden *compile.Design, opts verify.Options, diffOpts formal.Options) mutOutcome {
+	v, err := svc.Run(context.Background(), src, nil, opts)
+	o := mutOutcome{status: v.Status, err: err, log: v.Log}
+	if v.Design != nil {
+		o.lintFlagged = !lint.Clean(lint.Analyze(v.Design).Findings)
 	}
+	if v.Formal != nil && v.Formal.Failure != nil {
+		o.direct = mu.IsDirect(sva.AssertSignals(v.Formal.Failure.Assert))
+	}
+	if err == nil && v.Passed() {
+		o.diff, o.diffLog, o.diffErr = formal.Differ(context.Background(), golden, v.Design, diffOpts)
+	}
+	return o
+}
+
+func buildSample(b *corpus.Blueprint, mu bugs.Mutation, idx int, specText, mutSrc, goldenSrc, log string, direct bool, depth int) dataset.SVASample {
 	return dataset.SVASample{
 		ID:         fmt.Sprintf("%s_bug%d", b.Name(), idx),
 		Module:     b.Name(),
@@ -765,13 +775,13 @@ func buildSample(b *corpus.Blueprint, mu bugs.Mutation, idx int, specText, mutSr
 		Spec:       specText,
 		BuggyCode:  mutSrc,
 		GoldenCode: goldenSrc,
-		Logs:       res.Log,
+		Logs:       log,
 		LineNo:     mu.LineNo,
 		BuggyLine:  mu.BuggyLine,
 		FixedLine:  mu.GoldenLine,
 		Syn:        mu.Syn.String(),
 		IsCond:     mu.IsCond,
-		IsDirect:   isDirect,
+		IsDirect:   direct,
 		Lines:      strings.Count(mutSrc, "\n"),
 		CheckDepth: depth,
 		Origin:     "machine",

@@ -3,10 +3,13 @@ package augment
 import (
 	"encoding/json"
 	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/corpus"
 	"repro/internal/dataset"
+	"repro/internal/verify"
+	"repro/internal/verilog"
 )
 
 // tinySource is a small deterministic blueprint source shared by the
@@ -166,4 +169,51 @@ func (f *failingSink) count() error {
 		return f.err
 	}
 	return nil
+}
+
+// TestRunStreamLeavesCacheUnchanged: a pipeline run leaves nothing in the
+// shared verdict cache. Every check it makes is one-shot, including the
+// golden compile, so a compiled golden never outlives its design's
+// Stage-2 worker.
+func TestRunStreamLeavesCacheUnchanged(t *testing.T) {
+	svc := verify.Default()
+	before := svc.Len()
+	src := corpus.Multi(
+		corpus.FuncSource("pair", func() []*corpus.Blueprint {
+			return []*corpus.Blueprint{corpus.Counter(3, 5), corpus.Parity(6)}
+		}),
+		corpus.NewGenerator(corpus.GenConfig{Seed: 77, N: 3}),
+	)
+	if _, err := RunStream(Config{Seed: 5, MutationsPerDesign: 2, RandomRuns: 6, Source: src}, &collector{out: &Output{}}); err != nil {
+		t.Fatal(err)
+	}
+	if grown := svc.Len() - before; grown != 0 {
+		t.Errorf("verdict cache grew by %d entries, want 0", grown)
+	}
+}
+
+// brokenGolden is a blueprint that parses but does not elaborate: its
+// register is driven from an undeclared signal.
+func brokenGolden(t *testing.T) *corpus.Blueprint {
+	t.Helper()
+	m, err := verilog.Parse("module broken_golden (input clk, output reg q);\n" +
+		"always @(posedge clk) q <= undeclared_d;\nendmodule\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &corpus.Blueprint{Family: "broken", Module: m}
+}
+
+// TestRunStreamBrokenGolden: a source that yields a golden which does not
+// compile fails the run with an error naming the design. Sources promise
+// valid designs, so this is a corpus bug, not a filterable input.
+func TestRunStreamBrokenGolden(t *testing.T) {
+	bad := brokenGolden(t)
+	src := corpus.FuncSource("broken", func() []*corpus.Blueprint {
+		return []*corpus.Blueprint{corpus.Counter(3, 5), bad, corpus.Parity(6)}
+	})
+	_, err := RunStream(Config{Seed: 5, MutationsPerDesign: 2, RandomRuns: 6, Source: src}, &collector{out: &Output{}})
+	if err == nil || !strings.Contains(err.Error(), bad.Name()) || !strings.Contains(err.Error(), "does not compile") {
+		t.Fatalf("got error %v, want one naming %s as not compiling", err, bad.Name())
+	}
 }

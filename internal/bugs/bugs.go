@@ -208,8 +208,8 @@ func enumerate(golden *verilog.Module, limit int, collect func(*verilog.Module) 
 			IsCond:      mu.cond,
 			Description: mu.desc,
 			LineNo:      lineNo,
-			BuggyLine:   buggyLine,
-			GoldenLine:  goldenLine,
+			BuggyLine:   strings.Clone(buggyLine), // a substring would pin the whole printed source
+			GoldenLine:  strings.Clone(goldenLine),
 			Affected:    mu.aff,
 		})
 	}

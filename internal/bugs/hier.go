@@ -65,8 +65,8 @@ func EnumerateHier(set *verilog.SourceSet, limit int) []Mutation {
 			IsCond:      mu.cond,
 			Description: mu.desc,
 			LineNo:      lineNo,
-			BuggyLine:   buggyLine,
-			GoldenLine:  goldenLine,
+			BuggyLine:   strings.Clone(buggyLine), // a substring would pin the whole printed source
+			GoldenLine:  strings.Clone(goldenLine),
 			Affected:    mu.aff,
 		})
 	}

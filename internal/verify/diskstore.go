@@ -23,6 +23,12 @@ import (
 // the clean prefix served; corruption is an error (binfmt.ErrCorrupt),
 // never a panic. Unlike binfmt.Writer (which holds its index for a footer
 // written on Close), nothing here depends on a clean shutdown.
+//
+// Durability: every Put reaches the operating system before it returns,
+// so it survives a crash of the process. A shard is synced to stable
+// storage only when the store rotates away from it and on Close, so the
+// Puts since the last rotation or Close may be lost on power loss (the
+// reopen scan then truncates whatever tail the disk kept).
 type DiskStore struct {
 	dir      string
 	maxShard int64 // active shard rotates past this many bytes
@@ -220,6 +226,11 @@ func (ds *DiskStore) Put(key Key, rec *Record) error {
 	ds.index[key] = recLoc{shard: int32(len(ds.shards) - 1), off: off, n: int32(len(frame))}
 	ds.active += int64(len(frame))
 	if ds.active >= ds.maxShard {
+		// A full shard is never written again: make it durable before
+		// moving on.
+		if err := f.Sync(); err != nil {
+			return err
+		}
 		if err := ds.addShard(); err != nil {
 			return err
 		}
@@ -237,11 +248,15 @@ func (ds *DiskStore) Len() int {
 // DiskHits reports how many Gets this store has served since open.
 func (ds *DiskStore) DiskHits() uint64 { return ds.hits.Load() }
 
-// Close closes every shard file. The store must not be used afterwards.
+// Close syncs the active shard to stable storage and closes every shard
+// file, returning the first error. The store must not be used afterwards.
 func (ds *DiskStore) Close() error {
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
 	var first error
+	if n := len(ds.shards); n > 0 {
+		first = ds.shards[n-1].Sync()
+	}
 	for _, f := range ds.shards {
 		if err := f.Close(); err != nil && first == nil {
 			first = err

@@ -251,10 +251,10 @@ func (s *Service) Check(ctx context.Context, src string, assertions []verilog.It
 // worker pool and never reads or fills the verdict cache or the store, so
 // the verdict (design, plans, counterexample trace) is garbage once the
 // caller drops it. It counts as a miss. Use Run for one-shot checks whose
-// key nothing will ask for again, such as a dataset build's mutants; use
-// Check where the same key recurs (a repair loop re-checking fixes, a
-// compiled golden handed from one pipeline stage to the next) or where
-// concurrent duplicates should coalesce. A Run's Record equals the Record
+// key nothing will ask for again, such as a dataset build's goldens and
+// mutants; use Check where the same key recurs (a repair loop re-checking
+// fixes, a server answering the same design again) or where concurrent
+// duplicates should coalesce. A Run's Record equals the Record
 // Check returns for the same arguments.
 func (s *Service) Run(ctx context.Context, src string, assertions []verilog.Item, opts Options) (Verdict, error) {
 	s.misses.Add(1)

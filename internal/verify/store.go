@@ -26,8 +26,8 @@ type Store interface {
 // evaluation or repair loop keeps re-checking) stays resident. The bound
 // only caps the cache; it does not keep one-shot checks out of it. Up to
 // 8,192 verdicts, each holding a compiled design and its plans, can stay
-// resident, so one-shot checks (a dataset build's mutants) go through
-// Service.Run and never enter the cache.
+// resident, so one-shot checks (every check of a dataset build) go
+// through Service.Run and never enter the cache.
 const maxGenEntries = 4096
 
 // gen2 is the two-generation map shared by the Service's verdict cache

@@ -15,9 +15,10 @@
 //     CheckRecord and never pay for re-elaboration; callers that diff or
 //     re-simulate use Check and get the warm design.
 //   - Store layer: a Store holds Records by content hash. MemStore is the
-//     two-generation in-memory cache; DiskStore is an append-only,
-//     crash-safe persistent log (built on internal/dataset/binfmt
-//     framing); Tiered layers one over the other read-through/
+//     two-generation in-memory cache; DiskStore is an append-only
+//     persistent log (built on internal/dataset/binfmt framing) that
+//     survives process crashes and is synced to disk on shard rotation
+//     and Close; Tiered layers one over the other read-through/
 //     write-behind. A Service with a store answers repeated record
 //     checks across process restarts without recomputing.
 //   - Execution layer: Check, CheckRecord and Run take a context. The context
