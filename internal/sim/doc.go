@@ -80,13 +80,16 @@
 // fall back to a 64-entry per-lane array evaluated with the same scalar
 // helpers the plan uses. Control flow is predicated: both branches of an
 // if execute under complementary write masks, so a packed batch never
-// branches on data. The four-state domain has its own lane lowering
-// (lanes4.go) applying the shared v4.go per-bit formulas word-wide over
-// paired Val/Unk planes. Both lane lowerings are emitters of the same
-// front end as the plan, so a design lowers to lanes exactly when its
-// constructs lower to the plan of the same domain, except that lanes also
-// require constant $past depths: the sampled-frame swap is whole-machine,
-// so a per-lane history offset cannot be batched.
+// branches on data. One lane machine and one statement layer serve both
+// value domains: in four-state every word and vector carries an Unk plane,
+// in two-state the plane is absent and the same store and control
+// formulas run with every lane known. Only the expression kernels differ
+// per domain; the four-state ones apply the shared v4.go per-bit formulas
+// word-wide over paired Val/Unk planes. Both domains' kernels are emitters
+// of the same front end as the plan, so a design lowers to lanes exactly
+// when its constructs lower to the plan of the same domain, except that
+// lanes also require constant $past depths: the sampled-frame swap is
+// whole-machine, so a per-lane history offset cannot be batched.
 //
 // The contract is byte-identity, not best-effort: LaneTrace.Demux(l) must
 // equal the scalar plan trace of LaneStimulusAt(l) for every lane, and

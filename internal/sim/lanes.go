@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"repro/internal/compile"
 	"repro/internal/verilog"
@@ -15,6 +16,13 @@ import (
 // operator without a word-wide kernel fall back to a per-lane scalar loop
 // inside the same closure graph, computed with the exact formulas plan.go
 // uses, so correctness never depends on a packed kernel existing.
+//
+// One machine and one statement layer serve both value domains. In the
+// four-state domain every word and vector carries an Unk plane; in the
+// two-state domain the plane is absent (nil), and every store and control
+// formula is the four-state one with all lanes known. Only the expression
+// kernels whose formulas really differ are written per domain: lexpr here,
+// lexpr4 in lanes4.go.
 //
 // Control flow is handled by predicated execution: both branches of an if
 // (and every case arm) run under a per-lane write mask, so lanes that took
@@ -29,65 +37,78 @@ import (
 // never see garbage; callers mask results to LaneStimulus.N at the API
 // boundary (LaneTrace.ActiveMask).
 
-// laneBitFn evaluates a packed expression: bit l of the result is lane l's
-// single-bit value. Only expressions whose scalar value is provably in
-// {0, 1} compile to this form.
+// laneBitFn evaluates a packed two-state expression: bit l of the result is
+// lane l's single-bit value. Only expressions whose scalar value is provably
+// in {0, 1} compile to this form.
 type laneBitFn func(m *lmach) uint64
 
 // laneVecFn evaluates an expression per lane with the scalar engine's exact
-// formulas, returning a 64-entry register (one raw 64-bit value per lane).
-type laneVecFn func(m *lmach) []uint64
+// formulas into a 64-entry register (one raw 64-bit value per lane) and, in
+// the four-state domain, its Unk plane; uu is nil in two-state.
+type laneVecFn func(m *lmach) (vv, uu []uint64)
+
+// laneBoolFn evaluates an assertion expression to truth masks: tw selects
+// lanes whose value is a known nonzero, xw lanes that sampled x (always 0
+// in two-state).
+type laneBoolFn func(m *lmach) (tw, xw uint64)
 
 // laneStmtFn executes a compiled statement under the machine's write mask.
 type laneStmtFn func(m *lmach)
 
-// laneStoreFn stores per-lane values (register form) into a target.
-type laneStoreFn func(m *lmach, vv []uint64)
+// laneStoreFn stores per-lane values (register form, uu nil in two-state)
+// into a target.
+type laneStoreFn func(m *lmach, vv, uu []uint64)
 
-// lexpr is one compiled lane expression: exactly one of bit/vec is set.
+// lexpr is one compiled two-state lane expression: exactly one of bit/vec
+// is set.
 type lexpr struct {
 	bit laneBitFn
 	vec laneVecFn
 }
 
-// LanePlan is the compile-once lane-parallel execution plan, built lazily
-// from the scalar plan and cached on it (PlanLanes), so concurrent lane
-// batches share a single artifact per design. Immutable after construction;
-// all mutable state lives in the per-run lmach.
+// LanePlan is the compile-once lane-parallel execution plan of one value
+// domain, built lazily from the scalar plan and cached on it (PlanLanes), so
+// concurrent lane batches share a single artifact per design and domain.
+// Immutable after construction; all mutable state lives in the per-run
+// lmach.
 type LanePlan struct {
 	p     *Plan
+	four  bool   // four-state: machines carry Unk planes
 	isBit []bool // per-slot: packed word (width 1) vs per-lane vector
 
 	nregs  int
 	consts []laneConst
 
 	// lowered mirrors Plan.lowered: sva maps assertion-reachable
-	// expressions to lane evaluators, and allSVA, the gate for lane-mode
+	// expressions to their truth masks, and allSVA, the gate for lane-mode
 	// formal, reports that every one of them lowered.
-	lowered[lexpr, laneStmtFn, laneStmtFn]
+	lowered[laneBoolFn, laneStmtFn, laneStmtFn]
 }
 
-// laneConst prefills one vector register with a broadcast constant.
+// laneConst prefills one register (and its Unk plane) with a broadcast
+// constant.
 type laneConst struct {
-	reg int
-	v   uint64
+	reg  int
+	v, u uint64
 }
 
-// PlanLanes returns the design's lane-parallel execution plan, building and
-// caching it on first use. Nil when the design has no scalar plan or uses a
-// construct the lane compiler cannot lower; callers fall back to per-lane
-// scalar runs.
+// PlanLanes returns the design's two-state lane-parallel execution plan,
+// building and caching it on first use. Nil when the design has no scalar
+// plan or uses a construct the lane compiler cannot lower; callers fall
+// back to per-lane scalar runs.
 func PlanLanes(d *compile.Design) *LanePlan {
 	p := PlanOf(d)
 	if p == nil {
 		return nil
 	}
-	return p.lanes()
+	return p.lanes(TwoState)
 }
 
-func (p *Plan) lanes() *LanePlan {
-	p.onceL.Do(func() { p.pl = buildLanePlan(p) })
-	return p.pl
+// lanes returns the plan's lane lowering in the given value domain,
+// building it on first use.
+func (p *Plan) lanes(mode Mode) *LanePlan {
+	p.onceL[mode].Do(func() { p.pl[mode] = buildLanePlan(p, mode == FourState) })
+	return p.pl[mode]
 }
 
 // LanesOK reports whether the design can run lane-parallel in the given
@@ -104,21 +125,37 @@ func LanesOK(d *compile.Design, mode Mode) bool {
 	if p == nil {
 		return false
 	}
-	if mode == FourState {
-		lp4 := p.lanes4()
-		return lp4 != nil && lp4.allSVA
-	}
-	lp := p.lanes()
+	lp := p.lanes(mode)
 	return lp != nil && lp.allSVA
 }
 
-func buildLanePlan(p *Plan) *LanePlan {
-	lp := &LanePlan{p: p, isBit: bitSlots(p.design)}
-	l, ok := lower[lexpr, laneStmtFn, laneStoreFn, laneStmtFn](p.design, &laneEmitter{lp: lp}, false, true)
+func buildLanePlan(p *Plan, four bool) *LanePlan {
+	lp := &LanePlan{p: p, four: four, isBit: bitSlots(p.design)}
+	if !four {
+		em := &laneEmitter{laneCore{lp}}
+		l, ok := lower[lexpr, laneStmtFn, laneStoreFn, laneStmtFn](p.design, em, false, true)
+		return withLowered(lp, l, ok, em.bool3)
+	}
+	if p.fourState() == nil {
+		return nil
+	}
+	em := &lane4Emitter{laneCore{lp}}
+	l, ok := lower[lexpr4, laneStmtFn, laneStoreFn, laneStmtFn](p.design, em, true, true)
+	return withLowered(lp, l, ok, em.bool3)
+}
+
+// withLowered completes lp with one domain's lowering, compiling each
+// assertion expression to its truth masks; nil when the design did not
+// lower.
+func withLowered[E any](lp *LanePlan, l lowered[E, laneStmtFn, laneStmtFn], ok bool, bool3 func(E) laneBoolFn) *LanePlan {
 	if !ok {
 		return nil
 	}
-	lp.lowered = l
+	lp.assigns, lp.combs, lp.seqs, lp.allSVA = l.assigns, l.combs, l.seqs, l.allSVA
+	lp.sva = make(map[verilog.Expr]laneBoolFn, len(l.sva))
+	for e, le := range l.sva {
+		lp.sva[e] = bool3(le)
+	}
 	return lp
 }
 
@@ -132,6 +169,28 @@ func bitSlots(d *compile.Design) []bool {
 	return isBit
 }
 
+// newRegs allocates a machine's registers, with their Unk planes in the
+// four-state domain, and prefills the broadcast constants.
+func (lp *LanePlan) newRegs() (regs, uregs [][]uint64) {
+	regs = make([][]uint64, lp.nregs)
+	for i := range regs {
+		regs[i] = make([]uint64, 64)
+	}
+	if lp.four {
+		uregs = make([][]uint64, lp.nregs)
+		for i := range uregs {
+			uregs[i] = make([]uint64, 64)
+		}
+	}
+	for _, kc := range lp.consts {
+		broadcast(regs[kc.reg], kc.v)
+		if uregs != nil {
+			broadcast(uregs[kc.reg], kc.u)
+		}
+	}
+	return regs, uregs
+}
+
 // ---------------------------------------------------------------------------
 // Lane machine state
 // ---------------------------------------------------------------------------
@@ -140,54 +199,50 @@ func bitSlots(d *compile.Design) []bool {
 // single-bit slot, one 64-entry vector per multi-bit slot, plus the same
 // generation-counted blocking overlay and post-edge commit sets as mach —
 // extended with per-lane write masks so predicated branches only touch
-// their own lanes. The four-state planes (u*) are allocated by lanes4.go.
+// their own lanes. Every Unk plane (u*) is nil in two-state machines.
 type lmach struct {
-	lp  *LanePlan
-	lp4 *lanePlan4
+	lp *LanePlan
 
-	bits []uint64   // packed committed state (single-bit slots)
-	wide [][]uint64 // per-lane committed state (multi-bit slots)
+	laneRow // committed state
 
-	ovlBits []uint64
-	ovlWide [][]uint64
-	ovlGen  []uint32
-	gen     uint32
-	touched []int32
+	ovlBits  []uint64
+	ovlUBits []uint64
+	ovlWide  [][]uint64
+	ovlUWide [][]uint64
+	ovlGen   []uint32
+	gen      uint32
+	touched  []int32
 
-	nbaBits []uint64
-	nbaWide [][]uint64
-	nbaGen  []uint32
-	nbaWm   []uint64 // lanes written in the current commit set, per slot
-	ngen    uint32
-	nbaList []int32
+	nbaBits  []uint64
+	nbaUBits []uint64
+	nbaWide  [][]uint64
+	nbaUWide [][]uint64
+	nbaGen   []uint32
+	nbaWm    []uint64 // lanes written in the current commit set, per slot
+	ngen     uint32
+	nbaList  []int32
 
 	wm      uint64 // current predication write mask
 	changed bool
 
-	regs [][]uint64 // per-node vector registers
-
-	// Four-state planes (lanes4.go); nil for two-state runs.
-	ubits    []uint64
-	uwide    [][]uint64
-	ovlUBits []uint64
-	ovlUWide [][]uint64
-	nbaUBits []uint64
-	nbaUWide [][]uint64
-	uregs    [][]uint64
+	regs  [][]uint64 // per-node registers
+	uregs [][]uint64
 
 	// Trace-evaluation state for the SVA sampled-value functions.
-	rows  []laneRow
-	urows []laneRow
-	idx   int
+	rows []laneRow
+	idx  int
 
 	err error
 }
 
-// laneRow is one sampled cycle of a lane batch: packed words for single-bit
-// slots, per-lane vectors for the rest (nil entries for single-bit slots).
+// laneRow is one frame of lane state: packed words for single-bit slots,
+// per-lane vectors for the rest (nil entries for single-bit slots), and
+// their Unk planes in four-state (nil in two-state).
 type laneRow struct {
-	bits []uint64
-	wide [][]uint64
+	bits  []uint64
+	ubits []uint64
+	wide  [][]uint64
+	uwide [][]uint64
 }
 
 func newLmach(lp *LanePlan) *lmach {
@@ -195,8 +250,7 @@ func newLmach(lp *LanePlan) *lmach {
 	n := p.nslots
 	m := &lmach{
 		lp:      lp,
-		bits:    make([]uint64, n),
-		wide:    make([][]uint64, n),
+		laneRow: laneRow{bits: make([]uint64, n), wide: make([][]uint64, n)},
 		ovlBits: make([]uint64, n),
 		ovlWide: make([][]uint64, n),
 		ovlGen:  make([]uint32, n),
@@ -207,12 +261,19 @@ func newLmach(lp *LanePlan) *lmach {
 		nbaWm:   make([]uint64, n),
 		ngen:    1,
 		wm:      ^uint64(0),
-		regs:    make([][]uint64, lp.nregs),
+	}
+	var initUnk []uint64
+	if lp.four {
+		initUnk = p.fourState().initUnk
+		m.ubits, m.uwide = make([]uint64, n), make([][]uint64, n)
+		m.ovlUBits, m.ovlUWide = make([]uint64, n), make([][]uint64, n)
+		m.nbaUBits, m.nbaUWide = make([]uint64, n), make([][]uint64, n)
 	}
 	for s := 0; s < n; s++ {
 		if lp.isBit[s] {
-			if p.initRow[s]&1 != 0 {
-				m.bits[s] = ^uint64(0)
+			m.bits[s] = -(p.initRow[s] & 1)
+			if lp.four {
+				m.ubits[s] = -(initUnk[s] & 1)
 			}
 			continue
 		}
@@ -220,13 +281,14 @@ func newLmach(lp *LanePlan) *lmach {
 		m.ovlWide[s] = make([]uint64, 64)
 		m.nbaWide[s] = make([]uint64, 64)
 		broadcast(m.wide[s], p.initRow[s])
+		if lp.four {
+			m.uwide[s] = make([]uint64, 64)
+			m.ovlUWide[s] = make([]uint64, 64)
+			m.nbaUWide[s] = make([]uint64, 64)
+			broadcast(m.uwide[s], initUnk[s])
+		}
 	}
-	for i := range m.regs {
-		m.regs[i] = make([]uint64, 64)
-	}
-	for _, kc := range lp.consts {
-		broadcast(m.regs[kc.reg], kc.v)
-	}
+	m.regs, m.uregs = lp.newRegs()
 	return m
 }
 
@@ -238,15 +300,9 @@ func traceLmach(lp *LanePlan, rows []laneRow) *lmach {
 		ovlGen: make([]uint32, lp.p.nslots),
 		gen:    1,
 		wm:     ^uint64(0),
-		regs:   make([][]uint64, lp.nregs),
 		rows:   rows,
 	}
-	for i := range m.regs {
-		m.regs[i] = make([]uint64, 64)
-	}
-	for _, kc := range lp.consts {
-		broadcast(m.regs[kc.reg], kc.v)
-	}
+	m.regs, m.uregs = lp.newRegs()
 	return m
 }
 
@@ -262,9 +318,17 @@ func (m *lmach) fail(err error) {
 	}
 }
 
-// readBit reads a packed slot through the blocking overlay. Overlay entries
-// are initialised from the pre-write value at first touch, so an overlay
-// word is complete for every lane, written or not.
+// reg returns register r and its Unk plane (nil in two-state).
+func (m *lmach) reg(r int) (vv, uu []uint64) {
+	if m.uregs == nil {
+		return m.regs[r], nil
+	}
+	return m.regs[r], m.uregs[r]
+}
+
+// readBit reads a packed slot's value plane through the blocking overlay.
+// Overlay entries are initialised from the pre-write value at first touch,
+// so an overlay word is complete for every lane, written or not.
 func (m *lmach) readBit(slot int32) uint64 {
 	if m.ovlGen[slot] == m.gen {
 		return m.ovlBits[slot]
@@ -272,7 +336,16 @@ func (m *lmach) readBit(slot int32) uint64 {
 	return m.bits[slot]
 }
 
-// readVec reads a multi-bit slot through the blocking overlay.
+// readBit4 reads both planes of a packed slot through the blocking overlay.
+func (m *lmach) readBit4(slot int32) (uint64, uint64) {
+	if m.ovlGen[slot] == m.gen {
+		return m.ovlBits[slot], m.ovlUBits[slot]
+	}
+	return m.bits[slot], m.ubits[slot]
+}
+
+// readVec reads a multi-bit slot's value plane through the blocking
+// overlay.
 func (m *lmach) readVec(slot int32) []uint64 {
 	if m.ovlGen[slot] == m.gen {
 		return m.ovlWide[slot]
@@ -280,59 +353,204 @@ func (m *lmach) readVec(slot int32) []uint64 {
 	return m.wide[slot]
 }
 
+// readVec4 reads both planes of a multi-bit slot through the blocking
+// overlay.
+func (m *lmach) readVec4(slot int32) ([]uint64, []uint64) {
+	if m.ovlGen[slot] == m.gen {
+		return m.ovlWide[slot], m.ovlUWide[slot]
+	}
+	return m.wide[slot], m.uwide[slot]
+}
+
+// assignBit is a continuous assignment's change-detected packed write
+// under the predication mask; u is ignored in two-state.
+func (m *lmach) assignBit(slot int32, v, u uint64) {
+	if nv := (m.bits[slot] &^ m.wm) | (v & m.wm); nv != m.bits[slot] {
+		m.bits[slot] = nv
+		m.changed = true
+	}
+	if m.ubits == nil {
+		return
+	}
+	if nu := (m.ubits[slot] &^ m.wm) | (u & m.wm); nu != m.ubits[slot] {
+		m.ubits[slot] = nu
+		m.changed = true
+	}
+}
+
+// assignVec is a continuous assignment's change-detected per-lane write
+// under the predication mask, masking the unmasked value to the slot's
+// width (x bits clear their value bits, as in V4.norm).
+func (m *lmach) assignVec(slot int32, vv, uu []uint64, mask uint64) {
+	dv := m.wide[slot]
+	if uu == nil {
+		for l := 0; l < 64; l++ {
+			if nv := vv[l] & mask; m.wm>>uint(l)&1 == 1 && dv[l] != nv {
+				dv[l] = nv
+				m.changed = true
+			}
+		}
+		return
+	}
+	du := m.uwide[slot]
+	for l := 0; l < 64; l++ {
+		nu := uu[l] & mask
+		if nv := vv[l] & mask &^ nu; m.wm>>uint(l)&1 == 1 && (dv[l] != nv || du[l] != nu) {
+			dv[l], du[l] = nv, nu
+			m.changed = true
+		}
+	}
+}
+
 // writeOvlBit merges a packed blocking write under the predication mask.
-func (m *lmach) writeOvlBit(slot int32, w uint64) {
+func (m *lmach) writeOvlBit(slot int32, v, u uint64) {
 	if m.ovlGen[slot] != m.gen {
 		m.ovlGen[slot] = m.gen
 		m.ovlBits[slot] = m.bits[slot]
+		if m.ubits != nil {
+			m.ovlUBits[slot] = m.ubits[slot]
+		}
 		m.touched = append(m.touched, slot)
 	}
-	m.ovlBits[slot] = (m.ovlBits[slot] &^ m.wm) | (w & m.wm)
+	m.ovlBits[slot] = (m.ovlBits[slot] &^ m.wm) | (v & m.wm)
+	if m.ubits != nil {
+		m.ovlUBits[slot] = (m.ovlUBits[slot] &^ m.wm) | (u & m.wm)
+	}
 }
 
 // writeOvlVec merges a per-lane blocking write under the predication mask.
 // The value is already masked to the slot width per lane.
-func (m *lmach) writeOvlVec(slot int32, vv []uint64) {
+func (m *lmach) writeOvlVec(slot int32, vv, uu []uint64) {
+	dv, du := m.ovlWide[slot], planeOf(m.ovlUWide, slot)
 	if m.ovlGen[slot] != m.gen {
 		m.ovlGen[slot] = m.gen
-		copy(m.ovlWide[slot], m.wide[slot])
+		copy(dv, m.wide[slot])
+		copy(du, planeOf(m.uwide, slot))
 		m.touched = append(m.touched, slot)
 	}
-	dst := m.ovlWide[slot]
-	for l := 0; l < 64; l++ {
-		if m.wm>>uint(l)&1 == 1 {
-			dst[l] = vv[l]
-		}
-	}
+	mergeLanes(dv, du, vv, uu, m.wm)
 }
 
 // writeNBABit merges a packed post-edge commit; last write per lane wins.
-func (m *lmach) writeNBABit(slot int32, w uint64) {
+func (m *lmach) writeNBABit(slot int32, v, u uint64) {
 	if m.nbaGen[slot] != m.ngen {
 		m.nbaGen[slot] = m.ngen
 		m.nbaBits[slot] = m.bits[slot]
+		if m.ubits != nil {
+			m.nbaUBits[slot] = m.ubits[slot]
+		}
 		m.nbaWm[slot] = 0
 		m.nbaList = append(m.nbaList, slot)
 	}
-	m.nbaBits[slot] = (m.nbaBits[slot] &^ m.wm) | (w & m.wm)
+	m.nbaBits[slot] = (m.nbaBits[slot] &^ m.wm) | (v & m.wm)
+	if m.ubits != nil {
+		m.nbaUBits[slot] = (m.nbaUBits[slot] &^ m.wm) | (u & m.wm)
+	}
 	m.nbaWm[slot] |= m.wm
 }
 
 // writeNBAVec merges a per-lane post-edge commit.
-func (m *lmach) writeNBAVec(slot int32, vv []uint64) {
+func (m *lmach) writeNBAVec(slot int32, vv, uu []uint64) {
+	dv, du := m.nbaWide[slot], planeOf(m.nbaUWide, slot)
 	if m.nbaGen[slot] != m.ngen {
 		m.nbaGen[slot] = m.ngen
-		copy(m.nbaWide[slot], m.wide[slot])
+		copy(dv, m.wide[slot])
+		copy(du, planeOf(m.uwide, slot))
 		m.nbaWm[slot] = 0
 		m.nbaList = append(m.nbaList, slot)
 	}
-	dst := m.nbaWide[slot]
-	for l := 0; l < 64; l++ {
-		if m.wm>>uint(l)&1 == 1 {
-			dst[l] = vv[l]
+	mergeLanes(dv, du, vv, uu, m.wm)
+	m.nbaWm[slot] |= m.wm
+}
+
+// planeOf returns a slot's vector in an Unk plane; nil when the plane is
+// absent (two-state).
+func planeOf(plane [][]uint64, slot int32) []uint64 {
+	if plane == nil {
+		return nil
+	}
+	return plane[slot]
+}
+
+// putBit writes packed words into a single-bit slot with mode's write
+// discipline.
+func (m *lmach) putBit(slot int32, mode writeMode, v, u uint64) {
+	switch mode {
+	case wAssign:
+		m.assignBit(slot, v, u)
+	case wComb:
+		m.writeOvlBit(slot, v, u)
+	case wSeqBlocking:
+		m.writeOvlBit(slot, v, u)
+		m.writeNBABit(slot, v, u)
+	default: // wSeqNBA
+		m.writeNBABit(slot, v, u)
+	}
+}
+
+// rmwBit returns a packed slot's base words for a bit/slice
+// read-modify-write under mode, mirroring the scalar rmwBase's overlay
+// threading: committed state for continuous assigns, the blocking overlay
+// otherwise, and for nonblocking writes the lanes already committed this
+// edge on top.
+func (m *lmach) rmwBit(slot int32, mode writeMode) (v, u uint64) {
+	switch {
+	case mode == wAssign:
+		v = m.bits[slot]
+		if m.ubits != nil {
+			u = m.ubits[slot]
+		}
+		return v, u
+	case m.ubits == nil:
+		v = m.readBit(slot)
+	default:
+		v, u = m.readBit4(slot)
+	}
+	if mode == wSeqNBA && m.nbaGen[slot] == m.ngen {
+		wm := m.nbaWm[slot]
+		v = (m.nbaBits[slot] & wm) | (v &^ wm)
+		if m.ubits != nil {
+			u = (m.nbaUBits[slot] & wm) | (u &^ wm)
 		}
 	}
-	m.nbaWm[slot] |= m.wm
+	return v, u
+}
+
+// rmwVec is rmwBit for a multi-bit slot; r is the register a nonblocking
+// base is merged into.
+func (m *lmach) rmwVec(slot int32, mode writeMode, r int) (vv, uu []uint64) {
+	switch {
+	case mode == wAssign:
+		return m.wide[slot], planeOf(m.uwide, slot)
+	case m.uwide == nil:
+		vv = m.readVec(slot)
+	default:
+		vv, uu = m.readVec4(slot)
+	}
+	if mode != wSeqNBA || m.nbaGen[slot] != m.ngen {
+		return vv, uu
+	}
+	ov, ou := m.reg(r)
+	blendLanes(ov, m.nbaWide[slot], vv, m.nbaWm[slot])
+	if ou != nil {
+		blendLanes(ou, m.nbaUWide[slot], uu, m.nbaWm[slot])
+	}
+	return ov, ou
+}
+
+// spread expands packed words into register r, one {0,1} value per lane.
+func (m *lmach) spread(r int, v, u uint64) ([]uint64, []uint64) {
+	ov, ou := m.reg(r)
+	if ou == nil {
+		for l := 0; l < 64; l++ {
+			ov[l] = (v >> uint(l)) & 1
+		}
+		return ov, nil
+	}
+	for l := 0; l < 64; l++ {
+		ov[l], ou[l] = (v>>uint(l))&1, (u>>uint(l))&1
+	}
+	return ov, ou
 }
 
 // settleLanes mirrors mach.settle over lane state: assigns and comb blocks
@@ -358,29 +576,41 @@ func (m *lmach) settleLanes() error {
 			}
 			for _, slot := range m.touched {
 				if lp.isBit[slot] {
-					if v := m.ovlBits[slot]; m.bits[slot] != v {
-						m.bits[slot] = v
-						m.changed = true
+					m.changed = commitWord(m.bits, m.ovlBits, slot) || m.changed
+					if lp.four {
+						m.changed = commitWord(m.ubits, m.ovlUBits, slot) || m.changed
 					}
 					continue
 				}
-				src, dst := m.ovlWide[slot], m.wide[slot]
-				for l := 0; l < 64; l++ {
-					if dst[l] != src[l] {
-						dst[l] = src[l]
-						m.changed = true
-					}
+				m.changed = commitLanes(m.wide[slot], m.ovlWide[slot]) || m.changed
+				if lp.four {
+					m.changed = commitLanes(m.uwide[slot], m.ovlUWide[slot]) || m.changed
 				}
 			}
-		}
-		if m.err != nil {
-			return m.err
 		}
 		if !m.changed {
 			return nil
 		}
 	}
 	return fmt.Errorf("sim: combinational logic did not settle (cycle?)")
+}
+
+// commitWord copies src[slot] into dst[slot], reporting a change.
+func commitWord(dst, src []uint64, slot int32) bool {
+	if dst[slot] == src[slot] {
+		return false
+	}
+	dst[slot] = src[slot]
+	return true
+}
+
+// commitLanes copies src into dst, reporting a change.
+func commitLanes(dst, src []uint64) bool {
+	if slices.Equal(dst, src) {
+		return false
+	}
+	copy(dst, src)
+	return true
 }
 
 // edgeLanes mirrors mach.edge over lane state. fired holds one lane mask
@@ -392,8 +622,9 @@ func (m *lmach) settleLanes() error {
 func (m *lmach) edgeLanes(fired []uint64) error {
 	m.ngen++
 	m.nbaList = m.nbaList[:0]
-	dom := m.lp.p.seqDomain
-	for i, body := range m.lp.seqs {
+	lp := m.lp
+	dom := lp.p.seqDomain
+	for i, body := range lp.seqs {
 		if fired != nil {
 			w := fired[dom[i]]
 			if w == 0 {
@@ -410,119 +641,141 @@ func (m *lmach) edgeLanes(fired []uint64) error {
 	}
 	m.wm = ^uint64(0)
 	for _, slot := range m.nbaList {
-		if m.lp.isBit[slot] {
+		if lp.isBit[slot] {
 			m.bits[slot] = m.nbaBits[slot]
+			if lp.four {
+				m.ubits[slot] = m.nbaUBits[slot]
+			}
 			continue
 		}
 		copy(m.wide[slot], m.nbaWide[slot])
+		if lp.four {
+			copy(m.uwide[slot], m.nbaUWide[slot])
+		}
 	}
 	return m.settleLanes()
 }
 
 // evalAtBit evaluates a packed expression against an earlier sampled row.
 func (m *lmach) evalAtBit(fn laneBitFn, idx int) uint64 {
-	savedB, savedW, savedIdx := m.bits, m.wide, m.idx
-	m.bits, m.wide, m.idx = m.rows[idx].bits, m.rows[idx].wide, idx
+	saved, savedIdx := m.laneRow, m.idx
+	m.laneRow, m.idx = m.rows[idx], idx
 	v := fn(m)
-	m.bits, m.wide, m.idx = savedB, savedW, savedIdx
+	m.laneRow, m.idx = saved, savedIdx
 	return v
 }
 
 // evalAtVec evaluates a per-lane expression against an earlier sampled row.
-func (m *lmach) evalAtVec(fn laneVecFn, idx int) []uint64 {
-	savedB, savedW, savedIdx := m.bits, m.wide, m.idx
-	m.bits, m.wide, m.idx = m.rows[idx].bits, m.rows[idx].wide, idx
-	v := fn(m)
-	m.bits, m.wide, m.idx = savedB, savedW, savedIdx
-	return v
+func (m *lmach) evalAtVec(fn laneVecFn, idx int) ([]uint64, []uint64) {
+	saved, savedIdx := m.laneRow, m.idx
+	m.laneRow, m.idx = m.rows[idx], idx
+	vv, uu := fn(m)
+	m.laneRow, m.idx = saved, savedIdx
+	return vv, uu
 }
 
 // ---------------------------------------------------------------------------
-// Emitter state
+// Per-lane vector kernels
 // ---------------------------------------------------------------------------
 
-// laneEmitter emits the two-state lane closures over lmach, allocating the
-// vector registers they compute into.
-type laneEmitter struct {
+// packLanes packs bit shift of every lane's value into a word.
+func packLanes(vv []uint64, shift uint) uint64 {
+	var w uint64
+	for l := 0; l < 64; l++ {
+		w |= ((vv[l] >> shift) & 1) << uint(l)
+	}
+	return w
+}
+
+// nonzeroLanes packs the lanes whose value is nonzero into a word.
+func nonzeroLanes(vv []uint64) uint64 {
+	var w uint64
+	for l := 0; l < 64; l++ {
+		if vv[l] != 0 {
+			w |= 1 << uint(l)
+		}
+	}
+	return w
+}
+
+// equalLanes packs the lanes where a and b agree into a word.
+func equalLanes(a, b []uint64) uint64 {
+	var w uint64
+	for l := 0; l < 64; l++ {
+		if a[l] == b[l] {
+			w |= 1 << uint(l)
+		}
+	}
+	return w
+}
+
+// mergeLanes copies the lanes of vv, and of its Unk plane uu unless that
+// is nil, that wm selects into dv and du.
+func mergeLanes(dv, du, vv, uu []uint64, wm uint64) {
+	switch {
+	case wm == ^uint64(0):
+		copy(dv, vv)
+		copy(du, uu)
+	case uu == nil:
+		for l := 0; l < 64; l++ {
+			if wm>>uint(l)&1 == 1 {
+				dv[l] = vv[l]
+			}
+		}
+	default:
+		for l := 0; l < 64; l++ {
+			if wm>>uint(l)&1 == 1 {
+				dv[l], du[l] = vv[l], uu[l]
+			}
+		}
+	}
+}
+
+// blendLanes selects a's lane where sel is set and b's elsewhere.
+func blendLanes(out, a, b []uint64, sel uint64) {
+	for l := 0; l < 64; l++ {
+		if sel>>uint(l)&1 == 1 {
+			out[l] = a[l]
+		} else {
+			out[l] = b[l]
+		}
+	}
+}
+
+// extractLanes shifts every lane right by shift and masks it.
+func extractLanes(out, vv []uint64, shift uint, mask uint64) {
+	for l := 0; l < 64; l++ {
+		out[l] = (vv[l] >> shift) & mask
+	}
+}
+
+// ---------------------------------------------------------------------------
+// Emitter state, statements and stores (both value domains)
+// ---------------------------------------------------------------------------
+
+// laneCore is the part of a lane emitter both value domains share: the
+// register allocator, the statement layer over truth words and vector
+// closures, every store, and the vector-only expression kernels.
+type laneCore struct {
 	lp *LanePlan
 }
 
-func (c *laneEmitter) newReg() int {
+func (c *laneCore) newReg() int {
 	r := c.lp.nregs
 	c.lp.nregs++
 	return r
 }
 
-func (c *laneEmitter) constReg(v uint64) int {
+func (c *laneCore) constReg(v, u uint64) int {
 	r := c.newReg()
-	c.lp.consts = append(c.lp.consts, laneConst{reg: r, v: v})
+	c.lp.consts = append(c.lp.consts, laneConst{reg: r, v: v, u: u})
 	return r
 }
 
-// asVec adapts any lane expression to per-lane register form: a packed word
-// expands to {0,1} per lane, exactly the scalar values it encodes.
-func (c *laneEmitter) asVec(e lexpr) laneVecFn {
-	if e.vec != nil {
-		return e.vec
-	}
-	bf := e.bit
-	reg := c.newReg()
-	return func(m *lmach) []uint64 {
-		w := bf(m)
-		out := m.regs[reg]
-		for l := 0; l < 64; l++ {
-			out[l] = (w >> uint(l)) & 1
-		}
-		return out
-	}
-}
+func (c *laneCore) nop() laneStmtFn { return func(*lmach) {} }
 
-// truth compiles a per-lane nonzero test into a packed word.
-func (c *laneEmitter) truth(e lexpr) laneBitFn {
-	if e.bit != nil {
-		return e.bit // values are {0,1}: the word is its own truth mask
-	}
-	vf := e.vec
-	return func(m *lmach) uint64 {
-		v := vf(m)
-		var w uint64
-		for l := 0; l < 64; l++ {
-			if v[l] != 0 {
-				w |= 1 << uint(l)
-			}
-		}
-		return w
-	}
-}
-
-// lsb compiles the per-lane least-significant bit into a packed word (the
-// $rose/$fell sampling rule).
-func (c *laneEmitter) lsb(e lexpr) laneBitFn {
-	if e.bit != nil {
-		return e.bit
-	}
-	vf := e.vec
-	return func(m *lmach) uint64 {
-		v := vf(m)
-		var w uint64
-		for l := 0; l < 64; l++ {
-			w |= (v[l] & 1) << uint(l)
-		}
-		return w
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Statements and stores
-// ---------------------------------------------------------------------------
-
-func (c *laneEmitter) nop() laneStmtFn { return func(*lmach) {} }
-
-func (c *laneEmitter) block(body []laneStmtFn) laneStmtFn { return laneBlock(body) }
-
-// laneBlock runs a block's statements in order, stopping at the first
-// error; both lane domains share it.
-func laneBlock(body []laneStmtFn) laneStmtFn {
+// block runs a block's statements in order, stopping at the first error.
+func (c *laneCore) block(body []laneStmtFn) laneStmtFn {
 	return func(m *lmach) {
 		for _, fn := range body {
 			fn(m)
@@ -533,9 +786,10 @@ func laneBlock(body []laneStmtFn) laneStmtFn {
 	}
 }
 
-// ifStmt runs both branches under complementary write masks.
-func (c *laneEmitter) ifStmt(ce lexpr, then, els laneStmtFn) laneStmtFn {
-	cf := c.truth(ce)
+// laneIf runs both branches under complementary write masks. cf yields the
+// lanes whose condition is a known nonzero: an x condition takes the else
+// branch, like the scalar engine (IEEE 1364 §9.4: x is not true).
+func laneIf(cf laneBitFn, then, els laneStmtFn) laneStmtFn {
 	return func(m *lmach) {
 		cw := cf(m)
 		if m.err != nil {
@@ -560,27 +814,39 @@ func (c *laneEmitter) ifStmt(ce lexpr, then, els laneStmtFn) laneStmtFn {
 	}
 }
 
-func (c *laneEmitter) caseStmt(se lexpr, items []caseArm[lexpr, laneStmtFn], deflt laneStmtFn) laneStmtFn {
+// vecsOf adapts compiled expressions to per-lane register form.
+func vecsOf[E any](es []E, asVec func(E) laneVecFn) []laneVecFn {
+	fns := make([]laneVecFn, len(es))
+	for i, e := range es {
+		fns[i] = asVec(e)
+	}
+	return fns
+}
+
+// vecArms adapts case arms' labels to per-lane register form.
+func vecArms[E any](items []caseArm[E, laneStmtFn], asVec func(E) laneVecFn) []caseArm[laneVecFn, laneStmtFn] {
+	arms := make([]caseArm[laneVecFn, laneStmtFn], len(items))
+	for i, item := range items {
+		arms[i] = caseArm[laneVecFn, laneStmtFn]{labels: vecsOf(item.labels, asVec), body: item.body}
+	}
+	return arms
+}
+
+// laneCase runs each arm under the mask of lanes whose subject matches a
+// label (case equality over both planes) and no earlier label.
+func (c *laneCore) laneCase(sf laneVecFn, arms []caseArm[laneVecFn, laneStmtFn], deflt laneStmtFn) laneStmtFn {
 	// Snapshot the subject into a dedicated register: arm bodies may
 	// write the subject signal, and later labels must still compare
 	// against the value sampled at case entry (scalar semantics).
-	sf := c.asVec(se)
 	subjReg := c.newReg()
-	arms := make([]caseArm[laneVecFn, laneStmtFn], len(items))
-	for i, item := range items {
-		arms[i].body = item.body
-		arms[i].labels = make([]laneVecFn, len(item.labels))
-		for j, le := range item.labels {
-			arms[i].labels[j] = c.asVec(le)
-		}
-	}
 	return func(m *lmach) {
-		sv := sf(m)
+		sv, su := sf(m)
 		if m.err != nil {
 			return
 		}
-		subj := m.regs[subjReg]
-		copy(subj, sv)
+		subjV, subjU := m.reg(subjReg)
+		copy(subjV, sv)
+		copy(subjU, su)
 		save := m.wm
 		remaining := save
 		for i := range arms {
@@ -591,16 +857,14 @@ func (c *laneEmitter) caseStmt(se lexpr, items []caseArm[lexpr, laneStmtFn], def
 				if remaining == 0 {
 					break
 				}
-				lv := lf(m)
+				lv, lu := lf(m)
 				if m.err != nil {
 					m.wm = save
 					return
 				}
-				var mw uint64
-				for l := 0; l < 64; l++ {
-					if subj[l] == lv[l] {
-						mw |= 1 << uint(l)
-					}
+				mw := equalLanes(subjV, lv)
+				if subjU != nil {
+					mw &= equalLanes(subjU, lu)
 				}
 				if aw := remaining & mw; aw != 0 {
 					remaining &^= aw
@@ -621,185 +885,132 @@ func (c *laneEmitter) caseStmt(se lexpr, items []caseArm[lexpr, laneStmtFn], def
 	}
 }
 
-// packs selects the fast path: a packed RHS stored whole into a single-bit
-// signal stays word-wide end to end (the value is already in {0,1} per
-// lane, so the width mask is a no-op).
-func (c *laneEmitter) packs(re lexpr, sig *compile.Signal) bool {
-	return sig != nil && sig.Width == 1 && re.bit != nil
-}
+// packsWhole reports whether sig is a whole single-bit target, which a
+// packed RHS stores word-wide end to end (the value is already canonical
+// and in {0,1} per lane, so the width mask is a no-op).
+func packsWhole(sig *compile.Signal) bool { return sig != nil && sig.Width == 1 }
 
-func (c *laneEmitter) assign(re lexpr, mode writeMode, sig *compile.Signal, store laneStoreFn) laneStmtFn {
-	if c.packs(re, sig) {
-		slot := int32(sig.Slot)
-		bf := re.bit
-		switch mode {
-		case wAssign:
-			return func(m *lmach) {
-				w := bf(m)
-				nv := (m.bits[slot] &^ m.wm) | (w & m.wm)
-				if nv != m.bits[slot] {
-					m.bits[slot] = nv
-					m.changed = true
-				}
-			}
-		case wComb:
-			return func(m *lmach) { m.writeOvlBit(slot, bf(m)) }
-		case wSeqBlocking:
-			return func(m *lmach) {
-				w := bf(m)
-				m.writeOvlBit(slot, w)
-				m.writeNBABit(slot, w)
-			}
-		default: // wSeqNBA
-			return func(m *lmach) { m.writeNBABit(slot, bf(m)) }
-		}
+// storeFrom stores vf's per-lane value through store.
+func storeFrom(vf laneVecFn, store laneStoreFn) laneStmtFn {
+	return func(m *lmach) {
+		vv, uu := vf(m)
+		store(m, vv, uu)
 	}
-	vf := c.asVec(re)
-	return func(m *lmach) { store(m, vf(m)) }
-}
-
-func (c *laneEmitter) contAssign(re lexpr, sig *compile.Signal, store laneStoreFn) laneStmtFn {
-	return c.assign(re, wAssign, sig, store)
 }
 
 // store lowers a whole-signal store. The incoming register holds the
 // unmasked RHS per lane; the store applies the slot's width mask and the
 // mode's write discipline under the write mask.
-func (c *laneEmitter) store(sig *compile.Signal, mode writeMode) laneStoreFn {
+func (c *laneCore) store(sig *compile.Signal, mode writeMode) laneStoreFn {
 	slot := int32(sig.Slot)
 	mask := sig.Mask()
 	if sig.Width == 1 {
-		// Pack the per-lane LSBs and reuse the packed write path.
-		pack := func(vv []uint64) uint64 {
-			var w uint64
-			for l := 0; l < 64; l++ {
-				w |= (vv[l] & 1) << uint(l)
+		// Pack the per-lane LSBs (x wins over the value bit) and reuse the
+		// packed write path.
+		return func(m *lmach, vv, uu []uint64) {
+			v, u := packLanes(vv, 0), uint64(0)
+			if uu != nil {
+				u = packLanes(uu, 0)
+				v &^= u
 			}
-			return w
-		}
-		switch mode {
-		case wAssign:
-			return func(m *lmach, vv []uint64) {
-				w := pack(vv)
-				nv := (m.bits[slot] &^ m.wm) | (w & m.wm)
-				if nv != m.bits[slot] {
-					m.bits[slot] = nv
-					m.changed = true
-				}
-			}
-		case wComb:
-			return func(m *lmach, vv []uint64) { m.writeOvlBit(slot, pack(vv)) }
-		case wSeqBlocking:
-			return func(m *lmach, vv []uint64) {
-				w := pack(vv)
-				m.writeOvlBit(slot, w)
-				m.writeNBABit(slot, w)
-			}
-		default: // wSeqNBA
-			return func(m *lmach, vv []uint64) { m.writeNBABit(slot, pack(vv)) }
+			m.putBit(slot, mode, v, u)
 		}
 	}
-	switch mode {
-	case wAssign:
-		return func(m *lmach, vv []uint64) {
-			dst := m.wide[slot]
+	if mode == wAssign {
+		return func(m *lmach, vv, uu []uint64) { m.assignVec(slot, vv, uu, mask) }
+	}
+	reg := c.newReg()
+	return func(m *lmach, vv, uu []uint64) {
+		mv, mu := m.reg(reg)
+		if mu == nil {
+			extractLanes(mv, vv, 0, mask)
+		} else {
 			for l := 0; l < 64; l++ {
-				if m.wm>>uint(l)&1 == 1 {
-					if nv := vv[l] & mask; dst[l] != nv {
-						dst[l] = nv
-						m.changed = true
-					}
-				}
+				mu[l] = uu[l] & mask
+				mv[l] = vv[l] & mask &^ mu[l]
 			}
 		}
-	case wComb:
-		reg := c.newReg()
-		return func(m *lmach, vv []uint64) {
-			mv := m.regs[reg]
-			for l := 0; l < 64; l++ {
-				mv[l] = vv[l] & mask
-			}
-			m.writeOvlVec(slot, mv)
+		if mode != wSeqNBA {
+			m.writeOvlVec(slot, mv, mu)
 		}
-	case wSeqBlocking:
-		reg := c.newReg()
-		return func(m *lmach, vv []uint64) {
-			mv := m.regs[reg]
-			for l := 0; l < 64; l++ {
-				mv[l] = vv[l] & mask
-			}
-			m.writeOvlVec(slot, mv)
-			m.writeNBAVec(slot, mv)
-		}
-	default: // wSeqNBA
-		reg := c.newReg()
-		return func(m *lmach, vv []uint64) {
-			mv := m.regs[reg]
-			for l := 0; l < 64; l++ {
-				mv[l] = vv[l] & mask
-			}
-			m.writeNBAVec(slot, mv)
+		if mode != wComb {
+			m.writeNBAVec(slot, mv, mu)
 		}
 	}
 }
 
-func (c *laneEmitter) storeIndex(sig *compile.Signal, ie lexpr, mode writeMode, inner laneStoreFn) laneStoreFn {
-	idxFn := c.asVec(ie)
+// indexStore writes bit idx of sig through inner, the whole-signal store.
+// Lanes whose index is unknown or >= 64 skip the write entirely (the scalar
+// engine's no-effect rule), via the predication mask.
+func (c *laneCore) indexStore(sig *compile.Signal, idxFn laneVecFn, mode writeMode, inner laneStoreFn) laneStoreFn {
 	base := c.rmwBase(int32(sig.Slot), mode)
 	reg := c.newReg()
-	return func(m *lmach, vv []uint64) {
-		iv := idxFn(m)
+	return func(m *lmach, vv, uu []uint64) {
+		iv, iu := idxFn(m)
 		if m.err != nil {
 			return
 		}
-		bv := base(m)
-		out := m.regs[reg]
-		// Lanes whose index is >= 64 skip the write entirely (the scalar
-		// engine's no-effect rule), via the predication mask.
+		bv, bu := base(m)
+		ov, ou := m.reg(reg)
+		known := ^uint64(0)
+		if iu != nil {
+			known = ^nonzeroLanes(iu)
+		}
 		var inRange uint64
 		for l := 0; l < 64; l++ {
-			idx := iv[l]
-			if idx >= 64 {
-				continue
+			if idx := iv[l]; idx < 64 && known>>uint(l)&1 == 1 {
+				inRange |= 1 << uint(l)
+				ov[l] = (bv[l] &^ (1 << idx)) | ((vv[l] & 1) << idx)
 			}
-			inRange |= 1 << uint(l)
-			bit := uint64(1) << idx
-			out[l] = (bv[l] &^ bit) | ((vv[l] & 1) << idx)
+		}
+		if ou != nil {
+			for l := 0; l < 64; l++ {
+				if inRange>>uint(l)&1 == 1 {
+					idx := iv[l]
+					ou[l] = (bu[l] &^ (1 << idx)) | ((uu[l] & 1) << idx)
+				}
+			}
 		}
 		save := m.wm
 		if w := save & inRange; w != 0 {
 			m.wm = w
-			inner(m, out)
+			inner(m, ov, ou)
 		}
 		m.wm = save
 	}
 }
 
-func (c *laneEmitter) storeSlice(sig *compile.Signal, shift uint, sm uint64, mode writeMode, inner laneStoreFn) laneStoreFn {
+func (c *laneCore) storeSlice(sig *compile.Signal, shift uint, sm uint64, mode writeMode, inner laneStoreFn) laneStoreFn {
 	base := c.rmwBase(int32(sig.Slot), mode)
 	reg := c.newReg()
-	return func(m *lmach, vv []uint64) {
-		bv := base(m)
-		out := m.regs[reg]
+	return func(m *lmach, vv, uu []uint64) {
+		bv, bu := base(m)
+		ov, ou := m.reg(reg)
 		for l := 0; l < 64; l++ {
-			out[l] = (bv[l] &^ sm) | ((vv[l] << shift) & sm)
+			ov[l] = (bv[l] &^ sm) | ((vv[l] << shift) & sm)
 		}
-		inner(m, out)
+		if ou != nil {
+			for l := 0; l < 64; l++ {
+				ou[l] = (bu[l] &^ sm) | ((uu[l] << shift) & sm)
+			}
+		}
+		inner(m, ov, ou)
 	}
 }
 
-func (c *laneEmitter) storeConcat(parts []laneStoreFn, shifts []uint, masks []uint64) laneStoreFn {
+func (c *laneCore) storeConcat(parts []laneStoreFn, shifts []uint, masks []uint64) laneStoreFn {
 	regs := make([]int, len(parts))
 	for i := range regs {
 		regs[i] = c.newReg()
 	}
-	return func(m *lmach, vv []uint64) {
+	return func(m *lmach, vv, uu []uint64) {
 		for i, st := range parts {
-			out := m.regs[regs[i]]
-			for l := 0; l < 64; l++ {
-				out[l] = (vv[l] >> shifts[i]) & masks[i]
+			ov, ou := m.reg(regs[i])
+			extractLanes(ov, vv, shifts[i], masks[i])
+			if ou != nil {
+				extractLanes(ou, uu, shifts[i], masks[i])
 			}
-			st(m, out)
+			st(m, ov, ou)
 			if m.err != nil {
 				return
 			}
@@ -808,71 +1019,135 @@ func (c *laneEmitter) storeConcat(parts []laneStoreFn, shifts []uint, masks []ui
 }
 
 // rmwBase returns the per-lane base values for bit/slice read-modify-write
-// under the given mode, mirroring the scalar rmwBase's overlay threading.
-func (c *laneEmitter) rmwBase(slot int32, mode writeMode) laneVecFn {
-	isBit := c.lp.isBit[slot]
-	expand := func(reg int) laneVecFn {
-		return func(m *lmach) []uint64 {
-			var w uint64
-			if mode == wAssign {
-				w = m.bits[slot]
-			} else {
-				w = m.readBit(slot)
-			}
-			out := m.regs[reg]
-			for l := 0; l < 64; l++ {
-				out[l] = (w >> uint(l)) & 1
-			}
-			return out
+// under the given mode (rmwBit, rmwVec).
+func (c *laneCore) rmwBase(slot int32, mode writeMode) laneVecFn {
+	if c.lp.isBit[slot] {
+		reg := c.newReg()
+		return func(m *lmach) ([]uint64, []uint64) {
+			v, u := m.rmwBit(slot, mode)
+			return m.spread(reg, v, u)
 		}
 	}
-	switch mode {
-	case wAssign:
-		if isBit {
-			return expand(c.newReg())
-		}
-		return func(m *lmach) []uint64 { return m.wide[slot] }
-	case wSeqNBA:
-		reg := c.newReg()
-		if isBit {
-			return func(m *lmach) []uint64 {
-				w := m.readBit(slot)
-				if m.nbaGen[slot] == m.ngen {
-					w = (m.nbaBits[slot] & m.nbaWm[slot]) | (w &^ m.nbaWm[slot])
-				}
-				out := m.regs[reg]
-				for l := 0; l < 64; l++ {
-					out[l] = (w >> uint(l)) & 1
-				}
-				return out
-			}
-		}
-		return func(m *lmach) []uint64 {
-			rv := m.readVec(slot)
-			if m.nbaGen[slot] != m.ngen {
-				return rv
-			}
-			nv, wmBits := m.nbaWide[slot], m.nbaWm[slot]
-			out := m.regs[reg]
-			for l := 0; l < 64; l++ {
-				if wmBits>>uint(l)&1 == 1 {
-					out[l] = nv[l]
-				} else {
-					out[l] = rv[l]
-				}
-			}
-			return out
-		}
-	default: // wComb, wSeqBlocking: blocking overlay then committed state
-		if isBit {
-			return expand(c.newReg())
-		}
-		return func(m *lmach) []uint64 { return m.readVec(slot) }
+	reg := -1
+	if mode == wSeqNBA {
+		reg = c.newReg()
+	}
+	return func(m *lmach) ([]uint64, []uint64) { return m.rmwVec(slot, mode, reg) }
+}
+
+// constVec is a broadcast constant in a prefilled register.
+func (c *laneCore) constVec(v, u uint64) laneVecFn {
+	reg := c.constReg(v, u)
+	return func(m *lmach) ([]uint64, []uint64) { return m.reg(reg) }
+}
+
+// failVec reports err when evaluated.
+func (c *laneCore) failVec(err error) laneVecFn {
+	reg := c.constReg(0, 0)
+	return func(m *lmach) ([]uint64, []uint64) {
+		m.fail(err)
+		return m.reg(reg)
 	}
 }
 
+func (c *laneCore) sliceVec(xf laneVecFn, shift uint, mask uint64) laneVecFn {
+	reg := c.newReg()
+	return func(m *lmach) ([]uint64, []uint64) {
+		vv, uu := xf(m)
+		ov, ou := m.reg(reg)
+		extractLanes(ov, vv, shift, mask)
+		if ou != nil {
+			extractLanes(ou, uu, shift, mask)
+		}
+		return ov, ou
+	}
+}
+
+func (c *laneCore) concatVec(fns []laneVecFn, widths []uint, masks []uint64) laneVecFn {
+	reg := c.newReg()
+	return func(m *lmach) ([]uint64, []uint64) {
+		ov, ou := m.reg(reg)
+		clear(ov)
+		clear(ou)
+		for i, fn := range fns {
+			vv, uu := fn(m)
+			for l := 0; l < 64; l++ {
+				ov[l] = (ov[l] << widths[i]) | (vv[l] & masks[i])
+			}
+			if ou != nil {
+				for l := 0; l < 64; l++ {
+					ou[l] = (ou[l] << widths[i]) | (uu[l] & masks[i])
+				}
+			}
+		}
+		return ov, ou
+	}
+}
+
+func (c *laneCore) replVec(fn laneVecFn, reps int, uw uint, mask uint64) laneVecFn {
+	reg := c.newReg()
+	repl := func(out, vv []uint64) {
+		for l := 0; l < 64; l++ {
+			ev := vv[l] & mask
+			var o uint64
+			for i := 0; i < reps; i++ {
+				o = (o << uw) | ev
+			}
+			out[l] = o
+		}
+	}
+	return func(m *lmach) ([]uint64, []uint64) {
+		vv, uu := fn(m)
+		ov, ou := m.reg(reg)
+		repl(ov, vv)
+		if ou != nil {
+			repl(ou, uu)
+		}
+		return ov, ou
+	}
+}
+
+// pastVec lowers $past(x, d) of a per-lane operand.
+func (c *laneCore) pastVec(pos verilog.Pos, vf laneVecFn, d int) laneVecFn {
+	zreg := c.constReg(0, 0)
+	return func(m *lmach) ([]uint64, []uint64) {
+		if m.rows == nil {
+			m.fail(evalErrf(pos, "$past outside sampled context"))
+			return m.reg(zreg)
+		}
+		j := m.idx - d
+		if j < 0 {
+			return m.reg(zreg) // before start of time: sampled default (0)
+		}
+		return m.evalAtVec(vf, j)
+	}
+}
+
+// sameSample compares vf's per-lane sample at the current cycle with the
+// previous cycle's (a zero sample at cycle 0): same selects the lanes whose
+// value planes agree, unk those with an x in either sample (0 in
+// two-state). Register r holds the current sample while the previous one
+// is evaluated, since that evaluation reuses the operand's registers.
+func (m *lmach) sameSample(vf laneVecFn, r int) (same, unk uint64) {
+	vv, uu := vf(m)
+	if m.idx == 0 {
+		if uu != nil {
+			unk = nonzeroLanes(uu)
+		}
+		return ^nonzeroLanes(vv), unk
+	}
+	nv, nu := m.reg(r)
+	copy(nv, vv)
+	copy(nu, uu)
+	bv, bu := m.evalAtVec(vf, m.idx-1)
+	if nu != nil {
+		unk = nonzeroLanes(nu) | nonzeroLanes(bu)
+	}
+	return equalLanes(nv, bv), unk
+}
+
 // ---------------------------------------------------------------------------
-// Expressions
+// Two-state expressions
 // ---------------------------------------------------------------------------
 //
 // Nodes whose scalar value is provably in {0,1} and that have a word-wide
@@ -880,20 +1155,90 @@ func (c *laneEmitter) rmwBase(slot int32, mode writeMode) laneVecFn {
 // exact scalar formulas — in particular all arithmetic, whose carries a
 // packed word cannot represent.
 
+// laneEmitter emits the two-state lane closures.
+type laneEmitter struct {
+	laneCore
+}
+
+// asVec adapts any lane expression to per-lane register form: a packed word
+// expands to {0,1} per lane, exactly the scalar values it encodes.
+func (c *laneEmitter) asVec(e lexpr) laneVecFn {
+	if e.vec != nil {
+		return e.vec
+	}
+	bf, reg := e.bit, c.newReg()
+	return func(m *lmach) ([]uint64, []uint64) { return m.spread(reg, bf(m), 0) }
+}
+
+// truth compiles a per-lane nonzero test into a packed word.
+func (c *laneEmitter) truth(e lexpr) laneBitFn {
+	if e.bit != nil {
+		return e.bit // values are {0,1}: the word is its own truth mask
+	}
+	vf := e.vec
+	return func(m *lmach) uint64 {
+		vv, _ := vf(m)
+		return nonzeroLanes(vv)
+	}
+}
+
+// bool3 is truth as assertion truth masks: two-state values are never x.
+func (c *laneEmitter) bool3(e lexpr) laneBoolFn {
+	tf := c.truth(e)
+	return func(m *lmach) (uint64, uint64) { return tf(m), 0 }
+}
+
+// lsb compiles the per-lane least-significant bit into a packed word (the
+// $rose/$fell sampling rule).
+func (c *laneEmitter) lsb(e lexpr) laneBitFn {
+	if e.bit != nil {
+		return e.bit
+	}
+	vf := e.vec
+	return func(m *lmach) uint64 {
+		vv, _ := vf(m)
+		return packLanes(vv, 0)
+	}
+}
+
+func (c *laneEmitter) ifStmt(ce lexpr, then, els laneStmtFn) laneStmtFn {
+	return laneIf(c.truth(ce), then, els)
+}
+
+func (c *laneEmitter) caseStmt(se lexpr, items []caseArm[lexpr, laneStmtFn], deflt laneStmtFn) laneStmtFn {
+	return c.laneCase(c.asVec(se), vecArms(items, c.asVec), deflt)
+}
+
+func (c *laneEmitter) packs(re lexpr, sig *compile.Signal) bool {
+	return re.bit != nil && packsWhole(sig)
+}
+
+func (c *laneEmitter) assign(re lexpr, mode writeMode, sig *compile.Signal, store laneStoreFn) laneStmtFn {
+	if c.packs(re, sig) {
+		slot, bf := int32(sig.Slot), re.bit
+		return func(m *lmach) { m.putBit(slot, mode, bf(m), 0) }
+	}
+	return storeFrom(c.asVec(re), store)
+}
+
+func (c *laneEmitter) contAssign(re lexpr, sig *compile.Signal, store laneStoreFn) laneStmtFn {
+	return c.assign(re, wAssign, sig, store)
+}
+
+func (c *laneEmitter) storeIndex(sig *compile.Signal, ie lexpr, mode writeMode, inner laneStoreFn) laneStoreFn {
+	return c.indexStore(sig, c.asVec(ie), mode, inner)
+}
+
 func (c *laneEmitter) number(x *verilog.Number) lexpr { return c.param(x.Value) }
 
 // param classifies a broadcast constant: {0,1} values pack, anything else
 // becomes a prefilled vector register holding the raw scalar value.
 func (c *laneEmitter) param(v uint64) lexpr {
 	if v <= 1 {
-		var w uint64
-		if v == 1 {
-			w = ^uint64(0)
-		}
+		w := -v
 		return lexpr{bit: func(*lmach) uint64 { return w }}
 	}
-	reg := c.constReg(v)
-	return lexpr{vec: func(m *lmach) []uint64 { return m.regs[reg] }}
+	return lexpr{vec: c.constVec(v, 0)}
 }
 
 func (c *laneEmitter) signal(sig *compile.Signal) lexpr {
@@ -901,16 +1246,10 @@ func (c *laneEmitter) signal(sig *compile.Signal) lexpr {
 	if sig.Width == 1 {
 		return lexpr{bit: func(m *lmach) uint64 { return m.readBit(slot) }}
 	}
-	return lexpr{vec: func(m *lmach) []uint64 { return m.readVec(slot) }}
+	return lexpr{vec: func(m *lmach) ([]uint64, []uint64) { return m.readVec(slot), nil }}
 }
 
-func (c *laneEmitter) fail(err error) lexpr {
-	reg := c.constReg(0)
-	return lexpr{vec: func(m *lmach) []uint64 {
-		m.fail(err)
-		return m.regs[reg]
-	}}
-}
+func (c *laneEmitter) fail(err error) lexpr { return lexpr{vec: c.failVec(err)} }
 
 func (c *laneEmitter) ternary(ce, xe, ye lexpr) lexpr {
 	cf := c.truth(ce)
@@ -931,7 +1270,7 @@ func (c *laneEmitter) ternary(ce, xe, ye lexpr) lexpr {
 	}
 	xf, yf := c.asVec(xe), c.asVec(ye)
 	reg := c.newReg()
-	return lexpr{vec: func(m *lmach) []uint64 {
+	return lexpr{vec: func(m *lmach) ([]uint64, []uint64) {
 		cw := cf(m)
 		if cw == ^uint64(0) {
 			return xf(m)
@@ -939,17 +1278,11 @@ func (c *laneEmitter) ternary(ce, xe, ye lexpr) lexpr {
 		if cw == 0 {
 			return yf(m)
 		}
-		xv := xf(m)
-		yv := yf(m)
+		xv, _ := xf(m)
+		yv, _ := yf(m)
 		out := m.regs[reg]
-		for l := 0; l < 64; l++ {
-			if cw>>uint(l)&1 == 1 {
-				out[l] = xv[l]
-			} else {
-				out[l] = yv[l]
-			}
-		}
-		return out
+		blendLanes(out, xv, yv, cw)
+		return out, nil
 	}}
 }
 
@@ -957,12 +1290,12 @@ func (c *laneEmitter) index(xe, ie lexpr) lexpr {
 	xf, idxFn := c.asVec(xe), c.asVec(ie)
 	return lexpr{bit: func(m *lmach) uint64 {
 		// Base before index, matching the interpreter's order.
-		v := xf(m)
-		iv := idxFn(m)
+		vv, _ := xf(m)
+		iv, _ := idxFn(m)
 		var w uint64
 		for l := 0; l < 64; l++ {
 			if idx := iv[l]; idx < 64 {
-				w |= ((v[l] >> idx) & 1) << uint(l)
+				w |= ((vv[l] >> idx) & 1) << uint(l)
 			}
 		}
 		return w
@@ -973,62 +1306,19 @@ func (c *laneEmitter) slice(xe lexpr, shift uint, mask uint64) lexpr {
 	xf := c.asVec(xe)
 	if mask == 1 {
 		return lexpr{bit: func(m *lmach) uint64 {
-			v := xf(m)
-			var w uint64
-			for l := 0; l < 64; l++ {
-				w |= ((v[l] >> shift) & 1) << uint(l)
-			}
-			return w
+			vv, _ := xf(m)
+			return packLanes(vv, shift)
 		}}
 	}
-	reg := c.newReg()
-	return lexpr{vec: func(m *lmach) []uint64 {
-		v := xf(m)
-		out := m.regs[reg]
-		for l := 0; l < 64; l++ {
-			out[l] = (v[l] >> shift) & mask
-		}
-		return out
-	}}
+	return lexpr{vec: c.sliceVec(xf, shift, mask)}
 }
 
 func (c *laneEmitter) concat(elems []lexpr, widths []uint, masks []uint64) lexpr {
-	fns := make([]laneVecFn, len(elems))
-	for i, fe := range elems {
-		fns[i] = c.asVec(fe)
-	}
-	reg := c.newReg()
-	return lexpr{vec: func(m *lmach) []uint64 {
-		out := m.regs[reg]
-		for l := 0; l < 64; l++ {
-			out[l] = 0
-		}
-		for i, fn := range fns {
-			v := fn(m)
-			for l := 0; l < 64; l++ {
-				out[l] = (out[l] << widths[i]) | (v[l] & masks[i])
-			}
-		}
-		return out
-	}}
+	return lexpr{vec: c.concatVec(vecsOf(elems, c.asVec), widths, masks)}
 }
 
 func (c *laneEmitter) repl(fe lexpr, reps int, uw uint, mask uint64) lexpr {
-	fn := c.asVec(fe)
-	reg := c.newReg()
-	return lexpr{vec: func(m *lmach) []uint64 {
-		v := fn(m)
-		out := m.regs[reg]
-		for l := 0; l < 64; l++ {
-			ev := v[l] & mask
-			var o uint64
-			for i := 0; i < reps; i++ {
-				o = (o << uw) | ev
-			}
-			out[l] = o
-		}
-		return out
-	}}
+	return lexpr{vec: c.replVec(c.asVec(fe), reps, uw, mask)}
 }
 
 func (c *laneEmitter) unary(op verilog.UnaryOp, xe lexpr, mask uint64) (lexpr, bool) {
@@ -1049,23 +1339,23 @@ func (c *laneEmitter) unary(op verilog.UnaryOp, xe lexpr, mask uint64) (lexpr, b
 	xf := c.asVec(xe)
 	packed := func(per func(v uint64) uint64) lexpr {
 		return lexpr{bit: func(m *lmach) uint64 {
-			v := xf(m)
+			vv, _ := xf(m)
 			var w uint64
 			for l := 0; l < 64; l++ {
-				w |= per(v[l]) << uint(l)
+				w |= per(vv[l]) << uint(l)
 			}
 			return w
 		}}
 	}
 	vec := func(per func(v uint64) uint64) lexpr {
 		reg := c.newReg()
-		return lexpr{vec: func(m *lmach) []uint64 {
-			v := xf(m)
+		return lexpr{vec: func(m *lmach) ([]uint64, []uint64) {
+			vv, _ := xf(m)
 			out := m.regs[reg]
 			for l := 0; l < 64; l++ {
-				out[l] = per(v[l])
+				out[l] = per(vv[l])
 			}
-			return out
+			return out, nil
 		}}
 	}
 	switch op {
@@ -1220,14 +1510,14 @@ func (c *laneEmitter) binary(op verilog.BinaryOp, ae, be lexpr, w int) (lexpr, b
 func (c *laneEmitter) vecBin(ae, be lexpr, op func(a, b uint64) uint64) lexpr {
 	af, bf := c.asVec(ae), c.asVec(be)
 	reg := c.newReg()
-	return lexpr{vec: func(m *lmach) []uint64 {
-		av := af(m)
-		bv := bf(m)
+	return lexpr{vec: func(m *lmach) ([]uint64, []uint64) {
+		av, _ := af(m)
+		bv, _ := bf(m)
 		out := m.regs[reg]
 		for l := 0; l < 64; l++ {
 			out[l] = op(av[l], bv[l])
 		}
-		return out
+		return out, nil
 	}}
 }
 
@@ -1235,8 +1525,8 @@ func (c *laneEmitter) vecBin(ae, be lexpr, op func(a, b uint64) uint64) lexpr {
 func (c *laneEmitter) packedCmp(ae, be lexpr, op func(a, b uint64) bool) lexpr {
 	af, bf := c.asVec(ae), c.asVec(be)
 	return lexpr{bit: func(m *lmach) uint64 {
-		av := af(m)
-		bv := bf(m)
+		av, _ := af(m)
+		bv, _ := bf(m)
 		var w uint64
 		for l := 0; l < 64; l++ {
 			if op(av[l], bv[l]) {
@@ -1261,20 +1551,20 @@ func (c *laneEmitter) reduce(name string, fe lexpr, mask uint64) lexpr {
 	switch name {
 	case "$countones":
 		reg := c.newReg()
-		return lexpr{vec: func(m *lmach) []uint64 {
-			v := fn(m)
+		return lexpr{vec: func(m *lmach) ([]uint64, []uint64) {
+			vv, _ := fn(m)
 			out := m.regs[reg]
 			for l := 0; l < 64; l++ {
-				out[l] = uint64(bits.OnesCount64(v[l] & mask))
+				out[l] = uint64(bits.OnesCount64(vv[l] & mask))
 			}
-			return out
+			return out, nil
 		}}
 	case "$onehot":
 		return lexpr{bit: func(m *lmach) uint64 {
-			v := fn(m)
+			vv, _ := fn(m)
 			var w uint64
 			for l := 0; l < 64; l++ {
-				if bits.OnesCount64(v[l]&mask) == 1 {
+				if bits.OnesCount64(vv[l]&mask) == 1 {
 					w |= 1 << uint(l)
 				}
 			}
@@ -1282,10 +1572,10 @@ func (c *laneEmitter) reduce(name string, fe lexpr, mask uint64) lexpr {
 		}}
 	default: // $onehot0
 		return lexpr{bit: func(m *lmach) uint64 {
-			v := fn(m)
+			vv, _ := fn(m)
 			var w uint64
 			for l := 0; l < 64; l++ {
-				if bits.OnesCount64(v[l]&mask) <= 1 {
+				if bits.OnesCount64(vv[l]&mask) <= 1 {
 					w |= 1 << uint(l)
 				}
 			}
@@ -1296,32 +1586,20 @@ func (c *laneEmitter) reduce(name string, fe lexpr, mask uint64) lexpr {
 
 func (c *laneEmitter) past(pos verilog.Pos, fe, _ lexpr, depth uint64) lexpr {
 	d := int(depth)
-	if fe.bit != nil {
-		bf := fe.bit
-		return lexpr{bit: func(m *lmach) uint64 {
-			if m.rows == nil {
-				m.fail(evalErrf(pos, "$past outside sampled context"))
-				return 0
-			}
-			j := m.idx - d
-			if j < 0 {
-				return 0 // before start of time: sampled default (0)
-			}
-			return m.evalAtBit(bf, j)
-		}}
+	if fe.bit == nil {
+		return lexpr{vec: c.pastVec(pos, fe.vec, d)}
 	}
-	vf := fe.vec
-	zreg := c.constReg(0)
-	return lexpr{vec: func(m *lmach) []uint64 {
+	bf := fe.bit
+	return lexpr{bit: func(m *lmach) uint64 {
 		if m.rows == nil {
 			m.fail(evalErrf(pos, "$past outside sampled context"))
-			return m.regs[zreg]
+			return 0
 		}
 		j := m.idx - d
 		if j < 0 {
-			return m.regs[zreg]
+			return 0 // before start of time: sampled default (0)
 		}
-		return m.evalAtVec(vf, j)
+		return m.evalAtBit(bf, j)
 	}}
 }
 
@@ -1345,6 +1623,8 @@ func (c *laneEmitter) sampled(pos verilog.Pos, name string, fe lexpr) lexpr {
 			return before & ^now
 		}}
 	}
+	// $stable and $changed: same is the lanes whose sample equals the
+	// previous one (a zero sample at cycle 0).
 	stable := name == "$stable"
 	if fe.bit != nil {
 		bf := fe.bit
@@ -1364,32 +1644,16 @@ func (c *laneEmitter) sampled(pos verilog.Pos, name string, fe lexpr) lexpr {
 			return before ^ now
 		}}
 	}
-	vf := fe.vec
+	vf, nowReg := fe.vec, c.newReg()
 	return lexpr{bit: func(m *lmach) uint64 {
 		if m.rows == nil {
 			m.fail(evalErrf(pos, "%s outside sampled context", name))
 			return 0
 		}
-		nv := vf(m)
-		var w uint64
-		if m.idx > 0 {
-			// Evaluate the past frame first: nv aliases a register the
-			// recursive evaluation would overwrite.
-			bvSaved := make([]uint64, 64)
-			copy(bvSaved, nv)
-			bv := m.evalAtVec(vf, m.idx-1)
-			for l := 0; l < 64; l++ {
-				if (bvSaved[l] == bv[l]) == stable {
-					w |= 1 << uint(l)
-				}
-			}
-			return w
+		same, _ := m.sameSample(vf, nowReg)
+		if stable {
+			return same
 		}
-		for l := 0; l < 64; l++ {
-			if (nv[l] == 0) == stable {
-				w |= 1 << uint(l)
-			}
-		}
-		return w
+		return ^same
 	}}
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/compile"
 	"repro/internal/verilog"
@@ -107,11 +108,9 @@ type LaneTrace struct {
 	Design *compile.Design
 	plan   *Plan
 	lp     *LanePlan
-	lp4    *lanePlan4
 	n      int
 	rows   []laneRow
-	urows  []laneRow // unknown-bit plane, nil for two-state batches
-	em     *lmach    // lazy shared machine for compiled lane evaluation
+	em     *lmach // lazy shared machine for compiled lane evaluation
 
 	// fired[c][k] is the lane mask of domain k's ticks at the edge following
 	// row c; nil for single-domain batches (every row ticks the one clock in
@@ -127,7 +126,7 @@ func (t *LaneTrace) Lanes() int { return t.n }
 
 // Mode returns the value domain the batch ran in.
 func (t *LaneTrace) Mode() Mode {
-	if t.urows != nil {
+	if t.lp.four {
 		return FourState
 	}
 	return TwoState
@@ -148,20 +147,20 @@ func (t *LaneTrace) Demux(l int) *Trace {
 	p := t.plan
 	tr := &Trace{Design: t.Design, plan: p}
 	tr.reset(p.nslots, len(t.rows), t.Mode())
-	demuxRow := func(row []uint64, lr laneRow) {
+	demuxRow := func(row, bits []uint64, wide [][]uint64) {
 		for s := range row {
-			if lr.wide[s] != nil {
-				row[s] = lr.wide[s][l]
+			if wide[s] != nil {
+				row[s] = wide[s][l]
 			} else {
-				row[s] = (lr.bits[s] >> uint(l)) & 1
+				row[s] = (bits[s] >> uint(l)) & 1
 			}
 		}
 	}
 	for c, lr := range t.rows {
-		demuxRow(tr.rows[c], lr)
-	}
-	for c, lr := range t.urows {
-		demuxRow(tr.unks[c], lr)
+		demuxRow(tr.rows[c], lr.bits, lr.wide)
+		if t.lp.four {
+			demuxRow(tr.unks[c], lr.ubits, lr.uwide)
+		}
 	}
 	if t.fired != nil {
 		tr.fired = make([]uint64, len(t.fired))
@@ -188,10 +187,7 @@ type CompiledLaneBool func(cycle int) (trueMask, xMask uint64, err error)
 // or nil when the lane compiler could not lower e — callers then fall back
 // to demuxing and evaluating per lane (or to the scalar engine entirely).
 func (t *LaneTrace) CompileLaneBool(e verilog.Expr) CompiledLaneBool {
-	if t.urows != nil {
-		return t.compileLaneBool4(e)
-	}
-	le, ok := t.lp.sva[e]
+	fn, ok := t.lp.sva[e]
 	if !ok {
 		return nil
 	}
@@ -199,38 +195,38 @@ func (t *LaneTrace) CompileLaneBool(e verilog.Expr) CompiledLaneBool {
 		t.em = traceLmach(t.lp, t.rows)
 	}
 	m := t.em
-	if le.bit != nil {
-		fn := le.bit
-		return func(cycle int) (uint64, uint64, error) {
-			m.bits, m.wide, m.idx, m.err = t.rows[cycle].bits, t.rows[cycle].wide, cycle, nil
-			w := fn(m)
-			return w, 0, m.err
-		}
-	}
-	fn := le.vec
 	return func(cycle int) (uint64, uint64, error) {
-		m.bits, m.wide, m.idx, m.err = t.rows[cycle].bits, t.rows[cycle].wide, cycle, nil
-		v := fn(m)
-		var w uint64
-		for l := 0; l < 64; l++ {
-			if v[l] != 0 {
-				w |= 1 << uint(l)
-			}
-		}
-		return w, 0, m.err
+		m.laneRow, m.idx, m.err = t.rows[cycle], cycle, nil
+		tw, xw := fn(m)
+		return tw, xw, m.err
 	}
 }
 
-func snapshotLaneRow(bits []uint64, wide [][]uint64) laneRow {
-	row := laneRow{bits: make([]uint64, len(bits)), wide: make([][]uint64, len(wide))}
-	copy(row.bits, bits)
-	for s, vv := range wide {
-		if vv == nil {
-			continue
-		}
-		cp := make([]uint64, 64)
-		copy(cp, vv)
-		row.wide[s] = cp
+// snapshotLaneRow copies a frame of lane state, both planes.
+func snapshotLaneRow(r laneRow) laneRow {
+	return laneRow{bits: slices.Clone(r.bits), ubits: slices.Clone(r.ubits),
+		wide: cloneLanes(r.wide), uwide: cloneLanes(r.uwide)}
+}
+
+// cloneLanes deep-copies per-slot lane vectors into one backing array;
+// nil stays nil.
+func cloneLanes(wide [][]uint64) [][]uint64 {
+	if wide == nil {
+		return nil
 	}
-	return row
+	n := 0
+	for _, vv := range wide {
+		if vv != nil {
+			n++
+		}
+	}
+	slab := make([]uint64, 64*n)
+	out := make([][]uint64, len(wide))
+	for s, vv := range wide {
+		if vv != nil {
+			out[s], slab = slab[:64:64], slab[64:]
+			copy(out[s], vv)
+		}
+	}
+	return out
 }

@@ -9,7 +9,8 @@ import (
 
 // This file is the lowering front end shared by the four execution engines:
 // the compiled plan in each value domain (plan.go, plan4.go) and the lane
-// engine in each value domain (lanes.go, lanes4.go). It walks the design's
+// engine in each value domain (lanes.go, whose four-state expression
+// kernels are in lanes4.go). It walks the design's
 // AST and makes every plannability decision in one place: which statements,
 // assignment targets and expressions lower, the constant slice bounds,
 // replication counts and $past depths, and the static widths masks depend

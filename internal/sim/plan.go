@@ -40,13 +40,12 @@ type Plan struct {
 	once4 sync.Once
 	p4    *plan4
 
-	// onceL/pl and onceL4/pl4 hold the lazily-built lane-parallel lowerings
-	// (lanes.go / lanes4.go), cached with the same once-per-plan discipline
-	// so concurrent lane batches share one compiled artifact.
-	onceL  sync.Once
-	pl     *LanePlan
-	onceL4 sync.Once
-	pl4    *lanePlan4
+	// onceL/pl hold the lazily-built lane-parallel lowering of each value
+	// domain (lanes.go), indexed by Mode and cached with the same
+	// once-per-plan discipline so concurrent lane batches share one
+	// compiled artifact.
+	onceL [2]sync.Once
+	pl    [2]*LanePlan
 }
 
 // evalFn evaluates a compiled expression against the machine state.

@@ -168,8 +168,8 @@ func TestPlannabilityTable(t *testing.T) {
 			if p := PlanOf(d); p != nil {
 				got.plan = true
 				got.plan4 = p.fourState() != nil
-				got.lanes2 = p.lanes() != nil
-				got.lanes4 = p.lanes4() != nil
+				got.lanes2 = p.lanes(TwoState) != nil
+				got.lanes4 = p.lanes(FourState) != nil
 			}
 			got.ok2 = LanesOK(d, TwoState)
 			got.ok4 = LanesOK(d, FourState)

@@ -185,23 +185,12 @@ func RunLanesCtx(ctx context.Context, d *compile.Design, ls *LaneStimulus, mode 
 	if p == nil {
 		return nil, fmt.Errorf("sim: design has no execution plan (lane mode unavailable)")
 	}
-	lt := &LaneTrace{Design: d, plan: p, n: ls.N, rows: make([]laneRow, 0, ls.Depth)}
-	r := &laneRun{ls: ls, lt: lt, ck: clocksOf(d)}
-	if mode == FourState {
-		lp := p.lanes4()
-		if lp == nil {
-			return nil, fmt.Errorf("sim: design has no four-state lane plan (lane mode unavailable)")
-		}
-		lt.lp4, lt.urows, r.isBit = lp, make([]laneRow, 0, ls.Depth), lp.isBit
-		r.m = newLmach4(lp)
-	} else {
-		lp := p.lanes()
-		if lp == nil {
-			return nil, fmt.Errorf("sim: design has no lane plan (lane mode unavailable)")
-		}
-		lt.lp, r.isBit = lp, lp.isBit
-		r.m = newLmach(lp)
+	lp := p.lanes(mode)
+	if lp == nil {
+		return nil, fmt.Errorf("sim: design has no %v lane plan (lane mode unavailable)", mode)
 	}
+	lt := &LaneTrace{Design: d, plan: p, lp: lp, n: ls.N, rows: make([]laneRow, 0, ls.Depth)}
+	r := &laneRun{m: newLmach(lp), ls: ls, lt: lt, ck: clocksOf(d)}
 	var err error
 	if r.slots, err = inputSlots(d, ls.Inputs); err != nil {
 		return nil, err
@@ -399,11 +388,9 @@ func (r *refRun) sample(c int) {
 
 func (r *refRun) edge() error { return r.s.edge(r.fired) }
 
-// laneRun is the lane engine's step set, in either value domain (the
-// machine's lp4 is set in four-state batches).
+// laneRun is the lane engine's step set, in either value domain.
 type laneRun struct {
 	m     *lmach
-	isBit []bool
 	ls    *LaneStimulus
 	slots []int32
 	lt    *LaneTrace
@@ -422,7 +409,7 @@ func (r *laneRun) capture() {
 func (r *laneRun) apply(c int) error {
 	ls, m := r.ls, r.m
 	for i, slot := range r.slots {
-		if r.isBit[slot] {
+		if m.lp.isBit[slot] {
 			m.bits[slot] = replicateLanes(ls.Bits[c][i], ls.N)
 			if m.ubits != nil {
 				m.ubits[slot] = 0
@@ -441,28 +428,15 @@ func (r *laneRun) apply(c int) error {
 	return nil
 }
 
-func (r *laneRun) settle() error {
-	if r.m.lp4 != nil {
-		return r.m.settleLanes4()
-	}
-	return r.m.settleLanes()
-}
+func (r *laneRun) settle() error { return r.m.settleLanes() }
 
 func (r *laneRun) sample(int) {
 	m := r.m
-	r.lt.rows = append(r.lt.rows, snapshotLaneRow(m.bits, m.wide))
-	if m.lp4 != nil {
-		r.lt.urows = append(r.lt.urows, snapshotLaneRow(m.ubits, m.uwide))
-	}
+	r.lt.rows = append(r.lt.rows, snapshotLaneRow(m.laneRow))
 	if r.ck != nil {
 		r.fired = r.ck.fire(m.bits, m.ubits)
 		r.lt.fired = append(r.lt.fired, slices.Clone(r.fired))
 	}
 }
 
-func (r *laneRun) edge() error {
-	if r.m.lp4 != nil {
-		return r.m.edgeLanes4(r.fired)
-	}
-	return r.m.edgeLanes(r.fired)
-}
+func (r *laneRun) edge() error { return r.m.edgeLanes(r.fired) }

@@ -132,3 +132,66 @@ func TestCheckerAllocs(t *testing.T) {
 		}
 	}
 }
+
+// stableCount holds a multi-bit counter while en is low, and asserts so
+// with $stable and $changed: the lane engine evaluates both per lane, not
+// word-wide.
+const stableCount = `
+module stable_count (
+    input clk,
+    input rst_n,
+    input en,
+    output reg [3:0] count
+);
+    always @(posedge clk or negedge rst_n) begin
+        if (!rst_n) count <= 0;
+        else if (en) count <= count + 1;
+    end
+    p_hold: assert property (@(posedge clk) disable iff (!rst_n) !$past(en) |-> $stable(count));
+    p_step: assert property (@(posedge clk) disable iff (!rst_n) $past(en) |-> $changed(count));
+endmodule
+`
+
+// TestCheckLanesAllocsFlatInDepth: the lane $stable/$changed kernels on a
+// multi-bit operand keep the current frame in a register, so checking a
+// lane batch allocates the same number of times at any trace depth.
+func TestCheckLanesAllocsFlatInDepth(t *testing.T) {
+	if testenv.Race {
+		t.Skip("the race detector changes allocation counts")
+	}
+	d := mustCompile(t, stableCount)
+	batch := func(depth int) *sim.LaneStimulus {
+		stims := make([]sim.VecStimulus, 64)
+		for l := range stims {
+			st := sim.VecStimulus{Inputs: []*compile.Signal{d.Signals["rst_n"], d.Signals["en"]}}
+			for c := 0; c < depth; c++ {
+				rst := min(uint64(c)>>1, 1) // two reset cycles, then run
+				st.Rows = append(st.Rows, []uint64{rst, rst & (uint64(c*(l+1)) >> 2)})
+			}
+			stims[l] = st
+		}
+		ls, err := sim.PackStimuli(stims)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ls
+	}
+	for _, mode := range []sim.Mode{sim.TwoState, sim.FourState} {
+		var allocs [2]float64
+		for i, depth := range []int{16, 64} {
+			lt, err := sim.RunLanesCtx(context.Background(), d, batch(depth), mode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			allocs[i] = testing.AllocsPerRun(10, func() {
+				res, err := CheckLanes(lt)
+				if err != nil || res.Failed != 0 {
+					t.Fatalf("mode %v depth %d: err=%v failed=%#x, want a pass", mode, depth, err, res.Failed)
+				}
+			})
+		}
+		if allocs[1] != allocs[0] {
+			t.Errorf("mode %v: CheckLanes allocates %.0f times at depth 16 but %.0f at depth 64", mode, allocs[0], allocs[1])
+		}
+	}
+}
