@@ -338,37 +338,35 @@ func simBenchFixture(b *testing.B) (*compile.Design, sim.Stimulus) {
 }
 
 // BenchmarkSimulator measures raw cycle throughput of the simulator on the
-// compiled slot-indexed execution plan (the path sim.Run always takes).
-func BenchmarkSimulator(b *testing.B) {
-	d, stim := simBenchFixture(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tr, err := sim.Run(context.Background(), d, stim, sim.TwoState)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := sva.Check(tr); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(64), "cycles/op")
-}
+// compiled slot-indexed execution plan (the path sim.Run always takes), in
+// each value domain.
+func BenchmarkSimulator(b *testing.B) { benchSimModes(b, sim.Run) }
 
 // BenchmarkSimulatorReference measures the interpretive reference path on
 // the same workload, so the plan's speedup stays visible in every report.
-func BenchmarkSimulatorReference(b *testing.B) {
+func BenchmarkSimulatorReference(b *testing.B) { benchSimModes(b, sim.RunReferenceCtx) }
+
+// benchSimModes runs the simulator fixture through run and sva.Check, once
+// per value domain as the TwoState and FourState sub-benchmarks.
+func benchSimModes(b *testing.B, run func(context.Context, *compile.Design, sim.Stimulus, sim.Mode) (*sim.Trace, error)) {
 	d, stim := simBenchFixture(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tr, err := sim.RunReferenceCtx(context.Background(), d, stim, sim.TwoState)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := sva.Check(tr); err != nil {
-			b.Fatal(err)
-		}
+	for _, m := range []struct {
+		name string
+		mode sim.Mode
+	}{{"TwoState", sim.TwoState}, {"FourState", sim.FourState}} {
+		b.Run(m.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				tr, err := run(context.Background(), d, stim, m.mode)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := sva.Check(tr); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(len(stim)), "cycles/op")
+		})
 	}
-	b.ReportMetric(float64(64), "cycles/op")
 }
 
 // BenchmarkAugmentPipeline measures the data-pipeline figures of merit:

@@ -15,13 +15,19 @@
 // the hot loop never re-walks the AST and never hashes a signal name. Trace
 // rows are slot vectors, materialised to names only at the API boundary
 // (Trace.Value, Trace.Format), and the SVA checker evaluates property terms
-// through the plan's compiled closures (Trace.CompileExpr/CompileExpr4).
+// through the plan's compiled closures (Trace.CompileExpr4).
 //
-// The four-state domain has its own lowering (plan4.go) over two parallel
-// planes — Val (known bit values) and Unk (unknown-bit masks) — built
-// lazily on the first four-state run, so the two-state plan, which is the
-// formal checker's hot path, pays nothing for it. Both domains share one
-// definition of the operator semantics (v4.go), and the interpretive
+// One plan machine and one statement and store layer (plan.go) serve both
+// value domains. The four-state domain runs them over two parallel planes
+// — Val (known bit values) and Unk (unknown-bit masks); in two-state the
+// Unk planes are nil and every store receives unk 0, tested once per call
+// or per slot. A whole-signal assignment fuses its masked write into the
+// assignment closure, one closure per write mode. Only the expression
+// kernels and branch tests are per domain: the four-state ones (plan4.go)
+// form a lowering built lazily on the first four-state run, so the
+// two-state plan, which is the formal checker's hot path, pays nothing for
+// it. Both domains share one definition of the operator semantics
+// (v4.go), and the interpretive
 // Simulator remains the reference implementation for each: Run and
 // RunVecCtx fall back to it (via RunReferenceCtx) for designs the planner
 // cannot lower (dynamic slice bounds, non-constant replication counts),
@@ -38,8 +44,10 @@
 // unplannable reason is therefore spelled in one place. The engines are
 // emitters behind a small build-time interface: given operands the front
 // end has already lowered, an emitter returns the closure its machine runs
-// for a block, if, case, whole-signal store by write mode, bit, slice or
-// concat store, or expression kernel. The front end itself creates no
+// for a block, if, case, assignment, whole-signal store by write mode, bit,
+// slice or concat store, or expression kernel. Static widths are memoised
+// per lowering, so building a plan is linear in the expression size
+// however deeply operators nest. The front end itself creates no
 // closure a cycle runs, so each engine's per-cycle code stays specialised
 // to its own state layout and pays no dispatch.
 //

@@ -82,7 +82,7 @@ type LanePlan struct {
 	// lowered mirrors Plan.lowered: sva maps assertion-reachable
 	// expressions to their truth masks, and allSVA, the gate for lane-mode
 	// formal, reports that every one of them lowered.
-	lowered[laneBoolFn, laneStmtFn, laneStmtFn]
+	lowered[laneBoolFn, laneStmtFn]
 }
 
 // laneConst prefills one register (and its Unk plane) with a broadcast
@@ -133,25 +133,25 @@ func buildLanePlan(p *Plan, four bool) *LanePlan {
 	lp := &LanePlan{p: p, four: four, isBit: bitSlots(p.design)}
 	if !four {
 		em := &laneEmitter{laneCore{lp}}
-		l, ok := lower[lexpr, laneStmtFn, laneStoreFn, laneStmtFn](p.design, em, false, true)
+		l, ok := lower[lexpr, laneStmtFn, laneStoreFn](p.design, em, false, true)
 		return withLowered(lp, l, ok, em.bool3)
 	}
 	if p.fourState() == nil {
 		return nil
 	}
 	em := &lane4Emitter{laneCore{lp}}
-	l, ok := lower[lexpr4, laneStmtFn, laneStoreFn, laneStmtFn](p.design, em, true, true)
+	l, ok := lower[lexpr4, laneStmtFn, laneStoreFn](p.design, em, true, true)
 	return withLowered(lp, l, ok, em.bool3)
 }
 
 // withLowered completes lp with one domain's lowering, compiling each
 // assertion expression to its truth masks; nil when the design did not
 // lower.
-func withLowered[E any](lp *LanePlan, l lowered[E, laneStmtFn, laneStmtFn], ok bool, bool3 func(E) laneBoolFn) *LanePlan {
+func withLowered[E any](lp *LanePlan, l lowered[E, laneStmtFn], ok bool, bool3 func(E) laneBoolFn) *LanePlan {
 	if !ok {
 		return nil
 	}
-	lp.assigns, lp.combs, lp.seqs, lp.allSVA = l.assigns, l.combs, l.seqs, l.allSVA
+	lp.program, lp.allSVA = l.program, l.allSVA
 	lp.sva = make(map[verilog.Expr]laneBoolFn, len(l.sva))
 	for e, le := range l.sva {
 		lp.sva[e] = bool3(le)
@@ -1219,10 +1219,6 @@ func (c *laneEmitter) assign(re lexpr, mode writeMode, sig *compile.Signal, stor
 		return func(m *lmach) { m.putBit(slot, mode, bf(m), 0) }
 	}
 	return storeFrom(c.asVec(re), store)
-}
-
-func (c *laneEmitter) contAssign(re lexpr, sig *compile.Signal, store laneStoreFn) laneStmtFn {
-	return c.assign(re, wAssign, sig, store)
 }
 
 func (c *laneEmitter) storeIndex(sig *compile.Signal, ie lexpr, mode writeMode, inner laneStoreFn) laneStoreFn {

@@ -123,10 +123,6 @@ func (c *lane4Emitter) assign(re lexpr4, mode writeMode, sig *compile.Signal, st
 	return storeFrom(c.asVec(re), store)
 }
 
-func (c *lane4Emitter) contAssign(re lexpr4, sig *compile.Signal, store laneStoreFn) laneStmtFn {
-	return c.assign(re, wAssign, sig, store)
-}
-
 func (c *lane4Emitter) storeIndex(sig *compile.Signal, ie lexpr4, mode writeMode, inner laneStoreFn) laneStoreFn {
 	return c.indexStore(sig, c.asVec(ie), mode, inner)
 }

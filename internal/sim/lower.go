@@ -8,13 +8,13 @@ import (
 )
 
 // This file is the lowering front end shared by the four execution engines:
-// the compiled plan in each value domain (plan.go, plan4.go) and the lane
-// engine in each value domain (lanes.go, whose four-state expression
-// kernels are in lanes4.go). It walks the design's
-// AST and makes every plannability decision in one place: which statements,
-// assignment targets and expressions lower, the constant slice bounds,
-// replication counts and $past depths, and the static widths masks depend
-// on. Each engine is an emitter: given operands the front end has already
+// the scalar plan and the lane engine, each in both value domains. Each
+// engine has one machine and statement layer (plan.go, lanes.go) and keeps
+// its four-state expression kernels apart (plan4.go, lanes4.go). It walks
+// the design's AST and makes every plannability decision in one place:
+// which statements, assignment targets and expressions lower, the constant
+// slice bounds, replication counts and $past depths, and the static widths
+// masks depend on. Each engine is an emitter: given operands the front end has already
 // lowered and validated, it returns the closure its machine runs. Emitters
 // are called only while a plan is built, and the front end creates no
 // closure a simulation cycle runs, so the per-cycle loop executes engine
@@ -38,12 +38,12 @@ const (
 )
 
 // emitter is one engine's build-time interface to the front end. E is a
-// compiled expression, S a compiled statement, T a compiled assignment
-// target (a store receiving the unmasked value) and A a compiled
-// continuous assignment. Every argument is already lowered and checked;
+// compiled expression, S a compiled statement (continuous assignments
+// included) and T a compiled assignment target (a store receiving the
+// unmasked value). Every argument is already lowered and checked;
 // emitters decide nothing about plannability except that an operator
 // outside the AST's closed sets reports false.
-type emitter[E, S, T, A any] interface {
+type emitter[E, S, T any] interface {
 	number(x *verilog.Number) E
 	param(v uint64) E
 	signal(sig *compile.Signal) E
@@ -80,15 +80,14 @@ type emitter[E, S, T, A any] interface {
 	// caseStmt lowers a case statement; deflt is the zero S without a
 	// default arm.
 	caseStmt(subj E, arms []caseArm[E, S], deflt S) S
-	// packs reports whether the emitter stores rhs word-wide into sig, the
-	// whole-signal target of an assignment (nil for any other target); the
+	// packs reports whether the emitter's assign writes rhs into sig, the
+	// whole-signal target of an assignment (nil for any other target),
+	// itself (word-wide in the lane engines, fused in the scalar plan); the
 	// assignment then lowers no store and receives the zero T.
 	packs(rhs E, sig *compile.Signal) bool
-	// assign lowers a procedural assignment of rhs through store under
-	// mode; sig is as for packs.
+	// assign lowers an assignment of rhs through store under mode (wAssign
+	// for a continuous assignment); sig is as for packs.
 	assign(rhs E, mode writeMode, sig *compile.Signal, store T) S
-	// contAssign lowers a continuous assignment like assign under wAssign.
-	contAssign(rhs E, sig *compile.Signal, store T) A
 
 	// store writes a whole signal under mode, masking to its width.
 	store(sig *compile.Signal, mode writeMode) T
@@ -109,11 +108,17 @@ type caseArm[E, S any] struct {
 	body   S
 }
 
-// lowered is one engine's lowering of a design.
-type lowered[E, S, A any] struct {
-	assigns []A
+// program is the part of a lowering a machine runs every cycle: the
+// continuous assignments and the comb and seq always blocks.
+type program[S any] struct {
+	assigns []S
 	combs   []S
 	seqs    []S
+}
+
+// lowered is one engine's lowering of a design.
+type lowered[E, S any] struct {
+	program[S]
 
 	// sva maps every expression reachable from the design's assertions
 	// (terms, disable-iff) to its compiled form, keyed by AST node
@@ -129,14 +134,14 @@ type lowered[E, S, A any] struct {
 // whole-machine. ok is false when some design construct does not lower.
 // An assertion expression that does not lower only stays out of sva: the
 // trace evaluators fall back to the interpreter for it.
-func lower[E, S, T, A any](d *compile.Design, em emitter[E, S, T, A], four, constPast bool) (l lowered[E, S, A], ok bool) {
-	f := &lowerer[E, S, T, A]{planCompiler: planCompiler{d: d, four: four}, em: em, constPast: constPast}
+func lower[E, S, T any](d *compile.Design, em emitter[E, S, T], four, constPast bool) (l lowered[E, S], ok bool) {
+	f := &lowerer[E, S, T]{planCompiler: planCompiler{d: d, four: four}, em: em, constPast: constPast}
 	for _, as := range d.Assigns {
-		rhs, sig, store, err := f.assignment(as.LHS, as.RHS, wAssign)
+		a, err := f.assign(as.LHS, as.RHS, wAssign)
 		if err != nil {
 			return l, false
 		}
-		l.assigns = append(l.assigns, em.contAssign(rhs, sig, store))
+		l.assigns = append(l.assigns, a)
 	}
 	for _, al := range d.CombAlways {
 		body, err := f.stmt(al.Body, false)
@@ -183,12 +188,22 @@ func lower[E, S, T, A any](d *compile.Design, em emitter[E, S, T, A], four, cons
 type planCompiler struct {
 	d    *compile.Design
 	four bool // fold constants in the four-state domain
+
+	// widths memoises staticWidth for operator nodes, so one lowering
+	// computes each node's width once however deeply expressions nest.
+	widths map[verilog.Expr]staticW
+}
+
+// staticW is one memoised staticWidth result.
+type staticW struct {
+	w  int
+	ok bool
 }
 
 // lowerer is the front end's walk for one emitter.
-type lowerer[E, S, T, A any] struct {
+type lowerer[E, S, T any] struct {
 	planCompiler
-	em        emitter[E, S, T, A]
+	em        emitter[E, S, T]
 	constPast bool
 }
 
@@ -233,6 +248,23 @@ func (paramOnlyEnv) Width(string) int { return 0 }
 // plan-compile time (slice bounds and replication counts constant). Both
 // value domains mask by these two-state widths.
 func (c *planCompiler) staticWidth(e verilog.Expr) (int, bool) {
+	switch e.(type) {
+	case *verilog.Number, *verilog.Ident, *verilog.Index, *verilog.Slice:
+		return c.nodeWidth(e) // no operand widths to revisit
+	}
+	if sw, hit := c.widths[e]; hit {
+		return sw.w, sw.ok
+	}
+	w, ok := c.nodeWidth(e)
+	if c.widths == nil {
+		c.widths = map[verilog.Expr]staticW{}
+	}
+	c.widths[e] = staticW{w, ok}
+	return w, ok
+}
+
+// nodeWidth computes e's static width from its operands' static widths.
+func (c *planCompiler) nodeWidth(e verilog.Expr) (int, bool) {
 	switch x := e.(type) {
 	case *verilog.Number:
 		if x.Width > 0 {
@@ -326,7 +358,7 @@ func (c *planCompiler) operandWidth(operands ...verilog.Expr) (int, error) {
 // Statements and assignment targets
 // ---------------------------------------------------------------------------
 
-func (f *lowerer[E, S, T, A]) stmt(s verilog.Stmt, seq bool) (S, error) {
+func (f *lowerer[E, S, T]) stmt(s verilog.Stmt, seq bool) (S, error) {
 	var zero S
 	switch x := s.(type) {
 	case nil:
@@ -402,34 +434,30 @@ func (f *lowerer[E, S, T, A]) stmt(s verilog.Stmt, seq bool) (S, error) {
 	return zero, errUnplannable{fmt.Sprintf("statement %T", s)}
 }
 
-func (f *lowerer[E, S, T, A]) assign(lhs, rhs verilog.Expr, mode writeMode) (S, error) {
-	r, sig, store, err := f.assignment(lhs, rhs, mode)
+// assign lowers an assignment's RHS and, unless the emitter packs the RHS
+// into the whole signal the target names (sig, else nil), its target.
+func (f *lowerer[E, S, T]) assign(lhs, rhs verilog.Expr, mode writeMode) (S, error) {
+	var zero S
+	r, err := f.expr(rhs)
 	if err != nil {
-		var zero S
 		return zero, err
+	}
+	var sig *compile.Signal
+	if id, ok := lhs.(*verilog.Ident); ok {
+		sig = f.d.Signals[id.Name]
+	}
+	var store T
+	if !f.em.packs(r, sig) {
+		if store, err = f.store(lhs, mode); err != nil {
+			return zero, err
+		}
 	}
 	return f.em.assign(r, mode, sig, store), nil
 }
 
-// assignment lowers an assignment's RHS and, unless the emitter packs the
-// RHS into a whole single-bit signal, its target. sig is the signal the
-// target names whole, or nil.
-func (f *lowerer[E, S, T, A]) assignment(lhs, rhs verilog.Expr, mode writeMode) (r E, sig *compile.Signal, store T, err error) {
-	if r, err = f.expr(rhs); err != nil {
-		return r, nil, store, err
-	}
-	if id, ok := lhs.(*verilog.Ident); ok {
-		sig = f.d.Signals[id.Name]
-	}
-	if !f.em.packs(r, sig) {
-		store, err = f.store(lhs, mode)
-	}
-	return r, sig, store, err
-}
-
 // store lowers an assignment target. The store receives the unmasked RHS
 // value and applies the mode's write discipline.
-func (f *lowerer[E, S, T, A]) store(lhs verilog.Expr, mode writeMode) (T, error) {
+func (f *lowerer[E, S, T]) store(lhs verilog.Expr, mode writeMode) (T, error) {
 	var zero T
 	switch x := lhs.(type) {
 	case *verilog.Ident:
@@ -493,7 +521,7 @@ func (f *lowerer[E, S, T, A]) store(lhs verilog.Expr, mode writeMode) (T, error)
 
 // targetSignal resolves the signal a whole, bit or part-select target
 // writes.
-func (f *lowerer[E, S, T, A]) targetSignal(x verilog.Expr) (*compile.Signal, error) {
+func (f *lowerer[E, S, T]) targetSignal(x verilog.Expr) (*compile.Signal, error) {
 	id, ok := x.(*verilog.Ident)
 	if !ok {
 		return nil, errUnplannable{"unsupported assignment target"}
@@ -509,7 +537,7 @@ func (f *lowerer[E, S, T, A]) targetSignal(x verilog.Expr) (*compile.Signal, err
 // Expressions
 // ---------------------------------------------------------------------------
 
-func (f *lowerer[E, S, T, A]) expr(e verilog.Expr) (E, error) {
+func (f *lowerer[E, S, T]) expr(e verilog.Expr) (E, error) {
 	var zero E
 	switch x := e.(type) {
 	case *verilog.Number:
@@ -633,7 +661,7 @@ func (f *lowerer[E, S, T, A]) expr(e verilog.Expr) (E, error) {
 	return zero, errUnplannable{fmt.Sprintf("expression %T", e)}
 }
 
-func (f *lowerer[E, S, T, A]) call(x *verilog.Call) (E, error) {
+func (f *lowerer[E, S, T]) call(x *verilog.Call) (E, error) {
 	var zero E
 	if len(x.Args) == 0 {
 		return zero, errUnplannable{x.Name + " without arguments"}

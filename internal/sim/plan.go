@@ -16,6 +16,12 @@ import (
 // expression into slot-addressed evaluation closures over []uint64 state.
 // The hot loop then never touches the AST and never hashes a signal name.
 //
+// One machine (mach) and one statement and store layer serve both value
+// domains: in four-state every value carries an Unk plane, in two-state the
+// plane is absent (nil) and stores receive unk 0. Only the expression
+// kernels and the branch tests differ per domain; the four-state ones are in
+// plan4.go.
+//
 // A Plan is immutable after construction and safe for concurrent use; all
 // mutable state lives in the per-run mach.
 type Plan struct {
@@ -24,10 +30,10 @@ type Plan struct {
 	masks   []uint64 // per-slot width masks
 	initRow []uint64
 
-	// lowered holds the continuous assignments, the comb and seq blocks and
-	// the assertion-reachable expressions (sva), which Trace.CompileExpr
-	// resolves through at the API boundary.
-	lowered[evalFn, stmtFn, planAssign]
+	// lowered holds the two-state continuous assignments, comb and seq
+	// blocks and the assertion-reachable expressions (sva), which
+	// Trace.CompileExpr4 resolves through at the API boundary.
+	lowered[evalFn, stmtFn]
 
 	// seqDomain[i] is the clock-domain index of seqs[i] (aligned with
 	// design.SeqAlways and design.DomainOf); nil for single-domain designs,
@@ -48,21 +54,17 @@ type Plan struct {
 	pl    [2]*LanePlan
 }
 
-// evalFn evaluates a compiled expression against the machine state.
-// Failures are recorded via mach.fail; the returned value is then 0.
+// evalFn evaluates a compiled two-state expression against the machine
+// state. Failures are recorded via mach.fail; the returned value is then 0.
 type evalFn func(m *mach) uint64
 
-// stmtFn executes a compiled statement against the machine state.
+// stmtFn executes a compiled statement or continuous assignment against the
+// machine state, in either value domain.
 type stmtFn func(m *mach)
 
-// planAssign is one compiled continuous assignment.
-type planAssign struct {
-	rhs   evalFn
-	store stmtVFn
-}
-
-// stmtVFn stores a value into a compiled assignment target.
-type stmtVFn func(m *mach, v uint64)
+// stmtVFn stores a value and its Unk plane (0 in two-state) into a compiled
+// assignment target.
+type stmtVFn func(m *mach, v, u uint64)
 
 // PlanOf returns the design's compiled execution plan, building and caching
 // it on first use. It returns nil when the design uses a construct the
@@ -76,15 +78,20 @@ func PlanOf(d *compile.Design) *Plan {
 }
 
 // mach is the mutable execution state for one simulation run or one trace
-// evaluation. Overlay and nonblocking-commit sets use generation counters
-// so clearing between blocks and edges is O(1).
+// evaluation, in either value domain. Overlay and nonblocking-commit sets
+// use generation counters so clearing between blocks and edges is O(1).
+// Every Unk plane is nil in two-state machines; the machine tests that once
+// per call or per slot.
 type mach struct {
 	p    *Plan
-	vals []uint64 // committed state; during trace eval, aliases rows[idx]
+	prog *program[stmtFn] // the blocks of the run's value domain
+	vals []uint64         // committed state; during trace eval, aliases rows[idx]
+	unks []uint64         // committed Unk plane; during trace eval, rows4[idx]
 
 	// Blocking-assignment overlay: reads inside a block see ovlVal[s] when
 	// ovlGen[s] == gen. gen is bumped to invalidate the whole overlay.
 	ovlVal  []uint64
+	ovlUnk  []uint64
 	ovlGen  []uint32
 	gen     uint32
 	touched []int32 // slots written in the current comb block, write order
@@ -92,18 +99,12 @@ type mach struct {
 	// Post-edge commit set: the value each written slot takes at the edge,
 	// last write in program order winning.
 	nbaVal  []uint64
+	nbaUnk  []uint64
 	nbaGen  []uint32
 	ngen    uint32
 	nbaList []int32
 
 	changed bool
-
-	// Four-state planes, allocated only for four-state runs (nil otherwise).
-	// They share the generation counters above: a four-state write always
-	// touches both planes under one generation bump.
-	unks   []uint64
-	ovlUnk []uint64
-	nbaUnk []uint64
 
 	// Trace-evaluation state for sampled-value functions: rows is the full
 	// sampled history and idx the cycle under evaluation. rows4 is the
@@ -115,12 +116,14 @@ type mach struct {
 	err error
 }
 
-// setup makes m the initial execution state of one run of p. A mach that
-// ran before is reset in place, reusing its planes, so a caller looping
-// over many stimuli allocates the machine once.
-func (m *mach) setup(p *Plan) {
+// setup makes m the initial execution state of one run of p in mode: in
+// four-state every signal starts x except declared initials, and p's
+// four-state lowering must exist. A mach that ran before is reset in place,
+// reusing its planes, so a caller looping over many stimuli allocates the
+// machine once.
+func (m *mach) setup(p *Plan, mode Mode) {
 	n := p.nslots
-	m.p = p
+	m.p, m.prog = p, &p.program
 	m.vals = zeroed(m.vals, n)
 	m.ovlVal = zeroed(m.ovlVal, n)
 	m.ovlGen = zeroed(m.ovlGen, n)
@@ -132,6 +135,16 @@ func (m *mach) setup(p *Plan) {
 	m.nbaList = m.nbaList[:0]
 	m.changed, m.err = false, nil
 	copy(m.vals, p.initRow)
+	if mode == TwoState {
+		m.unks, m.ovlUnk, m.nbaUnk = nil, nil, nil
+		return
+	}
+	p4 := p.fourState()
+	m.prog = &p4.program
+	m.unks = zeroed(m.unks, n)
+	m.ovlUnk = zeroed(m.ovlUnk, n)
+	m.nbaUnk = zeroed(m.nbaUnk, n)
+	copy(m.unks, p4.initUnk)
 }
 
 // zeroed returns buf resized to n zero entries, reusing its storage when
@@ -146,10 +159,18 @@ func zeroed[T uint64 | uint32](buf []T, n int) []T {
 }
 
 // traceMach returns a machine for evaluating compiled expressions over
-// sampled trace rows: no overlay, vals aliased to the row under evaluation.
-func traceMach(p *Plan, rows [][]uint64) *mach {
-	n := p.nslots
-	return &mach{p: p, ovlGen: make([]uint32, n), gen: 1, rows: rows}
+// sampled trace rows (rows4 nil for a two-state trace): no overlay, state
+// aliased to the row under evaluation.
+func traceMach(p *Plan, rows, rows4 [][]uint64) *mach {
+	return &mach{p: p, ovlGen: make([]uint32, p.nslots), gen: 1, rows: rows, rows4: rows4}
+}
+
+// seek points a trace machine at sampled cycle c, clearing its error.
+func (m *mach) seek(c int) {
+	m.vals, m.idx, m.err = m.rows[c], c, nil
+	if m.rows4 != nil {
+		m.unks = m.rows4[c]
+	}
 }
 
 func (m *mach) fail(err error) {
@@ -158,6 +179,7 @@ func (m *mach) fail(err error) {
 	}
 }
 
+// read reads a slot's value plane through the blocking overlay.
 func (m *mach) read(slot int32) uint64 {
 	if m.ovlGen[slot] == m.gen {
 		return m.ovlVal[slot]
@@ -165,22 +187,91 @@ func (m *mach) read(slot int32) uint64 {
 	return m.vals[slot]
 }
 
+// read4 reads a slot's value and Unk planes through the blocking overlay
+// (four-state machines only).
+func (m *mach) read4(slot int32) V4 {
+	if m.ovlGen[slot] == m.gen {
+		return V4{Val: m.ovlVal[slot], Unk: m.ovlUnk[slot]}
+	}
+	return V4{Val: m.vals[slot], Unk: m.unks[slot]}
+}
+
+// unkAt returns plane[slot], or 0 when the plane is absent (two-state).
+func unkAt(plane []uint64, slot int32) uint64 {
+	if plane == nil {
+		return 0
+	}
+	return plane[slot]
+}
+
 // writeOvl records a blocking write visible to later reads in the block.
-func (m *mach) writeOvl(slot int32, v uint64) {
+func (m *mach) writeOvl(slot int32, v, u uint64) {
 	if m.ovlGen[slot] != m.gen {
 		m.ovlGen[slot] = m.gen
 		m.touched = append(m.touched, slot)
 	}
 	m.ovlVal[slot] = v
+	if m.ovlUnk != nil {
+		m.ovlUnk[slot] = u
+	}
 }
 
 // writeNBA records a post-edge commit; the last write in program order wins.
-func (m *mach) writeNBA(slot int32, v uint64) {
+func (m *mach) writeNBA(slot int32, v, u uint64) {
 	if m.nbaGen[slot] != m.ngen {
 		m.nbaGen[slot] = m.ngen
 		m.nbaList = append(m.nbaList, slot)
 	}
 	m.nbaVal[slot] = v
+	if m.nbaUnk != nil {
+		m.nbaUnk[slot] = u
+	}
+}
+
+// assign is a change-detected write of committed state: a continuous
+// assignment's, or a comb block's overlay commit.
+func (m *mach) assign(slot int32, v, u uint64) {
+	if m.vals[slot] != v {
+		m.vals[slot] = v
+		m.changed = true
+	}
+	if m.unks != nil && m.unks[slot] != u {
+		m.unks[slot] = u
+		m.changed = true
+	}
+}
+
+// put writes v, with Unk plane u, into slot under mode's write discipline,
+// masked to the slot's width by mask; x bits clear their value bits.
+func (m *mach) put(slot int32, mode writeMode, mask, v, u uint64) {
+	u &= mask
+	v &= mask &^ u
+	switch mode {
+	case wAssign:
+		m.assign(slot, v, u)
+	case wComb:
+		m.writeOvl(slot, v, u)
+	case wSeqBlocking:
+		m.writeOvl(slot, v, u)
+		m.writeNBA(slot, v, u)
+	default: // wSeqNBA
+		m.writeNBA(slot, v, u)
+	}
+}
+
+// rmw returns the base value of a bit/slice read-modify-write under mode,
+// matching the interpreter's overlay threading: continuous assignments read
+// committed state; comb and seq-blocking writes read through the blocking
+// overlay; seq-nonblocking writes read the latest pending post-edge value
+// first so earlier in-edge writes (blocking or nonblocking) are preserved.
+func (m *mach) rmw(slot int32, mode writeMode) (v, u uint64) {
+	switch {
+	case mode == wSeqNBA && m.nbaGen[slot] == m.ngen:
+		return m.nbaVal[slot], unkAt(m.nbaUnk, slot)
+	case mode != wAssign && m.ovlGen[slot] == m.gen:
+		return m.ovlVal[slot], unkAt(m.ovlUnk, slot)
+	}
+	return m.vals[slot], unkAt(m.unks, slot)
 }
 
 func (m *mach) setInput(name string, v uint64) error {
@@ -203,15 +294,14 @@ func (m *mach) setSlot(slot int32, v uint64) {
 // settle evaluates continuous assignments and combinational always blocks
 // to a fixpoint, mirroring Simulator.settle over slot state.
 func (m *mach) settle() error {
-	p := m.p
+	prog := m.prog
 	for iter := 0; iter < maxCombIterations; iter++ {
 		m.changed = false
 		m.gen++ // assigns read committed state, never a stale overlay
-		for i := range p.assigns {
-			a := &p.assigns[i]
-			a.store(m, a.rhs(m))
+		for _, assign := range prog.assigns {
+			assign(m)
 		}
-		for _, body := range p.combs {
+		for _, body := range prog.combs {
 			m.gen++
 			m.touched = m.touched[:0]
 			body(m)
@@ -219,10 +309,7 @@ func (m *mach) settle() error {
 				return m.err
 			}
 			for _, slot := range m.touched {
-				if v := m.ovlVal[slot]; m.vals[slot] != v {
-					m.vals[slot] = v
-					m.changed = true
-				}
+				m.assign(slot, m.ovlVal[slot], unkAt(m.ovlUnk, slot))
 			}
 		}
 		if m.err != nil {
@@ -244,7 +331,7 @@ func (m *mach) edge(fired uint64) error {
 	m.ngen++
 	m.nbaList = m.nbaList[:0]
 	dom := m.p.seqDomain
-	for i, body := range m.p.seqs {
+	for i, body := range m.prog.seqs {
 		if dom != nil && fired>>uint(dom[i])&1 == 0 {
 			continue
 		}
@@ -257,8 +344,24 @@ func (m *mach) edge(fired uint64) error {
 	}
 	for _, slot := range m.nbaList {
 		m.vals[slot] = m.nbaVal[slot]
+		if m.unks != nil {
+			m.unks[slot] = m.nbaUnk[slot]
+		}
 	}
 	return m.settle()
+}
+
+// evalAt evaluates a compiled expression of either domain against an
+// earlier sampled row, restoring the current frame afterwards.
+func evalAt[V uint64 | V4](m *mach, fn func(*mach) V, idx int) V {
+	vals, unks, cur := m.vals, m.unks, m.idx
+	m.vals, m.idx = m.rows[idx], idx
+	if m.rows4 != nil {
+		m.unks = m.rows4[idx]
+	}
+	v := fn(m)
+	m.vals, m.unks, m.idx = vals, unks, cur
+	return v
 }
 
 // ---------------------------------------------------------------------------
@@ -281,7 +384,7 @@ func buildPlan(d *compile.Design) *Plan {
 	if d.MultiClock() {
 		p.seqDomain = d.DomainOf
 	}
-	l, ok := lower[evalFn, stmtFn, stmtVFn, planAssign](d, &planEmitter{}, false, false)
+	l, ok := lower[evalFn, stmtFn, stmtVFn](d, &planEmitter{}, false, false)
 	if !ok {
 		return nil
 	}
@@ -289,20 +392,18 @@ func buildPlan(d *compile.Design) *Plan {
 	return p
 }
 
-// planEmitter emits the two-state plan's closures over mach.
-type planEmitter struct{}
-
 // ---------------------------------------------------------------------------
-// Statements and stores
+// Statements and stores, shared by both value domains
 // ---------------------------------------------------------------------------
 
-func (*planEmitter) nop() stmtFn { return func(*mach) {} }
+// planCore is the statement and store layer both scalar emitters embed.
+// Stores take a value and its Unk plane; two-state callers pass unk 0.
+type planCore struct{}
 
-func (*planEmitter) block(body []stmtFn) stmtFn { return planBlock(body) }
+func (planCore) nop() stmtFn { return func(*mach) {} }
 
-// planBlock runs a block's statements in order, stopping at the first
-// error; both scalar domains share it.
-func planBlock(body []stmtFn) stmtFn {
+// block runs a block's statements in order, stopping at the first error.
+func (planCore) block(body []stmtFn) stmtFn {
 	return func(m *mach) {
 		for _, fn := range body {
 			fn(m)
@@ -312,6 +413,49 @@ func planBlock(body []stmtFn) stmtFn {
 		}
 	}
 }
+
+func (planCore) store(sig *compile.Signal, mode writeMode) stmtVFn {
+	slot, mask := int32(sig.Slot), sig.Mask()
+	return func(m *mach, v, u uint64) { m.put(slot, mode, mask, v, u) }
+}
+
+// indexStore writes bit idx of sig, where idxFn reports an unknown index
+// as 64: an index >= 64 writes nothing.
+func (planCore) indexStore(sig *compile.Signal, idxFn evalFn, mode writeMode) stmtVFn {
+	slot, mask := int32(sig.Slot), sig.Mask()
+	return func(m *mach, v, u uint64) {
+		idx := idxFn(m)
+		if idx >= 64 {
+			return // write past the widest signal: no effect
+		}
+		bit := uint64(1) << idx
+		cv, cu := m.rmw(slot, mode)
+		m.put(slot, mode, mask, (cv&^bit)|((v&1)<<idx), (cu&^bit)|((u&1)<<idx))
+	}
+}
+
+func (planCore) storeSlice(sig *compile.Signal, shift uint, sm uint64, mode writeMode, _ stmtVFn) stmtVFn {
+	slot, mask := int32(sig.Slot), sig.Mask()
+	return func(m *mach, v, u uint64) {
+		cv, cu := m.rmw(slot, mode)
+		m.put(slot, mode, mask, (cv&^sm)|((v<<shift)&sm), (cu&^sm)|((u<<shift)&sm))
+	}
+}
+
+func (planCore) storeConcat(parts []stmtVFn, shifts []uint, masks []uint64) stmtVFn {
+	return func(m *mach, v, u uint64) {
+		for i, st := range parts {
+			st(m, (v>>shifts[i])&masks[i], (u>>shifts[i])&masks[i])
+		}
+	}
+}
+
+// ---------------------------------------------------------------------------
+// Two-state statements
+// ---------------------------------------------------------------------------
+
+// planEmitter emits the two-state plan's closures over mach.
+type planEmitter struct{ planCore }
 
 func (*planEmitter) ifStmt(cond evalFn, then, els stmtFn) stmtFn {
 	if els == nil {
@@ -331,6 +475,13 @@ func (*planEmitter) ifStmt(cond evalFn, then, els stmtFn) stmtFn {
 }
 
 func (*planEmitter) caseStmt(subj evalFn, arms []caseArm[evalFn, stmtFn], deflt stmtFn) stmtFn {
+	return planCase(subj, arms, deflt)
+}
+
+// planCase lowers a case statement in either value domain: the first arm
+// with a label equal to the subject runs, and in four-state equality is
+// case equality over both planes, like the four-state interpreter.
+func planCase[E ~func(*mach) V, V uint64 | V4](subj E, arms []caseArm[E, stmtFn], deflt stmtFn) stmtFn {
 	return func(m *mach) {
 		sv := subj(m)
 		for i := range arms {
@@ -350,87 +501,33 @@ func (*planEmitter) caseStmt(subj evalFn, arms []caseArm[evalFn, stmtFn], deflt 
 	}
 }
 
-func (*planEmitter) packs(evalFn, *compile.Signal) bool { return false }
+// packs reports a whole-signal target, whose masked write assign fuses.
+func (*planEmitter) packs(_ evalFn, sig *compile.Signal) bool { return sig != nil }
 
-func (*planEmitter) assign(rhs evalFn, _ writeMode, _ *compile.Signal, store stmtVFn) stmtFn {
-	return func(m *mach) { store(m, rhs(m)) }
-}
-
-func (*planEmitter) contAssign(rhs evalFn, _ *compile.Signal, store stmtVFn) planAssign {
-	return planAssign{rhs: rhs, store: store}
-}
-
-func (*planEmitter) store(sig *compile.Signal, mode writeMode) stmtVFn {
-	slot := int32(sig.Slot)
-	mask := sig.Mask()
+// assign fuses a whole-signal target's masked write into the assignment
+// closure, specialised per write mode, so the store costs no call.
+func (*planEmitter) assign(rhs evalFn, mode writeMode, sig *compile.Signal, store stmtVFn) stmtFn {
+	if sig == nil {
+		return func(m *mach) { store(m, rhs(m), 0) }
+	}
+	slot, mask := int32(sig.Slot), sig.Mask()
 	switch mode {
 	case wAssign:
-		return func(m *mach, v uint64) {
-			v &= mask
-			if m.vals[slot] != v {
-				m.vals[slot] = v
-				m.changed = true
-			}
-		}
+		return func(m *mach) { m.assign(slot, rhs(m)&mask, 0) }
 	case wComb:
-		return func(m *mach, v uint64) { m.writeOvl(slot, v&mask) }
+		return func(m *mach) { m.writeOvl(slot, rhs(m)&mask, 0) }
 	case wSeqBlocking:
-		return func(m *mach, v uint64) {
-			v &= mask
-			m.writeOvl(slot, v)
-			m.writeNBA(slot, v)
-		}
-	default: // wSeqNBA
-		return func(m *mach, v uint64) { m.writeNBA(slot, v&mask) }
-	}
-}
-
-func (*planEmitter) storeIndex(sig *compile.Signal, idxFn evalFn, mode writeMode, inner stmtVFn) stmtVFn {
-	base := rmwBase(int32(sig.Slot), mode)
-	return func(m *mach, v uint64) {
-		idx := idxFn(m)
-		if idx >= 64 {
-			return // write past the widest signal: no effect
-		}
-		bit := uint64(1) << idx
-		inner(m, (base(m)&^bit)|((v&1)<<idx))
-	}
-}
-
-func (*planEmitter) storeSlice(sig *compile.Signal, shift uint, sm uint64, mode writeMode, inner stmtVFn) stmtVFn {
-	base := rmwBase(int32(sig.Slot), mode)
-	return func(m *mach, v uint64) {
-		inner(m, (base(m)&^sm)|((v<<shift)&sm))
-	}
-}
-
-func (*planEmitter) storeConcat(parts []stmtVFn, shifts []uint, masks []uint64) stmtVFn {
-	return func(m *mach, v uint64) {
-		for i, st := range parts {
-			st(m, (v>>shifts[i])&masks[i])
+		return func(m *mach) {
+			v := rhs(m) & mask
+			m.writeOvl(slot, v, 0)
+			m.writeNBA(slot, v, 0)
 		}
 	}
+	return func(m *mach) { m.writeNBA(slot, rhs(m)&mask, 0) }
 }
 
-// rmwBase returns the base-value read for bit/slice read-modify-write under
-// the given mode, matching the interpreter's overlay threading: comb and
-// seq-blocking writes read through the blocking overlay; seq-nonblocking
-// writes read the latest pending post-edge value first so earlier in-edge
-// writes (blocking or nonblocking) are preserved.
-func rmwBase(slot int32, mode writeMode) evalFn {
-	switch mode {
-	case wAssign:
-		return func(m *mach) uint64 { return m.vals[slot] }
-	case wSeqNBA:
-		return func(m *mach) uint64 {
-			if m.nbaGen[slot] == m.ngen {
-				return m.nbaVal[slot]
-			}
-			return m.read(slot)
-		}
-	default: // wComb, wSeqBlocking: blocking overlay then committed state
-		return func(m *mach) uint64 { return m.read(slot) }
-	}
+func (e *planEmitter) storeIndex(sig *compile.Signal, idxFn evalFn, mode writeMode, _ stmtVFn) stmtVFn {
+	return e.indexStore(sig, idxFn, mode)
 }
 
 // ---------------------------------------------------------------------------
@@ -638,7 +735,7 @@ func (*planEmitter) past(pos verilog.Pos, fn, depthFn evalFn, _ uint64) evalFn {
 		if j < 0 {
 			return 0 // before start of time: sampled default (0)
 		}
-		return m.evalAt(fn, j)
+		return evalAt(m, fn, j)
 	}
 }
 
@@ -651,7 +748,7 @@ func (*planEmitter) sampled(pos verilog.Pos, name string, fn evalFn) evalFn {
 		now := fn(m)
 		var before uint64
 		if m.idx > 0 {
-			before = m.evalAt(fn, m.idx-1)
+			before = evalAt(m, fn, m.idx-1)
 		}
 		switch name {
 		case "$rose":
@@ -664,14 +761,4 @@ func (*planEmitter) sampled(pos verilog.Pos, name string, fn evalFn) evalFn {
 			return boolVal(before != now)
 		}
 	}
-}
-
-// evalAt evaluates a compiled expression against an earlier sampled row,
-// restoring the current frame afterwards.
-func (m *mach) evalAt(fn evalFn, idx int) uint64 {
-	savedVals, savedIdx := m.vals, m.idx
-	m.vals, m.idx = m.rows[idx], idx
-	v := fn(m)
-	m.vals, m.idx = savedVals, savedIdx
-	return v
 }

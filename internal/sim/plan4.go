@@ -1,39 +1,32 @@
 package sim
 
 import (
-	"fmt"
 	"math/bits"
 
 	"repro/internal/compile"
 	"repro/internal/verilog"
 )
 
-// This file is the four-state lowering of the execution plan: the same
-// compile-once, slot-indexed closure architecture as plan.go, but over
-// two-plane V4 state. It is built lazily (Plan.fourState) on the first
-// four-state run, so two-state simulation — the formal checker's hot path —
-// pays nothing for it. The operator semantics live in v4.go and are shared
-// with the reference interpreter (eval4.go), which the differential fuzzer
-// holds this lowering against plane-for-plane.
+// This file holds what the four-state domain of the execution plan does not
+// share with the two-state one: the expression kernels over V4 values, the
+// branch tests (an x condition is false, case labels match over both
+// planes), the initial Unk plane and the lazily built four-state lowering.
+// The machine, the statement layer and the stores are plan.go's, run with
+// their Unk planes present. The lowering is built on the first four-state
+// run (Plan.fourState), so two-state simulation — the formal checker's hot
+// path — pays nothing for it. The operator semantics live in v4.go and are
+// shared with the reference interpreter (eval4.go), which the differential
+// fuzzer holds this lowering against plane-for-plane.
 
 // evalFn4 evaluates a compiled expression against four-state machine state.
 type evalFn4 func(m *mach) V4
-
-// stmtVFn4 stores a four-state value into a compiled assignment target.
-type stmtVFn4 func(m *mach, v V4)
-
-// planAssign4 is one compiled continuous assignment.
-type planAssign4 struct {
-	rhs   evalFn4
-	store stmtVFn4
-}
 
 // plan4 is the four-state half of an execution plan.
 type plan4 struct {
 	initUnk []uint64 // per-slot initial unknown masks (x until reset/init)
 
 	// lowered mirrors Plan.lowered; sva serves four-state trace evaluation.
-	lowered[evalFn4, stmtFn, planAssign4]
+	lowered[evalFn4, stmtFn]
 }
 
 // fourState returns the plan's four-state lowering, building it on first
@@ -56,7 +49,7 @@ func buildPlan4(p *Plan) *plan4 {
 			p4.initUnk[sig.Slot] = d.RegInitX[name] & sig.Mask()
 		}
 	}
-	l, ok := lower[evalFn4, stmtFn, stmtVFn4, planAssign4](d, &plan4Emitter{}, true, false)
+	l, ok := lower[evalFn4, stmtFn, stmtVFn](d, &plan4Emitter{}, true, false)
 	if !ok {
 		return nil
 	}
@@ -65,132 +58,11 @@ func buildPlan4(p *Plan) *plan4 {
 }
 
 // ---------------------------------------------------------------------------
-// Four-state machine state
-// ---------------------------------------------------------------------------
-
-// setup4 is setup with both value planes allocated and the initial unknown
-// masks applied (every signal x except declared initials).
-func (m *mach) setup4(p *Plan, p4 *plan4) {
-	m.setup(p)
-	n := p.nslots
-	m.unks = zeroed(m.unks, n)
-	m.ovlUnk = zeroed(m.ovlUnk, n)
-	m.nbaUnk = zeroed(m.nbaUnk, n)
-	copy(m.unks, p4.initUnk)
-}
-
-// traceMach4 returns a machine for evaluating compiled expressions over a
-// four-state trace's sampled rows.
-func traceMach4(p *Plan, rows, rows4 [][]uint64) *mach {
-	n := p.nslots
-	return &mach{p: p, ovlGen: make([]uint32, n), gen: 1, rows: rows, rows4: rows4}
-}
-
-func (m *mach) read4(slot int32) V4 {
-	if m.ovlGen[slot] == m.gen {
-		return V4{Val: m.ovlVal[slot], Unk: m.ovlUnk[slot]}
-	}
-	return V4{Val: m.vals[slot], Unk: m.unks[slot]}
-}
-
-// writeOvl4 records a blocking write visible to later reads in the block.
-func (m *mach) writeOvl4(slot int32, v V4) {
-	if m.ovlGen[slot] != m.gen {
-		m.ovlGen[slot] = m.gen
-		m.touched = append(m.touched, slot)
-	}
-	m.ovlVal[slot] = v.Val
-	m.ovlUnk[slot] = v.Unk
-}
-
-// writeNBA4 records a post-edge commit; the last write in program order wins.
-func (m *mach) writeNBA4(slot int32, v V4) {
-	if m.nbaGen[slot] != m.ngen {
-		m.nbaGen[slot] = m.ngen
-		m.nbaList = append(m.nbaList, slot)
-	}
-	m.nbaVal[slot] = v.Val
-	m.nbaUnk[slot] = v.Unk
-}
-
-// settle4 mirrors mach.settle over both value planes.
-func (m *mach) settle4(p4 *plan4) error {
-	for iter := 0; iter < maxCombIterations; iter++ {
-		m.changed = false
-		m.gen++ // assigns read committed state, never a stale overlay
-		for i := range p4.assigns {
-			a := &p4.assigns[i]
-			a.store(m, a.rhs(m))
-		}
-		for _, body := range p4.combs {
-			m.gen++
-			m.touched = m.touched[:0]
-			body(m)
-			if m.err != nil {
-				return m.err
-			}
-			for _, slot := range m.touched {
-				if v, u := m.ovlVal[slot], m.ovlUnk[slot]; m.vals[slot] != v || m.unks[slot] != u {
-					m.vals[slot], m.unks[slot] = v, u
-					m.changed = true
-				}
-			}
-		}
-		if m.err != nil {
-			return m.err
-		}
-		if !m.changed {
-			return nil
-		}
-	}
-	return fmt.Errorf("sim: combinational logic did not settle (cycle?)")
-}
-
-// edge4 mirrors mach.edge over both value planes: the edge runs only the
-// blocks whose domain bit is set in fired (seqs is index-aligned with
-// seqDomain).
-func (m *mach) edge4(p4 *plan4, fired uint64) error {
-	m.ngen++
-	m.nbaList = m.nbaList[:0]
-	dom := m.p.seqDomain
-	for i, body := range p4.seqs {
-		if dom != nil && fired>>uint(dom[i])&1 == 0 {
-			continue
-		}
-		m.gen++ // fresh blocking overlay per block
-		m.touched = m.touched[:0]
-		body(m)
-		if m.err != nil {
-			return m.err
-		}
-	}
-	for _, slot := range m.nbaList {
-		m.vals[slot] = m.nbaVal[slot]
-		m.unks[slot] = m.nbaUnk[slot]
-	}
-	return m.settle4(p4)
-}
-
-// evalAt4 evaluates a compiled expression against an earlier sampled row,
-// restoring the current frame afterwards.
-func (m *mach) evalAt4(fn evalFn4, idx int) V4 {
-	savedVals, savedUnks, savedIdx := m.vals, m.unks, m.idx
-	m.vals, m.unks, m.idx = m.rows[idx], m.rows4[idx], idx
-	v := fn(m)
-	m.vals, m.unks, m.idx = savedVals, savedUnks, savedIdx
-	return v
-}
-
-// ---------------------------------------------------------------------------
-// Statements and stores
+// Statements
 // ---------------------------------------------------------------------------
 
 // plan4Emitter emits the four-state plan's closures over mach's two planes.
-type plan4Emitter struct{}
-
-func (*plan4Emitter) nop() stmtFn { return func(*mach) {} }
-
-func (*plan4Emitter) block(body []stmtFn) stmtFn { return planBlock(body) }
+type plan4Emitter struct{ planCore }
 
 func (*plan4Emitter) ifStmt(cond evalFn4, then, els stmtFn) stmtFn {
 	// An x condition is treated as false (IEEE 1364 §9.4).
@@ -211,114 +83,52 @@ func (*plan4Emitter) ifStmt(cond evalFn4, then, els stmtFn) stmtFn {
 }
 
 func (*plan4Emitter) caseStmt(subj evalFn4, arms []caseArm[evalFn4, stmtFn], deflt stmtFn) stmtFn {
-	return func(m *mach) {
-		// Case labels match by case equality over both planes, like the
-		// four-state interpreter.
-		sv := subj(m)
-		for i := range arms {
-			for _, lf := range arms[i].labels {
-				if lf(m) == sv {
-					arms[i].body(m)
-					return
-				}
-				if m.err != nil {
-					return
-				}
-			}
-		}
-		if deflt != nil {
-			deflt(m)
+	return planCase(subj, arms, deflt)
+}
+
+func (*plan4Emitter) packs(_ evalFn4, sig *compile.Signal) bool { return sig != nil }
+
+func (*plan4Emitter) assign(rhs evalFn4, mode writeMode, sig *compile.Signal, store stmtVFn) stmtFn {
+	if sig == nil {
+		return func(m *mach) {
+			v := rhs(m)
+			store(m, v.Val, v.Unk)
 		}
 	}
-}
-
-func (*plan4Emitter) packs(evalFn4, *compile.Signal) bool { return false }
-
-func (*plan4Emitter) assign(rhs evalFn4, _ writeMode, _ *compile.Signal, store stmtVFn4) stmtFn {
-	return func(m *mach) { store(m, rhs(m)) }
-}
-
-func (*plan4Emitter) contAssign(rhs evalFn4, _ *compile.Signal, store stmtVFn4) planAssign4 {
-	return planAssign4{rhs: rhs, store: store}
-}
-
-func (*plan4Emitter) store(sig *compile.Signal, mode writeMode) stmtVFn4 {
-	slot := int32(sig.Slot)
-	mask := sig.Mask()
+	slot, mask := int32(sig.Slot), sig.Mask()
 	switch mode {
 	case wAssign:
-		return func(m *mach, v V4) {
-			v = v.maskV(mask).norm()
-			if m.vals[slot] != v.Val || m.unks[slot] != v.Unk {
-				m.vals[slot] = v.Val
-				m.unks[slot] = v.Unk
-				m.changed = true
-			}
+		return func(m *mach) {
+			v := rhs(m).maskV(mask).norm()
+			m.assign(slot, v.Val, v.Unk)
 		}
 	case wComb:
-		return func(m *mach, v V4) { m.writeOvl4(slot, v.maskV(mask).norm()) }
+		return func(m *mach) {
+			v := rhs(m).maskV(mask).norm()
+			m.writeOvl(slot, v.Val, v.Unk)
+		}
 	case wSeqBlocking:
-		return func(m *mach, v V4) {
-			v = v.maskV(mask).norm()
-			m.writeOvl4(slot, v)
-			m.writeNBA4(slot, v)
+		return func(m *mach) {
+			v := rhs(m).maskV(mask).norm()
+			m.writeOvl(slot, v.Val, v.Unk)
+			m.writeNBA(slot, v.Val, v.Unk)
 		}
-	default: // wSeqNBA
-		return func(m *mach, v V4) { m.writeNBA4(slot, v.maskV(mask).norm()) }
+	}
+	return func(m *mach) {
+		v := rhs(m).maskV(mask).norm()
+		m.writeNBA(slot, v.Val, v.Unk)
 	}
 }
 
-func (*plan4Emitter) storeIndex(sig *compile.Signal, idxFn evalFn4, mode writeMode, inner stmtVFn4) stmtVFn4 {
-	base := rmwBase4(int32(sig.Slot), mode)
-	return func(m *mach, v V4) {
-		idx := idxFn(m)
-		if idx.Unk != 0 || idx.Val >= 64 {
-			return // write at an unknown or out-of-range index: no effect
+// storeIndex reads an unknown index as 64, which the shared index store
+// treats as out of range: an unknown-index write has no effect.
+func (e *plan4Emitter) storeIndex(sig *compile.Signal, idxFn evalFn4, mode writeMode, _ stmtVFn) stmtVFn {
+	return e.indexStore(sig, func(m *mach) uint64 {
+		if idx := idxFn(m); idx.Unk == 0 {
+			return idx.Val
 		}
-		sh := idx.Val
-		bit := uint64(1) << sh
-		cur := base(m)
-		inner(m, V4{
-			Val: (cur.Val &^ bit) | ((v.Val & 1) << sh),
-			Unk: (cur.Unk &^ bit) | ((v.Unk & 1) << sh),
-		})
-	}
-}
-
-func (*plan4Emitter) storeSlice(sig *compile.Signal, shift uint, sm uint64, mode writeMode, inner stmtVFn4) stmtVFn4 {
-	base := rmwBase4(int32(sig.Slot), mode)
-	return func(m *mach, v V4) {
-		cur := base(m)
-		inner(m, V4{
-			Val: (cur.Val &^ sm) | ((v.Val << shift) & sm),
-			Unk: (cur.Unk &^ sm) | ((v.Unk << shift) & sm),
-		})
-	}
-}
-
-func (*plan4Emitter) storeConcat(parts []stmtVFn4, shifts []uint, masks []uint64) stmtVFn4 {
-	return func(m *mach, v V4) {
-		for i, st := range parts {
-			st(m, V4{Val: (v.Val >> shifts[i]) & masks[i], Unk: (v.Unk >> shifts[i]) & masks[i]})
-		}
-	}
-}
-
-// rmwBase4 mirrors rmwBase over both planes.
-func rmwBase4(slot int32, mode writeMode) evalFn4 {
-	switch mode {
-	case wAssign:
-		return func(m *mach) V4 { return V4{Val: m.vals[slot], Unk: m.unks[slot]} }
-	case wSeqNBA:
-		return func(m *mach) V4 {
-			if m.nbaGen[slot] == m.ngen {
-				return V4{Val: m.nbaVal[slot], Unk: m.nbaUnk[slot]}
-			}
-			return m.read4(slot)
-		}
-	default: // wComb, wSeqBlocking: blocking overlay then committed state
-		return func(m *mach) V4 { return m.read4(slot) }
-	}
+		return 64
+	}, mode)
 }
 
 // ---------------------------------------------------------------------------
@@ -566,7 +376,7 @@ func (*plan4Emitter) past(pos verilog.Pos, fn, depthFn evalFn4, _ uint64) evalFn
 		if j < 0 {
 			return V4{} // before start of time: sampled default (0)
 		}
-		return m.evalAt4(fn, j)
+		return evalAt(m, fn, j)
 	}
 }
 
@@ -579,7 +389,7 @@ func (*plan4Emitter) sampled(pos verilog.Pos, name string, fn evalFn4) evalFn4 {
 		now := fn(m)
 		var before V4
 		if m.idx > 0 {
-			before = m.evalAt4(fn, m.idx-1)
+			before = evalAt(m, fn, m.idx-1)
 		}
 		return v4Sampled(name, before, now)
 	}

@@ -2,10 +2,15 @@ package sim
 
 import (
 	"context"
+	"fmt"
+	"runtime/debug"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/compile"
 	"repro/internal/corpus"
+	"repro/internal/testenv"
 	"repro/internal/verilog"
 )
 
@@ -82,4 +87,58 @@ endmodule
 	if errPlan == nil || errRef == nil {
 		t.Fatalf("invalid slice must fail on both backends: plan=%v reference=%v", errPlan, errRef)
 	}
+}
+
+// TestPlanBuildLinearInDepth: building both value domains' plans for an
+// expression nested 4N operators deep takes well under the 16x of a walk
+// that revisits every operand's subtree at every level. Each depth's time
+// is the best of several interleaved builds, after an untimed build has
+// grown the goroutine stack, with the collector off so no GC cycle or
+// stack scan lands in one build and not the other. A quadratic build fails
+// every measurement; a linear one fails only when the machine is busy for
+// a whole measurement, so the test takes the best of three.
+func TestPlanBuildLinearInDepth(t *testing.T) {
+	if testenv.Race {
+		t.Skip("the race detector distorts timings")
+	}
+	const n, trials = 500, 7
+	designs := func(depth int) []*compile.Design {
+		src := fmt.Sprintf("module deep (input [7:0] a, output [7:0] y);\n    assign y = %sa%s;\nendmodule\n",
+			strings.Repeat("~(", depth), strings.Repeat(")", depth))
+		ds := make([]*compile.Design, trials+1)
+		for i := range ds {
+			ds[i] = mustCompile(t, src)
+		}
+		return ds
+	}
+	build := func(d *compile.Design) time.Duration {
+		start := time.Now()
+		p := buildPlan(d)
+		if p == nil || buildPlan4(p) == nil {
+			t.Fatal("deep design did not lower")
+		}
+		return time.Since(start)
+	}
+	smallDs, largeDs := designs(n), designs(4*n)
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	build(largeDs[trials])
+	var ratios []float64
+	for len(ratios) < 3 {
+		var small, large time.Duration
+		for i := 0; i < trials; i++ {
+			if el := build(smallDs[i]); i == 0 || el < small {
+				small = el
+			}
+			if el := build(largeDs[i]); i == 0 || el < large {
+				large = el
+			}
+		}
+		t.Logf("depth %d: %v, depth %d: %v", n, small, 4*n, large)
+		ratios = append(ratios, float64(large)/float64(small))
+		if ratios[len(ratios)-1] < 8 {
+			return
+		}
+	}
+	t.Errorf("plan build at depth %d took %.1fx the time at depth %d in each of three measurements (%.1f); want < 8x (linear is 4x)",
+		4*n, ratios[0], n, ratios)
 }

@@ -76,11 +76,11 @@ func stopped(done <-chan struct{}) bool {
 // except declared initials); designs the planner cannot lower run on the
 // reference interpreter instead, with identical semantics.
 func Run(ctx context.Context, d *compile.Design, stim Stimulus, mode Mode) (*Trace, error) {
-	p, p4, ok := planFor(d, mode)
-	if !ok {
+	p := planFor(d, mode)
+	if p == nil {
 		return RunReferenceCtx(ctx, d, stim, mode)
 	}
-	r := &planRun{p4: p4, named: stim}
+	r := &planRun{named: stim}
 	return r.run(ctx, d, p, mode, len(stim))
 }
 
@@ -113,11 +113,7 @@ type VecRunner struct {
 
 // NewVecRunner returns run state for simulating d in mode.
 func NewVecRunner(d *compile.Design, mode Mode) *VecRunner {
-	v := &VecRunner{d: d, mode: mode}
-	if p, p4, ok := planFor(d, mode); ok {
-		v.p, v.r.p4 = p, p4
-	}
-	return v
+	return &VecRunner{d: d, mode: mode, p: planFor(d, mode)}
 }
 
 // Run simulates one stimulus, driving every input in stim.Inputs every
@@ -204,19 +200,14 @@ func RunLanesCtx(ctx context.Context, d *compile.Design, ls *LaneStimulus, mode 
 	return lt, nil
 }
 
-// planFor returns the design's compiled plan and, in FourState mode, its
-// four-state lowering; ok is false when either is unavailable and the run
-// belongs on the reference interpreter.
-func planFor(d *compile.Design, mode Mode) (p *Plan, p4 *plan4, ok bool) {
-	if p = PlanOf(d); p == nil {
-		return nil, nil, false
+// planFor returns the design's compiled plan when it has a lowering in
+// mode; nil when the run belongs on the reference interpreter.
+func planFor(d *compile.Design, mode Mode) *Plan {
+	p := PlanOf(d)
+	if p == nil || mode == FourState && p.fourState() == nil {
+		return nil
 	}
-	if mode == FourState {
-		if p4 = p.fourState(); p4 == nil {
-			return nil, nil, false
-		}
-	}
-	return p, p4, true
+	return p
 }
 
 // inputSlots resolves a driven input list to state slots once per run.
@@ -264,7 +255,6 @@ func (t *Trace) record(c int, vals, unk []uint64, ck *clocks) uint64 {
 // and a planRun that runs again resets its machine and trace in place.
 type planRun struct {
 	m     mach
-	p4    *plan4 // nil in two-state runs
 	tr    *Trace
 	ck    *clocks
 	fired uint64
@@ -284,11 +274,7 @@ func (r *planRun) run(ctx context.Context, d *compile.Design, p *Plan, mode Mode
 		r.ck = clocksOf(d)
 	}
 	r.tr.reset(p.nslots, rows, mode)
-	if mode == FourState {
-		r.m.setup4(p, r.p4)
-	} else {
-		r.m.setup(p)
-	}
+	r.m.setup(p, mode)
 	if err := r.settle(); err != nil {
 		return nil, err
 	}
@@ -320,23 +306,13 @@ func (r *planRun) apply(c int) error {
 	return nil
 }
 
-func (r *planRun) settle() error {
-	if r.p4 != nil {
-		return r.m.settle4(r.p4)
-	}
-	return r.m.settle()
-}
+func (r *planRun) settle() error { return r.m.settle() }
 
 func (r *planRun) sample(c int) {
 	r.fired = r.tr.record(c, r.m.vals, r.m.unks, r.ck)
 }
 
-func (r *planRun) edge() error {
-	if r.p4 != nil {
-		return r.m.edge4(r.p4, r.fired)
-	}
-	return r.m.edge(r.fired)
-}
+func (r *planRun) edge() error { return r.m.edge(r.fired) }
 
 // refRun is the reference interpreter's step set. Its state is name-keyed,
 // so the clock tracker and the trace read dense slot snapshots of it,

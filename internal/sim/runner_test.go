@@ -11,7 +11,8 @@ import (
 // TestVecRunnerAllocs: once a VecRunner has run, further runs of the same
 // shape allocate nothing — machine, step set, clock tracker and trace slabs
 // are all reset in place — on single- and multi-clock designs in both
-// value domains.
+// value domains. A two-state machine carries no Unk planes, after its
+// first run or after reuse.
 func TestVecRunnerAllocs(t *testing.T) {
 	if testenv.Race {
 		t.Skip("the race detector changes allocation counts")
@@ -36,6 +37,21 @@ func TestVecRunnerAllocs(t *testing.T) {
 	} {
 		for _, mode := range []Mode{TwoState, FourState} {
 			r := NewVecRunner(tc.d, mode)
+			unkPlanes := func(when string) {
+				m := &r.r.m
+				for _, plane := range []struct {
+					name string
+					p    []uint64
+				}{{"unks", m.unks}, {"ovlUnk", m.ovlUnk}, {"nbaUnk", m.nbaUnk}} {
+					if (plane.p != nil) != (mode == FourState) {
+						t.Errorf("%s mode %v %s: Unk plane %s allocated = %v", tc.name, mode, when, plane.name, plane.p != nil)
+					}
+				}
+			}
+			if _, err := r.Run(context.Background(), tc.stim); err != nil {
+				t.Fatal(err)
+			}
+			unkPlanes("after the first run")
 			allocs := testing.AllocsPerRun(20, func() {
 				if _, err := r.Run(context.Background(), tc.stim); err != nil {
 					t.Fatal(err)
@@ -44,6 +60,7 @@ func TestVecRunnerAllocs(t *testing.T) {
 			if allocs != 0 {
 				t.Errorf("%s mode %v: %.1f allocations per run, want 0", tc.name, mode, allocs)
 			}
+			unkPlanes("after reuse")
 		}
 	}
 }

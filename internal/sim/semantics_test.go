@@ -218,7 +218,8 @@ func TestPastDepthValidated(t *testing.T) {
 	}
 }
 
-// The compiled plan must validate $past depths identically.
+// The compiled plan must validate $past depths identically, in both value
+// domains.
 func TestPastDepthValidatedCompiled(t *testing.T) {
 	src := `
 module pd (
@@ -231,14 +232,25 @@ module pd (
 endmodule
 `
 	d := mustCompile(t, src)
-	tr, err := Run(context.Background(), d, Stimulus{{"x": 1}, {"x": 2}}, TwoState)
-	if err != nil {
-		t.Fatal(err)
-	}
 	term := d.Asserts[0].Seq.Consequent[0].Expr
-	fn := tr.CompileExpr(term)
-	var evalErr *EvalError
-	if _, err := fn(1); err == nil || !errors.As(err, &evalErr) {
-		t.Errorf("compiled $past(y, 0): want EvalError, got %v", err)
+	for _, mode := range []Mode{TwoState, FourState} {
+		tr, err := Run(context.Background(), d, Stimulus{{"x": 1}, {"x": 2}}, mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var compiled bool
+		if mode == TwoState {
+			_, compiled = tr.plan.sva[term]
+		} else {
+			_, compiled = tr.plan.fourState().sva[term]
+		}
+		if !compiled {
+			t.Fatalf("mode %v: the assertion term has no compiled closure", mode)
+		}
+		fn := tr.CompileExpr4(term)
+		var evalErr *EvalError
+		if _, err := fn(1); err == nil || !errors.As(err, &evalErr) {
+			t.Errorf("mode %v: compiled $past(y, 0): want EvalError, got %v", mode, err)
+		}
 	}
 }

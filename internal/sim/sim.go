@@ -74,12 +74,6 @@ func NewMode(d *compile.Design, mode Mode) (*Simulator, error) {
 	return s, nil
 }
 
-// Design returns the simulated design.
-func (s *Simulator) Design() *compile.Design { return s.design }
-
-// Mode returns the simulator's value domain.
-func (s *Simulator) Mode() Mode { return s.mode }
-
 // SetInput drives an input port for the upcoming cycle. Driven values are
 // fully known.
 func (s *Simulator) SetInput(name string, v uint64) error {
@@ -97,9 +91,6 @@ func (s *Simulator) Get(name string) (uint64, bool) {
 	v, ok := s.get4(name)
 	return v.Val, ok
 }
-
-// Get4 returns the current four-state value of any signal.
-func (s *Simulator) Get4(name string) (V4, bool) { return s.get4(name) }
 
 func (s *Simulator) get4(name string) (V4, bool) {
 	sig := s.design.Signals[name]

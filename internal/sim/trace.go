@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/compile"
@@ -32,7 +31,6 @@ type Trace struct {
 
 	plan *Plan // nil when produced by the reference interpreter
 	em   *mach // lazy shared machine for compiled evaluation
-	em4  *mach // lazy shared machine for compiled four-state evaluation
 
 	// fired[c] is the per-domain fired mask of the edge that followed row c
 	// (bit k set = Design.Domains[k] ticked); nil for single-domain traces,
@@ -53,10 +51,7 @@ func (t *Trace) reset(n, rows int, mode Mode) {
 	}
 	t.fired = t.fired[:0]
 	if t.em != nil {
-		t.em.rows = t.rows
-	}
-	if t.em4 != nil {
-		t.em4.rows, t.em4.rows4 = t.rows, t.unks
+		t.em.rows, t.em.rows4 = t.rows, t.unks
 	}
 }
 
@@ -148,83 +143,60 @@ func (t *Trace) UnkRow(cycle int) []uint64 {
 	return t.unks[cycle]
 }
 
-// CompiledExpr evaluates an expression at a sampled cycle of one trace.
-type CompiledExpr func(cycle int) (uint64, error)
-
-// CompileExpr returns an evaluator for e over this trace's sampled rows,
-// with history access for the SVA sampled-value functions. Expressions
-// reachable from the design's assertions resolve to the plan's precompiled
-// slot-addressed closures; anything else (or any trace produced by the
-// reference interpreter) falls back to the interpretive evaluator, which
-// computes identical results.
-func (t *Trace) CompileExpr(e verilog.Expr) CompiledExpr {
-	if t.plan != nil {
-		if fn, ok := t.plan.sva[e]; ok {
-			if t.em == nil {
-				t.em = traceMach(t.plan, t.rows)
-			}
-			m := t.em
-			return func(cycle int) (uint64, error) {
-				m.vals, m.idx, m.err = t.rows[cycle], cycle, nil
-				v := fn(m)
-				return v, m.err
-			}
-		}
-	}
-	return func(cycle int) (uint64, error) {
-		return Eval(e, traceRowEnv{t: t, idx: cycle})
-	}
-}
-
 // CompiledExpr4 evaluates an expression in the four-state domain at a
 // sampled cycle of one trace.
 type CompiledExpr4 func(cycle int) (V4, error)
 
 // CompileExpr4 returns a four-state evaluator for e over this trace's
-// sampled rows. On a two-state trace everything is known and the result is
-// the two-state evaluation lifted into the Val plane — built directly over
-// the plan's compiled closure so the formal checker's hot loop pays no
-// extra indirection. On a four-state trace, assertion-reachable
-// expressions resolve to the plan's compiled four-state closures with the
-// interpretive Eval4 as the fallback.
+// sampled rows, with history access for the SVA sampled-value functions.
+// Expressions reachable from the design's assertions resolve to the plan's
+// compiled closures of the trace's value domain; anything else (or any
+// trace produced by the reference interpreter) falls back to the
+// interpretive evaluator, which computes identical results. On a two-state
+// trace everything is known and the result is the two-state evaluation
+// lifted into the Val plane — built directly over the plan's compiled
+// closure so the formal checker's hot loop pays no extra indirection.
 func (t *Trace) CompileExpr4(e verilog.Expr) CompiledExpr4 {
-	if t.unks == nil {
-		if t.plan != nil {
-			if fn, ok := t.plan.sva[e]; ok {
-				if t.em == nil {
-					t.em = traceMach(t.plan, t.rows)
-				}
-				m := t.em
-				return func(cycle int) (V4, error) {
-					m.vals, m.idx, m.err = t.rows[cycle], cycle, nil
-					v := fn(m)
-					return V4{Val: v}, m.err
-				}
+	if t.plan != nil && t.unks == nil {
+		if fn, ok := t.plan.sva[e]; ok {
+			m := t.evalMach()
+			return func(cycle int) (V4, error) {
+				m.seek(cycle)
+				v := fn(m)
+				return V4{Val: v}, m.err
 			}
 		}
-		return func(cycle int) (V4, error) {
-			v, err := Eval(e, traceRowEnv{t: t, idx: cycle})
-			return known(v), err
-		}
 	}
-	if t.plan != nil {
+	if t.plan != nil && t.unks != nil {
 		if p4 := t.plan.fourState(); p4 != nil {
 			if fn, ok := p4.sva[e]; ok {
-				if t.em4 == nil {
-					t.em4 = traceMach4(t.plan, t.rows, t.unks)
-				}
-				m := t.em4
+				m := t.evalMach()
 				return func(cycle int) (V4, error) {
-					m.vals, m.unks, m.idx, m.err = t.rows[cycle], t.unks[cycle], cycle, nil
+					m.seek(cycle)
 					v := fn(m)
 					return v, m.err
 				}
 			}
 		}
 	}
+	if t.unks == nil {
+		return func(cycle int) (V4, error) {
+			v, err := Eval(e, traceRowEnv{t: t, idx: cycle})
+			return known(v), err
+		}
+	}
 	return func(cycle int) (V4, error) {
 		return Eval4(e, traceRowEnv{t: t, idx: cycle})
 	}
+}
+
+// evalMach returns the trace's shared machine for compiled evaluation,
+// creating it on first use.
+func (t *Trace) evalMach() *mach {
+	if t.em == nil {
+		t.em = traceMach(t.plan, t.rows, t.unks)
+	}
+	return t.em
 }
 
 // traceRowEnv adapts a trace row to the evaluator environment, with history
@@ -308,23 +280,6 @@ func (t *Trace) Format(names []string) string {
 // The clock itself is implicit (one rising edge per entry). Reset values are
 // supplied like any other input.
 type Stimulus []map[string]uint64
-
-// InputNames returns the sorted set of input names mentioned anywhere in the
-// stimulus, used for validation and logging.
-func (st Stimulus) InputNames() []string {
-	set := map[string]bool{}
-	for _, cyc := range st {
-		for name := range cyc {
-			set[name] = true
-		}
-	}
-	names := make([]string, 0, len(set))
-	for n := range set {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
 
 // VecStimulus drives a fixed input list with dense per-cycle vectors:
 // Rows[c][i] is the value of Inputs[i] at cycle c. It is the slot-addressed
