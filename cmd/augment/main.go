@@ -12,9 +12,10 @@
 // streaming shard files (<name>-00000.jsonl or .bin) instead of one
 // monolithic JSON array; the pipeline then streams straight to disk and
 // holds no dataset in memory. No check enters the verification cache, and
-// the pipeline holds only the designs and mutants in flight, so peak
-// memory barely grows with -n: on a 2-core Xeon, -format bin peaks at
-// about 15 MiB for the catalog alone and 17 MiB at -n 200. The bin format
+// the pipeline holds only the designs and mutants in flight, taking its
+// inputs one at a time, so peak memory barely grows with -n: on a 2-core
+// Xeon, -format bin peaks at about 12.7 MiB for the catalog alone and
+// 13.5 MiB at -n 200. The bin format
 // is the compact binary container of internal/dataset/binfmt (interned strings,
 // packed traces, per-shard random-access index). cmd/train autodetects
 // whichever format was produced.

@@ -34,33 +34,13 @@ func main() {
 		os.Exit(2)
 	}
 
-	type unit struct {
-		name string
-		src  string
-	}
-	var units []unit
-	if *useCorpus {
-		for _, b := range corpus.Catalog() {
-			units = append(units, unit{b.Name(), b.Source()})
-		}
-	} else {
-		for _, path := range flag.Args() {
-			data, err := os.ReadFile(path)
-			if err != nil {
-				log.Print(err)
-				os.Exit(2)
-			}
-			units = append(units, unit{path, string(data)})
-		}
-	}
-
 	exit := 0
-	for _, u := range units {
-		res, err := lint.AnalyzeSource(u.src)
+	check := func(name, src string) {
+		res, err := lint.AnalyzeSource(src)
 		if err != nil {
-			log.Printf("%s: %v", u.name, err)
+			log.Printf("%s: %v", name, err)
 			exit = 2
-			continue
+			return
 		}
 		if !lint.Clean(res.Findings) && exit == 0 {
 			exit = 1
@@ -70,21 +50,43 @@ func main() {
 				Name     string         `json:"name"`
 				Clean    bool           `json:"clean"`
 				Findings []lint.Finding `json:"findings"`
-			}{u.name, lint.Clean(res.Findings), res.Findings}
+			}{name, lint.Clean(res.Findings), res.Findings}
 			enc := json.NewEncoder(os.Stdout)
 			enc.SetIndent("", "  ")
 			if err := enc.Encode(out); err != nil {
 				log.Print(err)
 				os.Exit(2)
 			}
-			continue
+			return
 		}
 		for _, f := range res.Findings {
 			if f.Severity < lint.Warning && !*showInfo {
 				continue
 			}
-			fmt.Printf("%s: %s\n", u.name, f)
+			fmt.Printf("%s: %s\n", name, f)
 		}
+	}
+
+	if *useCorpus {
+		// One blueprint is built, printed and linted at a time.
+		for b := range (corpus.CatalogSource{}).Blueprints() {
+			check(b.Name(), b.Source())
+		}
+		os.Exit(exit)
+	}
+	// Every file is read before any is linted, so a read error exits
+	// before any finding is printed.
+	srcs := make([]string, flag.NArg())
+	for i, path := range flag.Args() {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			log.Print(err)
+			os.Exit(2)
+		}
+		srcs[i] = string(data)
+	}
+	for i, path := range flag.Args() {
+		check(path, srcs[i])
 	}
 	os.Exit(exit)
 }

@@ -26,19 +26,23 @@
 // design workers, whose results a single writer goroutine re-establishes
 // in production order before handing them to a Sink. Every check runs
 // outside the shared verdict cache (verify.Service.Run), and live memory
-// follows the checks in flight rather than the designs queued or the
-// mutants done: the job queue holds blueprints, not compiled designs (a
-// golden is compiled once, by its Stage-2 worker), a design's mutants are
-// held as printed text and labels, and a checked mutant keeps only the
-// verdict fields its sample needs. cmd/augment -format bin peaks at about
-// 15 MiB for the catalog and 17 MiB with 200 generated designs on a 2-core
-// Xeon. The emitted stream is byte-identical for a fixed seed regardless
-// of the worker count. Run collects the stream into an Output; RunStream
-// hands it to a caller Sink (cmd/augment streams it into sharded files).
+// follows the checks in flight rather than the corpus, the designs queued
+// or the mutants done. Every input arrives one item at a time: Stage 1
+// pulls golden blueprints and defective entries as it needs them and the
+// job queue holds one blueprint per worker, not compiled designs (a golden
+// is compiled once, by its Stage-2 worker); a design's mutants are printed
+// one at a time and held as text and labels, and a checked mutant keeps
+// only the verdict fields its sample needs. cmd/augment -format bin peaks
+// at about 12.7 MiB for the catalog and 13.5 MiB with 200 generated
+// designs on a 2-core Xeon. The emitted stream is byte-identical for a
+// fixed seed regardless of the worker count. Run collects the stream into
+// an Output; RunStream hands it to a caller Sink (cmd/augment streams it
+// into sharded files).
 package augment
 
 import (
 	"context"
+	"crypto/sha256"
 	"fmt"
 	"hash/fnv"
 	"runtime"
@@ -131,7 +135,7 @@ func (c Config) source(svc *verify.Service) corpus.Source {
 		return corpus.CatalogSource{}
 	}
 	var exclude [][32]byte
-	for _, b := range corpus.Catalog() {
+	for b := range (corpus.CatalogSource{}).Blueprints() {
 		exclude = append(exclude, b.ContentHash())
 	}
 	gen := corpus.NewGenerator(corpus.GenConfig{
@@ -279,15 +283,17 @@ func Run(cfg Config) (*Output, error) {
 	return out, nil
 }
 
-// pipeBuf bounds every pipeline channel: at most this many designs (or
-// dataset entries) are in flight between stages, however large the corpus
-// grows.
+// pipeBuf bounds the result and Verilog-PT channels: at most this many
+// finished designs (or dataset entries) wait between stages, however large
+// the corpus grows. The job queue is shorter still, one design per worker,
+// so the producer holds only the blueprints about to run.
 const pipeBuf = 64
 
 // inflightCap bounds how many designs may be past the producer but not
 // yet flushed to the sink. It caps the writer's reorder buffer: when one
 // slow design stalls the in-order flush, the producer pauses instead of
-// letting completed later designs pile up in memory.
+// letting completed later designs pile up in memory. It is much larger
+// than the job queue so a slow design never leaves the other workers idle.
 const inflightCap = 2 * pipeBuf
 
 // designJob is one golden design queued for Stage 2/3, tagged with its
@@ -322,7 +328,7 @@ func RunStream(cfg Config, sink Sink) (Stats, error) {
 		workers = runtime.GOMAXPROCS(0)
 	}
 
-	jobs := make(chan designJob, pipeBuf)
+	jobs := make(chan designJob, workers) // one queued design per worker; see pipeBuf
 	results := make(chan designResult, pipeBuf)
 	ptCh := make(chan dataset.PTEntry, pipeBuf)
 	tokens := make(chan struct{}, inflightCap)
@@ -431,13 +437,23 @@ func RunStream(cfg Config, sink Sink) (Stats, error) {
 
 // produce is Stage 1: it streams golden blueprints from the source into
 // Stage-2 jobs (each with a Verilog-PT entry), leaving their compilation
-// to Stage 2, and filters the defective population into Verilog-PT. Each
+// to Stage 2, and filters the defective population into Verilog-PT. Both
+// populations are pulled one entry at a time, and duplicates are found by
+// the SHA-256 of the source text, so Stage 1 holds neither corpus. Each
 // job first claims an in-flight token (returned by the writer once the
 // design is flushed), bounding the reorder buffer. Sends abort when stop
 // closes.
 func produce(cfg Config, svc *verify.Service, jobs chan<- designJob, ptCh chan<- dataset.PTEntry, tokens chan<- struct{}, stop <-chan struct{}) (Stats, error) {
 	var st Stats
-	seen := map[string]bool{}
+	seen := map[[sha256.Size]byte]bool{}
+	firstSeen := func(src string) bool {
+		h := sha256.Sum256([]byte(src))
+		if seen[h] {
+			return false
+		}
+		seen[h] = true
+		return true
+	}
 	seq := 0
 	sendPT := func(e dataset.PTEntry) bool {
 		select {
@@ -454,18 +470,17 @@ func produce(cfg Config, svc *verify.Service, jobs chan<- designJob, ptCh chan<-
 		// The built-in source has a known size: the catalog plus exactly
 		// Generate procedural designs (the generator excludes catalog
 		// hashes, so the union has no duplicates).
-		wantGoldens = len(corpus.Catalog()) + cfg.Generate
+		wantGoldens = corpus.CatalogSize() + cfg.Generate
 	}
 	goldens := 0
 	for b := range src.Blueprints() {
 		goldens++
 		st.RawEntries++
 		bSrc := b.Source()
-		if seen[bSrc] {
+		if !firstSeen(bSrc) {
 			st.FilteredDuplicate++
 			continue
 		}
-		seen[bSrc] = true
 		// The golden is compiled once, by the Stage-2 worker that injects
 		// its bugs (InjectAndValidate fails the run when it does not
 		// compile), so no compiled design waits in the job queue.
@@ -491,17 +506,16 @@ func produce(cfg Config, svc *verify.Service, jobs chan<- designJob, ptCh chan<-
 			goldens, wantGoldens, cfg.Generate)
 	}
 
-	for _, e := range corpus.DefectiveCorpus() {
+	for e := range corpus.DefectiveCorpus() {
 		st.RawEntries++
 		if !hasModuleStructure(e.Source) {
 			st.FilteredIncomplete++
 			continue
 		}
-		if seen[e.Source] {
+		if !firstSeen(e.Source) {
 			st.FilteredDuplicate++
 			continue
 		}
-		seen[e.Source] = true
 
 		m, perr := verilog.Parse(e.Source)
 		if perr == nil && isTrivial(m) {
@@ -601,55 +615,81 @@ func InjectAndValidate(b *corpus.Blueprint, cfg Config, stats *Stats, cotGen *co
 	opts := verify.Options{Seed: seed, Depth: depth, RandomRuns: cfg.RandomRuns, Lanes: cfg.Lanes}
 	diffOpts := formal.Options{Seed: seed, Depth: depth, RandomRuns: cfg.RandomRuns}
 
-	limit := cfg.BinCaps[corpus.BinIndex(b.LineCount())]
+	limit := cfg.BinCaps[corpus.BinIndex(strings.Count(goldenSrc, "\n"))]
 	if cfg.MutationsPerDesign > 0 && (limit == 0 || cfg.MutationsPerDesign < limit) {
 		limit = cfg.MutationsPerDesign
 	}
-	muts := bugs.Enumerate(b.Module, limit)
+
+	// Mutants arrive one at a time, each printed once and its AST dropped
+	// before the next is cloned: later phases need only its text and
+	// labels. Mutants that print to the same text in the same value domain
+	// share that text and one verdict: only the first of each is checked,
+	// and the rest copy its outcome after the parallel phase.
+	type mutKey struct {
+		src  string
+		four bool
+	}
+	var (
+		muts    []bugs.Mutation
+		srcs    []string
+		firstOf []int
+		seen    = map[mutKey]int{}
+	)
+	add := func(mu bugs.Mutation, src string) {
+		mu.Mutant = nil
+		k := mutKey{src, mu.Syn == bugs.SynReset}
+		j, dup := seen[k]
+		if !dup {
+			j = len(muts)
+			seen[k] = j
+		} else {
+			src = srcs[j] // a duplicate shares the first text
+		}
+		muts, srcs, firstOf = append(muts, mu), append(srcs, src), append(firstOf, j)
+	}
+
+	// The classic classes print the top module alone, which is the whole
+	// blueprint unless it has children.
+	for mu, src := range bugs.Stream(b.Module, limit) {
+		if len(b.Children) > 0 {
+			src = b.SourceWith(mu.Mutant)
+		}
+		add(mu, src)
+	}
 
 	// Reset-removal / initialisation-deletion class: validated under
 	// four-state checking (the bug is invisible two-state — registers
 	// silently initialise to zero). Only injected when the golden itself is
 	// clean four-state, otherwise every reset mutant would "fail" for the
-	// golden's own x-propagation rather than the injected bug. The class is
+	// golden's own x-propagation rather than the injected bug; the golden
+	// is checked when the first reset mutant arrives. The class is
 	// appended after the capped classic enumeration so it is never squeezed
 	// out by the per-bin caps and classic sample IDs stay stable.
 	opts4 := opts
 	opts4.FourState = true
-	if resetMuts := bugs.EnumerateResets(b.Module); len(resetMuts) > 0 {
-		if gv4, err := svc.Run(context.Background(), goldenSrc, nil, opts4); err == nil && gv4.Passed() {
-			muts = append(muts, resetMuts...)
+	checked := false
+	for mu, src := range bugs.StreamResets(b.Module) {
+		if !checked {
+			checked = true
+			if gv4, err := svc.Run(context.Background(), goldenSrc, nil, opts4); err != nil || !gv4.Passed() {
+				break
+			}
 		}
+		if len(b.Children) > 0 {
+			src = b.SourceWith(mu.Mutant)
+		}
+		add(mu, src)
 	}
 
 	// Hierarchical classes (port miswire, parameter perturbation, CDC
 	// re-clocking): only blueprints with children have instances to
 	// mutate. Appended after the capped classic classes for the same
-	// ID-stability reason as the reset class.
+	// ID-stability reason as the reset class. Their stream prints the
+	// whole set, children first, exactly as SourceWith does.
 	if len(b.Children) > 0 {
-		muts = append(muts, bugs.EnumerateHier(b.Set(b.Module), limit)...)
-	}
-
-	// Print every mutant once and release its AST: later phases need only
-	// its text and labels. Mutants that print to the same text in the same
-	// value domain share that text and one verdict: only the first of each
-	// is checked, and the rest copy its outcome after the parallel phase.
-	type mutKey struct {
-		src  string
-		four bool
-	}
-	srcs := make([]string, len(muts))
-	firstOf := make([]int, len(muts))
-	seen := make(map[mutKey]int, len(muts))
-	for i := range muts {
-		k := mutKey{b.SourceWith(muts[i].Mutant), muts[i].Syn == bugs.SynReset}
-		muts[i].Mutant = nil
-		j, dup := seen[k]
-		if !dup {
-			j, srcs[i] = i, k.src
-			seen[k] = i
+		for mu, src := range bugs.StreamHier(b.Set(b.Module), limit) {
+			add(mu, src)
 		}
-		srcs[i], firstOf[i] = srcs[j], j // a duplicate shares the first text
 	}
 
 	// Parallel phase: verify (and diff) every distinct mutant. Each check

@@ -3,7 +3,9 @@ package augment
 import (
 	"encoding/json"
 	"errors"
+	"iter"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/corpus"
@@ -215,5 +217,69 @@ func TestRunStreamBrokenGolden(t *testing.T) {
 	_, err := RunStream(Config{Seed: 5, MutationsPerDesign: 2, RandomRuns: 6, Source: src}, &collector{out: &Output{}})
 	if err == nil || !strings.Contains(err.Error(), bad.Name()) || !strings.Contains(err.Error(), "does not compile") {
 		t.Fatalf("got error %v, want one naming %s as not compiling", err, bad.Name())
+	}
+}
+
+// countingSource streams a fast parity design, then a slower accumulator,
+// then more parity designs, counting the blueprints it has handed out.
+type countingSource struct {
+	n       int
+	yielded atomic.Int64
+}
+
+func (s *countingSource) Name() string { return "counting" }
+
+func (s *countingSource) Blueprints() iter.Seq[*corpus.Blueprint] {
+	return func(yield func(*corpus.Blueprint) bool) {
+		for i := 0; i < s.n; i++ {
+			s.yielded.Add(1)
+			b := corpus.Parity(4 + i)
+			if i == 1 {
+				b = corpus.Accu(8, 4)
+			}
+			if !yield(b) {
+				return
+			}
+		}
+	}
+}
+
+// firstSampleSink records how many blueprints its source had yielded when
+// the first design was flushed, then stops the run.
+type firstSampleSink struct {
+	src     *countingSource
+	module  string
+	yielded int64
+}
+
+var errFirstSample = errors.New("first sample seen")
+
+func (f *firstSampleSink) PT(dataset.PTEntry) error { return nil }
+
+func (f *firstSampleSink) Bug(dataset.BugEntry) error { return nil }
+
+func (f *firstSampleSink) Sample(s dataset.SVASample) error {
+	f.module, f.yielded = s.Module, f.src.yielded.Load()
+	return errFirstSample
+}
+
+// TestRunStreamBoundedLookahead: Stage 1 pulls blueprints only as fast as
+// Stage 2 takes them. With one worker, when the first design is flushed
+// the source has yielded that design, the one running, the one queued and
+// the one the producer holds while it waits for the queue — however long
+// the source is. The second design runs for tens of milliseconds, so the
+// writer flushes the first before the worker can take a third.
+func TestRunStreamBoundedLookahead(t *testing.T) {
+	src := &countingSource{n: 12}
+	sink := &firstSampleSink{src: src}
+	_, err := RunStream(Config{Seed: 5, MutationsPerDesign: 1, RandomRuns: 24, Workers: 1, Source: src}, sink)
+	if !errors.Is(err, errFirstSample) {
+		t.Fatalf("got %v, want the run stopped at the first sample", err)
+	}
+	if want := corpus.Parity(4).Name(); sink.module != want {
+		t.Fatalf("first sample is from %s, want %s", sink.module, want)
+	}
+	if sink.yielded > 4 {
+		t.Errorf("source had yielded %d of %d blueprints when the first design was flushed, want at most 4", sink.yielded, src.n)
 	}
 }

@@ -15,6 +15,7 @@ package bugs
 
 import (
 	"fmt"
+	"iter"
 	"strings"
 
 	"repro/internal/compile"
@@ -151,69 +152,93 @@ type mutator struct {
 	apply func()
 }
 
-// Enumerate returns every single-site mutation of the module's RTL, up to
-// limit (0 = no limit). The same golden module always yields the same
-// mutation list: enumeration is deterministic.
+// Stream enumerates every single-site mutation of the module's RTL, up to
+// limit (0 = no limit), one at a time. The same golden module always
+// yields the same mutations in the same order: enumeration is
+// deterministic.
 //
-// Each returned mutation owns an independent clone of the module; mutations
-// whose printed source equals the golden source (no-ops) are dropped, as
-// are mutations that change more than one printed line.
-func Enumerate(golden *verilog.Module, limit int) []Mutation {
+// Each yielded mutation owns an independent clone of the module, and the
+// string beside it is that clone's printed source. Mutations whose printed
+// source equals the golden source (no-ops) are skipped, as are mutations
+// that change more than one printed line. A consumer that drops each
+// mutant once it is done with it holds one clone at a time.
+func Stream(golden *verilog.Module, limit int) iter.Seq2[Mutation, string] {
 	widths := signalWidths(golden)
-	return enumerate(golden, limit, func(m *verilog.Module) []mutator {
+	return enumerate(golden, verilog.Print(golden), limit, func(m *verilog.Module) []mutator {
 		return collect(m, widths)
-	})
+	}, verilog.Print)
 }
 
-// EnumerateResets returns the SynReset mutations of the module: every
-// reset-branch assignment and every initial-block initialisation rewritten
-// to keep the register's own value (cnt <= 0 becomes cnt <= cnt), which in
-// four-state semantics leaves the register x. It is a separate enumeration
-// so the per-design caps applied to the classic classes never squeeze the
-// reset class out, and existing mutation indices (and therefore dataset
-// sample IDs) stay stable.
+// Enumerate collects Stream into a list. Every mutation keeps its own
+// clone, so the list holds one copy of the module per mutant.
+func Enumerate(golden *verilog.Module, limit int) []Mutation {
+	return collectAll(Stream(golden, limit))
+}
+
+// StreamResets enumerates the SynReset mutations of the module, one at a
+// time, like Stream: every reset-branch assignment and every initial-block
+// initialisation rewritten to keep the register's own value (cnt <= 0
+// becomes cnt <= cnt), which in four-state semantics leaves the register
+// x. It is a separate enumeration so the per-design caps applied to the
+// classic classes never squeeze the reset class out, and existing mutation
+// indices (and therefore dataset sample IDs) stay stable.
+func StreamResets(golden *verilog.Module) iter.Seq2[Mutation, string] {
+	return enumerate(golden, verilog.Print(golden), 0, collectResets, verilog.Print)
+}
+
+// EnumerateResets collects StreamResets into a list.
 func EnumerateResets(golden *verilog.Module) []Mutation {
-	return enumerate(golden, 0, collectResets)
+	return collectAll(StreamResets(golden))
 }
 
-// enumerate runs a mutator collector through the clone/apply/single-line-
-// diff pipeline shared by every bug class.
-func enumerate(golden *verilog.Module, limit int, collect func(*verilog.Module) []mutator) []Mutation {
-	goldenSrc := verilog.Print(golden)
-
-	// First pass: count sites by running the collector on a throwaway clone.
-	probe := collect(verilog.CloneModule(golden))
-	n := len(probe)
-	if limit > 0 && n > limit {
-		n = limit
-	}
-
+// collectAll gathers a mutation stream into a list, dropping the printed
+// sources.
+func collectAll(seq iter.Seq2[Mutation, string]) []Mutation {
 	var out []Mutation
-	for i := 0; i < n; i++ {
-		clone := verilog.CloneModule(golden)
-		muts := collect(clone)
-		if i >= len(muts) {
-			break
-		}
-		mu := muts[i]
-		mu.apply()
-		mutSrc := verilog.Print(clone)
-		lineNo, goldenLine, buggyLine, nDiff := diffLines(goldenSrc, mutSrc)
-		if nDiff != 1 {
-			continue // no-op or multi-line edit
-		}
-		out = append(out, Mutation{
-			Mutant:      clone,
-			Syn:         mu.syn,
-			IsCond:      mu.cond,
-			Description: mu.desc,
-			LineNo:      lineNo,
-			BuggyLine:   strings.Clone(buggyLine), // a substring would pin the whole printed source
-			GoldenLine:  strings.Clone(goldenLine),
-			Affected:    mu.aff,
-		})
+	for mu := range seq {
+		out = append(out, mu)
 	}
 	return out
+}
+
+// enumerate is the clone/apply/single-line-diff pipeline shared by every
+// bug class. It runs the mutator collector on a fresh clone of top per
+// site, applies that site's edit, prints the clone with render and yields
+// it when it differs from goldenSrc in exactly one line.
+func enumerate(top *verilog.Module, goldenSrc string, limit int, collect func(*verilog.Module) []mutator, render func(*verilog.Module) string) iter.Seq2[Mutation, string] {
+	return func(yield func(Mutation, string) bool) {
+		// First pass: count sites by running the collector on a throwaway clone.
+		n := len(collect(verilog.CloneModule(top)))
+		if limit > 0 && n > limit {
+			n = limit
+		}
+		for i := 0; i < n; i++ {
+			clone := verilog.CloneModule(top)
+			muts := collect(clone)
+			if i >= len(muts) {
+				return
+			}
+			mu := muts[i]
+			mu.apply()
+			mutSrc := render(clone)
+			lineNo, goldenLine, buggyLine, nDiff := diffLines(goldenSrc, mutSrc)
+			if nDiff != 1 {
+				continue // no-op or multi-line edit
+			}
+			if !yield(Mutation{
+				Mutant:      clone,
+				Syn:         mu.syn,
+				IsCond:      mu.cond,
+				Description: mu.desc,
+				LineNo:      lineNo,
+				BuggyLine:   strings.Clone(buggyLine), // a substring would pin the whole printed source
+				GoldenLine:  strings.Clone(goldenLine),
+				Affected:    mu.aff,
+			}, mutSrc) {
+				return
+			}
+		}
+	}
 }
 
 // signalWidths maps signal names to widths for compatible-identifier

@@ -2,6 +2,7 @@ package bugs
 
 import (
 	"fmt"
+	"iter"
 	"strings"
 
 	"repro/internal/verilog"
@@ -18,16 +19,18 @@ import (
 // resolving positional connections.
 type childPorts map[string][]*verilog.Port
 
-// EnumerateHier returns every single-site hierarchical mutation of the
-// set's top module: SynPort connection miswires, SynParam override
-// perturbations, and — when the top drives at least two distinct clocks —
-// SynCdc re-clocking bugs. Enumeration is deterministic; mutations whose
-// printed set differs from the golden set by anything other than exactly
-// one line are dropped, like the flat classes.
-func EnumerateHier(set *verilog.SourceSet, limit int) []Mutation {
+// StreamHier enumerates every single-site hierarchical mutation of the
+// set's top module, one at a time like Stream: SynPort connection
+// miswires, SynParam override perturbations, and — when the top drives at
+// least two distinct clocks — SynCdc re-clocking bugs. Enumeration is
+// deterministic; mutations whose printed set differs from the golden set
+// by anything other than exactly one line are skipped, like the flat
+// classes. The string beside each mutation is the printed mutant set: the
+// children in set order, then the mutated top.
+func StreamHier(set *verilog.SourceSet, limit int) iter.Seq2[Mutation, string] {
 	top, err := set.Top()
 	if err != nil || top == nil {
-		return nil
+		return func(func(Mutation, string) bool) {}
 	}
 	children := childPorts{}
 	var childMods []*verilog.Module
@@ -37,40 +40,17 @@ func EnumerateHier(set *verilog.SourceSet, limit int) []Mutation {
 			childMods = append(childMods, m)
 		}
 	}
-	goldenSrc := verilog.PrintSet(set)
-
-	probe := collectHier(verilog.CloneModule(top), children)
-	n := len(probe)
-	if limit > 0 && n > limit {
-		n = limit
+	render := func(clone *verilog.Module) string {
+		return verilog.PrintSet(&verilog.SourceSet{Modules: append(append([]*verilog.Module{}, childMods...), clone)})
 	}
+	return enumerate(top, verilog.PrintSet(set), limit, func(m *verilog.Module) []mutator {
+		return collectHier(m, children)
+	}, render)
+}
 
-	var out []Mutation
-	for i := 0; i < n; i++ {
-		clone := verilog.CloneModule(top)
-		muts := collectHier(clone, children)
-		if i >= len(muts) {
-			break
-		}
-		mu := muts[i]
-		mu.apply()
-		mutSet := &verilog.SourceSet{Modules: append(append([]*verilog.Module{}, childMods...), clone)}
-		lineNo, goldenLine, buggyLine, nDiff := diffLines(goldenSrc, verilog.PrintSet(mutSet))
-		if nDiff != 1 {
-			continue // no-op or multi-line edit
-		}
-		out = append(out, Mutation{
-			Mutant:      clone,
-			Syn:         mu.syn,
-			IsCond:      mu.cond,
-			Description: mu.desc,
-			LineNo:      lineNo,
-			BuggyLine:   strings.Clone(buggyLine), // a substring would pin the whole printed source
-			GoldenLine:  strings.Clone(goldenLine),
-			Affected:    mu.aff,
-		})
-	}
-	return out
+// EnumerateHier collects StreamHier into a list.
+func EnumerateHier(set *verilog.SourceSet, limit int) []Mutation {
+	return collectAll(StreamHier(set, limit))
 }
 
 // collectHier gathers the hierarchical mutators of one (cloned) top

@@ -2,113 +2,127 @@ package corpus
 
 import (
 	"fmt"
+	"iter"
+	"slices"
 	"strings"
 )
 
-// Catalog returns every golden blueprint, deterministically ordered,
-// spanning the five code-length bins of Table II. Each call builds fresh
-// ASTs, so callers may mutate the results freely.
-func Catalog() []*Blueprint {
-	var out []*Blueprint
-	add := func(b *Blueprint) { out = append(out, b) }
-
+// catalog lists the constructors of the golden blueprints in catalog
+// order, spanning the five code-length bins of Table II. Each constructor
+// builds a fresh AST, so consumers build one blueprint at a time and only
+// when they reach it.
+var catalog = [...]func() *Blueprint{
 	// --- (0, 50] ---
-	add(Counter(4, 9))
-	add(Counter(4, 15))
-	add(Counter(3, 5))
-	add(Counter(6, 49))
-	add(Counter(5, 29))
-	add(Counter(8, 23))
-	add(EdgeDetect())
-	add(Parity(8))
-	add(Parity(16))
-	add(ClkDiv(4, 2))
-	add(ClkDiv(6, 3))
-	add(ClkDiv(10, 4))
-	add(PWM(4))
-	add(PWM(6))
-	add(Gray(4))
-	add(Gray(5))
-	add(MinMax(4))
-	add(MinMax(8))
-	add(OneHotRotate(4))
-	add(OneHotRotate(6))
-	add(LFSR(4, 0x9))
-	add(LFSR(5, 0x14))
-	add(ShiftReg(3))
+	func() *Blueprint { return Counter(4, 9) },
+	func() *Blueprint { return Counter(4, 15) },
+	func() *Blueprint { return Counter(3, 5) },
+	func() *Blueprint { return Counter(6, 49) },
+	func() *Blueprint { return Counter(5, 29) },
+	func() *Blueprint { return Counter(8, 23) },
+	func() *Blueprint { return EdgeDetect() },
+	func() *Blueprint { return Parity(8) },
+	func() *Blueprint { return Parity(16) },
+	func() *Blueprint { return ClkDiv(4, 2) },
+	func() *Blueprint { return ClkDiv(6, 3) },
+	func() *Blueprint { return ClkDiv(10, 4) },
+	func() *Blueprint { return PWM(4) },
+	func() *Blueprint { return PWM(6) },
+	func() *Blueprint { return Gray(4) },
+	func() *Blueprint { return Gray(5) },
+	func() *Blueprint { return MinMax(4) },
+	func() *Blueprint { return MinMax(8) },
+	func() *Blueprint { return OneHotRotate(4) },
+	func() *Blueprint { return OneHotRotate(6) },
+	func() *Blueprint { return LFSR(4, 0x9) },
+	func() *Blueprint { return LFSR(5, 0x14) },
+	func() *Blueprint { return ShiftReg(3) },
 
 	// --- (50, 100] ---
-	add(SatAdd(4))
-	add(SatAdd(8))
-	add(Comparator(4))
-	add(Comparator(8))
-	add(Accu(8, 2))
-	add(Accu(4, 2))
-	add(Accu(8, 3))
-	add(ShiftReg(8))
-	add(ShiftReg(12))
-	add(FIFOFlags(3, 2))
-	add(FIFOFlags(4, 3))
-	add(FIFOFlags(7, 3))
-	add(Handshake(2))
-	add(Handshake(3))
-	add(Handshake(5))
-	add(Mux(4, 2))
-	add(Mux(4, 4))
-	add(FSMDetect([]int{1, 0, 1}))
-	add(FSMDetect([]int{1, 1, 0, 1}))
-	add(VendingFSM())
-	add(Debouncer(3))
-	add(Debouncer(5))
-	add(CRC(4, 0x3))
-	add(CRC(8, 0x07))
-	add(UARTTx(4))
-	add(UARTTx(8))
-	add(SeqMultiplier(3))
-	add(SeqMultiplier(4))
-	add(RoundRobinN(3))
-	add(RoundRobinN(4))
+	func() *Blueprint { return SatAdd(4) },
+	func() *Blueprint { return SatAdd(8) },
+	func() *Blueprint { return Comparator(4) },
+	func() *Blueprint { return Comparator(8) },
+	func() *Blueprint { return Accu(8, 2) },
+	func() *Blueprint { return Accu(4, 2) },
+	func() *Blueprint { return Accu(8, 3) },
+	func() *Blueprint { return ShiftReg(8) },
+	func() *Blueprint { return ShiftReg(12) },
+	func() *Blueprint { return FIFOFlags(3, 2) },
+	func() *Blueprint { return FIFOFlags(4, 3) },
+	func() *Blueprint { return FIFOFlags(7, 3) },
+	func() *Blueprint { return Handshake(2) },
+	func() *Blueprint { return Handshake(3) },
+	func() *Blueprint { return Handshake(5) },
+	func() *Blueprint { return Mux(4, 2) },
+	func() *Blueprint { return Mux(4, 4) },
+	func() *Blueprint { return FSMDetect([]int{1, 0, 1}) },
+	func() *Blueprint { return FSMDetect([]int{1, 1, 0, 1}) },
+	func() *Blueprint { return VendingFSM() },
+	func() *Blueprint { return Debouncer(3) },
+	func() *Blueprint { return Debouncer(5) },
+	func() *Blueprint { return CRC(4, 0x3) },
+	func() *Blueprint { return CRC(8, 0x07) },
+	func() *Blueprint { return UARTTx(4) },
+	func() *Blueprint { return UARTTx(8) },
+	func() *Blueprint { return SeqMultiplier(3) },
+	func() *Blueprint { return SeqMultiplier(4) },
+	func() *Blueprint { return RoundRobinN(3) },
+	func() *Blueprint { return RoundRobinN(4) },
 
 	// --- (50, 100] --- (continued)
-	add(FSMDetect([]int{1, 0, 1, 1, 0}))
-	add(FSMDetect([]int{0, 1, 1, 0, 1, 1}))
-	add(Mux(8, 2))
-	add(ALU(4, 4))
-	add(ALU(8, 6))
-	add(RegFile(4, 4))
-	add(RegFile(6, 4))
-	add(Pipeline(10, 8))
-	add(Pipeline(15, 8))
+	func() *Blueprint { return FSMDetect([]int{1, 0, 1, 1, 0}) },
+	func() *Blueprint { return FSMDetect([]int{0, 1, 1, 0, 1, 1}) },
+	func() *Blueprint { return Mux(8, 2) },
+	func() *Blueprint { return ALU(4, 4) },
+	func() *Blueprint { return ALU(8, 6) },
+	func() *Blueprint { return RegFile(4, 4) },
+	func() *Blueprint { return RegFile(6, 4) },
+	func() *Blueprint { return Pipeline(10, 8) },
+	func() *Blueprint { return Pipeline(15, 8) },
 
 	// --- (100, 150] ---
-	add(padToBin(Pipeline(12, 8), 101))
-	add(ALU(8, 8))
-	add(RegFile(8, 4))
-	add(Mux(16, 2))
-	add(Pipeline(24, 8))
-	add(RegFile(12, 8))
+	func() *Blueprint { return padToBin(Pipeline(12, 8), 101) },
+	func() *Blueprint { return ALU(8, 8) },
+	func() *Blueprint { return RegFile(8, 4) },
+	func() *Blueprint { return Mux(16, 2) },
+	func() *Blueprint { return Pipeline(24, 8) },
+	func() *Blueprint { return RegFile(12, 8) },
 
 	// --- (150, 200] ---
-	add(padToBin(System(8, 4, 500), 151))
-	add(Pipeline(30, 16))
-	add(RegFile(16, 4))
-	add(padToBin(Pipeline(20, 8), 170))
-	add(padToBin(RegFile(10, 8), 160))
+	func() *Blueprint { return padToBin(System(8, 4, 500), 151) },
+	func() *Blueprint { return Pipeline(30, 16) },
+	func() *Blueprint { return RegFile(16, 4) },
+	func() *Blueprint { return padToBin(Pipeline(20, 8), 170) },
+	func() *Blueprint { return padToBin(RegFile(10, 8), 160) },
 
 	// --- (200, +inf) ---
-	add(padToBin(System(8, 8, 900), 201))
-	add(padToBin(ALU(16, 8), 201))
-	add(RegFile(20, 4))
-	add(Mux(32, 2))
-	add(padToBin(Pipeline(36, 16), 205))
+	func() *Blueprint { return padToBin(System(8, 8, 900), 201) },
+	func() *Blueprint { return padToBin(ALU(16, 8), 201) },
+	func() *Blueprint { return RegFile(20, 4) },
+	func() *Blueprint { return Mux(32, 2) },
+	func() *Blueprint { return padToBin(Pipeline(36, 16), 205) },
 
 	// --- hierarchical (multi-module; bins by whole-set line count) ---
-	add(HierFIFO(2))
-	add(HierFIFO(3))
-	add(BankedRegFile(4))
-	add(BankedRegFile(8))
-	add(CDCCross())
+	func() *Blueprint { return HierFIFO(2) },
+	func() *Blueprint { return HierFIFO(3) },
+	func() *Blueprint { return BankedRegFile(4) },
+	func() *Blueprint { return BankedRegFile(8) },
+	func() *Blueprint { return CDCCross() },
+}
 
+// CatalogSize returns the number of catalog blueprints without building
+// any of them.
+func CatalogSize() int { return len(catalog) }
+
+// Catalog returns every golden blueprint in catalog order. Each call
+// builds fresh ASTs, so callers may mutate the results freely. Consumers
+// that visit the blueprints one at a time should range over
+// CatalogSource instead, which holds only the blueprint in hand.
+func Catalog() []*Blueprint {
+	out := make([]*Blueprint, 0, len(catalog))
+	for b := range (CatalogSource{}).Blueprints() {
+		out = append(out, b)
+	}
 	return out
 }
 
@@ -259,43 +273,57 @@ func IncompleteFragments() []RawEntry {
 // DefectiveCorpus.
 func RawCorpus() []RawEntry {
 	var out []RawEntry
-	for _, b := range Catalog() {
+	for b := range (CatalogSource{}).Blueprints() {
 		out = append(out, RawEntry{Name: b.Name(), Source: b.Source(), Truth: DefectNone})
 	}
-	return append(out, DefectiveCorpus()...)
+	return slices.AppendSeq(out, DefectiveCorpus())
 }
 
-// DefectiveCorpus returns the deliberately defective population Stage 1
+// DefectiveCorpus streams the deliberately defective population Stage 1
 // must filter: syntax/semantic breakages of a catalog subset, trivial
-// modules, incomplete fragments and duplicates of catalog sources.
-func DefectiveCorpus() []RawEntry {
-	var out []RawEntry
-	blueprints := Catalog()
-	// Break roughly every third blueprint to populate Verilog-PT.
-	for i, b := range blueprints {
-		if i%3 == 0 {
-			out = append(out, BreakSyntax(b.Name(), b.Source())...)
+// modules, incomplete fragments and duplicates of catalog sources. It
+// builds only the catalog blueprints it breaks or duplicates, one at a
+// time, and keeps only the duplicates' text until the end of the stream.
+func DefectiveCorpus() iter.Seq[RawEntry] {
+	return func(yield func(RawEntry) bool) {
+		yieldAll := func(es []RawEntry) bool {
+			for _, e := range es {
+				if !yield(e) {
+					return false
+				}
+			}
+			return true
 		}
-		if i%5 == 0 {
-			out = append(out, BreakSemantics(b.Name(), b.Source())...)
+		// Break roughly every third blueprint to populate Verilog-PT, and
+		// re-emit every seventh source under the same name as a duplicate.
+		var dups []RawEntry
+		for i, build := range catalog {
+			if i%3 != 0 && i%5 != 0 && i%7 != 0 {
+				continue
+			}
+			b := build()
+			name, src := b.Name(), b.Source()
+			if i%3 == 0 && !yieldAll(BreakSyntax(name, src)) {
+				return
+			}
+			if i%5 == 0 && !yieldAll(BreakSemantics(name, src)) {
+				return
+			}
+			if i%7 == 0 {
+				dups = append(dups, RawEntry{Name: name, Source: src, Truth: DefectDuplicate})
+			}
+		}
+		for _, es := range [][]RawEntry{TrivialModules(), IncompleteFragments(), dups} {
+			if !yieldAll(es) {
+				return
+			}
 		}
 	}
-	out = append(out, TrivialModules()...)
-	out = append(out, IncompleteFragments()...)
-	// Duplicates: re-emit a handful of earlier sources under the same name.
-	for i := 0; i < len(blueprints); i += 7 {
-		out = append(out, RawEntry{
-			Name:   blueprints[i].Name(),
-			Source: blueprints[i].Source(),
-			Truth:  DefectDuplicate,
-		})
-	}
-	return out
 }
 
 // ByName returns the blueprint with the given module name, or nil.
 func ByName(name string) *Blueprint {
-	for _, b := range Catalog() {
+	for b := range (CatalogSource{}).Blueprints() {
 		if b.Name() == name {
 			return b
 		}

@@ -2,6 +2,7 @@ package corpus
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"testing"
 
@@ -42,14 +43,35 @@ func TestBlueprintsGolden(t *testing.T) {
 	}
 }
 
+// TestCatalogDeterministic checks that each catalog constructor is a pure
+// function of nothing: building every blueprint up front, building them in
+// reverse order, streaming them one at a time through CatalogSource and
+// collecting them with Catalog all give the same names and sources in the
+// same order.
 func TestCatalogDeterministic(t *testing.T) {
-	a, b := Catalog(), Catalog()
-	if len(a) != len(b) {
-		t.Fatalf("catalog sizes differ: %d vs %d", len(a), len(b))
+	eager := make([]*Blueprint, len(catalog))
+	for i, build := range catalog {
+		eager[i] = build()
 	}
-	for i := range a {
-		if a[i].Source() != b[i].Source() {
-			t.Errorf("blueprint %d (%s) not deterministic", i, a[i].Name())
+	reversed := make([]*Blueprint, len(catalog))
+	for i := len(catalog) - 1; i >= 0; i-- {
+		reversed[i] = catalog[i]()
+	}
+	var streamed []*Blueprint
+	for b := range (CatalogSource{}).Blueprints() {
+		streamed = append(streamed, b)
+	}
+	if CatalogSize() != len(eager) {
+		t.Fatalf("CatalogSize() = %d, want %d", CatalogSize(), len(eager))
+	}
+	for what, got := range map[string][]*Blueprint{"reversed": reversed, "streamed": streamed, "Catalog()": Catalog()} {
+		if len(got) != len(eager) {
+			t.Fatalf("%s: %d blueprints, want %d", what, len(got), len(eager))
+		}
+		for i := range eager {
+			if got[i].Name() != eager[i].Name() || got[i].Source() != eager[i].Source() {
+				t.Errorf("%s: blueprint %d is %s, want %s with the same source", what, i, got[i].Name(), eager[i].Name())
+			}
 		}
 	}
 }
@@ -120,8 +142,57 @@ func TestBrokenSourcesActuallyBroken(t *testing.T) {
 	}
 }
 
+// eagerDefectiveCorpus builds the defective population from a fully built
+// catalog, all at once: the oracle for the streamed DefectiveCorpus.
+func eagerDefectiveCorpus() []RawEntry {
+	var out []RawEntry
+	blueprints := Catalog()
+	for i, b := range blueprints {
+		if i%3 == 0 {
+			out = append(out, BreakSyntax(b.Name(), b.Source())...)
+		}
+		if i%5 == 0 {
+			out = append(out, BreakSemantics(b.Name(), b.Source())...)
+		}
+	}
+	out = append(out, TrivialModules()...)
+	out = append(out, IncompleteFragments()...)
+	for i := 0; i < len(blueprints); i += 7 {
+		out = append(out, RawEntry{Name: blueprints[i].Name(), Source: blueprints[i].Source(), Truth: DefectDuplicate})
+	}
+	return out
+}
+
 func TestRawCorpusComposition(t *testing.T) {
+	want := eagerDefectiveCorpus()
+	got := slices.Collect(DefectiveCorpus())
+	if !slices.Equal(got, want) {
+		t.Fatalf("streamed defective corpus differs from the eager one: %d vs %d entries", len(got), len(want))
+	}
+	// A consumer that stops early sees a prefix of the same stream.
+	for _, n := range []int{0, 1, 7, len(want) - 1} {
+		var prefix []RawEntry
+		for e := range DefectiveCorpus() {
+			if len(prefix) == n {
+				break
+			}
+			prefix = append(prefix, e)
+		}
+		if !slices.Equal(prefix, want[:n]) {
+			t.Errorf("stream stopped after %d entries is not the eager prefix", n)
+		}
+	}
+
 	raw := RawCorpus()
+	goldens := len(raw) - len(want)
+	if goldens != CatalogSize() || !slices.Equal(raw[goldens:], want) {
+		t.Fatalf("raw corpus is not the catalog followed by the defective corpus")
+	}
+	for i, b := range Catalog() {
+		if raw[i] != (RawEntry{Name: b.Name(), Source: b.Source(), Truth: DefectNone}) {
+			t.Errorf("raw entry %d is %s, want golden %s", i, raw[i].Name, b.Name())
+		}
+	}
 	counts := map[DefectKind]int{}
 	for _, e := range raw {
 		counts[e.Truth]++

@@ -9,14 +9,16 @@
 //     formal substitute (internal/svagen);
 //   - deliberately defective sources (syntax errors, semantic errors,
 //     trivial modules, duplicates) exercising the Stage-1 filter and
-//     populating the Verilog-PT dataset;
+//     populating the Verilog-PT dataset, streamed by DefectiveCorpus;
 //   - the 38 hand-crafted SVA-Eval-Human cases.
 //
 // # Sources
 //
 // Golden designs flow through the Source abstraction: a deterministic,
 // restartable stream of fresh Blueprint ASTs. CatalogSource serves the
-// fixed hand-written catalog (Catalog()); Generator samples designs
+// fixed hand-written catalog, an ordered list of constructors, building
+// each blueprint only when the stream reaches it (Catalog collects the
+// stream for callers that want a list); Generator samples designs
 // procedurally; Multi concatenates sources and FuncSource adapts ad-hoc
 // blueprint lists (tests, experiments). Consumers like internal/augment
 // take any Source, so corpus composition is a configuration choice, not a

@@ -19,7 +19,8 @@ type Source interface {
 	Blueprints() iter.Seq[*Blueprint]
 }
 
-// CatalogSource serves the fixed hand-written catalog (Catalog()).
+// CatalogSource serves the fixed hand-written catalog, building each
+// blueprint just before it is yielded.
 type CatalogSource struct{}
 
 // Name implements Source.
@@ -28,8 +29,8 @@ func (CatalogSource) Name() string { return "catalog" }
 // Blueprints implements Source.
 func (CatalogSource) Blueprints() iter.Seq[*Blueprint] {
 	return func(yield func(*Blueprint) bool) {
-		for _, b := range Catalog() {
-			if !yield(b) {
+		for _, build := range catalog {
+			if !yield(build()) {
 				return
 			}
 		}

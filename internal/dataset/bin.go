@@ -175,7 +175,7 @@ func NewBinWriter(dir, base string, shards int) (*BinWriter, error) {
 			w.Close()
 			return nil, err
 		}
-		buf := getShardBuf(f)
+		buf := bufio.NewWriter(f)
 		bw, err := binfmt.NewWriter(buf)
 		if err != nil {
 			f.Close()
@@ -220,11 +220,8 @@ func (w *BinWriter) Close() error {
 				first = err
 			}
 		}
-		if w.bufs[i] != nil {
-			if err := w.bufs[i].Flush(); err != nil && first == nil {
-				first = err
-			}
-			putShardBuf(w.bufs[i])
+		if err := w.bufs[i].Flush(); err != nil && first == nil {
+			first = err
 		}
 		if err := f.Close(); err != nil && first == nil {
 			first = err

@@ -26,32 +26,6 @@ import (
 // (ForEachShard, ReadShards, Load) also accept the binary shards of
 // bin.go, telling the formats apart by each file's magic bytes.
 
-// shardBufSize is the buffered-writer size for shard files. A writer
-// holds one pooled buffer per open shard for the whole run, so the size
-// trades write syscalls against resident memory: at 64 KiB a 375 KB shard
-// takes about 6 writes, and a 12-shard binary writer holds 768 KiB.
-const shardBufSize = 1 << 16
-
-// shardBufPool recycles the large shard write buffers. A pipeline run
-// writes several datasets back-to-back with the same shard count, so
-// the buffers of a closed writer are immediately reusable by the next.
-var shardBufPool = sync.Pool{New: func() any {
-	return bufio.NewWriterSize(io.Discard, shardBufSize)
-}}
-
-// getShardBuf returns a pooled buffered writer bound to f.
-func getShardBuf(f *os.File) *bufio.Writer {
-	b := shardBufPool.Get().(*bufio.Writer)
-	b.Reset(f)
-	return b
-}
-
-// putShardBuf recycles a flushed shard buffer.
-func putShardBuf(b *bufio.Writer) {
-	b.Reset(io.Discard)
-	shardBufPool.Put(b)
-}
-
 // shardFile formats the path of shard i for a dataset base name.
 func shardFile(dir, base string, i int) string {
 	return filepath.Join(dir, fmt.Sprintf("%s-%05d.jsonl", base, i))
@@ -103,7 +77,9 @@ func NewShardedWriter(dir, base string, shards int) (*ShardedWriter, error) {
 		}
 		w.paths = append(w.paths, path)
 		w.files = append(w.files, f)
-		w.bufs = append(w.bufs, getShardBuf(f))
+		// The default 4 KiB buffer: a writer holds one per shard for the
+		// whole run, and a larger one would only save write calls.
+		w.bufs = append(w.bufs, bufio.NewWriter(f))
 	}
 	return w, nil
 }
@@ -153,11 +129,8 @@ func (w *ShardedWriter) Paths() []string { return w.paths }
 func (w *ShardedWriter) Close() error {
 	var first error
 	for i, f := range w.files {
-		if w.bufs[i] != nil {
-			if err := w.bufs[i].Flush(); err != nil && first == nil {
-				first = err
-			}
-			putShardBuf(w.bufs[i])
+		if err := w.bufs[i].Flush(); err != nil && first == nil {
+			first = err
 		}
 		if err := f.Close(); err != nil && first == nil {
 			first = err
