@@ -14,8 +14,8 @@
 // holds no dataset in memory. No check enters the verification cache, and
 // the pipeline holds only the designs and mutants in flight, taking its
 // inputs one at a time, so peak memory barely grows with -n: on a 2-core
-// Xeon, -format bin peaks at about 12.7 MiB for the catalog alone and
-// 13.5 MiB at -n 200. The bin format
+// Xeon, -format bin peaks at about 11.9 MiB for the catalog alone and
+// 13.7 MiB at -n 200. The bin format
 // is the compact binary container of internal/dataset/binfmt (interned strings,
 // packed traces, per-shard random-access index). cmd/train autodetects
 // whichever format was produced.

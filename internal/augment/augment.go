@@ -33,7 +33,7 @@
 // is compiled once, by its Stage-2 worker); a design's mutants are printed
 // one at a time and held as text and labels, and a checked mutant keeps
 // only the verdict fields its sample needs. cmd/augment -format bin peaks
-// at about 12.7 MiB for the catalog and 13.5 MiB with 200 generated
+// at about 11.9 MiB for the catalog and 13.7 MiB with 200 generated
 // designs on a 2-core Xeon. The emitted stream is byte-identical for a
 // fixed seed regardless of the worker count. Run collects the stream into
 // an Output; RunStream hands it to a caller Sink (cmd/augment streams it

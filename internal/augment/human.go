@@ -3,7 +3,10 @@ package augment
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/bugs"
 	"repro/internal/corpus"
@@ -15,16 +18,37 @@ import (
 // BuildHumanEval validates and converts the 38 hand-crafted cases into
 // SVA-Eval-Human samples. Every case is checked end to end: the golden
 // design must pass its assertions non-vacuously, the buggy design must
-// fail, and the bug must be a single-line edit.
+// fail, and the bug must be a single-line edit. The cases are checked
+// concurrently on Config.Workers goroutines (0 = GOMAXPROCS); samples
+// keep case order, and a failure reports the first failing case.
 func BuildHumanEval(cfg Config) ([]dataset.SVASample, error) {
+	return buildHumanEval(corpus.HumanCases(), cfg)
+}
+
+func buildHumanEval(cases []corpus.HumanCase, cfg Config) ([]dataset.SVASample, error) {
 	cfg = cfg.withDefaults()
-	var out []dataset.SVASample
-	for _, hc := range corpus.HumanCases() {
-		s, err := buildHumanSample(hc, cfg)
+	out := make([]dataset.SVASample, len(cases))
+	errs := make([]error, len(cases))
+	workers := cfg.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(workers, len(cases)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < len(cases); i = int(next.Add(1) - 1) {
+				out[i], errs[i] = buildHumanSample(cases[i], cfg)
+			}
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
 		if err != nil {
-			return nil, fmt.Errorf("human case %s: %w", hc.Name, err)
+			return nil, fmt.Errorf("human case %s: %w", cases[i].Name, err)
 		}
-		out = append(out, s)
 	}
 	return out, nil
 }

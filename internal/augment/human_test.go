@@ -17,8 +17,12 @@ func TestBuildHumanEval(t *testing.T) {
 	if len(samples) != 38 {
 		t.Fatalf("got %d human cases, want 38 (as in the paper)", len(samples))
 	}
+	cases := corpus.HumanCases()
 	seen := map[string]bool{}
-	for _, s := range samples {
+	for i, s := range samples {
+		if want := "human_" + cases[i].Name; s.ID != want {
+			t.Errorf("sample %d is %s, want %s (case order)", i, s.ID, want)
+		}
 		if seen[s.ID] {
 			t.Errorf("duplicate case id %s", s.ID)
 		}
@@ -33,6 +37,22 @@ func TestBuildHumanEval(t *testing.T) {
 		if got := strings.TrimSpace(lines[s.LineNo-1]); got != s.BuggyLine {
 			t.Errorf("%s: line %d mismatch: %q vs %q", s.ID, s.LineNo, got, s.BuggyLine)
 		}
+	}
+}
+
+// TestBuildHumanEvalFirstFailure: with several failing cases checked
+// concurrently, the error names the first failing case in case order.
+func TestBuildHumanEvalFirstFailure(t *testing.T) {
+	cases := corpus.HumanCases()[:8]
+	for _, i := range []int{2, 6} {
+		cases[i].Buggy = cases[i].Golden // the "bug" is not detected
+	}
+	_, err := buildHumanEval(cases, Config{Seed: 5, RandomRuns: 8, Workers: 4})
+	if err == nil {
+		t.Fatal("cases whose buggy design equals the golden were accepted")
+	}
+	if want := "human case " + cases[2].Name + ":"; !strings.HasPrefix(err.Error(), want) {
+		t.Errorf("error %q, want it to start with %q", err, want)
 	}
 }
 

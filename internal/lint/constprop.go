@@ -93,7 +93,7 @@ func (a *analysis) proveConst(name string, env constEnv) (uint64, bool) {
 			default:
 				return
 			}
-			if !lhsNames(lhs)[name] {
+			if !writes(lhs, name) {
 				return
 			}
 			if id, ok := lhs.(*verilog.Ident); !ok || id.Name != name {

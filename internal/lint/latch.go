@@ -103,6 +103,26 @@ func lhsNames(lhs verilog.Expr) map[string]bool {
 	return bases
 }
 
+// writes reports whether an assignment target writes the named base
+// signal, the same answer as lhsNames(lhs)[name] without building the set.
+func writes(lhs verilog.Expr, name string) bool {
+	switch x := lhs.(type) {
+	case *verilog.Ident:
+		return x.Name == name
+	case *verilog.Index:
+		return writes(x.X, name)
+	case *verilog.Slice:
+		return writes(x.X, name)
+	case *verilog.Concat:
+		for _, el := range x.Elems {
+			if writes(el, name) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 func intersect(a, b map[string]bool) map[string]bool {
 	out := map[string]bool{}
 	for name := range a {
@@ -187,7 +207,7 @@ func (a *analysis) resetEstablished(name string, ds []compile.Driver) bool {
 				default:
 					return
 				}
-				if !lhsNames(lhs)[name] {
+				if !writes(lhs, name) {
 					return
 				}
 				if verilog.ExprIdents(rhs)[name] {

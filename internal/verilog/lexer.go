@@ -29,23 +29,6 @@ func NewLexer(src string) *Lexer {
 	return &Lexer{src: src, line: 1, col: 1}
 }
 
-// Lex tokenizes the whole input. It returns the tokens (terminated by an EOF
-// token) and the first lexical error, if any.
-func Lex(src string) ([]Token, error) {
-	lx := NewLexer(src)
-	var toks []Token
-	for {
-		tok, err := lx.Next()
-		if err != nil {
-			return toks, err
-		}
-		toks = append(toks, tok)
-		if tok.Kind == TokEOF {
-			return toks, nil
-		}
-	}
-}
-
 func (lx *Lexer) peek() byte {
 	if lx.off >= len(lx.src) {
 		return 0

@@ -15,26 +15,36 @@ type ParseError struct {
 // Error implements the error interface.
 func (e *ParseError) Error() string { return fmt.Sprintf("%s: syntax error: %s", e.Pos, e.Msg) }
 
-// Parser consumes a token stream and produces a Module.
+// Parser pulls tokens from a Lexer through a fixed window as it parses,
+// so no token slice is ever built.
 type Parser struct {
-	toks []Token
-	pos  int
+	lx      Lexer
+	win     [lookahead]Token // pulled, unconsumed tokens; win[head] is cur()
+	head, n int
+	// done is set once the lexer has returned its EOF token or an error;
+	// every later pull yields a zero-position EOF.
+	done   bool
+	lexErr error // the first lexical error, if any
+}
+
+// lookahead is the window size: cur() plus peekKind(1) and peekKind(2),
+// the parser's deepest lookahead.
+const lookahead = 3
+
+func newParser(src string) *Parser {
+	return &Parser{lx: *NewLexer(src)}
 }
 
 // Parse parses a single module from source text. This is the main entry
 // point used by the compiler front end.
 func Parse(src string) (*Module, error) {
-	toks, err := Lex(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &Parser{toks: toks}
+	p := newParser(src)
 	m, err := p.parseModule()
-	if err != nil {
-		return nil, err
+	if err == nil && p.cur().Kind != TokEOF {
+		err = p.errf("unexpected %s after endmodule", p.cur())
 	}
-	if p.cur().Kind != TokEOF {
-		return nil, p.errf("unexpected %s after endmodule", p.cur())
+	if err = p.settle(err); err != nil {
+		return nil, err
 	}
 	return m, nil
 }
@@ -43,23 +53,23 @@ func Parse(src string) (*Module, error) {
 // module files yield a one-element set, so ParseSet subsumes Parse for
 // callers that accept hierarchies.
 func ParseSet(src string) (*SourceSet, error) {
-	toks, err := Lex(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &Parser{toks: toks}
+	p := newParser(src)
 	set := &SourceSet{}
 	for {
 		m, err := p.parseModule()
 		if err != nil {
-			return nil, err
+			return nil, p.settle(err)
 		}
 		set.Modules = append(set.Modules, m)
-		if p.cur().Kind == TokEOF {
+		switch p.cur().Kind {
+		case TokModule:
+		case TokEOF:
+			if err := p.settle(nil); err != nil {
+				return nil, err
+			}
 			return set, nil
-		}
-		if p.cur().Kind != TokModule {
-			return nil, p.errf("unexpected %s after endmodule", p.cur())
+		default:
+			return nil, p.settle(p.errf("unexpected %s after endmodule", p.cur()))
 		}
 	}
 }
@@ -67,49 +77,77 @@ func ParseSet(src string) (*SourceSet, error) {
 // ParseExpr parses a standalone expression, used by tooling that needs to
 // parse fix snippets or assertion conditions in isolation.
 func ParseExpr(src string) (Expr, error) {
-	toks, err := Lex(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &Parser{toks: toks}
+	p := newParser(src)
 	e, err := p.parseExpr()
-	if err != nil {
-		return nil, err
+	if err == nil && p.cur().Kind != TokEOF {
+		err = p.errf("unexpected %s after expression", p.cur())
 	}
-	if p.cur().Kind != TokEOF {
-		return nil, p.errf("unexpected %s after expression", p.cur())
+	if err = p.settle(err); err != nil {
+		return nil, err
 	}
 	return e, nil
 }
 
-func (p *Parser) cur() Token {
-	if p.pos >= len(p.toks) {
-		return Token{Kind: TokEOF}
+// settle returns the error of a parse that ended with err (nil on
+// success). A lexical error anywhere in the input takes precedence over a
+// parse error, so after a parse error the rest of the input is lexed
+// first.
+func (p *Parser) settle(err error) error {
+	for !p.done {
+		p.pull()
 	}
-	return p.toks[p.pos]
+	if p.lexErr != nil {
+		return p.lexErr
+	}
+	return err
+}
+
+// pull lexes one token into the window. A lexical error ends the stream:
+// the parser sees EOF from then on and its result is discarded for the
+// error.
+func (p *Parser) pull() Token {
+	var t Token
+	if !p.done {
+		var err error
+		t, err = p.lx.Next()
+		switch {
+		case err != nil:
+			p.lexErr, p.done, t = err, true, Token{Kind: TokEOF}
+		case t.Kind == TokEOF:
+			p.done = true
+		}
+	}
+	return t
+}
+
+// fill makes the window hold at least k+1 tokens.
+func (p *Parser) fill(k int) {
+	for p.n <= k {
+		p.win[(p.head+p.n)%lookahead] = p.pull()
+		p.n++
+	}
+}
+
+func (p *Parser) cur() Token {
+	if p.n == 0 {
+		p.fill(0)
+	}
+	return p.win[p.head]
 }
 
 func (p *Parser) peekKind(ahead int) TokenKind {
-	i := p.pos + ahead
-	if i >= len(p.toks) {
-		return TokEOF
-	}
-	return p.toks[i].Kind
+	return p.peekTok(ahead).Kind
 }
 
 func (p *Parser) peekTok(ahead int) Token {
-	i := p.pos + ahead
-	if i >= len(p.toks) {
-		return Token{Kind: TokEOF}
-	}
-	return p.toks[i]
+	p.fill(ahead)
+	return p.win[(p.head+ahead)%lookahead]
 }
 
 func (p *Parser) next() Token {
 	t := p.cur()
-	if p.pos < len(p.toks) {
-		p.pos++
-	}
+	p.head = (p.head + 1) % lookahead
+	p.n--
 	return t
 }
 

@@ -1,6 +1,7 @@
 package verilog
 
 import (
+	"errors"
 	"strings"
 	"testing"
 )
@@ -344,8 +345,25 @@ func TestSetRoundTrip(t *testing.T) {
 	}
 }
 
+// lexAll tokenizes the whole input. It returns the tokens (terminated by
+// an EOF token) and the first lexical error, if any.
+func lexAll(src string) ([]Token, error) {
+	lx := NewLexer(src)
+	var toks []Token
+	for {
+		tok, err := lx.Next()
+		if err != nil {
+			return toks, err
+		}
+		toks = append(toks, tok)
+		if tok.Kind == TokEOF {
+			return toks, nil
+		}
+	}
+}
+
 func TestLexHierarchicalName(t *testing.T) {
-	toks, err := Lex("assign u0.q = u0.u1.count + 1; .clk(clk)")
+	toks, err := lexAll("assign u0.q = u0.u1.count + 1; .clk(clk)")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -420,7 +438,7 @@ endmodule
 }
 
 func TestLexPositions(t *testing.T) {
-	toks, err := Lex("module m;\n  wire x;\nendmodule\n")
+	toks, err := lexAll("module m;\n  wire x;\nendmodule\n")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -437,7 +455,7 @@ func TestLexPositions(t *testing.T) {
 }
 
 func TestLexComments(t *testing.T) {
-	toks, err := Lex("wire // comment\n/* block\ncomment */ x `define FOO 1\n;")
+	toks, err := lexAll("wire // comment\n/* block\ncomment */ x `define FOO 1\n;")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -454,7 +472,7 @@ func TestLexComments(t *testing.T) {
 
 func TestLexOperators(t *testing.T) {
 	src := "|-> |=> ## # <= < << >= > >> >>> == != === !== && & || | ~^ ^~ -> -"
-	toks, err := Lex(src)
+	toks, err := lexAll(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -536,5 +554,93 @@ func TestExprIdents(t *testing.T) {
 	}
 	if len(ids) != 5 {
 		t.Errorf("got %d idents, want 5: %v", len(ids), ids)
+	}
+}
+
+// TestParseErrorPrecedence pins the error each entry point reports when
+// its input holds a parse error, a lexical error or both. A lexical error
+// anywhere in the input wins over an earlier parse error, and error text
+// and positions, including at EOF, are those of lexing the whole input
+// before parsing.
+func TestParseErrorPrecedence(t *testing.T) {
+	type parseFunc func(string) error
+	entry := map[string]parseFunc{
+		"Parse":     func(s string) error { _, err := Parse(s); return err },
+		"ParseSet":  func(s string) error { _, err := ParseSet(s); return err },
+		"ParseExpr": func(s string) error { _, err := ParseExpr(s); return err },
+	}
+	cases := []struct {
+		entry, name, src, want string
+		lexical                bool
+	}{
+		{"Parse", "parse error before lexical error",
+			"module m;\n  assign = 1;\n  wire [8'q0:0] w;\nendmodule\n",
+			"3:9: invalid base specifier in numeric literal", true},
+		{"Parse", "lexical error after endmodule",
+			"module m;\nendmodule\n$", "3:1: expected identifier after '$'", true},
+		{"Parse", "unterminated comment after a parse error",
+			"module m (input a b);\nendmodule\n/* open", "3:1: unterminated block comment", true},
+		{"Parse", "error at EOF",
+			"module m;\n  wire x", "2:9: syntax error: expected ;, found EOF", false},
+		{"Parse", "parse error alone",
+			"module m;\n  wire x\nendmodule\n", "3:1: syntax error: expected ;, found endmodule", false},
+		{"Parse", "item after endmodule",
+			"module m;\nendmodule\nwire x;", "3:1: syntax error: unexpected wire after endmodule", false},
+		{"ParseSet", "parse error before lexical error",
+			"module a;\nendmodule\nmodule b;\n  assign;\nendmodule\n\"open", "6:1: unterminated string literal", true},
+		{"ParseSet", "lexical error after endmodule",
+			"module a;\nendmodule\n\x01", `3:1: unexpected character "\x01"`, true},
+		{"ParseSet", "item after endmodule",
+			"module a;\nendmodule\nwire x;", "3:1: syntax error: unexpected wire after endmodule", false},
+		{"ParseSet", "error at EOF",
+			"module a;\nendmodule\nmodule b", "3:9: syntax error: expected ;, found EOF", false},
+		{"ParseExpr", "parse error before lexical error",
+			"a + + ) 4'b", "1:9: missing digits in based numeric literal", true},
+		{"ParseExpr", "lexical error after a whole expression",
+			"a $", "1:3: expected identifier after '$'", true},
+		{"ParseExpr", "token after expression",
+			"a + b)", "1:6: syntax error: unexpected ) after expression", false},
+		{"ParseExpr", "error at EOF",
+			"a +", "1:4: syntax error: expected expression, found EOF", false},
+		{"ParseExpr", "unclosed paren at EOF",
+			"(a", "1:3: syntax error: expected ), found EOF", false},
+	}
+	for _, c := range cases {
+		t.Run(c.entry+"/"+c.name, func(t *testing.T) {
+			err := entry[c.entry](c.src)
+			if err == nil {
+				t.Fatalf("%s(%q) succeeded, want %q", c.entry, c.src, c.want)
+			}
+			if err.Error() != c.want {
+				t.Errorf("%s(%q) = %q, want %q", c.entry, c.src, err, c.want)
+			}
+			var le *LexError
+			if errors.As(err, &le) != c.lexical {
+				t.Errorf("%s(%q) returned a %T, want lexical=%v", c.entry, c.src, err, c.lexical)
+			}
+		})
+	}
+}
+
+// TestParserWindowPastEOF pins the token window's view past the end of
+// the input: the real EOF carries its position, and once next has
+// consumed it every later token is a zero-position EOF.
+func TestParserWindowPastEOF(t *testing.T) {
+	p := newParser("a\n b")
+	if got := p.peekTok(2); got.Kind != TokEOF || got.Pos != (Pos{Line: 2, Col: 3}) {
+		t.Fatalf("peekTok(2) = %v at %v, want EOF at 2:3", got, got.Pos)
+	}
+	p.next()
+	p.next()
+	if eof := p.next(); eof.Pos != (Pos{Line: 2, Col: 3}) {
+		t.Fatalf("consumed EOF at %v, want 2:3", eof.Pos)
+	}
+	for ahead := 0; ahead < lookahead; ahead++ {
+		if got := p.peekTok(ahead); got != (Token{Kind: TokEOF}) {
+			t.Errorf("peekTok(%d) past EOF = %+v, want a zero-position EOF", ahead, got)
+		}
+	}
+	if got := p.next(); got != (Token{Kind: TokEOF}) {
+		t.Errorf("next past EOF = %+v, want a zero-position EOF", got)
 	}
 }

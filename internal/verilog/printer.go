@@ -2,6 +2,7 @@ package verilog
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -27,8 +28,9 @@ func PrintSet(s *SourceSet) string {
 
 // ExprString renders an expression with minimal parentheses.
 func ExprString(e Expr) string {
-	var pr printer
-	return pr.expr(e, 0)
+	var sb strings.Builder
+	writeExpr(&sb, e, 0)
+	return sb.String()
 }
 
 // StmtString renders a single statement at zero indentation, useful for
@@ -45,6 +47,26 @@ type printer struct {
 
 func (pr *printer) writef(format string, args ...any) {
 	fmt.Fprintf(&pr.sb, format, args...)
+}
+
+// expr writes e with minimal parentheses.
+func (pr *printer) expr(e Expr) { writeExpr(&pr.sb, e, 0) }
+
+// assignment writes "lhs op rhs;" and ends the line.
+func (pr *printer) assignment(lhs Expr, op string, rhs Expr) {
+	pr.expr(lhs)
+	pr.sb.WriteString(op)
+	pr.expr(rhs)
+	pr.sb.WriteString(";\n")
+}
+
+// rng writes a declaration range " [hi:lo]".
+func (pr *printer) rng(r *Range) {
+	pr.sb.WriteString(" [")
+	pr.expr(r.Hi)
+	pr.sb.WriteString(":")
+	pr.expr(r.Lo)
+	pr.sb.WriteString("]")
 }
 
 func (pr *printer) indent(level int) {
@@ -64,7 +86,7 @@ func (pr *printer) module(m *Module) {
 			pr.sb.WriteString(" reg")
 		}
 		if p.Range != nil {
-			pr.writef(" [%s:%s]", pr.expr(p.Range.Hi, 0), pr.expr(p.Range.Lo, 0))
+			pr.rng(p.Range)
 		}
 		pr.writef(" %s", p.Name)
 		if i < len(m.Ports)-1 {
@@ -90,30 +112,39 @@ func (pr *printer) item(it Item) {
 		if x.IsLocal {
 			kw = "localparam"
 		}
-		pr.writef("%s %s = %s;\n", kw, x.Name, pr.expr(x.Value, 0))
+		pr.writef("%s %s = ", kw, x.Name)
+		pr.expr(x.Value)
+		pr.sb.WriteString(";\n")
 	case *NetDecl:
 		pr.indent(1)
 		pr.sb.WriteString(x.Kind.String())
 		if x.Range != nil {
-			pr.writef(" [%s:%s]", pr.expr(x.Range.Hi, 0), pr.expr(x.Range.Lo, 0))
+			pr.rng(x.Range)
 		}
 		pr.writef(" %s", strings.Join(x.Names, ", "))
 		if x.Init != nil {
-			pr.writef(" = %s", pr.expr(x.Init, 0))
+			pr.sb.WriteString(" = ")
+			pr.expr(x.Init)
 		}
 		pr.sb.WriteString(";\n")
 	case *AssignItem:
 		pr.indent(1)
-		pr.writef("assign %s = %s;\n", pr.expr(x.LHS, 0), pr.expr(x.RHS, 0))
+		pr.sb.WriteString("assign ")
+		pr.assignment(x.LHS, " = ", x.RHS)
 	case *Instance:
 		pr.indent(1)
 		pr.sb.WriteString(x.Module)
 		if len(x.Params) > 0 {
-			parts := make([]string, len(x.Params))
+			pr.sb.WriteString(" #(")
 			for i, pc := range x.Params {
-				parts[i] = fmt.Sprintf(".%s(%s)", pc.Port, pr.expr(pc.Expr, 0))
+				if i > 0 {
+					pr.sb.WriteString(", ")
+				}
+				pr.writef(".%s(", pc.Port)
+				pr.expr(pc.Expr)
+				pr.sb.WriteString(")")
 			}
-			pr.writef(" #(%s)", strings.Join(parts, ", "))
+			pr.sb.WriteString(")")
 		}
 		pr.writef(" %s (", x.Name)
 		for i, pc := range x.Conns {
@@ -121,11 +152,11 @@ func (pr *printer) item(it Item) {
 				pr.sb.WriteString(", ")
 			}
 			if x.Positional {
-				pr.sb.WriteString(pr.expr(pc.Expr, 0))
+				pr.expr(pc.Expr)
 			} else {
 				pr.writef(".%s(", pc.Port)
 				if pc.Expr != nil {
-					pr.sb.WriteString(pr.expr(pc.Expr, 0))
+					pr.expr(pc.Expr)
 				}
 				pr.sb.WriteString(")")
 			}
@@ -142,12 +173,11 @@ func (pr *printer) item(it Item) {
 		pr.writef("property %s;\n", x.Name)
 		pr.indent(2)
 		pr.writef("@(%s %s)", edgeName(x.Clock.Edge), x.Clock.Signal)
-		if x.DisableIff != nil {
-			pr.writef(" disable iff (%s)", pr.expr(x.DisableIff, 0))
-		}
+		pr.disableIff(x.DisableIff)
 		pr.sb.WriteString("\n")
 		pr.indent(2)
-		pr.writef("%s;\n", pr.seqExpr(x.Seq))
+		pr.seqExpr(x.Seq)
+		pr.sb.WriteString(";\n")
 		pr.indent(1)
 		pr.sb.WriteString("endproperty\n")
 	case *AssertItem:
@@ -159,10 +189,10 @@ func (pr *printer) item(it Item) {
 			pr.writef("assert property (%s)", x.Ref)
 		} else {
 			pr.writef("assert property (@(%s %s)", edgeName(x.Clock.Edge), x.Clock.Signal)
-			if x.DisableIff != nil {
-				pr.writef(" disable iff (%s)", pr.expr(x.DisableIff, 0))
-			}
-			pr.writef(" %s)", pr.seqExpr(x.Seq))
+			pr.disableIff(x.DisableIff)
+			pr.sb.WriteString(" ")
+			pr.seqExpr(x.Seq)
+			pr.sb.WriteString(")")
 		}
 		if x.ErrMsg != "" {
 			pr.writef("\n")
@@ -184,31 +214,38 @@ func edgeName(e EdgeKind) string {
 	}
 }
 
-func (pr *printer) seqExpr(s *SeqExpr) string {
-	var sb strings.Builder
+// disableIff writes " disable iff (e)" when e is set.
+func (pr *printer) disableIff(e Expr) {
+	if e != nil {
+		pr.sb.WriteString(" disable iff (")
+		pr.expr(e)
+		pr.sb.WriteString(")")
+	}
+}
+
+func (pr *printer) seqExpr(s *SeqExpr) {
 	writeSeq := func(terms []SeqTerm) {
 		for i, t := range terms {
 			// Later terms always carry their ##N separator — including
 			// ##0 (same-cycle fusion), which is still a term boundary and
 			// must survive reparsing.
 			if i > 0 {
-				fmt.Fprintf(&sb, " ##%d ", t.DelayFromPrev)
+				pr.writef(" ##%d ", t.DelayFromPrev)
 			} else if t.DelayFromPrev > 0 {
-				fmt.Fprintf(&sb, "##%d ", t.DelayFromPrev)
+				pr.writef("##%d ", t.DelayFromPrev)
 			}
-			sb.WriteString(pr.expr(t.Expr, 0))
+			pr.expr(t.Expr)
 		}
 	}
 	if s.Impl != ImplNone {
 		writeSeq(s.Antecedent)
 		if s.Impl == ImplOverlap {
-			sb.WriteString(" |-> ")
+			pr.sb.WriteString(" |-> ")
 		} else {
-			sb.WriteString(" |=> ")
+			pr.sb.WriteString(" |=> ")
 		}
 	}
 	writeSeq(s.Consequent)
-	return sb.String()
 }
 
 func (pr *printer) always(a *Always) {
@@ -271,10 +308,10 @@ func (pr *printer) stmt(s Stmt, level int) {
 		pr.stmtInline(x, level)
 	case *NonBlocking:
 		pr.indent(level)
-		pr.writef("%s <= %s;\n", pr.expr(x.LHS, 0), pr.expr(x.RHS, 0))
+		pr.assignment(x.LHS, " <= ", x.RHS)
 	case *Blocking:
 		pr.indent(level)
-		pr.writef("%s = %s;\n", pr.expr(x.LHS, 0), pr.expr(x.RHS, 0))
+		pr.assignment(x.LHS, " = ", x.RHS)
 	case *If:
 		pr.ifChain(x, level, false)
 	case *Case:
@@ -283,17 +320,21 @@ func (pr *printer) stmt(s Stmt, level int) {
 		if x.IsCasez {
 			kw = "casez"
 		}
-		pr.writef("%s (%s)\n", kw, pr.expr(x.Subject, 0))
+		pr.writef("%s (", kw)
+		pr.expr(x.Subject)
+		pr.sb.WriteString(")\n")
 		for _, item := range x.Items {
 			pr.indent(level + 1)
 			if item.Exprs == nil {
 				pr.sb.WriteString("default: ")
 			} else {
-				labels := make([]string, len(item.Exprs))
 				for i, e := range item.Exprs {
-					labels[i] = pr.expr(e, 0)
+					if i > 0 {
+						pr.sb.WriteString(", ")
+					}
+					pr.expr(e)
 				}
-				pr.writef("%s: ", strings.Join(labels, ", "))
+				pr.sb.WriteString(": ")
 			}
 			pr.caseBody(item.Body, level+1)
 		}
@@ -307,9 +348,9 @@ func (pr *printer) stmt(s Stmt, level int) {
 func (pr *printer) caseBody(s Stmt, level int) {
 	switch x := s.(type) {
 	case *NonBlocking:
-		pr.writef("%s <= %s;\n", pr.expr(x.LHS, 0), pr.expr(x.RHS, 0))
+		pr.assignment(x.LHS, " <= ", x.RHS)
 	case *Blocking:
-		pr.writef("%s = %s;\n", pr.expr(x.LHS, 0), pr.expr(x.RHS, 0))
+		pr.assignment(x.LHS, " = ", x.RHS)
 	case *Block:
 		pr.stmtInline(x, level)
 	default:
@@ -325,7 +366,9 @@ func (pr *printer) ifChain(x *If, level int, cont bool) {
 	if !cont {
 		pr.indent(level)
 	}
-	pr.writef("if (%s) ", pr.expr(x.Cond, 0))
+	pr.sb.WriteString("if (")
+	pr.expr(x.Cond)
+	pr.sb.WriteString(") ")
 	then := x.Then
 	if x.Else != nil && swallowsElse(then) {
 		// Dangling else: printed inline, the then-branch's trailing
@@ -367,9 +410,9 @@ func (pr *printer) branchBody(s Stmt, level int) {
 	case *Block:
 		pr.stmtInline(b, level)
 	case *NonBlocking:
-		pr.writef("%s <= %s;\n", pr.expr(b.LHS, 0), pr.expr(b.RHS, 0))
+		pr.assignment(b.LHS, " <= ", b.RHS)
 	case *Blocking:
-		pr.writef("%s = %s;\n", pr.expr(b.LHS, 0), pr.expr(b.RHS, 0))
+		pr.assignment(b.LHS, " = ", b.RHS)
 	case *If:
 		pr.sb.WriteString("\n")
 		pr.stmt(b, level+1)
@@ -381,29 +424,29 @@ func (pr *printer) branchBody(s Stmt, level int) {
 	}
 }
 
-// tight removes the spaces of an already-rendered expression, the style
-// used inside bit- and part-select brackets: req[(ptr+1)%3], a[3:0]. A
-// space is kept when deleting it would fuse its neighbours into a
-// different token: operator pairs ("a & &b" must not become "a&&b", nor
-// "a ^ ~b" the xnor "a^~b"), and a ternary '?' after a numeric literal
-// ('?' is a valid z-digit, so "4'h1 ? a : b" must not become the
-// literal-swallowing "4'h1?a:b").
-func tight(s string) string {
-	var b strings.Builder
-	b.Grow(len(s))
+// writeTight writes e in the style used inside bit- and part-select
+// brackets: req[(ptr+1)%3], a[3:0]. It renders e into a scratch builder
+// and copies it without its spaces, keeping a space where deleting it
+// would fuse its neighbours into a different token: operator pairs
+// ("a & &b" must not become "a&&b", nor "a ^ ~b" the xnor "a^~b"), and a
+// ternary '?' after a numeric literal ('?' is a valid z-digit, so
+// "4'h1 ? a : b" must not become the literal-swallowing "4'h1?a:b").
+func writeTight(sb *strings.Builder, e Expr) {
+	var tmp strings.Builder
+	writeExpr(&tmp, e, 0)
+	s := tmp.String()
 	for i := 0; i < len(s); i++ {
 		if s[i] == ' ' {
 			if i > 0 && i+1 < len(s) {
 				l, r := s[i-1], s[i+1]
 				if (opChar(l) && opChar(r)) || (r == '?' && literalChar(l)) {
-					b.WriteByte(' ')
+					sb.WriteByte(' ')
 				}
 			}
 			continue
 		}
-		b.WriteByte(s[i])
+		sb.WriteByte(s[i])
 	}
-	return b.String()
 }
 
 // opChar reports whether c can begin or end a multi-character operator.
@@ -463,56 +506,92 @@ func binPrecOfOp(op BinaryOp) (BinaryOp, int) {
 	}
 }
 
-// expr renders e, inserting parentheses when e binds more loosely than its
-// context requires.
-func (pr *printer) expr(e Expr, minPrec int) string {
-	var s string
+// writeExpr appends e to sb, inserting parentheses when e binds more
+// loosely than its context (minPrec) requires. Everything is written into
+// the caller's builder, so printing is linear in the size of the
+// expression; only bracket operands go through a scratch builder, for
+// writeTight.
+func writeExpr(sb *strings.Builder, e Expr, minPrec int) {
 	switch x := e.(type) {
 	case *Ident:
-		return x.Name
+		sb.WriteString(x.Name)
 	case *Number:
-		return NumberText(x)
+		sb.WriteString(NumberText(x))
 	case *StringLit:
-		return fmt.Sprintf("%q", x.Value)
+		sb.WriteString(strconv.Quote(x.Value))
 	case *Unary:
-		s = x.Op.String() + pr.expr(x.X, 12)
-		if 11 < minPrec {
-			s = "(" + s + ")"
+		paren := 11 < minPrec
+		if paren {
+			sb.WriteByte('(')
 		}
-		return s
+		sb.WriteString(x.Op.String())
+		writeExpr(sb, x.X, 12)
+		if paren {
+			sb.WriteByte(')')
+		}
 	case *Binary:
 		_, prec := binPrecOfOp(x.Op)
-		left := pr.expr(x.X, prec)
-		right := pr.expr(x.Y, prec+1)
-		s = fmt.Sprintf("%s %s %s", left, x.Op, right)
-		if prec < minPrec {
-			s = "(" + s + ")"
+		paren := prec < minPrec
+		if paren {
+			sb.WriteByte('(')
 		}
-		return s
+		writeExpr(sb, x.X, prec)
+		sb.WriteByte(' ')
+		sb.WriteString(x.Op.String())
+		sb.WriteByte(' ')
+		writeExpr(sb, x.Y, prec+1)
+		if paren {
+			sb.WriteByte(')')
+		}
 	case *Ternary:
-		s = fmt.Sprintf("%s ? %s : %s", pr.expr(x.Cond, 1), pr.expr(x.X, 1), pr.expr(x.Y, 0))
-		if 0 < minPrec {
-			s = "(" + s + ")"
+		paren := 0 < minPrec
+		if paren {
+			sb.WriteByte('(')
 		}
-		return s
+		writeExpr(sb, x.Cond, 1)
+		sb.WriteString(" ? ")
+		writeExpr(sb, x.X, 1)
+		sb.WriteString(" : ")
+		writeExpr(sb, x.Y, 0)
+		if paren {
+			sb.WriteByte(')')
+		}
 	case *Index:
-		return fmt.Sprintf("%s[%s]", pr.expr(x.X, 100), tight(pr.expr(x.Idx, 0)))
+		writeExpr(sb, x.X, 100)
+		sb.WriteByte('[')
+		writeTight(sb, x.Idx)
+		sb.WriteByte(']')
 	case *Slice:
-		return fmt.Sprintf("%s[%s:%s]", pr.expr(x.X, 100), tight(pr.expr(x.Hi, 0)), tight(pr.expr(x.Lo, 0)))
+		writeExpr(sb, x.X, 100)
+		sb.WriteByte('[')
+		writeTight(sb, x.Hi)
+		sb.WriteByte(':')
+		writeTight(sb, x.Lo)
+		sb.WriteByte(']')
 	case *Concat:
-		parts := make([]string, len(x.Elems))
+		sb.WriteByte('{')
 		for i, el := range x.Elems {
-			parts[i] = pr.expr(el, 0)
+			if i > 0 {
+				sb.WriteString(", ")
+			}
+			writeExpr(sb, el, 0)
 		}
-		return "{" + strings.Join(parts, ", ") + "}"
+		sb.WriteByte('}')
 	case *Repl:
-		return fmt.Sprintf("{%s{%s}}", pr.expr(x.Count, 100), pr.expr(x.Elem, 0))
+		sb.WriteByte('{')
+		writeExpr(sb, x.Count, 100)
+		sb.WriteByte('{')
+		writeExpr(sb, x.Elem, 0)
+		sb.WriteString("}}")
 	case *Call:
-		parts := make([]string, len(x.Args))
+		sb.WriteString(x.Name)
+		sb.WriteByte('(')
 		for i, a := range x.Args {
-			parts[i] = pr.expr(a, 0)
+			if i > 0 {
+				sb.WriteString(", ")
+			}
+			writeExpr(sb, a, 0)
 		}
-		return fmt.Sprintf("%s(%s)", x.Name, strings.Join(parts, ", "))
+		sb.WriteByte(')')
 	}
-	return s
 }
