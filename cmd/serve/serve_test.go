@@ -119,6 +119,28 @@ func TestServeCheckEndToEnd(t *testing.T) {
 	}
 }
 
+// TestServeCheckClocklessAssertion: a candidate inline assertion without a
+// clocking event is answered 200 with a compile-error status; it once
+// panicked in the cache key's printer and the connection dropped unanswered.
+func TestServeCheckClocklessAssertion(t *testing.T) {
+	ts, _ := testServer(t, nil, serverConfig{})
+	resp, body := postJSON(t, ts.URL+"/check", checkRequest{
+		Source:     corpus.EdgeDetect().Source(),
+		Assertions: "assert property (pulse == 1);\n",
+		Options:    checkOptions{Seed: 1, Depth: 12},
+	})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	}
+	var got checkResponse
+	if err := json.Unmarshal(body, &got); err != nil {
+		t.Fatal(err)
+	}
+	if got.Status != verify.StatusCompileError {
+		t.Fatalf("clockless candidate = status %v, want compile-error: %s", got.Status, body)
+	}
+}
+
 // TestServeCoalescing sends the same expensive check from many concurrent
 // clients and requires exactly one computation: everyone else either
 // coalesces onto the in-flight entry or hits the completed one.

@@ -29,18 +29,14 @@ func branchBit(c V4) uint8 {
 	return BranchElse
 }
 
-// RecordBranches enables branch-polarity recording on the simulator.
+// recordBranches enables branch-polarity recording on the simulator.
 // Combinational polarities are counted only from each settle call's final,
 // converged iteration: a polarity taken transiently while the comb fixpoint
 // was still propagating is an artifact of evaluation order, not of the
 // settled circuit, and would falsely contradict a statically-proved dead
 // branch. Call before driving any cycles; the constructor's initial settle
 // happens before recording can be enabled and is not covered.
-func (s *Simulator) RecordBranches() {
+func (s *Simulator) recordBranches() {
 	s.branches = BranchCoverage{}
 	s.branchScratch = map[verilog.Pos]uint8{}
 }
-
-// Branches returns the accumulated branch coverage (nil unless
-// RecordBranches was called).
-func (s *Simulator) Branches() BranchCoverage { return s.branches }

@@ -101,7 +101,8 @@
 //
 // The contract is byte-identity, not best-effort: LaneTrace.Demux(l) must
 // equal the scalar plan trace of LaneStimulusAt(l) for every lane, and
-// sva.CheckLanes must reproduce the per-lane scalar verdicts. Anything
+// sva.CheckLanes, which runs the scalar checker's monitor over packed
+// truth words, must reproduce the per-lane scalar verdicts. Anything
 // the lane lowering cannot express exactly — and any runtime evaluation
 // error, since predication evaluates a superset of each lane's
 // expressions — is reported as an error for the whole batch, and
@@ -140,15 +141,14 @@
 // The lane engine handles multi-clock designs natively — fired masks
 // become per-domain lane masks, so different lanes can tick different
 // subsets of domains on the same row — but sva.CheckLanes declines them
-// with an error: per-lane clock stimuli make the tick subsequences
-// diverge across lanes, which the packed truth words cannot represent.
+// with an error: it advances every lane's monitor on the same rows, and
+// per-lane clock stimuli make the tick subsequences diverge across lanes.
 // LanesOK therefore rejects multi-clock designs, and sva.CheckBatch runs
 // their batches on the scalar engine.
 //
 // # Value domains
 //
-// Mode selects the semantics; TwoState is the zero value, the domain New
-// builds, and the one the formal checker runs unless asked for four-state,
+// Mode selects the semantics; TwoState is the zero value and the one the formal checker runs unless asked for four-state,
 // so corpora, goldens and benchmark trajectories remain comparable across
 // versions.
 //
@@ -157,7 +157,7 @@
 // declaration initialiser or initial block says otherwise; division and
 // modulus by zero yield 0.
 //
-// FourState (the mode argument of every entry point, or NewMode) models
+// FourState (the mode argument of every entry point) models
 // unknowns as a value plane plus an unknown-bit mask (V4); z folds into x
 // — there is no drive-strength model, so a floating bit and an unknown bit
 // are both just "unknown". Its rules, IEEE 1364-faithful on the supported

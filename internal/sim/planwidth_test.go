@@ -25,7 +25,7 @@ func TestStaticWidthAgreesWithExprWidth(t *testing.T) {
 		if err != nil || compile.HasErrors(diags) || d == nil {
 			t.Fatalf("%s: fixture broken", bp.Name())
 		}
-		s, err := New(d)
+		s, err := newSimulator(d, TwoState)
 		if err != nil {
 			t.Fatalf("%s: %v", bp.Name(), err)
 		}

@@ -142,7 +142,7 @@ func (v *VecRunner) Detach() { v.r.tr = nil }
 // hold the compiled plan against, and the fallback for designs the
 // planner cannot lower.
 func RunReferenceCtx(ctx context.Context, d *compile.Design, stim Stimulus, mode Mode) (*Trace, error) {
-	s, err := NewMode(d, mode)
+	s, err := newSimulator(d, mode)
 	if err != nil {
 		return nil, err
 	}
@@ -155,16 +155,16 @@ func RunReferenceCtx(ctx context.Context, d *compile.Design, stim Stimulus, mode
 // contract: a branch the analyzer proved dead must have its polarity bit
 // clear in the returned coverage.
 func RunReferenceBranches(d *compile.Design, stim Stimulus, mode Mode) (*Trace, BranchCoverage, error) {
-	s, err := NewMode(d, mode)
+	s, err := newSimulator(d, mode)
 	if err != nil {
 		return nil, nil, err
 	}
-	s.RecordBranches()
+	s.recordBranches()
 	tr, err := runReference(context.Background(), s, stim)
 	if err != nil {
 		return nil, nil, err
 	}
-	return tr, s.Branches(), nil
+	return tr, s.branches, nil
 }
 
 // RunLanesCtx simulates a lane batch in the given value domain. Any
@@ -348,7 +348,7 @@ func (r *refRun) capture() {
 
 func (r *refRun) apply(c int) error {
 	for name, v := range r.stim[c] {
-		if err := r.s.SetInput(name, v); err != nil {
+		if err := r.s.setInput(name, v); err != nil {
 			return err
 		}
 	}

@@ -29,7 +29,7 @@ type Simulator struct {
 	clock  string
 	reset  compile.ResetInfo
 	// branches accumulates which polarity of each if statement executed
-	// (nil unless RecordBranches enabled it). Sequential blocks record
+	// (nil unless recordBranches enabled it). Sequential blocks record
 	// directly; combinational blocks record through branchScratch, which
 	// settle merges only from its final, converged iteration so transient
 	// polarities taken while the fixpoint was still moving are not counted.
@@ -37,16 +37,14 @@ type Simulator struct {
 	branchScratch map[verilog.Pos]uint8
 }
 
-// New creates a two-state simulator with registers at their declared
-// initial values (zero by default) and combinational logic settled.
-func New(d *compile.Design) (*Simulator, error) { return NewMode(d, TwoState) }
-
-// NewMode creates a simulator in the given value domain. In FourState mode
-// every signal starts unknown except registers with declared initialisers
-// (whose x/z literal bits stay unknown); combinational logic is settled
-// against that state, so an undriven or unreset register reads as x until
-// its first assignment.
-func NewMode(d *compile.Design, mode Mode) (*Simulator, error) {
+// newSimulator creates a simulator in the given value domain, with
+// registers at their declared initial values (zero by default) and
+// combinational logic settled. In FourState mode every signal starts
+// unknown except registers with declared initialisers (whose x/z literal
+// bits stay unknown); combinational logic is settled against that state,
+// so an undriven or unreset register reads as x until its first
+// assignment.
+func newSimulator(d *compile.Design, mode Mode) (*Simulator, error) {
 	s := &Simulator{
 		design: d,
 		mode:   mode,
@@ -74,22 +72,15 @@ func NewMode(d *compile.Design, mode Mode) (*Simulator, error) {
 	return s, nil
 }
 
-// SetInput drives an input port for the upcoming cycle. Driven values are
+// setInput drives an input port for the upcoming cycle. Driven values are
 // fully known.
-func (s *Simulator) SetInput(name string, v uint64) error {
+func (s *Simulator) setInput(name string, v uint64) error {
 	sig := s.design.Signals[name]
 	if sig == nil || sig.Kind != compile.SigInput {
 		return fmt.Errorf("sim: %q is not an input", name)
 	}
 	s.setVal(name, known(v&sig.Mask()))
 	return nil
-}
-
-// Get returns the current value of any signal (the known-bit plane; unknown
-// bits read as 0).
-func (s *Simulator) Get(name string) (uint64, bool) {
-	v, ok := s.get4(name)
-	return v.Val, ok
 }
 
 func (s *Simulator) get4(name string) (V4, bool) {

@@ -347,20 +347,20 @@ func TestTraceFormat(t *testing.T) {
 
 func TestSetInputValidation(t *testing.T) {
 	d := mustCompile(t, counterSrc)
-	s, err := New(d)
+	s, err := newSimulator(d, TwoState)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.SetInput("count", 1); err == nil {
-		t.Error("SetInput on output should fail")
+	if err := s.setInput("count", 1); err == nil {
+		t.Error("setInput on output should fail")
 	}
-	if err := s.SetInput("ghost", 1); err == nil {
-		t.Error("SetInput on unknown signal should fail")
+	if err := s.setInput("ghost", 1); err == nil {
+		t.Error("setInput on unknown signal should fail")
 	}
-	if err := s.SetInput("en", 0xFF); err != nil {
-		t.Errorf("SetInput: %v", err)
+	if err := s.setInput("en", 0xFF); err != nil {
+		t.Errorf("setInput: %v", err)
 	}
-	if v, _ := s.Get("en"); v != 1 {
-		t.Errorf("en masked to %d, want 1", v)
+	if v, _ := s.get4("en"); v.Val != 1 {
+		t.Errorf("en masked to %d, want 1", v.Val)
 	}
 }

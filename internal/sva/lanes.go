@@ -22,11 +22,11 @@ type LaneResult struct {
 }
 
 // CheckLanes evaluates every assertion of the batch's design across all
-// lanes at once, running the same bounded attempt automaton as Check but on
-// packed truth words: one word op decides a term for 64 lanes. It returns
-// an error when any property expression was not lane-compiled (or fails to
-// evaluate); Batch then checks every stimulus on the scalar engine, which
-// reproduces scalar semantics exactly.
+// lanes at once on the same monitor as Check, fed packed truth words: one
+// word op decides a term for 64 lanes. It returns an error when any
+// property expression was not lane-compiled (or fails to evaluate); Batch
+// then checks every stimulus on the scalar engine, which reproduces scalar
+// semantics exactly.
 func CheckLanes(lt *sim.LaneTrace) (*LaneResult, error) {
 	// Multi-clock designs are out of the packed model's reach: assertions
 	// sample only on their own clock's ticks, and each lane carries its own
@@ -37,116 +37,33 @@ func CheckLanes(lt *sim.LaneTrace) (*LaneResult, error) {
 	if lt.Design.MultiClock() {
 		return nil, fmt.Errorf("sva: lane checking does not support multi-clock designs (%d domains)", len(lt.Design.Domains))
 	}
-	n := lt.Len()
-	active := lt.ActiveMask()
+	n, active := lt.Len(), lt.ActiveMask()
+	var missing verilog.Expr // the first expression the lane compiler could not lower
+	word := func(e verilog.Expr) term {
+		fn := lt.CompileLaneBool(e)
+		if fn == nil && missing == nil {
+			missing = e
+		}
+		return term{expr: e, fn: fn}
+	}
 	res := &LaneResult{Attempted: map[string]uint64{}}
-	for _, a := range lt.Design.Asserts {
-		// Resolve each property expression to per-cycle truth words up
-		// front; every start position reuses them.
-		evalAll := func(e verilog.Expr) ([]uint64, error) {
-			fn := lt.CompileLaneBool(e)
-			if fn == nil {
-				return nil, fmt.Errorf("sva: %s is not lane-compiled", verilog.ExprString(e))
-			}
-			tw := make([]uint64, n)
-			for c := 0; c < n; c++ {
-				t, _, err := fn(c)
-				if err != nil {
-					return nil, err
-				}
-				tw[c] = t
-			}
-			return tw, nil
+	var m monitor
+	for i := range lt.Design.Asserts {
+		p := newProperty(&lt.Design.Asserts[i], word)
+		if missing != nil {
+			return nil, fmt.Errorf("sva: %s is not lane-compiled", verilog.ExprString(missing))
 		}
-		// An x disable condition is not true, so the true-mask alone decides
-		// disabling, matching the scalar checker.
-		var disW []uint64
-		if a.DisableIff != nil {
-			w, err := evalAll(a.DisableIff)
-			if err != nil {
-				return nil, err
-			}
-			disW = w
+		m.reset(&p, n, active)
+		for c := 0; c < n && m.tick(c, c); c++ {
 		}
-		terms := func(ts []verilog.SeqTerm) ([][]uint64, error) {
-			out := make([][]uint64, len(ts))
-			for i, t := range ts {
-				w, err := evalAll(t.Expr)
-				if err != nil {
-					return nil, err
-				}
-				out[i] = w
-			}
-			return out, nil
+		if m.err != nil {
+			return nil, m.err
 		}
-		anteW, err := terms(a.Seq.Antecedent)
-		if err != nil {
-			return nil, err
+		for _, e := range m.fails {
+			res.Failed |= e.lanes
 		}
-		consW, err := terms(a.Seq.Consequent)
-		if err != nil {
-			return nil, err
-		}
-
-		var attempted uint64
-		for start := 0; start < n; start++ {
-			// alive tracks lanes whose attempt is still matching; lanes leave
-			// it by being disabled or by a non-matching antecedent term
-			// (vacuous, uncounted) or by failing/passing the consequent.
-			alive := ^uint64(0)
-			cursor := start
-			if a.Seq.Impl != verilog.ImplNone {
-				for i, t := range a.Seq.Antecedent {
-					cursor += t.DelayFromPrev
-					if cursor >= n {
-						alive = 0 // pending: uncounted in every lane
-						break
-					}
-					if disW != nil {
-						alive &^= disW[cursor]
-					}
-					// A false or x antecedent term does not match.
-					alive &= anteW[i][cursor]
-					if alive == 0 {
-						break
-					}
-				}
-				if alive == 0 {
-					continue
-				}
-				if a.Seq.Impl == verilog.ImplNonOverlap {
-					cursor++
-				}
-			}
-			pending := false
-			for i, t := range a.Seq.Consequent {
-				cursor += t.DelayFromPrev
-				if cursor >= n {
-					pending = true
-					break
-				}
-				if disW != nil {
-					alive &^= disW[cursor]
-				}
-				if alive == 0 {
-					break
-				}
-				// A consequent term that is not true (false or x) fails the
-				// attempt in that lane.
-				fail := alive &^ consW[i][cursor]
-				res.Failed |= fail & active
-				attempted |= fail
-				alive &= consW[i][cursor]
-				if alive == 0 {
-					break
-				}
-			}
-			if !pending {
-				attempted |= alive // surviving lanes complete a passing attempt
-			}
-		}
-		if attempted&active != 0 {
-			res.Attempted[a.Name] = attempted & active
+		if m.counted != 0 {
+			res.Attempted[p.a.Name] |= m.counted
 		}
 	}
 	return res, nil

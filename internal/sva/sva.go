@@ -5,6 +5,19 @@
 // implication operators, plus the sampled-value functions handled by the
 // expression evaluator ($past, $rose, $fell, $stable).
 //
+// Every check runs one monitor per assertion. Each term sits at a fixed
+// tick offset from an attempt's start, so an attempt spans a fixed number
+// of ticks — its ##N delays, plus one for |=> — and no more attempts than
+// that are pending at once. The monitor advances one tick of the
+// assertion's clock at a time, starts an attempt at every tick and keeps
+// the pending ones as 64-lane words of lanes still matching, evaluating
+// each term at most once per tick and only when a pending attempt needs
+// it. A tick is every trace row, or on a multi-clock trace each row whose
+// following edge fired the assertion's clock domain. Check and Checker
+// feed it one lane from a trace; CheckLanes feeds it packed truth words
+// from a lane batch. The per-attempt checkers it replaced are kept in the
+// package's tests as the oracle it must match byte for byte.
+//
 // Together with internal/sim and internal/formal this package plays the
 // role SymbiYosys plays in the paper: deciding whether a bug/SVA pair
 // triggers an assertion failure and producing the failure logs that become
@@ -13,6 +26,7 @@ package sva
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -77,8 +91,7 @@ func (r *Result) FirstFailure() *Failure {
 //
 // Each assertion's boolean terms are resolved once through the trace's
 // compiled execution plan (slot-addressed closures; see internal/sim's
-// Plan), so the per-start attempt loop evaluates terms without walking the
-// AST or hashing signal names.
+// Plan), and its monitor evaluates each term at most once per tick.
 //
 // On a multi-clock trace an assertion advances over the ticks of its own
 // clock domain (the rows whose following edge fired that domain): ##N
@@ -97,209 +110,77 @@ func Check(tr *sim.Trace) (*Result, error) {
 	return res, nil
 }
 
-// binding is every assertion of a design compiled against one trace. The
-// evaluators read the trace's rows when called, so a binding stays valid
-// while the trace is refilled in place by later runs.
+// binding is every assertion of a design compiled against one trace, and
+// the monitor that runs them. The evaluators read the trace's rows when
+// called, so a binding stays valid while the trace is refilled in place by
+// later runs.
 type binding struct {
-	tr      *sim.Trace
-	asserts []compiledAssert
+	tr     *sim.Trace
+	props  []property
+	counts []int // counted attempts, by assertion
+	m      monitor
 }
 
+// bind compiles every assertion against tr. Terms evaluate in the trace's
+// value domain: on a two-state trace every sampled value is known; on a
+// four-state trace an x antecedent term does not match (the attempt is
+// vacuous), an x consequent term fails the attempt — the sampled
+// expression is not true — with the failure marked Unknown, and an x
+// disable-iff condition does not disable.
 func (b *binding) bind(tr *sim.Trace) {
-	b.tr, b.asserts = tr, b.asserts[:0]
-	for _, a := range tr.Design.Asserts {
-		b.asserts = append(b.asserts, compileAssert(tr, a))
+	b.tr, b.props = tr, slices.Grow(b.props[:0], len(tr.Design.Asserts))
+	word := func(e verilog.Expr) term { return term{expr: e, fn4: tr.CompileExpr4(e)} }
+	for i := range tr.Design.Asserts {
+		b.props = append(b.props, newProperty(&tr.Design.Asserts[i], word))
 	}
 }
 
-// check appends the trace's failures and attempt counts to res.
+// check runs the monitor over the trace for every assertion in order, on
+// its clock domain's ticks, and appends the failures and attempt counts to
+// res.
 func (b *binding) check(res *Result) error {
-	for i := range b.asserts {
-		if err := checkAssert(b.tr, &b.asserts[i], res); err != nil {
-			return err
+	n, m := b.tr.Len(), &b.m
+	b.counts = b.counts[:0]
+	for i := range b.props {
+		dom := assertDomain(b.tr.Design, b.props[i].a)
+		m.reset(&b.props[i], n, 1)
+		p := 0
+		for c := 0; c < n; c++ {
+			if dom >= 0 && b.tr.Fired(c)>>uint(dom)&1 == 0 {
+				continue
+			}
+			if !m.tick(p, c) {
+				break
+			}
+			p++
+		}
+		if m.err != nil {
+			return m.err
+		}
+		res.Failures = m.failures(res.Failures)
+		b.counts = append(b.counts, m.count)
+	}
+	for i, n := range b.counts {
+		if n > 0 {
+			res.Attempts[b.props[i].a.Name] += n
 		}
 	}
 	return nil
 }
 
-// compiledAssert is one assertion with its property expressions resolved to
-// trace evaluators. Terms evaluate in the trace's value domain: on a
-// two-state trace every sampled value is known and the checker behaves
-// exactly as before; on a four-state trace an x antecedent term makes the
-// attempt undetermined (no match, counted as vacuous) and an x consequent
-// term fails the attempt — the sampled expression is not true — with the
-// failure marked Unknown. An x disable-iff condition does not disable.
-type compiledAssert struct {
-	a       compile.ResolvedAssert
-	disable sim.CompiledExpr4 // nil when the property has no disable iff
-	ante    []compiledTerm
-	cons    []compiledTerm
-	impl    verilog.ImplKind
-}
-
-type compiledTerm struct {
-	delay int
-	fn    sim.CompiledExpr4
-	expr  verilog.Expr
-}
-
-func compileAssert(tr *sim.Trace, a compile.ResolvedAssert) compiledAssert {
-	ca := compiledAssert{a: a, impl: a.Seq.Impl}
-	if a.DisableIff != nil {
-		ca.disable = tr.CompileExpr4(a.DisableIff)
-	}
-	for _, t := range a.Seq.Antecedent {
-		ca.ante = append(ca.ante, compiledTerm{delay: t.DelayFromPrev, fn: tr.CompileExpr4(t.Expr), expr: t.Expr})
-	}
-	for _, t := range a.Seq.Consequent {
-		ca.cons = append(ca.cons, compiledTerm{delay: t.DelayFromPrev, fn: tr.CompileExpr4(t.Expr), expr: t.Expr})
-	}
-	return ca
-}
-
-func checkAssert(tr *sim.Trace, ca *compiledAssert, res *Result) error {
-	a := ca.a
-	ticks := assertTicks(tr, a)
-	n := tr.Len()
-	if ticks != nil {
-		n = len(ticks)
-	}
-	for start := 0; start < n; start++ {
-		outcome, err := evalAttempt(tr, ca, ticks, start)
-		if err != nil {
-			return err
-		}
-		switch outcome.kind {
-		case attemptFail:
-			res.Attempts[a.Name]++
-			res.Failures = append(res.Failures, Failure{
-				Assert:     a,
-				StartCycle: tickCycle(ticks, start),
-				FailCycle:  outcome.failCycle,
-				Term:       outcome.failTerm,
-				Unknown:    outcome.failUnknown,
-			})
-		case attemptPass:
-			res.Attempts[a.Name]++
-		}
-	}
-	return nil
-}
-
-// assertTicks returns the trace cycles the assertion samples at: nil on
-// single-domain traces (every row is a tick of the only clock), the
-// assertion's clock-domain tick cycles on multi-clock traces. An assertion
-// without a resolvable clock event samples every row.
-func assertTicks(tr *sim.Trace, a compile.ResolvedAssert) []int {
-	d := tr.Design
+// assertDomain returns the clock domain an assertion samples on: -1 on
+// single-domain designs (every row is a tick of the only clock) and for an
+// assertion without a resolvable clock event, which samples every row.
+func assertDomain(d *compile.Design, a *compile.ResolvedAssert) int {
 	if !d.MultiClock() || a.Clock.Signal == "" || a.Clock.Edge == verilog.EdgeAny {
-		return nil
+		return -1
 	}
 	for k, cd := range d.Domains {
 		if cd.Signal == a.Clock.Signal && cd.Edge == a.Clock.Edge {
-			return tr.DomainCycles(k)
+			return k
 		}
 	}
-	return nil
-}
-
-// tickCycle maps an attempt position to its trace cycle.
-func tickCycle(ticks []int, pos int) int {
-	if ticks == nil {
-		return pos
-	}
-	return ticks[pos]
-}
-
-type attemptKind int
-
-const (
-	attemptPass attemptKind = iota
-	attemptFail
-	attemptVacuous // antecedent did not match or attempt disabled
-	attemptPending // ran past end of bounded trace
-)
-
-type attemptOutcome struct {
-	kind        attemptKind
-	failCycle   int
-	failTerm    verilog.Expr
-	failUnknown bool
-}
-
-// evalAttempt evaluates one property attempt starting at tick position
-// start. Positions count ticks of the assertion's clock: with ticks nil
-// (single-domain traces) a position is a trace cycle; otherwise ticks maps
-// positions to the trace cycles sampled at that clock's edges.
-func evalAttempt(tr *sim.Trace, ca *compiledAssert, ticks []int, start int) (attemptOutcome, error) {
-	limit := tr.Len()
-	if ticks != nil {
-		limit = len(ticks)
-	}
-	disabled := func(cycle int) (bool, error) {
-		if ca.disable == nil {
-			return false, nil
-		}
-		v, err := ca.disable(cycle)
-		if err != nil {
-			return false, err
-		}
-		// An x disable condition is not true, so it does not disable.
-		return v.IsTrue(), nil
-	}
-
-	cursor := start
-	// Antecedent phase.
-	if ca.impl != verilog.ImplNone {
-		for _, term := range ca.ante {
-			cursor += term.delay
-			if cursor >= limit {
-				return attemptOutcome{kind: attemptPending}, nil
-			}
-			cyc := tickCycle(ticks, cursor)
-			if dis, err := disabled(cyc); err != nil {
-				return attemptOutcome{}, err
-			} else if dis {
-				return attemptOutcome{kind: attemptVacuous}, nil
-			}
-			v, err := term.fn(cyc)
-			if err != nil {
-				return attemptOutcome{}, err
-			}
-			// A false or x antecedent term does not match: the attempt is
-			// undetermined/vacuous, never a failure.
-			if !v.IsTrue() {
-				return attemptOutcome{kind: attemptVacuous}, nil
-			}
-		}
-		if ca.impl == verilog.ImplNonOverlap {
-			cursor++
-		}
-	}
-
-	// Consequent phase.
-	for _, term := range ca.cons {
-		cursor += term.delay
-		if cursor >= limit {
-			return attemptOutcome{kind: attemptPending}, nil
-		}
-		cyc := tickCycle(ticks, cursor)
-		if dis, err := disabled(cyc); err != nil {
-			return attemptOutcome{}, err
-		} else if dis {
-			return attemptOutcome{kind: attemptVacuous}, nil
-		}
-		v, err := term.fn(cyc)
-		if err != nil {
-			return attemptOutcome{}, err
-		}
-		// A consequent term that is not true fails the attempt; sampling x
-		// is recorded as an unknown failure (the not-true rule).
-		if !v.IsTrue() {
-			return attemptOutcome{kind: attemptFail, failCycle: cyc, failTerm: term.expr, failUnknown: v.IsXBool()}, nil
-		}
-	}
-	return attemptOutcome{kind: attemptPass}, nil
+	return -1
 }
 
 // FormatLog renders failures as the simulator/verifier log text attached to

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -320,6 +321,30 @@ func TestAssertionSubstitution(t *testing.T) {
 	}
 	if after := svc.Metrics().Hits; after != before {
 		t.Error("embedded-assertion check unexpectedly hit the candidate entry")
+	}
+}
+
+// TestClocklessCandidateIsCompileError: a candidate inline assertion
+// without a clocking event parses, so substituting it must print it (the
+// printer once dereferenced its nil clock), and compile reports it as a
+// compile-error verdict, through Run and through the cached Check alike.
+func TestClocklessCandidateIsCompileError(t *testing.T) {
+	m, err := verilog.Parse("module c(input clk, input a, output y);\nassert property (y == a);\nendmodule\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	items := m.Items
+	svc := New(2)
+	for name, check := range map[string]func(context.Context, string, []verilog.Item, Options) (Verdict, error){
+		"Run": svc.Run, "Check": svc.Check,
+	} {
+		v, err := check(context.Background(), passSrc, items, Options{Depth: 8})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if v.Status != StatusCompileError || !strings.Contains(v.Log, "inline assertion lacks a clocking event") {
+			t.Errorf("%s: status %v log %q, want a compile error naming the missing clock", name, v.Status, v.Log)
+		}
 	}
 }
 

@@ -25,7 +25,35 @@ type Parser struct {
 	// every later pull yields a zero-position EOF.
 	done   bool
 	lexErr error // the first lexical error, if any
+	// depth is the current nesting level of expressions and statements;
+	// deepest is the largest it reached.
+	depth, deepest int
 }
+
+// maxNesting bounds how deeply expressions and statements may nest: each
+// parenthesis, operand of an index, slice, call or concatenation, unary
+// operator, ternary branch and nested statement is one level. The parser
+// recurses once per level, so without a bound about a million parentheses
+// exhaust the goroutine stack, a fatal error no caller can recover from. A
+// source nested deeper fails with a *ParseError at the first token of the
+// level past the bound. The bound is far above any real design (the
+// catalog and generated programs stay within a few dozen levels) and keeps
+// every walker of the AST — elaboration, lowering, lint, printing — well
+// inside the stack.
+const maxNesting = 1 << 16
+
+// enter opens one nesting level; every enter that succeeds is paired with
+// a leave.
+func (p *Parser) enter() error {
+	if p.depth == maxNesting {
+		return p.errf("nesting deeper than %d levels", maxNesting)
+	}
+	p.depth++
+	p.deepest = max(p.deepest, p.depth)
+	return nil
+}
+
+func (p *Parser) leave() { p.depth-- }
 
 // lookahead is the window size: cur() plus peekKind(1) and peekKind(2),
 // the parser's deepest lookahead.
@@ -53,7 +81,10 @@ func Parse(src string) (*Module, error) {
 // module files yield a one-element set, so ParseSet subsumes Parse for
 // callers that accept hierarchies.
 func ParseSet(src string) (*SourceSet, error) {
-	p := newParser(src)
+	return newParser(src).parseSet()
+}
+
+func (p *Parser) parseSet() (*SourceSet, error) {
 	set := &SourceSet{}
 	for {
 		m, err := p.parseModule()
@@ -669,6 +700,10 @@ func (p *Parser) parseEvent() (Event, error) {
 // ---------------------------------------------------------------------------
 
 func (p *Parser) parseStmt() (Stmt, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	tok := p.cur()
 	switch tok.Kind {
 	case TokBegin:
@@ -1043,6 +1078,10 @@ func (p *Parser) parseExpr() (Expr, error) {
 }
 
 func (p *Parser) parseTernary() (Expr, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	cond, err := p.parseBinary(1)
 	if err != nil {
 		return nil, err
@@ -1107,6 +1146,10 @@ func (p *Parser) parseUnary() (Expr, error) {
 	default:
 		return p.parsePostfix()
 	}
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	p.next()
 	x, err := p.parseUnary()
 	if err != nil {

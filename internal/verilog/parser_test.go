@@ -437,6 +437,40 @@ endmodule
 	}
 }
 
+// TestPrintClocklessAssert: an inline assertion without a clocking event
+// parses (compile rejects it later), so it must print, and round-trip,
+// without one.
+func TestPrintClocklessAssert(t *testing.T) {
+	src := `
+module m (
+    input clk,
+    input a,
+    output y
+);
+    assign y = a;
+    assert property (y == a);
+    p: assert property (disable iff (!a) a |=> y);
+endmodule
+`
+	m1, err := Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	text1 := Print(m1)
+	for _, want := range []string{"    assert property (y == a);\n", "    p: assert property (disable iff (!a) a |=> y);\n"} {
+		if !strings.Contains(text1, want) {
+			t.Errorf("printed text lacks %q:\n%s", want, text1)
+		}
+	}
+	m2, err := Parse(text1)
+	if err != nil {
+		t.Fatalf("reparse: %v\n%s", err, text1)
+	}
+	if text2 := Print(m2); text2 != text1 {
+		t.Errorf("print not a fixpoint:\n%s\n%s", text1, text2)
+	}
+}
+
 func TestLexPositions(t *testing.T) {
 	toks, err := lexAll("module m;\n  wire x;\nendmodule\n")
 	if err != nil {

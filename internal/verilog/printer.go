@@ -188,9 +188,17 @@ func (pr *printer) item(it Item) {
 		if x.Ref != "" {
 			pr.writef("assert property (%s)", x.Ref)
 		} else {
-			pr.writef("assert property (@(%s %s)", edgeName(x.Clock.Edge), x.Clock.Signal)
-			pr.disableIff(x.DisableIff)
-			pr.sb.WriteString(" ")
+			// The parser accepts an inline assertion without a clocking
+			// event (compile rejects it), so print what was parsed.
+			pr.sb.WriteString("assert property (")
+			if x.Clock != nil {
+				pr.writef("@(%s %s) ", edgeName(x.Clock.Edge), x.Clock.Signal)
+			}
+			if x.DisableIff != nil {
+				pr.sb.WriteString("disable iff (")
+				pr.expr(x.DisableIff)
+				pr.sb.WriteString(") ")
+			}
 			pr.seqExpr(x.Seq)
 			pr.sb.WriteString(")")
 		}
