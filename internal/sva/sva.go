@@ -115,10 +115,9 @@ func Check(tr *sim.Trace) (*Result, error) {
 // called, so a binding stays valid while the trace is refilled in place by
 // later runs.
 type binding struct {
-	tr     *sim.Trace
-	props  []property
-	counts []int // counted attempts, by assertion
-	m      monitor
+	tr    *sim.Trace
+	props []property
+	m     monitor
 }
 
 // bind compiles every assertion against tr. Terms evaluate in the trace's
@@ -140,7 +139,6 @@ func (b *binding) bind(tr *sim.Trace) {
 // res.
 func (b *binding) check(res *Result) error {
 	n, m := b.tr.Len(), &b.m
-	b.counts = b.counts[:0]
 	for i := range b.props {
 		dom := assertDomain(b.tr.Design, b.props[i].a)
 		m.reset(&b.props[i], n, 1)
@@ -158,11 +156,8 @@ func (b *binding) check(res *Result) error {
 			return m.err
 		}
 		res.Failures = m.failures(res.Failures)
-		b.counts = append(b.counts, m.count)
-	}
-	for i, n := range b.counts {
-		if n > 0 {
-			res.Attempts[b.props[i].a.Name] += n
+		if m.count > 0 {
+			res.Attempts[b.props[i].a.Name] += m.count
 		}
 	}
 	return nil

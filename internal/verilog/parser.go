@@ -25,21 +25,27 @@ type Parser struct {
 	// every later pull yields a zero-position EOF.
 	done   bool
 	lexErr error // the first lexical error, if any
-	// depth is the current nesting level of expressions and statements;
-	// deepest is the largest it reached.
+	// depth is the current nesting level of expressions and statements.
+	// deepest is the deepest level reached; an expression parser resets
+	// it to measure how deep its operand reaches before folding that
+	// operand into a new node (see fold), then restores the maximum.
 	depth, deepest int
 }
 
 // maxNesting bounds how deeply expressions and statements may nest: each
 // parenthesis, operand of an index, slice, call or concatenation, unary
-// operator, ternary branch and nested statement is one level. The parser
-// recurses once per level, so without a bound about a million parentheses
-// exhaust the goroutine stack, a fatal error no caller can recover from. A
-// source nested deeper fails with a *ParseError at the first token of the
-// level past the bound. The bound is far above any real design (the
-// catalog and generated programs stay within a few dozen levels) and keeps
-// every walker of the AST — elaboration, lowering, lint, printing — well
-// inside the stack.
+// operator, ternary branch and nested statement is one level, and so is
+// each binary operator, index or slice that takes the expression before
+// it as its operand (a left-associative chain such as a+b+c or a[1][0]).
+// The parser recurses once per level of the first kind, so without a bound
+// about a million parentheses exhaust the goroutine stack, a fatal error
+// no caller can recover from; chains are counted because they build an
+// AST as deep as they are long without deep parser recursion. A source
+// nested deeper fails with a *ParseError at the first token of the level
+// past the bound. The bound is far above any real design (the catalog and
+// generated programs stay within a few dozen levels) and bounds the depth
+// of every parsed AST, so the walkers of the AST — elaboration, lowering,
+// lint, printing — stay well inside the stack.
 const maxNesting = 1 << 16
 
 // enter opens one nesting level; every enter that succeeds is paired with
@@ -54,6 +60,17 @@ func (p *Parser) enter() error {
 }
 
 func (p *Parser) leave() { p.depth-- }
+
+// fold deepens the expression parsed since the last reset of deepest by
+// one level: the node about to be built, at the current token, takes that
+// expression as its operand.
+func (p *Parser) fold() error {
+	if p.deepest == maxNesting {
+		return p.errf("nesting deeper than %d levels", maxNesting)
+	}
+	p.deepest++
+	return nil
+}
 
 // lookahead is the window size: cur() plus peekKind(1) and peekKind(2),
 // the parser's deepest lookahead.
@@ -1105,6 +1122,8 @@ func (p *Parser) parseTernary() (Expr, error) {
 }
 
 func (p *Parser) parseBinary(minPrec int) (Expr, error) {
+	mark := p.deepest
+	p.deepest = p.depth
 	lhs, err := p.parseUnary()
 	if err != nil {
 		return nil, err
@@ -1112,10 +1131,19 @@ func (p *Parser) parseBinary(minPrec int) (Expr, error) {
 	for {
 		op, prec := binPrec(p.cur().Kind)
 		if prec == 0 || prec < minPrec {
+			p.deepest = max(mark, p.deepest)
 			return lhs, nil
 		}
+		if err := p.fold(); err != nil {
+			return nil, err
+		}
 		pos := p.next().Pos
+		// The right operand sits one level below the new node, as lhs does.
+		if err := p.enter(); err != nil {
+			return nil, err
+		}
 		rhs, err := p.parseBinary(prec + 1)
+		p.leave()
 		if err != nil {
 			return nil, err
 		}
@@ -1159,11 +1187,16 @@ func (p *Parser) parseUnary() (Expr, error) {
 }
 
 func (p *Parser) parsePostfix() (Expr, error) {
+	mark := p.deepest
+	p.deepest = p.depth
 	e, err := p.parsePrimary()
 	if err != nil {
 		return nil, err
 	}
 	for p.cur().Kind == TokLBracket {
+		if err := p.fold(); err != nil {
+			return nil, err
+		}
 		pos := p.next().Pos
 		first, err := p.parseExpr()
 		if err != nil {
@@ -1185,6 +1218,7 @@ func (p *Parser) parsePostfix() (Expr, error) {
 			e = &Index{X: e, Idx: first, Pos: pos}
 		}
 	}
+	p.deepest = max(mark, p.deepest)
 	return e, nil
 }
 

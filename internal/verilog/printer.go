@@ -172,8 +172,7 @@ func (pr *printer) item(it Item) {
 		pr.indent(1)
 		pr.writef("property %s;\n", x.Name)
 		pr.indent(2)
-		pr.writef("@(%s %s)", edgeName(x.Clock.Edge), x.Clock.Signal)
-		pr.disableIff(x.DisableIff)
+		pr.clocking(&x.Clock, x.DisableIff)
 		pr.sb.WriteString("\n")
 		pr.indent(2)
 		pr.seqExpr(x.Seq)
@@ -191,13 +190,8 @@ func (pr *printer) item(it Item) {
 			// The parser accepts an inline assertion without a clocking
 			// event (compile rejects it), so print what was parsed.
 			pr.sb.WriteString("assert property (")
-			if x.Clock != nil {
-				pr.writef("@(%s %s) ", edgeName(x.Clock.Edge), x.Clock.Signal)
-			}
-			if x.DisableIff != nil {
-				pr.sb.WriteString("disable iff (")
-				pr.expr(x.DisableIff)
-				pr.sb.WriteString(") ")
+			if pr.clocking(x.Clock, x.DisableIff) {
+				pr.sb.WriteString(" ")
 			}
 			pr.seqExpr(x.Seq)
 			pr.sb.WriteString(")")
@@ -222,13 +216,22 @@ func edgeName(e EdgeKind) string {
 	}
 }
 
-// disableIff writes " disable iff (e)" when e is set.
-func (pr *printer) disableIff(e Expr) {
-	if e != nil {
-		pr.sb.WriteString(" disable iff (")
-		pr.expr(e)
+// clocking writes a property's "@(edge signal)" and "disable iff (e)"
+// prefixes, each when set, separated by a space, and reports whether it
+// wrote either.
+func (pr *printer) clocking(clock *Event, disable Expr) bool {
+	if clock != nil {
+		pr.writef("@(%s %s)", edgeName(clock.Edge), clock.Signal)
+		if disable != nil {
+			pr.sb.WriteString(" ")
+		}
+	}
+	if disable != nil {
+		pr.sb.WriteString("disable iff (")
+		pr.expr(disable)
 		pr.sb.WriteString(")")
 	}
+	return clock != nil || disable != nil
 }
 
 func (pr *printer) seqExpr(s *SeqExpr) {
