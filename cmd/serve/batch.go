@@ -23,9 +23,9 @@ import (
 // once beside the run in flight; the admission queue bounds every queue.
 type batcher struct {
 	lanes int
-	// check decides one batch. It is sva.CheckBatch; tests wrap it to hold
-	// a run in flight.
-	check func(context.Context, *compile.Design, []sim.VecStimulus, sim.Mode) (*sva.Batch, error)
+	// check decides one batch. It is checkBatch; tests wrap it to hold a
+	// run in flight.
+	check func(context.Context, *compile.Design, []sim.VecStimulus, sim.Mode) (sva.Batch, error)
 
 	mu sync.Mutex
 	// queued has an entry for each key with a run in flight: the stimuli
@@ -58,7 +58,12 @@ func newBatcher(lanes int) *batcher {
 	if lanes > 64 {
 		lanes = 64
 	}
-	return &batcher{lanes: lanes, check: sva.CheckBatch, queued: map[groupKey][]*submission{}}
+	return &batcher{lanes: lanes, check: checkBatch, queued: map[groupKey][]*submission{}}
+}
+
+// checkBatch decides stims as one sva.Batch on a checker of their own.
+func checkBatch(ctx context.Context, d *compile.Design, stims []sim.VecStimulus, mode sim.Mode) (sva.Batch, error) {
+	return sva.NewChecker(d, mode).Batch(ctx, stims)
 }
 
 // submit checks one stimulus and blocks until its verdict is ready, or ctx
@@ -130,7 +135,7 @@ func (b *batcher) run(key groupKey, subs []*submission) {
 	for i, sub := range subs {
 		stims[i] = sub.stim
 	}
-	// CheckBatch's only error is ctx.Err(), and a background context is
+	// A batch's only error is ctx.Err(), and a background context is
 	// never cancelled.
 	bt, _ := b.check(context.Background(), key.d, stims, key.mode)
 	if bt.Packed {
@@ -140,7 +145,7 @@ func (b *batcher) run(key groupKey, subs []*submission) {
 		b.scalar.Add(uint64(len(stims)))
 	}
 	for i, sub := range subs {
-		sub.resp, sub.err = outcome(key, bt, i)
+		sub.resp, sub.err = outcome(key, &bt, i)
 	}
 }
 

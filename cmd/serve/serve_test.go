@@ -402,7 +402,7 @@ type runGate struct {
 func holdFirstRuns(b *batcher) *runGate {
 	g := &runGate{b: b, release: make(chan struct{}), started: map[gateKey]bool{}, runs: map[gateKey][]batchRun{}}
 	check := b.check
-	b.check = func(ctx context.Context, d *compile.Design, stims []sim.VecStimulus, mode sim.Mode) (*sva.Batch, error) {
+	b.check = func(ctx context.Context, d *compile.Design, stims []sim.VecStimulus, mode sim.Mode) (sva.Batch, error) {
 		k := gateKey{d, mode}
 		g.mu.Lock()
 		first := !g.started[k]

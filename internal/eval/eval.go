@@ -9,7 +9,6 @@ package eval
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"math/rand"
 	"sync"
@@ -232,12 +231,6 @@ func BreakdownOf(results []CaseResult) Breakdown {
 		b.ByBin[i] = [2]float64{MeanPassAtK(sub, 1), MeanPassAtK(sub, 5)}
 	}
 	return b
-}
-
-// FormatPassRow renders "name pass@1 pass@5" for report tables.
-func FormatPassRow(name string, results []CaseResult) string {
-	return fmt.Sprintf("%-22s pass@1 %6.2f%%  pass@5 %6.2f%%",
-		name, 100*MeanPassAtK(results, 1), 100*MeanPassAtK(results, 5))
 }
 
 // RelativeDecline returns the average relative drop between machine and

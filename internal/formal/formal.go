@@ -1,20 +1,25 @@
 // Package formal is the reproduction's stand-in for the SymbiYosys formal
 // verifier used in the paper. It performs bounded model checking of a
-// design's SVA assertions by exhaustive input enumeration when the input
-// space is small enough, falling back to directed patterns plus seeded
-// random stimulus otherwise. It answers the two questions the augmentation
-// pipeline asks of the verifier:
+// design's SVA assertions over one stimulus schedule: every input sequence
+// within the bound when the sequence space is small enough, otherwise
+// directed patterns, every constant input vector of a small enough input
+// space, then seeded random stimulus. It answers the two questions the
+// augmentation pipeline asks of the verifier, both over that schedule:
 //
 //  1. does this design (with a candidate bug injected) violate any of its
-//     assertions within the bound, and with what counterexample/log; and
+//     assertions within the bound, and with what counterexample/log
+//     (Check); and
 //  2. does a mutated design behave differently from the golden design at
-//     its outputs (used to separate real functional bugs from no-ops).
+//     its outputs (Differ, which skips the exhaustive branch), used to
+//     separate real functional bugs from no-ops.
 package formal
 
 import (
 	"context"
 	"fmt"
+	"iter"
 	"math/rand"
+	"slices"
 
 	"repro/internal/compile"
 	"repro/internal/sim"
@@ -39,10 +44,11 @@ type Options struct {
 	// input bits times the bound (every cycle is enumerated, reset window
 	// included) is at most this, every input sequence is tried. Default
 	// 16, so a single 1-bit input stays exhaustively checkable at the
-	// default depth of 16.
+	// default depth of 16. Values above 63 clamp to 63, the widest space a
+	// 64-bit run counter enumerates.
 	MaxExhaustiveBits int
 	// MaxConstBits caps constant-input enumeration (each run holds inputs
-	// constant). Default 10.
+	// constant). Default 10; values above 63 clamp to 63.
 	MaxConstBits int
 	// Seed makes the random phase deterministic. The same seed always
 	// explores the same traces.
@@ -54,8 +60,8 @@ type Options struct {
 	// sequences as the default two-state check, which remains the compiled
 	// fast path.
 	FourState bool
-	// Lanes batches stimuli through sva.CheckBatch, up to Lanes at a time
-	// (max 64), which runs them on the lane-parallel engine. Zero and one
+	// Lanes batches stimuli through sva.Checker.Batch, up to Lanes at a
+	// time (max 64), which runs them on the lane-parallel engine. Zero and one
 	// both mean scalar mode — the zero value must stay a safe default, like
 	// the NoRandom sentinel — and designs the lane compiler cannot lower
 	// fall back to scalar runs automatically. Results are byte-identical to
@@ -65,12 +71,14 @@ type Options struct {
 	Lanes int
 }
 
+// maxEnumBits is the widest space an enumeration cap admits: 1<<64 wraps
+// to 0 in the uint64 run counter, which would enumerate nothing.
+const maxEnumBits = 63
+
 // Normalized returns the options with defaults applied, the canonical form
 // under which two option values describe the same check (internal/verify
 // keys its result cache on this).
-func (o Options) Normalized() Options { return o.withDefaults() }
-
-func (o Options) withDefaults() Options {
+func (o Options) Normalized() Options {
 	if o.Depth <= 0 {
 		o.Depth = 16
 	}
@@ -90,6 +98,8 @@ func (o Options) withDefaults() Options {
 	if o.MaxConstBits <= 0 {
 		o.MaxConstBits = 10
 	}
+	o.MaxExhaustiveBits = min(o.MaxExhaustiveBits, maxEnumBits)
+	o.MaxConstBits = min(o.MaxConstBits, maxEnumBits)
 	if o.Lanes <= 1 {
 		o.Lanes = 0 // scalar mode: 0, 1 and negatives are the same check
 	}
@@ -127,190 +137,107 @@ func Check(ctx context.Context, d *compile.Design, opts Options) (*Result, error
 	return check(ctx, d, opts, false)
 }
 
-// check is Check. Scalar mode normally runs every stimulus on one
-// sva.Checker over one refilled row buffer; oneShot instead checks each
-// stimulus with its own sva.CheckStimulus on rows of its own, the form
-// the reuse must be indistinguishable from.
+// check is Check. Scalar mode runs every stimulus on one sva.Checker over
+// one refilled row buffer; oneShot instead checks each stimulus on a fresh
+// checker and rows of its own, the form the reuse must be
+// indistinguishable from.
 func check(ctx context.Context, d *compile.Design, opts Options, oneShot bool) (*Result, error) {
-	opts = opts.withDefaults()
-	ds := newDriveSet(d)
-	inputs := ds.inputs
-	totalBits := totalWidth(inputs)
-
-	res := &Result{Pass: true}
-	attempted := make([]bool, len(d.Asserts))
-	done := ctx.Done()
-
+	opts = opts.Normalized()
 	mode := sim.TwoState
 	if opts.FourState {
 		mode = sim.FourState
 	}
-	// Scalar mode runs every stimulus on one checker, so each stimulus is
-	// checked before the next is built and the generators refill one row
-	// buffer; lane batches hold their stimuli until a flush, so each keeps
-	// rows of its own.
-	scalar := func(stim sim.VecStimulus) (sva.Outcome, error) {
-		return sva.CheckStimulus(ctx, d, stim, mode)
-	}
-	if opts.Lanes == 0 && !oneShot {
-		chk := sva.NewChecker(d, mode)
-		scalar = func(stim sim.VecStimulus) (sva.Outcome, error) { return chk.Check(ctx, stim) }
-		ds.reuse = true
-	}
-	// take folds one stimulus' outcome into the result and reports whether
-	// the check stops there: the first failure is the counterexample.
-	take := func(o sva.Outcome) bool {
-		res.Runs++
-		for i, a := range d.Asserts {
-			if !attempted[i] && o.Attempted(a.Name) {
-				attempted[i] = true
-			}
-		}
-		if o.Pass {
-			return false
-		}
-		res.Pass = false
-		res.Failure = o.Result.FirstFailure()
-		res.Trace = o.Trace
-		res.Log = sva.FormatLog(d.Module.Name, o.Trace, o.Result.Failures)
-		return true
-	}
+	chk := sva.NewChecker(d, mode)
+	// Stimuli go to the checker in batches of size, in schedule order. A
+	// batch of one is checked before the next stimulus is built, so the
+	// schedule refills one row buffer; a lane batch holds its stimuli until
+	// it is full, so each keeps rows of its own.
+	size := max(opts.Lanes, 1)
+	ds := newDriveSet(d)
+	ds.reuse = size == 1 && !oneShot
 
-	// Lane batching: strategies submit stimuli in enumeration order, and
-	// each full batch goes through sva.CheckBatch, which packs it into one
-	// lane run when the lane engine can decide the design and runs it
-	// scalar otherwise. Outcomes are taken in submission order, so the stop
-	// point, Runs and the failing stimulus' Failure/Trace/Log come out
-	// byte-identical to a scalar check.
-	var batch []sim.VecStimulus
+	res := &Result{Pass: true}
+	attempted := make([]bool, len(d.Asserts))
+	batch := make([]sim.VecStimulus, 0, size)
+	// flush checks the pending batch and folds its outcomes into res in
+	// submission order, so the stop point, Runs and the failing stimulus'
+	// Failure/Trace/Log are the same whichever engine ran it. It reports
+	// whether the check stops: the first failure is the counterexample.
 	flush := func() (bool, error) {
-		stims := batch
-		batch = nil
-		if len(stims) == 0 {
+		if len(batch) == 0 {
 			return false, nil
 		}
-		b, err := sva.CheckBatch(ctx, d, stims, mode)
+		if oneShot {
+			chk = sva.NewChecker(d, mode)
+		}
+		b, err := chk.Batch(ctx, batch)
+		n := len(batch)
+		batch = batch[:0]
 		if err != nil {
 			return false, err
 		}
-		for i := range stims {
-			o, err := b.Lane(i)
+		for l := range n {
+			o, err := b.Lane(l)
 			if err != nil {
 				return false, err
 			}
-			if take(o) {
+			res.Runs++
+			for i, a := range d.Asserts {
+				if !attempted[i] && o.Attempted(a.Name) {
+					attempted[i] = true
+				}
+			}
+			if !o.Pass {
+				res.Pass = false
+				res.Failure = o.Result.FirstFailure()
+				res.Trace = o.Trace
+				res.Log = sva.FormatLog(d.Module.Name, o.Trace, o.Result.Failures)
 				return true, nil
 			}
 		}
 		return false, nil
 	}
 
-	submit := func(stim sim.VecStimulus) (bool, error) {
-		// Poll between submissions too: batching mode can queue dozens of
-		// stimuli without entering a run loop, and the per-cycle polls inside
-		// sim only cover time spent simulating.
-		select {
-		case <-done:
-			return false, ctx.Err()
-		default:
-		}
-		if opts.Lanes == 0 {
-			o, err := scalar(stim)
-			if err != nil {
-				return false, err
+	var stop bool
+	var err error
+	for label, stim := range ds.schedule(opts, true) {
+		if label != res.Strategy {
+			// A failure in the pending batch reports the label it was
+			// scheduled under.
+			if stop, err = flush(); stop || err != nil {
+				break
 			}
-			return take(o), nil
+			res.Strategy = label
+		}
+		// Poll between stimuli too: a lane batch can queue dozens of them
+		// without entering a run loop, and the per-cycle polls inside sim
+		// only cover time spent simulating.
+		if err = ctx.Err(); err != nil {
+			break
 		}
 		batch = append(batch, stim)
-		if len(batch) >= opts.Lanes {
-			return flush()
-		}
-		return false, nil
-	}
-
-	finish := func() *Result {
-		for i, a := range d.Asserts {
-			if !attempted[i] {
-				res.VacuousAsserts = append(res.VacuousAsserts, a.Name)
-			}
-		}
-		if res.Pass {
-			res.Log = fmt.Sprintf("%s: all assertions passed (bound %d, %d runs, %s)\n",
-				d.Module.Name, opts.Depth, res.Runs, res.Strategy)
-		}
-		return res
-	}
-
-	// Every cycle's inputs are enumerated independently — including the
-	// reset window. Assertions without a disable-iff sample during reset,
-	// so pinning reset-cycle inputs to the first free cycle's values (as an
-	// earlier version did) made "exhaustive" miss counterexamples inside
-	// its own bound; the cross-engine fuzzer's strategy-agreement oracle
-	// caught directed+random finding failures exhaustive had missed.
-	freeCycles := opts.Depth
-	if freeCycles < 1 {
-		freeCycles = 1
-	}
-
-	// Strategy 1: full sequence enumeration for tiny input spaces.
-	if totalBits > 0 && totalBits*freeCycles <= opts.MaxExhaustiveBits {
-		res.Strategy = "exhaustive-sequences"
-		seqSpace := uint64(1) << uint(totalBits*freeCycles)
-		for code := uint64(0); code < seqSpace; code++ {
-			stim := ds.decodeSequence(code, opts.Depth, freeCycles)
-			if stop, err := submit(stim); err != nil {
-				return nil, err
-			} else if stop {
-				return finish(), nil
-			}
-		}
-		if _, err := flush(); err != nil {
-			return nil, err
-		}
-		return finish(), nil
-	}
-
-	// Strategy 2: directed patterns, constant enumeration, then random.
-	res.Strategy = "directed+random"
-	for _, pat := range ds.directedPatterns(opts.Depth) {
-		if stop, err := submit(ds.patternStimulus(pat, opts.Depth)); err != nil {
-			return nil, err
-		} else if stop {
-			return finish(), nil
-		}
-	}
-	if totalBits > 0 && totalBits <= opts.MaxConstBits {
-		// Drain pending directed stimuli before the strategy label changes:
-		// a failure in them must report "directed+random", as scalar runs do.
-		if stop, err := flush(); err != nil {
-			return nil, err
-		} else if stop {
-			return finish(), nil
-		}
-		res.Strategy = "directed+const+random"
-		space := uint64(1) << uint(totalBits)
-		for code := uint64(0); code < space; code++ {
-			stim := ds.constantStimulus(code, opts.Depth)
-			if stop, err := submit(stim); err != nil {
-				return nil, err
-			} else if stop {
-				return finish(), nil
+		if len(batch) == size {
+			if stop, err = flush(); stop || err != nil {
+				break
 			}
 		}
 	}
-	rng := rand.New(rand.NewSource(opts.Seed))
-	for i := 0; i < opts.RandomRuns; i++ {
-		stim := ds.randomStimulus(rng, opts.Depth)
-		if stop, err := submit(stim); err != nil {
-			return nil, err
-		} else if stop {
-			return finish(), nil
-		}
+	if !stop && err == nil {
+		_, err = flush()
 	}
-	if _, err := flush(); err != nil {
+	if err != nil {
 		return nil, err
 	}
-	return finish(), nil
+	for i, a := range d.Asserts {
+		if !attempted[i] {
+			res.VacuousAsserts = append(res.VacuousAsserts, a.Name)
+		}
+	}
+	if res.Pass {
+		res.Log = fmt.Sprintf("%s: all assertions passed (bound %d, %d runs, %s)\n",
+			d.Module.Name, opts.Depth, res.Runs, res.Strategy)
+	}
+	return res, nil
 }
 
 // driveSet is the precomputed drive list for one design: the non-clock/reset
@@ -340,37 +267,15 @@ type driveSet struct {
 
 func newDriveSet(d *compile.Design) driveSet {
 	ds := driveSet{inputs: d.Inputs(true), reset: d.Reset(), ri: -1}
+	var clocks []*compile.Signal // one column per domain clock signal
 	if d.MultiClock() {
-		isClk := map[string]bool{}
 		for _, cd := range d.Domains {
-			isClk[cd.Signal] = true
-		}
-		kept := ds.inputs[:0]
-		for _, in := range ds.inputs {
-			if !isClk[in.Name] {
-				kept = append(kept, in)
+			// posedge+negedge of one signal share a column
+			if sig := d.Signals[cd.Signal]; !slices.Contains(clocks, sig) {
+				clocks = append(clocks, sig)
 			}
 		}
-		ds.inputs = kept
-		ds.all = append(ds.all, ds.inputs...)
-		if ds.reset.Present {
-			if sig := d.Signals[ds.reset.Name]; sig != nil {
-				ds.ri = len(ds.all)
-				ds.all = append(ds.all, sig)
-			} else {
-				ds.reset = compile.ResetInfo{}
-			}
-		}
-		seen := map[string]bool{}
-		for _, cd := range d.Domains {
-			if seen[cd.Signal] {
-				continue // posedge+negedge of one signal share a column
-			}
-			seen[cd.Signal] = true
-			ds.clocks = append(ds.clocks, len(ds.all))
-			ds.all = append(ds.all, d.Signals[cd.Signal])
-		}
-		return ds
+		ds.inputs = slices.DeleteFunc(ds.inputs, func(in *compile.Signal) bool { return slices.Contains(clocks, in) })
 	}
 	ds.all = append(ds.all, ds.inputs...)
 	if ds.reset.Present {
@@ -381,7 +286,52 @@ func newDriveSet(d *compile.Design) driveSet {
 			ds.reset = compile.ResetInfo{}
 		}
 	}
+	for _, sig := range clocks {
+		ds.clocks = append(ds.clocks, len(ds.all))
+		ds.all = append(ds.all, sig)
+	}
 	return ds
+}
+
+// schedule yields the stimuli of a bounded search in order, each with the
+// strategy label that a failure on it reports. With exhaustive set and a
+// sequence space of at most MaxExhaustiveBits bits, it is every input
+// sequence within the bound and nothing else. Otherwise it is the directed
+// patterns, every constant input vector when the input space fits
+// MaxConstBits, then RandomRuns seeded random stimuli. opts must be
+// normalized. Unless reuse is set, each stimulus has rows of its own.
+func (ds *driveSet) schedule(opts Options, exhaustive bool) iter.Seq2[string, sim.VecStimulus] {
+	return func(yield func(string, sim.VecStimulus) bool) {
+		depth, bits := opts.Depth, totalWidth(ds.inputs)
+		if exhaustive && bits > 0 && bits*depth <= opts.MaxExhaustiveBits {
+			for code := range uint64(1) << (bits * depth) {
+				if !yield("exhaustive-sequences", ds.decodeSequence(code, depth)) {
+					return
+				}
+			}
+			return
+		}
+		label := "directed+random"
+		for _, pat := range ds.directedPatterns(depth) {
+			if !yield(label, ds.patternStimulus(pat, depth)) {
+				return
+			}
+		}
+		if bits > 0 && bits <= opts.MaxConstBits {
+			label = "directed+const+random"
+			for code := range uint64(1) << bits {
+				if !yield(label, ds.constantStimulus(code, depth)) {
+					return
+				}
+			}
+		}
+		rng := rand.New(rand.NewSource(opts.Seed))
+		for range opts.RandomRuns {
+			if !yield(label, ds.randomStimulus(rng, depth)) {
+				return
+			}
+		}
+	}
 }
 
 // stimRows returns depth stimulus rows with the reset column filled
@@ -423,18 +373,13 @@ func (ds *driveSet) stimRows(depth int) [][]uint64 {
 // decodeSequence expands an integer code into a full per-cycle stimulus for
 // exhaustive sequence enumeration. Cycle c draws its input bits from the
 // c-th bit group of the code, reset cycles included.
-func (ds *driveSet) decodeSequence(code uint64, depth, freeCycles int) sim.VecStimulus {
+func (ds *driveSet) decodeSequence(code uint64, depth int) sim.VecStimulus {
 	rows := ds.stimRows(depth)
 	tw := totalWidth(ds.inputs)
 	for c, row := range rows {
-		free := c
-		if free >= freeCycles {
-			free = freeCycles - 1
-		}
-		offset := 0
+		offset := c * tw
 		for i, in := range ds.inputs {
-			shift := uint(free*tw + offset)
-			row[i] = (code >> shift) & in.Mask()
+			row[i] = (code >> uint(offset)) & in.Mask()
 			offset += in.Width
 		}
 	}
@@ -554,19 +499,19 @@ func (ds *driveSet) randomStimulus(rng *rand.Rand, depth int) sim.VecStimulus {
 }
 
 // Differ reports whether two designs with identical interfaces diverge on
-// any output within the bound, using the same exploration strategies. It is
+// any output within the bound. It compares them over Check's schedule
+// without its exhaustive branch: directed, constant, then random stimuli,
+// built one at a time, and the first difference stops the search. It is
 // used to separate genuine functional bugs from behaviour-preserving
 // mutations. The first differing trace is summarised in diffLog.
 // Cancellation propagates from ctx exactly as in Check.
 func Differ(ctx context.Context, golden, mutant *compile.Design, opts Options) (bool, string, error) {
-	opts = opts.withDefaults()
 	ds := newDriveSet(golden)
 	ds.reuse = true // each stimulus is compared before the next is built
 	outputs := golden.Outputs()
 	runG := sim.NewVecRunner(golden, sim.TwoState)
 	runM := sim.NewVecRunner(mutant, sim.TwoState)
-
-	compareOn := func(stim sim.VecStimulus) (bool, string, error) {
+	for _, stim := range ds.schedule(opts.Normalized(), false) {
 		trG, err := runG.Run(ctx, stim)
 		if err != nil {
 			return false, "", err
@@ -589,30 +534,6 @@ func Differ(ctx context.Context, golden, mutant *compile.Design, opts Options) (
 					return true, fmt.Sprintf("output %s differs at cycle %d: golden=%d mutant=%d", out.Name, c, g, m), nil
 				}
 			}
-		}
-		return false, "", nil
-	}
-
-	// Stimuli are built one at a time, in the order directed, constant,
-	// random, and the first difference stops the search.
-	for _, pat := range ds.directedPatterns(opts.Depth) {
-		if diff, log, err := compareOn(ds.patternStimulus(pat, opts.Depth)); diff || err != nil {
-			return diff, log, err
-		}
-	}
-	totalBits := totalWidth(ds.inputs)
-	if totalBits > 0 && totalBits <= opts.MaxConstBits {
-		space := uint64(1) << uint(totalBits)
-		for code := uint64(0); code < space; code++ {
-			if diff, log, err := compareOn(ds.constantStimulus(code, opts.Depth)); diff || err != nil {
-				return diff, log, err
-			}
-		}
-	}
-	rng := rand.New(rand.NewSource(opts.Seed))
-	for i := 0; i < opts.RandomRuns; i++ {
-		if diff, log, err := compareOn(ds.randomStimulus(rng, opts.Depth)); diff || err != nil {
-			return diff, log, err
 		}
 	}
 	return false, "", nil

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/compile"
+	"repro/internal/corpus"
 )
 
 func mustCompile(t *testing.T, src string) *compile.Design {
@@ -92,8 +93,8 @@ func TestCheckFindsConditionInversion(t *testing.T) {
 }
 
 func TestExhaustiveStrategyForTinyInputs(t *testing.T) {
-	// Single 1-bit input, no reset: 1 bit x freeCycles <= 14 when depth is
-	// small, so sequences are enumerated exhaustively.
+	// Single 1-bit input, no reset: 1 bit x depth <= MaxExhaustiveBits when
+	// depth is small, so sequences are enumerated exhaustively.
 	src := `
 module toggle (
     input clk,
@@ -223,6 +224,42 @@ func TestCheckDeterministic(t *testing.T) {
 	}
 }
 
+// TestEnumerationCapsStopBelowWordWidth: a 64-bit enumeration space is
+// 1<<64 runs, which wraps to 0 in the run counter. Both caps clamp to 63,
+// so a check whose space is 64 bits wide never enumerates zero stimuli:
+// before the clamp, EdgeDetect's one input bit at depth 64 passed as
+// "exhaustive-sequences" over no runs, and a 64-bit input ran an empty
+// constant phase under its label.
+func TestEnumerationCapsStopBelowWordWidth(t *testing.T) {
+	n := (Options{MaxExhaustiveBits: 64, MaxConstBits: 1000}).Normalized()
+	if n.MaxExhaustiveBits != 63 || n.MaxConstBits != 63 {
+		t.Fatalf("caps normalised to %d and %d, want 63 and 63", n.MaxExhaustiveBits, n.MaxConstBits)
+	}
+	d := mustCompile(t, corpus.EdgeDetect().Source())
+	res, err := Check(context.Background(), d, Options{Seed: 1, Depth: 64, MaxExhaustiveBits: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Pass || res.Runs == 0 || res.Strategy != "directed+const+random" {
+		t.Fatalf("depth-64 check: pass=%v strategy=%q runs=%d, want a directed+const+random pass over some runs",
+			res.Pass, res.Strategy, res.Runs)
+	}
+	wide := mustCompile(t, `
+module wide (input clk, input rst_n, input [63:0] a, output [63:0] y);
+    assign y = a;
+    p_y: assert property (@(posedge clk) disable iff (!rst_n) y == a);
+endmodule
+`)
+	res, err = Check(context.Background(), wide, Options{Seed: 1, Depth: 8, RandomRuns: NoRandom, MaxConstBits: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Pass || res.Strategy != "directed+random" {
+		t.Fatalf("64-bit input: pass=%v strategy=%q runs=%d, want a directed+random pass (no constant phase)",
+			res.Pass, res.Strategy, res.Runs)
+	}
+}
+
 // TestNoRandomDisablesRandomPhase pins the zero-value Options fix: zero
 // RandomRuns keeps the 48-run default, while the NoRandom sentinel —
 // previously unrequestable, since non-positive values were silently
@@ -230,7 +267,7 @@ func TestCheckDeterministic(t *testing.T) {
 // otherwise identical directed+random checks must differ by exactly the
 // random budget.
 func TestNoRandomDisablesRandomPhase(t *testing.T) {
-	if got := (Options{}).withDefaults().RandomRuns; got != 48 {
+	if got := (Options{}).Normalized().RandomRuns; got != 48 {
 		t.Errorf("default RandomRuns = %d, want 48", got)
 	}
 	if got := (Options{RandomRuns: NoRandom}).Normalized().RandomRuns; got != 0 {

@@ -43,7 +43,7 @@ func fingerprint(r *Result) resultFingerprint {
 // TestLanesByteIdenticalAcrossCorpus is the formal driver's contract: a
 // lane-batched check and a scalar check, which reuses one sva.Checker and
 // one stimulus row buffer across its runs, both produce exactly the Result
-// of a loop of one-shot sva.CheckStimulus calls on fresh rows — same
+// of a loop of one-shot checks on fresh checkers and fresh rows — same
 // pass/fail, same counterexample trace row for row, same log text, same
 // run count, same strategy label, same vacuity report — for every corpus
 // golden and a sample of its mutants, in both value domains.

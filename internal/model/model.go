@@ -812,7 +812,3 @@ func (m *Model) DPO(train []dataset.SVASample, n int, temp float64, beta float64
 	m.HasDPO = true
 	return stats
 }
-
-// Candidates exposes the generated candidate set for diagnostics and the
-// ablation benchmarks.
-func (m *Model) Candidates(p Problem) []Candidate { return m.generate(p) }

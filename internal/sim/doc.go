@@ -106,7 +106,7 @@
 // the lane lowering cannot express exactly — and any runtime evaluation
 // error, since predication evaluates a superset of each lane's
 // expressions — is reported as an error for the whole batch, and
-// sva.CheckBatch, the one place internal/formal and cmd/serve choose
+// sva.Checker.Batch, the one place internal/formal and cmd/serve choose
 // between lane and scalar runs, reruns the batch lane-by-lane on the
 // scalar engine. LanesOK reports lowering support up front; PackStimuli
 // accepts 1..64 stimuli of equal depth and replicates the last lane to
@@ -143,8 +143,8 @@
 // subsets of domains on the same row — but sva.CheckLanes declines them
 // with an error: it advances every lane's monitor on the same rows, and
 // per-lane clock stimuli make the tick subsequences diverge across lanes.
-// LanesOK therefore rejects multi-clock designs, and sva.CheckBatch runs
-// their batches on the scalar engine.
+// LanesOK therefore rejects multi-clock designs, and sva.Checker.Batch
+// runs their batches on the scalar engine.
 //
 // # Value domains
 //

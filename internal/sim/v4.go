@@ -47,9 +47,6 @@ var xBool = V4{Unk: 1}
 // allX is the fully-unknown 64-bit value; callers mask to width on store.
 var allX = V4{Unk: ^uint64(0)}
 
-// IsKnown reports whether no bit is unknown.
-func (v V4) IsKnown() bool { return v.Unk == 0 }
-
 // IsTrue reports whether the value is definitely nonzero: at least one bit
 // is a known 1. (Canonical form makes this a plain Val test.)
 func (v V4) IsTrue() bool { return v.Val != 0 }

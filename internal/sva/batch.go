@@ -7,13 +7,13 @@ import (
 	"repro/internal/sim"
 )
 
-// Outcome is one stimulus' verdict from a Checker, CheckStimulus or a
-// Batch.
+// Outcome is one stimulus' verdict from a Checker or a Batch.
 //
 // Ownership: a passing outcome's Trace and Result belong to the checker
 // that produced it and stay valid only until that checker's next check (a
-// Batch's scalar lanes share one checker). A failing outcome's Trace and
-// Result are detached from the checker and belong to the caller for good.
+// Batch's scalar lanes run on the checker that made it). A failing
+// outcome's Trace and Result are detached from the checker and belong to
+// the caller for good.
 type Outcome struct {
 	// Pass reports that no assertion failed.
 	Pass bool
@@ -45,14 +45,16 @@ func (o Outcome) Attempted(name string) bool {
 // Outcome), and the next check runs on fresh ones.
 // A Checker is not safe for concurrent use.
 type Checker struct {
-	run *sim.VecRunner
-	b   binding
-	res *Result
+	d    *compile.Design
+	mode sim.Mode
+	run  *sim.VecRunner
+	b    binding
+	res  *Result
 }
 
 // NewChecker returns a scalar checker for d's assertions in mode.
 func NewChecker(d *compile.Design, mode sim.Mode) *Checker {
-	return &Checker{run: sim.NewVecRunner(d, mode), res: &Result{Attempts: map[string]int{}}}
+	return &Checker{d: d, mode: mode, run: sim.NewVecRunner(d, mode), res: &Result{Attempts: map[string]int{}}}
 }
 
 // Check simulates stim and checks every assertion over its trace.
@@ -79,13 +81,6 @@ func (c *Checker) Check(ctx context.Context, stim sim.VecStimulus) (Outcome, err
 	return Outcome{Result: res, Trace: tr}, nil
 }
 
-// CheckStimulus simulates one stimulus on the scalar engine and checks
-// every assertion over its trace. It is the one-shot use of a Checker, so
-// the outcome belongs to the caller whether it passes or fails.
-func CheckStimulus(ctx context.Context, d *compile.Design, stim sim.VecStimulus, mode sim.Mode) (Outcome, error) {
-	return NewChecker(d, mode).Check(ctx, stim)
-}
-
 func checkTrace(tr *sim.Trace) (Outcome, error) {
 	res, err := Check(tr)
 	if err != nil {
@@ -94,45 +89,47 @@ func checkTrace(tr *sim.Trace) (Outcome, error) {
 	return Outcome{Pass: !res.Failed(), Result: res, Trace: tr}, nil
 }
 
-// Batch is a set of stimuli checked against one design's assertions. It
-// is the one place that chooses between the lane engine and the scalar
+// Batch is a set of stimuli checked against one checker's design. It is
+// the one place that chooses between the lane engine and the scalar
 // engine: a batch runs lane-packed when it holds at least two stimuli and
 // sim.LanesOK accepts the design in the value domain. Otherwise — and when
 // the packed run or CheckLanes fails at run time, since predication
 // evaluates a superset of each lane's expressions — every stimulus runs on
-// the scalar engine, lazily, when its outcome is first asked for. Either
-// way each outcome's verdict and attempted set equal CheckStimulus's for
-// that stimulus, and so do Result and Trace wherever the outcome has them.
+// the checker, lazily, when its outcome is first asked for. Either way
+// each outcome's verdict and attempted set equal a fresh checker's Check
+// of that stimulus, and so do Result and Trace wherever the outcome has
+// them.
 type Batch struct {
 	// Packed reports that a lane-packed run decided the batch.
 	Packed bool
 
-	// ctx is the context CheckBatch ran under; the lazy scalar runs use it.
+	// ctx is the context the batch was made under; the lazy scalar runs
+	// use it.
 	ctx   context.Context
-	d     *compile.Design
-	mode  sim.Mode
+	chk   *Checker
 	stims []sim.VecStimulus
 	lt    *sim.LaneTrace
 	lr    *LaneResult
-	chk   *Checker // the scalar lanes' shared checker, made on first use
 }
 
-// CheckBatch checks stims against d's assertions in mode. Its only error is
-// ctx.Err() for a cancelled packed run: a cancelled batch is not demoted to
-// scalar runs that would each fail the same way.
-func CheckBatch(ctx context.Context, d *compile.Design, stims []sim.VecStimulus, mode sim.Mode) (*Batch, error) {
-	b := &Batch{ctx: ctx, d: d, mode: mode, stims: stims}
-	if len(stims) < 2 || !sim.LanesOK(d, mode) {
+// Batch checks stims against the checker's design. Its only error is
+// ctx.Err() for a cancelled packed run: a cancelled batch is not demoted
+// to scalar runs that would each fail the same way. The batch holds stims
+// until its last Lane call. It is returned by value, so a loop of
+// one-stimulus batches allocates no more than a loop of Check calls.
+func (c *Checker) Batch(ctx context.Context, stims []sim.VecStimulus) (Batch, error) {
+	b := Batch{ctx: ctx, chk: c, stims: stims}
+	if len(stims) < 2 || !sim.LanesOK(c.d, c.mode) {
 		return b, nil
 	}
 	ls, err := sim.PackStimuli(stims)
 	if err != nil {
 		return b, nil
 	}
-	lt, err := sim.RunLanesCtx(ctx, d, ls, mode)
+	lt, err := sim.RunLanesCtx(ctx, c.d, ls, c.mode)
 	if err != nil {
 		if ctx.Err() != nil {
-			return nil, ctx.Err()
+			return Batch{}, ctx.Err()
 		}
 		return b, nil
 	}
@@ -145,16 +142,12 @@ func CheckBatch(ctx context.Context, d *compile.Design, stims []sim.VecStimulus,
 }
 
 // Lane returns stimulus i's outcome. A failing lane of a packed batch is
-// demuxed and checked on the scalar checker, so its Result and Trace are
-// exactly CheckStimulus's; on a scalar batch stimulus i simulates now, on
-// the one Checker every scalar lane of the batch shares, so a passing
-// outcome's Trace and Result are valid until the next Lane call. A Batch
-// is not safe for concurrent use.
+// demuxed and checked on its own, so its Result and Trace are exactly a
+// fresh checker's; on a scalar batch stimulus i simulates now, on the
+// batch's checker, so a passing outcome's Trace and Result are valid until
+// that checker's next check. A Batch is not safe for concurrent use.
 func (b *Batch) Lane(i int) (Outcome, error) {
 	if !b.Packed {
-		if b.chk == nil {
-			b.chk = NewChecker(b.d, b.mode)
-		}
 		return b.chk.Check(b.ctx, b.stims[i])
 	}
 	if b.lr.Failed>>uint(i)&1 == 0 {

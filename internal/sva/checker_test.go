@@ -62,7 +62,7 @@ func copyOutcome(o Outcome) outcomeCopy {
 // TestCheckerFailingOutcomeDetached: a failing outcome's trace and Result
 // belong to the caller. Further checks on the same checker, passing and
 // failing, leave its rows, unknown planes, fired masks and Result as they
-// were, and all of them equal a one-shot CheckStimulus of the stimulus.
+// were, and all of them equal a fresh checker's check of the stimulus.
 func TestCheckerFailingOutcomeDetached(t *testing.T) {
 	d := mustCompile(t, crossLatch)
 	if !d.MultiClock() {
@@ -97,7 +97,7 @@ func TestCheckerFailingOutcomeDetached(t *testing.T) {
 		if after := copyOutcome(o); !reflect.DeepEqual(before, after) {
 			t.Fatalf("mode %v: later checks changed a detached outcome:\nbefore %+v\nafter  %+v", mode, before, after)
 		}
-		one, err := CheckStimulus(ctx, d, fail, mode)
+		one, err := NewChecker(d, mode).Check(ctx, fail)
 		if err != nil {
 			t.Fatal(err)
 		}

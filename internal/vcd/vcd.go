@@ -8,7 +8,6 @@ package vcd
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 	"time"
 
@@ -215,12 +214,4 @@ func Strings(tr *sim.Trace, opts Options) (string, error) {
 		return "", err
 	}
 	return sb.String(), nil
-}
-
-// SortedSignalNames returns the trace's signal names sorted, a helper for
-// callers choosing a subset.
-func SortedSignalNames(tr *sim.Trace) []string {
-	out := append([]string(nil), tr.Design.Order...)
-	sort.Strings(out)
-	return out
 }

@@ -92,15 +92,6 @@ func clonePortConns(conns []PortConn) []PortConn {
 	return out
 }
 
-// CloneSet deep-copies a source set.
-func CloneSet(s *SourceSet) *SourceSet {
-	out := &SourceSet{Modules: make([]*Module, len(s.Modules))}
-	for i, m := range s.Modules {
-		out.Modules[i] = CloneModule(m)
-	}
-	return out
-}
-
 // CloneSeqExpr deep-copies a property body.
 func CloneSeqExpr(s *SeqExpr) *SeqExpr {
 	if s == nil {

@@ -33,14 +33,6 @@ func ExprString(e Expr) string {
 	return sb.String()
 }
 
-// StmtString renders a single statement at zero indentation, useful for
-// dataset "answer" snippets.
-func StmtString(s Stmt) string {
-	var pr printer
-	pr.stmt(s, 0)
-	return strings.TrimRight(pr.sb.String(), "\n")
-}
-
 type printer struct {
 	sb strings.Builder
 }

@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/corpus"
 	"repro/internal/testenv"
@@ -45,50 +44,44 @@ func TestParseAllocs(t *testing.T) {
 	}
 }
 
+// deepSource is a module whose one assignment nests depth "~(" levels.
+func deepSource(depth int) string {
+	return fmt.Sprintf("module deep (input [7:0] a, output [7:0] y);\n    assign y = %sa%s;\nendmodule\n",
+		strings.Repeat("~(", depth), strings.Repeat(")", depth))
+}
+
 // TestPrintLinearInDepth guards the printer against quadratic output
 // building: printing an expression nested 4x deeper takes about 4x the
 // time. A string per level, concatenated, takes 12x to 15x.
 func TestPrintLinearInDepth(t *testing.T) {
-	if testenv.Race {
-		t.Skip("the race detector distorts timings")
-	}
-	const n, trials = 4000, 7
-	module := func(depth int) *verilog.Module {
-		src := fmt.Sprintf("module deep (input [7:0] a, output [7:0] y);\n    assign y = %sa%s;\nendmodule\n",
-			strings.Repeat("~(", depth), strings.Repeat(")", depth))
-		m, err := verilog.Parse(src)
+	testenv.CheckLinear(t, "printing", 4000, func(depth int) func() {
+		m, err := verilog.Parse(deepSource(depth))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !strings.Contains(verilog.Print(m), strings.Repeat("~(", depth-1)+"~a"+strings.Repeat(")", depth-1)) {
 			t.Fatalf("depth %d does not print its expression back", depth)
 		}
-		return m
-	}
-	timePrint := func(m *verilog.Module) time.Duration {
-		start := time.Now()
-		verilog.Print(m)
-		return time.Since(start)
-	}
-	small, large := module(n), module(4*n)
-	timePrint(large) // grow the goroutine stack before timing
-	var ratios []float64
-	for len(ratios) < 3 {
-		var tSmall, tLarge time.Duration
-		for i := 0; i < trials; i++ {
-			if el := timePrint(small); i == 0 || el < tSmall {
-				tSmall = el
-			}
-			if el := timePrint(large); i == 0 || el < tLarge {
-				tLarge = el
+		return func() { verilog.Print(m) }
+	})
+}
+
+// TestParseLinearInDepth guards the pull parser against work that grows
+// with the nesting depth at each level: parsing an expression nested 4x
+// deeper, or a left-associative chain 4x longer, takes about 4x the time.
+func TestParseLinearInDepth(t *testing.T) {
+	parse := func(src string) func() {
+		return func() {
+			if _, err := verilog.Parse(src); err != nil {
+				t.Fatal(err)
 			}
 		}
-		t.Logf("depth %d: %v, depth %d: %v", n, tSmall, 4*n, tLarge)
-		ratios = append(ratios, float64(tLarge)/float64(tSmall))
-		if ratios[len(ratios)-1] < 8 {
-			return
-		}
 	}
-	t.Errorf("printing at depth %d took %.1fx the time at depth %d in each of three measurements (%.1f); want < 8x (linear is 4x)",
-		4*n, ratios[0], n, ratios)
+	testenv.CheckLinear(t, "parsing nested ~(", 2000, func(depth int) func() {
+		return parse(deepSource(depth))
+	})
+	testenv.CheckLinear(t, "parsing an a+a chain", 2000, func(depth int) func() {
+		return parse(fmt.Sprintf("module chain (input [7:0] a, output [7:0] y);\n    assign y = a%s;\nendmodule\n",
+			strings.Repeat("+a", depth)))
+	})
 }
