@@ -372,7 +372,9 @@ func (ds *driveSet) stimRows(depth int) [][]uint64 {
 
 // decodeSequence expands an integer code into a full per-cycle stimulus for
 // exhaustive sequence enumeration. Cycle c draws its input bits from the
-// c-th bit group of the code, reset cycles included.
+// c-th bit group of the code, reset cycles included: assertions without a
+// disable iff sample during reset, so pinning the reset window's inputs
+// would let "exhaustive" miss counterexamples inside its own bound.
 func (ds *driveSet) decodeSequence(code uint64, depth int) sim.VecStimulus {
 	rows := ds.stimRows(depth)
 	tw := totalWidth(ds.inputs)
