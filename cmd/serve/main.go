@@ -5,9 +5,9 @@
 //	POST /check    - compile + bounded-model-check a design. The request
 //	                 carries the source, optional candidate assertions and
 //	                 check options; "record_only" answers from the
-//	                 persistent record tier when possible (no
-//	                 re-elaboration). The client disconnecting cancels the
-//	                 check mid-enumeration.
+//	                 verdict cache or the -store directory when possible
+//	                 (no re-elaboration). The client disconnecting
+//	                 cancels the check mid-enumeration.
 //	POST /stimulus - run one concrete stimulus against a design's
 //	                 assertions. A request whose design, value domain and
 //	                 shape has no run in flight runs at once; requests that
@@ -19,12 +19,14 @@
 //	                 coalesced waiters, evictions, in-flight, disk hits)
 //	                 plus the server's admission/batching counters.
 //
-// With -store DIR verdict records persist across restarts: a second serve
-// over the same directory answers repeated checks from disk without
-// recomputing. Admission control is a bounded concurrency queue (overflow
-// is rejected with 429) plus a per-client token bucket (X-Client header,
-// falling back to the remote address); a bucket that has refilled is
-// dropped, so rotating X-Client values cannot grow the server's memory.
+// With -store DIR verdict records persist across restarts: a record is
+// written to the directory before its /check is answered, and a second
+// serve over the same directory answers repeated record_only checks from
+// disk without recomputing. Admission control is a bounded concurrency
+// queue (overflow is rejected with 429) plus a per-client token bucket
+// (X-Client header, falling back to the remote address); a bucket that
+// has refilled is dropped, so rotating X-Client values cannot grow the
+// server's memory.
 // Request bodies over 1 MiB (maxBodyBytes) are rejected with 413,
 // /stimulus requests deeper than 4096 rows (maxStimulusRows) or naming an
 // input column twice with 422, and so are /check options past their caps
@@ -68,13 +70,12 @@ func main() {
 	flag.Parse()
 
 	svc := verify.New(*workers)
-	var store verify.Store
+	var store *verify.DiskStore
 	if *storeDir != "" {
-		ds, err := verify.OpenDiskStore(*storeDir)
-		if err != nil {
+		var err error
+		if store, err = verify.OpenDiskStore(*storeDir); err != nil {
 			log.Fatalf("open store: %v", err)
 		}
-		store = verify.NewTiered(verify.NewMemStore(0), ds)
 		svc.SetStore(store)
 	}
 
@@ -105,9 +106,11 @@ func main() {
 	}
 	<-done
 	if store != nil {
-		// Flush write-behind work so the next run reads a complete store.
+		// Every answered check is already in the store; Close syncs it to
+		// disk. A check still running past the shutdown grace finds the
+		// store closed, is not stored, and is recomputed by the next run.
 		if err := store.Close(); err != nil {
-			log.Printf("close store: %v", err)
+			log.Fatalf("close store: %v", err)
 		}
 	}
 }

@@ -25,7 +25,7 @@ import (
 
 // testServer boots the HTTP front end over a fresh service (plus optional
 // store) the way main() wires it, behind an httptest listener.
-func testServer(t *testing.T, store verify.Store, cfg serverConfig) (*httptest.Server, *server) {
+func testServer(t *testing.T, store *verify.DiskStore, cfg serverConfig) (*httptest.Server, *server) {
 	t.Helper()
 	svc := verify.New(4)
 	if store != nil {
@@ -213,13 +213,13 @@ func TestServePersistenceAcrossRestart(t *testing.T) {
 			RecordOnly: true, Options: checkOptions{Seed: 1, Depth: 12}},
 	}
 
-	// Run 1: compute everything, persisting through the tiered store.
-	openStore := func() verify.Store {
+	// Run 1: compute everything, persisting through the disk store.
+	openStore := func() *verify.DiskStore {
 		ds, err := verify.OpenDiskStore(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return verify.NewTiered(verify.NewMemStore(0), ds)
+		return ds
 	}
 	store1 := openStore()
 	ts1, _ := testServer(t, store1, serverConfig{})
@@ -232,7 +232,7 @@ func TestServePersistenceAcrossRestart(t *testing.T) {
 		firstRun[i] = body
 	}
 	ts1.Close()
-	if err := store1.Close(); err != nil { // drain write-behind, like main() on shutdown
+	if err := store1.Close(); err != nil { // sync and close, like main() on shutdown
 		t.Fatal(err)
 	}
 
@@ -257,9 +257,11 @@ func TestServePersistenceAcrossRestart(t *testing.T) {
 		}
 	}
 
-	// Run 2: a fresh process image (new service, new memory tier) over the
-	// same directory. Every answer must come from disk.
-	ts2, _ := testServer(t, openStore(), serverConfig{})
+	// Run 2: a fresh process image (new service, new verdict cache) over
+	// the same directory. Every answer must come from disk.
+	store2 := openStore()
+	t.Cleanup(func() { store2.Close() })
+	ts2, _ := testServer(t, store2, serverConfig{})
 	for i, req := range requests {
 		resp, body := postJSON(t, ts2.URL+"/check", req)
 		if resp.StatusCode != http.StatusOK {
@@ -273,8 +275,8 @@ func TestServePersistenceAcrossRestart(t *testing.T) {
 	if m.Misses != 0 {
 		t.Fatalf("run 2 misses = %d, want 0 (every answer from the store)", m.Misses)
 	}
-	if m.DiskHits == 0 {
-		t.Fatalf("run 2 disk_hits = 0, want > 0: %+v", m)
+	if m.DiskHits != uint64(len(requests)) {
+		t.Fatalf("run 2 disk_hits = %d, want %d (one disk read per request): %+v", m.DiskHits, len(requests), m)
 	}
 }
 

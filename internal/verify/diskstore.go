@@ -9,7 +9,6 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/dataset/binfmt"
 )
@@ -25,20 +24,21 @@ import (
 // written on Close), nothing here depends on a clean shutdown.
 //
 // Durability: every Put reaches the operating system before it returns,
-// so it survives a crash of the process. A shard is synced to stable
-// storage only when the store rotates away from it and on Close, so the
-// Puts since the last rotation or Close may be lost on power loss (the
-// reopen scan then truncates whatever tail the disk kept).
+// and the Service puts a computed record before it answers the check, so
+// an answered check survives a crash of the process. A shard is synced to
+// stable storage only when the store rotates away from it and on Close,
+// so the Puts since the last rotation or Close may be lost on power loss
+// (the reopen scan then truncates whatever tail the disk kept).
+//
+// Get and Put after Close return an error wrapping os.ErrClosed.
 type DiskStore struct {
 	dir      string
 	maxShard int64 // active shard rotates past this many bytes
 
 	mu     sync.Mutex // guards appends, rotation and the index
 	index  map[Key]recLoc
-	shards []*os.File
-	active int64 // size of the last (active) shard
-
-	hits atomic.Uint64
+	shards []*os.File // nil once closed
+	active int64      // size of the last (active) shard
 }
 
 type recLoc struct {
@@ -51,6 +51,9 @@ type recLoc struct {
 // dataset build stays in a handful of files, small enough to bound the
 // blast radius of a corrupt shard.
 const defaultMaxShard = 64 << 20
+
+// errClosed is what Get and Put return once Close has run.
+var errClosed = fmt.Errorf("verify: disk store: %w", os.ErrClosed)
 
 func shardPath(dir string, id int) string {
 	return filepath.Join(dir, fmt.Sprintf("verdicts-%05d.bin", id))
@@ -178,6 +181,10 @@ func nextFrame(data []byte, off int) (payload []byte, next int, ok bool) {
 // decoded fresh on every read; the caller owns the result.
 func (ds *DiskStore) Get(key Key) (*Record, error) {
 	ds.mu.Lock()
+	if ds.shards == nil {
+		ds.mu.Unlock()
+		return nil, errClosed
+	}
 	loc, ok := ds.index[key]
 	var f *os.File
 	if ok {
@@ -199,7 +206,6 @@ func (ds *DiskStore) Get(key Key) (*Record, error) {
 	if err != nil {
 		return nil, err
 	}
-	ds.hits.Add(1)
 	return &rec, nil
 }
 
@@ -216,6 +222,9 @@ func (ds *DiskStore) Put(key Key, rec *Record) error {
 
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
+	if ds.shards == nil {
+		return errClosed
+	}
 	f := ds.shards[len(ds.shards)-1]
 	off := ds.active
 	// One contiguous write: a crash tears at most this frame's tail, which
@@ -245,11 +254,8 @@ func (ds *DiskStore) Len() int {
 	return len(ds.index)
 }
 
-// DiskHits reports how many Gets this store has served since open.
-func (ds *DiskStore) DiskHits() uint64 { return ds.hits.Load() }
-
 // Close syncs the active shard to stable storage and closes every shard
-// file, returning the first error. The store must not be used afterwards.
+// file, returning the first error. Closing a closed store does nothing.
 func (ds *DiskStore) Close() error {
 	ds.mu.Lock()
 	defer ds.mu.Unlock()

@@ -14,7 +14,7 @@ import (
 // concurrent use by any number of goroutines.
 type Service struct {
 	sem   chan struct{}
-	store Store // optional persistent record tier; set before first use
+	store *DiskStore // optional persistent record tier; set before first use
 
 	mu      sync.Mutex
 	entries *gen2[*entry]
@@ -71,10 +71,12 @@ func Default() *Service {
 	return defaultSvc
 }
 
-// SetStore attaches a persistent record tier: CheckRecord reads through
-// it before computing, and completed checks are written behind to it.
-// Call before the service takes traffic; the field is not synchronised.
-func (s *Service) SetStore(st Store) { s.store = st }
+// SetStore attaches a persistent record tier: CheckRecord reads it after
+// the verdict cache and before computing, and every completed check is
+// put to it before its waiters are answered. Disk hits are not copied
+// into the verdict cache. Call before the service takes traffic; the
+// field is not synchronised.
+func (s *Service) SetStore(ds *DiskStore) { s.store = ds }
 
 // Metrics is a snapshot of the service's counters.
 type Metrics struct {
@@ -88,7 +90,7 @@ type Metrics struct {
 	Coalesced uint64 `json:"coalesced"`
 	// Evictions counts entries aged out by generation rotation.
 	Evictions uint64 `json:"evictions"`
-	// DiskHits counts record requests answered by the persistent tier.
+	// DiskHits counts record requests answered by the persistent store.
 	DiskHits uint64 `json:"disk_hits"`
 	// InFlight is the number of checks currently holding a worker slot,
 	// cached and uncached alike.
@@ -99,7 +101,7 @@ type Metrics struct {
 
 // Metrics returns a snapshot of the service counters.
 func (s *Service) Metrics() Metrics {
-	m := Metrics{
+	return Metrics{
 		Hits:      s.hits.Load(),
 		Misses:    s.misses.Load(),
 		Coalesced: s.coalesced.Load(),
@@ -108,12 +110,6 @@ func (s *Service) Metrics() Metrics {
 		InFlight:  s.inFlight.Load(),
 		Entries:   s.Len(),
 	}
-	if hc, ok := s.store.(diskHitCounter); ok {
-		// The store knows which tier served each read; prefer its count so
-		// a tiered store's fast-tier hits aren't misreported as disk reads.
-		m.DiskHits = hc.DiskHits()
-	}
-	return m
 }
 
 // Len returns the number of cached verdicts (both generations).
@@ -203,7 +199,9 @@ func (s *Service) pooled(ctx context.Context, src string, assertions []verilog.I
 }
 
 // compute runs the check for one cache entry under the entry's context,
-// publishes the verdict and writes the record behind to the store.
+// publishes the verdict, puts the record to the store and only then
+// releases the waiters, so an answered check has reached the operating
+// system.
 func (s *Service) compute(key Key, e *entry, src string, assertions []verilog.Item, opts Options) {
 	defer close(e.done)
 	v, err := s.pooled(e.cctx, src, assertions, opts)
@@ -223,7 +221,7 @@ func (s *Service) compute(key Key, e *entry, src string, assertions []verilog.It
 
 	if s.store != nil && err == nil && !opts.CompileOnly && v.Status != StatusError {
 		rec := v.Record
-		_ = s.store.Put(key, &rec) // write-behind; a failed put only costs a future recompute
+		_ = s.store.Put(key, &rec) // a failed put only costs a future recompute
 	}
 }
 

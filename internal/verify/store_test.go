@@ -2,6 +2,7 @@ package verify
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -84,9 +85,6 @@ func TestDiskStorePersistsAcrossReopen(t *testing.T) {
 	}
 	if miss, err := ds.Get(testKey(99)); err != nil || miss != nil {
 		t.Fatalf("Get(absent) = (%v, %v), want (nil, nil)", miss, err)
-	}
-	if got := ds.DiskHits(); got != n {
-		t.Fatalf("DiskHits() = %d, want %d", got, n)
 	}
 }
 
@@ -303,48 +301,84 @@ func TestDecodeRecordRejectsGarbage(t *testing.T) {
 	}
 }
 
-func TestTieredReadThroughWriteBehind(t *testing.T) {
-	dir := t.TempDir()
-	ds, err := OpenDiskStore(dir)
+// TestDiskStoreUseAfterClose pins the closed-store contract: Get and Put
+// after Close return an error wrapping os.ErrClosed instead of panicking,
+// and a Service whose store was closed under it (cmd/serve closes the
+// store when its shutdown grace expires, while a check may still run)
+// computes through.
+func TestDiskStoreUseAfterClose(t *testing.T) {
+	ds, err := OpenDiskStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	tiered := NewTiered(NewMemStore(0), ds)
-	if err := tiered.Put(testKey(1), testRecord(1)); err != nil {
+	if err := ds.Put(testKey(1), testRecord(1)); err != nil {
 		t.Fatal(err)
 	}
-	// The fast tier answers immediately; no disk read happens.
-	rec, err := tiered.Get(testKey(1))
-	if err != nil || rec == nil {
-		t.Fatalf("fast-tier get: (%v, %v)", rec, err)
-	}
-	if got := tiered.DiskHits(); got != 0 {
-		t.Fatalf("DiskHits() = %d after fast-tier hit, want 0", got)
-	}
-	// Close drains the write-behind queue; the record must be on disk.
-	if err := tiered.Close(); err != nil {
+	if err := ds.Close(); err != nil {
 		t.Fatal(err)
+	}
+	for _, k := range []int{1, 2} { // indexed and absent keys
+		if rec, err := ds.Get(testKey(k)); !errors.Is(err, os.ErrClosed) || rec != nil {
+			t.Fatalf("Get(%d) after Close = (%v, %v), want (nil, os.ErrClosed)", k, rec, err)
+		}
+	}
+	if err := ds.Put(testKey(3), testRecord(3)); !errors.Is(err, os.ErrClosed) {
+		t.Fatalf("Put after Close = %v, want os.ErrClosed", err)
+	}
+	if err := ds.Close(); err != nil {
+		t.Fatalf("second Close = %v, want nil", err)
 	}
 
-	ds, err = OpenDiskStore(dir)
+	svc := New(1)
+	svc.SetStore(ds)
+	rec, err := svc.CheckRecord(context.Background(), passSrc, nil, Options{Seed: 1, Depth: 8})
+	if err != nil || rec.Status != StatusPass {
+		t.Fatalf("CheckRecord over a closed store = (%v, %v), want a pass", rec.Status, err)
+	}
+	if m := svc.Metrics(); m.DiskHits != 0 || m.Misses != 1 {
+		t.Fatalf("metrics over a closed store = %+v, want 1 miss and 0 disk hits", m)
+	}
+}
+
+// TestCheckRecordOnDiskWhenAnswered pins the store's promise: once a
+// CheckRecord miss has returned, the record is already in the DiskStore,
+// byte-identical in its JSON form, and a fresh Service over the same
+// store answers it from disk without computing.
+func TestCheckRecordOnDiskWhenAnswered(t *testing.T) {
+	ds, err := OpenDiskStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	tiered = NewTiered(NewMemStore(0), ds)
-	defer tiered.Close()
-	rec, err = tiered.Get(testKey(1))
-	if err != nil || rec == nil {
-		t.Fatalf("read-through get after reopen: (%v, %v)", rec, err)
-	}
-	if got := tiered.DiskHits(); got != 1 {
-		t.Fatalf("DiskHits() = %d after slow-tier hit, want 1", got)
-	}
-	// The slow hit backfilled the fast tier: the next read is free.
-	if _, err := tiered.Get(testKey(1)); err != nil {
-		t.Fatal(err)
-	}
-	if got := tiered.DiskHits(); got != 1 {
-		t.Fatalf("DiskHits() = %d after backfilled re-read, want 1 (fast tier should serve)", got)
+	defer ds.Close()
+	ctx := context.Background()
+	for _, src := range []string{passSrc, failSrc, elabErrSrc} {
+		opts := Options{Seed: 1, Depth: 8}
+		svc := New(2)
+		svc.SetStore(ds)
+		rec, err := svc.CheckRecord(ctx, src, nil, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		onDisk, err := ds.Get(cacheKey(src, nil, opts))
+		if err != nil || onDisk == nil {
+			t.Fatalf("record not on disk when its check returned: (%v, %v)", onDisk, err)
+		}
+		if a, b := mustJSON(t, &rec), mustJSON(t, onDisk); !bytes.Equal(a, b) {
+			t.Fatalf("stored record differs from the answer:\n answer %s\n stored %s", a, b)
+		}
+
+		fresh := New(2)
+		fresh.SetStore(ds)
+		again, err := fresh.CheckRecord(ctx, src, nil, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a, b := mustJSON(t, &rec), mustJSON(t, &again); !bytes.Equal(a, b) {
+			t.Fatalf("disk answer differs from the computed one:\n computed %s\n disk %s", a, b)
+		}
+		if m := fresh.Metrics(); m.DiskHits != 1 || m.Misses != 0 {
+			t.Fatalf("fresh service metrics = %+v, want 1 disk hit and 0 misses", m)
+		}
 	}
 }
 

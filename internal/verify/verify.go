@@ -14,13 +14,16 @@
 //     the *formal.Result). Callers that only need pass/fail use
 //     CheckRecord and never pay for re-elaboration; callers that diff or
 //     re-simulate use Check and get the warm design.
-//   - Store layer: a Store holds Records by content hash. MemStore is the
-//     two-generation in-memory cache; DiskStore is an append-only
-//     persistent log (built on internal/dataset/binfmt framing) that
-//     survives process crashes and is synced to disk on shard rotation
-//     and Close; Tiered layers one over the other read-through/
-//     write-behind. A Service with a store answers repeated record
-//     checks across process restarts without recomputing.
+//   - Store layer: one memory tier and one disk tier. The memory tier is
+//     the Service's two-generation verdict cache. The disk tier is an
+//     optional DiskStore (SetStore): an append-only log of Records by
+//     content hash, built on internal/dataset/binfmt framing. CheckRecord
+//     reads the cache, then the DiskStore, then computes; a computed
+//     record is put to the DiskStore before the check is answered, so an
+//     answered check has reached the operating system and survives a
+//     process crash. Shards are synced to disk only on rotation and
+//     Close. A Service with a store answers repeated record checks across
+//     process restarts without recomputing.
 //   - Execution layer: Check, CheckRecord and Run take a context. The context
 //     threads through formal.Check into the simulator run loops, so a
 //     disconnected client or an expired deadline stops a 2^16 exhaustive
