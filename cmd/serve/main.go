@@ -4,10 +4,12 @@
 //
 //	POST /check    - compile + bounded-model-check a design. The request
 //	                 carries the source, optional candidate assertions and
-//	                 check options; "record_only" answers from the
-//	                 verdict cache or the -store directory when possible
-//	                 (no re-elaboration). The client disconnecting
-//	                 cancels the check mid-enumeration.
+//	                 check options. Every check is answered from the
+//	                 verdict cache, then the -store directory, and is
+//	                 computed only when neither holds it; "record_only"
+//	                 leaves the "cached" field out of the reply. The
+//	                 client disconnecting cancels the check
+//	                 mid-enumeration.
 //	POST /stimulus - run one concrete stimulus against a design's
 //	                 assertions. A request whose design, value domain and
 //	                 shape has no run in flight runs at once; requests that
@@ -17,12 +19,15 @@
 //	                 key; a lone request never waits.
 //	GET  /metrics  - verification-service counters (hits, misses,
 //	                 coalesced waiters, evictions, in-flight, disk hits)
-//	                 plus the server's admission/batching counters.
+//	                 plus the server's admission/batching counters. hits
+//	                 counts /check and /stimulus lookups answered from
+//	                 the verdict cache, disk_hits /check answers read
+//	                 from the -store directory.
 //
 // With -store DIR verdict records persist across restarts: a record is
 // written to the directory before its /check is answered, and a second
-// serve over the same directory answers repeated record_only checks from
-// disk without recomputing. Admission control is a bounded concurrency
+// serve over the same directory answers repeated checks from disk
+// without recomputing. Admission control is a bounded concurrency
 // queue (overflow is rejected with 429) plus a per-client token bucket
 // (X-Client header, falling back to the remote address); a bucket that
 // has refilled is dropped, so rotating X-Client values cannot grow the
@@ -241,8 +246,9 @@ type checkRequest struct {
 	// items: Verilog item text (property declarations and assert items),
 	// as they would appear inside the module body.
 	Assertions string `json:"assertions,omitempty"`
-	// RecordOnly answers from the record layer when possible: the verdict
-	// cache, then the persistent store, then a fresh computation.
+	// RecordOnly leaves "cached" out of the reply, so the reply is the
+	// bare record and identical however the check was answered. Every
+	// /check reads the verdict cache, then the store, then computes.
 	RecordOnly bool         `json:"record_only,omitempty"`
 	Options    checkOptions `json:"options"`
 }
@@ -293,6 +299,9 @@ func (o checkOptions) validate() error {
 // checkResponse is the record plus transport-level fields.
 type checkResponse struct {
 	verify.Record
+	// Cached is true when this request did not run the check: it was
+	// answered from the verdict cache or the store, or joined a check
+	// already running. A record_only reply never carries it.
 	Cached bool `json:"cached,omitempty"`
 }
 
@@ -332,24 +341,12 @@ func (s *server) handleCheck(w http.ResponseWriter, r *http.Request) {
 	// simulation loops.
 	ctx, cancel := context.WithTimeout(r.Context(), s.deadline)
 	defer cancel()
-	var resp checkResponse
-	if req.RecordOnly {
-		rec, err := s.svc.CheckRecord(ctx, req.Source, items, req.Options.verify())
-		if err != nil && rec.Status != verify.StatusError {
-			replyError(w, ctx, err)
-			return
-		}
-		resp.Record = rec
-	} else {
-		v, err := s.svc.Check(ctx, req.Source, items, req.Options.verify())
-		if err != nil && v.Status != verify.StatusError {
-			replyError(w, ctx, err)
-			return
-		}
-		resp.Record = v.Record
-		resp.Cached = v.Cached
+	v, err := s.svc.Check(ctx, req.Source, items, req.Options.verify())
+	if err != nil && v.Status != verify.StatusError {
+		replyError(w, ctx, err)
+		return
 	}
-	writeJSON(w, resp)
+	writeJSON(w, checkResponse{Record: v.Record, Cached: v.Cached && !req.RecordOnly})
 }
 
 // decodeBody decodes the JSON request body into v, reading at most

@@ -191,8 +191,9 @@ func TestServeCoalescing(t *testing.T) {
 
 // TestServePersistenceAcrossRestart is the two-run acceptance check: a
 // second server over the same store directory must answer every repeated
-// check from disk — zero computations, byte-identical records — in both
-// value domains, matching an in-process service bit for bit.
+// check from disk — zero computations, byte-identical records, with and
+// without record_only — in both value domains, matching an in-process
+// service bit for bit.
 func TestServePersistenceAcrossRestart(t *testing.T) {
 	dir := t.TempDir()
 	requests := []checkRequest{
@@ -258,7 +259,8 @@ func TestServePersistenceAcrossRestart(t *testing.T) {
 	}
 
 	// Run 2: a fresh process image (new service, new verdict cache) over
-	// the same directory. Every answer must come from disk.
+	// the same directory. Every answer must come from disk, the full
+	// replies (without record_only) as well, with the same record bytes.
 	store2 := openStore()
 	t.Cleanup(func() { store2.Close() })
 	ts2, _ := testServer(t, store2, serverConfig{})
@@ -270,13 +272,30 @@ func TestServePersistenceAcrossRestart(t *testing.T) {
 		if !bytes.Equal(body, firstRun[i]) {
 			t.Fatalf("run 2 request %d not byte-identical:\n run1 %s\n run2 %s", i, firstRun[i], body)
 		}
+
+		req.RecordOnly = false
+		resp, body = postJSON(t, ts2.URL+"/check", req)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("run 2 full request %d: status %d: %s", i, resp.StatusCode, body)
+		}
+		var full checkResponse
+		if err := json.Unmarshal(body, &full); err != nil {
+			t.Fatal(err)
+		}
+		rec, err := json.Marshal(checkResponse{Record: full.Record})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !full.Cached || !bytes.Equal(rec, bytes.TrimSpace(firstRun[i])) {
+			t.Fatalf("run 2 full request %d: cached=%v record %s, want cached and %s", i, full.Cached, rec, firstRun[i])
+		}
 	}
 	m := getMetrics(t, ts2.URL).Verify
 	if m.Misses != 0 {
 		t.Fatalf("run 2 misses = %d, want 0 (every answer from the store)", m.Misses)
 	}
-	if m.DiskHits != uint64(len(requests)) {
-		t.Fatalf("run 2 disk_hits = %d, want %d (one disk read per request): %+v", m.DiskHits, len(requests), m)
+	if m.DiskHits != uint64(2*len(requests)) {
+		t.Fatalf("run 2 disk_hits = %d, want %d (one disk read per request): %+v", m.DiskHits, 2*len(requests), m)
 	}
 }
 

@@ -8,12 +8,11 @@ type Key = [sha256.Size]byte
 
 // maxGenEntries bounds one cache generation. A two-generation cache keeps
 // the current and the previous generation, so memory is capped at roughly
-// twice this many verdicts while the recent working set (the fixes an
-// evaluation or repair loop keeps re-checking) stays resident. The bound
-// only caps the cache; it does not keep one-shot checks out of it. Up to
-// 8,192 verdicts, each holding a compiled design and its plans, can stay
-// resident, so one-shot checks (every check of a dataset build) go
-// through Service.Run and never enter the cache.
+// twice this many entries while the recent working set (the fixes an
+// evaluation or repair loop keeps re-checking) stays resident. An entry
+// holds a Record (about 1 KiB); only a CompileOnly entry also holds its
+// compiled design and plans. One-shot checks (every check of a dataset
+// build) go through Service.Run so they do not push the working set out.
 const maxGenEntries = 4096
 
 // gen2 is the two-generation map behind the Service's verdict cache. Not

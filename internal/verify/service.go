@@ -39,7 +39,8 @@ type entry struct {
 	cancel context.CancelFunc
 
 	// waiters and completed are guarded by Service.mu; verdict and err are
-	// published by close(done).
+	// published by close(done). verdict holds the Record (and the Design
+	// of a CompileOnly key) only.
 	waiters   int
 	completed bool
 	verdict   Verdict
@@ -71,11 +72,11 @@ func Default() *Service {
 	return defaultSvc
 }
 
-// SetStore attaches a persistent record tier: CheckRecord reads it after
-// the verdict cache and before computing, and every completed check is
-// put to it before its waiters are answered. Disk hits are not copied
-// into the verdict cache. Call before the service takes traffic; the
-// field is not synchronised.
+// SetStore attaches a persistent record tier: Check reads it after the
+// verdict cache and before computing, and every completed check that is
+// not CompileOnly is put to it before its waiters are answered. Disk hits
+// are not copied into the verdict cache. Call before the service takes
+// traffic; the field is not synchronised.
 func (s *Service) SetStore(ds *DiskStore) { s.store = ds }
 
 // Metrics is a snapshot of the service's counters.
@@ -90,7 +91,7 @@ type Metrics struct {
 	Coalesced uint64 `json:"coalesced"`
 	// Evictions counts entries aged out by generation rotation.
 	Evictions uint64 `json:"evictions"`
-	// DiskHits counts record requests answered by the persistent store.
+	// DiskHits counts Check requests answered by the persistent store.
 	DiskHits uint64 `json:"disk_hits"`
 	// InFlight is the number of checks currently holding a worker slot,
 	// cached and uncached alike.
@@ -112,17 +113,18 @@ func (s *Service) Metrics() Metrics {
 	}
 }
 
-// Len returns the number of cached verdicts (both generations).
+// Len returns the number of cache entries (both generations).
 func (s *Service) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.entries.len()
 }
 
-// join finds or installs the cache entry for a key, registering the
-// caller as a waiter. The second return is true when the entry already
-// existed: the caller must wait on done rather than start the compute.
-func (s *Service) join(key Key) (*entry, bool) {
+// join finds the cache entry for a key, registering the caller as a
+// waiter. The second return is true when the entry already existed: the
+// caller must wait on done rather than start the compute. On a miss join
+// installs a fresh entry if install is set and returns nil otherwise.
+func (s *Service) join(key Key, install bool) (*entry, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if e, ok := s.entries.get(key); ok {
@@ -133,6 +135,9 @@ func (s *Service) join(key Key) (*entry, bool) {
 			s.coalesced.Add(1)
 		}
 		return e, true
+	}
+	if !install {
+		return nil, false
 	}
 	cctx, cancel := context.WithCancel(context.Background())
 	e := &entry{done: make(chan struct{}), cctx: cctx, cancel: cancel, waiters: 1}
@@ -199,9 +204,9 @@ func (s *Service) pooled(ctx context.Context, src string, assertions []verilog.I
 }
 
 // compute runs the check for one cache entry under the entry's context,
-// publishes the verdict, puts the record to the store and only then
-// releases the waiters, so an answered check has reached the operating
-// system.
+// publishes the record (and a compile-only design), puts the record to the
+// store and only then releases the waiters, so an answered check has
+// reached the operating system.
 func (s *Service) compute(key Key, e *entry, src string, assertions []verilog.Item, opts Options) {
 	defer close(e.done)
 	v, err := s.pooled(e.cctx, src, assertions, opts)
@@ -214,14 +219,16 @@ func (s *Service) compute(key Key, e *entry, src string, assertions []verilog.It
 		s.mu.Unlock()
 		return
 	}
-	e.verdict, e.err = v, err
+	e.verdict, e.err = Verdict{Record: v.Record}, err
+	if opts.CompileOnly {
+		e.verdict.Design = v.Design
+	}
 	e.completed = true
 	s.mu.Unlock()
 	e.cancel() // completed entries never cancel; release the context
 
-	if s.store != nil && err == nil && !opts.CompileOnly && v.Status != StatusError {
-		rec := v.Record
-		_ = s.store.Put(key, &rec) // a failed put only costs a future recompute
+	if s.store != nil && err == nil && !opts.CompileOnly {
+		_ = s.store.Put(key, &v.Record) // a failed put only costs a future recompute
 	}
 }
 
@@ -231,63 +238,43 @@ func (s *Service) compute(key Key, e *entry, src string, assertions []verilog.It
 // otherwise the embedded assertions are checked. The returned error is
 // non-nil only for StatusError verdicts and cancellations; compile
 // failures and assertion failures are ordinary verdicts. Results are
-// cached by content — source, assertion set and normalised options — and
-// concurrent duplicate requests coalesce into one computation that is
-// cancelled only when its last waiter leaves. Check is the cache lookup and
-// coalescing on top of the pooled computation Run performs; a one-shot
-// check should call Run, so its verdict does not stay resident.
+// cached by content — source, assertion set and normalised options: Check
+// answers from the verdict cache, then the store (unless CompileOnly),
+// and otherwise computes, coalescing concurrent duplicates into one
+// computation that is cancelled only when its last waiter leaves. The
+// verdict carries the Record and Cached (true unless this call ran the
+// check), plus the shared, plan-warmed Design of a CompileOnly check.
 func (s *Service) Check(ctx context.Context, src string, assertions []verilog.Item, opts Options) (Verdict, error) {
 	key := cacheKey(src, assertions, opts)
-	e, joined := s.join(key)
+	e, joined := s.join(key, s.store == nil || opts.CompileOnly)
+	if e == nil { // not cached: the store answers before a computation starts
+		if rec, err := s.store.Get(key); err == nil && rec != nil {
+			s.diskHits.Add(1)
+			return Verdict{Record: *rec, Cached: true}, nil
+		}
+		e, joined = s.join(key, true)
+	}
 	if !joined {
 		go s.compute(key, e, src, assertions, opts)
 	}
 	return s.wait(ctx, key, e, !joined)
 }
 
+// CheckRecord is Check for callers that only need the serializable outcome.
+func (s *Service) CheckRecord(ctx context.Context, src string, assertions []verilog.Item, opts Options) (Record, error) {
+	v, err := s.Check(ctx, src, assertions, opts)
+	return v.Record, err
+}
+
 // Run is Check without the cache: it runs one check on the service's
 // worker pool and never reads or fills the verdict cache or the store, so
-// the verdict (design, plans, counterexample trace) is garbage once the
-// caller drops it. It counts as a miss. Use Run for one-shot checks whose
-// key nothing will ask for again, such as a dataset build's goldens and
-// mutants; use Check where the same key recurs (a repair loop re-checking
-// fixes, a server answering the same design again) or where concurrent
-// duplicates should coalesce. A Run's Record equals the Record
-// Check returns for the same arguments.
+// the whole warm verdict it returns (design, plans, diagnostics, formal
+// result) is garbage once the caller drops it. It counts as a miss. Use
+// Run for one-shot checks (a dataset build's goldens and mutants) and
+// wherever the warm parts are needed; use Check where the same key recurs
+// or concurrent duplicates should coalesce. A Run's Record equals the
+// Record Check returns for the same arguments.
 func (s *Service) Run(ctx context.Context, src string, assertions []verilog.Item, opts Options) (Verdict, error) {
 	s.misses.Add(1)
 	return s.pooled(ctx, src, assertions, opts)
-}
-
-// CheckRecord is Check for callers that only need the serializable
-// outcome: it answers from the verdict cache or the persistent store when
-// possible — a store hit costs no re-elaboration — and computes through
-// the full Check path otherwise.
-func (s *Service) CheckRecord(ctx context.Context, src string, assertions []verilog.Item, opts Options) (Record, error) {
-	key := cacheKey(src, assertions, opts)
-	s.mu.Lock()
-	if e, ok := s.entries.get(key); ok {
-		e.waiters++
-		if e.completed {
-			s.hits.Add(1)
-		} else {
-			s.coalesced.Add(1)
-		}
-		s.mu.Unlock()
-		v, err := s.wait(ctx, key, e, false)
-		return v.Record, err
-	}
-	s.mu.Unlock()
-	if s.store != nil {
-		if rec, err := s.store.Get(key); err == nil && rec != nil {
-			s.diskHits.Add(1)
-			return *rec, nil
-		}
-	}
-	e, joined := s.join(key)
-	if !joined {
-		go s.compute(key, e, src, assertions, opts)
-	}
-	v, err := s.wait(ctx, key, e, !joined)
-	return v.Record, err
 }

@@ -382,6 +382,75 @@ func TestCheckRecordOnDiskWhenAnswered(t *testing.T) {
 	}
 }
 
+// TestCheckReadsStore pins the one lookup path: Check reads the DiskStore
+// before computing, so fresh Services over one store answer a stored key
+// from disk, byte-identically, and never append a second frame for it.
+func TestCheckReadsStore(t *testing.T) {
+	dir := t.TempDir()
+	ds, err := OpenDiskStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ds.Close()
+	opts := Options{Seed: 1, Depth: 8}
+	var want []byte
+	var size int64
+	var frames int
+	for i := 0; i < 3; i++ {
+		svc := New(2)
+		svc.SetStore(ds)
+		v, err := svc.Check(context.Background(), failSrc, nil, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotSize, gotFrames := shardFrames(t, dir)
+		if i == 0 {
+			want, size, frames = mustJSON(t, &v.Record), gotSize, gotFrames
+			if frames != 1 {
+				t.Fatalf("store holds %d frames after the first check, want 1", frames)
+			}
+			continue
+		}
+		if gotSize != size || gotFrames != frames {
+			t.Fatalf("service %d grew the store from %d bytes in %d frames to %d bytes in %d frames",
+				i+1, size, frames, gotSize, gotFrames)
+		}
+		if m := svc.Metrics(); m.DiskHits != 1 || m.Misses != 0 {
+			t.Fatalf("service %d metrics = %+v, want 1 disk hit and 0 misses", i+1, m)
+		}
+		if got := mustJSON(t, &v.Record); !v.Cached || !bytes.Equal(got, want) {
+			t.Fatalf("service %d answered cached=%v %s, want the stored %s", i+1, v.Cached, got, want)
+		}
+	}
+}
+
+// shardFrames returns the total size of the store's shard files and the
+// number of frames in them.
+func shardFrames(t *testing.T, dir string) (int64, int) {
+	t.Helper()
+	names, err := filepath.Glob(filepath.Join(dir, "verdicts-*.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var size int64
+	frames := 0
+	for _, name := range names {
+		data, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		size += int64(len(data))
+		for off := binfmt.MagicLen; off < len(data); frames++ {
+			_, next, ok := nextFrame(data, off)
+			if !ok {
+				t.Fatalf("%s: torn frame at %d", name, off)
+			}
+			off = next
+		}
+	}
+	return size, frames
+}
+
 // TestGen2PromoteMovesEntry pins the lookup fix: a previous-generation hit
 // must move the entry (not copy it), so len() stays exact and rotation
 // cannot resurrect a stale duplicate.

@@ -11,19 +11,19 @@
 //     Record (status, logs, diagnostic text, failed/vacuous assertion
 //     names, the counterexample stimulus) and the in-memory warm part of
 //     a Verdict (the elaborated *compile.Design with its simulator plan,
-//     the *formal.Result). Callers that only need pass/fail use
-//     CheckRecord and never pay for re-elaboration; callers that diff or
-//     re-simulate use Check and get the warm design.
+//     the diagnostics, the *formal.Result). The cached path keeps and
+//     returns Records only, plus the design of a CompileOnly check; the
+//     uncached Run returns the whole warm verdict.
 //   - Store layer: one memory tier and one disk tier. The memory tier is
 //     the Service's two-generation verdict cache. The disk tier is an
 //     optional DiskStore (SetStore): an append-only log of Records by
-//     content hash, built on internal/dataset/binfmt framing. CheckRecord
-//     reads the cache, then the DiskStore, then computes; a computed
-//     record is put to the DiskStore before the check is answered, so an
-//     answered check has reached the operating system and survives a
-//     process crash. Shards are synced to disk only on rotation and
-//     Close. A Service with a store answers repeated record checks across
-//     process restarts without recomputing.
+//     content hash, built on internal/dataset/binfmt framing. Check reads
+//     the cache, then the DiskStore (CompileOnly checks skip it), then
+//     computes; a computed record is put to the DiskStore before the
+//     check is answered, so an answered check has reached the operating
+//     system and survives a process crash. Shards are synced to disk only
+//     on rotation and Close. A Service with a store answers repeated
+//     checks across process restarts without recomputing.
 //   - Execution layer: Check, CheckRecord and Run take a context. The context
 //     threads through formal.Check into the simulator run loops, so a
 //     disconnected client or an expired deadline stops a 2^16 exhaustive
@@ -40,8 +40,9 @@
 // The Service also keeps the two properties the original in-process cache
 // had: a content-addressed key (hash of source, candidate assertion set
 // and normalised options) and a bounded worker pool, so callers can fan
-// out freely without oversubscribing the machine. Cached verdicts are
-// shared between callers and must be treated as read-only.
+// out freely without oversubscribing the machine. Cached records and
+// compile-only designs are shared between callers and must be treated as
+// read-only.
 package verify
 
 import (
@@ -196,14 +197,15 @@ func (r Record) Passed() bool { return r.Status == StatusPass }
 func (r Record) Vacuous() []string { return r.VacuousAsserts }
 
 // Verdict is the outcome of one check: the serializable Record plus the
-// warm in-memory parts. Verdicts returned from the cache are shared;
-// callers must not mutate the design or formal result.
+// warm in-memory parts, which only Run fills. Check fills Record and
+// Cached, plus Design for a CompileOnly check; both are shared between
+// callers, which must not mutate them.
 type Verdict struct {
 	Record
 	// Design is the elaborated design; nil when compilation failed. It
 	// carries internal/sim's compiled execution plan, warmed under the
-	// worker slot, so a cache hit hands back a design that is ready to
-	// simulate without re-walking the AST.
+	// worker slot, so a compile-only design is ready to simulate without
+	// re-walking the AST.
 	Design *compile.Design
 	// CompileErr is the parse error when parsing failed (nil for
 	// elaboration failures, which are reported through Diags).
@@ -306,9 +308,9 @@ func run(ctx context.Context, src string, assertions []verilog.Item, opts Option
 		diagText = compile.FormatDiags(diags)
 	}
 	// Warm the simulator's compiled execution plan while we hold a worker
-	// slot. The plan lives on the design, so cached verdicts (including
-	// compile-only goldens later fed to formal.Differ) carry a ready-to-run
-	// plan with them instead of rebuilding it on first simulation.
+	// slot. The plan lives on the design, so a compile-only design (cached
+	// for cmd/serve's /stimulus batching, or a golden fed to formal.Differ)
+	// is ready to run instead of rebuilding the plan on first simulation.
 	sim.PlanOf(d)
 	if opts.CompileOnly {
 		return Verdict{

@@ -227,10 +227,13 @@ func TestOptionsNormalisedForKey(t *testing.T) {
 	}
 }
 
+// TestStatusClassification reads the warm fields (CompileErr, Diags,
+// Formal), which only Run returns; TestRunMatchesCheck holds Check's
+// Records equal to Run's.
 func TestStatusClassification(t *testing.T) {
 	svc := New(2)
 
-	v, err := svc.Check(context.Background(), elabErrSrc, nil, Options{Depth: 8})
+	v, err := svc.Run(context.Background(), elabErrSrc, nil, Options{Depth: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +241,7 @@ func TestStatusClassification(t *testing.T) {
 		t.Errorf("elaboration error misclassified: %+v", v.Status)
 	}
 
-	v, err = svc.Check(context.Background(), parseErrSrc, nil, Options{Depth: 8})
+	v, err = svc.Run(context.Background(), parseErrSrc, nil, Options{Depth: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +249,7 @@ func TestStatusClassification(t *testing.T) {
 		t.Errorf("parse error misclassified: %+v", v.Status)
 	}
 
-	v, err = svc.Check(context.Background(), failSrc, nil, Options{Depth: 8})
+	v, err = svc.Run(context.Background(), failSrc, nil, Options{Depth: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +260,7 @@ func TestStatusClassification(t *testing.T) {
 		t.Error("failing verdict carries no log")
 	}
 
-	v, err = svc.Check(context.Background(), vacuousSrc, nil, Options{Depth: 8})
+	v, err = svc.Run(context.Background(), vacuousSrc, nil, Options{Depth: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
