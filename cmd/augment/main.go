@@ -67,58 +67,75 @@ func main() {
 		Workers:            *workers,
 	}
 
-	if *statsOnly {
+	var err error
+	switch {
+	case *statsOnly:
 		// Stats never need the datasets in memory: stream through a
 		// counting sink whatever the requested output format was.
-		if err := runStatsOnly(cfg); err != nil {
-			log.Fatal(err)
-		}
-		return
+		err = runStatsOnly(cfg)
+	case *format != "json":
+		err = runSharded(cfg, *outDir, *shards, *format)
+	default:
+		err = runJSON(cfg, *outDir)
 	}
-	if *format != "json" {
-		if err := runSharded(cfg, *outDir, *shards, *format); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-
-	out, err := augment.Run(cfg)
 	if err != nil {
 		log.Fatal(err)
+	}
+}
+
+// runJSON is the default mode: it collects the run in memory and writes
+// each dataset as one JSON array.
+func runJSON(cfg augment.Config, outDir string) error {
+	out, err := augment.Run(cfg)
+	if err != nil {
+		return err
 	}
 	human, err := augment.BuildHumanEval(cfg)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	printStats(out.Stats, len(out.VerilogPT), len(out.VerilogBug), len(out.SVABug), len(out.SVAEvalMachine), len(human))
 	fmt.Println("Table II distribution:")
 	fmt.Println(dataset.FormatTableII(out.SVABug, append(out.SVAEvalMachine, human...)))
 
-	if err := os.MkdirAll(*outDir, 0o755); err != nil {
-		log.Fatal(err)
+	if err := os.MkdirAll(outDir, 0o755); err != nil {
+		return err
 	}
-	write := func(name string, v any) {
-		f, err := os.Create(filepath.Join(*outDir, name))
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := dataset.WriteJSON(f, v); err != nil {
-			f.Close()
-			log.Fatal(err)
-		}
-		// A failed close loses buffered writes (e.g. on a full disk);
-		// it must not be reported as success.
-		if err := f.Close(); err != nil {
-			log.Fatalf("%s: close: %v", name, err)
+	for _, d := range []struct {
+		name string
+		v    any
+	}{
+		{"verilog_pt.json", out.VerilogPT},
+		{"verilog_bug.json", out.VerilogBug},
+		{"sva_bug.json", out.SVABug},
+		{"sva_eval_machine.json", out.SVAEvalMachine},
+		{"sva_eval_human.json", human},
+	} {
+		if err := writeJSON(filepath.Join(outDir, d.name), d.v); err != nil {
+			return err
 		}
 	}
-	write("verilog_pt.json", out.VerilogPT)
-	write("verilog_bug.json", out.VerilogBug)
-	write("sva_bug.json", out.SVABug)
-	write("sva_eval_machine.json", out.SVAEvalMachine)
-	write("sva_eval_human.json", human)
-	fmt.Printf("datasets written to %s/\n", *outDir)
+	fmt.Printf("datasets written to %s/\n", outDir)
+	return nil
+}
+
+// writeJSON writes v to path as one JSON array.
+func writeJSON(path string, v any) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := dataset.WriteJSON(f, v); err != nil {
+		f.Close()
+		return err
+	}
+	// A failed close loses buffered writes (e.g. on a full disk); it must
+	// not be reported as success.
+	if err := f.Close(); err != nil {
+		return fmt.Errorf("%s: close: %w", filepath.Base(path), err)
+	}
+	return nil
 }
 
 func printStats(st augment.Stats, pt, vbug, svabug, evalMachine, evalHuman int) {
@@ -146,8 +163,7 @@ func printStats(st augment.Stats, pt, vbug, svabug, evalMachine, evalHuman int) 
 // compare their sizes without writing anything.
 type statsSink struct {
 	ptCount, bugCount int
-	namesByBin        map[int][]string
-	seenName          map[string]bool
+	names             dataset.ModuleNames
 	meta              []sampleMeta
 
 	records   int
@@ -193,12 +209,8 @@ func (s *statsSink) PT(e dataset.PTEntry) error { s.ptCount++; return s.measure(
 func (s *statsSink) Bug(e dataset.BugEntry) error { s.bugCount++; return s.measure(&e) }
 
 func (s *statsSink) Sample(sm dataset.SVASample) error {
-	bin := sm.BinIndex()
-	if !s.seenName[sm.Module] {
-		s.seenName[sm.Module] = true
-		s.namesByBin[bin] = append(s.namesByBin[bin], sm.Module)
-	}
-	s.meta = append(s.meta, sampleMeta{module: sm.Module, bin: bin, labels: sm.TypeLabels(), trainOnly: sm.TrainOnly()})
+	s.names.Add(&sm)
+	s.meta = append(s.meta, sampleMeta{module: sm.Module, bin: sm.BinIndex(), labels: sm.TypeLabels(), trainOnly: sm.TrainOnly()})
 	return s.measure(&sm)
 }
 
@@ -206,7 +218,7 @@ func (s *statsSink) Sample(sm dataset.SVASample) error {
 // same report the writing modes do, plus the JSONL-vs-binary size
 // comparison.
 func runStatsOnly(cfg augment.Config) error {
-	sink := &statsSink{namesByBin: map[int][]string{}, seenName: map[string]bool{}}
+	sink := &statsSink{}
 	binW, err := binfmt.NewWriter(&sink.binCount)
 	if err != nil {
 		return err
@@ -219,16 +231,15 @@ func runStatsOnly(cfg augment.Config) error {
 	if err := sink.binW.Close(); err != nil {
 		return err
 	}
-	eff := cfg.Defaults()
-	trainNames := dataset.TrainNames(sink.namesByBin, eff.TrainFrac, eff.Seed*17+3)
+	side := augment.Split(cfg, &sink.names)
 	dt, de := dataset.NewDistribution(), dataset.NewDistribution()
 	trainCount, evalCount := 0, 0
 	for _, m := range sink.meta {
-		switch {
-		case trainNames[m.module]:
+		switch side(m.module, m.trainOnly) {
+		case dataset.SideTrain:
 			dt.Add(m.bin, m.labels)
 			trainCount++
-		case !m.trainOnly:
+		case dataset.SideTest:
 			de.Add(m.bin, m.labels)
 			evalCount++
 		}
@@ -265,9 +276,7 @@ type shardWriter interface {
 // collecting only the per-module name/bin pairs the split needs.
 type shardSink struct {
 	pt, bug, all shardWriter
-
-	namesByBin map[int][]string
-	seenName   map[string]bool
+	names        dataset.ModuleNames
 }
 
 func (s *shardSink) PT(e dataset.PTEntry) error { return s.pt.Write(&e) }
@@ -275,10 +284,7 @@ func (s *shardSink) PT(e dataset.PTEntry) error { return s.pt.Write(&e) }
 func (s *shardSink) Bug(e dataset.BugEntry) error { return s.bug.Write(&e) }
 
 func (s *shardSink) Sample(sm dataset.SVASample) error {
-	if !s.seenName[sm.Module] {
-		s.seenName[sm.Module] = true
-		s.namesByBin[sm.BinIndex()] = append(s.namesByBin[sm.BinIndex()], sm.Module)
-	}
+	s.names.Add(&sm)
 	return s.all.Write(&sm)
 }
 
@@ -328,10 +334,7 @@ func runSharded(cfg augment.Config, outDir string, shards int, format string) (e
 		created = append(created, w.Paths()...)
 		return w, nil
 	}
-	sink := &shardSink{
-		namesByBin: map[int][]string{},
-		seenName:   map[string]bool{},
-	}
+	sink := &shardSink{}
 	if sink.pt, err = newWriter("verilog_pt"); err != nil {
 		return err
 	}
@@ -353,8 +356,7 @@ func runSharded(cfg augment.Config, outDir string, shards int, format string) (e
 	}
 
 	// Split pass: route the combined sample stream by module name.
-	eff := cfg.Defaults()
-	trainNames := dataset.TrainNames(sink.namesByBin, eff.TrainFrac, eff.Seed*17+3)
+	side := augment.Split(cfg, &sink.names)
 	samplePaths := sink.all.Paths()
 	trainW, err := newWriter("sva_bug")
 	if err != nil {
@@ -369,15 +371,15 @@ func runSharded(cfg augment.Config, outDir string, shards int, format string) (e
 	// order: for a fixed seed the routed datasets come out identical to
 	// the monolithic JSON mode's, entry for entry, at any -shards count.
 	route := func(s dataset.SVASample) error {
-		if trainNames[s.Module] {
+		switch side(s.Module, s.TrainOnly()) {
+		case dataset.SideTrain:
 			dt.Add(s.BinIndex(), s.TypeLabels())
 			return trainW.Write(&s)
+		case dataset.SideTest:
+			de.Add(s.BinIndex(), s.TypeLabels())
+			return evalW.Write(&s)
 		}
-		if s.TrainOnly() {
-			return nil // train-only class on a test module: dropped, not moved
-		}
-		de.Add(s.BinIndex(), s.TypeLabels())
-		return evalW.Write(&s)
+		return nil
 	}
 	if err := dataset.ForEachShard(samplePaths, route); err != nil {
 		return err

@@ -1,12 +1,15 @@
 package main
 
 import (
+	"maps"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/augment"
 	"repro/internal/corpus"
+	"repro/internal/dataset"
 	"repro/internal/verilog"
 )
 
@@ -39,4 +42,108 @@ func TestRunShardedBrokenGoldenLeavesNoShards(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestModesSplitIdentically: the json, bin and -stats modes split one
+// corpus into the same train and eval module sets and print the same
+// dataset sizes and Table II counts. The -stats mode writes no dataset,
+// so its split shows only in what it prints.
+func TestModesSplitIdentically(t *testing.T) {
+	src := corpus.FuncSource("modes", func() []*corpus.Blueprint {
+		return []*corpus.Blueprint{
+			corpus.Counter(4, 9), corpus.ShiftReg(3), corpus.Accu(4, 2),
+			corpus.Parity(8), corpus.Gray(4), corpus.EdgeDetect(),
+		}
+	})
+	cfg := augment.Config{Seed: 5, MutationsPerDesign: 2, RandomRuns: 6, TrainFrac: 0.5, Source: src}
+	jsonDir, binDir := t.TempDir(), t.TempDir()
+	modes := []struct {
+		name string
+		run  func() error
+	}{
+		{"json", func() error { return runJSON(cfg, jsonDir) }},
+		{"bin", func() error { return runSharded(cfg, binDir, 2, "bin") }},
+		{"stats", func() error { return runStatsOnly(cfg) }},
+	}
+	var want string
+	for _, m := range modes {
+		got := splitReport(t, captureStdout(t, m.run))
+		if want == "" {
+			want = got
+			continue
+		}
+		if got != want {
+			t.Errorf("%s mode reports\n%s\njson mode reports\n%s", m.name, got, want)
+		}
+	}
+	for _, base := range []string{"sva_bug", "sva_eval_machine"} {
+		jm, bm := loadModules(t, jsonDir, base), loadModules(t, binDir, base)
+		if len(jm) == 0 {
+			t.Fatalf("%s holds no module: the corpus does not exercise the split", base)
+		}
+		if !maps.Equal(jm, bm) {
+			t.Errorf("%s modules: json %v, bin %v", base, slices.Sorted(maps.Keys(jm)), slices.Sorted(maps.Keys(bm)))
+		}
+	}
+}
+
+// captureStdout returns what run prints to standard output.
+func captureStdout(t *testing.T, run func() error) string {
+	t.Helper()
+	f, err := os.CreateTemp(t.TempDir(), "stdout")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	saved := os.Stdout
+	os.Stdout = f
+	err = run()
+	os.Stdout = saved
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out)
+}
+
+// splitReport keeps the lines of a mode's report that the split decides:
+// the dataset sizes and the Table II distribution.
+func splitReport(t *testing.T, out string) string {
+	t.Helper()
+	var keep []string
+	inTable := false
+	for _, line := range strings.Split(out, "\n") {
+		switch {
+		case strings.HasPrefix(line, "Datasets:"):
+			keep = append(keep, line)
+		case line == "Table II distribution:":
+			inTable = true
+			keep = append(keep, line)
+		case strings.Contains(line, "datasets written to"):
+			inTable = false
+		case inTable:
+			keep = append(keep, line)
+		}
+	}
+	if len(keep) < 3 {
+		t.Fatalf("no split report in output:\n%s", out)
+	}
+	return strings.TrimSpace(strings.Join(keep, "\n"))
+}
+
+// loadModules returns the module names of the dataset base in dir.
+func loadModules(t *testing.T, dir, base string) map[string]bool {
+	t.Helper()
+	samples, err := dataset.Load[dataset.SVASample](dir, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mods := map[string]bool{}
+	for _, s := range samples {
+		mods[s.Module] = true
+	}
+	return mods
 }

@@ -251,6 +251,7 @@ type Sink interface {
 type collector struct {
 	out     *Output
 	samples []dataset.SVASample
+	names   dataset.ModuleNames
 }
 
 func (c *collector) PT(e dataset.PTEntry) error {
@@ -264,6 +265,7 @@ func (c *collector) Bug(e dataset.BugEntry) error {
 }
 
 func (c *collector) Sample(s dataset.SVASample) error {
+	c.names.Add(&s)
 	c.samples = append(c.samples, s)
 	return nil
 }
@@ -279,8 +281,31 @@ func Run(cfg Config) (*Output, error) {
 		return nil, err
 	}
 	out.Stats = st
-	out.SVABug, out.SVAEvalMachine = dataset.SplitByModule(sink.samples, cfg.TrainFrac, cfg.Seed*17+3)
+	side := Split(cfg, &sink.names)
+	for _, s := range sink.samples {
+		switch side(s.Module, s.TrainOnly()) {
+		case dataset.SideTrain:
+			out.SVABug = append(out.SVABug, s)
+		case dataset.SideTest:
+			out.SVAEvalMachine = append(out.SVAEvalMachine, s)
+		}
+	}
 	return out, nil
+}
+
+// Split decides the pipeline's train/test split over a sample stream's
+// module names — cfg.TrainFrac of each length bin's names train, drawn
+// with a seed derived from cfg.Seed — and returns the rule that routes
+// each sample by its module: dataset.SideTrain to SVA-Bug,
+// dataset.SideTest to SVA-Eval-Machine, dataset.SideDrop nowhere. Run and
+// every streaming writer split through it, so they agree sample for
+// sample.
+func Split(cfg Config, names *dataset.ModuleNames) func(module string, trainOnly bool) dataset.Side {
+	cfg = cfg.withDefaults()
+	train := dataset.TrainNames(names.ByBin, cfg.TrainFrac, cfg.Seed*17+3)
+	return func(module string, trainOnly bool) dataset.Side {
+		return dataset.SideOf(train, module, trainOnly)
+	}
 }
 
 // pipeBuf bounds the result and Verilog-PT channels: at most this many

@@ -91,11 +91,19 @@ func TestRunStreamOrderAndContent(t *testing.T) {
 	// The split may drop train-only (Reset-class) samples whose module
 	// landed on the test side, so compare through the same split rather
 	// than by raw count.
-	eff := cfg.Defaults()
-	train, test := dataset.SplitByModule(got.samples, eff.TrainFrac, eff.Seed*17+3)
-	if len(train) != len(out.SVABug) || len(test) != len(out.SVAEvalMachine) {
+	side := Split(cfg, &got.names)
+	var train, test int
+	for _, s := range got.samples {
+		switch side(s.Module, s.TrainOnly()) {
+		case dataset.SideTrain:
+			train++
+		case dataset.SideTest:
+			test++
+		}
+	}
+	if train != len(out.SVABug) || test != len(out.SVAEvalMachine) {
 		t.Errorf("sample stream splits to %d+%d, run %d+%d",
-			len(train), len(test), len(out.SVABug), len(out.SVAEvalMachine))
+			train, test, len(out.SVABug), len(out.SVAEvalMachine))
 	}
 }
 

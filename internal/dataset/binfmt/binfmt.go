@@ -65,7 +65,6 @@ func uvarintStr(s string) (uint64, int, error) {
 type Interner struct {
 	ids   map[string]uint64
 	table []string
-	bytes int
 }
 
 // NewInterner returns an empty intern table.
@@ -81,7 +80,6 @@ func (in *Interner) ID(s string) uint64 {
 	id := uint64(len(in.table))
 	in.ids[s] = id
 	in.table = append(in.table, s)
-	in.bytes += len(s)
 	return id
 }
 
@@ -93,10 +91,3 @@ func (in *Interner) IDBytes(b []byte) uint64 {
 	}
 	return in.ID(string(b))
 }
-
-// Len returns the number of distinct interned strings.
-func (in *Interner) Len() int { return len(in.table) }
-
-// Bytes returns the total size of the distinct interned strings — the
-// writer's retained-memory figure (the table is held until Close).
-func (in *Interner) Bytes() int { return in.bytes }

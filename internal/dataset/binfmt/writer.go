@@ -55,15 +55,6 @@ func (w *Writer) Commit() error {
 // Count returns the number of committed records.
 func (w *Writer) Count() int { return len(w.frames) }
 
-// Offset returns the byte size of the stream written so far (header
-// plus framed records; the footer is not included until Close).
-func (w *Writer) Offset() uint64 { return w.off }
-
-// InternedBytes reports the memory retained by the intern table — the
-// only writer state that grows with corpus content rather than staying
-// flat (it is proportional to distinct interned strings, not records).
-func (w *Writer) InternedBytes() int { return w.enc.in.Bytes() }
-
 // Close writes the footer (string table + record index) and trailer.
 // The underlying io.Writer is left open for the caller to flush/close.
 // The footer streams straight to w — the string table can reach

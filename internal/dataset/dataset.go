@@ -173,26 +173,64 @@ func (s *SVASample) TrainOnly() bool { return s.Syn == "Reset" }
 // TrainOnly samples never enter the test set (dropped when their module is
 // a test module).
 func SplitByModule(samples []SVASample, trainFrac float64, seed int64) (train, test []SVASample) {
-	byBin := map[int][]string{}
-	seen := map[string]bool{}
-	for _, s := range samples {
-		key := s.Module
-		if !seen[key] {
-			seen[key] = true
-			b := s.BinIndex()
-			byBin[b] = append(byBin[b], key)
-		}
+	var names ModuleNames
+	for i := range samples {
+		names.Add(&samples[i])
 	}
-	trainNames := TrainNames(byBin, trainFrac, seed)
+	trainNames := TrainNames(names.ByBin, trainFrac, seed)
 	for _, s := range samples {
-		switch {
-		case trainNames[s.Module]:
+		switch SideOf(trainNames, s.Module, s.TrainOnly()) {
+		case SideTrain:
 			train = append(train, s)
-		case !s.TrainOnly():
+		case SideTest:
 			test = append(test, s)
 		}
 	}
 	return train, test
+}
+
+// ModuleNames collects a sample stream's unique module names per length
+// bin, in first-seen order: the population the module split is drawn
+// from. The zero value is ready to use.
+type ModuleNames struct {
+	ByBin map[int][]string
+	seen  map[string]bool
+}
+
+// Add records s's module the first time it appears, in s's length bin.
+func (n *ModuleNames) Add(s *SVASample) {
+	if n.seen[s.Module] {
+		return
+	}
+	if n.seen == nil {
+		n.ByBin, n.seen = map[int][]string{}, map[string]bool{}
+	}
+	n.seen[s.Module] = true
+	b := s.BinIndex()
+	n.ByBin[b] = append(n.ByBin[b], s.Module)
+}
+
+// Side is where the module split sends one sample.
+type Side int
+
+const (
+	SideDrop  Side = iota // a TrainOnly sample on a test module
+	SideTrain             // the training set
+	SideTest              // the test set
+)
+
+// SideOf routes a sample of module by the split's train module names:
+// every sample of a train module trains and every other sample tests,
+// except a TrainOnly sample on a test module, which is dropped rather than
+// moved so train and test stay module-disjoint.
+func SideOf(trainNames map[string]bool, module string, trainOnly bool) Side {
+	switch {
+	case trainNames[module]:
+		return SideTrain
+	case trainOnly:
+		return SideDrop
+	}
+	return SideTest
 }
 
 // TrainNames picks the train side of the module-name split: within each

@@ -88,16 +88,21 @@
 // fall back to a 64-entry per-lane array evaluated with the same scalar
 // helpers the plan uses. Control flow is predicated: both branches of an
 // if execute under complementary write masks, so a packed batch never
-// branches on data. One lane machine and one statement layer serve both
-// value domains: in four-state every word and vector carries an Unk plane,
-// in two-state the plane is absent and the same store and control
-// formulas run with every lane known. Only the expression kernels differ
-// per domain; the four-state ones apply the shared v4.go per-bit formulas
-// word-wide over paired Val/Unk planes. Both domains' kernels are emitters
-// of the same front end as the plan, so a design lowers to lanes exactly
-// when its constructs lower to the plan of the same domain, except that
-// lanes also require constant $past depths: the sampled-frame swap is
-// whole-machine, so a per-lane history offset cannot be batched.
+// branches on data. One lane machine, one statement layer and one
+// compiled-expression form serve both value domains: a packed expression
+// yields a value word and an Unk word, a per-lane one a value vector and
+// an Unk vector. In four-state the Unk planes are live; in two-state the
+// Unk word is 0 and the vector absent, and the same store, control and
+// shared expression formulas run with every lane known. Only the kernels
+// whose semantics really differ are written per domain — number, ternary,
+// index, unary, binary and the reductions: x literals, div/mod by zero,
+// the x-merge of ?: and an unknown index — and the four-state ones apply
+// the shared v4.go per-bit formulas word-wide over paired Val/Unk planes.
+// Both domains' kernels are emitters of the same front end as the plan, so
+// a design lowers to lanes exactly when its constructs lower to the plan of
+// the same domain, except that lanes also require constant $past depths:
+// the sampled-frame swap is whole-machine, so a per-lane history offset
+// cannot be batched.
 //
 // The contract is byte-identity, not best-effort: LaneTrace.Demux(l) must
 // equal the scalar plan trace of LaneStimulusAt(l) for every lane, and

@@ -17,12 +17,14 @@ import (
 // inside the same closure graph, computed with the exact formulas plan.go
 // uses, so correctness never depends on a packed kernel existing.
 //
-// One machine and one statement layer serve both value domains. In the
-// four-state domain every word and vector carries an Unk plane; in the
-// two-state domain the plane is absent (nil), and every store and control
-// formula is the four-state one with all lanes known. Only the expression
-// kernels whose formulas really differ are written per domain: lexpr here,
-// lexpr4 in lanes4.go.
+// One machine, one statement layer and one expression form serve both
+// value domains. In the four-state domain every word and vector carries an
+// Unk plane; in the two-state domain the Unk word is 0 and the Unk vector
+// absent (nil), and every store, control and shared expression formula is
+// the four-state one with all lanes known. Only the expression kernels
+// whose formulas really differ (x literals, div/mod by zero, the x-merge
+// of ?:, an unknown index) are written per domain: laneEmitter here,
+// lane4Emitter in lanes4.go.
 //
 // Control flow is handled by predicated execution: both branches of an if
 // (and every case arm) run under a per-lane write mask, so lanes that took
@@ -37,10 +39,11 @@ import (
 // never see garbage; callers mask results to LaneStimulus.N at the API
 // boundary (LaneTrace.ActiveMask).
 
-// laneBitFn evaluates a packed two-state expression: bit l of the result is
-// lane l's single-bit value. Only expressions whose scalar value is provably
-// in {0, 1} compile to this form.
-type laneBitFn func(m *lmach) uint64
+// laneBitFn evaluates a packed expression: bit l of val and unk is lane l's
+// single-bit value and Unk bit, canonical (val is 0 wherever unk is 1);
+// unk is always 0 in two-state. Only expressions whose scalar value is
+// provably a single bit compile to this form.
+type laneBitFn func(m *lmach) (val, unk uint64)
 
 // laneVecFn evaluates an expression per lane with the scalar engine's exact
 // formulas into a 64-entry register (one raw 64-bit value per lane) and, in
@@ -59,8 +62,8 @@ type laneStmtFn func(m *lmach)
 // into a target.
 type laneStoreFn func(m *lmach, vv, uu []uint64)
 
-// lexpr is one compiled two-state lane expression: exactly one of bit/vec
-// is set.
+// lexpr is one compiled lane expression in either value domain: exactly
+// one of bit/vec is set.
 type lexpr struct {
 	bit laneBitFn
 	vec laneVecFn
@@ -113,10 +116,10 @@ func (p *Plan) lanes(mode Mode) *LanePlan {
 
 // LanesOK reports whether the design can run lane-parallel in the given
 // value domain with every assertion expression batched per lane-word — the
-// precondition internal/formal checks before filling lanes. Multi-clock
-// designs are excluded: the lane engine itself handles them (per-lane fired
-// masks), but the lane-batched assertion evaluation has no per-domain tick
-// schedule, so formal falls back to the scalar engine there.
+// precondition sva.Checker.Batch checks before packing stimuli into lanes.
+// Multi-clock designs are excluded: the lane engine itself handles them
+// (per-lane fired masks), but the lane-batched assertion evaluation has no
+// per-domain tick schedule, so their batches run on the scalar engine.
 func LanesOK(d *compile.Design, mode Mode) bool {
 	if d.MultiClock() {
 		return false
@@ -129,32 +132,27 @@ func LanesOK(d *compile.Design, mode Mode) bool {
 	return lp != nil && lp.allSVA
 }
 
+// buildLanePlan lowers the design with the domain's emitter and compiles
+// each assertion expression to its truth masks; nil when the design does
+// not lower.
 func buildLanePlan(p *Plan, four bool) *LanePlan {
-	lp := &LanePlan{p: p, four: four, isBit: bitSlots(p.design)}
-	if !four {
-		em := &laneEmitter{laneCore{lp}}
-		l, ok := lower[lexpr, laneStmtFn, laneStoreFn](p.design, em, false, true)
-		return withLowered(lp, l, ok, em.bool3)
-	}
-	if p.fourState() == nil {
+	if four && p.fourState() == nil {
 		return nil
 	}
-	em := &lane4Emitter{laneCore{lp}}
-	l, ok := lower[lexpr4, laneStmtFn, laneStoreFn](p.design, em, true, true)
-	return withLowered(lp, l, ok, em.bool3)
-}
-
-// withLowered completes lp with one domain's lowering, compiling each
-// assertion expression to its truth masks; nil when the design did not
-// lower.
-func withLowered[E any](lp *LanePlan, l lowered[E, laneStmtFn], ok bool, bool3 func(E) laneBoolFn) *LanePlan {
+	lp := &LanePlan{p: p, four: four, isBit: bitSlots(p.design)}
+	core := laneCore{lp}
+	var em emitter[lexpr, laneStmtFn, laneStoreFn] = &laneEmitter{core}
+	if four {
+		em = &lane4Emitter{core}
+	}
+	l, ok := lower(p.design, em, four, true)
 	if !ok {
 		return nil
 	}
 	lp.program, lp.allSVA = l.program, l.allSVA
 	lp.sva = make(map[verilog.Expr]laneBoolFn, len(l.sva))
 	for e, le := range l.sva {
-		lp.sva[e] = bool3(le)
+		lp.sva[e] = core.bool3(le)
 	}
 	return lp
 }
@@ -657,12 +655,12 @@ func (m *lmach) edgeLanes(fired []uint64) error {
 }
 
 // evalAtBit evaluates a packed expression against an earlier sampled row.
-func (m *lmach) evalAtBit(fn laneBitFn, idx int) uint64 {
+func (m *lmach) evalAtBit(fn laneBitFn, idx int) (uint64, uint64) {
 	saved, savedIdx := m.laneRow, m.idx
 	m.laneRow, m.idx = m.rows[idx], idx
-	v := fn(m)
+	v, u := fn(m)
 	m.laneRow, m.idx = saved, savedIdx
-	return v
+	return v, u
 }
 
 // evalAtVec evaluates a per-lane expression against an earlier sampled row.
@@ -678,11 +676,12 @@ func (m *lmach) evalAtVec(fn laneVecFn, idx int) ([]uint64, []uint64) {
 // Per-lane vector kernels
 // ---------------------------------------------------------------------------
 
-// packLanes packs bit shift of every lane's value into a word.
+// packLanes packs bit shift of every lane's value into a word. Like
+// nonzeroLanes, it packs an absent Unk plane (nil, two-state) to 0.
 func packLanes(vv []uint64, shift uint) uint64 {
 	var w uint64
-	for l := 0; l < 64; l++ {
-		w |= ((vv[l] >> shift) & 1) << uint(l)
+	for l, v := range vv {
+		w |= ((v >> shift) & 1) << uint(l)
 	}
 	return w
 }
@@ -690,8 +689,8 @@ func packLanes(vv []uint64, shift uint) uint64 {
 // nonzeroLanes packs the lanes whose value is nonzero into a word.
 func nonzeroLanes(vv []uint64) uint64 {
 	var w uint64
-	for l := 0; l < 64; l++ {
-		if vv[l] != 0 {
+	for l, v := range vv {
+		if v != 0 {
 			w |= 1 << uint(l)
 		}
 	}
@@ -742,20 +741,22 @@ func blendLanes(out, a, b []uint64, sel uint64) {
 	}
 }
 
-// extractLanes shifts every lane right by shift and masks it.
+// extractLanes shifts every lane right by shift and masks it; an absent
+// Unk plane extracts nothing.
 func extractLanes(out, vv []uint64, shift uint, mask uint64) {
-	for l := 0; l < 64; l++ {
-		out[l] = (vv[l] >> shift) & mask
+	for l, v := range vv {
+		out[l] = (v >> shift) & mask
 	}
 }
 
 // ---------------------------------------------------------------------------
-// Emitter state, statements and stores (both value domains)
+// Emitter layer shared by both value domains
 // ---------------------------------------------------------------------------
 
 // laneCore is the part of a lane emitter both value domains share: the
-// register allocator, the statement layer over truth words and vector
-// closures, every store, and the vector-only expression kernels.
+// register allocator, the statement layer, every store, and every
+// expression kernel whose four-state formula, with all lanes known, is the
+// two-state one.
 type laneCore struct {
 	lp *LanePlan
 }
@@ -786,12 +787,14 @@ func (c *laneCore) block(body []laneStmtFn) laneStmtFn {
 	}
 }
 
-// laneIf runs both branches under complementary write masks. cf yields the
-// lanes whose condition is a known nonzero: an x condition takes the else
-// branch, like the scalar engine (IEEE 1364 §9.4: x is not true).
-func laneIf(cf laneBitFn, then, els laneStmtFn) laneStmtFn {
+// ifStmt runs both branches under complementary write masks. The then
+// branch takes the lanes whose condition is a known nonzero: an x
+// condition takes the else branch, like the scalar engine (IEEE 1364 §9.4:
+// x is not true).
+func (c *laneCore) ifStmt(ce lexpr, then, els laneStmtFn) laneStmtFn {
+	cf := c.truth(ce)
 	return func(m *lmach) {
-		cw := cf(m)
+		cw, _ := cf(m)
 		if m.err != nil {
 			return
 		}
@@ -814,27 +817,14 @@ func laneIf(cf laneBitFn, then, els laneStmtFn) laneStmtFn {
 	}
 }
 
-// vecsOf adapts compiled expressions to per-lane register form.
-func vecsOf[E any](es []E, asVec func(E) laneVecFn) []laneVecFn {
-	fns := make([]laneVecFn, len(es))
-	for i, e := range es {
-		fns[i] = asVec(e)
-	}
-	return fns
-}
-
-// vecArms adapts case arms' labels to per-lane register form.
-func vecArms[E any](items []caseArm[E, laneStmtFn], asVec func(E) laneVecFn) []caseArm[laneVecFn, laneStmtFn] {
+// caseStmt runs each arm under the mask of lanes whose subject matches a
+// label (case equality over both planes) and no earlier label.
+func (c *laneCore) caseStmt(se lexpr, items []caseArm[lexpr, laneStmtFn], deflt laneStmtFn) laneStmtFn {
+	sf := c.asVec(se)
 	arms := make([]caseArm[laneVecFn, laneStmtFn], len(items))
 	for i, item := range items {
-		arms[i] = caseArm[laneVecFn, laneStmtFn]{labels: vecsOf(item.labels, asVec), body: item.body}
+		arms[i] = caseArm[laneVecFn, laneStmtFn]{labels: c.vecs(item.labels), body: item.body}
 	}
-	return arms
-}
-
-// laneCase runs each arm under the mask of lanes whose subject matches a
-// label (case equality over both planes) and no earlier label.
-func (c *laneCore) laneCase(sf laneVecFn, arms []caseArm[laneVecFn, laneStmtFn], deflt laneStmtFn) laneStmtFn {
 	// Snapshot the subject into a dedicated register: arm bodies may
 	// write the subject signal, and later labels must still compare
 	// against the value sampled at case entry (scalar semantics).
@@ -885,13 +875,22 @@ func (c *laneCore) laneCase(sf laneVecFn, arms []caseArm[laneVecFn, laneStmtFn],
 	}
 }
 
-// packsWhole reports whether sig is a whole single-bit target, which a
-// packed RHS stores word-wide end to end (the value is already canonical
-// and in {0,1} per lane, so the width mask is a no-op).
-func packsWhole(sig *compile.Signal) bool { return sig != nil && sig.Width == 1 }
+// packs reports whether re stores word-wide into sig, a whole single-bit
+// target: the packed value is already canonical and a single bit per lane,
+// so the width mask is a no-op.
+func (c *laneCore) packs(re lexpr, sig *compile.Signal) bool {
+	return re.bit != nil && sig != nil && sig.Width == 1
+}
 
-// storeFrom stores vf's per-lane value through store.
-func storeFrom(vf laneVecFn, store laneStoreFn) laneStmtFn {
+func (c *laneCore) assign(re lexpr, mode writeMode, sig *compile.Signal, store laneStoreFn) laneStmtFn {
+	if c.packs(re, sig) {
+		slot, bf := int32(sig.Slot), re.bit
+		return func(m *lmach) {
+			v, u := bf(m)
+			m.putBit(slot, mode, v, u)
+		}
+	}
+	vf := c.asVec(re)
 	return func(m *lmach) {
 		vv, uu := vf(m)
 		store(m, vv, uu)
@@ -908,12 +907,8 @@ func (c *laneCore) store(sig *compile.Signal, mode writeMode) laneStoreFn {
 		// Pack the per-lane LSBs (x wins over the value bit) and reuse the
 		// packed write path.
 		return func(m *lmach, vv, uu []uint64) {
-			v, u := packLanes(vv, 0), uint64(0)
-			if uu != nil {
-				u = packLanes(uu, 0)
-				v &^= u
-			}
-			m.putBit(slot, mode, v, u)
+			u := packLanes(uu, 0)
+			m.putBit(slot, mode, packLanes(vv, 0)&^u, u)
 		}
 	}
 	if mode == wAssign {
@@ -939,10 +934,11 @@ func (c *laneCore) store(sig *compile.Signal, mode writeMode) laneStoreFn {
 	}
 }
 
-// indexStore writes bit idx of sig through inner, the whole-signal store.
-// Lanes whose index is unknown or >= 64 skip the write entirely (the scalar
-// engine's no-effect rule), via the predication mask.
-func (c *laneCore) indexStore(sig *compile.Signal, idxFn laneVecFn, mode writeMode, inner laneStoreFn) laneStoreFn {
+// storeIndex writes bit idx of sig through inner, the whole-signal store.
+// Lanes whose index is unknown or >= 64 skip the write entirely (the
+// scalar engine's no-effect rule), via the predication mask.
+func (c *laneCore) storeIndex(sig *compile.Signal, ie lexpr, mode writeMode, inner laneStoreFn) laneStoreFn {
+	idxFn := c.asVec(ie)
 	base := c.rmwBase(int32(sig.Slot), mode)
 	reg := c.newReg()
 	return func(m *lmach, vv, uu []uint64) {
@@ -952,10 +948,7 @@ func (c *laneCore) indexStore(sig *compile.Signal, idxFn laneVecFn, mode writeMo
 		}
 		bv, bu := base(m)
 		ov, ou := m.reg(reg)
-		known := ^uint64(0)
-		if iu != nil {
-			known = ^nonzeroLanes(iu)
-		}
+		known := ^nonzeroLanes(iu)
 		var inRange uint64
 		for l := 0; l < 64; l++ {
 			if idx := iv[l]; idx < 64 && known>>uint(l)&1 == 1 {
@@ -1007,9 +1000,7 @@ func (c *laneCore) storeConcat(parts []laneStoreFn, shifts []uint, masks []uint6
 		for i, st := range parts {
 			ov, ou := m.reg(regs[i])
 			extractLanes(ov, vv, shifts[i], masks[i])
-			if ou != nil {
-				extractLanes(ou, uu, shifts[i], masks[i])
-			}
+			extractLanes(ou, uu, shifts[i], masks[i])
 			st(m, ov, ou)
 			if m.err != nil {
 				return
@@ -1035,37 +1026,134 @@ func (c *laneCore) rmwBase(slot int32, mode writeMode) laneVecFn {
 	return func(m *lmach) ([]uint64, []uint64) { return m.rmwVec(slot, mode, reg) }
 }
 
-// constVec is a broadcast constant in a prefilled register.
-func (c *laneCore) constVec(v, u uint64) laneVecFn {
-	reg := c.constReg(v, u)
-	return func(m *lmach) ([]uint64, []uint64) { return m.reg(reg) }
-}
-
-// failVec reports err when evaluated.
-func (c *laneCore) failVec(err error) laneVecFn {
-	reg := c.constReg(0, 0)
+// asVec adapts any lane expression to per-lane register form: a packed
+// word pair expands to one single-bit value and Unk bit per lane, exactly
+// the scalar values it encodes.
+func (c *laneCore) asVec(e lexpr) laneVecFn {
+	if e.vec != nil {
+		return e.vec
+	}
+	bf, reg := e.bit, c.newReg()
 	return func(m *lmach) ([]uint64, []uint64) {
-		m.fail(err)
-		return m.reg(reg)
+		v, u := bf(m)
+		return m.spread(reg, v, u)
 	}
 }
 
-func (c *laneCore) sliceVec(xf laneVecFn, shift uint, mask uint64) laneVecFn {
+// vecs adapts compiled expressions to per-lane register form.
+func (c *laneCore) vecs(es []lexpr) []laneVecFn {
+	fns := make([]laneVecFn, len(es))
+	for i, e := range es {
+		fns[i] = c.asVec(e)
+	}
+	return fns
+}
+
+// truth compiles the lanes whose value is a known nonzero into the value
+// word of a packed function; callers ignore its Unk word. A packed
+// expression is its own truth: its values are canonical single bits.
+func (c *laneCore) truth(e lexpr) laneBitFn {
+	if e.bit != nil {
+		return e.bit
+	}
+	vf := e.vec
+	return func(m *lmach) (uint64, uint64) {
+		vv, _ := vf(m)
+		return nonzeroLanes(vv), 0
+	}
+}
+
+// bool3 compiles three-valued truth masks: tw = lanes with a known nonzero
+// value, xw = lanes whose truth is undetermined (none in two-state); false
+// lanes are the rest.
+func (c *laneCore) bool3(e lexpr) laneBoolFn {
+	if e.bit != nil {
+		bf := e.bit
+		return func(m *lmach) (uint64, uint64) {
+			v, u := bf(m)
+			return v, u &^ v
+		}
+	}
+	vf := e.vec
+	return func(m *lmach) (uint64, uint64) {
+		vv, uu := vf(m)
+		tw := nonzeroLanes(vv)
+		return tw, nonzeroLanes(uu) &^ tw
+	}
+}
+
+// lsb packs the per-lane least-significant bit pair (the $rose/$fell
+// sampling rule).
+func (c *laneCore) lsb(e lexpr) laneBitFn {
+	if e.bit != nil {
+		return e.bit
+	}
+	vf := e.vec
+	return func(m *lmach) (uint64, uint64) {
+		vv, uu := vf(m)
+		return packLanes(vv, 0), packLanes(uu, 0)
+	}
+}
+
+func (c *laneCore) param(v uint64) lexpr { return c.konst(known(v)) }
+
+// konst classifies a broadcast constant: single-bit values pack, anything
+// else becomes a prefilled register holding the raw scalar value (and its
+// Unk plane).
+func (c *laneCore) konst(v V4) lexpr {
+	if v.Val|v.Unk <= 1 {
+		vw, uw := -v.Val, -v.Unk
+		return lexpr{bit: func(*lmach) (uint64, uint64) { return vw, uw }}
+	}
+	reg := c.constReg(v.Val, v.Unk)
+	return lexpr{vec: func(m *lmach) ([]uint64, []uint64) { return m.reg(reg) }}
+}
+
+// signal reads a slot through the blocking overlay, choosing the reader
+// for the domain's planes once, at build time.
+func (c *laneCore) signal(sig *compile.Signal) lexpr {
+	slot := int32(sig.Slot)
+	switch {
+	case sig.Width == 1 && c.lp.four:
+		return lexpr{bit: func(m *lmach) (uint64, uint64) { return m.readBit4(slot) }}
+	case sig.Width == 1:
+		return lexpr{bit: func(m *lmach) (uint64, uint64) { return m.readBit(slot), 0 }}
+	case c.lp.four:
+		return lexpr{vec: func(m *lmach) ([]uint64, []uint64) { return m.readVec4(slot) }}
+	}
+	return lexpr{vec: func(m *lmach) ([]uint64, []uint64) { return m.readVec(slot), nil }}
+}
+
+// fail reports err when evaluated.
+func (c *laneCore) fail(err error) lexpr {
+	reg := c.constReg(0, 0)
+	return lexpr{vec: func(m *lmach) ([]uint64, []uint64) {
+		m.fail(err)
+		return m.reg(reg)
+	}}
+}
+
+func (c *laneCore) slice(xe lexpr, shift uint, mask uint64) lexpr {
+	xf := c.asVec(xe)
+	if mask == 1 {
+		return lexpr{bit: func(m *lmach) (uint64, uint64) {
+			vv, uu := xf(m)
+			return packLanes(vv, shift), packLanes(uu, shift)
+		}}
+	}
 	reg := c.newReg()
-	return func(m *lmach) ([]uint64, []uint64) {
+	return lexpr{vec: func(m *lmach) ([]uint64, []uint64) {
 		vv, uu := xf(m)
 		ov, ou := m.reg(reg)
 		extractLanes(ov, vv, shift, mask)
-		if ou != nil {
-			extractLanes(ou, uu, shift, mask)
-		}
+		extractLanes(ou, uu, shift, mask)
 		return ov, ou
-	}
+	}}
 }
 
-func (c *laneCore) concatVec(fns []laneVecFn, widths []uint, masks []uint64) laneVecFn {
-	reg := c.newReg()
-	return func(m *lmach) ([]uint64, []uint64) {
+func (c *laneCore) concat(elems []lexpr, widths []uint, masks []uint64) lexpr {
+	fns, reg := c.vecs(elems), c.newReg()
+	return lexpr{vec: func(m *lmach) ([]uint64, []uint64) {
 		ov, ou := m.reg(reg)
 		clear(ov)
 		clear(ou)
@@ -1081,14 +1169,14 @@ func (c *laneCore) concatVec(fns []laneVecFn, widths []uint, masks []uint64) lan
 			}
 		}
 		return ov, ou
-	}
+	}}
 }
 
-func (c *laneCore) replVec(fn laneVecFn, reps int, uw uint, mask uint64) laneVecFn {
-	reg := c.newReg()
+func (c *laneCore) repl(fe lexpr, reps int, uw uint, mask uint64) lexpr {
+	fn, reg := c.asVec(fe), c.newReg()
 	repl := func(out, vv []uint64) {
-		for l := 0; l < 64; l++ {
-			ev := vv[l] & mask
+		for l, v := range vv {
+			ev := v & mask
 			var o uint64
 			for i := 0; i < reps; i++ {
 				o = (o << uw) | ev
@@ -1096,31 +1184,89 @@ func (c *laneCore) replVec(fn laneVecFn, reps int, uw uint, mask uint64) laneVec
 			out[l] = o
 		}
 	}
-	return func(m *lmach) ([]uint64, []uint64) {
+	return lexpr{vec: func(m *lmach) ([]uint64, []uint64) {
 		vv, uu := fn(m)
 		ov, ou := m.reg(reg)
 		repl(ov, vv)
-		if ou != nil {
-			repl(ou, uu)
-		}
+		repl(ou, uu)
 		return ov, ou
-	}
+	}}
 }
 
-// pastVec lowers $past(x, d) of a per-lane operand.
-func (c *laneCore) pastVec(pos verilog.Pos, vf laneVecFn, d int) laneVecFn {
-	zreg := c.constReg(0, 0)
-	return func(m *lmach) ([]uint64, []uint64) {
-		if m.rows == nil {
-			m.fail(evalErrf(pos, "$past outside sampled context"))
+// inSample reports whether m evaluates over sampled rows, failing the
+// batch with fn's positioned error when it does not.
+func (m *lmach) inSample(pos verilog.Pos, fn string) bool {
+	if m.rows != nil {
+		return true
+	}
+	m.fail(evalErrf(pos, "%s outside sampled context", fn))
+	return false
+}
+
+// past lowers $past(x, d): the operand evaluated against the sampled row d
+// cycles back, or the sampled default (0) before the start of time.
+func (c *laneCore) past(pos verilog.Pos, fe, _ lexpr, depth uint64) lexpr {
+	d := int(depth)
+	if bf := fe.bit; bf != nil {
+		return lexpr{bit: func(m *lmach) (uint64, uint64) {
+			if !m.inSample(pos, "$past") || m.idx < d {
+				return 0, 0
+			}
+			return m.evalAtBit(bf, m.idx-d)
+		}}
+	}
+	vf, zreg := fe.vec, c.constReg(0, 0)
+	return lexpr{vec: func(m *lmach) ([]uint64, []uint64) {
+		if !m.inSample(pos, "$past") || m.idx < d {
 			return m.reg(zreg)
 		}
-		j := m.idx - d
-		if j < 0 {
-			return m.reg(zreg) // before start of time: sampled default (0)
+		return m.evalAtVec(vf, m.idx-d)
+	}}
+}
+
+// sampled lowers $rose, $fell, $stable and $changed, which compare the
+// current sample with the previous cycle's (a zero sample at cycle 0):
+// $rose and $fell the least-significant bit, $stable and $changed the
+// whole value. Any x in either sample makes the lane x (v4Sampled).
+func (c *laneCore) sampled(pos verilog.Pos, name string, fe lexpr) lexpr {
+	rose, fell, stable := name == "$rose", name == "$fell", name == "$stable"
+	if bf := fe.bit; bf != nil || rose || fell {
+		if rose || fell {
+			bf = c.lsb(fe)
 		}
-		return m.evalAtVec(vf, j)
+		return lexpr{bit: func(m *lmach) (uint64, uint64) {
+			if !m.inSample(pos, name) {
+				return 0, 0
+			}
+			nv, nu := bf(m)
+			var bv, bu uint64
+			if m.idx > 0 {
+				bv, bu = m.evalAtBit(bf, m.idx-1)
+			}
+			unk := bu | nu
+			v := bv ^ nv // $changed
+			switch {
+			case rose:
+				v = ^bv & nv
+			case fell:
+				v = bv & ^nv
+			case stable:
+				v = ^v
+			}
+			return v &^ unk, unk
+		}}
 	}
+	vf, nowReg := fe.vec, c.newReg()
+	return lexpr{bit: func(m *lmach) (uint64, uint64) {
+		if !m.inSample(pos, name) {
+			return 0, 0
+		}
+		same, unk := m.sameSample(vf, nowReg)
+		if !stable {
+			same = ^same
+		}
+		return same &^ unk, unk
+	}}
 }
 
 // sameSample compares vf's per-lane sample at the current cycle with the
@@ -1131,19 +1277,31 @@ func (c *laneCore) pastVec(pos verilog.Pos, vf laneVecFn, d int) laneVecFn {
 func (m *lmach) sameSample(vf laneVecFn, r int) (same, unk uint64) {
 	vv, uu := vf(m)
 	if m.idx == 0 {
-		if uu != nil {
-			unk = nonzeroLanes(uu)
-		}
-		return ^nonzeroLanes(vv), unk
+		return ^nonzeroLanes(vv), nonzeroLanes(uu)
 	}
 	nv, nu := m.reg(r)
 	copy(nv, vv)
 	copy(nu, uu)
 	bv, bu := m.evalAtVec(vf, m.idx-1)
-	if nu != nil {
-		unk = nonzeroLanes(nu) | nonzeroLanes(bu)
+	return equalLanes(nv, bv), nonzeroLanes(nu) | nonzeroLanes(bu)
+}
+
+// bitUnary lowers a unary operator over a packed operand whose static mask
+// is 1, with the same word formulas in both domains: !, ~ and ~^ flip a
+// known bit and keep an x (v4Not), and -, +, &, | and ^ are identities on
+// a canonical single bit (-v&1 == v).
+func bitUnary(op verilog.UnaryOp, bf laneBitFn) (lexpr, bool) {
+	switch op {
+	case verilog.UnaryLogicalNot, verilog.UnaryBitNot, verilog.UnaryRedXnor:
+		return lexpr{bit: func(m *lmach) (uint64, uint64) {
+			v, u := bf(m)
+			return ^(v | u), u
+		}}, true
+	case verilog.UnaryMinus, verilog.UnaryPlus, verilog.UnaryRedAnd,
+		verilog.UnaryRedOr, verilog.UnaryRedXor:
+		return lexpr{bit: bf}, true
 	}
-	return equalLanes(nv, bv), unk
+	return lexpr{}, false
 }
 
 // ---------------------------------------------------------------------------
@@ -1153,106 +1311,22 @@ func (m *lmach) sameSample(vf laneVecFn, r int) (same, unk uint64) {
 // Nodes whose scalar value is provably in {0,1} and that have a word-wide
 // kernel emit packed form; everything else emits a per-lane loop with the
 // exact scalar formulas — in particular all arithmetic, whose carries a
-// packed word cannot represent.
+// packed word cannot represent. Every packed kernel here returns a zero
+// Unk word.
 
 // laneEmitter emits the two-state lane closures.
 type laneEmitter struct {
 	laneCore
 }
 
-// asVec adapts any lane expression to per-lane register form: a packed word
-// expands to {0,1} per lane, exactly the scalar values it encodes.
-func (c *laneEmitter) asVec(e lexpr) laneVecFn {
-	if e.vec != nil {
-		return e.vec
-	}
-	bf, reg := e.bit, c.newReg()
-	return func(m *lmach) ([]uint64, []uint64) { return m.spread(reg, bf(m), 0) }
-}
-
-// truth compiles a per-lane nonzero test into a packed word.
-func (c *laneEmitter) truth(e lexpr) laneBitFn {
-	if e.bit != nil {
-		return e.bit // values are {0,1}: the word is its own truth mask
-	}
-	vf := e.vec
-	return func(m *lmach) uint64 {
-		vv, _ := vf(m)
-		return nonzeroLanes(vv)
-	}
-}
-
-// bool3 is truth as assertion truth masks: two-state values are never x.
-func (c *laneEmitter) bool3(e lexpr) laneBoolFn {
-	tf := c.truth(e)
-	return func(m *lmach) (uint64, uint64) { return tf(m), 0 }
-}
-
-// lsb compiles the per-lane least-significant bit into a packed word (the
-// $rose/$fell sampling rule).
-func (c *laneEmitter) lsb(e lexpr) laneBitFn {
-	if e.bit != nil {
-		return e.bit
-	}
-	vf := e.vec
-	return func(m *lmach) uint64 {
-		vv, _ := vf(m)
-		return packLanes(vv, 0)
-	}
-}
-
-func (c *laneEmitter) ifStmt(ce lexpr, then, els laneStmtFn) laneStmtFn {
-	return laneIf(c.truth(ce), then, els)
-}
-
-func (c *laneEmitter) caseStmt(se lexpr, items []caseArm[lexpr, laneStmtFn], deflt laneStmtFn) laneStmtFn {
-	return c.laneCase(c.asVec(se), vecArms(items, c.asVec), deflt)
-}
-
-func (c *laneEmitter) packs(re lexpr, sig *compile.Signal) bool {
-	return re.bit != nil && packsWhole(sig)
-}
-
-func (c *laneEmitter) assign(re lexpr, mode writeMode, sig *compile.Signal, store laneStoreFn) laneStmtFn {
-	if c.packs(re, sig) {
-		slot, bf := int32(sig.Slot), re.bit
-		return func(m *lmach) { m.putBit(slot, mode, bf(m), 0) }
-	}
-	return storeFrom(c.asVec(re), store)
-}
-
-func (c *laneEmitter) storeIndex(sig *compile.Signal, ie lexpr, mode writeMode, inner laneStoreFn) laneStoreFn {
-	return c.indexStore(sig, c.asVec(ie), mode, inner)
-}
-
 func (c *laneEmitter) number(x *verilog.Number) lexpr { return c.param(x.Value) }
-
-// param classifies a broadcast constant: {0,1} values pack, anything else
-// becomes a prefilled vector register holding the raw scalar value.
-func (c *laneEmitter) param(v uint64) lexpr {
-	if v <= 1 {
-		w := -v
-		return lexpr{bit: func(*lmach) uint64 { return w }}
-	}
-	return lexpr{vec: c.constVec(v, 0)}
-}
-
-func (c *laneEmitter) signal(sig *compile.Signal) lexpr {
-	slot := int32(sig.Slot)
-	if sig.Width == 1 {
-		return lexpr{bit: func(m *lmach) uint64 { return m.readBit(slot) }}
-	}
-	return lexpr{vec: func(m *lmach) ([]uint64, []uint64) { return m.readVec(slot), nil }}
-}
-
-func (c *laneEmitter) fail(err error) lexpr { return lexpr{vec: c.failVec(err)} }
 
 func (c *laneEmitter) ternary(ce, xe, ye lexpr) lexpr {
 	cf := c.truth(ce)
 	if xe.bit != nil && ye.bit != nil {
 		xf, yf := xe.bit, ye.bit
-		return lexpr{bit: func(m *lmach) uint64 {
-			cw := cf(m)
+		return lexpr{bit: func(m *lmach) (uint64, uint64) {
+			cw, _ := cf(m)
 			// Arms evaluate lazily like the scalar plan when the
 			// selection is uniform across lanes.
 			if cw == ^uint64(0) {
@@ -1261,13 +1335,15 @@ func (c *laneEmitter) ternary(ce, xe, ye lexpr) lexpr {
 			if cw == 0 {
 				return yf(m)
 			}
-			return (cw & xf(m)) | (^cw & yf(m))
+			xw, _ := xf(m)
+			yw, _ := yf(m)
+			return (cw & xw) | (^cw & yw), 0
 		}}
 	}
 	xf, yf := c.asVec(xe), c.asVec(ye)
 	reg := c.newReg()
 	return lexpr{vec: func(m *lmach) ([]uint64, []uint64) {
-		cw := cf(m)
+		cw, _ := cf(m)
 		if cw == ^uint64(0) {
 			return xf(m)
 		}
@@ -1284,7 +1360,7 @@ func (c *laneEmitter) ternary(ce, xe, ye lexpr) lexpr {
 
 func (c *laneEmitter) index(xe, ie lexpr) lexpr {
 	xf, idxFn := c.asVec(xe), c.asVec(ie)
-	return lexpr{bit: func(m *lmach) uint64 {
+	return lexpr{bit: func(m *lmach) (uint64, uint64) {
 		// Base before index, matching the interpreter's order.
 		vv, _ := xf(m)
 		iv, _ := idxFn(m)
@@ -1294,27 +1370,8 @@ func (c *laneEmitter) index(xe, ie lexpr) lexpr {
 				w |= ((vv[l] >> idx) & 1) << uint(l)
 			}
 		}
-		return w
+		return w, 0
 	}}
-}
-
-func (c *laneEmitter) slice(xe lexpr, shift uint, mask uint64) lexpr {
-	xf := c.asVec(xe)
-	if mask == 1 {
-		return lexpr{bit: func(m *lmach) uint64 {
-			vv, _ := xf(m)
-			return packLanes(vv, shift)
-		}}
-	}
-	return lexpr{vec: c.sliceVec(xf, shift, mask)}
-}
-
-func (c *laneEmitter) concat(elems []lexpr, widths []uint, masks []uint64) lexpr {
-	return lexpr{vec: c.concatVec(vecsOf(elems, c.asVec), widths, masks)}
-}
-
-func (c *laneEmitter) repl(fe lexpr, reps int, uw uint, mask uint64) lexpr {
-	return lexpr{vec: c.replVec(c.asVec(fe), reps, uw, mask)}
 }
 
 func (c *laneEmitter) unary(op verilog.UnaryOp, xe lexpr, mask uint64) (lexpr, bool) {
@@ -1322,25 +1379,17 @@ func (c *laneEmitter) unary(op verilog.UnaryOp, xe lexpr, mask uint64) (lexpr, b
 	// static mask is 1: a {0,1}-valued operand with a wider static width
 	// (e.g. a 1-valued parameter) must reduce over the full mask.
 	if xe.bit != nil && mask == 1 {
-		bf := xe.bit
-		switch op {
-		case verilog.UnaryLogicalNot, verilog.UnaryBitNot, verilog.UnaryRedXnor:
-			return lexpr{bit: func(m *lmach) uint64 { return ^bf(m) }}, true
-		case verilog.UnaryMinus, verilog.UnaryPlus, verilog.UnaryRedAnd,
-			verilog.UnaryRedOr, verilog.UnaryRedXor:
-			// All identities on a single bit: -(v&1)&1 == v for v in {0,1}.
-			return lexpr{bit: bf}, true
-		}
+		return bitUnary(op, xe.bit)
 	}
 	xf := c.asVec(xe)
 	packed := func(per func(v uint64) uint64) lexpr {
-		return lexpr{bit: func(m *lmach) uint64 {
+		return lexpr{bit: func(m *lmach) (uint64, uint64) {
 			vv, _ := xf(m)
 			var w uint64
 			for l := 0; l < 64; l++ {
 				w |= per(vv[l]) << uint(l)
 			}
-			return w
+			return w, 0
 		}}
 	}
 	vec := func(per func(v uint64) uint64) lexpr {
@@ -1376,86 +1425,79 @@ func (c *laneEmitter) unary(op verilog.UnaryOp, xe lexpr, mask uint64) (lexpr, b
 }
 
 func (c *laneEmitter) binary(op verilog.BinaryOp, ae, be lexpr, w int) (lexpr, bool) {
-	bothBit := ae.bit != nil && be.bit != nil
+	af, bf := ae.bit, be.bit
+	bothBit := af != nil && bf != nil
 	switch op {
 	case verilog.BinLogAnd:
-		af, bf := c.truth(ae), c.truth(be)
-		return lexpr{bit: func(m *lmach) uint64 {
-			a := af(m)
+		at, bt := c.truth(ae), c.truth(be)
+		return lexpr{bit: func(m *lmach) (uint64, uint64) {
+			a, _ := at(m)
 			// Short-circuit like the scalar plan when no lane needs the RHS.
 			if a == 0 {
-				return 0
+				return 0, 0
 			}
-			return a & bf(m)
+			b, _ := bt(m)
+			return a & b, 0
 		}}, true
 	case verilog.BinLogOr:
-		af, bf := c.truth(ae), c.truth(be)
-		return lexpr{bit: func(m *lmach) uint64 {
-			a := af(m)
+		at, bt := c.truth(ae), c.truth(be)
+		return lexpr{bit: func(m *lmach) (uint64, uint64) {
+			a, _ := at(m)
 			if a == ^uint64(0) {
-				return a
+				return a, 0
 			}
-			return a | bf(m)
+			b, _ := bt(m)
+			return a | b, 0
 		}}, true
 	case verilog.BinAnd:
 		if bothBit {
-			af, bf := ae.bit, be.bit
-			return lexpr{bit: func(m *lmach) uint64 { return af(m) & bf(m) }}, true
+			return lexpr{bit: func(m *lmach) (uint64, uint64) { a, _ := af(m); b, _ := bf(m); return a & b, 0 }}, true
 		}
 		return c.vecBin(ae, be, func(a, b uint64) uint64 { return a & b }), true
 	case verilog.BinOr:
 		if bothBit {
-			af, bf := ae.bit, be.bit
-			return lexpr{bit: func(m *lmach) uint64 { return af(m) | bf(m) }}, true
+			return lexpr{bit: func(m *lmach) (uint64, uint64) { a, _ := af(m); b, _ := bf(m); return a | b, 0 }}, true
 		}
 		return c.vecBin(ae, be, func(a, b uint64) uint64 { return a | b }), true
 	case verilog.BinXor:
 		if bothBit {
-			af, bf := ae.bit, be.bit
-			return lexpr{bit: func(m *lmach) uint64 { return af(m) ^ bf(m) }}, true
+			return lexpr{bit: func(m *lmach) (uint64, uint64) { a, _ := af(m); b, _ := bf(m); return a ^ b, 0 }}, true
 		}
 		return c.vecBin(ae, be, func(a, b uint64) uint64 { return a ^ b }), true
 	case verilog.BinXnor:
 		mask := maskFor(w)
 		if bothBit && mask == 1 {
-			af, bf := ae.bit, be.bit
-			return lexpr{bit: func(m *lmach) uint64 { return ^(af(m) ^ bf(m)) }}, true
+			return lexpr{bit: func(m *lmach) (uint64, uint64) { a, _ := af(m); b, _ := bf(m); return ^(a ^ b), 0 }}, true
 		}
 		return c.vecBin(ae, be, func(a, b uint64) uint64 { return ^(a ^ b) & mask }), true
 	case verilog.BinEq, verilog.BinCaseEq:
 		if bothBit {
-			af, bf := ae.bit, be.bit
-			return lexpr{bit: func(m *lmach) uint64 { return ^(af(m) ^ bf(m)) }}, true
+			return lexpr{bit: func(m *lmach) (uint64, uint64) { a, _ := af(m); b, _ := bf(m); return ^(a ^ b), 0 }}, true
 		}
 		return c.packedCmp(ae, be, func(a, b uint64) bool { return a == b }), true
 	case verilog.BinNe, verilog.BinCaseNe:
 		if bothBit {
-			af, bf := ae.bit, be.bit
-			return lexpr{bit: func(m *lmach) uint64 { return af(m) ^ bf(m) }}, true
+			return lexpr{bit: func(m *lmach) (uint64, uint64) { a, _ := af(m); b, _ := bf(m); return a ^ b, 0 }}, true
 		}
 		return c.packedCmp(ae, be, func(a, b uint64) bool { return a != b }), true
 	case verilog.BinLt:
 		if bothBit {
-			af, bf := ae.bit, be.bit
-			return lexpr{bit: func(m *lmach) uint64 { return ^af(m) & bf(m) }}, true
+			return lexpr{bit: func(m *lmach) (uint64, uint64) { a, _ := af(m); b, _ := bf(m); return ^a & b, 0 }}, true
 		}
 		return c.packedCmp(ae, be, func(a, b uint64) bool { return a < b }), true
 	case verilog.BinLe:
 		if bothBit {
-			af, bf := ae.bit, be.bit
-			return lexpr{bit: func(m *lmach) uint64 { return ^af(m) | bf(m) }}, true
+			return lexpr{bit: func(m *lmach) (uint64, uint64) { a, _ := af(m); b, _ := bf(m); return ^a | b, 0 }}, true
 		}
 		return c.packedCmp(ae, be, func(a, b uint64) bool { return a <= b }), true
 	case verilog.BinGt:
 		if bothBit {
-			af, bf := ae.bit, be.bit
-			return lexpr{bit: func(m *lmach) uint64 { return af(m) & ^bf(m) }}, true
+			return lexpr{bit: func(m *lmach) (uint64, uint64) { a, _ := af(m); b, _ := bf(m); return a &^ b, 0 }}, true
 		}
 		return c.packedCmp(ae, be, func(a, b uint64) bool { return a > b }), true
 	case verilog.BinGe:
 		if bothBit {
-			af, bf := ae.bit, be.bit
-			return lexpr{bit: func(m *lmach) uint64 { return af(m) | ^bf(m) }}, true
+			return lexpr{bit: func(m *lmach) (uint64, uint64) { a, _ := af(m); b, _ := bf(m); return a | ^b, 0 }}, true
 		}
 		return c.packedCmp(ae, be, func(a, b uint64) bool { return a >= b }), true
 	case verilog.BinAdd:
@@ -1520,7 +1562,7 @@ func (c *laneEmitter) vecBin(ae, be lexpr, op func(a, b uint64) uint64) lexpr {
 // packedCmp lowers a comparison to per-lane evaluation packed into a word.
 func (c *laneEmitter) packedCmp(ae, be lexpr, op func(a, b uint64) bool) lexpr {
 	af, bf := c.asVec(ae), c.asVec(be)
-	return lexpr{bit: func(m *lmach) uint64 {
+	return lexpr{bit: func(m *lmach) (uint64, uint64) {
 		av, _ := af(m)
 		bv, _ := bf(m)
 		var w uint64
@@ -1529,19 +1571,15 @@ func (c *laneEmitter) packedCmp(ae, be lexpr, op func(a, b uint64) bool) lexpr {
 				w |= 1 << uint(l)
 			}
 		}
-		return w
+		return w, 0
 	}}
 }
 
 func (c *laneEmitter) reduce(name string, fe lexpr, mask uint64) lexpr {
 	if name == "$isunknown" {
 		// Two-state: never unknown; evaluate the argument for error effects.
-		if fe.bit != nil {
-			bf := fe.bit
-			return lexpr{bit: func(m *lmach) uint64 { bf(m); return 0 }}
-		}
-		vf := fe.vec
-		return lexpr{bit: func(m *lmach) uint64 { vf(m); return 0 }}
+		tf := c.truth(fe)
+		return lexpr{bit: func(m *lmach) (uint64, uint64) { tf(m); return 0, 0 }}
 	}
 	fn := c.asVec(fe)
 	switch name {
@@ -1556,7 +1594,7 @@ func (c *laneEmitter) reduce(name string, fe lexpr, mask uint64) lexpr {
 			return out, nil
 		}}
 	case "$onehot":
-		return lexpr{bit: func(m *lmach) uint64 {
+		return lexpr{bit: func(m *lmach) (uint64, uint64) {
 			vv, _ := fn(m)
 			var w uint64
 			for l := 0; l < 64; l++ {
@@ -1564,10 +1602,10 @@ func (c *laneEmitter) reduce(name string, fe lexpr, mask uint64) lexpr {
 					w |= 1 << uint(l)
 				}
 			}
-			return w
+			return w, 0
 		}}
 	default: // $onehot0
-		return lexpr{bit: func(m *lmach) uint64 {
+		return lexpr{bit: func(m *lmach) (uint64, uint64) {
 			vv, _ := fn(m)
 			var w uint64
 			for l := 0; l < 64; l++ {
@@ -1575,81 +1613,7 @@ func (c *laneEmitter) reduce(name string, fe lexpr, mask uint64) lexpr {
 					w |= 1 << uint(l)
 				}
 			}
-			return w
+			return w, 0
 		}}
 	}
-}
-
-func (c *laneEmitter) past(pos verilog.Pos, fe, _ lexpr, depth uint64) lexpr {
-	d := int(depth)
-	if fe.bit == nil {
-		return lexpr{vec: c.pastVec(pos, fe.vec, d)}
-	}
-	bf := fe.bit
-	return lexpr{bit: func(m *lmach) uint64 {
-		if m.rows == nil {
-			m.fail(evalErrf(pos, "$past outside sampled context"))
-			return 0
-		}
-		j := m.idx - d
-		if j < 0 {
-			return 0 // before start of time: sampled default (0)
-		}
-		return m.evalAtBit(bf, j)
-	}}
-}
-
-func (c *laneEmitter) sampled(pos verilog.Pos, name string, fe lexpr) lexpr {
-	if name == "$rose" || name == "$fell" {
-		bf := c.lsb(fe)
-		rose := name == "$rose"
-		return lexpr{bit: func(m *lmach) uint64 {
-			if m.rows == nil {
-				m.fail(evalErrf(pos, "%s outside sampled context", name))
-				return 0
-			}
-			now := bf(m)
-			var before uint64
-			if m.idx > 0 {
-				before = m.evalAtBit(bf, m.idx-1)
-			}
-			if rose {
-				return ^before & now
-			}
-			return before & ^now
-		}}
-	}
-	// $stable and $changed: same is the lanes whose sample equals the
-	// previous one (a zero sample at cycle 0).
-	stable := name == "$stable"
-	if fe.bit != nil {
-		bf := fe.bit
-		return lexpr{bit: func(m *lmach) uint64 {
-			if m.rows == nil {
-				m.fail(evalErrf(pos, "%s outside sampled context", name))
-				return 0
-			}
-			now := bf(m)
-			var before uint64
-			if m.idx > 0 {
-				before = m.evalAtBit(bf, m.idx-1)
-			}
-			if stable {
-				return ^(before ^ now)
-			}
-			return before ^ now
-		}}
-	}
-	vf, nowReg := fe.vec, c.newReg()
-	return lexpr{bit: func(m *lmach) uint64 {
-		if m.rows == nil {
-			m.fail(evalErrf(pos, "%s outside sampled context", name))
-			return 0
-		}
-		same, _ := m.sameSample(vf, nowReg)
-		if stable {
-			return same
-		}
-		return ^same
-	}}
 }
