@@ -165,30 +165,6 @@ func EvalTypeLabels() []string {
 // train and test stay module-disjoint.
 func (s *SVASample) TrainOnly() bool { return s.Syn == "Reset" }
 
-// SplitByModule performs the paper's train/test separation: samples are
-// organised into the five code-length bins, the unique module names within
-// each bin are enumerated, and trainFrac of the names (uniformly, seeded)
-// go to the training set with all their samples. Samples from the remaining
-// names form the test set, keeping train and test module-disjoint.
-// TrainOnly samples never enter the test set (dropped when their module is
-// a test module).
-func SplitByModule(samples []SVASample, trainFrac float64, seed int64) (train, test []SVASample) {
-	var names ModuleNames
-	for i := range samples {
-		names.Add(&samples[i])
-	}
-	trainNames := TrainNames(names.ByBin, trainFrac, seed)
-	for _, s := range samples {
-		switch SideOf(trainNames, s.Module, s.TrainOnly()) {
-		case SideTrain:
-			train = append(train, s)
-		case SideTest:
-			test = append(test, s)
-		}
-	}
-	return train, test
-}
-
 // ModuleNames collects a sample stream's unique module names per length
 // bin, in first-seen order: the population the module split is drawn
 // from. The zero value is ready to use.
@@ -236,10 +212,10 @@ func SideOf(trainNames map[string]bool, module string, trainOnly bool) Side {
 // TrainNames picks the train side of the module-name split: within each
 // length bin, trainFrac of the unique names (uniformly, seeded), always
 // leaving at least one test name in any bin with more than one module.
-// This is the name-level core of SplitByModule, exposed so streaming
-// pipelines — which cannot hold every sample in memory — can split by
-// collecting only (module, bin) pairs and routing samples in a second
-// pass.
+// With ModuleNames and SideOf it is the paper's train/test separation:
+// collect the (module, bin) pairs of a sample stream, pick the train
+// names, then route every sample by its module in a second pass, so a
+// streaming pipeline never holds the samples in memory.
 func TrainNames(namesByBin map[int][]string, trainFrac float64, seed int64) map[string]bool {
 	rng := rand.New(rand.NewSource(seed))
 	trainNames := map[string]bool{}

@@ -24,7 +24,7 @@ func TestSplitByModuleDisjoint(t *testing.T) {
 			samples = append(samples, sample(n, 30, "Op", false, true))
 		}
 	}
-	train, test := SplitByModule(samples, 0.9, 7)
+	train, test := splitSamples(samples, 0.9, 7)
 	if len(train)+len(test) != len(samples) {
 		t.Fatalf("split lost samples: %d + %d != %d", len(train), len(test), len(samples))
 	}
@@ -51,7 +51,7 @@ func TestSplitKeepsTestModulePerBin(t *testing.T) {
 	for _, n := range []string{"d", "e"} {
 		samples = append(samples, sample(n, 130, "Var", true, false))
 	}
-	_, test := SplitByModule(samples, 0.95, 1)
+	_, test := splitSamples(samples, 0.95, 1)
 	bins := map[int]bool{}
 	for _, s := range test {
 		bins[s.BinIndex()] = true
@@ -66,8 +66,8 @@ func TestSplitDeterministic(t *testing.T) {
 	for _, n := range []string{"m1", "m2", "m3", "m4", "m5"} {
 		samples = append(samples, sample(n, 40, "Op", false, true))
 	}
-	t1, _ := SplitByModule(samples, 0.8, 9)
-	t2, _ := SplitByModule(samples, 0.8, 9)
+	t1, _ := splitSamples(samples, 0.8, 9)
+	t2, _ := splitSamples(samples, 0.8, 9)
 	if len(t1) != len(t2) {
 		t.Fatal("split not deterministic")
 	}
@@ -196,7 +196,7 @@ func TestSplitProperty(t *testing.T) {
 				Syn: "Op", Origin: "machine",
 			})
 		}
-		train, test := SplitByModule(samples, 0.9, seed)
+		train, test := splitSamples(samples, 0.9, seed)
 		if len(train)+len(test) != len(samples) {
 			return false
 		}

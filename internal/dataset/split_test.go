@@ -20,8 +20,28 @@ func splitFixture() []SVASample {
 	return out
 }
 
+// splitSamples splits an in-memory sample set the way augment.Split does a
+// stream: collect the module names per bin, pick the train names, route
+// each sample by SideOf. Dropped samples go to neither side.
+func splitSamples(samples []SVASample, trainFrac float64, seed int64) (train, test []SVASample) {
+	var names ModuleNames
+	for i := range samples {
+		names.Add(&samples[i])
+	}
+	trainNames := TrainNames(names.ByBin, trainFrac, seed)
+	for _, s := range samples {
+		switch SideOf(trainNames, s.Module, s.TrainOnly()) {
+		case SideTrain:
+			train = append(train, s)
+		case SideTest:
+			test = append(test, s)
+		}
+	}
+	return train, test
+}
+
 func TestSplitByModuleEmptyInput(t *testing.T) {
-	train, test := SplitByModule(nil, 0.9, 1)
+	train, test := splitSamples(nil, 0.9, 1)
 	if len(train) != 0 || len(test) != 0 {
 		t.Fatalf("empty input produced %d/%d samples", len(train), len(test))
 	}
@@ -31,7 +51,7 @@ func TestSplitByModuleEmptyInput(t *testing.T) {
 // bin keeps one held-out module, so the benchmark is never empty.
 func TestSplitByModuleTrainFracOne(t *testing.T) {
 	samples := splitFixture()
-	train, test := SplitByModule(samples, 1, 7)
+	train, test := splitSamples(samples, 1, 7)
 	if len(train)+len(test) != len(samples) {
 		t.Fatalf("split lost samples: %d+%d != %d", len(train), len(test), len(samples))
 	}
@@ -62,7 +82,7 @@ func TestSplitByModuleTrainFracOne(t *testing.T) {
 // everything trains.
 func TestSplitByModuleSingleModule(t *testing.T) {
 	samples := splitFixture()[:3] // all m00
-	train, test := SplitByModule(samples, 0.9, 3)
+	train, test := splitSamples(samples, 0.9, 3)
 	if len(test) != 0 || len(train) != 3 {
 		t.Fatalf("single module split %d/%d, want 3/0", len(train), len(test))
 	}
@@ -70,22 +90,23 @@ func TestSplitByModuleSingleModule(t *testing.T) {
 
 func TestSplitByModuleDeterministic(t *testing.T) {
 	samples := splitFixture()
-	t1, e1 := SplitByModule(samples, 0.75, 42)
-	t2, e2 := SplitByModule(splitFixture(), 0.75, 42)
+	t1, e1 := splitSamples(samples, 0.75, 42)
+	t2, e2 := splitSamples(splitFixture(), 0.75, 42)
 	if !reflect.DeepEqual(t1, t2) || !reflect.DeepEqual(e1, e2) {
 		t.Fatal("same seed produced different splits")
 	}
-	t3, _ := SplitByModule(samples, 0.75, 43)
+	t3, _ := splitSamples(samples, 0.75, 43)
 	if reflect.DeepEqual(t1, t3) {
 		t.Log("different seeds produced the same split (possible, but suspicious for this fixture)")
 	}
 }
 
-// TestTrainNamesMatchesSplit: the name-level split must agree with the
-// sample-level split, so the streaming two-pass route is equivalent.
+// TestTrainNamesMatchesSplit: TrainNames over hand-collected names must
+// pick exactly the modules the sample-level split trains, so ModuleNames
+// collects the same population.
 func TestTrainNamesMatchesSplit(t *testing.T) {
 	samples := splitFixture()
-	train, _ := SplitByModule(samples, 0.8, 9)
+	train, _ := splitSamples(samples, 0.8, 9)
 	want := map[string]bool{}
 	for _, s := range train {
 		want[s.Module] = true

@@ -1103,6 +1103,9 @@ func (c *laneCore) param(v uint64) lexpr { return c.konst(known(v)) }
 func (c *laneCore) konst(v V4) lexpr {
 	if v.Val|v.Unk <= 1 {
 		vw, uw := -v.Val, -v.Unk
+		if uw == 0 { // every two-state constant: a one-word closure
+			return lexpr{bit: func(*lmach) (uint64, uint64) { return vw, 0 }}
+		}
 		return lexpr{bit: func(*lmach) (uint64, uint64) { return vw, uw }}
 	}
 	reg := c.constReg(v.Val, v.Unk)
@@ -1578,8 +1581,12 @@ func (c *laneEmitter) packedCmp(ae, be lexpr, op func(a, b uint64) bool) lexpr {
 func (c *laneEmitter) reduce(name string, fe lexpr, mask uint64) lexpr {
 	if name == "$isunknown" {
 		// Two-state: never unknown; evaluate the argument for error effects.
-		tf := c.truth(fe)
-		return lexpr{bit: func(m *lmach) (uint64, uint64) { tf(m); return 0, 0 }}
+		if fe.bit != nil {
+			bf := fe.bit
+			return lexpr{bit: func(m *lmach) (uint64, uint64) { bf(m); return 0, 0 }}
+		}
+		vf := fe.vec
+		return lexpr{bit: func(m *lmach) (uint64, uint64) { vf(m); return 0, 0 }}
 	}
 	fn := c.asVec(fe)
 	switch name {
