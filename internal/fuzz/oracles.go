@@ -105,11 +105,11 @@ func RoundTripSource(src string) error {
 
 // EngineEquivalence simulates the program on the compiled slot-indexed plan
 // (sim.RunVecCtx) and the reference interpreter (sim.RunReferenceCtx) under
-// the same random stimulus and requires byte-identical traces, identical SVA
-// verdicts and identical failure logs — first in the two-state domain, then
-// in the four-state domain, where both value planes (Val and Unk) are
-// compared on every trace row. Programs that do not compile are out of
-// scope and pass vacuously.
+// the same random stimulus and requires the same run error text (or none),
+// byte-identical traces, identical SVA verdicts and identical failure logs —
+// first in the two-state domain, then in the four-state domain, where both
+// value planes (Val and Unk) are compared on every trace row. Programs that
+// do not compile are out of scope and pass vacuously.
 func EngineEquivalence(src string, seed int64) error {
 	d1, diags, err := compile.Compile(src)
 	if err != nil || compile.HasErrors(diags) || d1 == nil {
@@ -123,7 +123,7 @@ func EngineEquivalence(src string, seed int64) error {
 
 	tr1, err1 := sim.RunVecCtx(context.Background(), d1, vec, sim.TwoState)
 	tr2, err2 := sim.RunReferenceCtx(context.Background(), d2, maps, sim.TwoState)
-	if (err1 == nil) != (err2 == nil) {
+	if !sameError(err1, err2) {
 		return violation("engine-equivalence", "sim-error", src, "plan err=%v, reference err=%v", err1, err2)
 	}
 	if err1 == nil {
@@ -135,7 +135,7 @@ func EngineEquivalence(src string, seed int64) error {
 	// Four-state pass: same stimulus over x-initialised state.
 	tr3, err3 := sim.Run(context.Background(), d1, maps, sim.FourState)
 	tr4, err4 := sim.RunReferenceCtx(context.Background(), d2, maps, sim.FourState)
-	if (err3 == nil) != (err4 == nil) {
+	if !sameError(err3, err4) {
 		return violation("engine-equivalence", "sim-error-4state", src, "plan err=%v, reference err=%v", err3, err4)
 	}
 	if err3 == nil {
@@ -150,6 +150,15 @@ func EngineEquivalence(src string, seed int64) error {
 		return v
 	}
 	return laneEquivalence(src, d1, vec, rng, sim.FourState, "-lane-4state")
+}
+
+// sameError reports whether two engines' run errors agree: both nil, or
+// both failing with the same text, which a verdict's log carries.
+func sameError(a, b error) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	return a.Error() == b.Error()
 }
 
 // laneEquivalence packs vec with freshly generated sibling stimuli into one

@@ -17,22 +17,28 @@
 // (Trace.Value, Trace.Format), and the SVA checker evaluates property terms
 // through the plan's compiled closures (Trace.CompileExpr4).
 //
-// One plan machine and one statement and store layer (plan.go) serve both
-// value domains. The four-state domain runs them over two parallel planes
-// — Val (known bit values) and Unk (unknown-bit masks); in two-state the
-// Unk planes are nil and every store receives unk 0, tested once per call
-// or per slot. A whole-signal assignment fuses its masked write into the
-// assignment closure, one closure per write mode. Only the expression
-// kernels and branch tests are per domain: the four-state ones (plan4.go)
-// form a lowering built lazily on the first four-state run, so the
-// two-state plan, which is the formal checker's hot path, pays nothing for
-// it. Both domains share one definition of the operator semantics
-// (v4.go), and the interpretive
-// Simulator remains the reference implementation for each: Run and
-// RunVecCtx fall back to it (via RunReferenceCtx) for designs the planner
-// cannot lower (dynamic slice bounds, non-constant replication counts),
-// and the differential tests plus the cross-engine fuzzer hold the two
-// backends identical plane-for-plane.
+// One plan machine, one statement and store layer and one expression form
+// (plan.go) serve both value domains: a compiled expression yields a value
+// word and an Unk word. The four-state domain runs over two parallel planes
+// — Val (known bit values) and Unk (unknown-bit masks); in two-state the Unk
+// planes are nil and every Unk word is 0, tested once per call or per slot,
+// and a signal read picks its reader at build time, so the two-state reader
+// never touches an Unk plane. A whole-signal assignment fuses its masked
+// write into the assignment closure, one closure per write mode. Every
+// kernel whose four-state formula, with nothing x, is the two-state one is
+// written once (planCore): constants, signals, slices, concatenation,
+// replication, $past, the sampled-value functions, if, case and every store.
+// Only number, ternary, index, unary, binary and the reductions are per
+// domain — x literals, the x-merge of ?:, an unknown index, the operators' x
+// rules and div/mod by zero. The four-state lowering (plan4.go) is built
+// lazily on the first four-state run, so the two-state plan, which is the
+// formal checker's hot path, pays nothing for it. Both domains share one
+// definition of the operator semantics (v4.go), and the interpretive
+// Simulator remains the reference implementation for each: Run and RunVecCtx
+// fall back to it (via RunReferenceCtx) for designs the planner cannot lower
+// (dynamic slice bounds, non-constant replication counts), and the
+// differential tests plus the cross-engine fuzzer hold the two backends
+// identical plane-for-plane.
 //
 // Every lowering — the plan and the lane engine, in either value domain —
 // runs through one front end (lower.go). It walks the design's

@@ -9,12 +9,13 @@ import (
 
 // This file is the lowering front end shared by the four execution engines:
 // the scalar plan and the lane engine, each in both value domains. Each
-// engine has one machine and statement layer (plan.go, lanes.go) and keeps
-// its four-state expression kernels apart (plan4.go, lanes4.go). It walks
-// the design's AST and makes every plannability decision in one place:
-// which statements, assignment targets and expressions lower, the constant
-// slice bounds, replication counts and $past depths, and the static widths
-// masks depend on. Each engine is an emitter: given operands the front end has already
+// engine has one machine, statement layer and expression form for both
+// domains (plan.go, lanes.go), and keeps apart only the four-state kernels
+// whose formulas differ (plan4.go, lanes4.go). It walks the design's AST and
+// makes every plannability decision in one place: which statements,
+// assignment targets and expressions lower, the constant slice bounds,
+// replication counts and $past depths, and the static widths masks depend
+// on. Each engine is an emitter: given operands the front end has already
 // lowered and validated, it returns the closure its machine runs. Emitters
 // are called only while a plan is built, and the front end creates no
 // closure a simulation cycle runs, so the per-cycle loop executes engine

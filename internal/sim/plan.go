@@ -9,18 +9,22 @@ import (
 	"repro/internal/verilog"
 )
 
-// Plan is the compile-once execution plan for a design. Built by PlanOf the
-// first time a design is simulated and cached on the design itself (so
-// internal/verify's verdict cache keeps plans alive alongside verdicts), it
-// lowers every continuous assignment, always block and assertion-referenced
-// expression into slot-addressed evaluation closures over []uint64 state.
-// The hot loop then never touches the AST and never hashes a signal name.
+// Plan is the compile-once execution plan for a design. PlanOf builds it
+// the first time a design is simulated and caches it on the design itself,
+// so it lives as long as the design. (internal/verify's verdict cache keeps
+// records, plus the Design of a compile-only check, so only those cache
+// entries keep a plan alive.) A plan lowers every continuous assignment,
+// always block and assertion-referenced expression into slot-addressed
+// evaluation closures over []uint64 state. The hot loop then never touches
+// the AST and never hashes a signal name.
 //
-// One machine (mach) and one statement and store layer serve both value
-// domains: in four-state every value carries an Unk plane, in two-state the
-// plane is absent (nil) and stores receive unk 0. Only the expression
-// kernels and the branch tests differ per domain; the four-state ones are in
-// plan4.go.
+// One machine (mach), one statement and store layer and one expression form
+// (evalFn) serve both value domains: in four-state every value carries an
+// Unk plane, in two-state the plane is absent (nil) and every expression's
+// Unk word is 0. planCore writes every kernel whose four-state formula,
+// with nothing x, is the two-state one; only number, ternary, index,
+// unary, binary and the reductions are written per domain (planEmitter
+// here, plan4Emitter in plan4.go).
 //
 // A Plan is immutable after construction and safe for concurrent use; all
 // mutable state lives in the per-run mach.
@@ -54,9 +58,17 @@ type Plan struct {
 	pl    [2]*LanePlan
 }
 
-// evalFn evaluates a compiled two-state expression against the machine
-// state. Failures are recorded via mach.fail; the returned value is then 0.
-type evalFn func(m *mach) uint64
+// evalFn evaluates a compiled expression against the machine state, in
+// either value domain: val and unk are its value and Unk words, canonical
+// (val is 0 wherever unk is 1), and unk is always 0 in two-state. Failures
+// are recorded via mach.fail.
+type evalFn func(m *mach) (val, unk uint64)
+
+// val evaluates fn for its value word alone.
+func (fn evalFn) val(m *mach) uint64 {
+	v, _ := fn(m)
+	return v
+}
 
 // stmtFn executes a compiled statement or continuous assignment against the
 // machine state, in either value domain.
@@ -185,15 +197,6 @@ func (m *mach) read(slot int32) uint64 {
 		return m.ovlVal[slot]
 	}
 	return m.vals[slot]
-}
-
-// read4 reads a slot's value and Unk planes through the blocking overlay
-// (four-state machines only).
-func (m *mach) read4(slot int32) V4 {
-	if m.ovlGen[slot] == m.gen {
-		return V4{Val: m.ovlVal[slot], Unk: m.ovlUnk[slot]}
-	}
-	return V4{Val: m.vals[slot], Unk: m.unks[slot]}
 }
 
 // unkAt returns plane[slot], or 0 when the plane is absent (two-state).
@@ -351,17 +354,29 @@ func (m *mach) edge(fired uint64) error {
 	return m.settle()
 }
 
-// evalAt evaluates a compiled expression of either domain against an
-// earlier sampled row, restoring the current frame afterwards.
-func evalAt[V uint64 | V4](m *mach, fn func(*mach) V, idx int) V {
+// evalAt evaluates a compiled expression against an earlier sampled row,
+// restoring the current frame afterwards.
+func evalAt(m *mach, fn evalFn, idx int) (v, u uint64) {
 	vals, unks, cur := m.vals, m.unks, m.idx
 	m.vals, m.idx = m.rows[idx], idx
 	if m.rows4 != nil {
 		m.unks = m.rows4[idx]
 	}
-	v := fn(m)
+	v, u = fn(m)
 	m.vals, m.unks, m.idx = vals, unks, cur
-	return v
+	return v, u
+}
+
+// lowering returns the plan's lowering of mode's value domain, building the
+// four-state one on first use; nil when that could not be lowered.
+func (p *Plan) lowering(mode Mode) *lowered[evalFn, stmtFn] {
+	if mode == TwoState {
+		return &p.lowered
+	}
+	if p4 := p.fourState(); p4 != nil {
+		return &p4.lowered
+	}
+	return nil
 }
 
 // ---------------------------------------------------------------------------
@@ -384,7 +399,7 @@ func buildPlan(d *compile.Design) *Plan {
 	if d.MultiClock() {
 		p.seqDomain = d.DomainOf
 	}
-	l, ok := lower[evalFn, stmtFn, stmtVFn](d, &planEmitter{}, false, false)
+	l, ok := lower(d, planEmitters[TwoState], false, false)
 	if !ok {
 		return nil
 	}
@@ -393,17 +408,47 @@ func buildPlan(d *compile.Design) *Plan {
 }
 
 // ---------------------------------------------------------------------------
-// Statements and stores, shared by both value domains
+// Kernels shared by both value domains
 // ---------------------------------------------------------------------------
 
-// planCore is the statement and store layer both scalar emitters embed.
-// Stores take a value and its Unk plane; two-state callers pass unk 0.
-type planCore struct{}
+// planCore is the scalar plan's emitter in either value domain. It writes
+// the statement layer, every store, and every expression kernel whose
+// four-state formula, with nothing x, is the two-state one; the six whose
+// formulas differ come from its domain's planKernels. Stores take a value
+// and its Unk word; in two-state the word is 0.
+//
+// The shared kernels are planCore's own methods, and the per-domain ones
+// pointer methods called through an interface. Go inlines a small method
+// into the wrapper it generates for a promoted or value method, and
+// compiles the closure copy that makes without inlining the closure's own
+// calls, so a signal read would cost a call per evaluation.
+type planCore struct {
+	four bool // four-state: machines carry Unk planes
+	planKernels
+}
 
-func (planCore) nop() stmtFn { return func(*mach) {} }
+// planKernels are the scalar expression kernels written per value domain:
+// planEmitter (two-state) and plan4Emitter (four-state).
+type planKernels interface {
+	number(x *verilog.Number) evalFn
+	ternary(cond, x, y evalFn) evalFn
+	index(x, idx evalFn) evalFn
+	unary(op verilog.UnaryOp, x evalFn, mask uint64) (evalFn, bool)
+	binary(op verilog.BinaryOp, a, b evalFn, w int) (evalFn, bool)
+	reduce(name string, x evalFn, mask uint64) evalFn
+}
+
+// planEmitters holds each value domain's scalar emitter. Emitters keep no
+// state, so every plan build shares them.
+var planEmitters = [2]emitter[evalFn, stmtFn, stmtVFn]{
+	TwoState:  &planCore{planKernels: &planEmitter{}},
+	FourState: &planCore{four: true, planKernels: &plan4Emitter{}},
+}
+
+func (*planCore) nop() stmtFn { return func(*mach) {} }
 
 // block runs a block's statements in order, stopping at the first error.
-func (planCore) block(body []stmtFn) stmtFn {
+func (*planCore) block(body []stmtFn) stmtFn {
 	return func(m *mach) {
 		for _, fn := range body {
 			fn(m)
@@ -414,59 +459,19 @@ func (planCore) block(body []stmtFn) stmtFn {
 	}
 }
 
-func (planCore) store(sig *compile.Signal, mode writeMode) stmtVFn {
-	slot, mask := int32(sig.Slot), sig.Mask()
-	return func(m *mach, v, u uint64) { m.put(slot, mode, mask, v, u) }
-}
-
-// indexStore writes bit idx of sig, where idxFn reports an unknown index
-// as 64: an index >= 64 writes nothing.
-func (planCore) indexStore(sig *compile.Signal, idxFn evalFn, mode writeMode) stmtVFn {
-	slot, mask := int32(sig.Slot), sig.Mask()
-	return func(m *mach, v, u uint64) {
-		idx := idxFn(m)
-		if idx >= 64 {
-			return // write past the widest signal: no effect
-		}
-		bit := uint64(1) << idx
-		cv, cu := m.rmw(slot, mode)
-		m.put(slot, mode, mask, (cv&^bit)|((v&1)<<idx), (cu&^bit)|((u&1)<<idx))
-	}
-}
-
-func (planCore) storeSlice(sig *compile.Signal, shift uint, sm uint64, mode writeMode, _ stmtVFn) stmtVFn {
-	slot, mask := int32(sig.Slot), sig.Mask()
-	return func(m *mach, v, u uint64) {
-		cv, cu := m.rmw(slot, mode)
-		m.put(slot, mode, mask, (cv&^sm)|((v<<shift)&sm), (cu&^sm)|((u<<shift)&sm))
-	}
-}
-
-func (planCore) storeConcat(parts []stmtVFn, shifts []uint, masks []uint64) stmtVFn {
-	return func(m *mach, v, u uint64) {
-		for i, st := range parts {
-			st(m, (v>>shifts[i])&masks[i], (u>>shifts[i])&masks[i])
-		}
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Two-state statements
-// ---------------------------------------------------------------------------
-
-// planEmitter emits the two-state plan's closures over mach.
-type planEmitter struct{ planCore }
-
-func (*planEmitter) ifStmt(cond evalFn, then, els stmtFn) stmtFn {
+// ifStmt takes the then branch when the condition has a known 1 bit: an x
+// condition is false (IEEE 1364 §9.4), and a canonical value word is
+// nonzero exactly then.
+func (*planCore) ifStmt(cond evalFn, then, els stmtFn) stmtFn {
 	if els == nil {
 		return func(m *mach) {
-			if cond(m) != 0 {
+			if cond.val(m) != 0 {
 				then(m)
 			}
 		}
 	}
 	return func(m *mach) {
-		if cond(m) != 0 {
+		if cond.val(m) != 0 {
 			then(m)
 		} else {
 			els(m)
@@ -474,19 +479,15 @@ func (*planEmitter) ifStmt(cond evalFn, then, els stmtFn) stmtFn {
 	}
 }
 
-func (*planEmitter) caseStmt(subj evalFn, arms []caseArm[evalFn, stmtFn], deflt stmtFn) stmtFn {
-	return planCase(subj, arms, deflt)
-}
-
-// planCase lowers a case statement in either value domain: the first arm
-// with a label equal to the subject runs, and in four-state equality is
-// case equality over both planes, like the four-state interpreter.
-func planCase[E ~func(*mach) V, V uint64 | V4](subj E, arms []caseArm[E, stmtFn], deflt stmtFn) stmtFn {
+// caseStmt runs the first arm with a label equal to the subject, where
+// equality is case equality over both words, like the four-state
+// interpreter.
+func (*planCore) caseStmt(subj evalFn, arms []caseArm[evalFn, stmtFn], deflt stmtFn) stmtFn {
 	return func(m *mach) {
-		sv := subj(m)
+		sv, su := subj(m)
 		for i := range arms {
 			for _, lf := range arms[i].labels {
-				if lf(m) == sv {
+				if lv, lu := lf(m); lv == sv && lu == su {
 					arms[i].body(m)
 					return
 				}
@@ -502,57 +503,231 @@ func planCase[E ~func(*mach) V, V uint64 | V4](subj E, arms []caseArm[E, stmtFn]
 }
 
 // packs reports a whole-signal target, whose masked write assign fuses.
-func (*planEmitter) packs(_ evalFn, sig *compile.Signal) bool { return sig != nil }
+func (*planCore) packs(_ evalFn, sig *compile.Signal) bool { return sig != nil }
 
 // assign fuses a whole-signal target's masked write into the assignment
 // closure, specialised per write mode, so the store costs no call.
-func (*planEmitter) assign(rhs evalFn, mode writeMode, sig *compile.Signal, store stmtVFn) stmtFn {
+func (*planCore) assign(rhs evalFn, mode writeMode, sig *compile.Signal, store stmtVFn) stmtFn {
 	if sig == nil {
-		return func(m *mach) { store(m, rhs(m), 0) }
+		return func(m *mach) {
+			v, u := rhs(m)
+			store(m, v, u)
+		}
 	}
 	slot, mask := int32(sig.Slot), sig.Mask()
 	switch mode {
 	case wAssign:
-		return func(m *mach) { m.assign(slot, rhs(m)&mask, 0) }
+		return func(m *mach) {
+			v, u := rhs(m)
+			m.assign(slot, v&mask&^u, u&mask)
+		}
 	case wComb:
-		return func(m *mach) { m.writeOvl(slot, rhs(m)&mask, 0) }
+		return func(m *mach) {
+			v, u := rhs(m)
+			m.writeOvl(slot, v&mask&^u, u&mask)
+		}
 	case wSeqBlocking:
 		return func(m *mach) {
-			v := rhs(m) & mask
-			m.writeOvl(slot, v, 0)
-			m.writeNBA(slot, v, 0)
+			v, u := rhs(m)
+			v, u = v&mask&^u, u&mask
+			m.writeOvl(slot, v, u)
+			m.writeNBA(slot, v, u)
 		}
 	}
-	return func(m *mach) { m.writeNBA(slot, rhs(m)&mask, 0) }
-}
-
-func (e *planEmitter) storeIndex(sig *compile.Signal, idxFn evalFn, mode writeMode, _ stmtVFn) stmtVFn {
-	return e.indexStore(sig, idxFn, mode)
-}
-
-// ---------------------------------------------------------------------------
-// Expressions
-// ---------------------------------------------------------------------------
-
-func (e *planEmitter) number(x *verilog.Number) evalFn { return e.param(x.Value) }
-
-func (*planEmitter) param(v uint64) evalFn { return func(*mach) uint64 { return v } }
-
-func (*planEmitter) signal(sig *compile.Signal) evalFn {
-	slot := int32(sig.Slot)
-	return func(m *mach) uint64 { return m.read(slot) }
-}
-
-func (*planEmitter) fail(err error) evalFn {
-	return func(m *mach) uint64 {
-		m.fail(err)
-		return 0
+	return func(m *mach) {
+		v, u := rhs(m)
+		m.writeNBA(slot, v&mask&^u, u&mask)
 	}
 }
 
+func (*planCore) store(sig *compile.Signal, mode writeMode) stmtVFn {
+	slot, mask := int32(sig.Slot), sig.Mask()
+	return func(m *mach, v, u uint64) { m.put(slot, mode, mask, v, u) }
+}
+
+// storeIndex writes bit idx of sig; an unknown index, or one past the
+// widest signal, writes nothing.
+func (*planCore) storeIndex(sig *compile.Signal, idxFn evalFn, mode writeMode, _ stmtVFn) stmtVFn {
+	slot, mask := int32(sig.Slot), sig.Mask()
+	return func(m *mach, v, u uint64) {
+		idx, iu := idxFn(m)
+		if iu != 0 || idx >= 64 {
+			return
+		}
+		bit := uint64(1) << idx
+		cv, cu := m.rmw(slot, mode)
+		m.put(slot, mode, mask, (cv&^bit)|((v&1)<<idx), (cu&^bit)|((u&1)<<idx))
+	}
+}
+
+func (*planCore) storeSlice(sig *compile.Signal, shift uint, sm uint64, mode writeMode, _ stmtVFn) stmtVFn {
+	slot, mask := int32(sig.Slot), sig.Mask()
+	return func(m *mach, v, u uint64) {
+		cv, cu := m.rmw(slot, mode)
+		m.put(slot, mode, mask, (cv&^sm)|((v<<shift)&sm), (cu&^sm)|((u<<shift)&sm))
+	}
+}
+
+func (*planCore) storeConcat(parts []stmtVFn, shifts []uint, masks []uint64) stmtVFn {
+	return func(m *mach, v, u uint64) {
+		for i, st := range parts {
+			st(m, (v>>shifts[i])&masks[i], (u>>shifts[i])&masks[i])
+		}
+	}
+}
+
+func (*planCore) param(v uint64) evalFn { return konst(known(v)) }
+
+// konst compiles a constant, already canonical. One with no x bits — every
+// two-state constant — is a one-word closure.
+func konst(v V4) evalFn {
+	val, unk := v.Val, v.Unk
+	if unk == 0 {
+		return func(*mach) (uint64, uint64) { return val, 0 }
+	}
+	return func(*mach) (uint64, uint64) { return val, unk }
+}
+
+// signal reads a slot through the blocking overlay, choosing the reader
+// for the domain's planes once, at build time: the two-state reader never
+// touches an Unk plane.
+func (c *planCore) signal(sig *compile.Signal) evalFn {
+	slot := int32(sig.Slot)
+	if !c.four {
+		return func(m *mach) (uint64, uint64) { return m.read(slot), 0 }
+	}
+	return func(m *mach) (uint64, uint64) {
+		if m.ovlGen[slot] == m.gen {
+			return m.ovlVal[slot], m.ovlUnk[slot]
+		}
+		return m.vals[slot], m.unks[slot]
+	}
+}
+
+// fail reports err when evaluated.
+func (*planCore) fail(err error) evalFn {
+	return func(m *mach) (uint64, uint64) {
+		m.fail(err)
+		return 0, 0
+	}
+}
+
+func (*planCore) slice(xf evalFn, shift uint, mask uint64) evalFn {
+	return func(m *mach) (uint64, uint64) {
+		v, u := xf(m)
+		return (v >> shift) & mask, (u >> shift) & mask
+	}
+}
+
+func (*planCore) concat(fns []evalFn, widths []uint, masks []uint64) evalFn {
+	return func(m *mach) (uint64, uint64) {
+		var ov, ou uint64
+		for i, fn := range fns {
+			v, u := fn(m)
+			ov = (ov << widths[i]) | (v & masks[i])
+			ou = (ou << widths[i]) | (u & masks[i])
+		}
+		return ov, ou
+	}
+}
+
+func (*planCore) repl(fn evalFn, reps int, uw uint, mask uint64) evalFn {
+	return func(m *mach) (uint64, uint64) {
+		v, u := fn(m)
+		v, u = v&mask, u&mask
+		var ov, ou uint64
+		for i := 0; i < reps; i++ {
+			ov = (ov << uw) | v
+			ou = (ou << uw) | u
+		}
+		return ov, ou
+	}
+}
+
+// past lowers $past(x, depth) in the reference interpreter's order: the
+// depth is evaluated and range-checked (an x depth is out of range) before
+// the sampled context is, so both engines report the same error.
+func (*planCore) past(pos verilog.Pos, fn, depthFn evalFn, _ uint64) evalFn {
+	if depthFn == nil {
+		depthFn = konst(known(1))
+	}
+	return func(m *mach) (uint64, uint64) {
+		nv, nu := depthFn(m)
+		if nu != 0 || nv == 0 || nv > maxPastDepth {
+			m.fail(evalErrf(pos, "$past depth %d out of range [1, %d]", nv, uint64(maxPastDepth)))
+			return 0, 0
+		}
+		if m.rows == nil {
+			return m.unsampled(pos, "$past")
+		}
+		j := m.idx - int(nv)
+		if j < 0 {
+			return 0, 0 // before start of time: sampled default (0)
+		}
+		return evalAt(m, fn, j)
+	}
+}
+
+// sampled lowers $rose, $fell, $stable and $changed, which compare the
+// current sample with the previous cycle's (a zero sample at cycle 0):
+// $rose and $fell the least-significant bit, $stable and $changed the
+// whole value. An x in a compared bit makes the result x (v4Sampled). The
+// comparison is picked here, at build time.
+func (*planCore) sampled(pos verilog.Pos, name string, fn evalFn) evalFn {
+	if name == "$rose" || name == "$fell" {
+		from := boolVal(name == "$fell") // the LSB before the edge
+		return func(m *mach) (uint64, uint64) {
+			if m.rows == nil {
+				return m.unsampled(pos, name)
+			}
+			nv, nu := fn(m)
+			var bv, bu uint64
+			if m.idx > 0 {
+				bv, bu = evalAt(m, fn, m.idx-1)
+			}
+			if (bu|nu)&1 != 0 {
+				return 0, 1
+			}
+			return boolVal(bv&1 == from && nv&1 != from), 0
+		}
+	}
+	stable := name == "$stable"
+	return func(m *mach) (uint64, uint64) {
+		if m.rows == nil {
+			return m.unsampled(pos, name)
+		}
+		nv, nu := fn(m)
+		var bv, bu uint64
+		if m.idx > 0 {
+			bv, bu = evalAt(m, fn, m.idx-1)
+		}
+		if bu|nu != 0 {
+			return 0, 1
+		}
+		return boolVal((bv == nv) == stable), 0
+	}
+}
+
+// unsampled fails m for a sampled-value function evaluated outside a
+// sampled context, such as design logic, and returns the zero value.
+func (m *mach) unsampled(pos verilog.Pos, name string) (uint64, uint64) {
+	m.fail(evalErrf(pos, "%s outside sampled context", name))
+	return 0, 0
+}
+
+// ---------------------------------------------------------------------------
+// Two-state kernels
+// ---------------------------------------------------------------------------
+
+// planEmitter holds the two-state kernels whose formulas differ from the
+// four-state ones; every Unk word they return is 0.
+type planEmitter struct{}
+
+func (*planEmitter) number(x *verilog.Number) evalFn { return konst(known(x.Value)) }
+
 func (*planEmitter) ternary(cond, xf, yf evalFn) evalFn {
-	return func(m *mach) uint64 {
-		if cond(m) != 0 {
+	return func(m *mach) (uint64, uint64) {
+		if cond.val(m) != 0 {
 			return xf(m)
 		}
 		return yf(m)
@@ -560,61 +735,36 @@ func (*planEmitter) ternary(cond, xf, yf evalFn) evalFn {
 }
 
 func (*planEmitter) index(xf, idxFn evalFn) evalFn {
-	return func(m *mach) uint64 {
+	return func(m *mach) (uint64, uint64) {
 		// Evaluate the base before the index, matching the interpreter's
 		// order so error effects are identical on both backends.
-		v := xf(m)
-		idx := idxFn(m)
+		v := xf.val(m)
+		idx := idxFn.val(m)
 		if idx >= 64 {
-			return 0
+			return 0, 0
 		}
-		return (v >> idx) & 1
-	}
-}
-
-func (*planEmitter) slice(xf evalFn, shift uint, mask uint64) evalFn {
-	return func(m *mach) uint64 { return (xf(m) >> shift) & mask }
-}
-
-func (*planEmitter) concat(fns []evalFn, widths []uint, masks []uint64) evalFn {
-	return func(m *mach) uint64 {
-		var out uint64
-		for i, fn := range fns {
-			out = (out << widths[i]) | (fn(m) & masks[i])
-		}
-		return out
-	}
-}
-
-func (*planEmitter) repl(fn evalFn, reps int, uw uint, mask uint64) evalFn {
-	return func(m *mach) uint64 {
-		v := fn(m) & mask
-		var out uint64
-		for i := 0; i < reps; i++ {
-			out = (out << uw) | v
-		}
-		return out
+		return (v >> idx) & 1, 0
 	}
 }
 
 func (*planEmitter) unary(op verilog.UnaryOp, xf evalFn, mask uint64) (evalFn, bool) {
 	switch op {
 	case verilog.UnaryLogicalNot:
-		return func(m *mach) uint64 { return boolVal(xf(m)&mask == 0) }, true
+		return func(m *mach) (uint64, uint64) { return boolVal(xf.val(m)&mask == 0), 0 }, true
 	case verilog.UnaryBitNot:
-		return func(m *mach) uint64 { return ^xf(m) & mask }, true
+		return func(m *mach) (uint64, uint64) { return ^xf.val(m) & mask, 0 }, true
 	case verilog.UnaryMinus:
-		return func(m *mach) uint64 { return -(xf(m) & mask) & mask }, true
+		return func(m *mach) (uint64, uint64) { return -(xf.val(m) & mask) & mask, 0 }, true
 	case verilog.UnaryPlus:
-		return func(m *mach) uint64 { return xf(m) & mask }, true
+		return func(m *mach) (uint64, uint64) { return xf.val(m) & mask, 0 }, true
 	case verilog.UnaryRedAnd:
-		return func(m *mach) uint64 { return boolVal(xf(m)&mask == mask) }, true
+		return func(m *mach) (uint64, uint64) { return boolVal(xf.val(m)&mask == mask), 0 }, true
 	case verilog.UnaryRedOr:
-		return func(m *mach) uint64 { return boolVal(xf(m)&mask != 0) }, true
+		return func(m *mach) (uint64, uint64) { return boolVal(xf.val(m)&mask != 0), 0 }, true
 	case verilog.UnaryRedXor:
-		return func(m *mach) uint64 { return uint64(bits.OnesCount64(xf(m)&mask) & 1) }, true
+		return func(m *mach) (uint64, uint64) { return uint64(bits.OnesCount64(xf.val(m)&mask) & 1), 0 }, true
 	case verilog.UnaryRedXnor:
-		return func(m *mach) uint64 { return uint64(1 - bits.OnesCount64(xf(m)&mask)&1) }, true
+		return func(m *mach) (uint64, uint64) { return uint64(1 - bits.OnesCount64(xf.val(m)&mask)&1), 0 }, true
 	}
 	return nil, false
 }
@@ -622,83 +772,83 @@ func (*planEmitter) unary(op verilog.UnaryOp, xf evalFn, mask uint64) (evalFn, b
 func (*planEmitter) binary(op verilog.BinaryOp, af, bf evalFn, w int) (evalFn, bool) {
 	switch op {
 	case verilog.BinLogAnd:
-		return func(m *mach) uint64 {
-			if af(m) == 0 {
-				return 0
+		return func(m *mach) (uint64, uint64) {
+			if af.val(m) == 0 {
+				return 0, 0
 			}
-			return boolVal(bf(m) != 0)
+			return boolVal(bf.val(m) != 0), 0
 		}, true
 	case verilog.BinLogOr:
-		return func(m *mach) uint64 {
-			if af(m) != 0 {
-				return 1
+		return func(m *mach) (uint64, uint64) {
+			if af.val(m) != 0 {
+				return 1, 0
 			}
-			return boolVal(bf(m) != 0)
+			return boolVal(bf.val(m) != 0), 0
 		}, true
 	case verilog.BinAdd:
-		return func(m *mach) uint64 { return af(m) + bf(m) }, true
+		return func(m *mach) (uint64, uint64) { return af.val(m) + bf.val(m), 0 }, true
 	case verilog.BinSub:
-		return func(m *mach) uint64 { return af(m) - bf(m) }, true
+		return func(m *mach) (uint64, uint64) { return af.val(m) - bf.val(m), 0 }, true
 	case verilog.BinMul:
-		return func(m *mach) uint64 { return af(m) * bf(m) }, true
+		return func(m *mach) (uint64, uint64) { return af.val(m) * bf.val(m), 0 }, true
 	case verilog.BinDiv:
-		return func(m *mach) uint64 {
+		return func(m *mach) (uint64, uint64) {
 			// Evaluate both operands in the interpreter's order before the
 			// zero check, so error effects (a failing $past in either
 			// operand) are identical on both backends.
-			a, b := af(m), bf(m)
+			a, b := af.val(m), bf.val(m)
 			if b == 0 {
-				return 0 // x in 4-state Verilog; 0 under two-state
+				return 0, 0 // x in 4-state Verilog; 0 under two-state
 			}
-			return a / b
+			return a / b, 0
 		}, true
 	case verilog.BinMod:
-		return func(m *mach) uint64 {
-			a, b := af(m), bf(m)
+		return func(m *mach) (uint64, uint64) {
+			a, b := af.val(m), bf.val(m)
 			if b == 0 {
-				return 0
+				return 0, 0
 			}
-			return a % b
+			return a % b, 0
 		}, true
 	case verilog.BinAnd:
-		return func(m *mach) uint64 { return af(m) & bf(m) }, true
+		return func(m *mach) (uint64, uint64) { return af.val(m) & bf.val(m), 0 }, true
 	case verilog.BinOr:
-		return func(m *mach) uint64 { return af(m) | bf(m) }, true
+		return func(m *mach) (uint64, uint64) { return af.val(m) | bf.val(m), 0 }, true
 	case verilog.BinXor:
-		return func(m *mach) uint64 { return af(m) ^ bf(m) }, true
+		return func(m *mach) (uint64, uint64) { return af.val(m) ^ bf.val(m), 0 }, true
 	case verilog.BinXnor:
 		mask := maskFor(w)
-		return func(m *mach) uint64 { return ^(af(m) ^ bf(m)) & mask }, true
+		return func(m *mach) (uint64, uint64) { return ^(af.val(m) ^ bf.val(m)) & mask, 0 }, true
 	case verilog.BinEq, verilog.BinCaseEq:
-		return func(m *mach) uint64 { return boolVal(af(m) == bf(m)) }, true
+		return func(m *mach) (uint64, uint64) { return boolVal(af.val(m) == bf.val(m)), 0 }, true
 	case verilog.BinNe, verilog.BinCaseNe:
-		return func(m *mach) uint64 { return boolVal(af(m) != bf(m)) }, true
+		return func(m *mach) (uint64, uint64) { return boolVal(af.val(m) != bf.val(m)), 0 }, true
 	case verilog.BinLt:
-		return func(m *mach) uint64 { return boolVal(af(m) < bf(m)) }, true
+		return func(m *mach) (uint64, uint64) { return boolVal(af.val(m) < bf.val(m)), 0 }, true
 	case verilog.BinLe:
-		return func(m *mach) uint64 { return boolVal(af(m) <= bf(m)) }, true
+		return func(m *mach) (uint64, uint64) { return boolVal(af.val(m) <= bf.val(m)), 0 }, true
 	case verilog.BinGt:
-		return func(m *mach) uint64 { return boolVal(af(m) > bf(m)) }, true
+		return func(m *mach) (uint64, uint64) { return boolVal(af.val(m) > bf.val(m)), 0 }, true
 	case verilog.BinGe:
-		return func(m *mach) uint64 { return boolVal(af(m) >= bf(m)) }, true
+		return func(m *mach) (uint64, uint64) { return boolVal(af.val(m) >= bf.val(m)), 0 }, true
 	case verilog.BinShl:
-		return func(m *mach) uint64 {
-			a, b := af(m), bf(m)
+		return func(m *mach) (uint64, uint64) {
+			a, b := af.val(m), bf.val(m)
 			if b >= 64 {
-				return 0
+				return 0, 0
 			}
-			return a << b
+			return a << b, 0
 		}, true
 	case verilog.BinShr:
-		return func(m *mach) uint64 {
-			a, b := af(m), bf(m)
+		return func(m *mach) (uint64, uint64) {
+			a, b := af.val(m), bf.val(m)
 			if b >= 64 {
-				return 0
+				return 0, 0
 			}
-			return a >> b
+			return a >> b, 0
 		}, true
 	case verilog.BinAShr:
-		return func(m *mach) uint64 { return ashr(af(m), bf(m), w) }, true
+		return func(m *mach) (uint64, uint64) { return ashr(af.val(m), bf.val(m), w), 0 }, true
 	}
 	return nil, false
 }
@@ -706,59 +856,13 @@ func (*planEmitter) binary(op verilog.BinaryOp, af, bf evalFn, w int) (evalFn, b
 func (*planEmitter) reduce(name string, fn evalFn, mask uint64) evalFn {
 	switch name {
 	case "$countones":
-		return func(m *mach) uint64 { return uint64(bits.OnesCount64(fn(m) & mask)) }
+		return func(m *mach) (uint64, uint64) { return uint64(bits.OnesCount64(fn.val(m) & mask)), 0 }
 	case "$onehot":
-		return func(m *mach) uint64 { return boolVal(bits.OnesCount64(fn(m)&mask) == 1) }
+		return func(m *mach) (uint64, uint64) { return boolVal(bits.OnesCount64(fn.val(m)&mask) == 1), 0 }
 	case "$onehot0":
-		return func(m *mach) uint64 { return boolVal(bits.OnesCount64(fn(m)&mask) <= 1) }
+		return func(m *mach) (uint64, uint64) { return boolVal(bits.OnesCount64(fn.val(m)&mask) <= 1), 0 }
 	default: // $isunknown
 		// Two-state: never unknown; evaluate the argument for error effects.
-		return func(m *mach) uint64 { fn(m); return 0 }
-	}
-}
-
-func (*planEmitter) past(pos verilog.Pos, fn, depthFn evalFn, _ uint64) evalFn {
-	if depthFn == nil {
-		depthFn = func(*mach) uint64 { return 1 }
-	}
-	return func(m *mach) uint64 {
-		if m.rows == nil {
-			m.fail(evalErrf(pos, "$past outside sampled context"))
-			return 0
-		}
-		nv := depthFn(m)
-		if nv == 0 || nv > maxPastDepth {
-			m.fail(evalErrf(pos, "$past depth %d out of range [1, %d]", nv, uint64(maxPastDepth)))
-			return 0
-		}
-		j := m.idx - int(nv)
-		if j < 0 {
-			return 0 // before start of time: sampled default (0)
-		}
-		return evalAt(m, fn, j)
-	}
-}
-
-func (*planEmitter) sampled(pos verilog.Pos, name string, fn evalFn) evalFn {
-	return func(m *mach) uint64 {
-		if m.rows == nil {
-			m.fail(evalErrf(pos, "%s outside sampled context", name))
-			return 0
-		}
-		now := fn(m)
-		var before uint64
-		if m.idx > 0 {
-			before = evalAt(m, fn, m.idx-1)
-		}
-		switch name {
-		case "$rose":
-			return boolVal(before&1 == 0 && now&1 == 1)
-		case "$fell":
-			return boolVal(before&1 == 1 && now&1 == 0)
-		case "$stable":
-			return boolVal(before == now)
-		default:
-			return boolVal(before != now)
-		}
+		return func(m *mach) (uint64, uint64) { fn(m); return 0, 0 }
 	}
 }

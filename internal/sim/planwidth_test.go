@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"runtime/debug"
 	"strings"
 	"testing"
@@ -141,4 +142,58 @@ func TestPlanBuildLinearInDepth(t *testing.T) {
 	}
 	t.Errorf("plan build at depth %d took %.1fx the time at depth %d in each of three measurements (%.1f); want < 8x (linear is 4x)",
 		4*n, ratios[0], n, ratios)
+}
+
+// TestPlanBuildAllocs bounds what building a design's two-state plan and
+// its four-state lowering allocates, in allocations and bytes per build.
+// A constant that compiled to a two-word closure in two-state, or a
+// per-build emitter, shows up here. Each figure is the least of three
+// measurements, so an allocation made elsewhere in the process while one
+// ran does not count.
+func TestPlanBuildAllocs(t *testing.T) {
+	if testenv.Race {
+		t.Skip("the race detector changes allocation counts")
+	}
+	type cost struct{ allocs, bytes uint64 }
+	measure := func(build func()) cost {
+		const n = 100
+		best := cost{^uint64(0), ^uint64(0)}
+		var before, after runtime.MemStats
+		for range 3 {
+			runtime.ReadMemStats(&before)
+			for range n {
+				build()
+			}
+			runtime.ReadMemStats(&after)
+			best.allocs = min(best.allocs, (after.Mallocs-before.Mallocs)/n)
+			best.bytes = min(best.bytes, (after.TotalAlloc-before.TotalAlloc)/n)
+		}
+		return best
+	}
+	for _, tc := range []struct {
+		name      string
+		src       string
+		two, four cost
+	}{
+		{"accu", accuSrc, cost{53, 1488}, cost{52, 1352}},
+		{"two-clock", twoClockSrc, cost{24, 824}, cost{23, 664}},
+	} {
+		d := mustCompile(t, tc.src)
+		p := buildPlan(d)
+		if p == nil || buildPlan4(p) == nil {
+			t.Fatalf("%s did not lower", tc.name)
+		}
+		for _, got := range []struct {
+			domain    string
+			got, want cost
+		}{
+			{"two-state plan", measure(func() { buildPlan(d) }), tc.two},
+			{"four-state lowering", measure(func() { buildPlan4(p) }), tc.four},
+		} {
+			if got.got.allocs > got.want.allocs || got.got.bytes > got.want.bytes {
+				t.Errorf("%s %s: %d allocations and %d bytes per build, want at most %d and %d",
+					tc.name, got.domain, got.got.allocs, got.got.bytes, got.want.allocs, got.want.bytes)
+			}
+		}
+	}
 }

@@ -254,3 +254,34 @@ endmodule
 		}
 	}
 }
+
+// A bad $past in design logic reports the reference interpreter's error on
+// the compiled plan too, in both value domains: the depth is evaluated and
+// range-checked before the sampled context is, so a zero depth is out of
+// range rather than outside sampled context. A verdict's log carries this
+// text, so it must not depend on the engine that ran.
+func TestPastInDesignLogicErrorMatchesReference(t *testing.T) {
+	for _, depth := range []string{"0", "a"} {
+		src := `
+module pastlogic (
+    input clk,
+    input [3:0] a,
+    output [3:0] y
+);
+    assign y = $past(a, ` + depth + `);
+endmodule
+`
+		d := mustCompile(t, src)
+		if PlanOf(d) == nil {
+			t.Fatal("design unexpectedly unplannable")
+		}
+		stim := Stimulus{{"a": 0}, {"a": 0}}
+		for _, mode := range []Mode{TwoState, FourState} {
+			_, err := Run(context.Background(), d, stim, mode)
+			_, ref := RunReferenceCtx(context.Background(), mustCompile(t, src), stim, mode)
+			if err == nil || ref == nil || err.Error() != ref.Error() {
+				t.Errorf("$past(a, %s) mode %v: plan error %v, reference error %v", depth, mode, err, ref)
+			}
+		}
+	}
+}

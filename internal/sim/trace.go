@@ -150,31 +150,20 @@ type CompiledExpr4 func(cycle int) (V4, error)
 // CompileExpr4 returns a four-state evaluator for e over this trace's
 // sampled rows, with history access for the SVA sampled-value functions.
 // Expressions reachable from the design's assertions resolve to the plan's
-// compiled closures of the trace's value domain; anything else (or any
-// trace produced by the reference interpreter) falls back to the
-// interpretive evaluator, which computes identical results. On a two-state
-// trace everything is known and the result is the two-state evaluation
-// lifted into the Val plane — built directly over the plan's compiled
-// closure so the formal checker's hot loop pays no extra indirection.
+// compiled closure in the trace's value domain, whose Unk word is 0 on a
+// two-state trace, so the formal checker's hot loop pays no extra
+// indirection. Anything else (or any trace produced by the reference
+// interpreter) falls back to the interpretive evaluator, which computes
+// identical results.
 func (t *Trace) CompileExpr4(e verilog.Expr) CompiledExpr4 {
-	if t.plan != nil && t.unks == nil {
-		if fn, ok := t.plan.sva[e]; ok {
-			m := t.evalMach()
-			return func(cycle int) (V4, error) {
-				m.seek(cycle)
-				v := fn(m)
-				return V4{Val: v}, m.err
-			}
-		}
-	}
-	if t.plan != nil && t.unks != nil {
-		if p4 := t.plan.fourState(); p4 != nil {
-			if fn, ok := p4.sva[e]; ok {
+	if t.plan != nil {
+		if l := t.plan.lowering(t.Mode()); l != nil {
+			if fn, ok := l.sva[e]; ok {
 				m := t.evalMach()
 				return func(cycle int) (V4, error) {
 					m.seek(cycle)
-					v := fn(m)
-					return v, m.err
+					v, u := fn(m)
+					return V4{Val: v, Unk: u}, m.err
 				}
 			}
 		}
