@@ -324,23 +324,26 @@ func BenchmarkFormalStrategies(b *testing.B) {
 }
 
 // simBenchFixture builds the stimulus shared by the simulator benchmarks.
-func simBenchFixture(b *testing.B) (*compile.Design, sim.Stimulus) {
+func simBenchFixture(b *testing.B) (*compile.Design, sim.VecStimulus) {
 	b.Helper()
 	d, diags, err := compile.Compile(corpus.Pipeline(10, 8).Source())
 	if err != nil || compile.HasErrors(diags) {
 		b.Fatal("fixture broken")
 	}
-	stim := make(sim.Stimulus, 64)
-	for i := range stim {
-		stim[i] = map[string]uint64{"valid_in": uint64(i & 1), "data_in": uint64(i * 37)}
+	stim := sim.VecStimulus{
+		Inputs: []*compile.Signal{d.Signals["valid_in"], d.Signals["data_in"]},
+		Rows:   make([][]uint64, 64),
+	}
+	for i := range stim.Rows {
+		stim.Rows[i] = []uint64{uint64(i & 1), uint64(i * 37)}
 	}
 	return d, stim
 }
 
 // BenchmarkSimulator measures raw cycle throughput of the simulator on the
-// compiled slot-indexed execution plan (the path sim.Run always takes), in
-// each value domain.
-func BenchmarkSimulator(b *testing.B) { benchSimModes(b, sim.Run) }
+// compiled slot-indexed execution plan (the path sim.RunVecCtx takes for a
+// plannable design), in each value domain.
+func BenchmarkSimulator(b *testing.B) { benchSimModes(b, sim.RunVecCtx) }
 
 // BenchmarkSimulatorReference measures the interpretive reference path on
 // the same workload, so the plan's speedup stays visible in every report.
@@ -348,7 +351,7 @@ func BenchmarkSimulatorReference(b *testing.B) { benchSimModes(b, sim.RunReferen
 
 // benchSimModes runs the simulator fixture through run and sva.Check, once
 // per value domain as the TwoState and FourState sub-benchmarks.
-func benchSimModes(b *testing.B, run func(context.Context, *compile.Design, sim.Stimulus, sim.Mode) (*sim.Trace, error)) {
+func benchSimModes(b *testing.B, run func(context.Context, *compile.Design, sim.VecStimulus, sim.Mode) (*sim.Trace, error)) {
 	d, stim := simBenchFixture(b)
 	for _, m := range []struct {
 		name string
@@ -364,7 +367,7 @@ func benchSimModes(b *testing.B, run func(context.Context, *compile.Design, sim.
 					b.Fatal(err)
 				}
 			}
-			b.ReportMetric(float64(len(stim)), "cycles/op")
+			b.ReportMetric(float64(len(stim.Rows)), "cycles/op")
 		})
 	}
 }

@@ -12,54 +12,35 @@ import (
 	"repro/internal/sva"
 )
 
-// vecFromStim converts a map stimulus into the dense column form the lane
-// engine packs, over the design's inputs (reset included).
-func vecFromStim(d *compile.Design, stim sim.Stimulus) sim.VecStimulus {
+// diffStim builds a deterministic reset-then-random stimulus for a design:
+// the reset column first, then every other input. A reset the input list
+// also holds is driven twice per row; the later, random column wins.
+func diffStim(d *compile.Design, seed int64, depth int) sim.VecStimulus {
+	rng := rand.New(rand.NewSource(seed))
 	inputs := d.Inputs(true)
 	reset := d.Reset()
-	cols := append([]*compile.Signal(nil), inputs...)
+	var cols []*compile.Signal
 	if reset.Present {
-		if sig := d.Signals[reset.Name]; sig != nil {
-			cols = append(cols, sig)
-		}
+		cols = append(cols, d.Signals[reset.Name])
 	}
-	rows := make([][]uint64, len(stim))
-	for c, cyc := range stim {
+	first := len(cols)
+	cols = append(cols, inputs...)
+	rows := make([][]uint64, depth)
+	for c := range rows {
 		row := make([]uint64, len(cols))
-		for i, in := range cols {
-			row[i] = cyc[in.Name] & in.Mask()
+		if reset.Present && reset.ActiveLow != (c < 2) {
+			row[0] = 1
+		}
+		for i, in := range inputs {
+			row[first+i] = rng.Uint64() & in.Mask()
 		}
 		rows[c] = row
 	}
 	return sim.VecStimulus{Inputs: cols, Rows: rows}
 }
 
-// diffStim builds a deterministic reset-then-random stimulus for a design.
-func diffStim(d *compile.Design, seed int64, depth int) sim.Stimulus {
-	rng := rand.New(rand.NewSource(seed))
-	inputs := d.Inputs(true)
-	reset := d.Reset()
-	stim := make(sim.Stimulus, depth)
-	for c := 0; c < depth; c++ {
-		cyc := map[string]uint64{}
-		if reset.Present {
-			active := c < 2
-			v := uint64(0)
-			if reset.ActiveLow != active {
-				v = 1
-			}
-			cyc[reset.Name] = v
-		}
-		for _, in := range inputs {
-			cyc[in.Name] = rng.Uint64() & in.Mask()
-		}
-		stim[c] = cyc
-	}
-	return stim
-}
-
 // assertDifferential runs one design through the compiled slot-indexed plan
-// (sim.Run) and the reference interpreter (sim.RunReference) and requires
+// (sim.RunVecCtx) and the reference interpreter (sim.RunReferenceCtx) and requires
 // byte-identical traces and identical SVA verdicts. The reference trace
 // carries no plan, so sva.Check on it also exercises the interpretive
 // expression path against the compiled one.
@@ -72,7 +53,7 @@ func assertDifferential(t *testing.T, name, src string, seed int64) {
 	dRef, _, _ := compile.Compile(src)
 	stim := diffStim(d, seed, 24)
 
-	tr, errPlan := sim.Run(context.Background(), d, stim, sim.TwoState)
+	tr, errPlan := sim.RunVecCtx(context.Background(), d, stim, sim.TwoState)
 	ref, errRef := sim.RunReferenceCtx(context.Background(), dRef, stim, sim.TwoState)
 	if (errPlan == nil) != (errRef == nil) {
 		t.Fatalf("%s: plan err=%v, reference err=%v", name, errPlan, errRef)
@@ -127,10 +108,9 @@ func assertDifferential(t *testing.T, name, src string, seed int64) {
 // scalar branch structure and the lane engine must accept whatever the plan
 // accepted) and demuxed back, byte-compared against the plan trace and its
 // SVA verdicts.
-func assertLaneLeg(t *testing.T, name string, d *compile.Design, stim sim.Stimulus, tr *sim.Trace, resPlan *sva.Result) {
+func assertLaneLeg(t *testing.T, name string, d *compile.Design, stim sim.VecStimulus, tr *sim.Trace, resPlan *sva.Result) {
 	t.Helper()
-	vec := vecFromStim(d, stim)
-	ls, err := sim.PackStimuli([]sim.VecStimulus{vec, vec})
+	ls, err := sim.PackStimuli([]sim.VecStimulus{stim, stim})
 	if err != nil {
 		t.Fatalf("%s: pack: %v", name, err)
 	}
@@ -218,7 +198,7 @@ func TestHierarchicalDifferentialBothDomains(t *testing.T) {
 		stim := diffStim(d, int64(3000+i), 32)
 		for _, mode := range []sim.Mode{sim.TwoState, sim.FourState} {
 			dRef, _, _ := compile.Compile(src)
-			tr, err := sim.Run(context.Background(), d, stim, mode)
+			tr, err := sim.RunVecCtx(context.Background(), d, stim, mode)
 			if err != nil {
 				t.Fatalf("%s %v: plan: %v", bp.Name(), mode, err)
 			}
@@ -239,7 +219,7 @@ func TestHierarchicalDifferentialBothDomains(t *testing.T) {
 					}
 				}
 			}
-			ls, err := sim.PackStimuli([]sim.VecStimulus{vecFromStim(d, stim), vecFromStim(d, stim)})
+			ls, err := sim.PackStimuli([]sim.VecStimulus{stim, stim})
 			if err != nil {
 				t.Fatalf("%s %v: pack: %v", bp.Name(), mode, err)
 			}

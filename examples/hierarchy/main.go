@@ -62,16 +62,14 @@ func main() {
 	// and clk_b at half that rate, so the two domains tick on different
 	// rows and the synchronizer visibly lags the source register.
 	const depth = 16
-	stim := make(sim.Stimulus, depth)
-	for c := 0; c < depth; c++ {
-		stim[c] = map[string]uint64{
-			"clk_a": uint64(c % 2),
-			"clk_b": uint64(c / 2 % 2),
-			"rst_n": boolBit(c >= 2),
-			"d":     uint64(c / 3 % 2),
-		}
+	stim := sim.VecStimulus{Rows: make([][]uint64, depth)}
+	for _, name := range []string{"clk_a", "clk_b", "rst_n", "d"} {
+		stim.Inputs = append(stim.Inputs, d.Signals[name])
 	}
-	tr, err := sim.Run(context.Background(), d, stim, sim.TwoState)
+	for c := range stim.Rows {
+		stim.Rows[c] = []uint64{uint64(c % 2), uint64(c / 2 % 2), boolBit(c >= 2), uint64(c / 3 % 2)}
+	}
+	tr, err := sim.RunVecCtx(context.Background(), d, stim, sim.TwoState)
 	must(err)
 
 	bIdx := domainIndex(d, "clk_b")

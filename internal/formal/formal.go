@@ -242,9 +242,9 @@ func check(ctx context.Context, d *compile.Design, opts Options, oneShot bool) (
 
 // driveSet is the precomputed drive list for one design: the non-clock/reset
 // inputs plus the reset input (when present) as the last column. Stimulus
-// generators fill dense per-cycle vectors parallel to this list, and
-// sim.RunVecCtx writes them straight into state slots — no per-cycle maps, no
-// name hashing.
+// generators fill dense per-cycle vectors parallel to this list, the one
+// scalar stimulus form, which the simulator resolves to state slots once
+// per input list and writes straight into them every cycle.
 //
 // On a multi-clock design the domain clocks are removed from the enumerated
 // inputs and driven on fixed interleaved schedules instead (clock j toggles

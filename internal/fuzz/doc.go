@@ -32,9 +32,10 @@
 // depends on.
 //
 // Engine equivalence (EngineEquivalence): the compiled slot-indexed plan
-// (sim.RunVecCtx, sim.Run) and the reference interpreter
-// (sim.RunReferenceCtx) must produce byte-identical traces, identical SVA
-// verdicts and identical failure logs under the same random stimulus — the
+// (sim.RunVecCtx) and the reference interpreter (sim.RunReferenceCtx) must
+// produce the same run error text, byte-identical traces, identical SVA
+// verdicts and identical failure logs under the same random vector
+// stimulus, in the two-state and then the four-state domain — the
 // corpus-wide differential test, extended to arbitrary generated programs.
 // The lane-parallel engine (sim.RunLanesCtx) rides along as a third leg in
 // both value domains: the same stimulus is packed into a ragged batch

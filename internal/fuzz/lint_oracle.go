@@ -59,10 +59,10 @@ func LintConsistency(src string, seed int64) error {
 
 	rng := rand.New(rand.NewSource(seed))
 	depth := 6 + rng.Intn(12)
-	_, maps := randomStimulus(d, rng, depth)
+	stim := randomStimulus(d, rng, depth)
 
 	for _, mode := range []sim.Mode{sim.TwoState, sim.FourState} {
-		tr, cov, err := sim.RunReferenceBranches(d, maps, mode)
+		tr, cov, err := sim.RunReferenceBranches(d, stim, mode)
 		if err != nil {
 			continue
 		}

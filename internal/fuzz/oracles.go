@@ -119,10 +119,10 @@ func EngineEquivalence(src string, seed int64) error {
 
 	rng := rand.New(rand.NewSource(seed))
 	depth := 6 + rng.Intn(12)
-	vec, maps := randomStimulus(d1, rng, depth)
+	vec := randomStimulus(d1, rng, depth)
 
 	tr1, err1 := sim.RunVecCtx(context.Background(), d1, vec, sim.TwoState)
-	tr2, err2 := sim.RunReferenceCtx(context.Background(), d2, maps, sim.TwoState)
+	tr2, err2 := sim.RunReferenceCtx(context.Background(), d2, vec, sim.TwoState)
 	if !sameError(err1, err2) {
 		return violation("engine-equivalence", "sim-error", src, "plan err=%v, reference err=%v", err1, err2)
 	}
@@ -133,8 +133,8 @@ func EngineEquivalence(src string, seed int64) error {
 	}
 
 	// Four-state pass: same stimulus over x-initialised state.
-	tr3, err3 := sim.Run(context.Background(), d1, maps, sim.FourState)
-	tr4, err4 := sim.RunReferenceCtx(context.Background(), d2, maps, sim.FourState)
+	tr3, err3 := sim.RunVecCtx(context.Background(), d1, vec, sim.FourState)
+	tr4, err4 := sim.RunReferenceCtx(context.Background(), d2, vec, sim.FourState)
 	if !sameError(err3, err4) {
 		return violation("engine-equivalence", "sim-error-4state", src, "plan err=%v, reference err=%v", err3, err4)
 	}
@@ -172,7 +172,7 @@ func sameError(a, b error) bool {
 func laneEquivalence(src string, d *compile.Design, vec sim.VecStimulus, rng *rand.Rand, mode sim.Mode, suffix string) error {
 	stims := []sim.VecStimulus{vec}
 	for extra := rng.Intn(7); extra > 0; extra-- {
-		sib, _ := randomStimulus(d, rng, len(vec.Rows))
+		sib := randomStimulus(d, rng, len(vec.Rows))
 		stims = append(stims, sib)
 	}
 	ls, err := sim.PackStimuli(stims)
@@ -266,23 +266,15 @@ func compareTraces(src string, d *compile.Design, tr1, tr2 *sim.Trace, suffix st
 	return nil
 }
 
-// randomStimulus builds one random run in both the dense vector form the
-// plan path consumes and the equivalent map form for the reference
-// interpreter. When the design has a reset it is held active for the
-// first two cycles, released, and occasionally glitched later.
-func randomStimulus(d *compile.Design, rng *rand.Rand, depth int) (sim.VecStimulus, sim.Stimulus) {
-	var inputs []*compile.Signal
-	for _, p := range d.Module.Ports {
-		if p.Dir == verilog.DirInput {
-			inputs = append(inputs, d.Signals[p.Name])
-		}
-	}
+// randomStimulus builds one random run over every input port. When the
+// design has a reset it is held active for the first two cycles, released,
+// and occasionally glitched later.
+func randomStimulus(d *compile.Design, rng *rand.Rand, depth int) sim.VecStimulus {
+	inputs := inputPorts(d)
 	reset := d.Reset()
 	rows := make([][]uint64, depth)
-	maps := make(sim.Stimulus, depth)
 	for c := 0; c < depth; c++ {
 		row := make([]uint64, len(inputs))
-		cyc := make(map[string]uint64, len(inputs))
 		for i, in := range inputs {
 			v := rng.Uint64() & in.Mask()
 			if reset.Present && in.Name == reset.Name {
@@ -294,12 +286,21 @@ func randomStimulus(d *compile.Design, rng *rand.Rand, depth int) (sim.VecStimul
 				}
 			}
 			row[i] = v
-			cyc[in.Name] = v
 		}
 		rows[c] = row
-		maps[c] = cyc
 	}
-	return sim.VecStimulus{Inputs: inputs, Rows: rows}, maps
+	return sim.VecStimulus{Inputs: inputs, Rows: rows}
+}
+
+// inputPorts lists the design's input ports in declaration order.
+func inputPorts(d *compile.Design) []*compile.Signal {
+	var inputs []*compile.Signal
+	for _, p := range d.Module.Ports {
+		if p.Dir == verilog.DirInput {
+			inputs = append(inputs, d.Signals[p.Name])
+		}
+	}
+	return inputs
 }
 
 func diffSVAResults(a, b *sva.Result) string {
@@ -393,10 +394,7 @@ func simRejects(src string) bool {
 	if err != nil || compile.HasErrors(diags) || d == nil {
 		return true
 	}
-	stim := make(sim.Stimulus, 2)
-	for c := range stim {
-		stim[c] = map[string]uint64{}
-	}
+	stim := sim.VecStimulus{Rows: make([][]uint64, 2)}
 	_, err = sim.RunReferenceCtx(context.Background(), d, stim, sim.TwoState)
 	return err != nil
 }
@@ -413,17 +411,13 @@ func replayCounterexample(src string, res *formal.Result) error {
 		return violation("formal-consistency", "replay-miss", src, "replay recompile failed")
 	}
 	tr := res.Trace
-	stim := make(sim.Stimulus, tr.Len())
-	for c := 0; c < tr.Len(); c++ {
-		cyc := map[string]uint64{}
-		for _, p := range d2.Module.Ports {
-			if p.Dir != verilog.DirInput {
-				continue
-			}
-			v, _ := tr.Value(c, p.Name)
-			cyc[p.Name] = v
+	stim := sim.VecStimulus{Inputs: inputPorts(d2), Rows: make([][]uint64, tr.Len())}
+	for c := range stim.Rows {
+		row := make([]uint64, len(stim.Inputs))
+		for i, in := range stim.Inputs {
+			row[i], _ = tr.Value(c, in.Name)
 		}
-		stim[c] = cyc
+		stim.Rows[c] = row
 	}
 	rtr, err := sim.RunReferenceCtx(context.Background(), d2, stim, sim.TwoState)
 	if err != nil {

@@ -14,7 +14,8 @@
 //   - Result.Consts: a proved-constant signal must hold exactly its proved
 //     value, fully known, on every trace row.
 //   - Result.Dead: a proved-dead branch polarity must never appear in the
-//     branch coverage recorded by sim.RunReferenceBranches.
+//     branch coverage sim.RunReferenceBranches records over the same
+//     vector stimulus the other engines run.
 //   - Result.NeverReset: a flagged register must start fully x at cycle 0
 //     of every four-state trace.
 //   - The Verdict over a design must be byte-identical after a

@@ -34,8 +34,8 @@
 // lazily on the first four-state run, so the two-state plan, which is the
 // formal checker's hot path, pays nothing for it. Both domains share one
 // definition of the operator semantics (v4.go), and the interpretive
-// Simulator remains the reference implementation for each: Run and RunVecCtx
-// fall back to it (via RunReferenceCtx) for designs the planner cannot lower
+// Simulator remains the reference implementation for each: RunVecCtx
+// falls back to it (via RunReferenceCtx) for designs the planner cannot lower
 // (dynamic slice bounds, non-constant replication counts), and the
 // differential tests plus the cross-engine fuzzer hold the two backends
 // identical plane-for-plane.
@@ -59,10 +59,18 @@
 //
 // # Entry points and the run loop
 //
-// Five functions run a simulation, each taking a context and a value
-// domain: Run (name-map Stimulus) and RunVecCtx (slot-vector VecStimulus)
-// on the compiled plan, RunReferenceCtx and RunReferenceBranches on the
-// reference interpreter, and RunLanesCtx on the lane engine. All of them
+// Four functions run a simulation, each in a value domain: RunVecCtx on
+// the compiled plan, RunReferenceCtx and RunReferenceBranches on the
+// reference interpreter, and RunLanesCtx on the lane engine. The scalar
+// three take one stimulus form, VecStimulus: a fixed input list and one
+// dense row of values per cycle. Each checks the stimulus once, before the
+// first cycle, in one order shared by plan and reference: every row holds
+// one value per input, then every column names an input of the design, so
+// a bad stimulus fails with the same error on either engine, even with no
+// rows. Each cycle then drives Inputs[i] from Rows[c][i], masked to its
+// width and fully known; an input the stimulus does not list is never
+// driven. The lane engine takes a LaneStimulus, which PackStimuli builds
+// from 1..64 VecStimulus values after the same row check. All of them
 // reach one per-cycle loop (run.go): poll for cancellation, capture the
 // domain clocks, apply the row's inputs, settle, sample the row and the
 // fired mask, run the edge. Each engine — plan, reference interpreter,

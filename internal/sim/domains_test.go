@@ -41,15 +41,15 @@ func TestMultiClockFunctional(t *testing.T) {
 	if !d.MultiClock() {
 		t.Fatalf("cross not multi-clock: %v", d.Domains)
 	}
-	stim := crossSchedule()
-	tr, err := Run(context.Background(), d, stim, TwoState)
+	stim := crossSchedule(d)
+	tr, err := RunVecCtx(context.Background(), d, stim, TwoState)
 	if err != nil {
 		t.Fatal(err)
 	}
 	wantQA := []uint64{0, 0, 1, 1, 1, 1, 0, 0}
 	wantQB := []uint64{0, 0, 0, 1, 1, 1, 1, 0}
 	wantFired := []uint64{0, 1, 2, 1, 0, 1, 2, 1}
-	for c := range stim {
+	for c := range stim.Rows {
 		qa, _ := tr.Value(c, "qa")
 		qb, _ := tr.Value(c, "qb")
 		if qa != wantQA[c] || qb != wantQB[c] {
@@ -63,13 +63,13 @@ func TestMultiClockFunctional(t *testing.T) {
 
 // crossSchedule drives twoClockSrc with clk_a toggling every row and clk_b
 // every second row.
-func crossSchedule() Stimulus {
+func crossSchedule(d *compile.Design) VecStimulus {
 	clkA := []uint64{0, 1, 0, 1, 0, 1, 0, 1}
 	clkB := []uint64{0, 0, 1, 1, 0, 0, 1, 1}
 	din := []uint64{1, 1, 1, 1, 0, 0, 0, 0}
-	stim := make(Stimulus, len(clkA))
-	for c := range stim {
-		stim[c] = map[string]uint64{"clk_a": clkA[c], "clk_b": clkB[c], "rst_n": 1, "d": din[c]}
+	stim := vec(d, "clk_a clk_b rst_n d", make([][]uint64, len(clkA)))
+	for c := range stim.Rows {
+		stim.Rows[c] = []uint64{clkA[c], clkB[c], 1, din[c]}
 	}
 	return stim
 }
@@ -80,7 +80,7 @@ func crossSchedule() Stimulus {
 // reads its traces, so it must clock domains exactly as every other engine.
 func TestReferenceBranchesMultiClock(t *testing.T) {
 	d := mustCompile(t, twoClockSrc)
-	stim := crossSchedule()
+	stim := crossSchedule(d)
 	for _, mode := range []Mode{TwoState, FourState} {
 		want, err := RunReferenceCtx(context.Background(), d, stim, mode)
 		if err != nil {
@@ -113,17 +113,17 @@ endmodule
 	}
 	clk := []uint64{0, 1, 0, 1}
 	din := []uint64{1, 1, 1, 0}
-	stim := make(Stimulus, len(clk))
-	for c := range stim {
-		stim[c] = map[string]uint64{"clk": clk[c], "d": din[c]}
+	stim := vec(d, "clk d", make([][]uint64, len(clk)))
+	for c := range stim.Rows {
+		stim.Rows[c] = []uint64{clk[c], din[c]}
 	}
-	tr, err := Run(context.Background(), d, stim, TwoState)
+	tr, err := RunVecCtx(context.Background(), d, stim, TwoState)
 	if err != nil {
 		t.Fatal(err)
 	}
 	wantQP := []uint64{0, 0, 1, 1}
 	wantQN := []uint64{0, 0, 0, 1}
-	for c := range stim {
+	for c := range stim.Rows {
 		qp, _ := tr.Value(c, "qp")
 		qn, _ := tr.Value(c, "qn")
 		if qp != wantQP[c] || qn != wantQN[c] {
@@ -136,7 +136,7 @@ endmodule
 // model: no fired plane is recorded and Fired reports every domain.
 func TestSingleClockFiredNil(t *testing.T) {
 	d := mustCompile(t, counterSrc)
-	tr, err := Run(context.Background(), d, Stimulus{{"rst_n": 1, "en": 1}, {"rst_n": 1, "en": 1}}, TwoState)
+	tr, err := RunVecCtx(context.Background(), d, vec(d, "rst_n en", [][]uint64{{1, 1}, {1, 1}}), TwoState)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestMultiClockDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatalf("mode %v lane %d plan: %v", mode, l, err)
 			}
-			rt, err := RunReferenceCtx(context.Background(), d, vs.maps(), mode)
+			rt, err := RunReferenceCtx(context.Background(), d, vs, mode)
 			if err != nil {
 				t.Fatalf("mode %v lane %d reference: %v", mode, l, err)
 			}

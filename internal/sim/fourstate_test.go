@@ -7,18 +7,20 @@ import (
 	"repro/internal/compile"
 )
 
-// runBoth runs the same stimulus through the compiled four-state plan and
-// the four-state reference interpreter and requires identical planes.
-func runBoth4(t *testing.T, src string, stim Stimulus) *Trace {
+// runBoth4 runs the same stimulus, over the inputs named in cols, through
+// the compiled four-state plan and the four-state reference interpreter
+// and requires identical planes.
+func runBoth4(t *testing.T, src, cols string, rows [][]uint64) *Trace {
 	t.Helper()
 	d1, diags, err := compile.Compile(src)
 	if err != nil || compile.HasErrors(diags) {
 		t.Fatalf("compile: %v %v", err, diags)
 	}
 	d2, _, _ := compile.Compile(src)
-	tr1, err := Run(context.Background(), d1, stim, FourState)
+	stim := vec(d1, cols, rows)
+	tr1, err := RunVecCtx(context.Background(), d1, stim, FourState)
 	if err != nil {
-		t.Fatalf("Run: %v", err)
+		t.Fatalf("RunVecCtx: %v", err)
 	}
 	if PlanOf(d1) != nil && PlanOf(d1).fourState() != nil && tr1.Mode() != FourState {
 		t.Fatalf("plan-backed four-state trace reports mode %v", tr1.Mode())
@@ -39,12 +41,13 @@ func runBoth4(t *testing.T, src string, stim Stimulus) *Trace {
 	return tr1
 }
 
-func stimCycles(n int, vals map[string]uint64) Stimulus {
-	st := make(Stimulus, n)
-	for i := range st {
-		st[i] = vals
+// repeatRow returns n copies of one stimulus row.
+func repeatRow(n int, row ...uint64) [][]uint64 {
+	rows := make([][]uint64, n)
+	for i := range rows {
+		rows[i] = row
 	}
-	return st
+	return rows
 }
 
 // TestFourStateDivByZero pins the four-state rule the two-state engines
@@ -60,7 +63,7 @@ func TestFourStateDivByZero(t *testing.T) {
     assign r = 4'd12 % in0;
 endmodule
 `
-	tr := runBoth4(t, src, stimCycles(2, map[string]uint64{"in0": 0}))
+	tr := runBoth4(t, src, "in0", repeatRow(2, 0))
 	q, _ := tr.Value4(1, "q")
 	if q != (V4{Val: 0, Unk: 0xF}) {
 		t.Errorf("q = %+v, want all-x", q)
@@ -71,7 +74,7 @@ endmodule
 	}
 	// Two-state keeps the historical 0.
 	d, _, _ := compile.Compile(src)
-	tr2, err := Run(context.Background(), d, stimCycles(2, map[string]uint64{"in0": 0}), TwoState)
+	tr2, err := RunVecCtx(context.Background(), d, vec(d, "in0", repeatRow(2, 0)), TwoState)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,10 +100,7 @@ func TestFourStateUninitRegister(t *testing.T) {
     assign q = cnt;
 endmodule
 `
-	stim := Stimulus{
-		{"en": 0}, {"en": 0}, {"en": 1}, {"en": 0},
-	}
-	tr := runBoth4(t, src, stim)
+	tr := runBoth4(t, src, "en", [][]uint64{{0}, {0}, {1}, {0}})
 	if v, _ := tr.Value4(0, "cnt"); v != (V4{Unk: 0xF}) {
 		t.Errorf("cycle 0 cnt = %+v, want all-x", v)
 	}
@@ -133,7 +133,7 @@ func TestFourStateAbsorption(t *testing.T) {
     assign lt = u < in0;
 endmodule
 `
-	tr := runBoth4(t, src, stimCycles(1, map[string]uint64{"in0": 0b0101}))
+	tr := runBoth4(t, src, "in0", [][]uint64{{0b0101}})
 	// u = 1 x 0 x (z folds to x); in0 = 0101.
 	// and: 1&0=0, x&1=x, 0&0=0, x&1=x -> 0x0x
 	if v, _ := tr.Value4(0, "a"); v != (V4{Val: 0b0000, Unk: 0b0101}) {
@@ -175,7 +175,7 @@ func TestFourStateCaseEquality(t *testing.T) {
     assign kno = $isunknown(4'b1010);
 endmodule
 `
-	tr := runBoth4(t, src, stimCycles(1, nil))
+	tr := runBoth4(t, src, "", [][]uint64{{}})
 	if v, _ := tr.Value4(0, "ceq"); v != (V4{Val: 1}) {
 		t.Errorf("ceq = %+v, want known 1", v)
 	}
@@ -204,7 +204,7 @@ func TestFourStateTernaryMerge(t *testing.T) {
     assign q = sel ? 4'b1100 : 4'b1010;
 endmodule
 `
-	tr := runBoth4(t, src, stimCycles(1, nil))
+	tr := runBoth4(t, src, "", [][]uint64{{}})
 	if v, _ := tr.Value4(0, "q"); v != (V4{Val: 0b1000, Unk: 0b0110}) {
 		t.Errorf("q = %+v, want val 1000 unk 0110", v)
 	}
@@ -227,12 +227,10 @@ func TestFourStateResetVisibility(t *testing.T) {
     assign q = cnt;
 endmodule
 `
-	stim := Stimulus{
-		{"rst_n": 0}, {"rst_n": 0}, {"rst_n": 1}, {"rst_n": 1},
-	}
+	rows := [][]uint64{{0}, {0}, {1}, {1}}
 	// Two-state: cnt starts 0 and counts.
 	d, _, _ := compile.Compile(src)
-	tr2, err := Run(context.Background(), d, stim, TwoState)
+	tr2, err := RunVecCtx(context.Background(), d, vec(d, "rst_n", rows), TwoState)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +238,7 @@ endmodule
 		t.Errorf("two-state cnt = %d, want 3", v)
 	}
 	// Four-state: x + 1 stays x forever.
-	tr4 := runBoth4(t, src, stim)
+	tr4 := runBoth4(t, src, "rst_n", rows)
 	if v, _ := tr4.Value4(3, "cnt"); v != (V4{Unk: 0xF}) {
 		t.Errorf("four-state cnt = %+v, want all-x", v)
 	}
@@ -262,7 +260,7 @@ func TestFourStateUnknownSliceBound(t *testing.T) {
     assign r = {2'b1x{in0[0]}};
 endmodule
 `
-	tr := runBoth4(t, src, stimCycles(1, map[string]uint64{"in0": 0b0110}))
+	tr := runBoth4(t, src, "in0", [][]uint64{{0b0110}})
 	if v, _ := tr.Value4(0, "o"); v != (V4{Unk: 0x7}) {
 		t.Errorf("o = %+v, want all-x (unknown slice bound)", v)
 	}
@@ -287,7 +285,7 @@ func TestFourStateUnknownSliceStoreNoop(t *testing.T) {
     assign q = r0;
 endmodule
 `
-	tr := runBoth4(t, src, stimCycles(2, map[string]uint64{"in0": 0b111}))
+	tr := runBoth4(t, src, "in0", repeatRow(2, 0b111))
 	if v, _ := tr.Value4(1, "r0"); v != (V4{Val: 0}) {
 		t.Errorf("r0 = %+v, want unchanged 0 (store through x bound is a no-op)", v)
 	}
@@ -304,7 +302,7 @@ func TestFourStateXZLiteralInit(t *testing.T) {
     assign q = r;
 endmodule
 `
-	tr := runBoth4(t, src, stimCycles(1, nil))
+	tr := runBoth4(t, src, "", [][]uint64{{}})
 	if v, _ := tr.Value4(0, "r"); v != (V4{Val: 0b1000, Unk: 0b0101}) {
 		t.Errorf("r = %+v, want val 1000 unk 0101", v)
 	}

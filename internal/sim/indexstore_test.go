@@ -88,25 +88,19 @@ func TestOutOfRangeIndexStoreIsNoOp(t *testing.T) {
 		}
 		var vecs []VecStimulus
 		for l, st := range lanes {
-			named := make(Stimulus, len(st[0]))
 			rows := make([][]uint64, len(st[0]))
 			for c := range st[0] {
-				named[c] = map[string]uint64{"i": st[0][c], "d": st[1][c]}
 				rows[c] = []uint64{st[0][c], st[1][c]}
 			}
 			vec := VecStimulus{Inputs: cols, Rows: rows}
 			vecs = append(vecs, vec)
 
-			tr, err := Run(ctx, d, named, mode)
+			tr, err := RunVecCtx(ctx, d, vec, mode)
 			if err != nil {
-				t.Fatalf("Run %v: %v", mode, err)
-			}
-			check("Run", l, tr)
-			if tr, err = RunVecCtx(ctx, d, vec, mode); err != nil {
 				t.Fatalf("RunVecCtx %v: %v", mode, err)
 			}
 			check("RunVecCtx", l, tr)
-			if tr, err = RunReferenceCtx(ctx, mustCompile(t, indexStoreSrc), named, mode); err != nil {
+			if tr, err = RunReferenceCtx(ctx, mustCompile(t, indexStoreSrc), vec, mode); err != nil {
 				t.Fatalf("RunReferenceCtx %v: %v", mode, err)
 			}
 			check("RunReferenceCtx", l, tr)

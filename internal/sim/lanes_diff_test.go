@@ -21,9 +21,8 @@ import (
 )
 
 // laneDiffStims builds n dense deterministic stimuli (reset-then-random)
-// sharing one input list, plus the equivalent map form for the reference
-// interpreter.
-func laneDiffStims(d *compile.Design, seed int64, n, depth int) ([]sim.VecStimulus, []sim.Stimulus) {
+// sharing one input list.
+func laneDiffStims(d *compile.Design, seed int64, n, depth int) []sim.VecStimulus {
 	rng := rand.New(rand.NewSource(seed))
 	inputs := d.Inputs(true)
 	reset := d.Reset()
@@ -36,34 +35,21 @@ func laneDiffStims(d *compile.Design, seed int64, n, depth int) ([]sim.VecStimul
 		}
 	}
 	vecs := make([]sim.VecStimulus, n)
-	maps := make([]sim.Stimulus, n)
 	for j := 0; j < n; j++ {
 		rows := make([][]uint64, depth)
-		mst := make(sim.Stimulus, depth)
 		for c := 0; c < depth; c++ {
 			row := make([]uint64, len(cols))
-			cyc := map[string]uint64{}
-			if ri >= 0 {
-				active := c < 2
-				v := uint64(0)
-				if reset.ActiveLow != active {
-					v = 1
-				}
-				row[ri] = v
-				cyc[reset.Name] = v
+			if ri >= 0 && reset.ActiveLow != (c < 2) {
+				row[ri] = 1
 			}
 			for i, in := range inputs {
-				v := rng.Uint64() & in.Mask()
-				row[i] = v
-				cyc[in.Name] = v
+				row[i] = rng.Uint64() & in.Mask()
 			}
 			rows[c] = row
-			mst[c] = cyc
 		}
 		vecs[j] = sim.VecStimulus{Inputs: cols, Rows: rows}
-		maps[j] = mst
 	}
-	return vecs, maps
+	return vecs
 }
 
 func sameTrace(t *testing.T, name, legA, legB string, a, b *sim.Trace, order []string) {
@@ -114,7 +100,7 @@ func assertLaneDifferential(t *testing.T, name, src string, seed int64, lanes in
 		return false // uncompilable mutants are out of scope
 	}
 	dRef, _, _ := compile.Compile(src)
-	vecs, maps := laneDiffStims(d, seed, lanes, 20)
+	vecs := laneDiffStims(d, seed, lanes, 20)
 	ls, err := sim.PackStimuli(vecs)
 	if err != nil {
 		t.Fatalf("%s: pack: %v", name, err)
@@ -128,7 +114,7 @@ func assertLaneDifferential(t *testing.T, name, src string, seed int64, lanes in
 	for l := 0; l < lanes; l++ {
 		lname := name
 		tr, scalarErr := sim.RunVecCtx(context.Background(), d, vecs[l], mode)
-		ref, refErr := sim.RunReferenceCtx(context.Background(), dRef, maps[l], mode)
+		ref, refErr := sim.RunReferenceCtx(context.Background(), dRef, vecs[l], mode)
 		if (scalarErr == nil) != (refErr == nil) {
 			t.Fatalf("%s: lane %d: plan err=%v, reference err=%v", lname, l, scalarErr, refErr)
 		}

@@ -34,14 +34,17 @@ func PackStimuli(stims []VecStimulus) (*LaneStimulus, error) {
 	}
 	first := stims[0]
 	depth := len(first.Rows)
-	for j, st := range stims[1:] {
+	for j, st := range stims {
+		if err := st.checkShape(); err != nil {
+			return nil, fmt.Errorf("lane %d: %w", j, err)
+		}
 		if len(st.Inputs) != len(first.Inputs) || len(st.Rows) != depth {
-			return nil, fmt.Errorf("sim: lane %d stimulus shape differs from lane 0", j+1)
+			return nil, fmt.Errorf("sim: lane %d stimulus shape differs from lane 0", j)
 		}
 		for i := range st.Inputs {
 			if st.Inputs[i].Name != first.Inputs[i].Name {
 				return nil, fmt.Errorf("sim: lane %d drives %q where lane 0 drives %q",
-					j+1, st.Inputs[i].Name, first.Inputs[i].Name)
+					j, st.Inputs[i].Name, first.Inputs[i].Name)
 			}
 		}
 	}

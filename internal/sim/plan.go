@@ -277,15 +277,6 @@ func (m *mach) rmw(slot int32, mode writeMode) (v, u uint64) {
 	return m.vals[slot], unkAt(m.unks, slot)
 }
 
-func (m *mach) setInput(name string, v uint64) error {
-	sig := m.p.design.Signals[name]
-	if sig == nil || sig.Kind != compile.SigInput {
-		return fmt.Errorf("sim: %q is not an input", name)
-	}
-	m.setSlot(int32(sig.Slot), v)
-	return nil
-}
-
 // setSlot drives an input slot with a fully known value.
 func (m *mach) setSlot(slot int32, v uint64) {
 	m.vals[slot] = v & m.p.masks[slot]

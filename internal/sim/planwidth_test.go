@@ -83,8 +83,9 @@ module ix (
 endmodule
 `
 	d := mustCompile(t, src)
-	_, errPlan := Run(context.Background(), d, Stimulus{{"v": 1}}, TwoState)
-	_, errRef := RunReferenceCtx(context.Background(), mustCompile(t, src), Stimulus{{"v": 1}}, TwoState)
+	stim := vec(d, "v", [][]uint64{{1}})
+	_, errPlan := RunVecCtx(context.Background(), d, stim, TwoState)
+	_, errRef := RunReferenceCtx(context.Background(), mustCompile(t, src), stim, TwoState)
 	if errPlan == nil || errRef == nil {
 		t.Fatalf("invalid slice must fail on both backends: plan=%v reference=%v", errPlan, errRef)
 	}

@@ -33,16 +33,16 @@ func TestQuickSimDeterminism(t *testing.T) {
 	}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		stim := make(Stimulus, 12)
-		for i := range stim {
-			stim[i] = map[string]uint64{
-				"rst_n": uint64(boolToU(i > 0 || rng.Intn(2) == 0)),
-				"en":    uint64(rng.Intn(2)),
-				"step":  uint64(rng.Intn(16)),
+		stim := vec(d, "rst_n en step", make([][]uint64, 12))
+		for i := range stim.Rows {
+			stim.Rows[i] = []uint64{
+				uint64(boolToU(i > 0 || rng.Intn(2) == 0)),
+				uint64(rng.Intn(2)),
+				uint64(rng.Intn(16)),
 			}
 		}
-		tr1, err1 := Run(context.Background(), d, stim, TwoState)
-		tr2, err2 := Run(context.Background(), d, stim, TwoState)
+		tr1, err1 := RunVecCtx(context.Background(), d, stim, TwoState)
+		tr2, err2 := RunVecCtx(context.Background(), d, stim, TwoState)
 		if err1 != nil || err2 != nil {
 			return false
 		}
@@ -69,15 +69,15 @@ func TestQuickSimMasking(t *testing.T) {
 	}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		stim := make(Stimulus, 16)
-		for i := range stim {
-			stim[i] = map[string]uint64{
-				"rst_n": uint64(rng.Intn(2)),
-				"en":    rng.Uint64(), // deliberately over-wide inputs
-				"step":  rng.Uint64(),
+		stim := vec(d, "rst_n en step", make([][]uint64, 16))
+		for i := range stim.Rows {
+			stim.Rows[i] = []uint64{
+				uint64(rng.Intn(2)),
+				rng.Uint64(), // deliberately over-wide inputs
+				rng.Uint64(),
 			}
 		}
-		tr, err := Run(context.Background(), d, stim, TwoState)
+		tr, err := RunVecCtx(context.Background(), d, stim, TwoState)
 		if err != nil {
 			return false
 		}
@@ -109,15 +109,15 @@ func TestQuickResetDominates(t *testing.T) {
 	}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		stim := make(Stimulus, 16)
-		for i := range stim {
-			stim[i] = map[string]uint64{
-				"rst_n": uint64(rng.Intn(2)),
-				"en":    1,
-				"step":  uint64(1 + rng.Intn(15)),
+		stim := vec(d, "rst_n en step", make([][]uint64, 16))
+		for i := range stim.Rows {
+			stim.Rows[i] = []uint64{
+				uint64(rng.Intn(2)),
+				1,
+				uint64(1 + rng.Intn(15)),
 			}
 		}
-		tr, err := Run(context.Background(), d, stim, TwoState)
+		tr, err := RunVecCtx(context.Background(), d, stim, TwoState)
 		if err != nil {
 			return false
 		}

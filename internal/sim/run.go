@@ -8,7 +8,7 @@ import (
 	"repro/internal/compile"
 )
 
-// This file holds the one simulation run loop and the five entry points
+// This file holds the one simulation run loop and the four entry points
 // that reach it. Every engine — the compiled plan in either value domain,
 // the reference interpreter and the lane engine in either value domain —
 // advances a run through drive, which owns the per-cycle sequence; an
@@ -69,26 +69,13 @@ func stopped(done <-chan struct{}) bool {
 	}
 }
 
-// Run simulates the design over the stimulus in the given value domain and
-// returns the sampled trace. Inputs not mentioned in a cycle hold their
-// previous value. Simulation executes on the design's compiled plan (in
-// FourState mode its four-state lowering, with every signal starting x
-// except declared initials); designs the planner cannot lower run on the
-// reference interpreter instead, with identical semantics.
-func Run(ctx context.Context, d *compile.Design, stim Stimulus, mode Mode) (*Trace, error) {
-	p := planFor(d, mode)
-	if p == nil {
-		return RunReferenceCtx(ctx, d, stim, mode)
-	}
-	r := &planRun{named: stim}
-	return r.run(ctx, d, p, mode, len(stim))
-}
-
-// RunVecCtx simulates the design over a vectorised stimulus, driving input
-// slots directly: every input in stim.Inputs is set every cycle, with no
-// per-cycle maps and no name hashing. It is the one-shot use of a
-// VecRunner, so the trace belongs to the caller. Designs the planner
-// cannot lower run on the reference interpreter, as in Run.
+// RunVecCtx simulates the design over the stimulus in the given value
+// domain and returns the sampled trace. Simulation executes on the design's
+// compiled plan (in FourState mode its four-state lowering, with every
+// signal starting x except declared initials); designs the planner cannot
+// lower run on the reference interpreter instead, with identical
+// semantics. It is the one-shot use of a VecRunner, so the trace belongs
+// to the caller.
 func RunVecCtx(ctx context.Context, d *compile.Design, stim VecStimulus, mode Mode) (*Trace, error) {
 	return NewVecRunner(d, mode).Run(ctx, stim)
 }
@@ -117,10 +104,15 @@ func NewVecRunner(d *compile.Design, mode Mode) *VecRunner {
 }
 
 // Run simulates one stimulus, driving every input in stim.Inputs every
-// cycle, and returns its trace.
+// cycle, and returns its trace. A row that does not hold one value per
+// input, or a column that is not an input of the design, is an error
+// before the first cycle, as on the reference interpreter.
 func (v *VecRunner) Run(ctx context.Context, stim VecStimulus) (*Trace, error) {
 	if v.p == nil {
-		return RunReferenceCtx(ctx, v.d, stim.maps(), v.mode)
+		return RunReferenceCtx(ctx, v.d, stim, v.mode)
+	}
+	if err := stim.checkShape(); err != nil {
+		return nil, err
 	}
 	if v.r.slots == nil || !slices.Equal(v.inputs, stim.Inputs) {
 		slots, err := inputSlots(v.d, stim.Inputs)
@@ -141,12 +133,12 @@ func (v *VecRunner) Detach() { v.r.tr = nil }
 // given value domain. It is the semantic oracle the differential tests
 // hold the compiled plan against, and the fallback for designs the
 // planner cannot lower.
-func RunReferenceCtx(ctx context.Context, d *compile.Design, stim Stimulus, mode Mode) (*Trace, error) {
-	s, err := newSimulator(d, mode)
+func RunReferenceCtx(ctx context.Context, d *compile.Design, stim VecStimulus, mode Mode) (*Trace, error) {
+	r, err := newRefRun(d, stim, mode)
 	if err != nil {
 		return nil, err
 	}
-	return runReference(ctx, s, stim)
+	return r.run(ctx)
 }
 
 // RunReferenceBranches is RunReferenceCtx with branch recording enabled,
@@ -154,17 +146,17 @@ func RunReferenceCtx(ctx context.Context, d *compile.Design, stim Stimulus, mode
 // the whole run. It is the dynamic half of the lint-vs-sim dead-branch
 // contract: a branch the analyzer proved dead must have its polarity bit
 // clear in the returned coverage.
-func RunReferenceBranches(d *compile.Design, stim Stimulus, mode Mode) (*Trace, BranchCoverage, error) {
-	s, err := newSimulator(d, mode)
+func RunReferenceBranches(d *compile.Design, stim VecStimulus, mode Mode) (*Trace, BranchCoverage, error) {
+	r, err := newRefRun(d, stim, mode)
 	if err != nil {
 		return nil, nil, err
 	}
-	s.recordBranches()
-	tr, err := runReference(context.Background(), s, stim)
+	r.s.recordBranches()
+	tr, err := r.run(context.Background())
 	if err != nil {
 		return nil, nil, err
 	}
-	return tr, s.branches, nil
+	return tr, r.s.branches, nil
 }
 
 // RunLanesCtx simulates a lane batch in the given value domain. Any
@@ -223,13 +215,6 @@ func inputSlots(d *compile.Design, inputs []*compile.Signal) ([]int32, error) {
 	return slots, nil
 }
 
-// newTrace allocates a scalar trace for rows cycles in mode's planes.
-func newTrace(d *compile.Design, p *Plan, mode Mode, rows int) *Trace {
-	tr := &Trace{Design: d, plan: p}
-	tr.reset(d.SlotCount(), rows, mode)
-	return tr
-}
-
 // record copies cycle c's sampled planes into row c (unk is nil in
 // two-state runs) and returns the fired mask of the coming edge.
 func (t *Trace) record(c int, vals, unk []uint64, ck *clocks) uint64 {
@@ -248,18 +233,15 @@ func (t *Trace) record(c int, vals, unk []uint64, ck *clocks) uint64 {
 	return f
 }
 
-// planRun is the compiled plan's step set, in either value domain. Its
-// inputs arrive in one of two forms: a name map per cycle (named) or a
-// slot vector per cycle (slots resolved once, rows). The machine is held
-// by value so a run allocates one step set, not a step set plus a machine,
-// and a planRun that runs again resets its machine and trace in place.
+// planRun is the compiled plan's step set, in either value domain: row c
+// drives slots[i] from rows[c][i]. The machine is held by value so a run
+// allocates one step set, not a step set plus a machine, and a planRun
+// that runs again resets its machine and trace in place.
 type planRun struct {
 	m     mach
 	tr    *Trace
 	ck    *clocks
 	fired uint64
-
-	named Stimulus
 	slots []int32
 	rows  [][]uint64
 }
@@ -291,14 +273,6 @@ func (r *planRun) capture() {
 }
 
 func (r *planRun) apply(c int) error {
-	if r.named != nil {
-		for name, v := range r.named[c] {
-			if err := r.m.setInput(name, v); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 	row := r.rows[c]
 	for i, slot := range r.slots {
 		r.m.setSlot(slot, row[i])
@@ -319,21 +293,39 @@ func (r *planRun) edge() error { return r.m.edge(r.fired) }
 // taken into one pair of scratch planes per run.
 type refRun struct {
 	s          *Simulator
-	stim       Stimulus
+	slots      []int32
+	rows       [][]uint64
 	tr         *Trace
 	ck         *clocks
 	fired      uint64
 	vals, unks []uint64 // snapshot planes; unks nil in two-state runs
 }
 
-func runReference(ctx context.Context, s *Simulator, stim Stimulus) (*Trace, error) {
-	d := s.design
-	r := &refRun{s: s, stim: stim, tr: newTrace(d, nil, s.mode, len(stim)), ck: clocksOf(d)}
+// newRefRun checks stim's shape and columns against d, as the plan does,
+// and starts a reference interpreter for it in mode.
+func newRefRun(d *compile.Design, stim VecStimulus, mode Mode) (*refRun, error) {
+	if err := stim.checkShape(); err != nil {
+		return nil, err
+	}
+	slots, err := inputSlots(d, stim.Inputs)
+	if err != nil {
+		return nil, err
+	}
+	s, err := newSimulator(d, mode)
+	if err != nil {
+		return nil, err
+	}
+	r := &refRun{s: s, slots: slots, rows: stim.Rows, tr: &Trace{Design: d}, ck: clocksOf(d)}
+	r.tr.reset(d.SlotCount(), len(stim.Rows), mode)
 	r.vals = make([]uint64, d.SlotCount())
-	if s.mode == FourState {
+	if mode == FourState {
 		r.unks = make([]uint64, d.SlotCount())
 	}
-	if err := drive(ctx, r, len(stim)); err != nil {
+	return r, nil
+}
+
+func (r *refRun) run(ctx context.Context) (*Trace, error) {
+	if err := drive(ctx, r, len(r.rows)); err != nil {
 		return nil, err
 	}
 	return r.tr, nil
@@ -346,11 +338,12 @@ func (r *refRun) capture() {
 	}
 }
 
+// apply drives every input fully known, masked to its width.
 func (r *refRun) apply(c int) error {
-	for name, v := range r.stim[c] {
-		if err := r.s.setInput(name, v); err != nil {
-			return err
-		}
+	d, row := r.s.design, r.rows[c]
+	for i, slot := range r.slots {
+		sig := d.Signals[d.Order[slot]]
+		r.s.setVal(sig.Name, known(row[i]&sig.Mask()))
 	}
 	return nil
 }

@@ -10,14 +10,16 @@ import (
 
 // runBoth simulates on the compiled plan and the reference interpreter and
 // requires them to agree before returning the trace; the semantics
-// regression tests below therefore pin both execution paths at once.
-func runBoth(t *testing.T, src string, stim Stimulus) *Trace {
+// regression tests below therefore pin both execution paths at once. It
+// drives the inputs named in cols, as vec does.
+func runBoth(t *testing.T, src, cols string, rows [][]uint64) *Trace {
 	t.Helper()
 	d := mustCompile(t, src)
 	if PlanOf(d) == nil {
 		t.Fatalf("design unexpectedly unplannable")
 	}
-	tr, err := Run(context.Background(), d, stim, TwoState)
+	stim := vec(d, cols, rows)
+	tr, err := RunVecCtx(context.Background(), d, stim, TwoState)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +64,7 @@ endmodule
 		{0x00, 3, 0x00, 0x00},
 	}
 	for _, tc := range cases {
-		tr := runBoth(t, src, Stimulus{{"a": tc.a, "s": tc.s}})
+		tr := runBoth(t, src, "a s", [][]uint64{{tc.a, tc.s}})
 		if got, _ := tr.Value(0, "ar"); got != tc.ar {
 			t.Errorf("%#x >>> %d = %#x, want %#x", tc.a, tc.s, got, tc.ar)
 		}
@@ -86,7 +88,7 @@ module neg (
     assign lt = 8'd200 < -a;
 endmodule
 `
-	tr := runBoth(t, src, Stimulus{{"a": 1}})
+	tr := runBoth(t, src, "a", [][]uint64{{1}})
 	// -4'd1 is 4'hF: widening to 8 bits must not smear the sign.
 	if got, _ := tr.Value(0, "y"); got != 0x0F {
 		t.Errorf("-4'd1 widened = %#x, want 0x0f", got)
@@ -114,7 +116,7 @@ module po (
     end
 endmodule
 `
-	tr := runBoth(t, src, Stimulus{{"d": 5}, {"d": 5}})
+	tr := runBoth(t, src, "d", [][]uint64{{5}, {5}})
 	if got, _ := tr.Value(1, "q"); got != 0xA {
 		t.Errorf("q after edge = %#x, want 0xa (nonblocking write is last in program order)", got)
 	}
@@ -132,7 +134,7 @@ module po2 (
     end
 endmodule
 `
-	tr = runBoth(t, rev, Stimulus{{"d": 5}, {"d": 5}})
+	tr = runBoth(t, rev, "d", [][]uint64{{5}, {5}})
 	if got, _ := tr.Value(1, "q"); got != 5 {
 		t.Errorf("q after edge = %#x, want 0x5 (blocking write is last in program order)", got)
 	}
@@ -152,7 +154,7 @@ module rmw (
     end
 endmodule
 `
-	tr := runBoth(t, src, Stimulus{{}, {}})
+	tr := runBoth(t, src, "", [][]uint64{{}, {}})
 	if got, _ := tr.Value(1, "q"); got != 0x8F {
 		t.Errorf("q after edge = %#x, want 0x8f (bit RMW over the blocking result)", got)
 	}
@@ -170,7 +172,7 @@ module rmws (
     end
 endmodule
 `
-	tr = runBoth(t, slice, Stimulus{{}, {}})
+	tr = runBoth(t, slice, "", [][]uint64{{}, {}})
 	if got, _ := tr.Value(1, "q"); got != 0xF5 {
 		t.Errorf("q after edge = %#x, want 0xf5 (slice RMW over the blocking result)", got)
 	}
@@ -234,7 +236,7 @@ endmodule
 	d := mustCompile(t, src)
 	term := d.Asserts[0].Seq.Consequent[0].Expr
 	for _, mode := range []Mode{TwoState, FourState} {
-		tr, err := Run(context.Background(), d, Stimulus{{"x": 1}, {"x": 2}}, mode)
+		tr, err := RunVecCtx(context.Background(), d, vec(d, "x", [][]uint64{{1}, {2}}), mode)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -275,9 +277,9 @@ endmodule
 		if PlanOf(d) == nil {
 			t.Fatal("design unexpectedly unplannable")
 		}
-		stim := Stimulus{{"a": 0}, {"a": 0}}
+		stim := vec(d, "a", [][]uint64{{0}, {0}})
 		for _, mode := range []Mode{TwoState, FourState} {
-			_, err := Run(context.Background(), d, stim, mode)
+			_, err := RunVecCtx(context.Background(), d, stim, mode)
 			_, ref := RunReferenceCtx(context.Background(), mustCompile(t, src), stim, mode)
 			if err == nil || ref == nil || err.Error() != ref.Error() {
 				t.Errorf("$past(a, %s) mode %v: plan error %v, reference error %v", depth, mode, err, ref)

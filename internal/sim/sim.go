@@ -13,7 +13,7 @@ const maxCombIterations = 64
 
 // Simulator advances an elaborated design one clock cycle at a time. It is
 // the reference interpreter: it re-walks the AST every cycle with name-keyed
-// state, which makes it slow but easy to audit. Run uses the compiled
+// state, which makes it slow but easy to audit. RunVecCtx uses the compiled
 // slot-indexed plan (see plan.go) and falls back to this interpreter only
 // when a design contains a construct the planner cannot lower; the two are
 // held byte-identical by the differential tests.
@@ -70,17 +70,6 @@ func newSimulator(d *compile.Design, mode Mode) (*Simulator, error) {
 		return nil, err
 	}
 	return s, nil
-}
-
-// setInput drives an input port for the upcoming cycle. Driven values are
-// fully known.
-func (s *Simulator) setInput(name string, v uint64) error {
-	sig := s.design.Signals[name]
-	if sig == nil || sig.Kind != compile.SigInput {
-		return fmt.Errorf("sim: %q is not an input", name)
-	}
-	s.setVal(name, known(v&sig.Mask()))
-	return nil
 }
 
 func (s *Simulator) get4(name string) (V4, bool) {

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -18,6 +19,16 @@ func mustCompile(t *testing.T, src string) *compile.Design {
 		t.Fatalf("compile errors:\n%s", compile.FormatDiags(diags))
 	}
 	return d
+}
+
+// vec builds a stimulus over d's inputs named in cols, space-separated:
+// rows[c][i] drives the i-th named input at cycle c.
+func vec(d *compile.Design, cols string, rows [][]uint64) VecStimulus {
+	st := VecStimulus{Rows: rows}
+	for _, name := range strings.Fields(cols) {
+		st.Inputs = append(st.Inputs, d.Signals[name])
+	}
+	return st
 }
 
 const counterSrc = `
@@ -42,14 +53,11 @@ endmodule
 
 func TestCounterBasic(t *testing.T) {
 	d := mustCompile(t, counterSrc)
-	stim := Stimulus{
-		{"rst_n": 0, "en": 0},
-		{"rst_n": 1, "en": 1},
-	}
+	stim := vec(d, "rst_n en", [][]uint64{{0, 0}, {1, 1}})
 	for i := 0; i < 12; i++ {
-		stim = append(stim, map[string]uint64{"rst_n": 1, "en": 1})
+		stim.Rows = append(stim.Rows, []uint64{1, 1})
 	}
-	tr, err := Run(context.Background(), d, stim, TwoState)
+	tr, err := RunVecCtx(context.Background(), d, stim, TwoState)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,15 +86,15 @@ func TestCounterBasic(t *testing.T) {
 
 func TestEnableGating(t *testing.T) {
 	d := mustCompile(t, counterSrc)
-	stim := Stimulus{
-		{"rst_n": 0, "en": 0},
-		{"rst_n": 1, "en": 1},
-		{"rst_n": 1, "en": 0},
-		{"rst_n": 1, "en": 0},
-		{"rst_n": 1, "en": 1},
-		{"rst_n": 1, "en": 1},
-	}
-	tr, err := Run(context.Background(), d, stim, TwoState)
+	stim := vec(d, "rst_n en", [][]uint64{
+		{0, 0},
+		{1, 1},
+		{1, 0},
+		{1, 0},
+		{1, 1},
+		{1, 1},
+	})
+	tr, err := RunVecCtx(context.Background(), d, stim, TwoState)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,14 +109,14 @@ func TestEnableGating(t *testing.T) {
 
 func TestMidRunReset(t *testing.T) {
 	d := mustCompile(t, counterSrc)
-	stim := Stimulus{
-		{"rst_n": 1, "en": 1},
-		{"rst_n": 1, "en": 1},
-		{"rst_n": 1, "en": 1},
-		{"rst_n": 0, "en": 1}, // async reset pulse
-		{"rst_n": 1, "en": 1},
-	}
-	tr, err := Run(context.Background(), d, stim, TwoState)
+	stim := vec(d, "rst_n en", [][]uint64{
+		{1, 1},
+		{1, 1},
+		{1, 1},
+		{0, 1}, // async reset pulse
+		{1, 1},
+	})
+	tr, err := RunVecCtx(context.Background(), d, stim, TwoState)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,15 +157,15 @@ endmodule
 
 func TestAccu(t *testing.T) {
 	d := mustCompile(t, accuSrc)
-	stim := Stimulus{
-		{"rst_n": 0, "in": 0, "valid_in": 0},
-		{"rst_n": 1, "in": 10, "valid_in": 1},
-		{"rst_n": 1, "in": 20, "valid_in": 1},
-		{"rst_n": 1, "in": 30, "valid_in": 1},
-		{"rst_n": 1, "in": 40, "valid_in": 1},
-		{"rst_n": 1, "in": 0, "valid_in": 0},
-	}
-	tr, err := Run(context.Background(), d, stim, TwoState)
+	stim := vec(d, "rst_n in valid_in", [][]uint64{
+		{0, 0, 0},
+		{1, 10, 1},
+		{1, 20, 1},
+		{1, 30, 1},
+		{1, 40, 1},
+		{1, 0, 0},
+	})
+	tr, err := RunVecCtx(context.Background(), d, stim, TwoState)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,9 +201,9 @@ endmodule
 	bSrc := strings.ReplaceAll(nbSrc, "<=", "=")
 	dNB := mustCompile(t, nbSrc)
 	dB := mustCompile(t, bSrc)
-	stim := Stimulus{{"d": 1}, {"d": 0}, {"d": 0}}
+	rows := [][]uint64{{1}, {0}, {0}}
 
-	trNB, err := Run(context.Background(), dNB, stim, TwoState)
+	trNB, err := RunVecCtx(context.Background(), dNB, vec(dNB, "d", rows), TwoState)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +218,7 @@ endmodule
 		t.Errorf("NBA q2 cycle2 = %d, want 1", v)
 	}
 
-	trB, err := Run(context.Background(), dB, stim, TwoState)
+	trB, err := RunVecCtx(context.Background(), dB, vec(dB, "d", rows), TwoState)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +246,7 @@ endmodule
 `
 	d := mustCompile(t, src)
 	for sel, want := range map[uint64]uint64{0: 1, 1: 2, 2: 4, 3: 8} {
-		tr, err := Run(context.Background(), d, Stimulus{{"sel": sel}}, TwoState)
+		tr, err := RunVecCtx(context.Background(), d, vec(d, "sel", [][]uint64{{sel}}), TwoState)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -260,7 +268,7 @@ module osc (
 endmodule
 `
 	d := mustCompile(t, src)
-	if _, err := Run(context.Background(), d, Stimulus{{"a": 0}}, TwoState); err == nil {
+	if _, err := RunVecCtx(context.Background(), d, vec(d, "a", [][]uint64{{0}}), TwoState); err == nil {
 		t.Fatal("want combinational settle error")
 	}
 }
@@ -279,7 +287,7 @@ module bits (
 endmodule
 `
 	d := mustCompile(t, src)
-	tr, err := Run(context.Background(), d, Stimulus{{"d": 0xA5}, {"d": 0xA5}}, TwoState)
+	tr, err := RunVecCtx(context.Background(), d, vec(d, "d", [][]uint64{{0xA5}, {0xA5}}), TwoState)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +309,7 @@ module cc (
 endmodule
 `
 	d := mustCompile(t, src)
-	tr, err := Run(context.Background(), d, Stimulus{{"a": 0xC, "b": 0x3}}, TwoState)
+	tr, err := RunVecCtx(context.Background(), d, vec(d, "a b", [][]uint64{{0xC, 0x3}}), TwoState)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +329,7 @@ module ini (
 endmodule
 `
 	d := mustCompile(t, src)
-	tr, err := Run(context.Background(), d, Stimulus{{}, {}}, TwoState)
+	tr, err := RunVecCtx(context.Background(), d, vec(d, "", [][]uint64{{}, {}}), TwoState)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +343,7 @@ endmodule
 
 func TestTraceFormat(t *testing.T) {
 	d := mustCompile(t, counterSrc)
-	tr, err := Run(context.Background(), d, Stimulus{{"rst_n": 0, "en": 0}, {"rst_n": 1, "en": 1}}, TwoState)
+	tr, err := RunVecCtx(context.Background(), d, vec(d, "rst_n en", [][]uint64{{0, 0}, {1, 1}}), TwoState)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,22 +353,67 @@ func TestTraceFormat(t *testing.T) {
 	}
 }
 
-func TestSetInputValidation(t *testing.T) {
-	d := mustCompile(t, counterSrc)
-	s, err := newSimulator(d, TwoState)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.setInput("count", 1); err == nil {
-		t.Error("setInput on output should fail")
-	}
-	if err := s.setInput("ghost", 1); err == nil {
-		t.Error("setInput on unknown signal should fail")
-	}
-	if err := s.setInput("en", 0xFF); err != nil {
-		t.Errorf("setInput: %v", err)
-	}
-	if v, _ := s.get4("en"); v.Val != 1 {
-		t.Errorf("en masked to %d, want 1", v.Val)
+// TestStimulusValidationMatchesReference: a stimulus is checked once, up
+// front, so the compiled plan, its reference fallback for an unplannable
+// design and the reference interpreter itself reject the same bad
+// stimulus with the same error, in both value domains, even with zero
+// rows. A driven input is masked to its width, and a ragged row is an
+// error, not a panic, here and in PackStimuli.
+func TestStimulusValidationMatchesReference(t *testing.T) {
+	const body = `
+module pq (
+    input clk,
+    input en,
+    input [3:0] v,
+    input [1:0] i,
+    output reg [3:0] q
+);
+    always @(posedge clk) if (en) %s <= v;
+endmodule
+`
+	ghost := &compile.Signal{Name: "ghost", Width: 1}
+	for _, lhs := range []string{"q", "q[i:0]"} {
+		src := fmt.Sprintf(body, lhs)
+		d := mustCompile(t, src)
+		if plannable := PlanOf(d) != nil; plannable != (lhs == "q") {
+			t.Fatalf("%s: plannable = %v", lhs, plannable)
+		}
+		for _, mode := range []Mode{TwoState, FourState} {
+			for _, tc := range []struct {
+				name string
+				stim VecStimulus
+				want string
+			}{
+				{"output column", vec(d, "en q", [][]uint64{{1, 2}}), `sim: "q" is not an input`},
+				{"output column, no rows", vec(d, "en q", nil), `sim: "q" is not an input`},
+				{"unknown signal", VecStimulus{Inputs: []*compile.Signal{ghost}, Rows: [][]uint64{{1}}}, `sim: "ghost" is not an input`},
+				{"ragged row", vec(d, "en v i", [][]uint64{{1, 2, 0}, {1}}), "sim: stimulus row 1 holds 1 values for 3 inputs"},
+			} {
+				_, errPlan := RunVecCtx(context.Background(), d, tc.stim, mode)
+				_, errRef := RunReferenceCtx(context.Background(), mustCompile(t, src), tc.stim, mode)
+				for _, err := range []error{errPlan, errRef} {
+					if err == nil || err.Error() != tc.want {
+						t.Errorf("%s %v %s: plan err=%v, reference err=%v, want %q", lhs, mode, tc.name, errPlan, errRef, tc.want)
+						break
+					}
+				}
+			}
+			masked := vec(d, "en v i", [][]uint64{{0xFF, 3, 1}})
+			for engine, run := range map[string]func(context.Context, *compile.Design, VecStimulus, Mode) (*Trace, error){
+				"plan": RunVecCtx, "reference": RunReferenceCtx,
+			} {
+				tr, err := run(context.Background(), d, masked, mode)
+				if err != nil {
+					t.Fatalf("%s %v %s: %v", lhs, mode, engine, err)
+				}
+				if v, _ := tr.Value4(0, "en"); v != (V4{Val: 1}) {
+					t.Errorf("%s %v %s: en driven 0xFF reads %+v, want 1", lhs, mode, engine, v)
+				}
+			}
+		}
+		ragged := vec(d, "en v i", [][]uint64{{1, 2, 0}, {1}})
+		if _, err := PackStimuli([]VecStimulus{vec(d, "en v i", [][]uint64{{1, 2, 0}, {1, 2, 0}}), ragged}); err == nil {
+			t.Errorf("%s: PackStimuli accepted a ragged row", lhs)
+		}
 	}
 }

@@ -265,29 +265,25 @@ func (t *Trace) Format(names []string) string {
 	return sb.String()
 }
 
-// Stimulus drives a simulation: one map of input values per clock cycle.
-// The clock itself is implicit (one rising edge per entry). Reset values are
-// supplied like any other input.
-type Stimulus []map[string]uint64
-
-// VecStimulus drives a fixed input list with dense per-cycle vectors:
-// Rows[c][i] is the value of Inputs[i] at cycle c. It is the slot-addressed
-// form the bounded model checker's stimulus loops generate, avoiding one
-// map allocation and one name hash per input per cycle.
+// VecStimulus drives a simulation over a fixed input list with dense
+// per-cycle vectors: Rows[c][i] is the value of Inputs[i] at cycle c, and
+// every row holds exactly len(Inputs) values. In a single-clock design the
+// clock is implicit, one rising edge per row whatever a clock column holds;
+// in a multi-clock design each domain ticks on the edges its clock input
+// makes from row to row. Reset is supplied like any other input. Every
+// listed input is driven, fully known, on every row; an input not listed
+// is never driven and reads 0 in two-state runs and x in four-state runs.
 type VecStimulus struct {
 	Inputs []*compile.Signal
 	Rows   [][]uint64
 }
 
-// maps materialises the equivalent map stimulus for reference fallbacks.
-func (st VecStimulus) maps() Stimulus {
-	ms := make(Stimulus, len(st.Rows))
+// checkShape reports the first row that does not hold one value per input.
+func (st VecStimulus) checkShape() error {
 	for c, row := range st.Rows {
-		cyc := make(map[string]uint64, len(st.Inputs))
-		for i, in := range st.Inputs {
-			cyc[in.Name] = row[i]
+		if len(row) != len(st.Inputs) {
+			return fmt.Errorf("sim: stimulus row %d holds %d values for %d inputs", c, len(row), len(st.Inputs))
 		}
-		ms[c] = cyc
 	}
-	return ms
+	return nil
 }

@@ -10,15 +10,17 @@ import (
 )
 
 // checkBoth4 runs a four-state check over both engines (compiled plan and
-// reference interpreter) and requires identical verdicts and logs.
-func checkBoth4(t *testing.T, src string, stim sim.Stimulus) *Result {
+// reference interpreter) over the inputs named in cols, as vec does, and
+// requires identical verdicts and logs.
+func checkBoth4(t *testing.T, src, cols string, rows [][]uint64) *Result {
 	t.Helper()
 	d1, diags, err := compile.Compile(src)
 	if err != nil || compile.HasErrors(diags) {
 		t.Fatalf("compile: %v %v", err, diags)
 	}
 	d2, _, _ := compile.Compile(src)
-	tr1, err := sim.Run(context.Background(), d1, stim, sim.FourState)
+	stim := vec(d1, cols, rows)
+	tr1, err := sim.RunVecCtx(context.Background(), d1, stim, sim.FourState)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,11 +68,11 @@ func TestFourStateSVATable(t *testing.T) {
     %s
 endmodule
 `
-	stim := sim.Stimulus{
-		{"rst_n": 0, "en": 0},
-		{"rst_n": 0, "en": 0},
-		{"rst_n": 1, "en": 1},
-		{"rst_n": 1, "en": 0},
+	rows := [][]uint64{
+		{0, 0},
+		{0, 0},
+		{1, 1},
+		{1, 0},
 	}
 	tests := []struct {
 		name      string
@@ -119,7 +121,7 @@ endmodule
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
 			src := strings.Replace(base, "%s", "    "+tt.property, 1)
-			res := checkBoth4(t, src, stim)
+			res := checkBoth4(t, src, "rst_n en", rows)
 			if len(res.Failures) != tt.failures {
 				t.Fatalf("%d failures, want %d: %v", len(res.Failures), tt.failures, res.Failures)
 			}
@@ -147,7 +149,7 @@ func TestFourStateLogMarksX(t *testing.T) {
     a: assert property (@(posedge clk) cnt == 4'd2);
 endmodule
 `
-	res := checkBoth4(t, src, sim.Stimulus{{"en": 0}, {"en": 1}})
+	res := checkBoth4(t, src, "en", [][]uint64{{0}, {1}})
 	if len(res.Failures) == 0 {
 		t.Fatal("expected failures")
 	}

@@ -21,10 +21,22 @@ func mustCompile(t *testing.T, src string) *compile.Design {
 	return d
 }
 
-func runAndCheck(t *testing.T, src string, stim sim.Stimulus) *Result {
+// vec builds a stimulus over d's inputs named in cols, space-separated:
+// rows[c][i] drives the i-th named input at cycle c.
+func vec(d *compile.Design, cols string, rows [][]uint64) sim.VecStimulus {
+	st := sim.VecStimulus{Rows: rows}
+	for _, name := range strings.Fields(cols) {
+		st.Inputs = append(st.Inputs, d.Signals[name])
+	}
+	return st
+}
+
+// runAndCheck simulates src in two-state over the inputs named in cols, as
+// vec does, and checks the trace.
+func runAndCheck(t *testing.T, src, cols string, rows [][]uint64) *Result {
 	t.Helper()
 	d := mustCompile(t, src)
-	tr, err := sim.Run(context.Background(), d, stim, sim.TwoState)
+	tr, err := sim.RunVecCtx(context.Background(), d, vec(d, cols, rows), sim.TwoState)
 	if err != nil {
 		t.Fatalf("sim: %v", err)
 	}
@@ -65,16 +77,18 @@ module accu (
 endmodule
 `
 
-func accuStim() sim.Stimulus {
-	stim := sim.Stimulus{{"rst_n": 0, "in": 0, "valid_in": 0}}
+const accuCols = "rst_n in valid_in"
+
+func accuRows() [][]uint64 {
+	rows := [][]uint64{{0, 0, 0}}
 	for i := 0; i < 10; i++ {
-		stim = append(stim, map[string]uint64{"rst_n": 1, "in": uint64(i + 1), "valid_in": 1})
+		rows = append(rows, []uint64{1, uint64(i + 1), 1})
 	}
-	return stim
+	return rows
 }
 
 func TestAccuGoodPasses(t *testing.T) {
-	res := runAndCheck(t, accuGood, accuStim())
+	res := runAndCheck(t, accuGood, accuCols, accuRows())
 	if res.Failed() {
 		t.Fatalf("unexpected failures: %v", res.Failures)
 	}
@@ -87,7 +101,7 @@ func TestAccuGoodPasses(t *testing.T) {
 // is high except right after end_cnt — the assertion must fire.
 func TestAccuBugFails(t *testing.T) {
 	bad := strings.Replace(accuGood, "else if (end_cnt) valid_out <= 1;", "else if (!end_cnt) valid_out <= 1;", 1)
-	res := runAndCheck(t, bad, accuStim())
+	res := runAndCheck(t, bad, accuCols, accuRows())
 	if !res.Failed() {
 		t.Fatal("buggy accu did not trigger assertion failure")
 	}
@@ -119,13 +133,12 @@ module m (
     p: assert property (@(posedge clk) disable iff (!rst_n) q == 0 || a == 1 || $past(a) == 1);
 endmodule
 `
-	stim := sim.Stimulus{
-		{"rst_n": 0, "a": 0},
-		{"rst_n": 0, "a": 0},
-		{"rst_n": 1, "a": 1},
-		{"rst_n": 1, "a": 1},
-	}
-	res := runAndCheck(t, src, stim)
+	res := runAndCheck(t, src, "rst_n a", [][]uint64{
+		{0, 0},
+		{0, 0},
+		{1, 1},
+		{1, 1},
+	})
 	if res.Failed() {
 		t.Fatalf("disable iff did not suppress reset-cycle checks: %v", res.Failures)
 	}
@@ -143,8 +156,8 @@ module m (
     p: assert property (@(posedge clk) req |=> ack);
 endmodule
 `
-	good := sim.Stimulus{{"req": 1}, {"req": 0}, {"req": 1}, {"req": 0}}
-	res := runAndCheck(t, src, good)
+	good := [][]uint64{{1}, {0}, {1}, {0}}
+	res := runAndCheck(t, src, "req", good)
 	if res.Failed() {
 		t.Fatalf("correct handshake failed: %v", res.Failures)
 	}
@@ -164,7 +177,7 @@ module m (
     p: assert property (@(posedge clk) req |=> ack);
 endmodule
 `
-	res = runAndCheck(t, bad, good)
+	res = runAndCheck(t, bad, "req", good)
 	if !res.Failed() {
 		t.Fatal("late ack not caught by |=>")
 	}
@@ -184,23 +197,23 @@ module m (
     p: assert property (@(posedge clk) a |-> ##1 b ##2 c);
 endmodule
 `
-	good := sim.Stimulus{
-		{"a": 1, "b": 0, "c": 0},
-		{"a": 0, "b": 1, "c": 0},
-		{"a": 0, "b": 0, "c": 0},
-		{"a": 0, "b": 0, "c": 1},
+	good := [][]uint64{
+		{1, 0, 0},
+		{0, 1, 0},
+		{0, 0, 0},
+		{0, 0, 1},
 	}
-	res := runAndCheck(t, src, good)
+	res := runAndCheck(t, src, "a b c", good)
 	if res.Failed() {
 		t.Fatalf("satisfying trace failed: %v", res.Failures)
 	}
-	bad := sim.Stimulus{
-		{"a": 1, "b": 0, "c": 0},
-		{"a": 0, "b": 1, "c": 0},
-		{"a": 0, "b": 0, "c": 0},
-		{"a": 0, "b": 0, "c": 0}, // c missing
+	bad := [][]uint64{
+		{1, 0, 0},
+		{0, 1, 0},
+		{0, 0, 0},
+		{0, 0, 0}, // c missing
 	}
-	res = runAndCheck(t, src, bad)
+	res = runAndCheck(t, src, "a b c", bad)
 	if !res.Failed() {
 		t.Fatal("missing c not caught")
 	}
@@ -222,8 +235,7 @@ module m (
     p: assert property (@(posedge clk) a |-> ##1 q);
 endmodule
 `
-	stim := sim.Stimulus{{"a": 0}, {"a": 1}}
-	res := runAndCheck(t, src, stim)
+	res := runAndCheck(t, src, "a", [][]uint64{{0}, {1}})
 	if res.Failed() {
 		t.Fatalf("pending attempt counted as failure: %v", res.Failures)
 	}
@@ -240,7 +252,7 @@ module m (
     p: assert property (@(posedge clk) x < 10);
 endmodule
 `
-	res := runAndCheck(t, src, sim.Stimulus{{"x": 3}, {"x": 9}, {"x": 12}})
+	res := runAndCheck(t, src, "x", [][]uint64{{3}, {9}, {12}})
 	if !res.Failed() {
 		t.Fatal("x=12 not caught")
 	}
@@ -267,14 +279,13 @@ module m (
         !en |=> $stable(cnt));
 endmodule
 `
-	stim := sim.Stimulus{
-		{"rst_n": 0, "en": 0},
-		{"rst_n": 1, "en": 1},
-		{"rst_n": 1, "en": 1},
-		{"rst_n": 1, "en": 0},
-		{"rst_n": 1, "en": 1},
-	}
-	res := runAndCheck(t, src, stim)
+	res := runAndCheck(t, src, "rst_n en", [][]uint64{
+		{0, 0},
+		{1, 1},
+		{1, 1},
+		{1, 0},
+		{1, 1},
+	})
 	if res.Failed() {
 		t.Fatalf("sampled-value properties failed on correct design: %v", res.Failures)
 	}
@@ -283,7 +294,7 @@ endmodule
 func TestFormatLog(t *testing.T) {
 	bad := strings.Replace(accuGood, "else if (end_cnt) valid_out <= 1;", "else if (!end_cnt) valid_out <= 1;", 1)
 	d := mustCompile(t, bad)
-	tr, err := sim.Run(context.Background(), d, accuStim(), sim.TwoState)
+	tr, err := sim.RunVecCtx(context.Background(), d, vec(d, accuCols, accuRows()), sim.TwoState)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +315,7 @@ func TestFormatLog(t *testing.T) {
 	}
 	// Passing log.
 	dGood := mustCompile(t, accuGood)
-	trGood, err := sim.Run(context.Background(), dGood, accuStim(), sim.TwoState)
+	trGood, err := sim.RunVecCtx(context.Background(), dGood, vec(dGood, accuCols, accuRows()), sim.TwoState)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,7 +30,7 @@ endmodule
 	if err != nil || compile.HasErrors(diags) {
 		t.Fatalf("compile: %v %v", err, diags)
 	}
-	tr, err := sim.Run(context.Background(), d, sim.Stimulus{{"en": 0}, {"en": 1}, {"en": 0}}, sim.FourState)
+	tr, err := sim.RunVecCtx(context.Background(), d, column(d, "en", 0, 1, 0), sim.FourState)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ endmodule
 	if err != nil || compile.HasErrors(diags) {
 		t.Fatalf("compile: %v %v", err, diags)
 	}
-	tr, err := sim.Run(context.Background(), d, sim.Stimulus{{}}, sim.FourState)
+	tr, err := sim.RunVecCtx(context.Background(), d, sim.VecStimulus{Rows: [][]uint64{{}}}, sim.FourState)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ endmodule
 // contains x value characters.
 func TestWriteTwoStateUnchanged(t *testing.T) {
 	trSrc := fourStateTrace(t)
-	tr, err := sim.Run(context.Background(), trSrc.Design, sim.Stimulus{{"en": 0}, {"en": 1}, {"en": 0}}, sim.TwoState)
+	tr, err := sim.RunVecCtx(context.Background(), trSrc.Design, column(trSrc.Design, "en", 0, 1, 0), sim.TwoState)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,15 @@ import (
 	"repro/internal/sim"
 )
 
+// column drives the input name alone, one value per cycle.
+func column(d *compile.Design, name string, vals ...uint64) sim.VecStimulus {
+	st := sim.VecStimulus{Inputs: []*compile.Signal{d.Signals[name]}}
+	for _, v := range vals {
+		st.Rows = append(st.Rows, []uint64{v})
+	}
+	return st
+}
+
 func traceFixture(t *testing.T) *sim.Trace {
 	t.Helper()
 	src := `
@@ -27,9 +36,7 @@ endmodule
 	if err != nil || compile.HasErrors(diags) {
 		t.Fatal("fixture broken")
 	}
-	tr, err := sim.Run(context.Background(), d, sim.Stimulus{
-		{"d": 5}, {"d": 5}, {"d": 9}, {"d": 9},
-	}, sim.TwoState)
+	tr, err := sim.RunVecCtx(context.Background(), d, column(d, "d", 5, 5, 9, 9), sim.TwoState)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +219,7 @@ endmodule
 	if err != nil || compile.HasErrors(diags) {
 		t.Fatalf("fixture broken: %v %v", err, diags)
 	}
-	tr, err := sim.Run(context.Background(), d, sim.Stimulus{{"rst_n": 1}, {"rst_n": 1}}, sim.TwoState)
+	tr, err := sim.RunVecCtx(context.Background(), d, column(d, "rst_n", 1, 1), sim.TwoState)
 	if err != nil {
 		t.Fatal(err)
 	}
