@@ -285,9 +285,9 @@ func BenchmarkAblationCoT(b *testing.B) {
 }
 
 // BenchmarkFormalStrategies contrasts the verifier's exploration
-// strategies, scalar and 64 lanes wide: sequence-exhaustive designs versus
-// the directed+random fallback. The _4state rows run the exhaustive
-// strategy in the four-state value domain.
+// strategies: sequence-exhaustive designs versus the directed+random
+// fallback. The _4state row runs the exhaustive strategy in the four-state
+// value domain.
 func BenchmarkFormalStrategies(b *testing.B) {
 	tiny := corpus.EdgeDetect()  // 1-bit input: exhaustive sequences
 	big := corpus.Counter(8, 23) // wide input space: directed+random
@@ -295,14 +295,11 @@ func BenchmarkFormalStrategies(b *testing.B) {
 	// four-state exhaustively.
 	tiny4 := corpus.Counter(3, 5)
 	for _, tc := range []struct {
-		name  string
-		bp    *corpus.Blueprint
-		lanes int
-		four  bool
+		name string
+		bp   *corpus.Blueprint
+		four bool
 	}{
-		{"exhaustive", tiny, 0, false}, {"directed_random", big, 0, false},
-		{"exhaustive_lanes", tiny, 64, false}, {"directed_random_lanes", big, 64, false},
-		{"exhaustive_4state", tiny4, 0, true}, {"exhaustive_lanes_4state", tiny4, 64, true},
+		{"exhaustive", tiny, false}, {"directed_random", big, false}, {"exhaustive_4state", tiny4, true},
 	} {
 		d, diags, err := compile.Compile(tc.bp.Source())
 		if err != nil || compile.HasErrors(diags) {
@@ -313,7 +310,7 @@ func BenchmarkFormalStrategies(b *testing.B) {
 			var res *formal.Result
 			for i := 0; i < b.N; i++ {
 				var err error
-				res, err = formal.Check(context.Background(), d, formal.Options{Seed: 1, Depth: tc.bp.CheckDepth(12), RandomRuns: 12, Lanes: tc.lanes, FourState: tc.four})
+				res, err = formal.Check(context.Background(), d, formal.Options{Seed: 1, Depth: tc.bp.CheckDepth(12), RandomRuns: 12, FourState: tc.four})
 				if err != nil || !res.Pass {
 					b.Fatal("golden failed")
 				}

@@ -46,12 +46,11 @@ func main() {
 		n         = flag.Int("n", 20, "responses per case")
 		judgeRuns = flag.Int("judge-runs", 10, "verification effort of the judge")
 		seed      = flag.Int64("seed", 1, "global seed")
-		lanes     = flag.Int("lanes", 0, "formal stimulus lanes per batch (0 = scalar, max 64); results are identical either way")
 		only      = flag.String("only", "", "comma-separated subset: table1,table2,table3,table4,fig3,fig4,fig5,rq3")
 	)
 	flag.Parse()
 
-	st := &benchState{n: *n, seed: *seed, lanes: *lanes, judge: eval.NewJudge(*judgeRuns)}
+	st := &benchState{n: *n, seed: *seed, judge: eval.NewJudge(*judgeRuns)}
 	st.build(*quick)
 
 	sections := []section{
@@ -95,7 +94,6 @@ func main() {
 type benchState struct {
 	n     int
 	seed  int64
-	lanes int
 	judge *eval.Judge
 
 	out   *augment.Output
@@ -111,7 +109,7 @@ type benchState struct {
 
 func (st *benchState) build(quick bool) {
 	t0 := time.Now()
-	cfg := augment.Config{Seed: st.seed, RandomRuns: 16, Lanes: st.lanes}
+	cfg := augment.Config{Seed: st.seed, RandomRuns: 16}
 	if quick {
 		cfg.MutationsPerDesign = 12
 		cfg.RandomRuns = 8

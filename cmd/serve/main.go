@@ -253,7 +253,8 @@ type checkRequest struct {
 	Options    checkOptions `json:"options"`
 }
 
-// checkOptions mirrors verify.Options field for field.
+// checkOptions mirrors verify.Options field for field. Unknown fields are
+// ignored, among them "lanes", the option of the removed formal lane mode.
 type checkOptions struct {
 	Seed              int64 `json:"seed,omitempty"`
 	Depth             int   `json:"depth,omitempty"`
@@ -261,7 +262,6 @@ type checkOptions struct {
 	MaxExhaustiveBits int   `json:"max_exhaustive_bits,omitempty"`
 	MaxConstBits      int   `json:"max_const_bits,omitempty"`
 	FourState         bool  `json:"four_state,omitempty"`
-	Lanes             int   `json:"lanes,omitempty"`
 	CompileOnly       bool  `json:"compile_only,omitempty"`
 }
 
@@ -273,7 +273,6 @@ func (o checkOptions) verify() verify.Options {
 		MaxExhaustiveBits: o.MaxExhaustiveBits,
 		MaxConstBits:      o.MaxConstBits,
 		FourState:         o.FourState,
-		Lanes:             o.Lanes,
 		CompileOnly:       o.CompileOnly,
 	}
 }

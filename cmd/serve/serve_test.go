@@ -983,19 +983,47 @@ func TestServeCheckDeadline(t *testing.T) {
 	}
 }
 
+// TestServeCheckLanesIgnored: "lanes" chose the engine of the removed
+// formal lane mode. A /check that still sends it is answered 200 with the
+// record bytes of the same request without it, from the same cache entry:
+// the pair costs one miss and one hit.
+func TestServeCheckLanesIgnored(t *testing.T) {
+	ts, srv := testServer(t, nil, serverConfig{})
+	opts := map[string]any{"seed": 7, "depth": 40, "random_runs": 10, "max_exhaustive_bits": 8}
+	req := map[string]any{"source": corpus.EdgeDetect().Source(), "record_only": true, "options": opts}
+	var replies [][]byte
+	for _, lanes := range []int{0, 64} {
+		if lanes != 0 {
+			opts["lanes"] = lanes
+		}
+		resp, body := postJSON(t, ts.URL+"/check", req)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("lanes %d: status %d (%s), want 200", lanes, resp.StatusCode, body)
+		}
+		replies = append(replies, body)
+	}
+	if !bytes.Equal(replies[0], replies[1]) {
+		t.Errorf("record with lanes 64 differs from the record without it:\n%s\n%s", replies[1], replies[0])
+	}
+	if m := srv.svc.Metrics(); m.Misses != 1 || m.Hits != 1 {
+		t.Errorf("the pair cost %d misses and %d hits, want 1 and 1", m.Misses, m.Hits)
+	}
+}
+
 // TestServeCheckOptionLimits sends /check requests with each capped
 // option at its cap, which runs, and one past it, which is refused with
 // 422 before anything is compiled. The benchmark's serve-check options
-// (depth up to 40, 10 random runs, 8 exhaustive bits) must pass.
+// (depth up to 40, 10 random runs, 8 exhaustive bits, and the ignored
+// lanes 64) must pass.
 func TestServeCheckOptionLimits(t *testing.T) {
 	ts, srv := testServer(t, nil, serverConfig{})
 	src := corpus.EdgeDetect().Source()
 	for _, tc := range []struct {
 		name string
-		opts checkOptions
+		opts any
 		want int
 	}{
-		{"benchmark", checkOptions{Seed: 7, Depth: 40, RandomRuns: 10, MaxExhaustiveBits: 8, Lanes: 64}, http.StatusOK},
+		{"benchmark", map[string]any{"seed": 7, "depth": 40, "random_runs": 10, "max_exhaustive_bits": 8, "lanes": 64}, http.StatusOK},
 		{"depth", checkOptions{Depth: maxCheckDepth, RandomRuns: 1}, http.StatusOK},
 		{"depth+1", checkOptions{Depth: maxCheckDepth + 1, RandomRuns: 1}, http.StatusUnprocessableEntity},
 		{"random_runs", checkOptions{Depth: 4, RandomRuns: maxRandomRuns}, http.StatusOK},
@@ -1007,7 +1035,7 @@ func TestServeCheckOptionLimits(t *testing.T) {
 		{"max_const_bits+1", checkOptions{Depth: 8, MaxConstBits: maxConstBits + 1}, http.StatusUnprocessableEntity},
 	} {
 		misses := srv.svc.Metrics().Misses
-		resp, body := postJSON(t, ts.URL+"/check", checkRequest{Source: src, Options: tc.opts})
+		resp, body := postJSON(t, ts.URL+"/check", map[string]any{"source": src, "options": tc.opts})
 		if resp.StatusCode != tc.want {
 			t.Fatalf("%s: status %d (%s), want %d", tc.name, resp.StatusCode, body, tc.want)
 		}

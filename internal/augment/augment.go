@@ -83,11 +83,6 @@ type Config struct {
 	// design is verified — it must compile and pass its own assertions
 	// non-vacuously — before it enters the corpus.
 	Generate int
-	// Lanes batches each formal check's stimuli through the lane-parallel
-	// simulator (verify.Options.Lanes; max 64, 0 = scalar). Lane checks are
-	// byte-identical to scalar ones, so the pipeline output is the same for
-	// any value — only the throughput changes.
-	Lanes int
 	// Workers bounds how many designs run Stage 2/3 concurrently
 	// (0 = GOMAXPROCS). The output is identical for any worker count.
 	Workers int
@@ -147,7 +142,6 @@ func (c Config) source(svc *verify.Service) corpus.Source {
 				Seed:       designSeed(c.Seed, b.Name()),
 				Depth:      b.CheckDepth(16),
 				RandomRuns: c.RandomRuns,
-				Lanes:      c.Lanes,
 			}
 			v, err := svc.Run(context.Background(), b.Source(), nil, opts)
 			if err != nil || !v.Passed() || len(v.Vacuous()) != 0 {
@@ -637,7 +631,7 @@ func InjectAndValidate(b *corpus.Blueprint, cfg Config, stats *Stats, cotGen *co
 	specText := spec.Generate(b)
 	depth := b.CheckDepth(16)
 	seed := designSeed(cfg.Seed, b.Name())
-	opts := verify.Options{Seed: seed, Depth: depth, RandomRuns: cfg.RandomRuns, Lanes: cfg.Lanes}
+	opts := verify.Options{Seed: seed, Depth: depth, RandomRuns: cfg.RandomRuns}
 	diffOpts := formal.Options{Seed: seed, Depth: depth, RandomRuns: cfg.RandomRuns}
 
 	limit := cfg.BinCaps[corpus.BinIndex(strings.Count(goldenSrc, "\n"))]

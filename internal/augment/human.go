@@ -56,7 +56,7 @@ func buildHumanEval(cases []corpus.HumanCase, cfg Config) ([]dataset.SVASample, 
 func buildHumanSample(hc corpus.HumanCase, cfg Config) (dataset.SVASample, error) {
 	var zero dataset.SVASample
 	seed := designSeed(cfg.Seed, hc.Name)
-	opts := verify.Options{Seed: seed, Depth: hc.CheckDepth, RandomRuns: cfg.RandomRuns, Lanes: cfg.Lanes}
+	opts := verify.Options{Seed: seed, Depth: hc.CheckDepth, RandomRuns: cfg.RandomRuns}
 	svc := verify.Default()
 
 	gv, err := svc.Run(context.Background(), hc.Golden, nil, opts)

@@ -12,6 +12,11 @@
 //  2. does a mutated design behave differently from the golden design at
 //     its outputs (Differ, which skips the exhaustive branch), used to
 //     separate real functional bugs from no-ops.
+//
+// Both run the schedule one stimulus at a time on the scalar engine, each
+// stimulus checked before the next is built: Check on one sva.Checker,
+// Differ on one sim.VecRunner per design. The lane engine is not used
+// here; it serves cmd/serve's /stimulus batching through sva.Checker.Batch.
 package formal
 
 import (
@@ -60,14 +65,8 @@ type Options struct {
 	// sequences as the default two-state check, which remains the compiled
 	// fast path.
 	FourState bool
-	// Lanes batches stimuli through sva.Checker.Batch, up to Lanes at a
-	// time (max 64), which runs them on the lane-parallel engine. Zero and one
-	// both mean scalar mode — the zero value must stay a safe default, like
-	// the NoRandom sentinel — and designs the lane compiler cannot lower
-	// fall back to scalar runs automatically. Results are byte-identical to
-	// scalar mode: failing lanes are demuxed and checked on the scalar
-	// checker, and run counts and attempt bookkeeping follow the same
-	// enumeration order.
+	// Deprecated: Lanes is ignored and Normalized zeroes it. Every check
+	// runs its stimuli one at a time on the scalar checker.
 	Lanes int
 }
 
@@ -100,12 +99,7 @@ func (o Options) Normalized() Options {
 	}
 	o.MaxExhaustiveBits = min(o.MaxExhaustiveBits, maxEnumBits)
 	o.MaxConstBits = min(o.MaxConstBits, maxEnumBits)
-	if o.Lanes <= 1 {
-		o.Lanes = 0 // scalar mode: 0, 1 and negatives are the same check
-	}
-	if o.Lanes > 64 {
-		o.Lanes = 64
-	}
+	o.Lanes = 0
 	return o
 }
 
@@ -130,15 +124,15 @@ type Result struct {
 }
 
 // Check bounded-model-checks all assertions in the design under ctx.
-// Cancellation is polled between stimulus submissions and, through the sim
-// run loops, between simulated cycles, so a cancelled check returns within
-// roughly one run of the caller giving up; it then reports ctx.Err().
+// Cancellation is polled between simulated cycles by the sim run loop, so a
+// cancelled check returns within one cycle of the caller giving up; it then
+// reports ctx.Err().
 func Check(ctx context.Context, d *compile.Design, opts Options) (*Result, error) {
 	return check(ctx, d, opts, false)
 }
 
-// check is Check. Scalar mode runs every stimulus on one sva.Checker over
-// one refilled row buffer; oneShot instead checks each stimulus on a fresh
+// check is Check. It runs every stimulus on one sva.Checker over one
+// refilled row buffer; oneShot instead checks each stimulus on a fresh
 // checker and rows of its own, the form the reuse must be
 // indistinguishable from.
 func check(ctx context.Context, d *compile.Design, opts Options, oneShot bool) (*Result, error) {
@@ -148,85 +142,36 @@ func check(ctx context.Context, d *compile.Design, opts Options, oneShot bool) (
 		mode = sim.FourState
 	}
 	chk := sva.NewChecker(d, mode)
-	// Stimuli go to the checker in batches of size, in schedule order. A
-	// batch of one is checked before the next stimulus is built, so the
-	// schedule refills one row buffer; a lane batch holds its stimuli until
-	// it is full, so each keeps rows of its own.
-	size := max(opts.Lanes, 1)
 	ds := newDriveSet(d)
-	ds.reuse = size == 1 && !oneShot
+	ds.reuse = !oneShot // each stimulus is checked before the next is built
 
 	res := &Result{Pass: true}
 	attempted := make([]bool, len(d.Asserts))
-	batch := make([]sim.VecStimulus, 0, size)
-	// flush checks the pending batch and folds its outcomes into res in
-	// submission order, so the stop point, Runs and the failing stimulus'
-	// Failure/Trace/Log are the same whichever engine ran it. It reports
-	// whether the check stops: the first failure is the counterexample.
-	flush := func() (bool, error) {
-		if len(batch) == 0 {
-			return false, nil
-		}
+	for label, stim := range ds.schedule(opts, true) {
+		res.Strategy = label
 		if oneShot {
 			chk = sva.NewChecker(d, mode)
 		}
-		b, err := chk.Batch(ctx, batch)
-		n := len(batch)
-		batch = batch[:0]
+		// The run loop polls ctx between cycles, so a cancelled check
+		// stops here with ctx.Err().
+		o, err := chk.Check(ctx, stim)
 		if err != nil {
-			return false, err
+			return nil, err
 		}
-		for l := range n {
-			o, err := b.Lane(l)
-			if err != nil {
-				return false, err
-			}
-			res.Runs++
-			for i, a := range d.Asserts {
-				if !attempted[i] && o.Attempted(a.Name) {
-					attempted[i] = true
-				}
-			}
-			if !o.Pass {
-				res.Pass = false
-				res.Failure = o.Result.FirstFailure()
-				res.Trace = o.Trace
-				res.Log = sva.FormatLog(d.Module.Name, o.Trace, o.Result.Failures)
-				return true, nil
+		res.Runs++
+		for i, a := range d.Asserts {
+			if !attempted[i] && o.Attempted(a.Name) {
+				attempted[i] = true
 			}
 		}
-		return false, nil
-	}
-
-	var stop bool
-	var err error
-	for label, stim := range ds.schedule(opts, true) {
-		if label != res.Strategy {
-			// A failure in the pending batch reports the label it was
-			// scheduled under.
-			if stop, err = flush(); stop || err != nil {
-				break
-			}
-			res.Strategy = label
-		}
-		// Poll between stimuli too: a lane batch can queue dozens of them
-		// without entering a run loop, and the per-cycle polls inside sim
-		// only cover time spent simulating.
-		if err = ctx.Err(); err != nil {
+		if !o.Pass {
+			// The first failure is the counterexample.
+			res.Pass = false
+			res.Failure = o.Result.FirstFailure()
+			res.Trace = o.Trace
+			res.Log = sva.FormatLog(d.Module.Name, o.Trace, o.Result.Failures)
 			break
 		}
-		batch = append(batch, stim)
-		if len(batch) == size {
-			if stop, err = flush(); stop || err != nil {
-				break
-			}
-		}
-	}
-	if !stop && err == nil {
-		_, err = flush()
-	}
-	if err != nil {
-		return nil, err
 	}
 	for i, a := range d.Asserts {
 		if !attempted[i] {

@@ -40,38 +40,31 @@ func fingerprint(r *Result) resultFingerprint {
 	return fp
 }
 
-// TestLanesByteIdenticalAcrossCorpus is the formal driver's contract: a
-// lane-batched check and a scalar check, which reuses one sva.Checker and
-// one stimulus row buffer across its runs, both produce exactly the Result
-// of a loop of one-shot checks on fresh checkers and fresh rows — same
-// pass/fail, same counterexample trace row for row, same log text, same
-// run count, same strategy label, same vacuity report — for every corpus
-// golden and a sample of its mutants, in both value domains.
-func TestLanesByteIdenticalAcrossCorpus(t *testing.T) {
+// TestScalarByteIdenticalAcrossCorpus is the formal driver's contract: a
+// check, which reuses one sva.Checker and one stimulus row buffer across
+// its runs, produces exactly the Result of a loop of one-shot checks on
+// fresh checkers and fresh rows — same pass/fail, same counterexample
+// trace row for row, same log text, same run count, same strategy label,
+// same vacuity report — for every corpus golden and a sample of its
+// mutants, in both value domains.
+func TestScalarByteIdenticalAcrossCorpus(t *testing.T) {
 	check := func(name, src string, fourState bool) {
 		d, diags, err := compile.Compile(src)
 		if err != nil || compile.HasErrors(diags) || d == nil {
 			return
 		}
-		dl, _, _ := compile.Compile(src)
 		d1, _, _ := compile.Compile(src)
 		opts := Options{Depth: 10, RandomRuns: 6, Seed: 11, FourState: fourState}
 		one, errO := check(context.Background(), d1, opts, true)
 		scalar, errS := Check(context.Background(), d, opts)
-		opts.Lanes = 64
-		lane, errL := Check(context.Background(), dl, opts)
-		if (errO == nil) != (errS == nil) || (errS == nil) != (errL == nil) {
-			t.Fatalf("%s (fourState=%v): one-shot err=%v scalar err=%v lane err=%v", name, fourState, errO, errS, errL)
+		if (errO == nil) != (errS == nil) {
+			t.Fatalf("%s (fourState=%v): one-shot err=%v scalar err=%v", name, fourState, errO, errS)
 		}
 		if errS != nil {
 			return
 		}
-		fo, fs, fl := fingerprint(one), fingerprint(scalar), fingerprint(lane)
-		if !reflect.DeepEqual(fo, fs) {
+		if fo, fs := fingerprint(one), fingerprint(scalar); !reflect.DeepEqual(fo, fs) {
 			t.Fatalf("%s (fourState=%v): results diverge:\none-shot: %+v\nscalar:   %+v", name, fourState, fo, fs)
-		}
-		if !reflect.DeepEqual(fs, fl) {
-			t.Fatalf("%s (fourState=%v): results diverge:\nscalar: %+v\nlane:   %+v", name, fourState, fs, fl)
 		}
 	}
 	for _, bp := range corpus.Catalog() {
@@ -85,32 +78,35 @@ func TestLanesByteIdenticalAcrossCorpus(t *testing.T) {
 	}
 }
 
-// TestLanesZeroSentinel: the zero value of Lanes must mean scalar mode —
-// not a panic, not a zero-wide batch — and negatives and 1 normalise the
-// same way, mirroring the NoRandom sentinel. Values beyond the word width
-// clamp to 64.
+// TestLanesZeroSentinel: the deprecated Lanes field is ignored. Every
+// value normalises to 0, so it never splits a cache key, and a check that
+// sets it returns exactly the Result of one that does not.
 func TestLanesZeroSentinel(t *testing.T) {
-	for _, lanes := range []int{0, 1, -3} {
-		if got := (Options{Lanes: lanes}).Normalized().Lanes; got != 0 {
-			t.Fatalf("Lanes %d normalised to %d, want 0 (scalar)", lanes, got)
+	lanes := []int{0, 1, -3, 64, 1000}
+	for _, n := range lanes {
+		if got := (Options{Lanes: n}).Normalized().Lanes; got != 0 {
+			t.Fatalf("Lanes %d normalised to %d, want 0", n, got)
 		}
-	}
-	if got := (Options{Lanes: 1000}).Normalized().Lanes; got != 64 {
-		t.Fatalf("Lanes 1000 normalised to %d, want 64", got)
 	}
 
 	b := corpus.EdgeDetect()
-	for _, lanes := range []int{0, 1, -3} {
+	var want resultFingerprint
+	for i, n := range lanes {
 		d, diags, err := compile.Compile(b.Source())
 		if err != nil || compile.HasErrors(diags) {
 			t.Fatal("fixture broken")
 		}
-		res, err := Check(context.Background(), d, Options{Depth: 8, RandomRuns: 4, Lanes: lanes})
+		res, err := Check(context.Background(), d, Options{Depth: 8, RandomRuns: 4, Lanes: n})
 		if err != nil {
-			t.Fatalf("Lanes %d: %v", lanes, err)
+			t.Fatalf("Lanes %d: %v", n, err)
 		}
 		if !res.Pass {
-			t.Fatalf("Lanes %d: golden design failed: %s", lanes, res.Log)
+			t.Fatalf("Lanes %d: golden design failed: %s", n, res.Log)
+		}
+		if i == 0 {
+			want = fingerprint(res)
+		} else if got := fingerprint(res); !reflect.DeepEqual(got, want) {
+			t.Fatalf("Lanes %d: result %+v, want %+v", n, got, want)
 		}
 	}
 }

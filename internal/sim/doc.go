@@ -125,13 +125,15 @@
 // the lane lowering cannot express exactly — and any runtime evaluation
 // error, since predication evaluates a superset of each lane's
 // expressions — is reported as an error for the whole batch, and
-// sva.Checker.Batch, the one place internal/formal and cmd/serve choose
-// between lane and scalar runs, reruns the batch lane-by-lane on the
-// scalar engine. LanesOK reports lowering support up front; PackStimuli
-// accepts 1..64 stimuli of equal depth and replicates the last lane to
-// fill the word, with ActiveMask masking the padding back out at the API
-// boundary. Results are therefore identical with lanes on or off; only
-// throughput changes.
+// sva.Checker.Batch, the one place that chooses between lane and scalar
+// runs (cmd/serve's /stimulus batcher uses it), reruns the batch
+// lane-by-lane on the scalar engine. LanesOK reports lowering support up
+// front; PackStimuli accepts 1..64 stimuli of equal depth and replicates
+// the last lane to fill the word, with ActiveMask masking the padding back
+// out at the API boundary, and RunLanesCtx rejects a LaneStimulus whose
+// rows do not match its depth, inputs and lanes before the first cycle.
+// Results are therefore identical with lanes on or off; only throughput
+// changes.
 //
 // # Clock domains
 //

@@ -42,6 +42,9 @@ func PackStimuli(stims []VecStimulus) (*LaneStimulus, error) {
 			return nil, fmt.Errorf("sim: lane %d stimulus shape differs from lane 0", j)
 		}
 		for i := range st.Inputs {
+			if st.Inputs[i] == nil || first.Inputs[i] == nil {
+				return nil, fmt.Errorf("sim: lane %d stimulus input %d is nil", j, i)
+			}
 			if st.Inputs[i].Name != first.Inputs[i].Name {
 				return nil, fmt.Errorf("sim: lane %d drives %q where lane 0 drives %q",
 					j, st.Inputs[i].Name, first.Inputs[i].Name)
@@ -71,6 +74,30 @@ func PackStimuli(stims []VecStimulus) (*LaneStimulus, error) {
 		}
 	}
 	return ls, nil
+}
+
+// checkShape reports a lane count outside 1..64 or the first cycle whose
+// rows do not match the stimulus: Bits and Wide hold Depth rows, each with
+// one entry per input, and a wider-than-one-bit input's entry holds a value
+// for every active lane. PackStimuli builds only stimuli that pass.
+func (ls *LaneStimulus) checkShape() error {
+	if ls.N < 1 || ls.N > 64 {
+		return fmt.Errorf("sim: lane batch must hold 1..64 lanes, got %d", ls.N)
+	}
+	if len(ls.Bits) != ls.Depth || len(ls.Wide) != ls.Depth {
+		return fmt.Errorf("sim: lane stimulus holds %d bit rows and %d wide rows for depth %d", len(ls.Bits), len(ls.Wide), ls.Depth)
+	}
+	for c := range ls.Depth {
+		if len(ls.Bits[c]) != len(ls.Inputs) || len(ls.Wide[c]) != len(ls.Inputs) {
+			return fmt.Errorf("sim: lane stimulus row %d holds %d bit and %d wide entries for %d inputs", c, len(ls.Bits[c]), len(ls.Wide[c]), len(ls.Inputs))
+		}
+		for i, in := range ls.Inputs {
+			if in != nil && in.Width > 1 && len(ls.Wide[c][i]) < ls.N {
+				return fmt.Errorf("sim: lane stimulus row %d input %q holds %d values for %d lanes", c, in.Name, len(ls.Wide[c][i]), ls.N)
+			}
+		}
+	}
+	return nil
 }
 
 // LaneStimulusAt demuxes lane l back to the concrete scalar stimulus it

@@ -33,8 +33,8 @@ endmodule
 
 // TestQuickLaneFailureReplay: every lane the batched checker marks failed
 // must replay to a scalar failure on that lane's demuxed stimulus — the
-// counterexample-extraction path formal uses — and every lane it marks
-// clean must replay to a scalar pass. Runs in both value domains.
+// counterexample-extraction path sva.Checker.Batch uses — and every lane
+// it marks clean must replay to a scalar pass. Runs in both value domains.
 func TestQuickLaneFailureReplay(t *testing.T) {
 	d, diags, err := compile.Compile(qfailSrc)
 	if err != nil || compile.HasErrors(diags) {

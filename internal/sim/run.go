@@ -166,8 +166,8 @@ func RunReferenceBranches(d *compile.Design, stim VecStimulus, mode Mode) (*Trac
 // on the scalar engine, which reproduces scalar behaviour exactly. A
 // cancelled batch returns ctx.Err().
 func RunLanesCtx(ctx context.Context, d *compile.Design, ls *LaneStimulus, mode Mode) (*LaneTrace, error) {
-	if ls.N < 1 || ls.N > 64 {
-		return nil, fmt.Errorf("sim: lane batch must hold 1..64 lanes, got %d", ls.N)
+	if err := ls.checkShape(); err != nil {
+		return nil, err
 	}
 	p := PlanOf(d)
 	if p == nil {
@@ -202,10 +202,15 @@ func planFor(d *compile.Design, mode Mode) *Plan {
 	return p
 }
 
-// inputSlots resolves a driven input list to state slots once per run.
+// inputSlots resolves a driven input list to state slots once per run. A
+// nil entry, which is what d.Signals yields for a misspelt name, is an
+// error.
 func inputSlots(d *compile.Design, inputs []*compile.Signal) ([]int32, error) {
 	slots := make([]int32, len(inputs))
 	for i, in := range inputs {
+		if in == nil {
+			return nil, fmt.Errorf("sim: stimulus input %d is nil", i)
+		}
 		sig := d.Signals[in.Name]
 		if sig == nil || sig.Kind != compile.SigInput {
 			return nil, fmt.Errorf("sim: %q is not an input", in.Name)

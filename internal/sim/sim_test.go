@@ -357,8 +357,9 @@ func TestTraceFormat(t *testing.T) {
 // front, so the compiled plan, its reference fallback for an unplannable
 // design and the reference interpreter itself reject the same bad
 // stimulus with the same error, in both value domains, even with zero
-// rows. A driven input is masked to its width, and a ragged row is an
-// error, not a panic, here and in PackStimuli.
+// rows. A driven input is masked to its width, and a ragged row or a nil
+// input (what d.Signals yields for a misspelt name) is an error, not a
+// panic, here and in PackStimuli.
 func TestStimulusValidationMatchesReference(t *testing.T) {
 	const body = `
 module pq (
@@ -387,6 +388,7 @@ endmodule
 				{"output column", vec(d, "en q", [][]uint64{{1, 2}}), `sim: "q" is not an input`},
 				{"output column, no rows", vec(d, "en q", nil), `sim: "q" is not an input`},
 				{"unknown signal", VecStimulus{Inputs: []*compile.Signal{ghost}, Rows: [][]uint64{{1}}}, `sim: "ghost" is not an input`},
+				{"nil input", vec(d, "en vv", [][]uint64{{1, 2}}), "sim: stimulus input 1 is nil"},
 				{"ragged row", vec(d, "en v i", [][]uint64{{1, 2, 0}, {1}}), "sim: stimulus row 1 holds 1 values for 3 inputs"},
 			} {
 				_, errPlan := RunVecCtx(context.Background(), d, tc.stim, mode)
@@ -414,6 +416,47 @@ endmodule
 		ragged := vec(d, "en v i", [][]uint64{{1, 2, 0}, {1}})
 		if _, err := PackStimuli([]VecStimulus{vec(d, "en v i", [][]uint64{{1, 2, 0}, {1, 2, 0}}), ragged}); err == nil {
 			t.Errorf("%s: PackStimuli accepted a ragged row", lhs)
+		}
+		if _, err := PackStimuli([]VecStimulus{vec(d, "en v", [][]uint64{{1, 2}}), vec(d, "en vv", [][]uint64{{1, 2}})}); err == nil {
+			t.Errorf("%s: PackStimuli accepted a nil input", lhs)
+		}
+	}
+}
+
+// TestRunLanesRejectsMalformedStimulus: a LaneStimulus built by hand is
+// checked before the first cycle, as PackStimuli checks its inputs. Rows
+// must match Depth and hold one entry per input, a wide input's entry one
+// value per lane, and no input may be nil; otherwise RunLanesCtx errs
+// instead of panicking.
+func TestRunLanesRejectsMalformedStimulus(t *testing.T) {
+	d := mustCompile(t, accuSrc)
+	ok := vec(d, "rst_n in valid_in", [][]uint64{{0, 1, 1}, {1, 2, 1}, {1, 3, 0}})
+	for _, tc := range []struct {
+		name  string
+		spoil func(ls *LaneStimulus)
+	}{
+		{"short bit row", func(ls *LaneStimulus) { ls.Bits[1] = ls.Bits[1][:1] }},
+		{"short wide row", func(ls *LaneStimulus) { ls.Wide[2] = ls.Wide[2][:2] }},
+		{"short wide entry", func(ls *LaneStimulus) { ls.Wide[0][1] = ls.Wide[0][1][:1] }},
+		{"depth past the rows", func(ls *LaneStimulus) { ls.Depth = 4 }},
+		{"rows past the depth", func(ls *LaneStimulus) { ls.Depth = 2 }},
+		{"negative depth", func(ls *LaneStimulus) { ls.Depth = -1 }},
+		{"no lanes", func(ls *LaneStimulus) { ls.N = 0 }},
+		{"65 lanes", func(ls *LaneStimulus) { ls.N = 65 }},
+		{"nil input", func(ls *LaneStimulus) { ls.Inputs = []*compile.Signal{ls.Inputs[0], nil, ls.Inputs[2]} }},
+	} {
+		for _, mode := range []Mode{TwoState, FourState} {
+			ls, err := PackStimuli([]VecStimulus{ok, ok})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := RunLanesCtx(context.Background(), d, ls, mode); err != nil {
+				t.Fatalf("%v: the packed stimulus fails: %v", mode, err)
+			}
+			tc.spoil(ls)
+			if _, err := RunLanesCtx(context.Background(), d, ls, mode); err == nil {
+				t.Errorf("%s, %v: RunLanesCtx accepted the stimulus", tc.name, mode)
+			}
 		}
 	}
 }

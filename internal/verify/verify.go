@@ -80,13 +80,6 @@ type Options struct {
 	// initialisation-deletion bug classes, which are invisible to the
 	// two-state default.
 	FourState bool
-	// Lanes batches formal stimuli through the lane-parallel simulator
-	// (formal.Options.Lanes): up to Lanes stimuli per run, max 64. Zero (the
-	// default) and one mean scalar mode. Because lane checks are
-	// byte-identical to scalar ones by construction, Lanes still
-	// participates in the cache key — a divergence bug must never let a
-	// lane-mode result satisfy a scalar-mode request, or vice versa.
-	Lanes int
 	// CompileOnly stops after elaboration: the verdict carries the design
 	// but no formal result. Used where a caller needs a compiled design
 	// (e.g. as the golden side of a behavioural diff) without checking it.
@@ -101,7 +94,6 @@ func (o Options) formal() formal.Options {
 		MaxExhaustiveBits: o.MaxExhaustiveBits,
 		MaxConstBits:      o.MaxConstBits,
 		FourState:         o.FourState,
-		Lanes:             o.Lanes,
 	}
 }
 
@@ -362,7 +354,8 @@ func cacheKey(src string, assertions []verilog.Item, opts Options) Key {
 	if f.FourState {
 		meta[41] = 1
 	}
-	binary.LittleEndian.PutUint64(meta[48:], uint64(f.Lanes))
+	// meta[48:56] held the lane count of the retired formal.Options.Lanes.
+	// It stays zero, so a key equals the one a lanes-0 request always made.
 	h := sha256.New()
 	h.Write(meta[:])
 	h.Write([]byte(src))

@@ -2,12 +2,14 @@ package verify
 
 import (
 	"context"
+	"encoding/hex"
 	"fmt"
 	"reflect"
 	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/corpus"
 	"repro/internal/verilog"
 )
 
@@ -224,6 +226,25 @@ func TestOptionsNormalisedForKey(t *testing.T) {
 	}
 	if !v.Cached {
 		t.Error("defaulted and explicit-default options should share a cache entry")
+	}
+}
+
+// TestCacheKeyPinned pins the key bytes: records stored on disk are found
+// by these keys, so a change to the key layout (such as dropping an
+// option's bytes instead of leaving them zero) orphans every stored record.
+func TestCacheKeyPinned(t *testing.T) {
+	src := corpus.EdgeDetect().Source()
+	for _, tc := range []struct {
+		opts Options
+		want string
+	}{
+		{Options{}, "3af045d10086a958421bc42f5fce0e665664ac8976e08453e40ab272b3b5f9db"},
+		{Options{Seed: 7, Depth: 40, RandomRuns: 10, MaxExhaustiveBits: 8, FourState: true}, "5d763b60473ecd6cb5aff79e6fc5edb35c93b1c30942fa6e813c2b144abf2654"},
+		{Options{CompileOnly: true}, "f6900f3f3a1dca670dec777ab9651fa4017c26309c019b4b2094c98d761b18e1"},
+	} {
+		if k := cacheKey(src, nil, tc.opts); hex.EncodeToString(k[:]) != tc.want {
+			t.Errorf("%+v: key %x, want %s", tc.opts, k, tc.want)
+		}
 	}
 }
 
