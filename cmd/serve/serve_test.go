@@ -141,6 +141,41 @@ func TestServeCheckClocklessAssertion(t *testing.T) {
 	}
 }
 
+// paramAssignSrc assigns to a parameter, which the planner cannot lower.
+const paramAssignSrc = `module pm (
+    input clk,
+    input a,
+    output reg q
+);
+    parameter MAX = 3;
+    always @(posedge clk) if (a) MAX <= 1; else q <= a;
+    p_q: assert property (@(posedge clk) q == 0);
+endmodule
+`
+
+// TestServeParameterAssignmentRejected: both endpoints answer a design that
+// assigns to a parameter as one that does not compile, with the positioned
+// diagnostic.
+func TestServeParameterAssignmentRejected(t *testing.T) {
+	ts, _ := testServer(t, nil, serverConfig{})
+	const diag = "7:34: error: cannot assign to parameter MAX"
+	resp, body := postJSON(t, ts.URL+"/check", checkRequest{Source: paramAssignSrc, Options: checkOptions{Seed: 1, Depth: 8}})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/check: status %d: %s", resp.StatusCode, body)
+	}
+	var got checkResponse
+	if err := json.Unmarshal(body, &got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(body, []byte(`"status":"compile-error"`)) || !strings.Contains(got.Log, diag) {
+		t.Fatalf("/check: want a compile-error status and %q in the log: %s", diag, body)
+	}
+	resp, body = postJSON(t, ts.URL+"/stimulus", stimulusRequest{Source: paramAssignSrc, Rows: [][]uint64{{1}, {0}}})
+	if resp.StatusCode != http.StatusUnprocessableEntity || !strings.HasPrefix(string(body), "design does not compile:\n") || !strings.Contains(string(body), diag) {
+		t.Fatalf("/stimulus: status %d (%s), want 422 design does not compile with %q", resp.StatusCode, body, diag)
+	}
+}
+
 // TestServeCoalescing sends the same expensive check from many concurrent
 // clients and requires exactly one computation: everyone else either
 // coalesces onto the in-flight entry or hits the completed one.

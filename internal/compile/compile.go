@@ -706,20 +706,32 @@ func (e *elaborator) checkName(name string, pos verilog.Pos) *Signal {
 	return nil
 }
 
-// checkExpr validates every identifier and call in an expression.
+// maxPastDepth bounds a $past depth, as the simulator's history offset does.
+const maxPastDepth = 1<<31 - 1
+
+// checkExpr validates every identifier, call, part-select, replication and
+// string literal in an expression. What it accepts the simulator's planner
+// lowers: part-select bounds, replication counts and $past depths are
+// parameter-only constants, and only the supported system functions appear.
 func (e *elaborator) checkExpr(expr verilog.Expr, pos verilog.Pos) {
 	verilog.WalkExpr(expr, func(sub verilog.Expr) {
 		switch x := sub.(type) {
 		case *verilog.Ident:
 			e.checkName(x.Name, x.Pos)
+		case *verilog.Slice:
+			e.checkSlice(x)
+		case *verilog.Repl:
+			e.constOperand(x.Count, "replication count", true)
+		case *verilog.StringLit:
+			e.errorf(x.Pos, "string literal in expression context")
 		case *verilog.Call:
 			switch x.Name {
 			case "$past", "$rose", "$fell", "$stable", "$changed", "$countones", "$onehot", "$onehot0", "$signed", "$unsigned", "$isunknown":
 				if len(x.Args) == 0 {
 					e.errorf(x.Pos, "%s requires at least one argument", x.Name)
+				} else if x.Name == "$past" && len(x.Args) > 1 {
+					e.checkPastDepth(x.Args[1])
 				}
-			case "$error", "$display", "$finish", "$time":
-				// side-effect tasks: accepted anywhere
 			default:
 				e.errorf(x.Pos, "unsupported system function %s", x.Name)
 			}
@@ -727,33 +739,85 @@ func (e *elaborator) checkExpr(expr verilog.Expr, pos verilog.Pos) {
 	})
 }
 
-// checkAssignTarget validates an assignment LHS. procedural selects whether
-// the assignment appears inside an always block.
-func (e *elaborator) checkAssignTarget(lhs verilog.Expr, procedural bool) {
-	base := lhs
-	for {
-		switch x := base.(type) {
-		case *verilog.Index:
-			base = x.X
-			continue
-		case *verilog.Slice:
-			base = x.X
-			continue
-		case *verilog.Concat:
-			for _, el := range x.Elems {
-				e.checkAssignTarget(el, procedural)
-			}
+// checkSlice requires a part-select's bounds to be parameter-only constants
+// in descending order wherever they fold. An x/z-bearing bound stays legal:
+// four-state simulation reads it all-x and stores through it nothing.
+func (e *elaborator) checkSlice(x *verilog.Slice) {
+	if !e.constOperand(x.Hi, "part-select bound", false) || !e.constOperand(x.Lo, "part-select bound", false) {
+		return
+	}
+	hi, ok1 := e.constEval(x.Hi)
+	lo, ok2 := e.constEval(x.Lo)
+	if ok1 && ok2 && lo > hi {
+		e.errorf(x.Pos, "reversed part-select [%d:%d]", hi, lo)
+	}
+}
+
+// checkPastDepth requires a $past depth to be a parameter-only constant
+// with no x/z bits that folds, wherever it folds, into [1, maxPastDepth].
+func (e *elaborator) checkPastDepth(depth verilog.Expr) {
+	if !e.constOperand(depth, "$past depth", true) {
+		return
+	}
+	if n, ok := e.constEval(depth); ok && (n == 0 || n > maxPastDepth) {
+		e.errorf(depth.Span(), "$past depth %d out of range [1, %d]", n, uint64(maxPastDepth))
+	}
+}
+
+// constOperand reports whether x, the what of a select, replication or
+// $past, references no signal, calls nothing and, when known is set, holds
+// no x/z literal bits; otherwise it reports the first offending operand.
+func (e *elaborator) constOperand(x verilog.Expr, what string, known bool) bool {
+	ok := true
+	verilog.WalkExpr(x, func(sub verilog.Expr) {
+		if !ok {
 			return
 		}
-		break
+		switch s := sub.(type) {
+		case *verilog.Ident:
+			if e.design.Signals[s.Name] != nil {
+				e.errorf(s.Pos, "non-constant %s: references signal %s", what, s.Name)
+				ok = false
+			}
+		case *verilog.Call:
+			e.errorf(s.Pos, "non-constant %s: calls %s", what, s.Name)
+			ok = false
+		case *verilog.Number:
+			if known && s.Unknown() != 0 {
+				e.errorf(s.Pos, "%s has x/z bits", what)
+				ok = false
+			}
+		}
+	})
+	return ok
+}
+
+// checkAssignTarget validates an assignment LHS: a signal, a bit or part
+// select of one, or a concatenation of such targets. procedural selects
+// whether the assignment appears inside an always block.
+func (e *elaborator) checkAssignTarget(lhs verilog.Expr, procedural bool) {
+	base := lhs
+	switch x := lhs.(type) {
+	case *verilog.Concat:
+		for _, el := range x.Elems {
+			e.checkAssignTarget(el, procedural)
+		}
+		return
+	case *verilog.Index:
+		base = x.X
+	case *verilog.Slice:
+		base = x.X
 	}
 	id, ok := base.(*verilog.Ident)
 	if !ok {
-		e.errorf(lhs.Span(), "invalid assignment target")
+		e.errorf(base.Span(), "invalid assignment target")
 		return
 	}
 	sig := e.checkName(id.Name, id.Pos)
 	if sig == nil {
+		if _, isParam := e.design.Params[id.Name]; isParam {
+			e.errorf(id.Pos, "cannot assign to parameter %s", id.Name)
+		}
 		return
 	}
 	switch {
@@ -815,6 +879,24 @@ func (e *elaborator) elabInitial(ini *verilog.Initial) {
 	})
 }
 
+// checkTargetOperands validates the indices and part-select bounds of a
+// procedural assignment target, whose base checkAssignTarget checks. A
+// continuous assignment's target is walked whole by checkExpr instead.
+func (e *elaborator) checkTargetOperands(lhs verilog.Expr, pos verilog.Pos) {
+	switch x := lhs.(type) {
+	case *verilog.Concat:
+		for _, el := range x.Elems {
+			e.checkTargetOperands(el, pos)
+		}
+	case *verilog.Index:
+		e.checkExpr(x.Idx, pos)
+	case *verilog.Slice:
+		e.checkExpr(x.Hi, pos)
+		e.checkExpr(x.Lo, pos)
+		e.checkSlice(x)
+	}
+}
+
 // checkStmt validates statements; procedural is always true here but kept
 // for clarity with checkAssignTarget.
 func (e *elaborator) checkStmt(s verilog.Stmt, procedural bool) {
@@ -823,9 +905,11 @@ func (e *elaborator) checkStmt(s verilog.Stmt, procedural bool) {
 		case *verilog.NonBlocking:
 			e.checkAssignTarget(x.LHS, procedural)
 			e.checkExpr(x.RHS, x.Pos)
+			e.checkTargetOperands(x.LHS, x.Pos)
 		case *verilog.Blocking:
 			e.checkAssignTarget(x.LHS, procedural)
 			e.checkExpr(x.RHS, x.Pos)
+			e.checkTargetOperands(x.LHS, x.Pos)
 		case *verilog.If:
 			e.checkExpr(x.Cond, x.Pos)
 		case *verilog.Case:

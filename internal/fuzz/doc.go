@@ -31,12 +31,15 @@
 // dataset sample, line-number label and content-addressed cache key
 // depends on.
 //
-// Engine equivalence (EngineEquivalence): the compiled slot-indexed plan
-// (sim.RunVecCtx) and the reference interpreter (sim.RunReferenceCtx) must
-// produce the same run error text, byte-identical traces, identical SVA
-// verdicts and identical failure logs under the same random vector
-// stimulus, in the two-state and then the four-state domain — the
-// corpus-wide differential test, extended to arbitrary generated programs.
+// Engine equivalence (EngineEquivalence): a program internal/compile
+// accepts must have a plan in both value domains (an "unplanned"
+// violation otherwise: compile and the planner disagree about the
+// language), and the compiled slot-indexed plan (sim.RunVecCtx) and the
+// reference interpreter (sim.RunReferenceCtx) must produce the same run
+// error text, byte-identical traces, identical SVA verdicts and identical
+// failure logs under the same random vector stimulus, in the two-state
+// and then the four-state domain — the corpus-wide differential test,
+// extended to arbitrary generated programs.
 // The lane-parallel engine (sim.RunLanesCtx) rides along as a third leg in
 // both value domains: the same stimulus is packed into a ragged batch
 // with random siblings, every demuxed lane is held to its own scalar plan

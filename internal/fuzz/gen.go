@@ -194,9 +194,9 @@ func GenerateSource(seed int64) string {
 // of its literals with x/z digits — the x-saturated distribution behind
 // the FuzzFourState target, distinct from the base generator's ~1-in-6
 // rate. Structural literals (parameter values, slice bounds, replication
-// counts, plain-decimal $past depths) keep their known spelling so the
-// module still elaborates and the compiled four-state lowering stays
-// exercised rather than falling back to the reference interpreter.
+// counts, plain-decimal $past depths) keep their known spelling: an x/z
+// replication count or $past depth is a compile error, and a part-select
+// through an x/z bound reads all-x.
 func GenerateModuleXZ(rng *rand.Rand) *verilog.Module {
 	m := GenerateModule(rng)
 	injectXZ(m, rng)

@@ -109,13 +109,26 @@ func RoundTripSource(src string) error {
 // byte-identical traces, identical SVA verdicts and identical failure logs —
 // first in the two-state domain, then in the four-state domain, where both
 // value planes (Val and Unk) are compared on every trace row. Programs that
-// do not compile are out of scope and pass vacuously.
+// do not compile are out of scope and pass vacuously; one that compiles
+// must first have a plan in both value domains.
 func EngineEquivalence(src string, seed int64) error {
 	d1, diags, err := compile.Compile(src)
 	if err != nil || compile.HasErrors(diags) || d1 == nil {
 		return nil
 	}
 	d2, _, _ := compile.Compile(src)
+
+	// A zero-row run only sets the plan's machine up and settles it, so it
+	// fails as the reference interpreter's does unless compile let through
+	// a design the planner cannot lower in that value domain.
+	for _, mode := range []sim.Mode{sim.TwoState, sim.FourState} {
+		_, errPlan := sim.RunVecCtx(context.Background(), d1, sim.VecStimulus{}, mode)
+		_, errRef := sim.RunReferenceCtx(context.Background(), d2, sim.VecStimulus{}, mode)
+		if !sameError(errPlan, errRef) {
+			return violation("engine-equivalence", "unplanned", src,
+				"compiles but does not run on the %v plan: plan err=%v, reference err=%v", mode, errPlan, errRef)
+		}
+	}
 
 	rng := rand.New(rand.NewSource(seed))
 	depth := 6 + rng.Intn(12)

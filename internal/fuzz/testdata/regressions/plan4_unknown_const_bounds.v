@@ -1,20 +1,18 @@
 // The four-state plan lowering used to constant-fold x/z-bearing slice
-// bounds and replication counts through the two-state evaluator (x bits
-// read as 0), so the plan computed in0[2:0] where the reference
-// interpreter's four-state rule makes the whole select all-x — a
-// plane-for-plane engine-equivalence violation (review-found, reproduced
-// as plan o=0x2 known vs reference all-x). Such bounds now make the
-// design unplannable in four-state mode and both engines run the
-// reference rules.
+// bounds through the two-state evaluator (x bits read as 0), so the plan
+// computed in0[2:0] where the reference interpreter's four-state rule
+// makes the whole select all-x — a plane-for-plane engine-equivalence
+// violation (review-found, reproduced as plan o=0x2 known vs reference
+// all-x). Both engines now read through such a bound all-x and store
+// through it nothing. An x/z-bearing replication count, which this
+// program also held, is a compile error.
 module fz (
     input clk,
     input [3:0] in0,
-    output [2:0] o,
-    output [3:0] r
+    output [2:0] o
 );
     reg [3:0] r0 = 4'b0000;
     assign o = in0[2'b1x:0];
-    assign r = {2'b1x{in0[0]}};
     always @(posedge clk) begin
         r0[2'b1x:0] <= in0[2:0];
     end

@@ -34,19 +34,23 @@
 // lazily on the first four-state run, so the two-state plan, which is the
 // formal checker's hot path, pays nothing for it. Both domains share one
 // definition of the operator semantics (v4.go), and the interpretive
-// Simulator remains the reference implementation for each: RunVecCtx
-// falls back to it (via RunReferenceCtx) for designs the planner cannot lower
-// (dynamic slice bounds, non-constant replication counts), and the
+// Simulator remains the reference implementation for each: the
 // differential tests plus the cross-engine fuzzer hold the two backends
-// identical plane-for-plane.
+// identical plane-for-plane through RunReferenceCtx, which no production
+// path runs. internal/compile rejects every construct the planner cannot
+// lower (a non-constant or reversed part-select, a non-constant or x/z
+// replication count or $past depth, an assignment to a parameter), so
+// every design that compiles has a plan in both value domains; RunVecCtx
+// fails on a design without one instead of running it on a second engine.
 //
 // Every lowering — the plan and the lane engine, in either value domain —
 // runs through one front end (lower.go). It walks the design's
 // statements, assignment targets and expressions, and decides
 // plannability once for all four engines: the unknown-signal and
 // unsupported-target checks, constant slice bounds, replication counts
-// and $past depths (folded two-state or four-state, where an x-bearing
-// constant does not lower), and the static widths masks depend on. Each
+// and $past depths (folded two-state or four-state; a four-state
+// part-select through an x/z-bearing bound reads all-x and stores nothing,
+// as on the interpreter), and the static widths masks depend on. Each
 // unplannable reason is therefore spelled in one place. The engines are
 // emitters behind a small build-time interface: given operands the front
 // end has already lowered, an emitter returns the closure its machine runs
@@ -61,13 +65,14 @@
 //
 // Four functions run a simulation, each in a value domain: RunVecCtx on
 // the compiled plan, RunReferenceCtx and RunReferenceBranches on the
-// reference interpreter, and RunLanesCtx on the lane engine. The scalar
-// three take one stimulus form, VecStimulus: a fixed input list and one
-// dense row of values per cycle. Each checks the stimulus once, before the
-// first cycle, in one order shared by plan and reference: every row holds
-// one value per input, then every column names an input of the design, so
-// a bad stimulus fails with the same error on either engine, even with no
-// rows. Each cycle then drives Inputs[i] from Rows[c][i], masked to its
+// reference interpreter (the oracle of the differential tests,
+// internal/fuzz and internal/lint's branch contract), and RunLanesCtx on
+// the lane engine. The scalar three take one stimulus form, VecStimulus: a
+// fixed input list and one dense row of values per cycle. Each checks the
+// stimulus once, before the first cycle, in one order shared by plan and
+// reference: every row holds one value per input, then every column names
+// an input of the design, so a bad stimulus fails with the same error on
+// either engine, even with no rows. Each cycle then drives Inputs[i] from Rows[c][i], masked to its
 // width and fully known; an input the stimulus does not list is never
 // driven. The lane engine takes a LaneStimulus, which PackStimuli builds
 // from 1..64 VecStimulus values after the same row check. All of them
@@ -114,9 +119,7 @@
 // the shared v4.go per-bit formulas word-wide over paired Val/Unk planes.
 // Both domains' kernels are emitters of the same front end as the plan, so
 // a design lowers to lanes exactly when its constructs lower to the plan of
-// the same domain, except that lanes also require constant $past depths:
-// the sampled-frame swap is whole-machine, so a per-lane history offset
-// cannot be batched.
+// the same domain.
 //
 // The contract is byte-identity, not best-effort: LaneTrace.Demux(l) must
 // equal the scalar plan trace of LaneStimulusAt(l) for every lane, and
@@ -224,8 +227,9 @@
 //   - a bit-select write through an index >= 64, past the widest signal,
 //     has no effect, as the matching read yields 0;
 //   - $past depths must be in [1, 2^31-1]; other depths (including
-//     negative values that wrapped around as uint64) are EvalErrors rather
-//     than undefined history accesses;
+//     negative values that wrapped around as uint64) are compile errors
+//     where the depth folds and EvalErrors otherwise, never undefined
+//     history accesses;
 //   - asynchronous resets are sampled once per clock cycle: a sequential
 //     block sensitive to "negedge rst_n" executes its reset branch on any
 //     cycle in which rst_n is low at the clock edge.

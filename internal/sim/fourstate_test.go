@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"strings"
 	"testing"
 
 	"repro/internal/compile"
@@ -245,10 +246,10 @@ endmodule
 }
 
 // TestFourStateUnknownSliceBound: an x/z-bearing literal used as a slice
-// bound must not be constant-folded with its x bits read as 0. The plan
-// rejects the construct (falls back to the reference interpreter), whose
-// four-state rule makes the whole select all-x; runBoth4 holds the two
-// engines to the same planes either way.
+// bound must not be constant-folded with its x bits read as 0. Both
+// engines follow the four-state rule that makes the whole select all-x;
+// runBoth4 holds them to the same planes. An x/z-bearing replication count
+// is a compile error instead.
 func TestFourStateUnknownSliceBound(t *testing.T) {
 	src := `module m (
     input clk,
@@ -260,12 +261,12 @@ func TestFourStateUnknownSliceBound(t *testing.T) {
     assign r = {2'b1x{in0[0]}};
 endmodule
 `
-	tr := runBoth4(t, src, "in0", [][]uint64{{0b0110}})
+	if _, diags, _ := compile.Compile(src); compile.FormatDiags(diags) != "8:17: error: replication count has x/z bits\n" {
+		t.Errorf("x/z replication count: diagnostics %q", compile.FormatDiags(diags))
+	}
+	tr := runBoth4(t, strings.Replace(src, "{2'b1x{in0[0]}}", "in0", 1), "in0", [][]uint64{{0b0110}})
 	if v, _ := tr.Value4(0, "o"); v != (V4{Unk: 0x7}) {
 		t.Errorf("o = %+v, want all-x (unknown slice bound)", v)
-	}
-	if v, _ := tr.Value4(0, "r"); v != (V4{Unk: 0xF}) {
-		t.Errorf("r = %+v, want all-x (unknown replication count)", v)
 	}
 }
 

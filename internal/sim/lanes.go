@@ -83,8 +83,7 @@ type LanePlan struct {
 	consts []laneConst
 
 	// lowered mirrors Plan.lowered: sva maps assertion-reachable
-	// expressions to their truth masks, and allSVA, the gate for lane-mode
-	// formal, reports that every one of them lowered.
+	// expressions to their truth masks.
 	lowered[laneBoolFn, laneStmtFn]
 }
 
@@ -115,21 +114,14 @@ func (p *Plan) lanes(mode Mode) *LanePlan {
 }
 
 // LanesOK reports whether the design can run lane-parallel in the given
-// value domain with every assertion expression batched per lane-word — the
-// precondition sva.Checker.Batch checks before packing stimuli into lanes.
-// Multi-clock designs are excluded: the lane engine itself handles them
-// (per-lane fired masks), but the lane-batched assertion evaluation has no
-// per-domain tick schedule, so their batches run on the scalar engine.
+// value domain — the precondition sva.Checker.Batch checks before packing
+// stimuli into lanes. Multi-clock designs are excluded: the lane engine
+// itself handles them (per-lane fired masks), but the lane-batched
+// assertion evaluation has no per-domain tick schedule, so their batches
+// run on the scalar engine.
 func LanesOK(d *compile.Design, mode Mode) bool {
-	if d.MultiClock() {
-		return false
-	}
 	p := PlanOf(d)
-	if p == nil {
-		return false
-	}
-	lp := p.lanes(mode)
-	return lp != nil && lp.allSVA
+	return !d.MultiClock() && p != nil && p.lanes(mode) != nil
 }
 
 // buildLanePlan lowers the design with the domain's emitter and compiles
@@ -145,11 +137,11 @@ func buildLanePlan(p *Plan, four bool) *LanePlan {
 	if four {
 		em = &lane4Emitter{core}
 	}
-	l, ok := lower(p.design, em, four, true)
+	l, ok := lower(p.design, em, four)
 	if !ok {
 		return nil
 	}
-	lp.program, lp.allSVA = l.program, l.allSVA
+	lp.program = l.program
 	lp.sva = make(map[verilog.Expr]laneBoolFn, len(l.sva))
 	for e, le := range l.sva {
 		lp.sva[e] = core.bool3(le)
@@ -757,6 +749,12 @@ func extractLanes(out, vv []uint64, shift uint, mask uint64) {
 // register allocator, the statement layer, every store, and every
 // expression kernel whose four-state formula, with all lanes known, is the
 // two-state one.
+//
+// Each domain's emitter embeds it, and Go inlines a small method into the
+// wrapper it generates for a promoted method, compiling the closure copy
+// that makes without inlining the closure's own calls. The small
+// closure-building methods (fail, unknown, storeConcat) are therefore kept
+// out of line, so their closures read registers with (*lmach).reg inlined.
 type laneCore struct {
 	lp *LanePlan
 }
@@ -991,6 +989,7 @@ func (c *laneCore) storeSlice(sig *compile.Signal, shift uint, sm uint64, mode w
 	}
 }
 
+//go:noinline
 func (c *laneCore) storeConcat(parts []laneStoreFn, shifts []uint, masks []uint64) laneStoreFn {
 	regs := make([]int, len(parts))
 	for i := range regs {
@@ -1128,10 +1127,22 @@ func (c *laneCore) signal(sig *compile.Signal) lexpr {
 }
 
 // fail reports err when evaluated.
+//
+//go:noinline
 func (c *laneCore) fail(err error) lexpr {
 	reg := c.constReg(0, 0)
 	return lexpr{vec: func(m *lmach) ([]uint64, []uint64) {
 		m.fail(err)
+		return m.reg(reg)
+	}}
+}
+
+//go:noinline
+func (c *laneCore) unknown(xe lexpr) lexpr {
+	xf := c.asVec(xe)
+	reg := c.constReg(allX.planes())
+	return lexpr{vec: func(m *lmach) ([]uint64, []uint64) {
+		xf(m)
 		return m.reg(reg)
 	}}
 }
@@ -1208,7 +1219,7 @@ func (m *lmach) inSample(pos verilog.Pos, fn string) bool {
 
 // past lowers $past(x, d): the operand evaluated against the sampled row d
 // cycles back, or the sampled default (0) before the start of time.
-func (c *laneCore) past(pos verilog.Pos, fe, _ lexpr, depth uint64) lexpr {
+func (c *laneCore) past(pos verilog.Pos, fe lexpr, depth uint64) lexpr {
 	d := int(depth)
 	if bf := fe.bit; bf != nil {
 		return lexpr{bit: func(m *lmach) (uint64, uint64) {

@@ -153,7 +153,7 @@ func assertLaneDifferential(t *testing.T, name, src string, seed int64, lanes in
 	// which lanes failed and which attempted each assertion.
 	lres, err := sva.CheckLanes(lt)
 	if err != nil {
-		return true // not lane-compiled: callers fall back per lane
+		return true // declined (an evaluation error): callers check per lane
 	}
 	var wantFailed uint64
 	wantAttempted := map[string]uint64{}

@@ -214,8 +214,8 @@ func (t *LaneTrace) Demux(l int) *Trace {
 type CompiledLaneBool func(cycle int) (trueMask, xMask uint64, err error)
 
 // CompileLaneBool returns a lane-batched evaluator for e over this trace,
-// or nil when the lane compiler could not lower e — callers then fall back
-// to demuxing and evaluating per lane (or to the scalar engine entirely).
+// or nil when e is not one of the design's assertion expressions, which
+// the lane plan lowers every one of.
 func (t *LaneTrace) CompileLaneBool(e verilog.Expr) CompiledLaneBool {
 	fn, ok := t.lp.sva[e]
 	if !ok {

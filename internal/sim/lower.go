@@ -21,8 +21,8 @@ import (
 // closure a simulation cycle runs, so the per-cycle loop executes engine
 // code specialised to one machine layout and pays no dispatch.
 
-// errUnplannable aborts plan construction; the design falls back to the
-// reference interpreter (or, for the lane engines, to scalar runs).
+// errUnplannable aborts plan construction. internal/compile rejects every
+// construct that reaches it from parsed source.
 type errUnplannable struct{ reason string }
 
 func (e errUnplannable) Error() string { return "sim: unplannable design: " + e.reason }
@@ -61,17 +61,17 @@ type emitter[E, S, T any] interface {
 	concat(elems []E, widths []uint, masks []uint64) E
 	repl(x E, reps int, w uint, mask uint64) E
 	// reduce lowers $countones, $onehot, $onehot0 and $isunknown over an
-	// operand with static width mask mask (0 for two-state $isunknown,
-	// which needs no width).
+	// operand with static width mask mask.
 	reduce(name string, x E, mask uint64) E
-	// past lowers $past(x, depth). Lane emitters receive the constant
-	// depth n, already in range; scalar emitters receive the compiled depth
-	// expression, the zero E when the call has no depth argument.
-	past(pos verilog.Pos, x, depth E, n uint64) E
+	// past lowers $past(x, n) for a constant depth n, already in range.
+	past(pos verilog.Pos, x E, n uint64) E
 	// sampled lowers $rose, $fell, $stable and $changed.
 	sampled(pos verilog.Pos, name string, x E) E
 	// fail is an expression that reports err when evaluated.
 	fail(err error) E
+	// unknown evaluates x, for its error effects, and yields all-x: a
+	// four-state part-select read through an x/z-bearing bound.
+	unknown(x E) E
 
 	nop() S
 	block(body []S) S
@@ -99,7 +99,8 @@ type emitter[E, S, T any] interface {
 	// already shifted into place) from the value shifted left by shift.
 	storeSlice(sig *compile.Signal, shift uint, sm uint64, mode writeMode, inner T) T
 	// storeConcat writes part i from the value shifted right by shifts[i]
-	// and masked by masks[i], in order.
+	// and masked by masks[i], in order. With no parts it writes nothing,
+	// which is a four-state store through an x/z-bearing part-select bound.
 	storeConcat(parts []T, shifts []uint, masks []uint64) T
 }
 
@@ -123,20 +124,17 @@ type lowered[E, S any] struct {
 
 	// sva maps every expression reachable from the design's assertions
 	// (terms, disable-iff) to its compiled form, keyed by AST node
-	// identity. allSVA reports that every one of them lowered.
-	sva    map[verilog.Expr]E
-	allSVA bool
+	// identity.
+	sva map[verilog.Expr]E
 }
 
 // lower runs the front end over d for one emitter. four selects the
-// four-state constant folding (an x-bearing bound, count or depth does not
-// lower); constPast requires $past depths to be compile-time constants,
-// which the lane engines need because their sampled-frame swap is
-// whole-machine. ok is false when some design construct does not lower.
-// An assertion expression that does not lower only stays out of sva: the
-// trace evaluators fall back to the interpreter for it.
-func lower[E, S, T any](d *compile.Design, em emitter[E, S, T], four, constPast bool) (l lowered[E, S], ok bool) {
-	f := &lowerer[E, S, T]{planCompiler: planCompiler{d: d, four: four}, em: em, constPast: constPast}
+// four-state constant folding, where an x/z-bearing part-select bound reads
+// all-x and stores nothing, and an x/z-bearing replication count or $past
+// depth does not lower. ok is false when some design construct or
+// assertion expression does not lower.
+func lower[E, S, T any](d *compile.Design, em emitter[E, S, T], four bool) (l lowered[E, S], ok bool) {
+	f := &lowerer[E, S, T]{planCompiler: planCompiler{d: d, four: four}, em: em}
 	for _, as := range d.Assigns {
 		a, err := f.assign(as.LHS, as.RHS, wAssign)
 		if err != nil {
@@ -158,15 +156,11 @@ func lower[E, S, T any](d *compile.Design, em emitter[E, S, T], four, constPast 
 		}
 		l.seqs = append(l.seqs, body)
 	}
-	l.sva, l.allSVA = map[verilog.Expr]E{}, true
+	l.sva = map[verilog.Expr]E{}
+	var err error
 	sva := func(e verilog.Expr) {
-		if e == nil {
-			return
-		}
-		if fn, err := f.expr(e); err == nil {
-			l.sva[e] = fn
-		} else {
-			l.allSVA = false
+		if e != nil && err == nil {
+			l.sva[e], err = f.expr(e)
 		}
 	}
 	for i := range d.Asserts {
@@ -181,7 +175,7 @@ func lower[E, S, T any](d *compile.Design, em emitter[E, S, T], four, constPast 
 			}
 		}
 	}
-	return l, true
+	return l, err == nil
 }
 
 // planCompiler holds the design-level analysis every lowering shares:
@@ -204,8 +198,7 @@ type staticW struct {
 // lowerer is the front end's walk for one emitter.
 type lowerer[E, S, T any] struct {
 	planCompiler
-	em        emitter[E, S, T]
-	constPast bool
+	em emitter[E, S, T]
 }
 
 // constEval evaluates an expression that may reference parameters but no
@@ -216,20 +209,15 @@ func (c *planCompiler) constEval(e verilog.Expr) (uint64, bool) {
 }
 
 // constant folds a slice bound, replication count or $past depth in the
-// lowering's value domain. Four-state folding requires every bit known: an
-// x/z-bearing constant (e.g. in[2'b1x:0]) does not lower, so the design
-// falls back to the reference interpreter's four-state rules (unknown
-// bounds read all-x, unknown-bound stores are no-ops) instead of silently
-// folding the x bits to 0.
-func (c *planCompiler) constant(e verilog.Expr) (uint64, bool) {
+// lowering's value domain. unk reports a four-state value with x/z bits
+// (e.g. in[2'b1x:0]), which the caller must not read with its x bits as 0.
+func (c *planCompiler) constant(e verilog.Expr) (v uint64, unk, ok bool) {
 	if !c.four {
-		return c.constEval(e)
+		v, ok = c.constEval(e)
+		return v, false, ok
 	}
-	v, err := Eval4(e, paramOnlyEnv{d: c.d})
-	if err != nil || v.Unk != 0 {
-		return 0, false
-	}
-	return v.Val, true
+	v4, err := Eval4(e, paramOnlyEnv{d: c.d})
+	return v4.Val, v4.Unk != 0, err == nil
 }
 
 // paramOnlyEnv resolves parameters only; signal references fail, marking
@@ -482,12 +470,14 @@ func (f *lowerer[E, S, T]) store(lhs verilog.Expr, mode writeMode) (T, error) {
 		if err != nil {
 			return zero, err
 		}
-		hi, ok1 := f.constant(x.Hi)
-		lo, ok2 := f.constant(x.Lo)
-		if !ok1 || !ok2 {
+		hi, hx, ok1 := f.constant(x.Hi)
+		lo, lx, ok2 := f.constant(x.Lo)
+		switch {
+		case !ok1 || !ok2:
 			return zero, errUnplannable{"dynamic slice bounds in assignment target"}
-		}
-		if lo > hi {
+		case hx || lx:
+			return f.em.storeConcat(nil, nil, nil), nil
+		case lo > hi:
 			return zero, errUnplannable{"invalid slice target"}
 		}
 		sm := maskFor(int(hi-lo)+1) << lo
@@ -616,12 +606,14 @@ func (f *lowerer[E, S, T]) expr(e verilog.Expr) (E, error) {
 		if err != nil {
 			return zero, err
 		}
-		hi, ok1 := f.constant(x.Hi)
-		lo, ok2 := f.constant(x.Lo)
-		if !ok1 || !ok2 {
+		hi, hx, ok1 := f.constant(x.Hi)
+		lo, lx, ok2 := f.constant(x.Lo)
+		switch {
+		case !ok1 || !ok2:
 			return zero, errUnplannable{"dynamic slice bounds"}
-		}
-		if lo > hi || lo >= 64 {
+		case hx || lx:
+			return f.em.unknown(a), nil
+		case lo > hi || lo >= 64:
 			return f.em.fail(evalErrf(x.Pos, "invalid slice [%d:%d]", hi, lo)), nil
 		}
 		return f.em.slice(a, uint(lo), maskFor(int(hi-lo)+1)), nil
@@ -642,8 +634,8 @@ func (f *lowerer[E, S, T]) expr(e verilog.Expr) (E, error) {
 		}
 		return f.em.concat(elems, widths, masks), nil
 	case *verilog.Repl:
-		n, ok := f.constant(x.Count)
-		if !ok {
+		n, unk, ok := f.constant(x.Count)
+		if !ok || unk {
 			return zero, errUnplannable{"dynamic replication count"}
 		}
 		w, ok := f.staticWidth(x.Elem)
@@ -676,39 +668,27 @@ func (f *lowerer[E, S, T]) call(x *verilog.Call) (E, error) {
 		if err != nil {
 			return zero, err
 		}
-		var mask uint64
-		// Two-state $isunknown is constant 0 and reads no operand bits.
-		if x.Name != "$isunknown" || f.four {
-			w, err := f.operandWidth(arg)
-			if err != nil {
-				return zero, err
-			}
-			mask = maskFor(w)
+		w, err := f.operandWidth(arg)
+		if err != nil {
+			return zero, err
 		}
-		return f.em.reduce(x.Name, a, mask), nil
+		return f.em.reduce(x.Name, a, maskFor(w)), nil
 	case "$past":
 		a, err := f.expr(arg)
 		if err != nil {
 			return zero, err
 		}
-		var depth E
 		n := uint64(1)
 		if len(x.Args) > 1 {
-			if !f.constPast {
-				if depth, err = f.expr(x.Args[1]); err != nil {
-					return zero, err
-				}
-			} else {
-				var ok bool
-				if n, ok = f.constant(x.Args[1]); !ok {
-					return zero, errUnplannable{"non-constant $past depth"}
-				}
-				if n == 0 || n > maxPastDepth {
-					return f.em.fail(evalErrf(x.Pos, "$past depth %d out of range [1, %d]", n, uint64(maxPastDepth))), nil
-				}
+			var unk, ok bool
+			if n, unk, ok = f.constant(x.Args[1]); !ok || unk {
+				return zero, errUnplannable{"non-constant $past depth"}
+			}
+			if n == 0 || n > maxPastDepth {
+				return f.em.fail(evalErrf(x.Pos, "$past depth %d out of range [1, %d]", n, uint64(maxPastDepth))), nil
 			}
 		}
-		return f.em.past(x.Pos, a, depth, n), nil
+		return f.em.past(x.Pos, a, n), nil
 	case "$rose", "$fell", "$stable", "$changed":
 		a, err := f.expr(arg)
 		if err != nil {

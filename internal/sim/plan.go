@@ -79,10 +79,9 @@ type stmtFn func(m *mach)
 type stmtVFn func(m *mach, v, u uint64)
 
 // PlanOf returns the design's compiled execution plan, building and caching
-// it on first use. It returns nil when the design uses a construct the
-// planner cannot lower (dynamic slice bounds, non-constant replication
-// counts); callers then fall back to the reference interpreter, which
-// remains the semantic oracle.
+// it on first use. Every design internal/compile accepts has one, in both
+// value domains; PlanOf returns nil only for a design whose AST was
+// changed after elaboration into something the planner cannot lower.
 func PlanOf(d *compile.Design) *Plan {
 	v := d.CachedPlan(func() any { return buildPlan(d) })
 	p, _ := v.(*Plan)
@@ -359,7 +358,8 @@ func evalAt(m *mach, fn evalFn, idx int) (v, u uint64) {
 }
 
 // lowering returns the plan's lowering of mode's value domain, building the
-// four-state one on first use; nil when that could not be lowered.
+// four-state one on first use; nil when that could not be lowered, which
+// happens only for a design whose AST was changed after elaboration.
 func (p *Plan) lowering(mode Mode) *lowered[evalFn, stmtFn] {
 	if mode == TwoState {
 		return &p.lowered
@@ -390,7 +390,7 @@ func buildPlan(d *compile.Design) *Plan {
 	if d.MultiClock() {
 		p.seqDomain = d.DomainOf
 	}
-	l, ok := lower(d, planEmitters[TwoState], false, false)
+	l, ok := lower(d, planEmitters[TwoState], false)
 	if !ok {
 		return nil
 	}
@@ -603,6 +603,13 @@ func (*planCore) fail(err error) evalFn {
 	}
 }
 
+func (*planCore) unknown(fn evalFn) evalFn {
+	return func(m *mach) (uint64, uint64) {
+		fn(m)
+		return allX.planes()
+	}
+}
+
 func (*planCore) slice(xf evalFn, shift uint, mask uint64) evalFn {
 	return func(m *mach) (uint64, uint64) {
 		v, u := xf(m)
@@ -635,23 +642,15 @@ func (*planCore) repl(fn evalFn, reps int, uw uint, mask uint64) evalFn {
 	}
 }
 
-// past lowers $past(x, depth) in the reference interpreter's order: the
-// depth is evaluated and range-checked (an x depth is out of range) before
-// the sampled context is, so both engines report the same error.
-func (*planCore) past(pos verilog.Pos, fn, depthFn evalFn, _ uint64) evalFn {
-	if depthFn == nil {
-		depthFn = konst(known(1))
-	}
+// past lowers $past(x, n): the operand evaluated against the sampled row n
+// cycles back, 0 before the start of time.
+func (*planCore) past(pos verilog.Pos, fn evalFn, n uint64) evalFn {
+	d := int(n)
 	return func(m *mach) (uint64, uint64) {
-		nv, nu := depthFn(m)
-		if nu != 0 || nv == 0 || nv > maxPastDepth {
-			m.fail(evalErrf(pos, "$past depth %d out of range [1, %d]", nv, uint64(maxPastDepth)))
-			return 0, 0
-		}
 		if m.rows == nil {
 			return m.unsampled(pos, "$past")
 		}
-		j := m.idx - int(nv)
+		j := m.idx - d
 		if j < 0 {
 			return 0, 0 // before start of time: sampled default (0)
 		}

@@ -27,8 +27,7 @@ type plan4 struct {
 }
 
 // fourState returns the plan's four-state lowering, building it on first
-// use. Nil when some construct could not be lowered; callers fall back to
-// the four-state reference interpreter.
+// use; nil when some construct could not be lowered (see lowering).
 func (p *Plan) fourState() *plan4 {
 	p.once4.Do(func() { p.p4 = buildPlan4(p) })
 	return p.p4
@@ -46,7 +45,7 @@ func buildPlan4(p *Plan) *plan4 {
 			p4.initUnk[sig.Slot] = d.RegInitX[name] & sig.Mask()
 		}
 	}
-	l, ok := lower(d, planEmitters[FourState], true, false)
+	l, ok := lower(d, planEmitters[FourState], true)
 	if !ok {
 		return nil
 	}

@@ -25,30 +25,30 @@ endmodule
 `
 
 // plannability is one engine-acceptance row: which lowerings accept the
-// construct. lanes2/lanes4 are the lane plans themselves (nil only when a
-// design-body construct cannot lower); ok2/ok4 are LanesOK, which also
-// requires every assertion expression to lower per lane-word.
+// construct. lanes2/lanes4 are the lane plans themselves; ok2/ok4 are
+// LanesOK, which also rejects multi-clock designs.
 type plannability struct {
 	plan, plan4, lanes2, lanes4, ok2, ok4 bool
 }
 
 var (
-	acceptAll  = plannability{true, true, true, true, true, true}
-	rejectAll  = plannability{}
-	twoOnly    = plannability{plan: true, lanes2: true, ok2: true}
-	scalarOnly = plannability{plan: true, plan4: true}
-	noLaneSVA  = plannability{plan: true, plan4: true, lanes2: true, lanes4: true}
+	acceptAll = plannability{true, true, true, true, true, true}
+	rejectAll = plannability{}
 )
 
-// TestPlannabilityTable pins, for every unplannable reason the lowerings
-// can reach plus plannable controls, which of PlanOf, the four-state plan,
-// the two lane plans and LanesOK accept the construct. Constructs the
-// parser and elaborator never produce (an unknown identifier, a call with
-// no arguments, a non-identifier store base) are spliced into an
-// elaborated design's AST before its plan is built. Three reasons are
-// unreachable and have no row: an unknown statement kind (verilog.Stmt is
-// sealed) and unknown unary or binary operators (the operator sets are
-// closed enums every lowering covers).
+// TestPlannabilityTable pins the boundary between internal/compile and the
+// planner: every construct the parser produces either compiles and lowers
+// on every engine or is a compile error with a positioned diagnostic, so no
+// design that compiles falls between the two. A diag row pins the whole
+// diagnostic log of its source. A want row pins which of PlanOf, the
+// four-state plan, the two lane plans and LanesOK accept the construct;
+// those that reject something are constructs the parser and elaborator
+// never produce (an unknown identifier, a call with no arguments, a
+// non-identifier store base), spliced into an elaborated design's AST
+// before its plan is built. Three reasons are unreachable and have no row:
+// an unknown statement kind (verilog.Stmt is sealed) and unknown unary or
+// binary operators (the operator sets are closed enums every lowering
+// covers). The body's first line is line 11.
 func TestPlannabilityTable(t *testing.T) {
 	assign0 := func(f func(as *verilog.AssignItem)) func(*compile.Design) {
 		return func(d *compile.Design) { f(d.Assigns[0]) }
@@ -59,6 +59,7 @@ func TestPlannabilityTable(t *testing.T) {
 		body   string
 		mutate func(*compile.Design)
 		want   plannability
+		diag   string
 	}{
 		// Plannable controls.
 		{name: "control", body: `
@@ -77,21 +78,36 @@ func TestPlannabilityTable(t *testing.T) {
     always @(posedge clk) begin
         if (a) q[i] <= b; else {q[7:4], q[3:0]} <= v;
     end`, want: acceptAll},
-		{name: "invalid constant slice reads fail at run time", body: `
-    assign y = v[0:3];`, want: acceptAll},
-		{name: "out-of-range constant $past depth fails at run time", body: `
-    assign y = v;
-    ap: assert property (@(posedge clk) y == $past(v, 0));`, want: acceptAll},
+		{name: "parameter-only bounds, count and depth", body: `
+    localparam P = 6;
+    assign y = {v[P+1:P&4], {(P|1)-5{a}}};
+    always @(posedge clk) q[P^1:2] <= v;
+    ap: assert property (@(posedge clk) y == $past(v, P>>1));`, want: acceptAll},
+		{name: "x-bearing slice bound", body: `
+    assign y = v[2'b1x:0];`, want: acceptAll},
+		{name: "x-bearing slice bound in assignment target", body: `
+    always @(posedge clk) q[2'b1x:0] <= v;`, want: acceptAll},
 
 		// Assignment targets.
 		{name: "assignment to unknown signal", body: `
     assign y = v;`, mutate: assign0(func(as *verilog.AssignItem) {
 			as.LHS = &verilog.Ident{Name: "nosuch"}
 		}), want: rejectAll},
+		{name: "assignment to parameter", body: `
+    parameter MAX = 3;
+    always @(posedge clk) if (a) MAX <= 1; else q <= v;`,
+			diag: "12:34: error: cannot assign to parameter MAX\n"},
+		{name: "assignment to localparam", body: `
+    localparam S0 = 0;
+    assign {y[7:1], S0} = v;`,
+			diag: "12:21: error: cannot assign to parameter S0\n"},
 		{name: "unsupported index target base", body: `
     assign y = v;`, mutate: assign0(func(as *verilog.AssignItem) {
 			as.LHS = &verilog.Index{X: num(1), Idx: num(0)}
 		}), want: rejectAll},
+		{name: "nested select target", body: `
+    always @(posedge clk) q[3:0][1] <= a;`,
+			diag: "11:28: error: invalid assignment target\n"},
 		{name: "unsupported slice target base", body: `
     assign y = v;`, mutate: assign0(func(as *verilog.AssignItem) {
 			as.LHS = &verilog.Slice{X: num(1), Hi: num(3), Lo: num(0)}
@@ -101,13 +117,14 @@ func TestPlannabilityTable(t *testing.T) {
 			as.LHS = num(1)
 		}), want: rejectAll},
 		{name: "dynamic slice bounds in assignment target", body: `
-    always @(posedge clk) q[i:0] <= v;`, want: rejectAll},
-		{name: "x-bearing slice bound in assignment target", body: `
-    always @(posedge clk) q[2'b1x:0] <= v;`, want: twoOnly},
+    always @(posedge clk) q[i:0] <= v;`,
+			diag: "11:29: error: non-constant part-select bound: references signal i\n"},
 		{name: "invalid slice target", body: `
-    always @(posedge clk) q[0:3] <= v;`, want: rejectAll},
+    always @(posedge clk) q[0:3] <= v;`,
+			diag: "11:28: error: reversed part-select [0:3]\n"},
 		{name: "dynamic width in concat assignment target", body: `
-    always @(posedge clk) {q[0:3], b} <= v;`, want: rejectAll},
+    always @(posedge clk) {q[0:3], b} <= v;`,
+			diag: "11:29: error: reversed part-select [0:3]\n"},
 
 		// Expressions.
 		{name: "unknown signal", body: `
@@ -118,28 +135,48 @@ func TestPlannabilityTable(t *testing.T) {
     assign y = v;`, mutate: assign0(func(as *verilog.AssignItem) {
 			as.RHS = nil
 		}), want: rejectAll},
+		{name: "string literal", body: `
+    assign y = "v";`,
+			diag: "11:16: error: string literal in expression context\n"},
+		{name: "system task in an expression", body: `
+    assign y = $time;`,
+			diag: "11:16: error: unsupported system function $time\n"},
 		{name: "dynamic slice bounds", body: `
-    assign y = v[i:0];`, want: rejectAll},
-		{name: "x-bearing slice bound", body: `
-    assign y = v[2'b1x:0];`, want: twoOnly},
+    assign y = v[i:0];`,
+			diag: "11:18: error: non-constant part-select bound: references signal i\n"},
+		{name: "slice bound with a call", body: `
+    assign y = v[$countones(v):0];`,
+			diag: "11:18: error: non-constant part-select bound: calls $countones\n"},
+		{name: "reversed constant slice read", body: `
+    assign y = v[0:3];`,
+			diag: "11:17: error: reversed part-select [0:3]\n"},
 		{name: "dynamic width in concat", body: `
-    assign y = {v[0:3], a};`, want: rejectAll},
+    assign y = {v[0:3], a};`,
+			diag: "11:18: error: reversed part-select [0:3]\n"},
 		{name: "dynamic replication count", body: `
-    assign y = {i{a}};`, want: rejectAll},
+    assign y = {i{a}};`,
+			diag: "11:17: error: non-constant replication count: references signal i\n"},
 		{name: "x-bearing replication count", body: `
-    assign y = {2'b1x{a}};`, want: twoOnly},
+    assign y = {2'b1x{a}};`,
+			diag: "11:17: error: replication count has x/z bits\n"},
 		{name: "dynamic width in replication", body: `
-    assign y = {2{v[0:3]}};`, want: rejectAll},
+    assign y = {2{v[0:3]}};`,
+			diag: "11:20: error: reversed part-select [0:3]\n"},
 		{name: "dynamic operand width (unary)", body: `
-    assign y = ~v[0:3];`, want: rejectAll},
+    assign y = ~v[0:3];`,
+			diag: "11:18: error: reversed part-select [0:3]\n"},
 		{name: "dynamic operand width (xnor)", body: `
-    assign y = v ~^ v[0:3];`, want: rejectAll},
+    assign y = v ~^ v[0:3];`,
+			diag: "11:22: error: reversed part-select [0:3]\n"},
 		{name: "dynamic operand width (arithmetic shift)", body: `
-    assign y = v[0:3] >>> 1;`, want: rejectAll},
+    assign y = v[0:3] >>> 1;`,
+			diag: "11:17: error: reversed part-select [0:3]\n"},
 		{name: "dynamic operand width ($countones)", body: `
-    assign y = $countones(v[0:3]);`, want: rejectAll},
+    assign y = $countones(v[0:3]);`,
+			diag: "11:28: error: reversed part-select [0:3]\n"},
 		{name: "dynamic operand width ($isunknown)", body: `
-    assign y = $isunknown(v[0:3]);`, want: twoOnly},
+    assign y = $isunknown(v[0:3]);`,
+			diag: "11:28: error: reversed part-select [0:3]\n"},
 		{name: "system function without arguments", body: `
     assign y = v;`, mutate: assign0(func(as *verilog.AssignItem) {
 			as.RHS = &verilog.Call{Name: "$countones"}
@@ -149,18 +186,35 @@ func TestPlannabilityTable(t *testing.T) {
 			as.RHS = &verilog.Call{Name: "$bogus", Args: []verilog.Expr{&verilog.Ident{Name: "v"}}}
 		}), want: rejectAll},
 		{name: "non-constant $past depth in logic", body: `
-    always @(posedge clk) q <= $past(v, i);`, want: scalarOnly},
+    always @(posedge clk) q <= $past(v, i);`,
+			diag: "11:41: error: non-constant $past depth: references signal i\n"},
 		{name: "non-constant $past depth in an assertion", body: `
     assign y = v;
-    ap: assert property (@(posedge clk) y == $past(v, i));`, want: noLaneSVA},
+    ap: assert property (@(posedge clk) y == $past(v, i));`,
+			diag: "12:55: error: non-constant $past depth: references signal i\n"},
 		{name: "x-bearing $past depth in an assertion", body: `
     assign y = v;
     ap: assert property (@(posedge clk) y == $past(v, 2'b0x));`,
-			want: plannability{plan: true, plan4: true, lanes2: true, lanes4: true, ok2: true}},
+			diag: "12:55: error: $past depth has x/z bits\n"},
+		{name: "out-of-range constant $past depth", body: `
+    assign y = v;
+    ap: assert property (@(posedge clk) y == $past(v, 0));`,
+			diag: "12:55: error: $past depth 0 out of range [1, 2147483647]\n"},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
-			d := mustCompile(t, strings.Replace(plannableModule, "BODY", row.body, 1))
+			src := strings.Replace(plannableModule, "BODY", row.body, 1)
+			if row.diag != "" {
+				d, diags, err := compile.Compile(src)
+				if err != nil {
+					t.Fatalf("parse: %v", err)
+				}
+				if got := compile.FormatDiags(diags); d != nil || got != row.diag {
+					t.Errorf("compile returned design %v, diagnostics %q, want %q", d != nil, got, row.diag)
+				}
+				return
+			}
+			d := mustCompile(t, src)
 			if row.mutate != nil {
 				row.mutate(d)
 			}

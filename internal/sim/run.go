@@ -72,10 +72,8 @@ func stopped(done <-chan struct{}) bool {
 // RunVecCtx simulates the design over the stimulus in the given value
 // domain and returns the sampled trace. Simulation executes on the design's
 // compiled plan (in FourState mode its four-state lowering, with every
-// signal starting x except declared initials); designs the planner cannot
-// lower run on the reference interpreter instead, with identical
-// semantics. It is the one-shot use of a VecRunner, so the trace belongs
-// to the caller.
+// signal starting x except declared initials). It is the one-shot use of a
+// VecRunner, so the trace belongs to the caller.
 func RunVecCtx(ctx context.Context, d *compile.Design, stim VecStimulus, mode Mode) (*Trace, error) {
 	return NewVecRunner(d, mode).Run(ctx, stim)
 }
@@ -87,20 +85,24 @@ func RunVecCtx(ctx context.Context, d *compile.Design, stim VecStimulus, mode Mo
 // looping over many stimuli allocates per design rather than per stimulus.
 //
 // The trace Run returns is the runner's own and the next Run overwrites it,
-// unless Detach hands it to the caller first. Designs the planner cannot
-// lower run on the reference interpreter, each run with a trace of its
-// own. A VecRunner is not safe for concurrent use.
+// unless Detach hands it to the caller first. A design with no lowering in
+// the runner's value domain, which internal/compile never produces, fails
+// every run. A VecRunner is not safe for concurrent use.
 type VecRunner struct {
 	d      *compile.Design
 	mode   Mode
-	p      *Plan // nil: every run goes to the reference interpreter
+	p      *Plan // nil: the design has no lowering in mode
 	r      planRun
 	inputs []*compile.Signal // the input list r.slots was resolved from
 }
 
 // NewVecRunner returns run state for simulating d in mode.
 func NewVecRunner(d *compile.Design, mode Mode) *VecRunner {
-	return &VecRunner{d: d, mode: mode, p: planFor(d, mode)}
+	v := &VecRunner{d: d, mode: mode}
+	if p := PlanOf(d); p != nil && p.lowering(mode) != nil {
+		v.p = p
+	}
+	return v
 }
 
 // Run simulates one stimulus, driving every input in stim.Inputs every
@@ -109,7 +111,7 @@ func NewVecRunner(d *compile.Design, mode Mode) *VecRunner {
 // before the first cycle, as on the reference interpreter.
 func (v *VecRunner) Run(ctx context.Context, stim VecStimulus) (*Trace, error) {
 	if v.p == nil {
-		return RunReferenceCtx(ctx, v.d, stim, v.mode)
+		return nil, fmt.Errorf("sim: design has no %v execution plan", v.mode)
 	}
 	if err := stim.checkShape(); err != nil {
 		return nil, err
@@ -130,9 +132,9 @@ func (v *VecRunner) Run(ctx context.Context, stim VecStimulus) (*Trace, error) {
 func (v *VecRunner) Detach() { v.r.tr = nil }
 
 // RunReferenceCtx simulates the design on the reference interpreter in the
-// given value domain. It is the semantic oracle the differential tests
-// hold the compiled plan against, and the fallback for designs the
-// planner cannot lower.
+// given value domain. It is the semantic oracle the differential tests and
+// internal/fuzz hold the compiled plan against; no production path runs
+// it.
 func RunReferenceCtx(ctx context.Context, d *compile.Design, stim VecStimulus, mode Mode) (*Trace, error) {
 	r, err := newRefRun(d, stim, mode)
 	if err != nil {
@@ -190,16 +192,6 @@ func RunLanesCtx(ctx context.Context, d *compile.Design, ls *LaneStimulus, mode 
 		return nil, err
 	}
 	return lt, nil
-}
-
-// planFor returns the design's compiled plan when it has a lowering in
-// mode; nil when the run belongs on the reference interpreter.
-func planFor(d *compile.Design, mode Mode) *Plan {
-	p := PlanOf(d)
-	if p == nil || mode == FourState && p.fourState() == nil {
-		return nil
-	}
-	return p
 }
 
 // inputSlots resolves a driven input list to state slots once per run. A

@@ -3,8 +3,10 @@ package sim
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 
+	"repro/internal/compile"
 	"repro/internal/verilog"
 )
 
@@ -220,8 +222,42 @@ func TestPastDepthValidated(t *testing.T) {
 	}
 }
 
-// The compiled plan must validate $past depths identically, in both value
-// domains.
+// compileErr returns the diagnostics of a source that must not compile.
+func compileErr(t *testing.T, src string) string {
+	t.Helper()
+	d, diags, err := compile.Compile(src)
+	if err != nil {
+		t.Fatalf("parse: %v", err)
+	}
+	if d != nil {
+		t.Fatal("source compiled")
+	}
+	return compile.FormatDiags(diags)
+}
+
+// setPastDepth rewrites the depth of every two-argument $past in d's
+// assertions and continuous assignments to n, reaching the out-of-range
+// depths that internal/compile rejects.
+func setPastDepth(d *compile.Design, n uint64) {
+	visit := func(e verilog.Expr) {
+		verilog.WalkExpr(e, func(sub verilog.Expr) {
+			if c, ok := sub.(*verilog.Call); ok && c.Name == "$past" && len(c.Args) > 1 {
+				c.Args[1] = &verilog.Number{Value: n}
+			}
+		})
+	}
+	for _, a := range d.Assigns {
+		visit(a.RHS)
+	}
+	for _, a := range d.Asserts {
+		for _, t := range a.Seq.Consequent {
+			visit(t.Expr)
+		}
+	}
+}
+
+// An out-of-range $past depth is a compile error. The compiled plan still
+// validates one it is handed, like the interpreter, in both value domains.
 func TestPastDepthValidatedCompiled(t *testing.T) {
 	src := `
 module pd (
@@ -233,20 +269,18 @@ module pd (
     ap: assert property (@(posedge clk) y == $past(y, 0));
 endmodule
 `
-	d := mustCompile(t, src)
+	if got, want := compileErr(t, src), "8:55: error: $past depth 0 out of range [1, 2147483647]\n"; got != want {
+		t.Errorf("diagnostics %q, want %q", got, want)
+	}
+	d := mustCompile(t, strings.Replace(src, "$past(y, 0)", "$past(y, 1)", 1))
+	setPastDepth(d, 0)
 	term := d.Asserts[0].Seq.Consequent[0].Expr
 	for _, mode := range []Mode{TwoState, FourState} {
 		tr, err := RunVecCtx(context.Background(), d, vec(d, "x", [][]uint64{{1}, {2}}), mode)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var compiled bool
-		if mode == TwoState {
-			_, compiled = tr.plan.sva[term]
-		} else {
-			_, compiled = tr.plan.fourState().sva[term]
-		}
-		if !compiled {
+		if _, compiled := tr.plan.lowering(mode).sva[term]; !compiled {
 			t.Fatalf("mode %v: the assertion term has no compiled closure", mode)
 		}
 		fn := tr.CompileExpr4(term)
@@ -258,31 +292,44 @@ endmodule
 }
 
 // A bad $past in design logic reports the reference interpreter's error on
-// the compiled plan too, in both value domains: the depth is evaluated and
-// range-checked before the sampled context is, so a zero depth is out of
-// range rather than outside sampled context. A verdict's log carries this
-// text, so it must not depend on the engine that ran.
+// the compiled plan too, in both value domains. A depth that is zero or
+// names a signal is a compile error; a zero depth handed to both engines is
+// out of range on both, ahead of the sampled context, and a valid depth is
+// outside sampled context on both. A verdict's log carries this text, so it
+// must not depend on the engine that ran.
 func TestPastInDesignLogicErrorMatchesReference(t *testing.T) {
-	for _, depth := range []string{"0", "a"} {
-		src := `
+	const src = `
 module pastlogic (
     input clk,
     input [3:0] a,
     output [3:0] y
 );
-    assign y = $past(a, ` + depth + `);
+    assign y = $past(a, DEPTH);
 endmodule
 `
-		d := mustCompile(t, src)
-		if PlanOf(d) == nil {
-			t.Fatal("design unexpectedly unplannable")
+	for depth, want := range map[string]string{
+		"0": "7:25: error: $past depth 0 out of range [1, 2147483647]\n",
+		"a": "7:25: error: non-constant $past depth: references signal a\n",
+	} {
+		if got := compileErr(t, strings.Replace(src, "DEPTH", depth, 1)); got != want {
+			t.Errorf("$past(a, %s): diagnostics %q, want %q", depth, got, want)
 		}
+	}
+	for _, zero := range []bool{false, true} {
+		design := func() *compile.Design {
+			d := mustCompile(t, strings.Replace(src, "DEPTH", "2", 1))
+			if zero {
+				setPastDepth(d, 0)
+			}
+			return d
+		}
+		d := design()
 		stim := vec(d, "a", [][]uint64{{0}, {0}})
 		for _, mode := range []Mode{TwoState, FourState} {
 			_, err := RunVecCtx(context.Background(), d, stim, mode)
-			_, ref := RunReferenceCtx(context.Background(), mustCompile(t, src), stim, mode)
+			_, ref := RunReferenceCtx(context.Background(), design(), stim, mode)
 			if err == nil || ref == nil || err.Error() != ref.Error() {
-				t.Errorf("$past(a, %s) mode %v: plan error %v, reference error %v", depth, mode, err, ref)
+				t.Errorf("zero depth %v, mode %v: plan error %v, reference error %v", zero, mode, err, ref)
 			}
 		}
 	}

@@ -13,10 +13,9 @@ const maxCombIterations = 64
 
 // Simulator advances an elaborated design one clock cycle at a time. It is
 // the reference interpreter: it re-walks the AST every cycle with name-keyed
-// state, which makes it slow but easy to audit. RunVecCtx uses the compiled
-// slot-indexed plan (see plan.go) and falls back to this interpreter only
-// when a design contains a construct the planner cannot lower; the two are
-// held byte-identical by the differential tests.
+// state, which makes it slow but easy to audit. RunVecCtx runs only the
+// compiled slot-indexed plan (see plan.go); the differential tests and
+// internal/fuzz hold the two byte-identical through RunReferenceCtx.
 //
 // State is kept as two planes: vals (the known bit values) and unks (the
 // unknown-bit masks, always empty in TwoState mode). Expressions evaluate

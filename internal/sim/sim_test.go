@@ -354,11 +354,10 @@ func TestTraceFormat(t *testing.T) {
 }
 
 // TestStimulusValidationMatchesReference: a stimulus is checked once, up
-// front, so the compiled plan, its reference fallback for an unplannable
-// design and the reference interpreter itself reject the same bad
-// stimulus with the same error, in both value domains, even with zero
-// rows. A driven input is masked to its width, and a ragged row or a nil
-// input (what d.Signals yields for a misspelt name) is an error, not a
+// front, so the compiled plan and the reference interpreter reject the
+// same bad stimulus with the same error, in both value domains, even with
+// zero rows. A driven input is masked to its width, and a ragged row or a
+// nil input (what d.Signals yields for a misspelt name) is an error, not a
 // panic, here and in PackStimuli.
 func TestStimulusValidationMatchesReference(t *testing.T) {
 	const body = `
@@ -372,54 +371,54 @@ module pq (
     always @(posedge clk) if (en) %s <= v;
 endmodule
 `
+	// A select with dynamic bounds does not compile.
+	if _, diags, _ := compile.Compile(fmt.Sprintf(body, "q[i:0]")); compile.FormatDiags(diags) != "9:37: error: non-constant part-select bound: references signal i\n" {
+		t.Errorf("q[i:0]: diagnostics %q", compile.FormatDiags(diags))
+	}
 	ghost := &compile.Signal{Name: "ghost", Width: 1}
-	for _, lhs := range []string{"q", "q[i:0]"} {
-		src := fmt.Sprintf(body, lhs)
-		d := mustCompile(t, src)
-		if plannable := PlanOf(d) != nil; plannable != (lhs == "q") {
-			t.Fatalf("%s: plannable = %v", lhs, plannable)
-		}
-		for _, mode := range []Mode{TwoState, FourState} {
-			for _, tc := range []struct {
-				name string
-				stim VecStimulus
-				want string
-			}{
-				{"output column", vec(d, "en q", [][]uint64{{1, 2}}), `sim: "q" is not an input`},
-				{"output column, no rows", vec(d, "en q", nil), `sim: "q" is not an input`},
-				{"unknown signal", VecStimulus{Inputs: []*compile.Signal{ghost}, Rows: [][]uint64{{1}}}, `sim: "ghost" is not an input`},
-				{"nil input", vec(d, "en vv", [][]uint64{{1, 2}}), "sim: stimulus input 1 is nil"},
-				{"ragged row", vec(d, "en v i", [][]uint64{{1, 2, 0}, {1}}), "sim: stimulus row 1 holds 1 values for 3 inputs"},
-			} {
-				_, errPlan := RunVecCtx(context.Background(), d, tc.stim, mode)
-				_, errRef := RunReferenceCtx(context.Background(), mustCompile(t, src), tc.stim, mode)
-				for _, err := range []error{errPlan, errRef} {
-					if err == nil || err.Error() != tc.want {
-						t.Errorf("%s %v %s: plan err=%v, reference err=%v, want %q", lhs, mode, tc.name, errPlan, errRef, tc.want)
-						break
-					}
-				}
-			}
-			masked := vec(d, "en v i", [][]uint64{{0xFF, 3, 1}})
-			for engine, run := range map[string]func(context.Context, *compile.Design, VecStimulus, Mode) (*Trace, error){
-				"plan": RunVecCtx, "reference": RunReferenceCtx,
-			} {
-				tr, err := run(context.Background(), d, masked, mode)
-				if err != nil {
-					t.Fatalf("%s %v %s: %v", lhs, mode, engine, err)
-				}
-				if v, _ := tr.Value4(0, "en"); v != (V4{Val: 1}) {
-					t.Errorf("%s %v %s: en driven 0xFF reads %+v, want 1", lhs, mode, engine, v)
+	const lhs = "q"
+	src := fmt.Sprintf(body, lhs)
+	d := mustCompile(t, src)
+	for _, mode := range []Mode{TwoState, FourState} {
+		for _, tc := range []struct {
+			name string
+			stim VecStimulus
+			want string
+		}{
+			{"output column", vec(d, "en q", [][]uint64{{1, 2}}), `sim: "q" is not an input`},
+			{"output column, no rows", vec(d, "en q", nil), `sim: "q" is not an input`},
+			{"unknown signal", VecStimulus{Inputs: []*compile.Signal{ghost}, Rows: [][]uint64{{1}}}, `sim: "ghost" is not an input`},
+			{"nil input", vec(d, "en vv", [][]uint64{{1, 2}}), "sim: stimulus input 1 is nil"},
+			{"ragged row", vec(d, "en v i", [][]uint64{{1, 2, 0}, {1}}), "sim: stimulus row 1 holds 1 values for 3 inputs"},
+		} {
+			_, errPlan := RunVecCtx(context.Background(), d, tc.stim, mode)
+			_, errRef := RunReferenceCtx(context.Background(), mustCompile(t, src), tc.stim, mode)
+			for _, err := range []error{errPlan, errRef} {
+				if err == nil || err.Error() != tc.want {
+					t.Errorf("%s %v %s: plan err=%v, reference err=%v, want %q", lhs, mode, tc.name, errPlan, errRef, tc.want)
+					break
 				}
 			}
 		}
-		ragged := vec(d, "en v i", [][]uint64{{1, 2, 0}, {1}})
-		if _, err := PackStimuli([]VecStimulus{vec(d, "en v i", [][]uint64{{1, 2, 0}, {1, 2, 0}}), ragged}); err == nil {
-			t.Errorf("%s: PackStimuli accepted a ragged row", lhs)
+		masked := vec(d, "en v i", [][]uint64{{0xFF, 3, 1}})
+		for engine, run := range map[string]func(context.Context, *compile.Design, VecStimulus, Mode) (*Trace, error){
+			"plan": RunVecCtx, "reference": RunReferenceCtx,
+		} {
+			tr, err := run(context.Background(), d, masked, mode)
+			if err != nil {
+				t.Fatalf("%s %v %s: %v", lhs, mode, engine, err)
+			}
+			if v, _ := tr.Value4(0, "en"); v != (V4{Val: 1}) {
+				t.Errorf("%s %v %s: en driven 0xFF reads %+v, want 1", lhs, mode, engine, v)
+			}
 		}
-		if _, err := PackStimuli([]VecStimulus{vec(d, "en v", [][]uint64{{1, 2}}), vec(d, "en vv", [][]uint64{{1, 2}})}); err == nil {
-			t.Errorf("%s: PackStimuli accepted a nil input", lhs)
-		}
+	}
+	ragged := vec(d, "en v i", [][]uint64{{1, 2, 0}, {1}})
+	if _, err := PackStimuli([]VecStimulus{vec(d, "en v i", [][]uint64{{1, 2, 0}, {1, 2, 0}}), ragged}); err == nil {
+		t.Errorf("%s: PackStimuli accepted a ragged row", lhs)
+	}
+	if _, err := PackStimuli([]VecStimulus{vec(d, "en v", [][]uint64{{1, 2}}), vec(d, "en vv", [][]uint64{{1, 2}})}); err == nil {
+		t.Errorf("%s: PackStimuli accepted a nil input", lhs)
 	}
 }
 

@@ -157,14 +157,12 @@ type CompiledExpr4 func(cycle int) (V4, error)
 // identical results.
 func (t *Trace) CompileExpr4(e verilog.Expr) CompiledExpr4 {
 	if t.plan != nil {
-		if l := t.plan.lowering(t.Mode()); l != nil {
-			if fn, ok := l.sva[e]; ok {
-				m := t.evalMach()
-				return func(cycle int) (V4, error) {
-					m.seek(cycle)
-					v, u := fn(m)
-					return V4{Val: v, Unk: u}, m.err
-				}
+		if fn, ok := t.plan.lowering(t.Mode()).sva[e]; ok {
+			m := t.evalMach()
+			return func(cycle int) (V4, error) {
+				m.seek(cycle)
+				v, u := fn(m)
+				return V4{Val: v, Unk: u}, m.err
 			}
 		}
 	}

@@ -23,10 +23,10 @@ type LaneResult struct {
 
 // CheckLanes evaluates every assertion of the batch's design across all
 // lanes at once on the same monitor as Check, fed packed truth words: one
-// word op decides a term for 64 lanes. It returns an error when any
-// property expression was not lane-compiled (or fails to evaluate); Batch
-// then checks every stimulus on the scalar engine, which reproduces scalar
-// semantics exactly.
+// word op decides a term for 64 lanes. It returns an error when a property
+// expression fails to evaluate in any lane, or the design has more than
+// one clock; Batch then checks every stimulus on the scalar engine, which
+// reproduces scalar semantics exactly.
 func CheckLanes(lt *sim.LaneTrace) (*LaneResult, error) {
 	// Multi-clock designs are out of the packed model's reach: assertions
 	// sample only on their own clock's ticks, and each lane carries its own
@@ -38,21 +38,12 @@ func CheckLanes(lt *sim.LaneTrace) (*LaneResult, error) {
 		return nil, fmt.Errorf("sva: lane checking does not support multi-clock designs (%d domains)", len(lt.Design.Domains))
 	}
 	n, active := lt.Len(), lt.ActiveMask()
-	var missing verilog.Expr // the first expression the lane compiler could not lower
-	word := func(e verilog.Expr) term {
-		fn := lt.CompileLaneBool(e)
-		if fn == nil && missing == nil {
-			missing = e
-		}
-		return term{expr: e, fn: fn}
-	}
+	// A lane plan lowers every assertion expression, so each has a word.
+	word := func(e verilog.Expr) term { return term{expr: e, fn: lt.CompileLaneBool(e)} }
 	res := &LaneResult{Attempted: map[string]uint64{}}
 	var m monitor
 	for i := range lt.Design.Asserts {
 		p := newProperty(&lt.Design.Asserts[i], word)
-		if missing != nil {
-			return nil, fmt.Errorf("sva: %s is not lane-compiled", verilog.ExprString(missing))
-		}
 		m.reset(&p, n, active)
 		for c := 0; c < n && m.tick(c, c); c++ {
 		}

@@ -225,27 +225,28 @@ func TestMonitorMatchesOracleCorpus(t *testing.T) {
 	}
 }
 
-// pastDepthProps read $past at input-driven depths: a depth of 0 is an
-// evaluation error whose text names the term's position, so attempts that
-// err at different terms give different errors. Each property is checked
-// in a module of its own, so no earlier assertion's error hides it.
-var pastDepthProps = []string{
+// erringProps read $past, or an invalid part-select when an input (d or e)
+// is 0: the select is an evaluation error whose text names the term's
+// position, so attempts that err at different terms give different errors.
+// Each property is checked in a module of its own, so no earlier
+// assertion's error hides it.
+var erringProps = []string{
 	// Attempts err at different terms on the same tick.
-	"a |-> ##1 $past(b, d) ##1 b || $past(b, e)",
+	"a |-> ##1 (d != 0 ? $past(b) : b[64:64]) ##1 b || (e != 0 ? $past(b) : b[64:64])",
 	// An attempt errs at its first term while the one started a tick
 	// earlier still has a term to err at.
-	"$past(b, d) |-> ##2 $past(a, e)",
+	"(d != 0 ? $past(b) : b[64:64]) |-> ##2 (e != 0 ? $past(a) : a[64:64])",
 	// The disable condition errs; it is evaluated only on ticks where an
 	// attempt has a term, so never before the first term's delay.
-	"disable iff ($past(b, e) == b) ##2 a ##1 b |=> $past(a, d)",
+	"disable iff ((e != 0 ? $past(b) : b[64:64]) == b) ##2 a ##1 b |=> (d != 0 ? $past(a) : a[64:64])",
 }
 
 // TestMonitorErrorOrder: evaluation errors and their text match the
 // oracle's, which stops at the first erring attempt in start order.
 func TestMonitorErrorOrder(t *testing.T) {
-	for i, prop := range pastDepthProps {
+	for i, prop := range erringProps {
 		src := fmt.Sprintf(`
-module past_depth (
+module erring (
     input clk,
     input a,
     input b,
