@@ -11,15 +11,14 @@
 //	                 client disconnecting cancels the check
 //	                 mid-enumeration.
 //	POST /stimulus - run one concrete stimulus against a design's
-//	                 assertions. A request whose design, value domain and
-//	                 shape has no run in flight runs at once; requests that
-//	                 arrive while one does queue and run together as one
-//	                 lane-parallel simulation, up to 64 per run, when it
-//	                 ends. Batches form only when requests compete for a
-//	                 key; a lone request never waits.
+//	                 assertions on the scalar checker (sva.Checker) and
+//	                 reply with the verdict, the failed assertions and
+//	                 the failure log. The design is elaborated once and
+//	                 shared through the verdict cache. The client
+//	                 disconnecting cancels the run.
 //	GET  /metrics  - verification-service counters (hits, misses,
 //	                 coalesced waiters, evictions, in-flight, disk hits)
-//	                 plus the server's admission/batching counters. hits
+//	                 plus the server's admission counters. hits
 //	                 counts /check and /stimulus lookups answered from
 //	                 the verdict cache, disk_hits /check answers read
 //	                 from the -store directory.
@@ -36,7 +35,8 @@
 // /stimulus requests deeper than 4096 rows (maxStimulusRows) or naming an
 // input column twice with 422, and so are /check options past their caps
 // (maxCheckDepth, maxRandomRuns, maxExhaustiveBits, maxConstBits). A
-// /check still running after 30 s (checkDeadline) is cancelled with 503.
+// /check or /stimulus still running after 30 s (checkDeadline) is
+// cancelled with 503. The -lanes flag is accepted and ignored.
 package main
 
 import (
@@ -56,6 +56,8 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/sim"
+	"repro/internal/sva"
 	"repro/internal/verify"
 	"repro/internal/verilog"
 )
@@ -70,8 +72,8 @@ func main() {
 		queue    = flag.Int("queue", 64, "admission queue: concurrent requests beyond this are rejected with 429")
 		rate     = flag.Float64("rate", 50, "per-client request rate limit per second (0 = unlimited)")
 		burst    = flag.Float64("burst", 100, "per-client token-bucket burst size")
-		lanes    = flag.Int("lanes", 64, "max stimuli packed into one lane run (1 = scalar)")
 	)
+	flag.Int("lanes", 64, "ignored: every /stimulus request runs on the scalar checker")
 	flag.Parse()
 
 	svc := verify.New(*workers)
@@ -84,12 +86,7 @@ func main() {
 		svc.SetStore(store)
 	}
 
-	srv := newServer(svc, serverConfig{
-		Queue:      *queue,
-		Rate:       *rate,
-		Burst:      *burst,
-		BatchLanes: *lanes,
-	})
+	srv := newServer(svc, serverConfig{Queue: *queue, Rate: *rate, Burst: *burst})
 	httpSrv := &http.Server{Addr: *addr, Handler: srv.routes()}
 
 	done := make(chan struct{})
@@ -120,14 +117,10 @@ func main() {
 	}
 }
 
-// serverConfig bundles the admission, rate-limit and batching knobs. The
-// one batching knob is the lane cap: a /stimulus batch runs as soon as its
-// key is idle, so there is no window to wait out, and batches form only
-// when requests compete for a key.
+// serverConfig bundles the admission and rate-limit knobs.
 type serverConfig struct {
 	Queue       int
 	Rate, Burst float64
-	BatchLanes  int
 }
 
 // maxBodyBytes caps every request body; a larger one is answered 413. The
@@ -156,10 +149,11 @@ const (
 	maxConstBits      = 20
 )
 
-// checkDeadline bounds one /check request: a check still running when it
-// expires is cancelled and answered 503. The option caps bound each factor
-// of a check's cost but not their product, so this is what bounds a whole
-// request. Catalog checks at the formal defaults take milliseconds.
+// checkDeadline bounds one /check or /stimulus request: a check still
+// running when it expires is cancelled and answered 503. The option caps
+// bound each factor of a check's cost but not their product, so this is
+// what bounds a whole request. Catalog checks at the formal defaults take
+// milliseconds.
 const checkDeadline = 30 * time.Second
 
 // server is the HTTP front end over one verification service.
@@ -167,8 +161,8 @@ type server struct {
 	svc   *verify.Service
 	admit chan struct{}
 	rl    *rateLimiter
-	batch *batcher
-	// deadline bounds one /check; it is checkDeadline, and tests shorten it.
+	// deadline bounds one /check or /stimulus; it is checkDeadline, and
+	// tests shorten it.
 	deadline time.Duration
 
 	accepted      atomic.Uint64
@@ -180,14 +174,10 @@ func newServer(svc *verify.Service, cfg serverConfig) *server {
 	if cfg.Queue <= 0 {
 		cfg.Queue = 64
 	}
-	if cfg.BatchLanes <= 0 {
-		cfg.BatchLanes = 64
-	}
 	return &server{
 		svc:      svc,
 		admit:    make(chan struct{}, cfg.Queue),
 		rl:       newRateLimiter(cfg.Rate, cfg.Burst),
-		batch:    newBatcher(cfg.BatchLanes),
 		deadline: checkDeadline,
 	}
 }
@@ -249,36 +239,15 @@ type checkRequest struct {
 	// RecordOnly leaves "cached" out of the reply, so the reply is the
 	// bare record and identical however the check was answered. Every
 	// /check reads the verdict cache, then the store, then computes.
-	RecordOnly bool         `json:"record_only,omitempty"`
-	Options    checkOptions `json:"options"`
-}
-
-// checkOptions mirrors verify.Options field for field. Unknown fields are
-// ignored, among them "lanes", the option of the removed formal lane mode.
-type checkOptions struct {
-	Seed              int64 `json:"seed,omitempty"`
-	Depth             int   `json:"depth,omitempty"`
-	RandomRuns        int   `json:"random_runs,omitempty"`
-	MaxExhaustiveBits int   `json:"max_exhaustive_bits,omitempty"`
-	MaxConstBits      int   `json:"max_const_bits,omitempty"`
-	FourState         bool  `json:"four_state,omitempty"`
-	CompileOnly       bool  `json:"compile_only,omitempty"`
-}
-
-func (o checkOptions) verify() verify.Options {
-	return verify.Options{
-		Seed:              o.Seed,
-		Depth:             o.Depth,
-		RandomRuns:        o.RandomRuns,
-		MaxExhaustiveBits: o.MaxExhaustiveBits,
-		MaxConstBits:      o.MaxConstBits,
-		FourState:         o.FourState,
-		CompileOnly:       o.CompileOnly,
-	}
+	RecordOnly bool `json:"record_only,omitempty"`
+	// Options decodes straight into the service's option type. Unknown
+	// fields are ignored, among them "lanes", the option of the removed
+	// formal lane mode.
+	Options verify.Options `json:"options"`
 }
 
 // validate reports the first option past its cap, or nil.
-func (o checkOptions) validate() error {
+func validate(o verify.Options) error {
 	for _, f := range []struct {
 		name   string
 		v, max int
@@ -326,7 +295,7 @@ func (s *server) handleCheck(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "empty source", http.StatusBadRequest)
 		return
 	}
-	if err := req.Options.validate(); err != nil {
+	if err := validate(req.Options); err != nil {
 		http.Error(w, err.Error(), http.StatusUnprocessableEntity)
 		return
 	}
@@ -340,7 +309,7 @@ func (s *server) handleCheck(w http.ResponseWriter, r *http.Request) {
 	// simulation loops.
 	ctx, cancel := context.WithTimeout(r.Context(), s.deadline)
 	defer cancel()
-	v, err := s.svc.Check(ctx, req.Source, items, req.Options.verify())
+	v, err := s.svc.Check(ctx, req.Source, items, req.Options)
 	if err != nil && v.Status != verify.StatusError {
 		replyError(w, ctx, err)
 		return
@@ -402,8 +371,6 @@ type stimulusResponse struct {
 	Pass          bool     `json:"pass"`
 	FailedAsserts []string `json:"failed_asserts,omitempty"`
 	Log           string   `json:"log,omitempty"`
-	// Batched reports whether this stimulus ran inside a lane batch.
-	Batched bool `json:"batched"`
 }
 
 func (s *server) handleStimulus(w http.ResponseWriter, r *http.Request) {
@@ -419,23 +386,42 @@ func (s *server) handleStimulus(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("%d rows exceed the limit of %d", len(req.Rows), maxStimulusRows), http.StatusUnprocessableEntity)
 		return
 	}
+	// The deadline and the client disconnecting cancel the elaboration
+	// wait and the run, as they do a /check.
+	ctx, cancel := context.WithTimeout(r.Context(), s.deadline)
+	defer cancel()
 	// Elaborate through the service: identical designs share one cached,
-	// plan-warmed *compile.Design, which is also the batcher's group key.
-	v, err := s.svc.Check(r.Context(), req.Source, nil, verify.Options{CompileOnly: true})
+	// plan-warmed *compile.Design.
+	v, err := s.svc.Check(ctx, req.Source, nil, verify.Options{CompileOnly: true})
 	if err != nil {
-		replyError(w, r.Context(), err)
+		replyError(w, ctx, err)
 		return
 	}
 	if v.Status != verify.StatusPass {
 		http.Error(w, "design does not compile:\n"+v.Log, http.StatusUnprocessableEntity)
 		return
 	}
-	resp, err := s.batch.submit(r.Context(), v.Design, req)
+	stim, err := buildStimulus(v.Design, req)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusUnprocessableEntity)
 		return
 	}
-	writeJSON(w, resp)
+	mode := sim.TwoState
+	if req.FourState {
+		mode = sim.FourState
+	}
+	o, err := sva.NewChecker(v.Design, mode).Check(ctx, stim)
+	if err != nil && ctx.Err() != nil {
+		replyError(w, ctx, err)
+		return
+	}
+	if err != nil {
+		// A run error, such as combinational logic that does not settle,
+		// belongs to the design, as a compile error does.
+		http.Error(w, err.Error(), http.StatusUnprocessableEntity)
+		return
+	}
+	writeJSON(w, stimulusReply(v.Design, o))
 }
 
 // metricsResponse is the GET /metrics payload.
@@ -445,24 +431,18 @@ type metricsResponse struct {
 }
 
 type serverMetrics struct {
-	Accepted       uint64 `json:"accepted"`
-	RejectedQueue  uint64 `json:"rejected_queue"`
-	RejectedRate   uint64 `json:"rejected_rate"`
-	BatchedRuns    uint64 `json:"batched_runs"`
-	BatchedStimuli uint64 `json:"batched_stimuli"`
-	ScalarRuns     uint64 `json:"scalar_runs"`
+	Accepted      uint64 `json:"accepted"`
+	RejectedQueue uint64 `json:"rejected_queue"`
+	RejectedRate  uint64 `json:"rejected_rate"`
 }
 
 func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, metricsResponse{
 		Verify: s.svc.Metrics(),
 		Server: serverMetrics{
-			Accepted:       s.accepted.Load(),
-			RejectedQueue:  s.rejectedQueue.Load(),
-			RejectedRate:   s.rejectedRate.Load(),
-			BatchedRuns:    s.batch.runs.Load(),
-			BatchedStimuli: s.batch.batched.Load(),
-			ScalarRuns:     s.batch.scalar.Load(),
+			Accepted:      s.accepted.Load(),
+			RejectedQueue: s.rejectedQueue.Load(),
+			RejectedRate:  s.rejectedRate.Load(),
 		},
 	})
 }

@@ -73,7 +73,7 @@ func TestServeCheckEndToEnd(t *testing.T) {
 	ts, _ := testServer(t, nil, serverConfig{})
 	resp, body := postJSON(t, ts.URL+"/check", checkRequest{
 		Source:  corpus.Counter(4, 9).Source(),
-		Options: checkOptions{Seed: 1, Depth: 12},
+		Options: verify.Options{Seed: 1, Depth: 12},
 	})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
@@ -96,7 +96,7 @@ func TestServeCheckEndToEnd(t *testing.T) {
 		Source: corpus.EdgeDetect().Source(),
 		Assertions: "property p_never; @(posedge clk) pulse == 1; endproperty\n" +
 			"p_never_assertion: assert property (p_never);\n",
-		Options: checkOptions{Seed: 1, Depth: 12},
+		Options: verify.Options{Seed: 1, Depth: 12},
 	})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
@@ -127,7 +127,7 @@ func TestServeCheckClocklessAssertion(t *testing.T) {
 	resp, body := postJSON(t, ts.URL+"/check", checkRequest{
 		Source:     corpus.EdgeDetect().Source(),
 		Assertions: "assert property (pulse == 1);\n",
-		Options:    checkOptions{Seed: 1, Depth: 12},
+		Options:    verify.Options{Seed: 1, Depth: 12},
 	})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
@@ -159,7 +159,7 @@ endmodule
 func TestServeParameterAssignmentRejected(t *testing.T) {
 	ts, _ := testServer(t, nil, serverConfig{})
 	const diag = "7:34: error: cannot assign to parameter MAX"
-	resp, body := postJSON(t, ts.URL+"/check", checkRequest{Source: paramAssignSrc, Options: checkOptions{Seed: 1, Depth: 8}})
+	resp, body := postJSON(t, ts.URL+"/check", checkRequest{Source: paramAssignSrc, Options: verify.Options{Seed: 1, Depth: 8}})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("/check: status %d: %s", resp.StatusCode, body)
 	}
@@ -183,7 +183,7 @@ func TestServeCoalescing(t *testing.T) {
 	ts, _ := testServer(t, nil, serverConfig{})
 	req := checkRequest{
 		Source:  corpus.ALU(8, 4).Source(),
-		Options: checkOptions{Seed: 3, Depth: 12},
+		Options: verify.Options{Seed: 3, Depth: 12},
 	}
 	const clients = 8
 	var wg sync.WaitGroup
@@ -233,20 +233,20 @@ func TestServePersistenceAcrossRestart(t *testing.T) {
 	dir := t.TempDir()
 	requests := []checkRequest{
 		{Source: corpus.Counter(4, 9).Source(), RecordOnly: true,
-			Options: checkOptions{Seed: 1, Depth: 12}},
+			Options: verify.Options{Seed: 1, Depth: 12}},
 		{Source: corpus.Counter(4, 9).Source(), RecordOnly: true,
-			Options: checkOptions{Seed: 1, Depth: 12, FourState: true}},
+			Options: verify.Options{Seed: 1, Depth: 12, FourState: true}},
 		{Source: corpus.EdgeDetect().Source(), RecordOnly: true,
 			Assertions: "property p_never; @(posedge clk) pulse == 1; endproperty\n" +
 				"p_never_assertion: assert property (p_never);\n",
-			Options: checkOptions{Seed: 1, Depth: 12}},
+			Options: verify.Options{Seed: 1, Depth: 12}},
 		{Source: corpus.EdgeDetect().Source(), RecordOnly: true,
 			Assertions: "property p_never; @(posedge clk) pulse == 1; endproperty\n" +
 				"p_never_assertion: assert property (p_never);\n",
-			Options: checkOptions{Seed: 1, Depth: 12, FourState: true}},
+			Options: verify.Options{Seed: 1, Depth: 12, FourState: true}},
 		{Source: "module broken(input clk, output reg q);\n" +
 			"  always @(posedge clk) q <= undeclared;\nendmodule\n",
-			RecordOnly: true, Options: checkOptions{Seed: 1, Depth: 12}},
+			RecordOnly: true, Options: verify.Options{Seed: 1, Depth: 12}},
 	}
 
 	// Run 1: compute everything, persisting through the disk store.
@@ -280,7 +280,7 @@ func TestServePersistenceAcrossRestart(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rec, err := ref.CheckRecord(context.Background(), req.Source, items, req.Options.verify())
+		rec, err := ref.CheckRecord(context.Background(), req.Source, items, req.Options)
 		if err != nil {
 			t.Fatalf("reference request %d: %v", i, err)
 		}
@@ -341,7 +341,7 @@ type stimulusCase struct {
 }
 
 // scalarReference pairs a request with its in-process scalar run, check and
-// log; want.Batched is left for the caller to set.
+// log.
 func scalarReference(t *testing.T, req stimulusRequest) stimulusCase {
 	t.Helper()
 	d, diags, err := compile.Compile(req.Source)
@@ -369,14 +369,15 @@ func scalarReference(t *testing.T, req stimulusRequest) stimulusCase {
 	}
 	want := stimulusResponse{Pass: !res.Failed(), Log: sva.FormatLog(d.Module.Name, tr, res.Failures)}
 	for _, f := range res.Failures {
-		want.FailedAsserts = appendUnique(want.FailedAsserts, f.Assert.Name)
+		if !slices.Contains(want.FailedAsserts, f.Assert.Name) {
+			want.FailedAsserts = append(want.FailedAsserts, f.Assert.Name)
+		}
 	}
 	return stimulusCase{req: req, want: want}
 }
 
 // postStimulus sends one case and compares the reply with its reference.
-// With anyBatched the reply's Batched flag is not compared.
-func postStimulus(url string, tc stimulusCase, anyBatched bool) error {
+func postStimulus(url string, tc stimulusCase) error {
 	buf, err := json.Marshal(tc.req)
 	if err != nil {
 		return err
@@ -397,9 +398,6 @@ func postStimulus(url string, tc stimulusCase, anyBatched bool) error {
 	if err := json.Unmarshal(body, &got); err != nil {
 		return err
 	}
-	if anyBatched {
-		tc.want.Batched = got.Batched
-	}
 	if !reflect.DeepEqual(got, tc.want) {
 		return fmt.Errorf("reply differs from the in-process scalar check:\n got %+v\nwant %+v", got, tc.want)
 	}
@@ -407,12 +405,12 @@ func postStimulus(url string, tc stimulusCase, anyBatched bool) error {
 }
 
 // postAll sends every case concurrently, reporting failures on errs.
-func postAll(url string, cases []stimulusCase, anyBatched bool, wg *sync.WaitGroup, errs chan<- error) {
+func postAll(url string, cases []stimulusCase, wg *sync.WaitGroup, errs chan<- error) {
 	for i, tc := range cases {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if err := postStimulus(url, tc, anyBatched); err != nil {
+			if err := postStimulus(url, tc); err != nil {
 				errs <- fmt.Errorf("case %d (%d rows): %w", i, len(tc.req.Rows), err)
 			}
 		}()
@@ -431,121 +429,6 @@ func drainErrors(t *testing.T, errs chan error) {
 	}
 }
 
-// batchRun is one batch a batcher decided.
-type batchRun struct {
-	size   int
-	packed bool
-}
-
-type gateKey struct {
-	d    *compile.Design
-	mode sim.Mode
-}
-
-// runGate wraps a batcher's check: the first run of each (design, mode)
-// is held in flight until release is closed, and every decided batch is
-// recorded per key in the order it finished.
-type runGate struct {
-	b       *batcher
-	release chan struct{}
-
-	mu      sync.Mutex
-	started map[gateKey]bool
-	held    int
-	runs    map[gateKey][]batchRun
-}
-
-func holdFirstRuns(b *batcher) *runGate {
-	g := &runGate{b: b, release: make(chan struct{}), started: map[gateKey]bool{}, runs: map[gateKey][]batchRun{}}
-	check := b.check
-	b.check = func(ctx context.Context, d *compile.Design, stims []sim.VecStimulus, mode sim.Mode) (sva.Batch, error) {
-		k := gateKey{d, mode}
-		g.mu.Lock()
-		first := !g.started[k]
-		g.started[k] = true
-		if first {
-			g.held++
-		}
-		g.mu.Unlock()
-		if first {
-			<-g.release
-		}
-		bt, err := check(ctx, d, stims, mode)
-		g.mu.Lock()
-		g.runs[k] = append(g.runs[k], batchRun{len(stims), bt.Packed})
-		g.mu.Unlock()
-		return bt, err
-	}
-	return g
-}
-
-// pending is the number of stimuli queued behind runs in flight.
-func (g *runGate) pending() int {
-	g.b.mu.Lock()
-	defer g.b.mu.Unlock()
-	n := 0
-	for _, q := range g.b.queued {
-		n += len(q)
-	}
-	return n
-}
-
-func (g *runGate) heldRuns() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.held
-}
-
-// finished is the number of stimuli in batches that have been decided.
-func (g *runGate) finished() int {
-	n := 0
-	for _, runs := range g.batches() {
-		for _, r := range runs {
-			n += r.size
-		}
-	}
-	return n
-}
-
-// batches copies the decided batches, per key.
-func (g *runGate) batches() map[gateKey][]batchRun {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	out := map[gateKey][]batchRun{}
-	for k, runs := range g.runs {
-		out[k] = slices.Clone(runs)
-	}
-	return out
-}
-
-func waitFor(t *testing.T, what string, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for !cond() {
-		if time.Now().After(deadline) {
-			t.Fatalf("timed out waiting for %s", what)
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
-// sendBehindHeldRuns sends lead, one case per key, and waits until each
-// one's run is held in flight. It then sends rest, waits until every one
-// of them is queued or decided, releases the held runs, and checks every
-// reply against its reference.
-func sendBehindHeldRuns(t *testing.T, url string, g *runGate, lead, rest []stimulusCase) {
-	t.Helper()
-	var wg sync.WaitGroup
-	errs := make(chan error, len(lead)+len(rest))
-	postAll(url, lead, false, &wg, errs)
-	waitFor(t, "the lead runs to be held", func() bool { return g.heldRuns() == len(lead) })
-	postAll(url, rest, false, &wg, errs)
-	waitFor(t, "every stimulus to queue", func() bool { return g.pending()+g.finished() == len(rest) })
-	close(g.release)
-	wg.Wait()
-	drainErrors(t, errs)
-}
-
 // brokenEdgeDetect is EdgeDetect with a bug: pulse stays high as long as
 // sig is high, so any stimulus holding sig for two sampled cycles fails
 // p_pulse.
@@ -559,225 +442,132 @@ func brokenEdgeDetect(t *testing.T) string {
 	return src
 }
 
-func testServerBatcher(t *testing.T, lanes int) (*httptest.Server, *runGate) {
-	ts, srv := testServer(t, nil, serverConfig{BatchLanes: lanes})
-	return ts, holdFirstRuns(srv.batch)
+// stimulusGroup is a set of /stimulus requests posted concurrently. Every
+// reply must equal the in-process scalar run, check and log of its stimulus
+// (scalarReference). A mixed group must hold both passing and failing
+// references, so failure logs are compared too; every reference of any
+// other group must pass. A refused group is answered 422 and has no
+// reference.
+type stimulusGroup struct {
+	name    string
+	reqs    []stimulusRequest
+	mixed   bool
+	refused bool
 }
 
-// TestServeStimulusBatching holds the first run of a key in flight until
-// the other seven compatible stimuli have queued behind it: they must run
-// as one packed lane batch once it ends, and every reply must equal the
-// in-process scalar check of its stimulus.
-func TestServeStimulusBatching(t *testing.T) {
-	ts, g := testServerBatcher(t, 8)
-	src := brokenEdgeDetect(t)
+// postGroups runs each group as a subtest against one server.
+func postGroups(t *testing.T, groups []stimulusGroup) {
+	t.Helper()
+	ts, _ := testServer(t, nil, serverConfig{})
+	for _, g := range groups {
+		t.Run(g.name, func(t *testing.T) {
+			if g.refused {
+				for _, req := range g.reqs {
+					if resp, body := postJSON(t, ts.URL+"/stimulus", req); resp.StatusCode != http.StatusUnprocessableEntity {
+						t.Fatalf("status %d (%s), want 422", resp.StatusCode, body)
+					}
+				}
+				return
+			}
+			cases := make([]stimulusCase, len(g.reqs))
+			failing := 0
+			for i, req := range g.reqs {
+				cases[i] = scalarReference(t, req)
+				if !cases[i].want.Pass {
+					failing++
+				}
+			}
+			if g.mixed && (failing == 0 || failing == len(cases)) {
+				t.Fatalf("%d of %d reference runs fail; want a mix of passing and failing stimuli", failing, len(cases))
+			}
+			if !g.mixed && failing != 0 {
+				t.Fatalf("%d of %d reference runs fail; want every one to pass", failing, len(cases))
+			}
+			var wg sync.WaitGroup
+			errs := make(chan error, len(cases))
+			postAll(ts.URL, cases, &wg, errs)
+			wg.Wait()
+			drainErrors(t, errs)
+		})
+	}
+}
 
-	stim := func(sig ...uint64) [][]uint64 {
+// TestServeStimulusBatching posts concurrent requests of mixed outcome and
+// shape: the broken EdgeDetect over stimuli that never rise, rise afresh on
+// every high (the buggy pulse matches $rose) or hold sig high; a counter
+// whose columns are named explicitly; and an unknown column, which is a
+// client error, not a crash.
+func TestServeStimulusBatching(t *testing.T) {
+	broken := brokenEdgeDetect(t)
+	var edge []stimulusRequest
+	for _, sig := range [][]uint64{
+		{0, 0, 0, 0, 0, 0}, {0, 1, 0, 1, 0, 1}, {0, 1, 1, 0, 0, 1}, {1, 1, 1, 1, 1, 1},
+		{0, 0, 1, 1, 0, 0}, {0, 1, 0, 0, 1, 1}, {0, 0, 0, 1, 1, 1}, {0, 1, 0, 1, 1, 0},
+	} {
 		rows := make([][]uint64, len(sig))
 		for c, v := range sig {
 			rows[c] = []uint64{v}
 		}
-		return rows
+		edge = append(edge, stimulusRequest{Source: broken, Rows: rows})
 	}
-	cases := []struct {
-		rows [][]uint64
-		pass bool
-	}{
-		{stim(0, 0, 0, 0, 0, 0), true},  // never rises: no pulse expected, none fired
-		{stim(0, 1, 0, 1, 0, 1), true},  // every high is a fresh rise: buggy pulse matches $rose
-		{stim(0, 1, 1, 0, 0, 1), false}, // held high: pulse persists past the rise
-		{stim(1, 1, 1, 1, 1, 1), false},
-		{stim(0, 0, 1, 1, 0, 0), false},
-		{stim(0, 1, 0, 0, 1, 1), false},
-		{stim(0, 0, 0, 1, 1, 1), false},
-		{stim(0, 1, 0, 1, 1, 0), false},
-	}
-	var all []stimulusCase
-	for i, c := range cases {
-		tc := scalarReference(t, stimulusRequest{Source: src, Rows: c.rows})
-		if tc.want.Pass != c.pass || (!c.pass && len(tc.want.FailedAsserts) == 0) {
-			t.Fatalf("case %d: reference pass = %v (%v), want %v", i, tc.want.Pass, tc.want.FailedAsserts, c.pass)
-		}
-		tc.want.Batched = i > 0
-		all = append(all, tc)
-	}
-	sendBehindHeldRuns(t, ts.URL, g, all[:1], all[1:])
-
-	var runs []batchRun
-	for _, r := range g.batches() {
-		runs = append(runs, r...)
-	}
-	if want := []batchRun{{1, false}, {len(cases) - 1, true}}; !reflect.DeepEqual(runs, want) {
-		t.Fatalf("batches = %+v, want one scalar run of 1 then one packed run of %d", runs, len(cases)-1)
-	}
-	sm := getMetrics(t, ts.URL).Server
-	if sm.ScalarRuns != 1 || sm.BatchedRuns != 1 || sm.BatchedStimuli != uint64(len(cases)-1) {
-		t.Fatalf("scalar_runs=%d batched_runs=%d batched_stimuli=%d, want 1, 1, %d",
-			sm.ScalarRuns, sm.BatchedRuns, sm.BatchedStimuli, len(cases)-1)
-	}
-
-	// Named-column path: drive the counter's reset explicitly.
-	resp, body := postJSON(t, ts.URL+"/stimulus", stimulusRequest{
+	named := []stimulusRequest{{
 		Source: corpus.Counter(4, 9).Source(),
 		Inputs: []string{"rst_n", "en"},
 		Rows:   [][]uint64{{0, 0}, {0, 0}, {1, 1}, {1, 1}, {1, 1}, {1, 1}},
+	}}
+	unknown := []stimulusRequest{{Source: corpus.Counter(4, 9).Source(), Inputs: []string{"nonsense"}, Rows: [][]uint64{{0}}}}
+	postGroups(t, []stimulusGroup{
+		{name: "edge-detect", reqs: edge, mixed: true},
+		{name: "named-columns", reqs: named},
+		{name: "unknown-column", reqs: unknown, refused: true},
 	})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("named inputs: status %d: %s", resp.StatusCode, body)
-	}
-	var got stimulusResponse
-	if err := json.Unmarshal(body, &got); err != nil {
-		t.Fatal(err)
-	}
-	if !got.Pass {
-		t.Fatalf("golden counter failed its own stimulus: %s", got.Log)
-	}
-
-	// Unknown columns are a client error, not a crash.
-	if resp, body := postJSON(t, ts.URL+"/stimulus", stimulusRequest{
-		Source: corpus.Counter(4, 9).Source(),
-		Inputs: []string{"nonsense"},
-		Rows:   [][]uint64{{0}},
-	}); resp.StatusCode != http.StatusUnprocessableEntity {
-		t.Fatalf("bad input name: status %d (%s), want 422", resp.StatusCode, body)
-	}
 }
 
-// TestServeStimulusLaneCap queues 19 stimuli behind a held run with an
-// 8-lane cap: every queue that reaches the cap must run at once, so no
-// batch holds more than 8 stimuli and all 20 are answered.
-func TestServeStimulusLaneCap(t *testing.T) {
-	const lanes, total = 8, 20
-	ts, g := testServerBatcher(t, lanes)
-	src := brokenEdgeDetect(t)
-	rng := rand.New(rand.NewSource(5))
-	var cases []stimulusCase
-	for i := 0; i < total; i++ {
-		rows := make([][]uint64, 6)
-		for c := range rows {
-			rows[c] = []uint64{rng.Uint64() & 1}
-		}
-		tc := scalarReference(t, stimulusRequest{Source: src, Rows: rows})
-		tc.want.Batched = i > 0
-		cases = append(cases, tc)
-	}
-	sendBehindHeldRuns(t, ts.URL, g, cases[:1], cases[1:])
-
-	var sizes []int
-	for _, runs := range g.batches() {
-		for _, r := range runs {
-			if r.size > lanes {
-				t.Errorf("batch of %d stimuli exceeds the %d-lane cap", r.size, lanes)
-			}
-			sizes = append(sizes, r.size)
-		}
-	}
-	slices.Sort(sizes)
-	if want := []int{1, 3, 8, 8}; !slices.Equal(sizes, want) {
-		t.Errorf("batch sizes = %v, want %v", sizes, want)
-	}
-	if sm := getMetrics(t, ts.URL).Server; sm.BatchedStimuli+sm.ScalarRuns != total {
-		t.Fatalf("batched(%d) + scalar(%d) stimuli accounted, want %d", sm.BatchedStimuli, sm.ScalarRuns, total)
-	}
-}
-
-// TestServeStimulusIdle spreads concurrent stimuli over many keys (depths
-// and value domains), several per key: once every reply has arrived, the
-// batcher must hold no per-key state, so its memory does not grow with the
-// number of distinct keys ever seen.
+// TestServeStimulusIdle posts three stimuli of each depth from 1 to 8 in
+// each value domain, so short stimuli and stimuli that end early are
+// answered alongside long ones.
 func TestServeStimulusIdle(t *testing.T) {
-	ts, srv := testServer(t, nil, serverConfig{BatchLanes: 8})
-	src := brokenEdgeDetect(t)
+	broken := brokenEdgeDetect(t)
 	rng := rand.New(rand.NewSource(9))
-	var cases []stimulusCase
+	var depths []stimulusRequest
 	for depth := 1; depth <= 8; depth++ {
 		for _, four := range []bool{false, true} {
-			for k := 0; k < 3; k++ {
+			for range 3 {
 				rows := make([][]uint64, depth)
 				for c := range rows {
 					rows[c] = []uint64{rng.Uint64() & 1}
 				}
-				cases = append(cases, scalarReference(t, stimulusRequest{Source: src, Rows: rows, FourState: four}))
+				depths = append(depths, stimulusRequest{Source: broken, Rows: rows, FourState: four})
 			}
 		}
 	}
-	// Which requests share a batch depends on arrival timing; the verdict,
-	// failed set and log must not.
-	var wg sync.WaitGroup
-	errs := make(chan error, len(cases))
-	postAll(ts.URL, cases, true, &wg, errs)
-	wg.Wait()
-	drainErrors(t, errs)
-	srv.batch.mu.Lock()
-	left := len(srv.batch.queued)
-	srv.batch.mu.Unlock()
-	if left != 0 {
-		t.Fatalf("%d keys still held after every reply arrived, want 0", left)
-	}
-	sm := getMetrics(t, ts.URL).Server
-	if total := sm.BatchedStimuli + sm.ScalarRuns; total != uint64(len(cases)) {
-		t.Fatalf("batched(%d) + scalar(%d) = %d stimuli accounted, want %d", sm.BatchedStimuli, sm.ScalarRuns, total, len(cases))
-	}
+	postGroups(t, []stimulusGroup{{name: "depths", reqs: depths, mixed: true}})
 }
 
-// TestServeStimulusMultiClock holds the first run of each key of the
-// two-clock CDCCross design (golden and with a skipped synchronizer stage,
-// in both value domains, naming both clock columns) until the other
-// stimuli have queued. The lane checker cannot decide multi-clock batches,
-// so each key must run one scalar stimulus and then its queue on the
-// scalar engine, and every reply must equal an in-process scalar run,
-// check and log of the same stimulus.
+// TestServeStimulusMultiClock posts the two-clock CDCCross, golden and with
+// a skipped synchronizer stage, in both value domains, naming both clock
+// columns.
 func TestServeStimulusMultiClock(t *testing.T) {
-	ts, g := testServerBatcher(t, 8)
 	golden := corpus.CDCCross().Source()
 	buggy := strings.Replace(golden, "q <= meta;", "q <= d;", 1)
 	if buggy == golden {
 		t.Fatal("bug injection did not apply")
 	}
-	columns := []string{"clk_a", "clk_b", "rst_n", "d"}
-	rng := rand.New(rand.NewSource(7))
-	const perKey = 4
-	var lead, rest []stimulusCase
-	failing := 0
+	rng := rand.New(rand.NewSource(9))
+	var cdc []stimulusRequest
 	for _, src := range []string{golden, buggy} {
 		for _, four := range []bool{false, true} {
-			for k := 0; k < perKey; k++ {
+			for range 4 {
 				phase := rng.Intn(4)
 				rows := make([][]uint64, 24)
 				for c := range rows {
 					rows[c] = []uint64{uint64(c % 2), uint64((c + phase) / 2 % 2), boolBit(c >= 2), rng.Uint64() & 1}
 				}
-				tc := scalarReference(t, stimulusRequest{Source: src, Inputs: columns, Rows: rows, FourState: four})
-				if !tc.want.Pass {
-					failing++
-				}
-				if k == 0 {
-					lead = append(lead, tc)
-				} else {
-					rest = append(rest, tc)
-				}
+				cdc = append(cdc, stimulusRequest{Source: src, Inputs: []string{"clk_a", "clk_b", "rst_n", "d"}, Rows: rows, FourState: four})
 			}
 		}
 	}
-	if total := len(lead) + len(rest); failing == 0 || failing == total {
-		t.Fatalf("%d of %d reference runs fail; want a mix of passing and failing stimuli", failing, total)
-	}
-	sendBehindHeldRuns(t, ts.URL, g, lead, rest)
-
-	batches := g.batches()
-	if len(batches) != len(lead) {
-		t.Fatalf("%d keys ran, want %d", len(batches), len(lead))
-	}
-	for k, runs := range batches {
-		if want := []batchRun{{1, false}, {perKey - 1, false}}; !reflect.DeepEqual(runs, want) {
-			t.Errorf("%s mode %v: batches = %+v, want %+v", k.d.Module.Name, k.mode, runs, want)
-		}
-	}
-	sm := getMetrics(t, ts.URL).Server
-	if total := len(lead) + len(rest); sm.ScalarRuns != uint64(total) || sm.BatchedStimuli != 0 || sm.BatchedRuns != 0 {
-		t.Fatalf("scalar_runs=%d batched_stimuli=%d batched_runs=%d, want every one of %d multi-clock stimuli scalar",
-			sm.ScalarRuns, sm.BatchedStimuli, sm.BatchedRuns, total)
-	}
+	postGroups(t, []stimulusGroup{{name: "cdc-cross", reqs: cdc, mixed: true}})
 }
 
 func boolBit(b bool) uint64 {
@@ -791,7 +581,7 @@ func TestServeRateLimit(t *testing.T) {
 	ts, _ := testServer(t, nil, serverConfig{Rate: 0.01, Burst: 1})
 	req, _ := json.Marshal(checkRequest{
 		Source:  corpus.Counter(4, 9).Source(),
-		Options: checkOptions{Seed: 1, Depth: 8},
+		Options: verify.Options{Seed: 1, Depth: 8},
 	})
 	do := func() int {
 		r, err := http.NewRequest("POST", ts.URL+"/check", bytes.NewReader(req))
@@ -828,7 +618,7 @@ func TestServeAdmissionQueue(t *testing.T) {
 		Source: corpus.EdgeDetect().Source(),
 		// 2^20 exhaustive sequences, the most the option caps allow:
 		// seconds of work, far longer than this test needs it in flight.
-		Options: checkOptions{Seed: 1, Depth: maxExhaustiveBits, MaxExhaustiveBits: maxExhaustiveBits, RandomRuns: -1},
+		Options: verify.Options{Seed: 1, Depth: maxExhaustiveBits, MaxExhaustiveBits: maxExhaustiveBits, RandomRuns: -1},
 	})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -856,7 +646,7 @@ func TestServeAdmissionQueue(t *testing.T) {
 	}
 	resp, body := postJSON(t, ts.URL+"/check", checkRequest{
 		Source:  corpus.Counter(4, 9).Source(),
-		Options: checkOptions{Seed: 1, Depth: 8},
+		Options: verify.Options{Seed: 1, Depth: 8},
 	})
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("overflow request: status %d (%s), want 429", resp.StatusCode, body)
@@ -872,7 +662,7 @@ func TestServeAdmissionQueue(t *testing.T) {
 	for {
 		resp, _ := postJSON(t, ts.URL+"/check", checkRequest{
 			Source:  corpus.Counter(4, 9).Source(),
-			Options: checkOptions{Seed: 1, Depth: 8},
+			Options: verify.Options{Seed: 1, Depth: 8},
 		})
 		if resp.StatusCode == http.StatusOK {
 			break
@@ -986,7 +776,7 @@ func TestServeCheckDeadline(t *testing.T) {
 	// 2^20 exhaustive sequences: seconds of work, far past the deadline.
 	slow := checkRequest{
 		Source:  corpus.EdgeDetect().Source(),
-		Options: checkOptions{Seed: 1, Depth: maxExhaustiveBits, MaxExhaustiveBits: maxExhaustiveBits, RandomRuns: -1},
+		Options: verify.Options{Seed: 1, Depth: maxExhaustiveBits, MaxExhaustiveBits: maxExhaustiveBits, RandomRuns: -1},
 	}
 	start := time.Now()
 	resp, body := postJSON(t, ts.URL+"/check", slow)
@@ -1011,10 +801,34 @@ func TestServeCheckDeadline(t *testing.T) {
 	srv.deadline = checkDeadline
 	resp, body = postJSON(t, ts.URL+"/check", checkRequest{
 		Source:  corpus.Counter(4, 9).Source(),
-		Options: checkOptions{Seed: 1, Depth: 8},
+		Options: verify.Options{Seed: 1, Depth: 8},
 	})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("quick check: status %d (%s), want 200", resp.StatusCode, body)
+	}
+}
+
+// TestServeStimulusDeadline: a /stimulus whose deadline has passed is
+// cancelled and answered 503, before its design is cached and after, when
+// only the run is left to cancel; with the deadline restored the same
+// request is answered 200.
+func TestServeStimulusDeadline(t *testing.T) {
+	ts, srv := testServer(t, nil, serverConfig{})
+	req := stimulusRequest{Source: corpus.EdgeDetect().Source(), Rows: [][]uint64{{0}, {1}, {1}, {0}}}
+	for _, step := range []struct {
+		what     string
+		deadline time.Duration
+		want     int
+	}{
+		{"uncached design past its deadline", time.Nanosecond, http.StatusServiceUnavailable},
+		{"uncached design", checkDeadline, http.StatusOK},
+		{"cached design past its deadline", time.Nanosecond, http.StatusServiceUnavailable},
+		{"cached design", checkDeadline, http.StatusOK},
+	} {
+		srv.deadline = step.deadline
+		if resp, body := postJSON(t, ts.URL+"/stimulus", req); resp.StatusCode != step.want {
+			t.Fatalf("%s: status %d (%s), want %d", step.what, resp.StatusCode, body, step.want)
+		}
 	}
 }
 
@@ -1059,15 +873,15 @@ func TestServeCheckOptionLimits(t *testing.T) {
 		want int
 	}{
 		{"benchmark", map[string]any{"seed": 7, "depth": 40, "random_runs": 10, "max_exhaustive_bits": 8, "lanes": 64}, http.StatusOK},
-		{"depth", checkOptions{Depth: maxCheckDepth, RandomRuns: 1}, http.StatusOK},
-		{"depth+1", checkOptions{Depth: maxCheckDepth + 1, RandomRuns: 1}, http.StatusUnprocessableEntity},
-		{"random_runs", checkOptions{Depth: 4, RandomRuns: maxRandomRuns}, http.StatusOK},
-		{"random_runs+1", checkOptions{Depth: 4, RandomRuns: maxRandomRuns + 1}, http.StatusUnprocessableEntity},
-		{"no_random", checkOptions{Depth: 4, RandomRuns: -1}, http.StatusOK},
-		{"max_exhaustive_bits", checkOptions{Depth: 8, MaxExhaustiveBits: maxExhaustiveBits}, http.StatusOK},
-		{"max_exhaustive_bits+1", checkOptions{Depth: 8, MaxExhaustiveBits: maxExhaustiveBits + 1}, http.StatusUnprocessableEntity},
-		{"max_const_bits", checkOptions{Depth: 8, MaxConstBits: maxConstBits}, http.StatusOK},
-		{"max_const_bits+1", checkOptions{Depth: 8, MaxConstBits: maxConstBits + 1}, http.StatusUnprocessableEntity},
+		{"depth", verify.Options{Depth: maxCheckDepth, RandomRuns: 1}, http.StatusOK},
+		{"depth+1", verify.Options{Depth: maxCheckDepth + 1, RandomRuns: 1}, http.StatusUnprocessableEntity},
+		{"random_runs", verify.Options{Depth: 4, RandomRuns: maxRandomRuns}, http.StatusOK},
+		{"random_runs+1", verify.Options{Depth: 4, RandomRuns: maxRandomRuns + 1}, http.StatusUnprocessableEntity},
+		{"no_random", verify.Options{Depth: 4, RandomRuns: -1}, http.StatusOK},
+		{"max_exhaustive_bits", verify.Options{Depth: 8, MaxExhaustiveBits: maxExhaustiveBits}, http.StatusOK},
+		{"max_exhaustive_bits+1", verify.Options{Depth: 8, MaxExhaustiveBits: maxExhaustiveBits + 1}, http.StatusUnprocessableEntity},
+		{"max_const_bits", verify.Options{Depth: 8, MaxConstBits: maxConstBits}, http.StatusOK},
+		{"max_const_bits+1", verify.Options{Depth: 8, MaxConstBits: maxConstBits + 1}, http.StatusUnprocessableEntity},
 	} {
 		misses := srv.svc.Metrics().Misses
 		resp, body := postJSON(t, ts.URL+"/check", map[string]any{"source": src, "options": tc.opts})
@@ -1145,7 +959,7 @@ func TestServeBodyLimitLargestGolden(t *testing.T) {
 	}
 	resp, body := postJSON(t, ts.URL+"/check", checkRequest{
 		Source:  largest.Source(),
-		Options: checkOptions{CompileOnly: true},
+		Options: verify.Options{CompileOnly: true},
 	})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("/check of %s (%d bytes): status %d: %s", largest.Name(), len(largest.Source()), resp.StatusCode, body)

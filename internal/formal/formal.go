@@ -16,7 +16,7 @@
 // Both run the schedule one stimulus at a time on the scalar engine, each
 // stimulus checked before the next is built: Check on one sva.Checker,
 // Differ on one sim.VecRunner per design. The lane engine is not used
-// here; it serves cmd/serve's /stimulus batching through sva.Checker.Batch.
+// here; no production path runs it.
 package formal
 
 import (

@@ -127,10 +127,10 @@
 // truth words, must reproduce the per-lane scalar verdicts. Anything
 // the lane lowering cannot express exactly — and any runtime evaluation
 // error, since predication evaluates a superset of each lane's
-// expressions — is reported as an error for the whole batch, and
-// sva.Checker.Batch, the one place that chooses between lane and scalar
-// runs (cmd/serve's /stimulus batcher uses it), reruns the batch
-// lane-by-lane on the scalar engine. LanesOK reports lowering support up
+// expressions — is reported as an error for the whole batch, whose
+// stimuli a caller then runs on the scalar engine. No production path
+// runs the lane engine; it is kept for the benchmark's traced lane rows
+// and the differential tests. LanesOK reports lowering support up
 // front; PackStimuli accepts 1..64 stimuli of equal depth and replicates
 // the last lane to fill the word, with ActiveMask masking the padding back
 // out at the API boundary, and RunLanesCtx rejects a LaneStimulus whose
@@ -167,8 +167,8 @@
 // subsets of domains on the same row — but sva.CheckLanes declines them
 // with an error: it advances every lane's monitor on the same rows, and
 // per-lane clock stimuli make the tick subsequences diverge across lanes.
-// LanesOK therefore rejects multi-clock designs, and sva.Checker.Batch
-// runs their batches on the scalar engine.
+// LanesOK therefore rejects multi-clock designs, whose stimuli a caller
+// runs on the scalar engine.
 //
 // # Value domains
 //

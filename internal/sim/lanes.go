@@ -114,11 +114,11 @@ func (p *Plan) lanes(mode Mode) *LanePlan {
 }
 
 // LanesOK reports whether the design can run lane-parallel in the given
-// value domain — the precondition sva.Checker.Batch checks before packing
-// stimuli into lanes. Multi-clock designs are excluded: the lane engine
-// itself handles them (per-lane fired masks), but the lane-batched
-// assertion evaluation has no per-domain tick schedule, so their batches
-// run on the scalar engine.
+// value domain — the precondition for packing stimuli into lanes, which
+// only the benchmark's traced rows and the differential tests do.
+// Multi-clock designs are excluded: the lane engine itself handles them
+// (per-lane fired masks), but the lane-batched assertion evaluation has
+// no per-domain tick schedule, so their stimuli run on the scalar engine.
 func LanesOK(d *compile.Design, mode Mode) bool {
 	p := PlanOf(d)
 	return !d.MultiClock() && p != nil && p.lanes(mode) != nil

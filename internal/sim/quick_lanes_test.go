@@ -33,7 +33,7 @@ endmodule
 
 // TestQuickLaneFailureReplay: every lane the batched checker marks failed
 // must replay to a scalar failure on that lane's demuxed stimulus — the
-// counterexample-extraction path sva.Checker.Batch uses — and every lane
+// path a caller takes to a failing lane's counterexample — and every lane
 // it marks clean must replay to a scalar pass. Runs in both value domains.
 func TestQuickLaneFailureReplay(t *testing.T) {
 	d, diags, err := compile.Compile(qfailSrc)

@@ -8,11 +8,12 @@ import (
 )
 
 // LaneResult summarises checking all assertions against one lane batch.
-// It deliberately carries only what Batch needs to stay byte-equivalent
-// with scalar runs: which lanes failed (those are demuxed and checked on
-// the scalar checker for the full Failure/log detail) and, per assertion,
-// which lanes logged at least one counted (non-vacuous) attempt — callers
-// record attempted-ness, not counts.
+// It carries only what a caller needs to match scalar runs lane by lane:
+// which lanes failed (a caller demuxes those and checks them on the scalar
+// engine for the full Failure/log detail) and, per assertion, which lanes
+// logged at least one counted (non-vacuous) attempt — attempted-ness, not
+// counts. No production path runs it; the benchmark's traced lane rows
+// and the differential tests do.
 type LaneResult struct {
 	// Failed has bit l set when lane l failed at least one assertion.
 	Failed uint64
@@ -25,8 +26,8 @@ type LaneResult struct {
 // lanes at once on the same monitor as Check, fed packed truth words: one
 // word op decides a term for 64 lanes. It returns an error when a property
 // expression fails to evaluate in any lane, or the design has more than
-// one clock; Batch then checks every stimulus on the scalar engine, which
-// reproduces scalar semantics exactly.
+// one clock; such a batch must be checked one stimulus at a time on the
+// scalar engine, which reproduces scalar semantics exactly.
 func CheckLanes(lt *sim.LaneTrace) (*LaneResult, error) {
 	// Multi-clock designs are out of the packed model's reach: assertions
 	// sample only on their own clock's ticks, and each lane carries its own

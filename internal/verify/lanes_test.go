@@ -11,8 +11,8 @@ import (
 
 // TestConcurrentLaneChecks: the lazily built lane plan is constructed once
 // per design and shared safely by concurrent PlanLanes callers (run under
-// -race in CI). cmd/serve's /stimulus batcher runs lane batches of one
-// cached design from many requests at once and relies on this.
+// -race in CI). The service shares one cached design between its
+// callers, so a lane plan can be asked for from many goroutines at once.
 func TestConcurrentLaneChecks(t *testing.T) {
 	d, diags, err := compile.Compile(corpus.EdgeDetect().Source())
 	if err != nil || compile.HasErrors(diags) {

@@ -61,29 +61,29 @@ import (
 // Options configures one check. The formal fields mirror formal.Options;
 // zero values take the formal checker's defaults, and the cache key is
 // computed from the normalised (defaults-applied) form so e.g. Depth 0 and
-// Depth 16 address the same entry.
+// Depth 16 address the same entry. cmd/serve's /check decodes into it.
 type Options struct {
 	// Seed makes the random stimulus phase deterministic.
-	Seed int64
+	Seed int64 `json:"seed,omitempty"`
 	// Depth is the bound in clock cycles (default 16).
-	Depth int
+	Depth int `json:"depth,omitempty"`
 	// RandomRuns bounds the random stimulus phase (default 48; negative —
 	// formal.NoRandom — disables the phase).
-	RandomRuns int
+	RandomRuns int `json:"random_runs,omitempty"`
 	// MaxExhaustiveBits caps full input-sequence enumeration (default 16).
-	MaxExhaustiveBits int
+	MaxExhaustiveBits int `json:"max_exhaustive_bits,omitempty"`
 	// MaxConstBits caps constant-input enumeration (default 10).
-	MaxConstBits int
+	MaxConstBits int `json:"max_const_bits,omitempty"`
 	// FourState checks in the four-state value domain (formal.Options.
 	// FourState): uninitialised/unreset registers read x, and x reaching an
 	// assertion fails it. Required to catch the reset-removal and
 	// initialisation-deletion bug classes, which are invisible to the
 	// two-state default.
-	FourState bool
+	FourState bool `json:"four_state,omitempty"`
 	// CompileOnly stops after elaboration: the verdict carries the design
 	// but no formal result. Used where a caller needs a compiled design
 	// (e.g. as the golden side of a behavioural diff) without checking it.
-	CompileOnly bool
+	CompileOnly bool `json:"compile_only,omitempty"`
 }
 
 func (o Options) formal() formal.Options {
