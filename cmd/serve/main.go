@@ -1,6 +1,7 @@
 // Command serve exposes the verification service (internal/verify) as a
-// long-running HTTP/JSON server — the service boundary ROADMAP item 1
-// asks for. It answers three endpoints:
+// long-running HTTP/JSON server, so many clients share one verdict cache,
+// one worker pool and, with -store, one persistent store. It answers three
+// endpoints:
 //
 //	POST /check    - compile + bounded-model-check a design. The request
 //	                 carries the source, optional candidate assertions and

@@ -623,78 +623,6 @@ func (e *elaborator) constEval(expr verilog.Expr) (uint64, bool) {
 	return evalConst(expr, e.design.Params)
 }
 
-// evalConst evaluates a constant expression over an explicit parameter
-// environment. It is the single constant-folding definition shared by the
-// elaborator and the flattener (which evaluates child parameter overrides
-// in the parent's environment).
-func evalConst(expr verilog.Expr, params map[string]uint64) (uint64, bool) {
-	switch x := expr.(type) {
-	case *verilog.Number:
-		return x.Value, true
-	case *verilog.Ident:
-		v, ok := params[x.Name]
-		return v, ok
-	case *verilog.Unary:
-		v, ok := evalConst(x.X, params)
-		if !ok {
-			return 0, false
-		}
-		switch x.Op {
-		case verilog.UnaryMinus:
-			return -v, true
-		case verilog.UnaryBitNot:
-			return ^v, true
-		case verilog.UnaryLogicalNot:
-			if v == 0 {
-				return 1, true
-			}
-			return 0, true
-		case verilog.UnaryPlus:
-			return v, true
-		}
-		return 0, false
-	case *verilog.Binary:
-		a, ok1 := evalConst(x.X, params)
-		b, ok2 := evalConst(x.Y, params)
-		if !ok1 || !ok2 {
-			return 0, false
-		}
-		switch x.Op {
-		case verilog.BinAdd:
-			return a + b, true
-		case verilog.BinSub:
-			return a - b, true
-		case verilog.BinMul:
-			return a * b, true
-		case verilog.BinDiv:
-			if b == 0 {
-				return 0, false
-			}
-			return a / b, true
-		case verilog.BinMod:
-			if b == 0 {
-				return 0, false
-			}
-			return a % b, true
-		case verilog.BinShl:
-			return a << (b & 63), true
-		case verilog.BinShr:
-			return a >> (b & 63), true
-		}
-		return 0, false
-	case *verilog.Ternary:
-		c, ok := evalConst(x.Cond, params)
-		if !ok {
-			return 0, false
-		}
-		if c != 0 {
-			return evalConst(x.X, params)
-		}
-		return evalConst(x.Y, params)
-	}
-	return 0, false
-}
-
 func (e *elaborator) checkName(name string, pos verilog.Pos) *Signal {
 	if s, ok := e.design.Signals[name]; ok {
 		return s
@@ -712,7 +640,8 @@ const maxPastDepth = 1<<31 - 1
 // checkExpr validates every identifier, call, part-select, replication and
 // string literal in an expression. What it accepts the simulator's planner
 // lowers: part-select bounds, replication counts and $past depths are
-// parameter-only constants, and only the supported system functions appear.
+// constants compile has folded (see constant), and only the supported
+// system functions appear.
 func (e *elaborator) checkExpr(expr verilog.Expr, pos verilog.Pos) {
 	verilog.WalkExpr(expr, func(sub verilog.Expr) {
 		switch x := sub.(type) {
@@ -721,7 +650,7 @@ func (e *elaborator) checkExpr(expr verilog.Expr, pos verilog.Pos) {
 		case *verilog.Slice:
 			e.checkSlice(x)
 		case *verilog.Repl:
-			e.constOperand(x.Count, "replication count", true)
+			e.constant(x.Count, "replication count")
 		case *verilog.StringLit:
 			e.errorf(x.Pos, "string literal in expression context")
 		case *verilog.Call:
@@ -739,35 +668,35 @@ func (e *elaborator) checkExpr(expr verilog.Expr, pos verilog.Pos) {
 	})
 }
 
-// checkSlice requires a part-select's bounds to be parameter-only constants
-// in descending order wherever they fold. An x/z-bearing bound stays legal:
-// four-state simulation reads it all-x and stores through it nothing.
+// checkSlice requires a part-select's bounds to be constants in descending
+// order. A select whose lsb lies at bit 64 or beyond, past the widest
+// signal, compiles and fails when it is evaluated, on every engine.
 func (e *elaborator) checkSlice(x *verilog.Slice) {
-	if !e.constOperand(x.Hi, "part-select bound", false) || !e.constOperand(x.Lo, "part-select bound", false) {
+	hi, ok := e.constant(x.Hi, "part-select bound")
+	if !ok {
 		return
 	}
-	hi, ok1 := e.constEval(x.Hi)
-	lo, ok2 := e.constEval(x.Lo)
-	if ok1 && ok2 && lo > hi {
+	if lo, ok := e.constant(x.Lo, "part-select bound"); ok && lo > hi {
 		e.errorf(x.Pos, "reversed part-select [%d:%d]", hi, lo)
 	}
 }
 
-// checkPastDepth requires a $past depth to be a parameter-only constant
-// with no x/z bits that folds, wherever it folds, into [1, maxPastDepth].
+// checkPastDepth requires a $past depth to be a constant in
+// [1, maxPastDepth].
 func (e *elaborator) checkPastDepth(depth verilog.Expr) {
-	if !e.constOperand(depth, "$past depth", true) {
-		return
-	}
-	if n, ok := e.constEval(depth); ok && (n == 0 || n > maxPastDepth) {
+	if n, ok := e.constant(depth, "$past depth"); ok && (n == 0 || n > maxPastDepth) {
 		e.errorf(depth.Span(), "$past depth %d out of range [1, %d]", n, uint64(maxPastDepth))
 	}
 }
 
-// constOperand reports whether x, the what of a select, replication or
-// $past, references no signal, calls nothing and, when known is set, holds
-// no x/z literal bits; otherwise it reports the first offending operand.
-func (e *elaborator) constOperand(x verilog.Expr, what string, known bool) bool {
+// constant folds x, the what of a part-select, replication or $past, with
+// Fold. x must reference no signal, call nothing, hold no x/z literal bits,
+// fold, and not divide by zero, which is x in the four-state domain; so
+// every constant compile accepts has one value in both value domains, the
+// value the planner reads back through Fold. The first failure is reported
+// at its operand; an undeclared name or a string literal is left to
+// checkExpr, which reports it.
+func (e *elaborator) constant(x verilog.Expr, what string) (uint64, bool) {
 	ok := true
 	verilog.WalkExpr(x, func(sub verilog.Expr) {
 		if !ok {
@@ -778,18 +707,34 @@ func (e *elaborator) constOperand(x verilog.Expr, what string, known bool) bool 
 			if e.design.Signals[s.Name] != nil {
 				e.errorf(s.Pos, "non-constant %s: references signal %s", what, s.Name)
 				ok = false
+			} else if _, isParam := e.design.Params[s.Name]; !isParam {
+				ok = false
 			}
 		case *verilog.Call:
 			e.errorf(s.Pos, "non-constant %s: calls %s", what, s.Name)
 			ok = false
 		case *verilog.Number:
-			if known && s.Unknown() != 0 {
+			if s.Unknown() != 0 {
 				e.errorf(s.Pos, "%s has x/z bits", what)
 				ok = false
 			}
+		case *verilog.StringLit:
+			ok = false
 		}
 	})
-	return ok
+	if !ok {
+		return 0, false
+	}
+	f, ok := fold(x, e.design.Params)
+	switch {
+	case !ok:
+		e.errorf(x.Span(), "%s does not fold to a constant", what)
+	case f.div0:
+		e.errorf(x.Span(), "%s divides by zero", what)
+	default:
+		return f.v, true
+	}
+	return 0, false
 }
 
 // checkAssignTarget validates an assignment LHS: a signal, a bit or part

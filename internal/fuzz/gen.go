@@ -195,8 +195,7 @@ func GenerateSource(seed int64) string {
 // the FuzzFourState target, distinct from the base generator's ~1-in-6
 // rate. Structural literals (parameter values, slice bounds, replication
 // counts, plain-decimal $past depths) keep their known spelling: an x/z
-// replication count or $past depth is a compile error, and a part-select
-// through an x/z bound reads all-x.
+// part-select bound, replication count or $past depth is a compile error.
 func GenerateModuleXZ(rng *rand.Rand) *verilog.Module {
 	m := GenerateModule(rng)
 	injectXZ(m, rng)

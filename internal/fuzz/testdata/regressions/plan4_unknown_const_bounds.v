@@ -3,9 +3,9 @@
 // computed in0[2:0] where the reference interpreter's four-state rule
 // makes the whole select all-x — a plane-for-plane engine-equivalence
 // violation (review-found, reproduced as plan o=0x2 known vs reference
-// all-x). Both engines now read through such a bound all-x and store
-// through it nothing. An x/z-bearing replication count, which this
-// program also held, is a compile error.
+// all-x). An x/z-bearing part-select bound is now a compile error, like
+// the x/z-bearing replication count this program also held: every
+// constant internal/compile accepts has one value in both value domains.
 module fz (
     input clk,
     input [3:0] in0,

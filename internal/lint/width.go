@@ -4,7 +4,6 @@ import (
 	"math/bits"
 
 	"repro/internal/compile"
-	"repro/internal/sim"
 	"repro/internal/verilog"
 )
 
@@ -15,13 +14,12 @@ import (
 // them, and narrow unsized literals never trigger the extension note —
 // `x <= 0` is idiomatic, not a mismatch.
 func (a *analysis) widths() {
-	env := paramEnv{a.d}
 	check := func(pos verilog.Pos, lhs, rhs verilog.Expr) {
 		lw, ok := a.lhsWidth(lhs)
 		if !ok {
 			return
 		}
-		rw, exact := effWidth(rhs, env)
+		rw, exact := effWidth(rhs, a.d)
 		if rw <= 0 {
 			return
 		}
@@ -68,11 +66,7 @@ func (a *analysis) lhsWidth(lhs verilog.Expr) (int, bool) {
 	case *verilog.Index:
 		return 1, true
 	case *verilog.Slice:
-		hi, okH := a.constInt(x.Hi)
-		lo, okL := a.constInt(x.Lo)
-		if okH && okL && hi >= lo {
-			return int(hi-lo) + 1, true
-		}
+		return sliceWidth(x, a.d)
 	case *verilog.Concat:
 		total := 0
 		for _, el := range x.Elems {
@@ -87,30 +81,15 @@ func (a *analysis) lhsWidth(lhs verilog.Expr) (int, bool) {
 	return 0, false
 }
 
-// constInt folds a parameter-level constant expression.
-func (a *analysis) constInt(e verilog.Expr) (uint64, bool) {
-	v, err := sim.Eval(e, paramEnv{a.d})
-	if err != nil {
-		return 0, false
+// sliceWidth is the width of a part-select whose bounds compile.Fold folds
+// in descending order, as internal/compile requires of every part-select.
+func sliceWidth(x *verilog.Slice, d *compile.Design) (int, bool) {
+	hi, okH := compile.Fold(x.Hi, d.Params)
+	lo, okL := compile.Fold(x.Lo, d.Params)
+	if okH && okL && hi >= lo {
+		return int(hi-lo) + 1, true
 	}
-	return v, true
-}
-
-// paramEnv resolves parameter values and signal widths but no signal
-// values — the environment for fold-time constants such as slice bounds
-// and replication counts, and for effWidth.
-type paramEnv struct{ d *compile.Design }
-
-func (e paramEnv) Value(name string) (uint64, bool) {
-	v, ok := e.d.Params[name]
-	return v, ok
-}
-
-func (e paramEnv) Width(name string) int {
-	if sig, ok := e.d.Signals[name]; ok {
-		return sig.Width
-	}
-	return 0
+	return 0, false
 }
 
 // minBits is the minimum width that can represent v (at least 1).
@@ -128,7 +107,7 @@ func minBits(v uint64) int {
 // shapes whose true width depends on runtime values, which suppresses the
 // low-signal extension note but still allows the truncation warning — a
 // shift can only widen the uncertainty upward from its operand).
-func effWidth(e verilog.Expr, env sim.Env) (int, bool) {
+func effWidth(e verilog.Expr, d *compile.Design) (int, bool) {
 	switch x := e.(type) {
 	case *verilog.Number:
 		if x.Width > 0 {
@@ -136,10 +115,10 @@ func effWidth(e verilog.Expr, env sim.Env) (int, bool) {
 		}
 		return minBits(x.Value | x.Unknown()), true
 	case *verilog.Ident:
-		if w := env.Width(x.Name); w > 0 {
-			return w, true
+		if sig := d.Signals[x.Name]; sig != nil && sig.Width > 0 {
+			return sig.Width, true
 		}
-		if v, ok := env.Value(x.Name); ok {
+		if v, ok := d.Params[x.Name]; ok {
 			return minBits(v), true
 		}
 		return 0, false
@@ -149,7 +128,7 @@ func effWidth(e verilog.Expr, env sim.Env) (int, bool) {
 			verilog.UnaryRedXor, verilog.UnaryRedXnor:
 			return 1, true
 		}
-		return effWidth(x.X, env)
+		return effWidth(x.X, d)
 	case *verilog.Binary:
 		switch x.Op {
 		case verilog.BinLogAnd, verilog.BinLogOr,
@@ -157,17 +136,17 @@ func effWidth(e verilog.Expr, env sim.Env) (int, bool) {
 			verilog.BinLt, verilog.BinLe, verilog.BinGt, verilog.BinGe:
 			return 1, true
 		case verilog.BinShl, verilog.BinShr, verilog.BinAShr:
-			w, _ := effWidth(x.X, env)
+			w, _ := effWidth(x.X, d)
 			return w, false
 		case verilog.BinMod:
 			// a % b with constant b is bounded below b, whatever a's width;
 			// `(ptr + d) % N` into a ceil(log2 N)-bit pointer is idiomatic.
-			if m, err := sim.Eval(x.Y, env); err == nil && m > 0 {
+			if m, ok := compile.Fold(x.Y, d.Params); ok && m > 0 {
 				return minBits(m - 1), true
 			}
 		}
-		wx, okX := effWidth(x.X, env)
-		wy, okY := effWidth(x.Y, env)
+		wx, okX := effWidth(x.X, d)
+		wy, okY := effWidth(x.Y, d)
 		if wx < wy {
 			wx, okX = wy, okY && okX
 		} else {
@@ -175,8 +154,8 @@ func effWidth(e verilog.Expr, env sim.Env) (int, bool) {
 		}
 		return wx, okX
 	case *verilog.Ternary:
-		wx, okX := effWidth(x.X, env)
-		wy, okY := effWidth(x.Y, env)
+		wx, okX := effWidth(x.X, d)
+		wy, okY := effWidth(x.Y, d)
 		if wx < wy {
 			wx = wy
 		}
@@ -184,17 +163,12 @@ func effWidth(e verilog.Expr, env sim.Env) (int, bool) {
 	case *verilog.Index:
 		return 1, true
 	case *verilog.Slice:
-		hi, errH := sim.Eval(x.Hi, env)
-		lo, errL := sim.Eval(x.Lo, env)
-		if errH == nil && errL == nil && hi >= lo {
-			return int(hi-lo) + 1, true
-		}
-		return 0, false
+		return sliceWidth(x, d)
 	case *verilog.Concat:
 		total := 0
 		exact := true
 		for _, el := range x.Elems {
-			w, ok := effWidth(el, env)
+			w, ok := effWidth(el, d)
 			if w <= 0 {
 				return 0, false
 			}
@@ -203,11 +177,11 @@ func effWidth(e verilog.Expr, env sim.Env) (int, bool) {
 		}
 		return total, exact
 	case *verilog.Repl:
-		n, err := sim.Eval(x.Count, env)
-		if err != nil {
+		n, ok := compile.Fold(x.Count, d.Params)
+		if !ok {
 			return 0, false
 		}
-		w, ok := effWidth(x.Elem, env)
+		w, ok := effWidth(x.Elem, d)
 		if w <= 0 {
 			return 0, false
 		}

@@ -1,6 +1,9 @@
 package sim
 
 import (
+	"context"
+	"errors"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
@@ -8,7 +11,56 @@ import (
 	"repro/internal/bugs"
 	"repro/internal/compile"
 	"repro/internal/corpus"
+	"repro/internal/verilog"
 )
+
+// checkPlans fails t when src compiles but has no plan in both value
+// domains, or a four-cycle run of it on the plan reports a plan error. It
+// reports whether src compiled.
+func checkPlans(t testing.TB, name, src string) bool {
+	t.Helper()
+	d, diags, err := compile.Compile(src)
+	if err != nil || compile.HasErrors(diags) {
+		return false
+	}
+	if p := PlanOf(d); p == nil || p.fourState() == nil {
+		t.Errorf("%s compiles but has no plan in both value domains", name)
+		return true
+	}
+	stim := VecStimulus{Inputs: d.Inputs(false), Rows: make([][]uint64, 4)}
+	for c := range stim.Rows {
+		stim.Rows[c] = make([]uint64, len(stim.Inputs))
+		for i := range stim.Rows[c] {
+			stim.Rows[c][i] = uint64(c + i)
+		}
+	}
+	for _, mode := range []Mode{TwoState, FourState} {
+		var u errUnplannable
+		if _, err := RunVecCtx(context.Background(), d, stim, mode); errors.As(err, &u) {
+			t.Errorf("%s compiles but its %v run reports a plan error: %v", name, mode, err)
+		}
+	}
+	return true
+}
+
+// regressionPrograms returns internal/fuzz's committed regression programs
+// by file name.
+func regressionPrograms(t testing.TB) map[string]string {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join("..", "fuzz", "testdata", "regressions", "*.v"))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("fuzz regression corpus: %v (%d files)", err, len(paths))
+	}
+	out := map[string]string{}
+	for _, p := range paths {
+		src, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[filepath.Base(p)] = string(src)
+	}
+	return out
+}
 
 // TestCompilesImpliesPlans: every design internal/compile accepts has a
 // plan in both value domains, so no run needs a second engine. It covers
@@ -17,14 +69,10 @@ import (
 func TestCompilesImpliesPlans(t *testing.T) {
 	var compiled, rejected int
 	check := func(name, src string) {
-		d, diags, err := compile.Compile(src)
-		if err != nil || compile.HasErrors(diags) {
+		if checkPlans(t, name, src) {
+			compiled++
+		} else {
 			rejected++
-			return
-		}
-		compiled++
-		if p := PlanOf(d); p == nil || p.fourState() == nil {
-			t.Errorf("%s compiles but has no plan in both value domains", name)
 		}
 	}
 	for _, bp := range corpus.Catalog() {
@@ -33,16 +81,110 @@ func TestCompilesImpliesPlans(t *testing.T) {
 			check(bp.Name()+"/"+mu.Label(), bp.SourceWith(mu.Mutant))
 		}
 	}
-	paths, err := filepath.Glob(filepath.Join("..", "fuzz", "testdata", "regressions", "*.v"))
-	if err != nil || len(paths) == 0 {
-		t.Fatalf("fuzz regression corpus: %v (%d files)", err, len(paths))
-	}
-	for _, p := range paths {
-		src, err := os.ReadFile(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		check(filepath.Base(p), string(src))
+	for name, src := range regressionPrograms(t) {
+		check(name, src)
 	}
 	t.Logf("%d designs compile and plan; %d do not compile", compiled, rejected)
+}
+
+// FuzzCompileImpliesPlan is TestCompilesImpliesPlans over raw source text,
+// seeded with the catalog goldens and the regression programs: whatever
+// compiles has a plan in both value domains and runs four cycles on it
+// without a plan error, and neither compiling nor planning panics.
+// cmd/serve's /check and /stimulus compile untrusted source, so this
+// guards the lowering's recover boundary.
+func FuzzCompileImpliesPlan(f *testing.F) {
+	for _, bp := range corpus.Catalog() {
+		f.Add(bp.Source())
+	}
+	for _, src := range regressionPrograms(f) {
+		f.Add(src)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		checkPlans(t, "the source", src)
+	})
+}
+
+// FuzzConstFold holds compile.Fold, the constant folder internal/compile
+// and the planner share, to the reference interpreter's Eval over the same
+// parameters: on random parameter-only expressions over the folder's
+// operator set the two agree on whether the expression folds and on its
+// value. The leaves include shift counts of 64 and more, unsized literals
+// under ~ and unary -, a parameter wider than 32 bits, a zero divisor and
+// an undeclared name.
+func FuzzConstFold(f *testing.F) {
+	rng := rand.New(rand.NewSource(1))
+	for range 64 {
+		seed := make([]byte, 48)
+		rng.Read(seed)
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		e := (&constExpr{data: data}).expr(5)
+		want, err := Eval(e, paramEnv(constParams))
+		got, ok := compile.Fold(e, constParams)
+		if ok != (err == nil) || ok && got != want {
+			t.Fatalf("%s: compile.Fold = %#x, %v; Eval = %#x, %v", verilog.ExprString(e), got, ok, want, err)
+		}
+	})
+}
+
+// constParams is the parameter environment FuzzConstFold folds over: a
+// small value, one wider than 32 bits and a zero divisor.
+var constParams = map[string]uint64{"P": 6, "W": 1<<40 | 5, "Z": 0}
+
+// paramEnv resolves parameters only, all 32 bits wide, as internal/compile
+// folds them.
+type paramEnv map[string]uint64
+
+func (e paramEnv) Value(name string) (uint64, bool) {
+	v, ok := e[name]
+	return v, ok
+}
+
+func (paramEnv) Width(string) int { return 0 }
+
+// constExpr builds a parameter-only expression from a byte stream, one byte
+// per decision, so the fuzzer's mutations steer the expression's shape.
+type constExpr struct{ data []byte }
+
+func (g *constExpr) next() byte {
+	if len(g.data) == 0 {
+		return 0
+	}
+	b := g.data[0]
+	g.data = g.data[1:]
+	return b
+}
+
+func (g *constExpr) expr(depth int) verilog.Expr {
+	b := g.next()
+	if depth == 0 || b < 64 {
+		return g.leaf(b)
+	}
+	switch b % 3 {
+	case 0:
+		return &verilog.Unary{Op: verilog.UnaryOp(g.next() % 8), X: g.expr(depth - 1)}
+	case 1:
+		return &verilog.Binary{Op: verilog.BinaryOp(g.next() % 22), X: g.expr(depth - 1), Y: g.expr(depth - 1)}
+	}
+	return &verilog.Ternary{Cond: g.expr(depth - 1), X: g.expr(depth - 1), Y: g.expr(depth - 1)}
+}
+
+func (g *constExpr) leaf(b byte) verilog.Expr {
+	v := g.next()
+	switch b % 16 {
+	case 0, 1, 2, 3: // unsized, up to shift counts past 64
+		return &verilog.Number{Value: uint64(v % 80)}
+	case 4, 5, 6: // sized, 1 to 64 bits
+		w := int(v%64) + 1
+		return &verilog.Number{Width: w, Value: uint64(v) * 0x0101010101010101 & maskFor(w)}
+	case 7: // unsized but wider than 32 bits
+		return &verilog.Number{Value: 1<<32 | uint64(v)}
+	case 8, 9: // 64-bit all-ones, shifted
+		return &verilog.Number{Width: 64, Value: ^uint64(0) >> (v % 64)}
+	case 15:
+		return &verilog.Ident{Name: "nosuch"}
+	}
+	return &verilog.Ident{Name: [...]string{"P", "W", "Z"}[v%3]}
 }

@@ -37,21 +37,25 @@
 // Simulator remains the reference implementation for each: the
 // differential tests plus the cross-engine fuzzer hold the two backends
 // identical plane-for-plane through RunReferenceCtx, which no production
-// path runs. internal/compile rejects every construct the planner cannot
-// lower (a non-constant or reversed part-select, a non-constant or x/z
-// replication count or $past depth, an assignment to a parameter), so
-// every design that compiles has a plan in both value domains; RunVecCtx
-// fails on a design without one instead of running it on a second engine.
+// path runs. internal/compile alone decides what a design may hold: it
+// rejects every construct the planner cannot lower (an assignment to a
+// parameter, a part-select bound, replication count or $past depth that
+// is not a constant it folds, and so on), and it folds every such constant
+// with compile.Fold, the one constant folder, which the planner reads the
+// constants back through. Every design that compiles therefore has a plan
+// in both value domains; RunVecCtx fails on a design without one, which
+// only an AST changed after elaboration can be, instead of running it on a
+// second engine.
 //
 // Every lowering — the plan and the lane engine, in either value domain —
 // runs through one front end (lower.go). It walks the design's
-// statements, assignment targets and expressions, and decides
-// plannability once for all four engines: the unknown-signal and
-// unsupported-target checks, constant slice bounds, replication counts
-// and $past depths (folded two-state or four-state; a four-state
-// part-select through an x/z-bearing bound reads all-x and stores nothing,
-// as on the interpreter), and the static widths masks depend on. Each
-// unplannable reason is therefore spelled in one place. The engines are
+// statements, assignment targets and expressions and hands each engine
+// the lowered operands, the constant part-select bounds, replication
+// counts and $past depths, which hold no x and so have one value in both
+// domains, and the static widths masks depend on. A construct compile
+// never lets through panics with its position, and the lowering recovers
+// it into an error: PlanOf returns nil and a VecRunner's runs report it,
+// so a gap between compile and the planner cannot crash a caller. The engines are
 // emitters behind a small build-time interface: given operands the front
 // end has already lowered, an emitter returns the closure its machine runs
 // for a block, if, case, assignment, whole-signal store by write mode, bit,
@@ -198,8 +202,9 @@
 //     always known;
 //   - an x if-condition takes the else branch (§9.4); an x-selected
 //     ternary merges its arms bitwise (§5.1.13); case labels match by
-//     case equality over both planes; writes through an unknown index or
-//     part-select bound have no effect (§9.2.2);
+//     case equality over both planes; a write through an unknown index
+//     has no effect (§9.2.2), and a part-select bound is a constant with
+//     no x, as compile requires;
 //   - x/z digits in literals are positional over the bits each digit
 //     spans; the IEEE left-extension of a leading x/z digit is not
 //     applied (documented substitution);
@@ -226,10 +231,9 @@
 //     them, as in event-driven simulation);
 //   - a bit-select write through an index >= 64, past the widest signal,
 //     has no effect, as the matching read yields 0;
-//   - $past depths must be in [1, 2^31-1]; other depths (including
-//     negative values that wrapped around as uint64) are compile errors
-//     where the depth folds and EvalErrors otherwise, never undefined
-//     history accesses;
+//   - $past depths must be constants in [1, 2^31-1]; other depths
+//     (including negative values that wrapped around as uint64) are
+//     compile errors, never undefined history accesses;
 //   - asynchronous resets are sampled once per clock cycle: a sequential
 //     block sensitive to "negedge rst_n" executes its reset branch on any
 //     cycle in which rst_n is low at the clock edge.

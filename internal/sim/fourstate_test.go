@@ -2,7 +2,6 @@ package sim
 
 import (
 	"context"
-	"strings"
 	"testing"
 
 	"repro/internal/compile"
@@ -245,11 +244,11 @@ endmodule
 	}
 }
 
-// TestFourStateUnknownSliceBound: an x/z-bearing literal used as a slice
-// bound must not be constant-folded with its x bits read as 0. Both
-// engines follow the four-state rule that makes the whole select all-x;
-// runBoth4 holds them to the same planes. An x/z-bearing replication count
-// is a compile error instead.
+// TestFourStateUnknownSliceBound: an x/z-bearing literal in a part-select
+// bound or a replication count is a compile error. The reference
+// interpreter reads such a select all-x in the four-state domain but its x
+// bits as 0 in two-state, and every constant compile accepts has one value
+// in both domains.
 func TestFourStateUnknownSliceBound(t *testing.T) {
 	src := `module m (
     input clk,
@@ -261,18 +260,15 @@ func TestFourStateUnknownSliceBound(t *testing.T) {
     assign r = {2'b1x{in0[0]}};
 endmodule
 `
-	if _, diags, _ := compile.Compile(src); compile.FormatDiags(diags) != "8:17: error: replication count has x/z bits\n" {
-		t.Errorf("x/z replication count: diagnostics %q", compile.FormatDiags(diags))
-	}
-	tr := runBoth4(t, strings.Replace(src, "{2'b1x{in0[0]}}", "in0", 1), "in0", [][]uint64{{0b0110}})
-	if v, _ := tr.Value4(0, "o"); v != (V4{Unk: 0x7}) {
-		t.Errorf("o = %+v, want all-x (unknown slice bound)", v)
+	want := "7:20: error: part-select bound has x/z bits\n8:17: error: replication count has x/z bits\n"
+	if got := compileErr(t, src); got != want {
+		t.Errorf("diagnostics %q, want %q", got, want)
 	}
 }
 
-// TestFourStateUnknownSliceStoreNoop: a store through an x part-select
-// bound has no effect in the reference interpreter; the plan must not
-// fold the bound's x bits to 0 and write anyway.
+// TestFourStateUnknownSliceStoreNoop: a store through an x/z-bearing
+// part-select bound, a no-op on the four-state reference interpreter, is a
+// compile error like the matching read.
 func TestFourStateUnknownSliceStoreNoop(t *testing.T) {
 	src := `module m (
     input clk,
@@ -286,9 +282,8 @@ func TestFourStateUnknownSliceStoreNoop(t *testing.T) {
     assign q = r0;
 endmodule
 `
-	tr := runBoth4(t, src, "in0", repeatRow(2, 0b111))
-	if v, _ := tr.Value4(1, "r0"); v != (V4{Val: 0}) {
-		t.Errorf("r0 = %+v, want unchanged 0 (store through x bound is a no-op)", v)
+	if got, want := compileErr(t, src), "8:12: error: part-select bound has x/z bits\n"; got != want {
+		t.Errorf("diagnostics %q, want %q", got, want)
 	}
 }
 

@@ -137,8 +137,8 @@ func buildLanePlan(p *Plan, four bool) *LanePlan {
 	if four {
 		em = &lane4Emitter{core}
 	}
-	l, ok := lower(p.design, em, four)
-	if !ok {
+	l, err := lower(p.design, em)
+	if err != nil {
 		return nil
 	}
 	lp.program = l.program
@@ -1133,16 +1133,6 @@ func (c *laneCore) fail(err error) lexpr {
 	reg := c.constReg(0, 0)
 	return lexpr{vec: func(m *lmach) ([]uint64, []uint64) {
 		m.fail(err)
-		return m.reg(reg)
-	}}
-}
-
-//go:noinline
-func (c *laneCore) unknown(xe lexpr) lexpr {
-	xf := c.asVec(xe)
-	reg := c.constReg(allX.planes())
-	return lexpr{vec: func(m *lmach) ([]uint64, []uint64) {
-		xf(m)
 		return m.reg(reg)
 	}}
 }

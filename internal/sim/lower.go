@@ -11,21 +11,38 @@ import (
 // the scalar plan and the lane engine, each in both value domains. Each
 // engine has one machine, statement layer and expression form for both
 // domains (plan.go, lanes.go), and keeps apart only the four-state kernels
-// whose formulas differ (plan4.go, lanes4.go). It walks the design's AST and
-// makes every plannability decision in one place: which statements,
-// assignment targets and expressions lower, the constant slice bounds,
-// replication counts and $past depths, and the static widths masks depend
-// on. Each engine is an emitter: given operands the front end has already
-// lowered and validated, it returns the closure its machine runs. Emitters
-// are called only while a plan is built, and the front end creates no
-// closure a simulation cycle runs, so the per-cycle loop executes engine
-// code specialised to one machine layout and pays no dispatch.
+// whose formulas differ (plan4.go, lanes4.go). It walks the design's AST
+// and hands each engine's emitter the lowered operands, the part-select
+// bounds, replication counts and $past depths, and the static widths masks
+// depend on. It decides nothing about plannability: internal/compile alone
+// decides what a design may hold and folds every constant, with the folder
+// (compile.Fold) the front end reads the constants back through, so every
+// design that compiles lowers. Emitters are called only while a plan is
+// built, and the front end creates no closure a simulation cycle runs, so
+// the per-cycle loop executes engine code specialised to one machine
+// layout and pays no dispatch.
 
-// errUnplannable aborts plan construction. internal/compile rejects every
-// construct that reaches it from parsed source.
-type errUnplannable struct{ reason string }
+// errUnplannable is the panic a lowering raises on a construct
+// internal/compile never lets through, which only a design whose AST was
+// changed after elaboration holds. lower recovers it into an error: PlanOf
+// returns nil for the design and a VecRunner's runs report the error.
+type errUnplannable struct {
+	pos    verilog.Pos
+	reason string
+}
 
-func (e errUnplannable) Error() string { return "sim: unplannable design: " + e.reason }
+func (e errUnplannable) Error() string {
+	return fmt.Sprintf("sim: unplannable design: %s: %s", e.pos, e.reason)
+}
+
+// unplannable builds the errUnplannable for e, nil for no position.
+func unplannable(e verilog.Expr, format string, args ...any) errUnplannable {
+	var pos verilog.Pos
+	if e != nil {
+		pos = e.Span()
+	}
+	return errUnplannable{pos, fmt.Sprintf(format, args...)}
+}
 
 // writeMode selects where a compiled store lands and what read-modify-write
 // bit/slice targets use as their base value.
@@ -41,9 +58,8 @@ const (
 // emitter is one engine's build-time interface to the front end. E is a
 // compiled expression, S a compiled statement (continuous assignments
 // included) and T a compiled assignment target (a store receiving the
-// unmasked value). Every argument is already lowered and checked;
-// emitters decide nothing about plannability except that an operator
-// outside the AST's closed sets reports false.
+// unmasked value). Every argument is already lowered; an emitter reports
+// false only for an operator outside the AST's closed sets.
 type emitter[E, S, T any] interface {
 	number(x *verilog.Number) E
 	param(v uint64) E
@@ -67,11 +83,9 @@ type emitter[E, S, T any] interface {
 	past(pos verilog.Pos, x E, n uint64) E
 	// sampled lowers $rose, $fell, $stable and $changed.
 	sampled(pos verilog.Pos, name string, x E) E
-	// fail is an expression that reports err when evaluated.
+	// fail is an expression that reports err when evaluated: a part-select
+	// whose lsb lies at bit 64 or beyond.
 	fail(err error) E
-	// unknown evaluates x, for its error effects, and yields all-x: a
-	// four-state part-select read through an x/z-bearing bound.
-	unknown(x E) E
 
 	nop() S
 	block(body []S) S
@@ -99,8 +113,7 @@ type emitter[E, S, T any] interface {
 	// already shifted into place) from the value shifted left by shift.
 	storeSlice(sig *compile.Signal, shift uint, sm uint64, mode writeMode, inner T) T
 	// storeConcat writes part i from the value shifted right by shifts[i]
-	// and masked by masks[i], in order. With no parts it writes nothing,
-	// which is a four-state store through an x/z-bearing part-select bound.
+	// and masked by masks[i], in order.
 	storeConcat(parts []T, shifts []uint, masks []uint64) T
 }
 
@@ -128,39 +141,33 @@ type lowered[E, S any] struct {
 	sva map[verilog.Expr]E
 }
 
-// lower runs the front end over d for one emitter. four selects the
-// four-state constant folding, where an x/z-bearing part-select bound reads
-// all-x and stores nothing, and an x/z-bearing replication count or $past
-// depth does not lower. ok is false when some design construct or
-// assertion expression does not lower.
-func lower[E, S, T any](d *compile.Design, em emitter[E, S, T], four bool) (l lowered[E, S], ok bool) {
-	f := &lowerer[E, S, T]{planCompiler: planCompiler{d: d, four: four}, em: em}
-	for _, as := range d.Assigns {
-		a, err := f.assign(as.LHS, as.RHS, wAssign)
-		if err != nil {
-			return l, false
+// lower runs the front end over d for one emitter. err is the
+// errUnplannable of a construct that does not lower, which internal/compile
+// never lets through; any other panic is a bug and propagates.
+func lower[E, S, T any](d *compile.Design, em emitter[E, S, T]) (l lowered[E, S], err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			u, ok := r.(errUnplannable)
+			if !ok {
+				panic(r)
+			}
+			l, err = lowered[E, S]{}, u
 		}
-		l.assigns = append(l.assigns, a)
+	}()
+	f := &lowerer[E, S, T]{planCompiler: planCompiler{d: d}, em: em}
+	for _, as := range d.Assigns {
+		l.assigns = append(l.assigns, f.assign(as.LHS, as.RHS, wAssign))
 	}
 	for _, al := range d.CombAlways {
-		body, err := f.stmt(al.Body, false)
-		if err != nil {
-			return l, false
-		}
-		l.combs = append(l.combs, body)
+		l.combs = append(l.combs, f.stmt(al.Body, false))
 	}
 	for _, al := range d.SeqAlways {
-		body, err := f.stmt(al.Body, true)
-		if err != nil {
-			return l, false
-		}
-		l.seqs = append(l.seqs, body)
+		l.seqs = append(l.seqs, f.stmt(al.Body, true))
 	}
 	l.sva = map[verilog.Expr]E{}
-	var err error
 	sva := func(e verilog.Expr) {
-		if e != nil && err == nil {
-			l.sva[e], err = f.expr(e)
+		if e != nil {
+			l.sva[e] = f.expr(e)
 		}
 	}
 	for i := range d.Asserts {
@@ -175,24 +182,17 @@ func lower[E, S, T any](d *compile.Design, em emitter[E, S, T], four bool) (l lo
 			}
 		}
 	}
-	return l, err == nil
+	return l, nil
 }
 
 // planCompiler holds the design-level analysis every lowering shares:
-// parameter folding and static widths.
+// constants and static widths.
 type planCompiler struct {
-	d    *compile.Design
-	four bool // fold constants in the four-state domain
+	d *compile.Design
 
 	// widths memoises staticWidth for operator nodes, so one lowering
 	// computes each node's width once however deeply expressions nest.
-	widths map[verilog.Expr]staticW
-}
-
-// staticW is one memoised staticWidth result.
-type staticW struct {
-	w  int
-	ok bool
+	widths map[verilog.Expr]int
 }
 
 // lowerer is the front end's walk for one emitter.
@@ -201,75 +201,65 @@ type lowerer[E, S, T any] struct {
 	em emitter[E, S, T]
 }
 
-// constEval evaluates an expression that may reference parameters but no
-// signals, at plan-compile time, in the two-state domain.
-func (c *planCompiler) constEval(e verilog.Expr) (uint64, bool) {
-	v, err := Eval(e, paramOnlyEnv{d: c.d})
-	return v, err == nil
-}
-
-// constant folds a slice bound, replication count or $past depth in the
-// lowering's value domain. unk reports a four-state value with x/z bits
-// (e.g. in[2'b1x:0]), which the caller must not read with its x bits as 0.
-func (c *planCompiler) constant(e verilog.Expr) (v uint64, unk, ok bool) {
-	if !c.four {
-		v, ok = c.constEval(e)
-		return v, false, ok
+// constant reads back a part-select bound, replication count or $past
+// depth through compile.Fold, the folder internal/compile accepted it
+// with; both value domains use its value, as compile rejects a constant
+// that could hold x.
+func (c *planCompiler) constant(e verilog.Expr) uint64 {
+	v, ok := compile.Fold(e, c.d.Params)
+	if !ok {
+		panic(unplannable(e, "non-constant %s", verilog.ExprString(e)))
 	}
-	v4, err := Eval4(e, paramOnlyEnv{d: c.d})
-	return v4.Val, v4.Unk != 0, err == nil
+	return v
 }
 
-// paramOnlyEnv resolves parameters only; signal references fail, marking
-// the expression non-constant.
-type paramOnlyEnv struct{ d *compile.Design }
-
-// Value implements Env.
-func (e paramOnlyEnv) Value(name string) (uint64, bool) {
-	v, ok := e.d.Params[name]
-	return v, ok
+// bounds reads back a part-select's bounds, which internal/compile
+// accepted in descending order.
+func (c *planCompiler) bounds(x *verilog.Slice) (hi, lo uint64) {
+	hi, lo = c.constant(x.Hi), c.constant(x.Lo)
+	if lo > hi {
+		panic(unplannable(x, "reversed part-select [%d:%d]", hi, lo))
+	}
+	return hi, lo
 }
 
-// Width implements Env.
-func (paramOnlyEnv) Width(string) int { return 0 }
-
-// staticWidth mirrors ExprWidth but requires the width to be decidable at
-// plan-compile time (slice bounds and replication counts constant). Both
-// value domains mask by these two-state widths.
-func (c *planCompiler) staticWidth(e verilog.Expr) (int, bool) {
+// staticWidth mirrors ExprWidth at plan-compile time, with the constants
+// internal/compile folded. Both value domains mask by these two-state
+// widths.
+func (c *planCompiler) staticWidth(e verilog.Expr) int {
 	switch e.(type) {
 	case *verilog.Number, *verilog.Ident, *verilog.Index, *verilog.Slice:
 		return c.nodeWidth(e) // no operand widths to revisit
 	}
-	if sw, hit := c.widths[e]; hit {
-		return sw.w, sw.ok
+	if w, hit := c.widths[e]; hit {
+		return w
 	}
-	w, ok := c.nodeWidth(e)
+	w := c.nodeWidth(e)
 	if c.widths == nil {
-		c.widths = map[verilog.Expr]staticW{}
+		c.widths = map[verilog.Expr]int{}
 	}
-	c.widths[e] = staticW{w, ok}
-	return w, ok
+	c.widths[e] = w
+	return w
 }
 
 // nodeWidth computes e's static width from its operands' static widths.
-func (c *planCompiler) nodeWidth(e verilog.Expr) (int, bool) {
+func (c *planCompiler) nodeWidth(e verilog.Expr) int {
 	switch x := e.(type) {
 	case *verilog.Number:
 		if x.Width > 0 {
-			return x.Width, true
+			return x.Width
 		}
-		return 32, true
+		return 32
 	case *verilog.Ident:
 		if sig := c.d.Signals[x.Name]; sig != nil && sig.Width > 0 {
-			return sig.Width, true
+			return sig.Width
 		}
-		return 32, true
+		return 32
 	case *verilog.Unary:
 		switch x.Op {
 		case verilog.UnaryLogicalNot, verilog.UnaryRedAnd, verilog.UnaryRedOr,
 			verilog.UnaryRedXor, verilog.UnaryRedXnor:
-			return 1, true
+			return 1
 		}
 		return c.staticWidth(x.X)
 	case *verilog.Binary:
@@ -277,91 +267,55 @@ func (c *planCompiler) nodeWidth(e verilog.Expr) (int, bool) {
 		case verilog.BinLogAnd, verilog.BinLogOr, verilog.BinEq, verilog.BinNe,
 			verilog.BinCaseEq, verilog.BinCaseNe, verilog.BinLt, verilog.BinLe,
 			verilog.BinGt, verilog.BinGe:
-			return 1, true
+			return 1
 		case verilog.BinShl, verilog.BinShr, verilog.BinAShr:
 			return c.staticWidth(x.X)
 		}
-		a, ok1 := c.staticWidth(x.X)
-		b, ok2 := c.staticWidth(x.Y)
-		return max(a, b), ok1 && ok2
+		return max(c.staticWidth(x.X), c.staticWidth(x.Y))
 	case *verilog.Ternary:
-		a, ok1 := c.staticWidth(x.X)
-		b, ok2 := c.staticWidth(x.Y)
-		return max(a, b), ok1 && ok2
+		return max(c.staticWidth(x.X), c.staticWidth(x.Y))
 	case *verilog.Index:
-		return 1, true
+		return 1
 	case *verilog.Slice:
-		hi, ok1 := c.constEval(x.Hi)
-		lo, ok2 := c.constEval(x.Lo)
-		if ok1 && ok2 && hi >= lo {
-			return int(hi-lo) + 1, true
-		}
-		return 1, false
+		hi, lo := c.bounds(x)
+		return int(hi-lo) + 1
 	case *verilog.Concat:
 		w := 0
 		for _, el := range x.Elems {
-			ew, ok := c.staticWidth(el)
-			if !ok {
-				return 1, false
-			}
-			w += ew
+			w += c.staticWidth(el)
 		}
-		return w, true
+		return w
 	case *verilog.Repl:
-		n, ok := c.constEval(x.Count)
-		if !ok {
-			return 1, false
-		}
-		ew, ok2 := c.staticWidth(x.Elem)
-		return int(n) * ew, ok2
+		return int(c.constant(x.Count)) * c.staticWidth(x.Elem)
 	case *verilog.Call:
 		switch x.Name {
 		case "$rose", "$fell", "$stable", "$changed", "$onehot", "$onehot0", "$isunknown":
-			return 1, true
+			return 1
 		case "$countones":
-			return 32, true
+			return 32
 		}
 		if len(x.Args) > 0 {
 			return c.staticWidth(x.Args[0])
 		}
-		return 32, true
+		return 32
 	}
-	return 32, false
-}
-
-// operandWidth is the widest static width among operands whose value an
-// operator masks; every one of them must have a static width.
-func (c *planCompiler) operandWidth(operands ...verilog.Expr) (int, error) {
-	w := 0
-	for _, e := range operands {
-		ew, ok := c.staticWidth(e)
-		if !ok {
-			return 0, errUnplannable{"dynamic operand width"}
-		}
-		w = max(w, ew)
-	}
-	return w, nil
+	panic(unplannable(e, "expression %T has no width", e))
 }
 
 // ---------------------------------------------------------------------------
 // Statements and assignment targets
 // ---------------------------------------------------------------------------
 
-func (f *lowerer[E, S, T]) stmt(s verilog.Stmt, seq bool) (S, error) {
-	var zero S
+func (f *lowerer[E, S, T]) stmt(s verilog.Stmt, seq bool) S {
 	switch x := s.(type) {
 	case nil:
-		return f.em.nop(), nil
+		return f.em.nop()
 	case *verilog.Block:
 		body := make([]S, 0, len(x.Stmts))
 		for _, sub := range x.Stmts {
-			fn, err := f.stmt(sub, seq)
-			if err != nil {
-				return zero, err
-			}
-			body = append(body, fn)
+			body = append(body, f.stmt(sub, seq))
 		}
-		return f.em.block(body), nil
+		return f.em.block(body)
 	case *verilog.Blocking:
 		mode := wComb
 		if seq {
@@ -377,121 +331,68 @@ func (f *lowerer[E, S, T]) stmt(s verilog.Stmt, seq bool) (S, error) {
 		}
 		return f.assign(x.LHS, x.RHS, mode)
 	case *verilog.If:
-		cond, err := f.expr(x.Cond)
-		if err != nil {
-			return zero, err
-		}
-		then, err := f.stmt(x.Then, seq)
-		if err != nil {
-			return zero, err
-		}
+		cond, then := f.expr(x.Cond), f.stmt(x.Then, seq)
 		var els S
 		if x.Else != nil {
-			if els, err = f.stmt(x.Else, seq); err != nil {
-				return zero, err
-			}
+			els = f.stmt(x.Else, seq)
 		}
-		return f.em.ifStmt(cond, then, els), nil
+		return f.em.ifStmt(cond, then, els)
 	case *verilog.Case:
-		subj, err := f.expr(x.Subject)
-		if err != nil {
-			return zero, err
-		}
+		subj := f.expr(x.Subject)
 		arms := make([]caseArm[E, S], 0, len(x.Items))
 		var deflt S
 		for _, item := range x.Items {
-			body, err := f.stmt(item.Body, seq)
-			if err != nil {
-				return zero, err
-			}
+			body := f.stmt(item.Body, seq)
 			if item.Exprs == nil {
 				deflt = body
 				continue
 			}
 			labels := make([]E, 0, len(item.Exprs))
 			for _, le := range item.Exprs {
-				lf, err := f.expr(le)
-				if err != nil {
-					return zero, err
-				}
-				labels = append(labels, lf)
+				labels = append(labels, f.expr(le))
 			}
 			arms = append(arms, caseArm[E, S]{labels: labels, body: body})
 		}
-		return f.em.caseStmt(subj, arms, deflt), nil
+		return f.em.caseStmt(subj, arms, deflt)
 	}
-	return zero, errUnplannable{fmt.Sprintf("statement %T", s)}
+	panic(unplannable(nil, "statement %T", s))
 }
 
 // assign lowers an assignment's RHS and, unless the emitter packs the RHS
 // into the whole signal the target names (sig, else nil), its target.
-func (f *lowerer[E, S, T]) assign(lhs, rhs verilog.Expr, mode writeMode) (S, error) {
-	var zero S
-	r, err := f.expr(rhs)
-	if err != nil {
-		return zero, err
-	}
+func (f *lowerer[E, S, T]) assign(lhs, rhs verilog.Expr, mode writeMode) S {
+	r := f.expr(rhs)
 	var sig *compile.Signal
 	if id, ok := lhs.(*verilog.Ident); ok {
 		sig = f.d.Signals[id.Name]
 	}
 	var store T
 	if !f.em.packs(r, sig) {
-		if store, err = f.store(lhs, mode); err != nil {
-			return zero, err
-		}
+		store = f.store(lhs, mode)
 	}
-	return f.em.assign(r, mode, sig, store), nil
+	return f.em.assign(r, mode, sig, store)
 }
 
 // store lowers an assignment target. The store receives the unmasked RHS
 // value and applies the mode's write discipline.
-func (f *lowerer[E, S, T]) store(lhs verilog.Expr, mode writeMode) (T, error) {
-	var zero T
+func (f *lowerer[E, S, T]) store(lhs verilog.Expr, mode writeMode) T {
 	switch x := lhs.(type) {
 	case *verilog.Ident:
-		sig, err := f.targetSignal(x)
-		if err != nil {
-			return zero, err
-		}
-		return f.em.store(sig, mode), nil
+		return f.em.store(f.targetSignal(x), mode)
 	case *verilog.Index:
-		sig, err := f.targetSignal(x.X)
-		if err != nil {
-			return zero, err
-		}
-		idx, err := f.expr(x.Idx)
-		if err != nil {
-			return zero, err
-		}
-		return f.em.storeIndex(sig, idx, mode, f.em.store(sig, mode)), nil
+		sig := f.targetSignal(x.X)
+		return f.em.storeIndex(sig, f.expr(x.Idx), mode, f.em.store(sig, mode))
 	case *verilog.Slice:
-		sig, err := f.targetSignal(x.X)
-		if err != nil {
-			return zero, err
-		}
-		hi, hx, ok1 := f.constant(x.Hi)
-		lo, lx, ok2 := f.constant(x.Lo)
-		switch {
-		case !ok1 || !ok2:
-			return zero, errUnplannable{"dynamic slice bounds in assignment target"}
-		case hx || lx:
-			return f.em.storeConcat(nil, nil, nil), nil
-		case lo > hi:
-			return zero, errUnplannable{"invalid slice target"}
-		}
+		sig := f.targetSignal(x.X)
+		hi, lo := f.bounds(x)
 		sm := maskFor(int(hi-lo)+1) << lo
-		return f.em.storeSlice(sig, uint(lo), sm, mode, f.em.store(sig, mode)), nil
+		return f.em.storeSlice(sig, uint(lo), sm, mode, f.em.store(sig, mode))
 	case *verilog.Concat:
 		total := 0
 		widths := make([]int, len(x.Elems))
 		for i, el := range x.Elems {
-			w, ok := f.staticWidth(el)
-			if !ok {
-				return zero, errUnplannable{"dynamic width in concat assignment target"}
-			}
-			widths[i] = w
-			total += w
+			widths[i] = f.staticWidth(el)
+			total += widths[i]
 		}
 		parts := make([]T, len(x.Elems))
 		shifts := make([]uint, len(x.Elems))
@@ -499,202 +400,105 @@ func (f *lowerer[E, S, T]) store(lhs verilog.Expr, mode writeMode) (T, error) {
 		shift := total
 		for i, el := range x.Elems {
 			shift -= widths[i]
-			st, err := f.store(el, mode)
-			if err != nil {
-				return zero, err
-			}
-			parts[i], shifts[i], masks[i] = st, uint(shift), maskFor(widths[i])
+			parts[i], shifts[i], masks[i] = f.store(el, mode), uint(shift), maskFor(widths[i])
 		}
-		return f.em.storeConcat(parts, shifts, masks), nil
+		return f.em.storeConcat(parts, shifts, masks)
 	}
-	return zero, errUnplannable{fmt.Sprintf("assignment target %T", lhs)}
+	panic(unplannable(lhs, "assignment target %T", lhs))
 }
 
 // targetSignal resolves the signal a whole, bit or part-select target
 // writes.
-func (f *lowerer[E, S, T]) targetSignal(x verilog.Expr) (*compile.Signal, error) {
-	id, ok := x.(*verilog.Ident)
-	if !ok {
-		return nil, errUnplannable{"unsupported assignment target"}
+func (f *lowerer[E, S, T]) targetSignal(x verilog.Expr) *compile.Signal {
+	if id, ok := x.(*verilog.Ident); ok && f.d.Signals[id.Name] != nil {
+		return f.d.Signals[id.Name]
 	}
-	sig := f.d.Signals[id.Name]
-	if sig == nil {
-		return nil, errUnplannable{"assignment to unknown signal " + id.Name}
-	}
-	return sig, nil
+	panic(unplannable(x, "assignment to %s, which is not a signal", verilog.ExprString(x)))
 }
 
 // ---------------------------------------------------------------------------
 // Expressions
 // ---------------------------------------------------------------------------
 
-func (f *lowerer[E, S, T]) expr(e verilog.Expr) (E, error) {
-	var zero E
+func (f *lowerer[E, S, T]) expr(e verilog.Expr) E {
 	switch x := e.(type) {
 	case *verilog.Number:
-		return f.em.number(x), nil
+		return f.em.number(x)
 	case *verilog.Ident:
 		if sig := f.d.Signals[x.Name]; sig != nil {
-			return f.em.signal(sig), nil
+			return f.em.signal(sig)
 		}
 		if v, ok := f.d.Params[x.Name]; ok {
-			return f.em.param(v), nil
+			return f.em.param(v)
 		}
-		return zero, errUnplannable{"unknown signal " + x.Name}
 	case *verilog.Unary:
-		a, err := f.expr(x.X)
-		if err != nil {
-			return zero, err
+		if fn, ok := f.em.unary(x.Op, f.expr(x.X), maskFor(f.staticWidth(x.X))); ok {
+			return fn
 		}
-		w, err := f.operandWidth(x.X)
-		if err != nil {
-			return zero, err
-		}
-		if fn, ok := f.em.unary(x.Op, a, maskFor(w)); ok {
-			return fn, nil
-		}
-		return zero, errUnplannable{"unary operator " + x.Op.String()}
 	case *verilog.Binary:
-		a, err := f.expr(x.X)
-		if err != nil {
-			return zero, err
-		}
-		b, err := f.expr(x.Y)
-		if err != nil {
-			return zero, err
-		}
+		a, b := f.expr(x.X), f.expr(x.Y)
 		var w int
 		switch x.Op {
 		case verilog.BinXnor:
-			w, err = f.operandWidth(x.X, x.Y)
+			w = max(f.staticWidth(x.X), f.staticWidth(x.Y))
 		case verilog.BinAShr:
-			w, err = f.operandWidth(x.X)
-		}
-		if err != nil {
-			return zero, err
+			w = f.staticWidth(x.X)
 		}
 		if fn, ok := f.em.binary(x.Op, a, b, w); ok {
-			return fn, nil
+			return fn
 		}
-		return zero, errUnplannable{"binary operator " + x.Op.String()}
 	case *verilog.Ternary:
-		cond, err := f.expr(x.Cond)
-		if err != nil {
-			return zero, err
-		}
-		a, err := f.expr(x.X)
-		if err != nil {
-			return zero, err
-		}
-		b, err := f.expr(x.Y)
-		if err != nil {
-			return zero, err
-		}
-		return f.em.ternary(cond, a, b), nil
+		cond, a, b := f.expr(x.Cond), f.expr(x.X), f.expr(x.Y)
+		return f.em.ternary(cond, a, b)
 	case *verilog.Index:
-		a, err := f.expr(x.X)
-		if err != nil {
-			return zero, err
-		}
-		idx, err := f.expr(x.Idx)
-		if err != nil {
-			return zero, err
-		}
-		return f.em.index(a, idx), nil
+		a, idx := f.expr(x.X), f.expr(x.Idx)
+		return f.em.index(a, idx)
 	case *verilog.Slice:
-		a, err := f.expr(x.X)
-		if err != nil {
-			return zero, err
+		a := f.expr(x.X)
+		hi, lo := f.bounds(x)
+		if lo >= 64 {
+			return f.em.fail(evalErrf(x.Pos, "invalid slice [%d:%d]", hi, lo))
 		}
-		hi, hx, ok1 := f.constant(x.Hi)
-		lo, lx, ok2 := f.constant(x.Lo)
-		switch {
-		case !ok1 || !ok2:
-			return zero, errUnplannable{"dynamic slice bounds"}
-		case hx || lx:
-			return f.em.unknown(a), nil
-		case lo > hi || lo >= 64:
-			return f.em.fail(evalErrf(x.Pos, "invalid slice [%d:%d]", hi, lo)), nil
-		}
-		return f.em.slice(a, uint(lo), maskFor(int(hi-lo)+1)), nil
+		return f.em.slice(a, uint(lo), maskFor(int(hi-lo)+1))
 	case *verilog.Concat:
 		elems := make([]E, len(x.Elems))
 		widths := make([]uint, len(x.Elems))
 		masks := make([]uint64, len(x.Elems))
 		for i, el := range x.Elems {
-			w, ok := f.staticWidth(el)
-			if !ok {
-				return zero, errUnplannable{"dynamic width in concat"}
-			}
-			fn, err := f.expr(el)
-			if err != nil {
-				return zero, err
-			}
-			elems[i], widths[i], masks[i] = fn, uint(w), maskFor(w)
+			w := f.staticWidth(el)
+			elems[i], widths[i], masks[i] = f.expr(el), uint(w), maskFor(w)
 		}
-		return f.em.concat(elems, widths, masks), nil
+		return f.em.concat(elems, widths, masks)
 	case *verilog.Repl:
-		n, unk, ok := f.constant(x.Count)
-		if !ok || unk {
-			return zero, errUnplannable{"dynamic replication count"}
-		}
-		w, ok := f.staticWidth(x.Elem)
-		if !ok {
-			return zero, errUnplannable{"dynamic width in replication"}
-		}
-		fn, err := f.expr(x.Elem)
-		if err != nil {
-			return zero, err
-		}
+		n, w := f.constant(x.Count), f.staticWidth(x.Elem)
 		// At most 64 repetitions, matching the interpreter's i < 64 bound.
-		return f.em.repl(fn, int(min(n, 64)), uint(w), maskFor(w)), nil
+		return f.em.repl(f.expr(x.Elem), int(min(n, 64)), uint(w), maskFor(w))
 	case *verilog.Call:
 		return f.call(x)
 	}
-	return zero, errUnplannable{fmt.Sprintf("expression %T", e)}
+	panic(unplannable(e, "expression %T does not lower", e))
 }
 
-func (f *lowerer[E, S, T]) call(x *verilog.Call) (E, error) {
-	var zero E
+func (f *lowerer[E, S, T]) call(x *verilog.Call) E {
 	if len(x.Args) == 0 {
-		return zero, errUnplannable{x.Name + " without arguments"}
+		panic(unplannable(x, "%s without arguments", x.Name))
 	}
 	arg := x.Args[0]
 	switch x.Name {
 	case "$signed", "$unsigned":
 		return f.expr(arg)
 	case "$countones", "$onehot", "$onehot0", "$isunknown":
-		a, err := f.expr(arg)
-		if err != nil {
-			return zero, err
-		}
-		w, err := f.operandWidth(arg)
-		if err != nil {
-			return zero, err
-		}
-		return f.em.reduce(x.Name, a, maskFor(w)), nil
+		return f.em.reduce(x.Name, f.expr(arg), maskFor(f.staticWidth(arg)))
 	case "$past":
-		a, err := f.expr(arg)
-		if err != nil {
-			return zero, err
-		}
-		n := uint64(1)
+		a, n := f.expr(arg), uint64(1)
 		if len(x.Args) > 1 {
-			var unk, ok bool
-			if n, unk, ok = f.constant(x.Args[1]); !ok || unk {
-				return zero, errUnplannable{"non-constant $past depth"}
-			}
-			if n == 0 || n > maxPastDepth {
-				return f.em.fail(evalErrf(x.Pos, "$past depth %d out of range [1, %d]", n, uint64(maxPastDepth))), nil
+			if n = f.constant(x.Args[1]); n == 0 || n > maxPastDepth {
+				panic(unplannable(x, "$past depth %d out of range [1, %d]", n, uint64(maxPastDepth)))
 			}
 		}
-		return f.em.past(x.Pos, a, n), nil
+		return f.em.past(x.Pos, a, n)
 	case "$rose", "$fell", "$stable", "$changed":
-		a, err := f.expr(arg)
-		if err != nil {
-			return zero, err
-		}
-		return f.em.sampled(x.Pos, x.Name, a), nil
+		return f.em.sampled(x.Pos, x.Name, f.expr(arg))
 	}
-	return zero, errUnplannable{"system function " + x.Name}
+	panic(unplannable(x, "system function %s", x.Name))
 }

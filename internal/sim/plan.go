@@ -79,13 +79,27 @@ type stmtFn func(m *mach)
 type stmtVFn func(m *mach, v, u uint64)
 
 // PlanOf returns the design's compiled execution plan, building and caching
-// it on first use. Every design internal/compile accepts has one, in both
+// it on first use. internal/compile alone decides what a design may hold
+// and folds its constants, so every design it accepts has a plan in both
 // value domains; PlanOf returns nil only for a design whose AST was
 // changed after elaboration into something the planner cannot lower.
 func PlanOf(d *compile.Design) *Plan {
-	v := d.CachedPlan(func() any { return buildPlan(d) })
-	p, _ := v.(*Plan)
+	p, _ := planOf(d)
 	return p
+}
+
+// planOf is PlanOf with the error the design's lowering stopped at.
+func planOf(d *compile.Design) (*Plan, error) {
+	v := d.CachedPlan(func() any {
+		p, err := buildPlan(d)
+		if err != nil {
+			return err
+		}
+		return p
+	})
+	p, _ := v.(*Plan)
+	err, _ := v.(error)
+	return p, err
 }
 
 // mach is the mutable execution state for one simulation run or one trace
@@ -374,7 +388,7 @@ func (p *Plan) lowering(mode Mode) *lowered[evalFn, stmtFn] {
 // Plan construction
 // ---------------------------------------------------------------------------
 
-func buildPlan(d *compile.Design) *Plan {
+func buildPlan(d *compile.Design) (*Plan, error) {
 	p := &Plan{design: d, nslots: d.SlotCount()}
 	p.masks = make([]uint64, p.nslots)
 	p.initRow = make([]uint64, p.nslots)
@@ -390,12 +404,12 @@ func buildPlan(d *compile.Design) *Plan {
 	if d.MultiClock() {
 		p.seqDomain = d.DomainOf
 	}
-	l, ok := lower(d, planEmitters[TwoState], false)
-	if !ok {
-		return nil
+	l, err := lower(d, planEmitters[TwoState])
+	if err != nil {
+		return nil, err
 	}
 	p.lowered = l
-	return p
+	return p, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -600,13 +614,6 @@ func (*planCore) fail(err error) evalFn {
 	return func(m *mach) (uint64, uint64) {
 		m.fail(err)
 		return 0, 0
-	}
-}
-
-func (*planCore) unknown(fn evalFn) evalFn {
-	return func(m *mach) (uint64, uint64) {
-		fn(m)
-		return allX.planes()
 	}
 }
 

@@ -29,11 +29,11 @@ type plan4 struct {
 // fourState returns the plan's four-state lowering, building it on first
 // use; nil when some construct could not be lowered (see lowering).
 func (p *Plan) fourState() *plan4 {
-	p.once4.Do(func() { p.p4 = buildPlan4(p) })
+	p.once4.Do(func() { p.p4, _ = buildPlan4(p) })
 	return p.p4
 }
 
-func buildPlan4(p *Plan) *plan4 {
+func buildPlan4(p *Plan) (*plan4, error) {
 	d := p.design
 	p4 := &plan4{initUnk: make([]uint64, p.nslots)}
 	for _, name := range d.Order {
@@ -45,12 +45,12 @@ func buildPlan4(p *Plan) *plan4 {
 			p4.initUnk[sig.Slot] = d.RegInitX[name] & sig.Mask()
 		}
 	}
-	l, ok := lower(d, planEmitters[FourState], true)
-	if !ok {
-		return nil
+	l, err := lower(d, planEmitters[FourState])
+	if err != nil {
+		return nil, err
 	}
 	p4.lowered = l
-	return p4
+	return p4, nil
 }
 
 // v4 evaluates fn as a V4, for the shared operator semantics.

@@ -84,9 +84,11 @@ func TestPlannabilityTable(t *testing.T) {
     always @(posedge clk) q[P^1:2] <= v;
     ap: assert property (@(posedge clk) y == $past(v, P>>1));`, want: acceptAll},
 		{name: "x-bearing slice bound", body: `
-    assign y = v[2'b1x:0];`, want: acceptAll},
+    assign y = v[2'b1x:0];`,
+			diag: "11:18: error: part-select bound has x/z bits\n"},
 		{name: "x-bearing slice bound in assignment target", body: `
-    always @(posedge clk) q[2'b1x:0] <= v;`, want: acceptAll},
+    always @(posedge clk) q[2'b1x:0] <= v;`,
+			diag: "11:29: error: part-select bound has x/z bits\n"},
 
 		// Assignment targets.
 		{name: "assignment to unknown signal", body: `
@@ -122,6 +124,12 @@ func TestPlannabilityTable(t *testing.T) {
 		{name: "invalid slice target", body: `
     always @(posedge clk) q[0:3] <= v;`,
 			diag: "11:28: error: reversed part-select [0:3]\n"},
+		{name: "slice target bound shifted by 64", body: `
+    always @(posedge clk) q[1 << 64 : 1] <= v;`,
+			diag: "11:28: error: reversed part-select [0:1]\n"},
+		{name: "slice target bound inverted in 32 bits", body: `
+    always @(posedge clk) q[~0 : 4294967296] <= v;`,
+			diag: "11:28: error: reversed part-select [4294967295:4294967296]\n"},
 		{name: "dynamic width in concat assignment target", body: `
     always @(posedge clk) {q[0:3], b} <= v;`,
 			diag: "11:29: error: reversed part-select [0:3]\n"},
@@ -150,6 +158,13 @@ func TestPlannabilityTable(t *testing.T) {
 		{name: "reversed constant slice read", body: `
     assign y = v[0:3];`,
 			diag: "11:17: error: reversed part-select [0:3]\n"},
+		{name: "slice bound dividing by zero", body: `
+    assign y = v[8/0:0];`,
+			diag: "11:19: error: part-select bound divides by zero\n"},
+		{name: "slice bound that does not fold", body: `
+    localparam P = 6;
+    assign y = v[{P}:0];`,
+			diag: "12:18: error: part-select bound does not fold to a constant\n"},
 		{name: "dynamic width in concat", body: `
     assign y = {v[0:3], a};`,
 			diag: "11:18: error: reversed part-select [0:3]\n"},
@@ -196,6 +211,11 @@ func TestPlannabilityTable(t *testing.T) {
     assign y = v;
     ap: assert property (@(posedge clk) y == $past(v, 2'b0x));`,
 			diag: "12:55: error: $past depth has x/z bits\n"},
+		{name: "$past depth dividing by zero", body: `
+    localparam W = 2;
+    assign y = v;
+    ap: assert property (@(posedge clk) y == $past(v, W/0));`,
+			diag: "13:56: error: $past depth divides by zero\n"},
 		{name: "out-of-range constant $past depth", body: `
     assign y = v;
     ap: assert property (@(posedge clk) y == $past(v, 0));`,

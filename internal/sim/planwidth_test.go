@@ -17,9 +17,10 @@ import (
 
 // TestStaticWidthAgreesWithExprWidth pins the planner's compile-time width
 // oracle to the interpreter's ExprWidth over every expression of every
-// corpus design: whenever staticWidth claims a width is decidable, it must
-// be the width the interpreter computes at runtime. Drift between the two
-// would silently diverge the compiled and interpretive backends' masking.
+// corpus design: every width staticWidth computes, with the constants
+// internal/compile folded, must be the width the interpreter computes at
+// runtime. Drift between the two would silently diverge the compiled and
+// interpretive backends' masking.
 func TestStaticWidthAgreesWithExprWidth(t *testing.T) {
 	for _, bp := range corpus.Catalog() {
 		d, diags, err := compile.Compile(bp.Source())
@@ -34,11 +35,7 @@ func TestStaticWidthAgreesWithExprWidth(t *testing.T) {
 		c := &planCompiler{d: d}
 		check := func(e verilog.Expr) {
 			verilog.WalkExpr(e, func(sub verilog.Expr) {
-				w, ok := c.staticWidth(sub)
-				if !ok {
-					return
-				}
-				if got := ExprWidth(sub, env); got != w {
+				if w, got := c.staticWidth(sub), ExprWidth(sub, env); got != w {
 					t.Errorf("%s: staticWidth(%s)=%d but ExprWidth=%d",
 						bp.Name(), verilog.ExprString(sub), w, got)
 				}
@@ -115,9 +112,12 @@ func TestPlanBuildLinearInDepth(t *testing.T) {
 	}
 	build := func(d *compile.Design) time.Duration {
 		start := time.Now()
-		p := buildPlan(d)
-		if p == nil || buildPlan4(p) == nil {
-			t.Fatal("deep design did not lower")
+		p, err := buildPlan(d)
+		if err == nil {
+			_, err = buildPlan4(p)
+		}
+		if err != nil {
+			t.Fatal(err)
 		}
 		return time.Since(start)
 	}
@@ -180,9 +180,12 @@ func TestPlanBuildAllocs(t *testing.T) {
 		{"two-clock", twoClockSrc, cost{24, 824}, cost{23, 664}},
 	} {
 		d := mustCompile(t, tc.src)
-		p := buildPlan(d)
-		if p == nil || buildPlan4(p) == nil {
-			t.Fatalf("%s did not lower", tc.name)
+		p, err := buildPlan(d)
+		if err == nil {
+			_, err = buildPlan4(p)
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
 		}
 		for _, got := range []struct {
 			domain    string

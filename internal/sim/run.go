@@ -87,11 +87,13 @@ func RunVecCtx(ctx context.Context, d *compile.Design, stim VecStimulus, mode Mo
 // The trace Run returns is the runner's own and the next Run overwrites it,
 // unless Detach hands it to the caller first. A design with no lowering in
 // the runner's value domain, which internal/compile never produces, fails
-// every run. A VecRunner is not safe for concurrent use.
+// every run with the error its lowering stopped at. A VecRunner is not
+// safe for concurrent use.
 type VecRunner struct {
 	d      *compile.Design
 	mode   Mode
-	p      *Plan // nil: the design has no lowering in mode
+	p      *Plan
+	err    error // why the design has no lowering in mode; p is nil
 	r      planRun
 	inputs []*compile.Signal // the input list r.slots was resolved from
 }
@@ -99,7 +101,13 @@ type VecRunner struct {
 // NewVecRunner returns run state for simulating d in mode.
 func NewVecRunner(d *compile.Design, mode Mode) *VecRunner {
 	v := &VecRunner{d: d, mode: mode}
-	if p := PlanOf(d); p != nil && p.lowering(mode) != nil {
+	p, err := planOf(d)
+	if err == nil && p.lowering(mode) == nil {
+		_, err = buildPlan4(p) // rebuilt for its error, off every path compile lets a design reach
+	}
+	if err != nil {
+		v.err = fmt.Errorf("sim: design has no %v execution plan: %w", mode, err)
+	} else {
 		v.p = p
 	}
 	return v
@@ -110,8 +118,8 @@ func NewVecRunner(d *compile.Design, mode Mode) *VecRunner {
 // input, or a column that is not an input of the design, is an error
 // before the first cycle, as on the reference interpreter.
 func (v *VecRunner) Run(ctx context.Context, stim VecStimulus) (*Trace, error) {
-	if v.p == nil {
-		return nil, fmt.Errorf("sim: design has no %v execution plan", v.mode)
+	if v.err != nil {
+		return nil, v.err
 	}
 	if err := stim.checkShape(); err != nil {
 		return nil, err

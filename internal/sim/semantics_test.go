@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -256,8 +257,10 @@ func setPastDepth(d *compile.Design, n uint64) {
 	}
 }
 
-// An out-of-range $past depth is a compile error. The compiled plan still
-// validates one it is handed, like the interpreter, in both value domains.
+// An out-of-range $past depth is a compile error. The planner refuses one
+// it is handed in a design changed after elaboration: the design has no
+// plan in either value domain, and a run reports the depth with its
+// position.
 func TestPastDepthValidatedCompiled(t *testing.T) {
 	src := `
 module pd (
@@ -274,29 +277,24 @@ endmodule
 	}
 	d := mustCompile(t, strings.Replace(src, "$past(y, 0)", "$past(y, 1)", 1))
 	setPastDepth(d, 0)
-	term := d.Asserts[0].Seq.Consequent[0].Expr
+	if PlanOf(d) != nil {
+		t.Fatal("a design with $past depth 0 has a plan")
+	}
 	for _, mode := range []Mode{TwoState, FourState} {
-		tr, err := RunVecCtx(context.Background(), d, vec(d, "x", [][]uint64{{1}, {2}}), mode)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, compiled := tr.plan.lowering(mode).sva[term]; !compiled {
-			t.Fatalf("mode %v: the assertion term has no compiled closure", mode)
-		}
-		fn := tr.CompileExpr4(term)
-		var evalErr *EvalError
-		if _, err := fn(1); err == nil || !errors.As(err, &evalErr) {
-			t.Errorf("mode %v: compiled $past(y, 0): want EvalError, got %v", mode, err)
+		_, err := RunVecCtx(context.Background(), d, vec(d, "x", [][]uint64{{1}, {2}}), mode)
+		want := fmt.Sprintf("sim: design has no %v execution plan: sim: unplannable design: 8:46: $past depth 0 out of range [1, 2147483647]", mode)
+		if err == nil || err.Error() != want {
+			t.Errorf("mode %v: run error %v, want %q", mode, err, want)
 		}
 	}
 }
 
 // A bad $past in design logic reports the reference interpreter's error on
 // the compiled plan too, in both value domains. A depth that is zero or
-// names a signal is a compile error; a zero depth handed to both engines is
-// out of range on both, ahead of the sampled context, and a valid depth is
-// outside sampled context on both. A verdict's log carries this text, so it
-// must not depend on the engine that ran.
+// names a signal is a compile error; a zero depth handed to both engines
+// stops the plan's lowering with the interpreter's error text, and a valid
+// depth is outside sampled context on both. A verdict's log carries this
+// text, so it must not depend on the engine that ran.
 func TestPastInDesignLogicErrorMatchesReference(t *testing.T) {
 	const src = `
 module pastlogic (
@@ -328,8 +326,15 @@ endmodule
 		for _, mode := range []Mode{TwoState, FourState} {
 			_, err := RunVecCtx(context.Background(), d, stim, mode)
 			_, ref := RunReferenceCtx(context.Background(), design(), stim, mode)
-			if err == nil || ref == nil || err.Error() != ref.Error() {
-				t.Errorf("zero depth %v, mode %v: plan error %v, reference error %v", zero, mode, err, ref)
+			if ref == nil {
+				t.Fatalf("zero depth %v, mode %v: the reference interpreter ran", zero, mode)
+			}
+			want := ref.Error()
+			if zero {
+				want = fmt.Sprintf("sim: design has no %v execution plan: sim: unplannable design: %s", mode, want)
+			}
+			if err == nil || err.Error() != want {
+				t.Errorf("zero depth %v, mode %v: plan error %v, want %q", zero, mode, err, want)
 			}
 		}
 	}

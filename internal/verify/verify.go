@@ -34,8 +34,8 @@
 //     the same pooled computation without the cache, for one-shot checks
 //     (a dataset build's mutants) whose verdicts nothing asks for again.
 //   - Front end: cmd/serve exposes the Service over HTTP/JSON with
-//     admission control, per-client rate limits and lane-batched
-//     stimulus checks.
+//     admission control, per-client rate limits and stimulus checks, each
+//     run on its own scalar checker.
 //
 // The Service also keeps the two properties the original in-process cache
 // had: a content-addressed key (hash of source, candidate assertion set
@@ -301,7 +301,7 @@ func run(ctx context.Context, src string, assertions []verilog.Item, opts Option
 	}
 	// Warm the simulator's compiled execution plan while we hold a worker
 	// slot. The plan lives on the design, so a compile-only design (cached
-	// for cmd/serve's /stimulus batching, or a golden fed to formal.Differ)
+	// for cmd/serve's /stimulus checks, or a golden fed to formal.Differ)
 	// is ready to run instead of rebuilding the plan on first simulation.
 	sim.PlanOf(d)
 	if opts.CompileOnly {
