@@ -293,8 +293,10 @@ func (s *shardSink) Sample(sm dataset.SVASample) error {
 // combined sample shards into sva_bug and sva_eval_machine, so no
 // dataset is ever materialised in memory. On any error every shard
 // written so far is removed — a partial shard set is indistinguishable
-// from a complete one to dataset.Load, so it must not survive.
+// from a complete one to dataset.Load, so it must not survive. A shard
+// count below 1 writes, and reports, one shard per dataset.
 func runSharded(cfg augment.Config, outDir string, shards int, format string) (err error) {
+	shards = max(shards, 1)
 	if err := os.MkdirAll(outDir, 0o755); err != nil {
 		return err
 	}

@@ -44,6 +44,33 @@ func TestRunShardedBrokenGoldenLeavesNoShards(t *testing.T) {
 	}
 }
 
+// TestRunShardedZeroShards: -shards 0 writes one shard per dataset, and
+// the closing message reports the shard count the files have.
+func TestRunShardedZeroShards(t *testing.T) {
+	src := corpus.FuncSource("zero", func() []*corpus.Blueprint {
+		return []*corpus.Blueprint{corpus.Counter(3, 5), corpus.Parity(6)}
+	})
+	for _, format := range []string{"jsonl", "bin"} {
+		t.Run(format, func(t *testing.T) {
+			dir := t.TempDir()
+			cfg := augment.Config{Seed: 5, MutationsPerDesign: 2, RandomRuns: 6, Source: src}
+			out := captureStdout(t, func() error { return runSharded(cfg, dir, 0, format) })
+			if !strings.Contains(out, "(1 shards each)") {
+				t.Errorf("output does not report one shard per dataset:\n%s", out)
+			}
+			for _, base := range []string{"verilog_pt", "verilog_bug", "sva_bug", "sva_eval_machine", "sva_eval_human"} {
+				paths, err := dataset.ShardPaths(dir, base)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(paths) != 1 {
+					t.Errorf("%s: %d shard files %v, want 1", base, len(paths), paths)
+				}
+			}
+		})
+	}
+}
+
 // TestModesSplitIdentically: the json, bin and -stats modes split one
 // corpus into the same train and eval module sets and print the same
 // dataset sizes and Table II counts. The -stats mode writes no dataset,

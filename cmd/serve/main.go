@@ -46,6 +46,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"net/http"
@@ -318,13 +319,20 @@ func (s *server) handleCheck(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, checkResponse{Record: v.Record, Cached: v.Cached && !req.RecordOnly})
 }
 
-// decodeBody decodes the JSON request body into v, reading at most
-// maxBodyBytes. It answers 413 for a larger body and 400 for malformed
-// JSON, and reports whether v was decoded.
+// decodeBody decodes the JSON request body, one JSON value and nothing
+// after it but whitespace, into v, reading at most maxBodyBytes. It answers
+// 413 for a larger body and 400 for malformed JSON or anything after the
+// value, and reports whether v was decoded.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	err := dec.Decode(v)
 	if err == nil {
-		return true
+		if _, err = dec.Token(); err == io.EOF {
+			return true
+		}
+		if err == nil {
+			err = errors.New("request body holds more than one JSON value")
+		}
 	}
 	status := http.StatusBadRequest
 	var tooBig *http.MaxBytesError

@@ -713,6 +713,40 @@ func TestServeBodyLimitStimulus(t *testing.T) {
 	}
 }
 
+// TestServeTrailingBody: /check and /stimulus decode exactly one JSON
+// value; a body with anything but whitespace after it is refused with 400,
+// and trailing whitespace is accepted.
+func TestServeTrailingBody(t *testing.T) {
+	ts, _ := testServer(t, nil, serverConfig{})
+	src := corpus.EdgeDetect().Source()
+	for _, tc := range []struct {
+		path string
+		req  any
+	}{
+		{"/check", checkRequest{Source: src}},
+		{"/stimulus", stimulusRequest{Source: src, Rows: [][]uint64{{0}, {1}}}},
+	} {
+		body, err := json.Marshal(tc.req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, trail := range []struct {
+			text string
+			want int
+		}{
+			{" \n\t", http.StatusOK},
+			{" trailing junk", http.StatusBadRequest},
+			{`{"source":"x"}`, http.StatusBadRequest},
+			{"}", http.StatusBadRequest},
+			{" 5", http.StatusBadRequest},
+		} {
+			if code, reply := postRaw(t, ts.URL+tc.path, append(slices.Clip(body), trail.text...)); code != trail.want {
+				t.Errorf("%s with %q after the body: status %d (%s), want %d", tc.path, trail.text, code, reply, trail.want)
+			}
+		}
+	}
+}
+
 // TestServeStimulusDepthLimit sends /stimulus requests at the row cap,
 // which runs, and one row past it, which is refused with 422 before the
 // design is elaborated or simulated.

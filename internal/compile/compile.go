@@ -132,7 +132,7 @@ type Design struct {
 	// Order lists signal names deterministically: ports first in declaration
 	// order, then internal nets sorted by name.
 	Order      []string
-	Params     map[string]uint64
+	Params     Params
 	Assigns    []*verilog.AssignItem
 	CombAlways []*verilog.Always
 	SeqAlways  []*verilog.Always
@@ -729,7 +729,7 @@ func (e *elaborator) constant(x verilog.Expr, what string) (uint64, bool) {
 	switch {
 	case !ok:
 		e.errorf(x.Span(), "%s does not fold to a constant", what)
-	case f.div0:
+	case f.x&divZero != 0:
 		e.errorf(x.Span(), "%s divides by zero", what)
 	default:
 		return f.v, true

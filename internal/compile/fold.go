@@ -6,62 +6,104 @@ import (
 	"repro/internal/verilog"
 )
 
-// Fold folds a parameter-only constant expression over params. It is the
-// one constant folder of the repository: the elaborator and the flattener
-// fold parameter values, overrides, declaration ranges and initialisers
-// with it, the elaborator checks every part-select bound, replication
-// count and $past depth with it, and the simulator's planner and
-// internal/lint read those constants back through it.
+// Names resolves the names a constant expression reads. Lookup returns a
+// name's value and its self-determined width; ok is false for a name that
+// holds no constant value, whose width still counts where ?: skips it.
+type Names interface {
+	Lookup(name string) (v uint64, w int, ok bool)
+}
+
+// Params resolves parameters, each 32 bits wide, and nothing else.
+type Params map[string]uint64
+
+// Lookup implements Names.
+func (p Params) Lookup(name string) (uint64, int, bool) {
+	v, ok := p[name]
+	return v, 32, ok
+}
+
+// Fold folds a constant expression over names. It is the one constant
+// folder of the repository: the elaborator and the flattener fold
+// parameter values, overrides, declaration ranges and initialisers with
+// it, the elaborator checks every part-select bound, replication count and
+// $past depth with it, the simulator's planner and internal/lint read
+// those constants back through it, and internal/lint folds its
+// constant-signal and dead-branch proofs with it (see FoldKnown).
 //
 // Its arithmetic is the reference interpreter's two-state arithmetic
-// (sim.Eval): values are 64-bit; an unsized literal or a parameter is 32
-// bits wide, a sized literal its declared width; ~, unary - and + and the
-// reductions operate in their operand's self-determined width, ~^ in the
-// wider operand's and >>> sign-extends from its left operand's top bit; a
-// shift by 64 or more yields 0, division and modulus by zero yield 0;
-// && and || short-circuit and ?: folds only the branch it takes, so a name
-// they skip need not be a parameter (the branch ?: skips still gives its
-// width). ok is false when the expression names something that is not a
-// parameter, or holds anything but numbers, parameters and the unary,
-// binary and ternary operators.
-func Fold(expr verilog.Expr, params map[string]uint64) (v uint64, ok bool) {
-	f, ok := fold(expr, params)
+// (sim.Eval): values are 64-bit; an unsized literal is 32 bits wide, a
+// sized literal its declared width and a name the width names gives it;
+// ~, unary - and + and the reductions operate in their operand's
+// self-determined width, ~^ in the wider operand's and >>> sign-extends
+// from its left operand's top bit; a shift by 64 or more yields 0,
+// division and modulus by zero yield 0 and an x/z digit reads as 0; a
+// concatenation shifts each element in at its width, and a replication
+// repeats its element at most 64 times and is count times its element's
+// width wide; && and || short-circuit and ?: folds only the branch it
+// takes, so a name they skip need not have a value (the branch ?: skips
+// still gives its width). ok is false when the expression reads a name
+// without a value, or holds anything but numbers, names, concatenations,
+// replications and the unary, binary and ternary operators.
+func Fold(expr verilog.Expr, names Names) (v uint64, ok bool) {
+	f, ok := fold(expr, names)
 	return f.v, ok
+}
+
+// FoldKnown is Fold in both value domains at once: it declines a fold that
+// divided by zero or read an x/z digit, which is where the four-state
+// domain differs from the two-state one, so what it folds is one fully
+// known value in both.
+func FoldKnown(expr verilog.Expr, names Names) (uint64, bool) {
+	f, ok := fold(expr, names)
+	return f.v, ok && f.x == 0
 }
 
 // evalConst folds a parameter value, a parameter override, a declaration
 // range bound or a register initialiser: as Fold, except that a division
 // or modulus by zero, which is x in the four-state domain, does not fold.
-func evalConst(expr verilog.Expr, params map[string]uint64) (uint64, bool) {
+func evalConst(expr verilog.Expr, params Params) (uint64, bool) {
 	f, ok := fold(expr, params)
-	return f.v, ok && !f.div0
+	return f.v, ok && f.x&divZero == 0
 }
+
+// taint records what a fold met that makes its value x in the four-state
+// domain.
+type taint uint8
+
+const (
+	divZero taint = 1 << iota // a division or modulus by zero
+	xzDigit                   // a literal's x or z digit
+)
 
 // folded is one folded subexpression: its value, its self-determined width
-// and whether its evaluation divided by zero.
+// and what four-state taint its evaluation met.
 type folded struct {
-	v    uint64
-	w    int
-	div0 bool
+	v uint64
+	w int
+	x taint
 }
 
-// fold is Fold, keeping the result's width and whether it divided by zero.
-func fold(expr verilog.Expr, params map[string]uint64) (folded, bool) {
+// fold is Fold, keeping the result's width and taint.
+func fold(expr verilog.Expr, names Names) (folded, bool) {
 	switch x := expr.(type) {
 	case *verilog.Number:
-		w, _ := foldWidthOK(x)
-		return folded{v: x.Value, w: w}, true
+		w, _ := foldWidthOK(x, names)
+		out := folded{v: x.Value, w: w}
+		if x.Unknown() != 0 {
+			out.x = xzDigit
+		}
+		return out, true
 	case *verilog.Ident:
-		v, ok := params[x.Name]
-		return folded{v: v, w: 32}, ok
+		v, w, ok := names.Lookup(x.Name)
+		return folded{v: v, w: w}, ok
 	case *verilog.Unary:
-		a, ok := fold(x.X, params)
+		a, ok := fold(x.X, names)
 		if !ok {
 			return a, false
 		}
 		m := maskFor(a.w)
 		v := a.v & m
-		out := folded{w: unaryWidth(x.Op, a.w), div0: a.div0}
+		out := folded{w: unaryWidth(x.Op, a.w), x: a.x}
 		switch x.Op {
 		case verilog.UnaryLogicalNot:
 			out.v = boolVal(v == 0)
@@ -84,9 +126,9 @@ func fold(expr verilog.Expr, params map[string]uint64) (folded, bool) {
 		}
 		return out, true
 	case *verilog.Binary:
-		return foldBinary(x, params)
+		return foldBinary(x, names)
 	case *verilog.Ternary:
-		c, ok := fold(x.Cond, params)
+		c, ok := fold(x.Cond, names)
 		if !ok {
 			return c, false
 		}
@@ -94,33 +136,59 @@ func fold(expr verilog.Expr, params map[string]uint64) (folded, bool) {
 		if c.v == 0 {
 			taken, other = other, taken
 		}
-		t, ok := fold(taken, params)
+		t, ok := fold(taken, names)
 		if !ok {
 			return t, false
 		}
-		ow, ok := foldWidthOK(other)
-		return folded{v: t.v, w: max(t.w, ow), div0: c.div0 || t.div0}, ok
+		ow, ok := foldWidthOK(other, names)
+		return folded{v: t.v, w: max(t.w, ow), x: c.x | t.x}, ok
+	case *verilog.Concat:
+		var out folded
+		for _, el := range x.Elems {
+			e, ok := fold(el, names)
+			if !ok {
+				return e, false
+			}
+			out.v = out.v<<uint(e.w) | e.v&maskFor(e.w)
+			out.w += e.w
+			out.x |= e.x
+		}
+		return out, true
+	case *verilog.Repl:
+		n, ok := fold(x.Count, names)
+		if !ok {
+			return n, false
+		}
+		e, ok := fold(x.Elem, names)
+		if !ok {
+			return e, false
+		}
+		out := folded{w: int(n.v) * e.w, x: n.x | e.x}
+		for i := uint64(0); i < n.v && i < 64; i++ {
+			out.v = out.v<<uint(e.w) | e.v&maskFor(e.w)
+		}
+		return out, true
 	}
 	return folded{}, false
 }
 
-func foldBinary(x *verilog.Binary, params map[string]uint64) (folded, bool) {
-	a, ok := fold(x.X, params)
+func foldBinary(x *verilog.Binary, names Names) (folded, bool) {
+	a, ok := fold(x.X, names)
 	if !ok {
 		return a, false
 	}
 	if x.Op == verilog.BinLogAnd || x.Op == verilog.BinLogOr {
 		if (a.v != 0) == (x.Op == verilog.BinLogOr) {
-			return folded{v: boolVal(a.v != 0), w: 1, div0: a.div0}, true
+			return folded{v: boolVal(a.v != 0), w: 1, x: a.x}, true
 		}
-		b, ok := fold(x.Y, params)
-		return folded{v: boolVal(b.v != 0), w: 1, div0: a.div0 || b.div0}, ok
+		b, ok := fold(x.Y, names)
+		return folded{v: boolVal(b.v != 0), w: 1, x: a.x | b.x}, ok
 	}
-	b, ok := fold(x.Y, params)
+	b, ok := fold(x.Y, names)
 	if !ok {
 		return b, false
 	}
-	out := folded{w: binaryWidth(x.Op, a.w, b.w), div0: a.div0 || b.div0}
+	out := folded{w: binaryWidth(x.Op, a.w, b.w), x: a.x | b.x}
 	switch x.Op {
 	case verilog.BinAdd:
 		out.v = a.v + b.v
@@ -130,13 +198,13 @@ func foldBinary(x *verilog.Binary, params map[string]uint64) (folded, bool) {
 		out.v = a.v * b.v
 	case verilog.BinDiv:
 		if b.v == 0 {
-			out.div0 = true
+			out.x |= divZero
 		} else {
 			out.v = a.v / b.v
 		}
 	case verilog.BinMod:
 		if b.v == 0 {
-			out.div0 = true
+			out.x |= divZero
 		} else {
 			out.v = a.v % b.v
 		}
@@ -179,8 +247,10 @@ func foldBinary(x *verilog.Binary, params map[string]uint64) (folded, bool) {
 // foldWidthOK is the self-determined width of a constant expression, which
 // fold computes alongside its value for every operand it folds, and
 // whether every operator the width depends on is one fold folds: the
-// branch ?: does not take contributes its width without being folded.
-func foldWidthOK(e verilog.Expr) (int, bool) {
+// branch ?: does not take contributes its width without being folded. A
+// replication there whose count does not fold is 1 bit wide, as
+// sim.ExprWidth has it.
+func foldWidthOK(e verilog.Expr, names Names) (int, bool) {
 	switch x := e.(type) {
 	case *verilog.Number:
 		if x.Width > 0 {
@@ -188,18 +258,33 @@ func foldWidthOK(e verilog.Expr) (int, bool) {
 		}
 		return 32, true
 	case *verilog.Ident:
-		return 32, true
+		_, w, _ := names.Lookup(x.Name)
+		return w, true
 	case *verilog.Unary:
-		w, ok := foldWidthOK(x.X)
+		w, ok := foldWidthOK(x.X, names)
 		return unaryWidth(x.Op, w), ok
 	case *verilog.Binary:
-		a, ok1 := foldWidthOK(x.X)
-		b, ok2 := foldWidthOK(x.Y)
+		a, ok1 := foldWidthOK(x.X, names)
+		b, ok2 := foldWidthOK(x.Y, names)
 		return binaryWidth(x.Op, a, b), ok1 && ok2
 	case *verilog.Ternary:
-		a, ok1 := foldWidthOK(x.X)
-		b, ok2 := foldWidthOK(x.Y)
+		a, ok1 := foldWidthOK(x.X, names)
+		b, ok2 := foldWidthOK(x.Y, names)
 		return max(a, b), ok1 && ok2
+	case *verilog.Concat:
+		sum, ok := 0, true
+		for _, el := range x.Elems {
+			w, okEl := foldWidthOK(el, names)
+			sum, ok = sum+w, ok && okEl
+		}
+		return sum, ok
+	case *verilog.Repl:
+		n, ok := fold(x.Count, names)
+		if !ok {
+			return 1, true
+		}
+		w, ok := foldWidthOK(x.Elem, names)
+		return int(n.v) * w, ok
 	}
 	return 32, false
 }

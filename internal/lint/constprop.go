@@ -2,32 +2,30 @@ package lint
 
 import (
 	"repro/internal/compile"
-	"repro/internal/sim"
 	"repro/internal/verilog"
 )
 
-// constEnv resolves parameters and lint-proved constant signals; every
-// other name fails evaluation, which is exactly the conservatism the
-// fixpoint needs — an expression only folds when all of its inputs are
-// proved.
+// constEnv resolves parameters and lint-proved constant signals for
+// compile.FoldKnown, a name declared as a signal at its declared width and
+// any other at 32 bits; every other name has no value, which is exactly
+// the conservatism the fixpoint needs — an expression only folds when all
+// of its inputs are proved.
 type constEnv struct {
 	d      *compile.Design
 	consts map[string]uint64
 }
 
-func (e constEnv) Value(name string) (uint64, bool) {
+// Lookup implements compile.Names.
+func (e constEnv) Lookup(name string) (uint64, int, bool) {
+	w := 32
+	if sig := e.d.Signals[name]; sig != nil {
+		w = sig.Width
+	}
 	if v, ok := e.d.Params[name]; ok {
-		return v, ok
+		return v, w, true
 	}
 	v, ok := e.consts[name]
-	return v, ok
-}
-
-func (e constEnv) Width(name string) int {
-	if sig, ok := e.d.Signals[name]; ok {
-		return sig.Width
-	}
-	return 0
+	return v, w, ok
 }
 
 // constants proves signals constant by iterating intra-module constant
@@ -109,10 +107,11 @@ func (a *analysis) proveConst(name string, env constEnv) (uint64, bool) {
 
 	var c uint64
 	for i, rhs := range sites {
-		val, ok := a.foldBoth(rhs, env, sig.Mask())
+		val, ok := compile.FoldKnown(rhs, env)
 		if !ok {
 			return 0, false
 		}
+		val &= sig.Mask()
 		if i == 0 {
 			c = val
 		} else if val != c {
@@ -139,24 +138,6 @@ func (a *analysis) proveConst(name string, env constEnv) (uint64, bool) {
 	return c, true
 }
 
-// foldBoth folds an expression in both value domains and succeeds only
-// when they agree on a fully-known value. The two domains genuinely
-// diverge on x/z-bearing expressions — $isunknown(1'bx) is 1 four-state
-// but 0 two-state, where x digits decode as 0 — and a constant claim must
-// hold against traces from both engines, so agreement is part of the
-// proof obligation, not an implementation detail.
-func (a *analysis) foldBoth(e verilog.Expr, env constEnv, mask uint64) (uint64, bool) {
-	v4, err := sim.Eval4(e, env)
-	if err != nil || v4.Unk&mask != 0 {
-		return 0, false
-	}
-	v2, err := sim.Eval(e, env)
-	if err != nil || v2&mask != v4.Val&mask {
-		return 0, false
-	}
-	return v4.Val & mask, true
-}
-
 // deadBranches folds if conditions over the proved-constant environment.
 // A condition that evaluates to a fully-known value makes one branch
 // unreachable. Initial blocks are skipped: the simulators do not execute
@@ -170,18 +151,11 @@ func (a *analysis) deadBranches(env constEnv) {
 			if !ok {
 				return
 			}
-			v, err := sim.Eval4(ifs.Cond, env)
-			if err != nil || v.Unk != 0 {
+			v, ok := compile.FoldKnown(ifs.Cond, env)
+			if !ok {
 				return
 			}
-			// Both engines must agree on the condition's truthiness: x/z
-			// digits decode as 0 two-state, so e.g. $isunknown(1'bx) takes
-			// opposite branches in the two domains and is not dead-foldable.
-			v2, err := sim.Eval(ifs.Cond, env)
-			if err != nil || cTrue(v2) != cTrue(v.Val) {
-				return
-			}
-			dead := DeadBranch{Pos: ifs.Pos, Then: !cTrue(v.Val)}
+			dead := DeadBranch{Pos: ifs.Pos, Then: v == 0}
 			a.res.Dead = append(a.res.Dead, dead)
 			side, never := "true", "else"
 			if dead.Then {
@@ -192,5 +166,3 @@ func (a *analysis) deadBranches(env constEnv) {
 		})
 	}
 }
-
-func cTrue(v uint64) bool { return v != 0 }

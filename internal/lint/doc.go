@@ -21,6 +21,13 @@
 //   - The Verdict over a design must be byte-identical after a
 //     print→parse round trip of its source.
 //
+// The constant-signal and dead-branch proofs fold with compile.FoldKnown,
+// the repository's one constant folder, over the parameters and the
+// signals already proved constant: a fold that divides by zero or reads an
+// x/z digit is declined, so every proved value is one fully known value in
+// both value domains. The package imports no simulator; the reference
+// interpreter appears only in its tests, as the oracle above.
+//
 // Findings carry a Severity; Clean reports whether a design has nothing at
 // Warning or above, which is the bar the corpus quality gate and the
 // cmd/lint exit status use. All analyses are deterministic: rules run in a

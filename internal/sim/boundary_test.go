@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"math/rand"
@@ -27,13 +28,7 @@ func checkPlans(t testing.TB, name, src string) bool {
 		t.Errorf("%s compiles but has no plan in both value domains", name)
 		return true
 	}
-	stim := VecStimulus{Inputs: d.Inputs(false), Rows: make([][]uint64, 4)}
-	for c := range stim.Rows {
-		stim.Rows[c] = make([]uint64, len(stim.Inputs))
-		for i := range stim.Rows[c] {
-			stim.Rows[c][i] = uint64(c + i)
-		}
-	}
+	stim := rampStimulus(d, 4)
 	for _, mode := range []Mode{TwoState, FourState} {
 		var u errUnplannable
 		if _, err := RunVecCtx(context.Background(), d, stim, mode); errors.As(err, &u) {
@@ -41,6 +36,19 @@ func checkPlans(t testing.TB, name, src string) bool {
 		}
 	}
 	return true
+}
+
+// rampStimulus drives every input of d, clocks included, for n cycles:
+// input i at cycle c with c+i.
+func rampStimulus(d *compile.Design, n int) VecStimulus {
+	stim := VecStimulus{Inputs: d.Inputs(false), Rows: make([][]uint64, n)}
+	for c := range stim.Rows {
+		stim.Rows[c] = make([]uint64, len(stim.Inputs))
+		for i := range stim.Rows[c] {
+			stim.Rows[c][i] = uint64(c + i)
+		}
+	}
+	return stim
 }
 
 // regressionPrograms returns internal/fuzz's committed regression programs
@@ -105,13 +113,15 @@ func FuzzCompileImpliesPlan(f *testing.F) {
 	})
 }
 
-// FuzzConstFold holds compile.Fold, the constant folder internal/compile
-// and the planner share, to the reference interpreter's Eval over the same
-// parameters: on random parameter-only expressions over the folder's
+// FuzzConstFold holds compile.Fold, the constant folder internal/compile,
+// the planner and internal/lint share, to the reference interpreter's Eval
+// over the same names: on random constant expressions over the folder's
 // operator set the two agree on whether the expression folds and on its
-// value. The leaves include shift counts of 64 and more, unsized literals
-// under ~ and unary -, a parameter wider than 32 bits, a zero divisor and
-// an undeclared name.
+// value, and whatever compile.FoldKnown folds Eval4 evaluates to the same
+// fully known value. The leaves include shift counts of 64 and more,
+// unsized literals under ~ and unary -, a parameter wider than 32 bits, a
+// zero divisor, a 5-bit name, an x-bearing literal and an undeclared name;
+// concatenations and replications nest among the operators.
 func FuzzConstFold(f *testing.F) {
 	rng := rand.New(rand.NewSource(1))
 	for range 64 {
@@ -119,33 +129,55 @@ func FuzzConstFold(f *testing.F) {
 		rng.Read(seed)
 		f.Add(seed)
 	}
+	// {S, 4'd3}, {3{S}}, ~(0 ? {nosuch{S}} : 1), {{Z{S}}, 4'd3} and {S, 4'b0x01}.
+	f.Add([]byte{68, 1, 11, 3, 4, 3})
+	f.Add([]byte{69, 0, 3, 11, 3})
+	f.Add([]byte{65, 1, 67, 0, 0, 69, 15, 0, 11, 3, 0, 1})
+	f.Add([]byte{68, 1, 69, 11, 2, 11, 3, 4, 3})
+	f.Add([]byte{68, 1, 11, 3, 10, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		e := (&constExpr{data: data}).expr(5)
-		want, err := Eval(e, paramEnv(constParams))
-		got, ok := compile.Fold(e, constParams)
+		want, err := Eval(e, constNames{})
+		got, ok := compile.Fold(e, constNames{})
 		if ok != (err == nil) || ok && got != want {
 			t.Fatalf("%s: compile.Fold = %#x, %v; Eval = %#x, %v", verilog.ExprString(e), got, ok, want, err)
+		}
+		if v, ok := compile.FoldKnown(e, constNames{}); ok {
+			if want4, err := Eval4(e, constNames{}); err != nil || want4 != known(v) {
+				t.Fatalf("%s: compile.FoldKnown = %#x; Eval4 = %v, %v", verilog.ExprString(e), v, want4, err)
+			}
 		}
 	})
 }
 
-// constParams is the parameter environment FuzzConstFold folds over: a
-// small value, one wider than 32 bits and a zero divisor.
-var constParams = map[string]uint64{"P": 6, "W": 1<<40 | 5, "Z": 0}
+// constValues are the names FuzzConstFold folds over: a small parameter,
+// one wider than 32 bits, a zero divisor and S, a 5-bit name such as a
+// signal internal/lint proved constant.
+var constValues = map[string]uint64{"P": 6, "W": 1<<40 | 5, "Z": 0, "S": 0x13}
 
-// paramEnv resolves parameters only, all 32 bits wide, as internal/compile
-// folds them.
-type paramEnv map[string]uint64
+// constNames serves constValues to both sides of FuzzConstFold, as a
+// compile.Names and as an Env: S is 5 bits wide, every other name 32.
+type constNames struct{}
 
-func (e paramEnv) Value(name string) (uint64, bool) {
-	v, ok := e[name]
+func (constNames) Value(name string) (uint64, bool) {
+	v, ok := constValues[name]
 	return v, ok
 }
 
-func (paramEnv) Width(string) int { return 0 }
+func (constNames) Width(name string) int {
+	if name == "S" {
+		return 5
+	}
+	return 0
+}
 
-// constExpr builds a parameter-only expression from a byte stream, one byte
-// per decision, so the fuzzer's mutations steer the expression's shape.
+func (e constNames) Lookup(name string) (uint64, int, bool) {
+	v, ok := e.Value(name)
+	return v, cmp.Or(e.Width(name), 32), ok
+}
+
+// constExpr builds a constant expression from a byte stream, one byte per
+// decision, so the fuzzer's mutations steer the expression's shape.
 type constExpr struct{ data []byte }
 
 func (g *constExpr) next() byte {
@@ -162,13 +194,21 @@ func (g *constExpr) expr(depth int) verilog.Expr {
 	if depth == 0 || b < 64 {
 		return g.leaf(b)
 	}
-	switch b % 3 {
+	switch b % 5 {
 	case 0:
 		return &verilog.Unary{Op: verilog.UnaryOp(g.next() % 8), X: g.expr(depth - 1)}
 	case 1:
 		return &verilog.Binary{Op: verilog.BinaryOp(g.next() % 22), X: g.expr(depth - 1), Y: g.expr(depth - 1)}
+	case 2:
+		return &verilog.Ternary{Cond: g.expr(depth - 1), X: g.expr(depth - 1), Y: g.expr(depth - 1)}
+	case 3:
+		elems := make([]verilog.Expr, g.next()%3+1)
+		for i := range elems {
+			elems[i] = g.expr(depth - 1)
+		}
+		return &verilog.Concat{Elems: elems}
 	}
-	return &verilog.Ternary{Cond: g.expr(depth - 1), X: g.expr(depth - 1), Y: g.expr(depth - 1)}
+	return &verilog.Repl{Count: g.expr(depth - 1), Elem: g.expr(depth - 1)}
 }
 
 func (g *constExpr) leaf(b byte) verilog.Expr {
@@ -183,8 +223,10 @@ func (g *constExpr) leaf(b byte) verilog.Expr {
 		return &verilog.Number{Value: 1<<32 | uint64(v)}
 	case 8, 9: // 64-bit all-ones, shifted
 		return &verilog.Number{Width: 64, Value: ^uint64(0) >> (v % 64)}
+	case 10: // 4 bits with x/z digits, which read as 0 two-state
+		return &verilog.Number{Width: 4, Value: uint64(v) & 0b0101, XMask: 0b0010, ZMask: uint64(v>>4) & 0b1000}
 	case 15:
 		return &verilog.Ident{Name: "nosuch"}
 	}
-	return &verilog.Ident{Name: [...]string{"P", "W", "Z"}[v%3]}
+	return &verilog.Ident{Name: [...]string{"P", "W", "Z", "S"}[v%4]}
 }

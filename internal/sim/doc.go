@@ -37,7 +37,12 @@
 // Simulator remains the reference implementation for each: the
 // differential tests plus the cross-engine fuzzer hold the two backends
 // identical plane-for-plane through RunReferenceCtx, which no production
-// path runs. internal/compile alone decides what a design may hold: it
+// path runs. The interpreter's expression evaluators (Eval, Eval4,
+// ExprWidth) are reachable only from its own runs: a plan trace resolves
+// every expression to the plan's closures, a reference trace carries the
+// interpretive evaluator its run put on it, and internal/lint folds with
+// compile.Fold; so production binaries link none of the interpreter.
+// internal/compile alone decides what a design may hold: it
 // rejects every construct the planner cannot lower (an assignment to a
 // parameter, a part-select bound, replication count or $past depth that
 // is not a constant it folds, and so on), and it folds every such constant

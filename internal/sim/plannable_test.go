@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -42,7 +43,9 @@ var (
 // design that compiles falls between the two. A diag row pins the whole
 // diagnostic log of its source. A want row pins which of PlanOf, the
 // four-state plan, the two lane plans and LanesOK accept the construct;
-// those that reject something are constructs the parser and elaborator
+// a row with a plan in both value domains must also simulate, in each, as
+// the reference interpreter does; those that reject something are
+// constructs the parser and elaborator
 // never produce (an unknown identifier, a call with no arguments, a
 // non-identifier store base), spliced into an elaborated design's AST
 // before its plan is built. Three reasons are unreachable and have no row:
@@ -161,10 +164,13 @@ func TestPlannabilityTable(t *testing.T) {
 		{name: "slice bound dividing by zero", body: `
     assign y = v[8/0:0];`,
 			diag: "11:19: error: part-select bound divides by zero\n"},
+		{name: "concatenated slice bound", body: `
+    localparam P = 6;
+    assign y = v[{P}:0];`, want: acceptAll},
 		{name: "slice bound that does not fold", body: `
     localparam P = 6;
-    assign y = v[{P}:0];`,
-			diag: "12:18: error: part-select bound does not fold to a constant\n"},
+    assign y = v[P[2]:0];`,
+			diag: "12:19: error: part-select bound does not fold to a constant\n"},
 		{name: "dynamic width in concat", body: `
     assign y = {v[0:3], a};`,
 			diag: "11:18: error: reversed part-select [0:3]\n"},
@@ -249,6 +255,21 @@ func TestPlannabilityTable(t *testing.T) {
 			got.ok4 = LanesOK(d, FourState)
 			if got != row.want {
 				t.Errorf("accepted by plan/plan4/lanes2/lanes4/LanesOK2/LanesOK4 = %v, want %v", got, row.want)
+			}
+			if !got.plan || !got.plan4 {
+				return
+			}
+			stim := rampStimulus(d, 4)
+			for _, mode := range []Mode{TwoState, FourState} {
+				tr, err := RunVecCtx(context.Background(), d, stim, mode)
+				if err != nil {
+					t.Fatalf("%v plan run: %v", mode, err)
+				}
+				ref, err := RunReferenceCtx(context.Background(), d, stim, mode)
+				if err != nil {
+					t.Fatalf("%v reference run: %v", mode, err)
+				}
+				diffTraces(t, tr, ref, mode, 0, "plan vs reference")
 			}
 		})
 	}

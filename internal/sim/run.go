@@ -142,7 +142,9 @@ func (v *VecRunner) Detach() { v.r.tr = nil }
 // RunReferenceCtx simulates the design on the reference interpreter in the
 // given value domain. It is the semantic oracle the differential tests and
 // internal/fuzz hold the compiled plan against; no production path runs
-// it.
+// it. Its trace evaluates expressions on the interpreter too
+// (Trace.CompileExpr4), so the interpretive evaluator is reachable only
+// from here and RunReferenceBranches.
 func RunReferenceCtx(ctx context.Context, d *compile.Design, stim VecStimulus, mode Mode) (*Trace, error) {
 	r, err := newRefRun(d, stim, mode)
 	if err != nil {
@@ -320,7 +322,7 @@ func newRefRun(d *compile.Design, stim VecStimulus, mode Mode) (*refRun, error) 
 	if err != nil {
 		return nil, err
 	}
-	r := &refRun{s: s, slots: slots, rows: stim.Rows, tr: &Trace{Design: d}, ck: clocksOf(d)}
+	r := &refRun{s: s, slots: slots, rows: stim.Rows, tr: &Trace{Design: d, interp: interpretExpr}, ck: clocksOf(d)}
 	r.tr.reset(d.SlotCount(), len(stim.Rows), mode)
 	r.vals = make([]uint64, d.SlotCount())
 	if mode == FourState {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/compile"
+	"repro/internal/verilog"
 )
 
 func mustCompile(t *testing.T, src string) *compile.Design {
@@ -350,6 +351,42 @@ func TestTraceFormat(t *testing.T) {
 	text := tr.Format([]string{"count", "wrap"})
 	if !strings.Contains(text, "count") || !strings.Contains(text, "wrap") {
 		t.Errorf("Format output missing signals:\n%s", text)
+	}
+}
+
+// TestCompileExpr4PlanOnly: on a plan trace CompileExpr4 resolves the
+// expressions the plan lowered with the design's assertions, as the
+// reference trace's interpreter does, and the evaluator of any other
+// expression reports an error; a reference trace evaluates any expression.
+func TestCompileExpr4PlanOnly(t *testing.T) {
+	d := mustCompile(t, `module m(input clk, input [3:0] a, output [3:0] y);
+    assign y = a + 4'd1;
+    ap: assert property (@(posedge clk) y != 4'd0);
+endmodule
+`)
+	stim := vec(d, "a", [][]uint64{{3}, {15}})
+	plan, err := RunVecCtx(context.Background(), d, stim, TwoState)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := RunReferenceCtx(context.Background(), d, stim, TwoState)
+	if err != nil {
+		t.Fatal(err)
+	}
+	term := d.Asserts[0].Seq.Consequent[0].Expr
+	for c, want := range []uint64{1, 0} {
+		got, err := plan.CompileExpr4(term)(c)
+		gotRef, errRef := ref.CompileExpr4(term)(c)
+		if err != nil || errRef != nil || got != known(want) || gotRef != got {
+			t.Errorf("cycle %d: plan %v, %v; reference %v, %v; want %d", c, got, err, gotRef, errRef, want)
+		}
+	}
+	other := &verilog.Binary{Op: verilog.BinAdd, X: &verilog.Ident{Name: "a"}, Y: &verilog.Number{Value: 2}}
+	if _, err := plan.CompileExpr4(other)(1); err == nil || !strings.Contains(err.Error(), "not lowered") {
+		t.Errorf("plan trace, expression outside the assertions: error %v, want one saying it is not lowered", err)
+	}
+	if got, err := ref.CompileExpr4(other)(1); err != nil || got != known(17) {
+		t.Errorf("reference trace, expression outside the assertions: %v, %v, want 17", got, err)
 	}
 }
 

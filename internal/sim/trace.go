@@ -31,6 +31,11 @@ type Trace struct {
 
 	plan *Plan // nil when produced by the reference interpreter
 	em   *mach // lazy shared machine for compiled evaluation
+	// interp is the interpretive evaluator CompileExpr4 resolves through
+	// on a trace the reference interpreter produced; nil on a plan trace.
+	// Only the reference run sets it, so a binary that never runs the
+	// reference interpreter links none of its evaluator.
+	interp func(*Trace, verilog.Expr) CompiledExpr4
 
 	// fired[c] is the per-domain fired mask of the edge that followed row c
 	// (bit k set = Design.Domains[k] ticked); nil for single-domain traces,
@@ -149,23 +154,32 @@ type CompiledExpr4 func(cycle int) (V4, error)
 
 // CompileExpr4 returns a four-state evaluator for e over this trace's
 // sampled rows, with history access for the SVA sampled-value functions.
-// Expressions reachable from the design's assertions resolve to the plan's
-// compiled closure in the trace's value domain, whose Unk word is 0 on a
-// two-state trace, so the formal checker's hot loop pays no extra
-// indirection. Anything else (or any trace produced by the reference
-// interpreter) falls back to the interpretive evaluator, which computes
-// identical results.
+// On a plan trace e resolves to the plan's compiled closure in the trace's
+// value domain, whose Unk word is 0 on a two-state trace; the plan lowers
+// every expression of the design's assertions, and the evaluator of any
+// other expression reports an error. A trace the reference interpreter
+// produced evaluates e on the interpreter instead (interpretExpr), which
+// computes identical results.
 func (t *Trace) CompileExpr4(e verilog.Expr) CompiledExpr4 {
-	if t.plan != nil {
-		if fn, ok := t.plan.lowering(t.Mode()).sva[e]; ok {
-			m := t.evalMach()
-			return func(cycle int) (V4, error) {
-				m.seek(cycle)
-				v, u := fn(m)
-				return V4{Val: v, Unk: u}, m.err
-			}
-		}
+	if t.interp != nil {
+		return t.interp(t, e)
 	}
+	fn, ok := t.plan.lowering(t.Mode()).sva[e]
+	if !ok {
+		err := evalErrf(e.Span(), "expression %s is not lowered with the design", verilog.ExprString(e))
+		return func(int) (V4, error) { return V4{}, err }
+	}
+	m := t.evalMach()
+	return func(cycle int) (V4, error) {
+		m.seek(cycle)
+		v, u := fn(m)
+		return V4{Val: v, Unk: u}, m.err
+	}
+}
+
+// interpretExpr is a reference trace's CompileExpr4: the interpretive
+// evaluator of e in the trace's value domain.
+func interpretExpr(t *Trace, e verilog.Expr) CompiledExpr4 {
 	if t.unks == nil {
 		return func(cycle int) (V4, error) {
 			v, err := Eval(e, traceRowEnv{t: t, idx: cycle})
