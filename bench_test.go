@@ -374,9 +374,8 @@ func benchSimModes(b *testing.B, run func(context.Context, *compile.Design, sim.
 // streaming Stage 1-3 pipeline, at reduced scale) and dataset
 // serialisation throughput in each sharded on-disk format (write plus
 // read-back of the fixture sample set). The generate sub-benchmark runs
-// mutant checks outside the shared verdict cache, so every iteration
-// recomputes them; only the compile-only goldens are answered from the
-// cache after the first.
+// every golden compile and mutant check outside the shared verdict cache,
+// so every iteration recomputes them.
 func BenchmarkAugmentPipeline(b *testing.B) {
 	b.Run("generate", func(b *testing.B) {
 		const gen = 16

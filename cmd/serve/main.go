@@ -242,9 +242,9 @@ type checkRequest struct {
 	// bare record and identical however the check was answered. Every
 	// /check reads the verdict cache, then the store, then computes.
 	RecordOnly bool `json:"record_only,omitempty"`
-	// Options decodes straight into the service's option type. Unknown
-	// fields are ignored, among them "lanes", the option of the removed
-	// formal lane mode.
+	// Options decodes straight into the one option type of a check,
+	// formal.Options. Unknown fields are ignored, among them "lanes" (the
+	// removed formal lane mode) and "compile_only" (now Service.Compile).
 	Options verify.Options `json:"options"`
 }
 
@@ -401,7 +401,7 @@ func (s *server) handleStimulus(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	// Elaborate through the service: identical designs share one cached,
 	// plan-warmed *compile.Design.
-	v, err := s.svc.Check(ctx, req.Source, nil, verify.Options{CompileOnly: true})
+	v, err := s.svc.Compile(ctx, req.Source)
 	if err != nil {
 		replyError(w, ctx, err)
 		return

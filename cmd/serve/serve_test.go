@@ -18,6 +18,7 @@ import (
 
 	"repro/internal/compile"
 	"repro/internal/corpus"
+	"repro/internal/formal"
 	"repro/internal/sim"
 	"repro/internal/sva"
 	"repro/internal/verify"
@@ -866,30 +867,70 @@ func TestServeStimulusDeadline(t *testing.T) {
 	}
 }
 
-// TestServeCheckLanesIgnored: "lanes" chose the engine of the removed
-// formal lane mode. A /check that still sends it is answered 200 with the
-// record bytes of the same request without it, from the same cache entry:
-// the pair costs one miss and one hit.
+// TestServeCheckLanesIgnored decodes /check options. Each row sends the
+// plain request, then the plain options with one JSON name set. A
+// formal.Options name starts a check of its own (one more miss) whose
+// record bytes are those of the Go value checked directly, and the table
+// names every formal.Options JSON name. An ignored name ("lanes" of the
+// removed lane mode, "compile_only" of the removed compile-only option) is
+// answered from the cache (one hit) with the plain request's record bytes.
 func TestServeCheckLanesIgnored(t *testing.T) {
-	ts, srv := testServer(t, nil, serverConfig{})
-	opts := map[string]any{"seed": 7, "depth": 40, "random_runs": 10, "max_exhaustive_bits": 8}
-	req := map[string]any{"source": corpus.EdgeDetect().Source(), "record_only": true, "options": opts}
-	var replies [][]byte
-	for _, lanes := range []int{0, 64} {
-		if lanes != 0 {
-			opts["lanes"] = lanes
+	src := corpus.EdgeDetect().Source()
+	plain := verify.Options{Seed: 7, Depth: 40, RandomRuns: 10, MaxExhaustiveBits: 8}
+	with := func(f func(*verify.Options)) verify.Options { o := plain; f(&o); return o }
+	covered := map[string]bool{}
+	for _, tc := range []struct {
+		name  string
+		value any
+		want  verify.Options // the Go value the name must decode to
+	}{
+		{"seed", 3, with(func(o *verify.Options) { o.Seed = 3 })},
+		{"depth", 12, with(func(o *verify.Options) { o.Depth = 12 })},
+		{"random_runs", -1, with(func(o *verify.Options) { o.RandomRuns = formal.NoRandom })},
+		{"max_exhaustive_bits", 4, with(func(o *verify.Options) { o.MaxExhaustiveBits = 4 })},
+		{"max_const_bits", 3, with(func(o *verify.Options) { o.MaxConstBits = 3 })},
+		{"four_state", true, with(func(o *verify.Options) { o.FourState = true })},
+		{"lanes", 64, plain},
+		{"compile_only", true, plain},
+	} {
+		covered[tc.name] = true
+		ts, srv := testServer(t, nil, serverConfig{})
+		opts := map[string]any{"seed": 7, "depth": 40, "random_runs": 10, "max_exhaustive_bits": 8}
+		var replies [][]byte
+		for _, set := range []bool{false, true} {
+			if set {
+				opts[tc.name] = tc.value
+			}
+			resp, body := postJSON(t, ts.URL+"/check", map[string]any{"source": src, "record_only": true, "options": opts})
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s: status %d (%s), want 200", tc.name, resp.StatusCode, body)
+			}
+			replies = append(replies, body)
 		}
-		resp, body := postJSON(t, ts.URL+"/check", req)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("lanes %d: status %d (%s), want 200", lanes, resp.StatusCode, body)
+		ignored := tc.want == plain
+		wantMisses, wantHits := uint64(2), uint64(0)
+		if ignored {
+			wantMisses, wantHits = 1, 1
 		}
-		replies = append(replies, body)
+		if m := srv.svc.Metrics(); m.Misses != wantMisses || m.Hits != wantHits {
+			t.Errorf("%s: the pair cost %d misses and %d hits, want %d and %d", tc.name, m.Misses, m.Hits, wantMisses, wantHits)
+		}
+		v, err := verify.New(1).Run(context.Background(), src, nil, tc.want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.Marshal(checkResponse{Record: v.Record})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want = append(want, '\n'); !bytes.Equal(replies[1], want) || (ignored && !bytes.Equal(replies[0], want)) {
+			t.Errorf("%s: record\n%s\nwant the record of %+v\n%s", tc.name, replies[1], tc.want, want)
+		}
 	}
-	if !bytes.Equal(replies[0], replies[1]) {
-		t.Errorf("record with lanes 64 differs from the record without it:\n%s\n%s", replies[1], replies[0])
-	}
-	if m := srv.svc.Metrics(); m.Misses != 1 || m.Hits != 1 {
-		t.Errorf("the pair cost %d misses and %d hits, want 1 and 1", m.Misses, m.Hits)
+	for _, f := range reflect.VisibleFields(reflect.TypeFor[formal.Options]()) {
+		if name, _, _ := strings.Cut(f.Tag.Get("json"), ","); name != "-" && !covered[name] {
+			t.Errorf("formal.Options field %s (JSON name %q) has no row", f.Name, name)
+		}
 	}
 }
 
@@ -991,9 +1032,10 @@ func TestServeBodyLimitLargestGolden(t *testing.T) {
 			largest = bp
 		}
 	}
+	// The smallest bound and budgets keep the check itself cheap.
 	resp, body := postJSON(t, ts.URL+"/check", checkRequest{
 		Source:  largest.Source(),
-		Options: verify.Options{CompileOnly: true},
+		Options: verify.Options{Depth: 1, RandomRuns: formal.NoRandom, MaxExhaustiveBits: 1, MaxConstBits: 1},
 	})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("/check of %s (%d bytes): status %d: %s", largest.Name(), len(largest.Source()), resp.StatusCode, body)

@@ -541,8 +541,8 @@ func produce(cfg Config, svc *verify.Service, jobs chan<- designJob, ptCh chan<-
 			st.FilteredTrivial++
 			continue
 		}
-		v, cerr := svc.Run(context.Background(), e.Source, nil, verify.Options{CompileOnly: true})
-		if cerr != nil || !v.Passed() {
+		v := verify.Compile(e.Source)
+		if !v.Passed() {
 			st.CompileFailed++
 			specText := "Function: unavailable (code failed to compile).\n"
 			if m != nil {
@@ -623,8 +623,8 @@ func InjectAndValidate(b *corpus.Blueprint, cfg Config, stats *Stats, cotGen *co
 	cfg = cfg.withDefaults()
 	svc := verify.Default()
 	goldenSrc := b.Source()
-	gv, gerr := svc.Run(context.Background(), goldenSrc, nil, verify.Options{CompileOnly: true})
-	if gerr != nil || !gv.Passed() {
+	gv := verify.Compile(goldenSrc)
+	if !gv.Passed() {
 		return nil, nil, fmt.Errorf("golden does not compile: %v %s", gv.CompileErr, compile.FormatDiags(gv.Diags))
 	}
 	goldenDesign := gv.Design
@@ -632,7 +632,6 @@ func InjectAndValidate(b *corpus.Blueprint, cfg Config, stats *Stats, cotGen *co
 	depth := b.CheckDepth(16)
 	seed := designSeed(cfg.Seed, b.Name())
 	opts := verify.Options{Seed: seed, Depth: depth, RandomRuns: cfg.RandomRuns}
-	diffOpts := formal.Options{Seed: seed, Depth: depth, RandomRuns: cfg.RandomRuns}
 
 	limit := cfg.BinCaps[corpus.BinIndex(strings.Count(goldenSrc, "\n"))]
 	if cfg.MutationsPerDesign > 0 && (limit == 0 || cfg.MutationsPerDesign < limit) {
@@ -727,7 +726,7 @@ func InjectAndValidate(b *corpus.Blueprint, cfg Config, stats *Stats, cotGen *co
 				if muts[i].Syn == bugs.SynReset {
 					checkOpts = opts4
 				}
-				outcomes[i] = checkMutant(svc, srcs[i], &muts[i], goldenDesign, checkOpts, diffOpts)
+				outcomes[i] = checkMutant(svc, srcs[i], &muts[i], goldenDesign, checkOpts)
 			}
 		}()
 	}
@@ -809,9 +808,9 @@ func InjectAndValidate(b *corpus.Blueprint, cfg Config, stats *Stats, cotGen *co
 }
 
 // checkMutant verifies one printed mutant, lints it and, when it passes
-// every assertion, diffs it against the golden design. It returns only
-// what the sequential phase reads; the verdict dies with this call.
-func checkMutant(svc *verify.Service, src string, mu *bugs.Mutation, golden *compile.Design, opts verify.Options, diffOpts formal.Options) mutOutcome {
+// every assertion, diffs it against the golden design (two-state, whatever
+// opts says). It returns only what the sequential phase reads.
+func checkMutant(svc *verify.Service, src string, mu *bugs.Mutation, golden *compile.Design, opts verify.Options) mutOutcome {
 	v, err := svc.Run(context.Background(), src, nil, opts)
 	o := mutOutcome{status: v.Status, err: err, log: v.Log}
 	if v.Design != nil {
@@ -821,7 +820,7 @@ func checkMutant(svc *verify.Service, src string, mu *bugs.Mutation, golden *com
 		o.direct = mu.IsDirect(sva.AssertSignals(v.Formal.Failure.Assert))
 	}
 	if err == nil && v.Passed() {
-		o.diff, o.diffLog, o.diffErr = formal.Differ(context.Background(), golden, v.Design, diffOpts)
+		o.diff, o.diffLog, o.diffErr = formal.Differ(context.Background(), golden, v.Design, opts)
 	}
 	return o
 }

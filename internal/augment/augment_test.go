@@ -140,8 +140,9 @@ func TestRunPipelineSmall(t *testing.T) {
 
 // TestInjectAndValidateRunsOutsideCache pins the memory contract of Stage
 // 2: a design leaves no verdict in the shared cache, its golden is
-// compiled exactly once, and every distinct mutant text is checked exactly
-// once, so duplicate mutants copy an outcome instead of recomputing it.
+// compiled outside the service (verify.Compile counts no miss), and every
+// distinct mutant text is checked exactly once, so duplicate mutants copy
+// an outcome instead of recomputing it.
 func TestInjectAndValidateRunsOutsideCache(t *testing.T) {
 	cfg := Config{Seed: 3, MutationsPerDesign: 8, BinCaps: [5]int{8, 8, 8, 8, 8}, RandomRuns: 8}
 	for _, tc := range []struct {
@@ -190,9 +191,9 @@ func TestInjectAndValidateRunsOutsideCache(t *testing.T) {
 			if got := len(distinct) < len(muts); got != tc.dups {
 				t.Fatalf("%d distinct of %d mutants: duplicates present = %v, want %v", len(distinct), len(muts), got, tc.dups)
 			}
-			// Besides the mutants: the golden's compile-only check, and its
-			// four-state check when the design has reset mutants.
-			want := len(distinct) + 1
+			// Besides the mutants: the golden's four-state check when the
+			// design has reset mutants.
+			want := len(distinct)
 			if len(resets) > 0 {
 				want++
 			}

@@ -52,8 +52,9 @@ func TestHierClassesEnumerable(t *testing.T) {
 // caught dynamically — its own assertions fail under FourState bounded
 // checking, or the behavioural diff against the golden separates them.
 // (None of these classes is statically detectable; lint sees well-formed
-// RTL that computes the wrong thing.) The checks go through Run, which
-// returns the compiled designs formal.Differ needs.
+// RTL that computes the wrong thing.) The golden compiles through
+// verify.Compile and the checks go through Run, which both return the
+// compiled designs formal.Differ needs.
 func TestHierClassesDetected(t *testing.T) {
 	svc := verify.Default()
 	for _, b := range corpus.Catalog() {
@@ -62,9 +63,9 @@ func TestHierClassesDetected(t *testing.T) {
 		}
 		depth := b.CheckDepth(16)
 		opts := verify.Options{Seed: 99, Depth: depth, FourState: true}
-		gv, err := svc.Run(context.Background(), b.Source(), nil, verify.Options{CompileOnly: true})
-		if err != nil || !gv.Passed() {
-			t.Fatalf("%s: golden does not compile: %v", b.Name(), err)
+		gv := verify.Compile(b.Source())
+		if !gv.Passed() {
+			t.Fatalf("%s: golden does not compile: %s", b.Name(), gv.Log)
 		}
 		detected, compiled := 0, 0
 		for _, mu := range bugs.EnumerateHier(b.Set(b.Module), 0) {

@@ -370,6 +370,7 @@ func (e *elaborator) run() {
 	m := d.Module
 
 	// Pass 1: parameters, in declaration order.
+	paramPos := map[string]verilog.Pos{}
 	for _, it := range m.Items {
 		if p, ok := it.(*verilog.ParamDecl); ok {
 			v, ok2 := e.constEval(p.Value)
@@ -382,7 +383,22 @@ func (e *elaborator) run() {
 				continue
 			}
 			d.Params[p.Name] = v
+			paramPos[p.Name] = p.Pos
 		}
+	}
+	// A name is a parameter or a signal, never both: the engines would
+	// disagree about which one it means. The later declaration is reported.
+	clashes := func(kind, name string, pos verilog.Pos) bool {
+		ppos, ok := paramPos[name]
+		if !ok {
+			return false
+		}
+		if ppos.Line > pos.Line || ppos.Line == pos.Line && ppos.Col > pos.Col {
+			e.errorf(ppos, "parameter %s redeclared: %s is a %s", name, name, kind)
+		} else {
+			e.errorf(pos, "%s %s redeclared: %s is a parameter", kind, name, name)
+		}
+		return true
 	}
 
 	// Pass 2: ports.
@@ -404,6 +420,9 @@ func (e *elaborator) run() {
 		}
 		if _, dup := d.Signals[p.Name]; dup {
 			e.errorf(p.Pos, "port %s redeclared", p.Name)
+			continue
+		}
+		if clashes("port", p.Name, p.Pos) {
 			continue
 		}
 		d.Signals[p.Name] = &Signal{Name: p.Name, Kind: kind, Width: width, IsReg: isReg}
@@ -432,6 +451,9 @@ func (e *elaborator) run() {
 					continue
 				}
 				e.errorf(nd.Pos, "signal %s redeclared", name)
+				continue
+			}
+			if clashes("signal", name, nd.Pos) {
 				continue
 			}
 			isReg := nd.Kind == verilog.NetReg || nd.Kind == verilog.NetInteger

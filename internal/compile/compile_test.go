@@ -105,6 +105,27 @@ func TestCompileErrors(t *testing.T) {
 			"redeclared",
 		},
 		{
+			// The plan would read the wire while lint folds the parameter.
+			"signal named like a parameter",
+			"module m (input a, output [3:0] q);\nparameter P = 3;\nwire [3:0] P;\nassign P = 4'd2;\nassign q = P + 4'd1;\nendmodule",
+			"3:1: error: signal P redeclared: P is a parameter",
+		},
+		{
+			"parameter named like a signal",
+			"module m (input a, output [3:0] q);\nwire [3:0] P;\nlocalparam P = 3;\nassign P = 4'd2;\nassign q = P + 4'd1;\nendmodule",
+			"3:12: error: parameter P redeclared: P is a signal",
+		},
+		{
+			"port named like a parameter",
+			"module m #(parameter a = 1) (input a, output w);\nassign w = a;\nendmodule",
+			"port a redeclared: a is a parameter",
+		},
+		{
+			"parameter named like a port",
+			"module m (input a, output w);\nparameter a = 1;\nassign w = a;\nendmodule",
+			"2:11: error: parameter a redeclared: a is a port",
+		},
+		{
 			"dangling property reference",
 			"module m (input clk, input a, output w);\nassign w = a;\nx: assert property (missing_prop);\nendmodule",
 			"undeclared property",

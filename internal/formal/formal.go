@@ -37,37 +37,38 @@ import (
 // off needs an explicit sentinel rather than an unreachable zero value.
 const NoRandom = -1
 
-// Options configures a bounded check.
+// Options configures a bounded check. It is the one option type of a
+// check, from the JSON of cmd/serve's /check to internal/verify's cache key.
 type Options struct {
 	// Depth is the number of clock cycles per run (bound). Default 16.
-	Depth int
+	Depth int `json:"depth,omitempty"`
 	// RandomRuns is the number of random stimulus runs after the directed
 	// ones. Default 48; NoRandom (any negative value) disables the random
 	// phase for pure-exhaustive/directed checks.
-	RandomRuns int
+	RandomRuns int `json:"random_runs,omitempty"`
 	// MaxExhaustiveBits caps full sequence enumeration: if the non-reset
 	// input bits times the bound (every cycle is enumerated, reset window
 	// included) is at most this, every input sequence is tried. Default
 	// 16, so a single 1-bit input stays exhaustively checkable at the
 	// default depth of 16. Values above 63 clamp to 63, the widest space a
 	// 64-bit run counter enumerates.
-	MaxExhaustiveBits int
+	MaxExhaustiveBits int `json:"max_exhaustive_bits,omitempty"`
 	// MaxConstBits caps constant-input enumeration (each run holds inputs
 	// constant). Default 10; values above 63 clamp to 63.
-	MaxConstBits int
+	MaxConstBits int `json:"max_const_bits,omitempty"`
 	// Seed makes the random phase deterministic. The same seed always
 	// explores the same traces.
-	Seed int64
+	Seed int64 `json:"seed,omitempty"`
 	// FourState runs every simulation in the four-state value domain:
 	// registers start x until reset or first assignment, and x propagating
 	// into an assertion fails it (the not-true rule). The *stimulus* space
 	// stays known-bits-only — strategies enumerate exactly the same input
 	// sequences as the default two-state check, which remains the compiled
 	// fast path.
-	FourState bool
+	FourState bool `json:"four_state,omitempty"`
 	// Deprecated: Lanes is ignored and Normalized zeroes it. Every check
 	// runs its stimuli one at a time on the scalar checker.
-	Lanes int
+	Lanes int `json:"-"`
 }
 
 // maxEnumBits is the widest space an enumeration cap admits: 1<<64 wraps
@@ -85,7 +86,7 @@ func (o Options) Normalized() Options {
 		o.RandomRuns = 48
 	}
 	if o.RandomRuns < 0 {
-		o.RandomRuns = 0 // NoRandom: the phase is disabled, not defaulted
+		o.RandomRuns = NoRandom // disabled, not defaulted, and still so if normalized again
 	}
 	if o.MaxExhaustiveBits <= 0 {
 		// 16 = one input bit times the default depth: now that exhaustive

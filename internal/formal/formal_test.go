@@ -270,8 +270,10 @@ func TestNoRandomDisablesRandomPhase(t *testing.T) {
 	if got := (Options{}).Normalized().RandomRuns; got != 48 {
 		t.Errorf("default RandomRuns = %d, want 48", got)
 	}
-	if got := (Options{RandomRuns: NoRandom}).Normalized().RandomRuns; got != 0 {
-		t.Errorf("NoRandom normalized to %d, want 0", got)
+	// Any negative value is NoRandom, and the normalized form keeps the
+	// sentinel, so normalizing twice cannot turn the phase back on.
+	if got := (Options{RandomRuns: -5}).Normalized(); got.RandomRuns != NoRandom || got.Normalized() != got {
+		t.Errorf("RandomRuns -5 normalized to %d, then to %d; want NoRandom both times", got.RandomRuns, got.Normalized().RandomRuns)
 	}
 	// Cache-key stability: the zero-value mapping is untouched, so verify
 	// entries cached under the old defaulting still resolve identically.

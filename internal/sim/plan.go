@@ -12,8 +12,8 @@ import (
 // Plan is the compile-once execution plan for a design. PlanOf builds it
 // the first time a design is simulated and caches it on the design itself,
 // so it lives as long as the design. (internal/verify's verdict cache keeps
-// records, plus the Design of a compile-only check, so only those cache
-// entries keep a plan alive.) A plan lowers every continuous assignment,
+// records, plus the Designs of Service.Compile, so only those cache entries
+// keep a plan alive.) A plan lowers every continuous assignment,
 // always block and assertion-referenced expression into slot-addressed
 // evaluation closures over []uint64 state. The hot loop then never touches
 // the AST and never hashes a signal name.

@@ -10,9 +10,10 @@ type Key = [sha256.Size]byte
 // the current and the previous generation, so memory is capped at roughly
 // twice this many entries while the recent working set (the fixes an
 // evaluation or repair loop keeps re-checking) stays resident. An entry
-// holds a Record (about 1 KiB); only a CompileOnly entry also holds its
-// compiled design and plans. One-shot checks (every check of a dataset
-// build) go through Service.Run so they do not push the working set out.
+// holds a Record (about 1 KiB); only a Service.Compile entry also holds
+// its compiled design and plans. One-shot work (every check and compile of
+// a dataset build) goes through Service.Run and the uncached Compile so it
+// does not push the working set out.
 const maxGenEntries = 4096
 
 // gen2 is the two-generation map behind the Service's verdict cache. Not

@@ -10,10 +10,10 @@ import (
 	"repro/internal/testenv"
 )
 
-// TestCacheHoldsRecords pins what the cached path keeps: a check that is
-// not compile-only returns its Record without the design, diagnostics,
-// parse error or formal result behind it, fresh or cached, while a
-// compile-only check returns the one shared design every time.
+// TestCacheHoldsRecords pins what the cached path keeps: Check returns its
+// Record without the design, diagnostics, parse error or formal result
+// behind it, fresh or cached, while Service.Compile returns the one shared
+// design every time.
 func TestCacheHoldsRecords(t *testing.T) {
 	svc := New(2)
 	ctx := context.Background()
@@ -32,16 +32,16 @@ func TestCacheHoldsRecords(t *testing.T) {
 			}
 		}
 	}
-	first, err := svc.Check(ctx, passSrc, nil, Options{CompileOnly: true})
+	first, err := svc.Compile(ctx, passSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, err := svc.Check(ctx, passSrc, nil, Options{CompileOnly: true})
+	again, err := svc.Compile(ctx, passSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if first.Design == nil || again.Design != first.Design || !again.Cached {
-		t.Errorf("compile-only designs: first %p, cached %p (cached=%v); want one shared design",
+		t.Errorf("compiled designs: first %p, cached %p (cached=%v); want one shared design",
 			first.Design, again.Design, again.Cached)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/sim"
 	"repro/internal/verilog"
 )
 
@@ -39,8 +40,8 @@ type entry struct {
 	cancel context.CancelFunc
 
 	// waiters and completed are guarded by Service.mu; verdict and err are
-	// published by close(done). verdict holds the Record (and the Design
-	// of a CompileOnly key) only.
+	// published by close(done). verdict holds the Record (and, for a
+	// Service.Compile key, the Design) only.
 	waiters   int
 	completed bool
 	verdict   Verdict
@@ -73,8 +74,8 @@ func Default() *Service {
 }
 
 // SetStore attaches a persistent record tier: Check reads it after the
-// verdict cache and before computing, and every completed check that is
-// not CompileOnly is put to it before its waiters are answered. Disk hits
+// verdict cache and before computing, and every check it completes is put
+// to it before its waiters are answered. Disk hits
 // are not copied into the verdict cache. Call before the service takes
 // traffic; the field is not synchronised.
 func (s *Service) SetStore(ds *DiskStore) { s.store = ds }
@@ -183,18 +184,18 @@ func (s *Service) wait(ctx context.Context, key Key, e *entry, owner bool) (Verd
 	return v, e.err
 }
 
-// pooled runs one uncached check on a worker slot. Waiting for the slot
-// is abortable (cancellation while queued must not leak it), and the check
-// counts in InFlight while it holds the slot. A check cut short by ctx
-// reports ctx.Err() rather than a partial verdict.
-func (s *Service) pooled(ctx context.Context, src string, assertions []verilog.Item, opts Options) (Verdict, error) {
+// pooled runs work on a worker slot. Waiting for the slot is abortable
+// (cancellation while queued must not leak it), and the work counts in
+// InFlight while it holds the slot. Work cut short by ctx reports ctx.Err()
+// rather than a partial verdict.
+func (s *Service) pooled(ctx context.Context, work func(context.Context) (Verdict, error)) (Verdict, error) {
 	select {
 	case s.sem <- struct{}{}:
 	case <-ctx.Done():
 		return Verdict{}, ctx.Err()
 	}
 	s.inFlight.Add(1)
-	v, err := run(ctx, src, assertions, opts)
+	v, err := work(ctx)
 	s.inFlight.Add(-1)
 	<-s.sem
 	if err != nil && ctx.Err() != nil {
@@ -203,13 +204,13 @@ func (s *Service) pooled(ctx context.Context, src string, assertions []verilog.I
 	return v, err
 }
 
-// compute runs the check for one cache entry under the entry's context,
-// publishes the record (and a compile-only design), puts the record to the
-// store and only then releases the waiters, so an answered check has
-// reached the operating system.
-func (s *Service) compute(key Key, e *entry, src string, assertions []verilog.Item, opts Options) {
+// compute runs work for one cache entry on a worker slot under the entry's
+// context, publishes the verdict work returns, puts its record to store
+// (when store is non-nil) and only then releases the waiters, so an
+// answered check has reached the operating system.
+func (s *Service) compute(key Key, e *entry, work func(context.Context) (Verdict, error), store *DiskStore) {
 	defer close(e.done)
-	v, err := s.pooled(e.cctx, src, assertions, opts)
+	v, err := s.pooled(e.cctx, work)
 
 	s.mu.Lock()
 	if e.cctx.Err() != nil {
@@ -219,16 +220,13 @@ func (s *Service) compute(key Key, e *entry, src string, assertions []verilog.It
 		s.mu.Unlock()
 		return
 	}
-	e.verdict, e.err = Verdict{Record: v.Record}, err
-	if opts.CompileOnly {
-		e.verdict.Design = v.Design
-	}
+	e.verdict, e.err = v, err
 	e.completed = true
 	s.mu.Unlock()
 	e.cancel() // completed entries never cancel; release the context
 
-	if s.store != nil && err == nil && !opts.CompileOnly {
-		_ = s.store.Put(key, &v.Record) // a failed put only costs a future recompute
+	if store != nil && err == nil {
+		_ = store.Put(key, &v.Record) // a failed put only costs a future recompute
 	}
 }
 
@@ -239,14 +237,13 @@ func (s *Service) compute(key Key, e *entry, src string, assertions []verilog.It
 // non-nil only for StatusError verdicts and cancellations; compile
 // failures and assertion failures are ordinary verdicts. Results are
 // cached by content — source, assertion set and normalised options: Check
-// answers from the verdict cache, then the store (unless CompileOnly),
-// and otherwise computes, coalescing concurrent duplicates into one
-// computation that is cancelled only when its last waiter leaves. The
-// verdict carries the Record and Cached (true unless this call ran the
-// check), plus the shared, plan-warmed Design of a CompileOnly check.
+// answers from the verdict cache, then the store, and otherwise computes,
+// coalescing concurrent duplicates into one computation that is cancelled
+// only when its last waiter leaves. The verdict carries the Record and
+// Cached (true unless this call ran the check).
 func (s *Service) Check(ctx context.Context, src string, assertions []verilog.Item, opts Options) (Verdict, error) {
 	key := cacheKey(src, assertions, opts)
-	e, joined := s.join(key, s.store == nil || opts.CompileOnly)
+	e, joined := s.join(key, s.store == nil)
 	if e == nil { // not cached: the store answers before a computation starts
 		if rec, err := s.store.Get(key); err == nil && rec != nil {
 			s.diskHits.Add(1)
@@ -255,7 +252,30 @@ func (s *Service) Check(ctx context.Context, src string, assertions []verilog.It
 		e, joined = s.join(key, true)
 	}
 	if !joined {
-		go s.compute(key, e, src, assertions, opts)
+		go s.compute(key, e, func(ctx context.Context) (Verdict, error) {
+			v, err := run(ctx, src, assertions, opts)
+			return Verdict{Record: v.Record}, err
+		}, s.store)
+	}
+	return s.wait(ctx, key, e, !joined)
+}
+
+// Compile is the package-level Compile behind the verdict cache and the
+// worker pool: identical sources share one elaborated design, whose
+// simulator plan is built under the worker slot, and concurrent duplicates
+// coalesce as in Check. It never reads or writes the store. The verdict
+// carries the Record, the shared Design (nil on a compile error) and Cached.
+func (s *Service) Compile(ctx context.Context, src string) (Verdict, error) {
+	key := compileKey(src)
+	e, joined := s.join(key, true)
+	if !joined {
+		go s.compute(key, e, func(context.Context) (Verdict, error) {
+			v := Compile(src)
+			if v.Design != nil {
+				sim.PlanOf(v.Design)
+			}
+			return Verdict{Record: v.Record, Design: v.Design}, nil
+		}, nil)
 	}
 	return s.wait(ctx, key, e, !joined)
 }
@@ -270,11 +290,13 @@ func (s *Service) CheckRecord(ctx context.Context, src string, assertions []veri
 // worker pool and never reads or fills the verdict cache or the store, so
 // the whole warm verdict it returns (design, plans, diagnostics, formal
 // result) is garbage once the caller drops it. It counts as a miss. Use
-// Run for one-shot checks (a dataset build's goldens and mutants) and
-// wherever the warm parts are needed; use Check where the same key recurs
-// or concurrent duplicates should coalesce. A Run's Record equals the
-// Record Check returns for the same arguments.
+// Run for one-shot checks (a dataset build's mutants) and wherever the warm
+// parts are needed; use Check where the same key recurs or concurrent
+// duplicates should coalesce. A Run's Record equals the Record Check
+// returns for the same arguments.
 func (s *Service) Run(ctx context.Context, src string, assertions []verilog.Item, opts Options) (Verdict, error) {
 	s.misses.Add(1)
-	return s.pooled(ctx, src, assertions, opts)
+	return s.pooled(ctx, func(ctx context.Context) (Verdict, error) {
+		return run(ctx, src, assertions, opts)
+	})
 }

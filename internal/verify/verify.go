@@ -11,14 +11,14 @@
 //     Record (status, logs, diagnostic text, failed/vacuous assertion
 //     names, the counterexample stimulus) and the in-memory warm part of
 //     a Verdict (the elaborated *compile.Design with its simulator plan,
-//     the diagnostics, the *formal.Result). The cached path keeps and
-//     returns Records only, plus the design of a CompileOnly check; the
-//     uncached Run returns the whole warm verdict.
+//     the diagnostics, the *formal.Result). The cached Check keeps and
+//     returns Records only, and Service.Compile a Record and its shared
+//     design; the uncached Run and Compile return the whole warm verdict.
 //   - Store layer: one memory tier and one disk tier. The memory tier is
 //     the Service's two-generation verdict cache. The disk tier is an
 //     optional DiskStore (SetStore): an append-only log of Records by
 //     content hash, built on internal/dataset/binfmt framing. Check reads
-//     the cache, then the DiskStore (CompileOnly checks skip it), then
+//     the cache, then the DiskStore (Service.Compile never touches it), then
 //     computes; a computed record is put to the DiskStore before the
 //     check is answered, so an answered check has reached the operating
 //     system and survives a process crash. Shards are synced to disk only
@@ -32,7 +32,8 @@
 //     waiter remains; when the last waiter cancels, the computation is
 //     cancelled and the next requester recomputes from scratch. Run is
 //     the same pooled computation without the cache, for one-shot checks
-//     (a dataset build's mutants) whose verdicts nothing asks for again.
+//     (a dataset build's mutants) whose verdicts nothing asks for again,
+//     and the package-level Compile is the compile half alone.
 //   - Front end: cmd/serve exposes the Service over HTTP/JSON with
 //     admission control, per-client rate limits and stimulus checks, each
 //     run on its own scalar checker.
@@ -41,8 +42,8 @@
 // had: a content-addressed key (hash of source, candidate assertion set
 // and normalised options) and a bounded worker pool, so callers can fan
 // out freely without oversubscribing the machine. Cached records and
-// compile-only designs are shared between callers and must be treated as
-// read-only.
+// Service.Compile's designs are shared between callers and must be treated
+// as read-only.
 package verify
 
 import (
@@ -58,44 +59,11 @@ import (
 	"repro/internal/verilog"
 )
 
-// Options configures one check. The formal fields mirror formal.Options;
-// zero values take the formal checker's defaults, and the cache key is
-// computed from the normalised (defaults-applied) form so e.g. Depth 0 and
-// Depth 16 address the same entry. cmd/serve's /check decodes into it.
-type Options struct {
-	// Seed makes the random stimulus phase deterministic.
-	Seed int64 `json:"seed,omitempty"`
-	// Depth is the bound in clock cycles (default 16).
-	Depth int `json:"depth,omitempty"`
-	// RandomRuns bounds the random stimulus phase (default 48; negative —
-	// formal.NoRandom — disables the phase).
-	RandomRuns int `json:"random_runs,omitempty"`
-	// MaxExhaustiveBits caps full input-sequence enumeration (default 16).
-	MaxExhaustiveBits int `json:"max_exhaustive_bits,omitempty"`
-	// MaxConstBits caps constant-input enumeration (default 10).
-	MaxConstBits int `json:"max_const_bits,omitempty"`
-	// FourState checks in the four-state value domain (formal.Options.
-	// FourState): uninitialised/unreset registers read x, and x reaching an
-	// assertion fails it. Required to catch the reset-removal and
-	// initialisation-deletion bug classes, which are invisible to the
-	// two-state default.
-	FourState bool `json:"four_state,omitempty"`
-	// CompileOnly stops after elaboration: the verdict carries the design
-	// but no formal result. Used where a caller needs a compiled design
-	// (e.g. as the golden side of a behavioural diff) without checking it.
-	CompileOnly bool `json:"compile_only,omitempty"`
-}
-
-func (o Options) formal() formal.Options {
-	return formal.Options{
-		Seed:              o.Seed,
-		Depth:             o.Depth,
-		RandomRuns:        o.RandomRuns,
-		MaxExhaustiveBits: o.MaxExhaustiveBits,
-		MaxConstBits:      o.MaxConstBits,
-		FourState:         o.FourState,
-	}
-}
+// Options configures one check. It is formal.Options itself: zero values
+// take the formal checker's defaults, the cache key is computed from the
+// Normalized form (so Depth 0 and Depth 16 address the same entry), and
+// cmd/serve's /check decodes into it.
+type Options = formal.Options
 
 // Status classifies a verdict.
 type Status int
@@ -103,7 +71,7 @@ type Status int
 // Verdict statuses.
 const (
 	// StatusPass: the design compiled and every assertion held within the
-	// bound (or CompileOnly was set and compilation succeeded).
+	// bound (or, for Compile, compilation succeeded).
 	StatusPass Status = iota
 	// StatusCompileError: parsing or elaboration failed.
 	StatusCompileError
@@ -167,7 +135,7 @@ type Record struct {
 	// compiler emitted none).
 	DiagText string `json:"diag_text,omitempty"`
 	// Strategy and Runs record how the formal checker explored the state
-	// space (empty/zero for compile errors and compile-only checks).
+	// space (empty/zero for compile errors and Compile verdicts).
 	Strategy string `json:"strategy,omitempty"`
 	Runs     int    `json:"runs,omitempty"`
 	// FailedAsserts names the assertions that failed (the bounded check
@@ -188,16 +156,16 @@ func (r Record) Passed() bool { return r.Status == StatusPass }
 // check did not run).
 func (r Record) Vacuous() []string { return r.VacuousAsserts }
 
-// Verdict is the outcome of one check: the serializable Record plus the
-// warm in-memory parts, which only Run fills. Check fills Record and
-// Cached, plus Design for a CompileOnly check; both are shared between
-// callers, which must not mutate them.
+// Verdict is the outcome of one check or compile: the serializable Record
+// plus the warm in-memory parts, which Run and Compile fill. Check fills
+// Record and Cached only; Service.Compile fills Record, Cached and Design.
+// Both share what they return between callers, which must not mutate it.
 type Verdict struct {
 	Record
-	// Design is the elaborated design; nil when compilation failed. It
-	// carries internal/sim's compiled execution plan, warmed under the
-	// worker slot, so a compile-only design is ready to simulate without
-	// re-walking the AST.
+	// Design is the elaborated design; nil when compilation failed. The
+	// design Service.Compile returns carries internal/sim's compiled
+	// execution plan, warmed under the worker slot, so it is ready to
+	// simulate without re-walking the AST.
 	Design *compile.Design
 	// CompileErr is the parse error when parsing failed (nil for
 	// elaboration failures, which are reported through Diags).
@@ -206,7 +174,7 @@ type Verdict struct {
 	// error when Status is StatusCompileError and CompileErr is nil).
 	Diags []compile.Diagnostic
 	// Formal is the bounded-check result; nil on compile errors, check
-	// errors and compile-only verdicts.
+	// errors and Compile verdicts.
 	Formal *formal.Result
 	// Cached reports whether this verdict was answered from the cache.
 	Cached bool
@@ -273,6 +241,22 @@ func extractStimulus(d *compile.Design, tr *sim.Trace) *Stimulus {
 	return st
 }
 
+// Compile parses and elaborates src: the compile half of every check. Its
+// verdict is StatusPass with the design and diagnostics, or
+// StatusCompileError. It reads no cache, takes no worker slot and builds no
+// simulator plan; Service.Compile is the cached, pooled and plan-warmed form.
+func Compile(src string) Verdict {
+	d, diags, err := compile.Compile(src)
+	if err != nil {
+		return compileErrVerdict(err)
+	}
+	v := Verdict{Record: Record{Status: StatusPass, DiagText: compile.FormatDiags(diags)}, Design: d, Diags: diags}
+	if d == nil || compile.HasErrors(diags) {
+		v.Status, v.Log, v.Design = StatusCompileError, v.DiagText, nil
+	}
+	return v
+}
+
 // run is the uncached (optional substitution ->) compile -> formal-check
 // sequence; it executes inside a worker slot under the compute context.
 func run(ctx context.Context, src string, assertions []verilog.Item, opts Options) (Verdict, error) {
@@ -284,56 +268,26 @@ func run(ctx context.Context, src string, assertions []verilog.Item, opts Option
 			return verdict, nil
 		}
 	}
-	d, diags, err := compile.Compile(src)
+	v := Compile(src)
+	if v.Status != StatusPass {
+		return v, nil
+	}
+	res, err := formal.Check(ctx, v.Design, opts)
 	if err != nil {
-		return compileErrVerdict(err), nil
+		v.Status, v.Log = StatusError, err.Error()
+		return v, err
 	}
-	if compile.HasErrors(diags) || d == nil {
-		log := compile.FormatDiags(diags)
-		return Verdict{
-			Record: Record{Status: StatusCompileError, Log: log, DiagText: log},
-			Diags:  diags,
-		}, nil
-	}
-	diagText := ""
-	if len(diags) > 0 {
-		diagText = compile.FormatDiags(diags)
-	}
-	// Warm the simulator's compiled execution plan while we hold a worker
-	// slot. The plan lives on the design, so a compile-only design (cached
-	// for cmd/serve's /stimulus checks, or a golden fed to formal.Differ)
-	// is ready to run instead of rebuilding the plan on first simulation.
-	sim.PlanOf(d)
-	if opts.CompileOnly {
-		return Verdict{
-			Record: Record{Status: StatusPass, DiagText: diagText},
-			Design: d, Diags: diags,
-		}, nil
-	}
-	res, err := formal.Check(ctx, d, opts.formal())
-	if err != nil {
-		return Verdict{
-			Record: Record{Status: StatusError, Log: err.Error(), DiagText: diagText},
-			Design: d, Diags: diags,
-		}, err
-	}
-	rec := Record{
-		Log:            res.Log,
-		DiagText:       diagText,
-		Strategy:       res.Strategy,
-		Runs:           res.Runs,
-		VacuousAsserts: append([]string(nil), res.VacuousAsserts...),
-	}
-	if res.Pass {
-		rec.Status = StatusPass
-	} else {
-		rec.Status = StatusAssertFail
+	v.Formal = res
+	v.Log, v.Strategy, v.Runs = res.Log, res.Strategy, res.Runs
+	v.VacuousAsserts = append([]string(nil), res.VacuousAsserts...)
+	if !res.Pass {
+		v.Status = StatusAssertFail
 		if res.Failure != nil {
-			rec.FailedAsserts = []string{res.Failure.Assert.Name}
+			v.FailedAsserts = []string{res.Failure.Assert.Name}
 		}
-		rec.Counterexample = extractStimulus(d, res.Trace)
+		v.Counterexample = extractStimulus(v.Design, res.Trace)
 	}
-	return Verdict{Record: rec, Design: d, Diags: diags, Formal: res}, nil
+	return v, nil
 }
 
 // cacheKey hashes the source, the candidate assertion set and the
@@ -341,21 +295,30 @@ func run(ctx context.Context, src string, assertions []verilog.Item, opts Option
 // form (printing a throwaway module is cheap relative to re-printing and
 // re-parsing the full design, which happens only on a miss).
 func cacheKey(src string, assertions []verilog.Item, opts Options) Key {
-	f := opts.formal().Normalized()
+	return digest(src, assertions, opts.Normalized(), 0)
+}
+
+// compileKey addresses Service.Compile's design of src. Its flag byte is
+// the one the retired compile-only option set, so the key is the one a
+// compile-only check had, and no check's key equals it.
+func compileKey(src string) Key { return digest(src, nil, Options{}.Normalized(), 1) }
+
+// digest hashes normalised options, one little-endian word per field, with
+// a flag byte, then the source and the assertion set.
+func digest(src string, assertions []verilog.Item, o Options, flag byte) Key {
 	var meta [8 * 7]byte
-	binary.LittleEndian.PutUint64(meta[0:], uint64(f.Seed))
-	binary.LittleEndian.PutUint64(meta[8:], uint64(f.Depth))
-	binary.LittleEndian.PutUint64(meta[16:], uint64(f.RandomRuns))
-	binary.LittleEndian.PutUint64(meta[24:], uint64(f.MaxExhaustiveBits))
-	binary.LittleEndian.PutUint64(meta[32:], uint64(f.MaxConstBits))
-	if opts.CompileOnly {
-		meta[40] = 1
-	}
-	if f.FourState {
+	binary.LittleEndian.PutUint64(meta[0:], uint64(o.Seed))
+	binary.LittleEndian.PutUint64(meta[8:], uint64(o.Depth))
+	// NoRandom is laid out as 0 runs, as it was when Normalized mapped it there.
+	binary.LittleEndian.PutUint64(meta[16:], uint64(max(o.RandomRuns, 0)))
+	binary.LittleEndian.PutUint64(meta[24:], uint64(o.MaxExhaustiveBits))
+	binary.LittleEndian.PutUint64(meta[32:], uint64(o.MaxConstBits))
+	meta[40] = flag
+	if o.FourState {
 		meta[41] = 1
 	}
-	// meta[48:56] held the lane count of the retired formal.Options.Lanes.
-	// It stays zero, so a key equals the one a lanes-0 request always made.
+	// meta[48:56] held the lane count of the retired Lanes option. It
+	// stays zero, so a key equals the one a lanes-0 request always made.
 	h := sha256.New()
 	h.Write(meta[:])
 	h.Write([]byte(src))

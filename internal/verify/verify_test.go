@@ -3,12 +3,14 @@ package verify
 import (
 	"context"
 	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"reflect"
 	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/compile"
 	"repro/internal/corpus"
 	"repro/internal/verilog"
 )
@@ -111,7 +113,6 @@ func TestRunMatchesCheck(t *testing.T) {
 		{"vacuous", vacuousSrc, Options{Depth: 8}, StatusPass},
 		{"assert-fail", failSrc, Options{Depth: 8}, StatusAssertFail},
 		{"four-state", failSrc, Options{Depth: 8, FourState: true}, StatusAssertFail},
-		{"compile-only", failSrc, Options{CompileOnly: true}, StatusPass},
 		{"elaboration-error", elabErrSrc, Options{Depth: 8}, StatusCompileError},
 		{"parse-error", parseErrSrc, Options{Depth: 8}, StatusCompileError},
 		{"error", loopSrc, Options{Depth: 8}, StatusError},
@@ -189,15 +190,19 @@ func TestCacheKeySensitivity(t *testing.T) {
 		{"seed", passSrc, Options{Seed: 2, Depth: 8, RandomRuns: 4}},
 		{"depth", passSrc, Options{Seed: 1, Depth: 9, RandomRuns: 4}},
 		{"runs", passSrc, Options{Seed: 1, Depth: 8, RandomRuns: 5}},
-		{"compile-only", passSrc, Options{Seed: 1, Depth: 8, RandomRuns: 4, CompileOnly: true}},
 	}
+	// Service.Compile of the same source addresses an entry of its own.
+	compileVariant := func() (Verdict, error) { return svc.Compile(context.Background(), passSrc) }
 	for _, v := range variants {
 		if _, err := svc.Check(context.Background(), v.src, nil, v.opts); err != nil {
 			t.Fatalf("%s: %v", v.name, err)
 		}
 	}
-	if m := svc.Metrics(); m.Misses != uint64(len(variants)) {
-		t.Errorf("misses = %d, want %d (every variant must address its own entry)", m.Misses, len(variants))
+	if _, err := compileVariant(); err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	if m := svc.Metrics(); m.Misses != uint64(len(variants)+1) {
+		t.Errorf("misses = %d, want %d (every variant must address its own entry)", m.Misses, len(variants)+1)
 	}
 	// Replaying every variant must be pure hits.
 	for _, v := range variants {
@@ -209,8 +214,11 @@ func TestCacheKeySensitivity(t *testing.T) {
 			t.Errorf("%s: replay missed the cache", v.name)
 		}
 	}
-	if m := svc.Metrics(); m.Hits != uint64(len(variants)) {
-		t.Errorf("hits = %d, want %d", m.Hits, len(variants))
+	if got, err := compileVariant(); err != nil || !got.Cached {
+		t.Errorf("compile: replay missed the cache (err=%v)", err)
+	}
+	if m := svc.Metrics(); m.Hits != uint64(len(variants)+1) {
+		t.Errorf("hits = %d, want %d", m.Hits, len(variants)+1)
 	}
 }
 
@@ -229,21 +237,52 @@ func TestOptionsNormalisedForKey(t *testing.T) {
 	}
 }
 
+// FuzzOptionsKey decodes arbitrary /check option JSON and requires the
+// key to see only the canonical form: Normalized is idempotent, and the
+// options and their normalised form address one cache entry.
+func FuzzOptionsKey(f *testing.F) {
+	for _, seed := range []string{
+		`{}`,
+		`{"seed":7,"depth":40,"random_runs":10,"max_exhaustive_bits":8,"four_state":true}`,
+		`{"depth":-3,"random_runs":-1,"max_exhaustive_bits":99,"max_const_bits":0}`,
+		`{"lanes":64,"compile_only":true}`,
+		`{"seed":-9223372036854775808,"depth":9223372036854775807,"random_runs":-9223372036854775808}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var o Options
+		if json.Unmarshal(data, &o) != nil {
+			return
+		}
+		n := o.Normalized()
+		if n.Normalized() != n {
+			t.Fatalf("Normalized is not idempotent: %+v -> %+v -> %+v", o, n, n.Normalized())
+		}
+		if cacheKey(passSrc, nil, o) != cacheKey(passSrc, nil, n) {
+			t.Fatalf("%+v and its normalised form %+v have different keys", o, n)
+		}
+	})
+}
+
 // TestCacheKeyPinned pins the key bytes: records stored on disk are found
 // by these keys, so a change to the key layout (such as dropping an
 // option's bytes instead of leaving them zero) orphans every stored record.
+// The last row is Service.Compile's key, the key of the retired
+// compile-only option.
 func TestCacheKeyPinned(t *testing.T) {
 	src := corpus.EdgeDetect().Source()
 	for _, tc := range []struct {
-		opts Options
+		name string
+		key  Key
 		want string
 	}{
-		{Options{}, "3af045d10086a958421bc42f5fce0e665664ac8976e08453e40ab272b3b5f9db"},
-		{Options{Seed: 7, Depth: 40, RandomRuns: 10, MaxExhaustiveBits: 8, FourState: true}, "5d763b60473ecd6cb5aff79e6fc5edb35c93b1c30942fa6e813c2b144abf2654"},
-		{Options{CompileOnly: true}, "f6900f3f3a1dca670dec777ab9651fa4017c26309c019b4b2094c98d761b18e1"},
+		{"default", cacheKey(src, nil, Options{}), "3af045d10086a958421bc42f5fce0e665664ac8976e08453e40ab272b3b5f9db"},
+		{"set", cacheKey(src, nil, Options{Seed: 7, Depth: 40, RandomRuns: 10, MaxExhaustiveBits: 8, FourState: true}), "5d763b60473ecd6cb5aff79e6fc5edb35c93b1c30942fa6e813c2b144abf2654"},
+		{"compile", compileKey(src), "f6900f3f3a1dca670dec777ab9651fa4017c26309c019b4b2094c98d761b18e1"},
 	} {
-		if k := cacheKey(src, nil, tc.opts); hex.EncodeToString(k[:]) != tc.want {
-			t.Errorf("%+v: key %x, want %s", tc.opts, k, tc.want)
+		if hex.EncodeToString(tc.key[:]) != tc.want {
+			t.Errorf("%s: key %x, want %s", tc.name, tc.key, tc.want)
 		}
 	}
 }
@@ -290,14 +329,45 @@ func TestStatusClassification(t *testing.T) {
 	}
 }
 
+// TestCompileOnly holds the two compile calls to each other: for every
+// compile outcome the uncached Compile returns the Record Service.Compile
+// returns, with no formal result, and counts no miss; Service.Compile
+// counts one, and only its design carries a built plan.
 func TestCompileOnly(t *testing.T) {
-	svc := New(2)
-	v, err := svc.Check(context.Background(), failSrc, nil, Options{CompileOnly: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.Status != StatusPass || v.Design == nil || v.Formal != nil {
-		t.Errorf("compile-only verdict: status=%v design=%v formal=%v", v.Status, v.Design != nil, v.Formal != nil)
+	// planned peeks at a design's plan without building it.
+	planned := func(d *compile.Design) bool { return d.CachedPlan(func() any { return nil }) != nil }
+	for _, tc := range []struct {
+		name   string
+		src    string
+		status Status
+	}{
+		{"pass", failSrc, StatusPass},
+		{"elaboration-error", elabErrSrc, StatusCompileError},
+		{"parse-error", parseErrSrc, StatusCompileError},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			svc := New(2)
+			want, err := svc.Compile(context.Background(), tc.src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := svc.Metrics()
+			got := Compile(tc.src)
+			if after := svc.Metrics(); after != before || before.Misses != 1 {
+				t.Errorf("metrics %+v after Service.Compile, %+v after Compile; want one miss, then none", before, after)
+			}
+			if got.Status != tc.status || !reflect.DeepEqual(got.Record, want.Record) {
+				t.Errorf("Compile record %+v, Service.Compile record %+v, want status %v", got.Record, want.Record, tc.status)
+			}
+			compiled := tc.status == StatusPass
+			if got.Formal != nil || (got.Design != nil) != compiled || (want.Design != nil) != compiled {
+				t.Fatalf("Compile design=%v formal=%v, Service.Compile design=%v; want designs only on a pass",
+					got.Design != nil, got.Formal != nil, want.Design != nil)
+			}
+			if compiled && (planned(got.Design) || !planned(want.Design)) {
+				t.Errorf("plans built: Compile %v, Service.Compile %v; want false, true", planned(got.Design), planned(want.Design))
+			}
+		})
 	}
 }
 
