@@ -416,17 +416,7 @@ func benchSerialize(b *testing.B, format string) {
 	}
 	dir := b.TempDir()
 	round := func() []string {
-		var w interface {
-			Write(v any) error
-			Paths() []string
-			Close() error
-		}
-		var err error
-		if format == "bin" {
-			w, err = dataset.NewBinWriter(dir, "bench", 4)
-		} else {
-			w, err = dataset.NewShardedWriter(dir, "bench", 4)
-		}
+		w, err := dataset.NewWriter(dir, "bench", format, 4)
 		if err != nil {
 			b.Fatal(err)
 		}

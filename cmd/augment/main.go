@@ -9,13 +9,14 @@
 //	sva_eval_human.json   - the 38 hand-crafted human cases
 //
 // With -format jsonl or -format bin each dataset is written as -shards
-// streaming shard files (<name>-00000.jsonl or .bin) instead of one
-// monolithic JSON array; the pipeline then streams straight to disk and
-// holds no dataset in memory. No check enters the verification cache, and
-// the pipeline holds only the designs and mutants in flight, taking its
-// inputs one at a time, so peak memory barely grows with -n: on a 2-core
-// Xeon, -format bin peaks at about 11.9 MiB for the catalog alone and
-// 13.7 MiB at -n 200. The bin format
+// shard files (<name>-00000.jsonl or .bin) instead of one JSON array.
+// Every format goes through one dataset.Writer and streams straight to
+// disk: the pipeline holds no dataset in memory, and each writer first
+// removes its dataset's files in any other format. No check enters the
+// verification cache, and the pipeline holds only the designs and mutants
+// in flight, taking its inputs one at a time, so peak memory barely grows
+// with -n: on a 2-core Xeon, the catalog alone peaks at 10.5-11.6 MiB in
+// every format, and -format bin at 13.7 MiB at -n 200. The bin format
 // is the compact binary container of internal/dataset/binfmt (interned strings,
 // packed traces, per-shard random-access index). cmd/train autodetects
 // whichever format was produced.
@@ -29,7 +30,6 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"path/filepath"
 
 	"repro/internal/augment"
 	"repro/internal/dataset"
@@ -73,69 +73,12 @@ func main() {
 		// Stats never need the datasets in memory: stream through a
 		// counting sink whatever the requested output format was.
 		err = runStatsOnly(cfg)
-	case *format != "json":
-		err = runSharded(cfg, *outDir, *shards, *format)
 	default:
-		err = runJSON(cfg, *outDir)
+		err = runSharded(cfg, *outDir, *shards, *format)
 	}
 	if err != nil {
 		log.Fatal(err)
 	}
-}
-
-// runJSON is the default mode: it collects the run in memory and writes
-// each dataset as one JSON array.
-func runJSON(cfg augment.Config, outDir string) error {
-	out, err := augment.Run(cfg)
-	if err != nil {
-		return err
-	}
-	human, err := augment.BuildHumanEval(cfg)
-	if err != nil {
-		return err
-	}
-
-	printStats(out.Stats, len(out.VerilogPT), len(out.VerilogBug), len(out.SVABug), len(out.SVAEvalMachine), len(human))
-	fmt.Println("Table II distribution:")
-	fmt.Println(dataset.FormatTableII(out.SVABug, append(out.SVAEvalMachine, human...)))
-
-	if err := os.MkdirAll(outDir, 0o755); err != nil {
-		return err
-	}
-	for _, d := range []struct {
-		name string
-		v    any
-	}{
-		{"verilog_pt.json", out.VerilogPT},
-		{"verilog_bug.json", out.VerilogBug},
-		{"sva_bug.json", out.SVABug},
-		{"sva_eval_machine.json", out.SVAEvalMachine},
-		{"sva_eval_human.json", human},
-	} {
-		if err := writeJSON(filepath.Join(outDir, d.name), d.v); err != nil {
-			return err
-		}
-	}
-	fmt.Printf("datasets written to %s/\n", outDir)
-	return nil
-}
-
-// writeJSON writes v to path as one JSON array.
-func writeJSON(path string, v any) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := dataset.WriteJSON(f, v); err != nil {
-		f.Close()
-		return err
-	}
-	// A failed close loses buffered writes (e.g. on a full disk); it must
-	// not be reported as success.
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("%s: close: %w", filepath.Base(path), err)
-	}
-	return nil
 }
 
 func printStats(st augment.Stats, pt, vbug, svabug, evalMachine, evalHuman int) {
@@ -263,19 +206,10 @@ func runStatsOnly(cfg augment.Config) error {
 	return nil
 }
 
-// shardWriter is the streaming sink surface shared by the JSONL and
-// binary sharded writers.
-type shardWriter interface {
-	Write(v any) error
-	Count() int
-	Paths() []string
-	Close() error
-}
-
-// shardSink streams pipeline products straight into shard writers while
+// shardSink streams pipeline products straight into dataset writers while
 // collecting only the per-module name/bin pairs the split needs.
 type shardSink struct {
-	pt, bug, all shardWriter
+	pt, bug, all *dataset.Writer
 	names        dataset.ModuleNames
 }
 
@@ -288,62 +222,53 @@ func (s *shardSink) Sample(sm dataset.SVASample) error {
 	return s.all.Write(&sm)
 }
 
-// runSharded is the streaming path: Stage 1-3 products go straight to
-// JSONL or binary shards; the train/test split then re-streams the
-// combined sample shards into sva_bug and sva_eval_machine, so no
-// dataset is ever materialised in memory. On any error every shard
-// written so far is removed — a partial shard set is indistinguishable
-// from a complete one to dataset.Load, so it must not survive. A shard
-// count below 1 writes, and reports, one shard per dataset.
+// runSharded is the one write path: Stage 1-3 products go straight to
+// dataset writers in the requested format; the train/test split then
+// re-streams the combined sample shards into sva_bug and
+// sva_eval_machine, so no dataset is ever materialised in memory. The
+// combined samples are a temporary jsonl or bin shard set (jsonl for
+// -format json), removed once routed. On any error every file written so
+// far is removed: a partial dataset is indistinguishable from a complete
+// one to dataset.Load, so it must not survive. A shard count below 1
+// writes, and reports, one shard per dataset; json writes one file.
 func runSharded(cfg augment.Config, outDir string, shards int, format string) (err error) {
-	shards = max(shards, 1)
 	if err := os.MkdirAll(outDir, 0o755); err != nil {
 		return err
 	}
-	var created []string
+	var writers []*dataset.Writer
 	defer func() {
 		if err == nil {
 			return
 		}
-		for _, path := range created {
-			os.Remove(path)
-		}
-	}()
-	newWriter := func(base string) (shardWriter, error) {
-		// Remove shards left by a previous run with a different -shards
-		// count or format: dataset.Load globs <base>-*.jsonl and
-		// <base>-*.bin, so survivors would silently merge a stale build
-		// into this one (or trip its mixed-format check).
-		stale, gerr := dataset.ShardPaths(outDir, base)
-		if gerr != nil {
-			return nil, gerr
-		}
-		for _, path := range stale {
-			if rerr := os.Remove(path); rerr != nil {
-				return nil, rerr
+		for _, w := range writers {
+			w.Close()
+			for _, path := range w.Paths() {
+				os.Remove(path)
 			}
 		}
-		var w shardWriter
-		var werr error
-		if format == "bin" {
-			w, werr = dataset.NewBinWriter(outDir, base, shards)
-		} else {
-			w, werr = dataset.NewShardedWriter(outDir, base, shards)
+	}()
+	// Each writer first removes its base's files in every format, left by
+	// a previous run with another -format or -shards.
+	newWriter := func(base, format string) (*dataset.Writer, error) {
+		w, err := dataset.NewWriter(outDir, base, format, shards)
+		if err != nil {
+			return nil, err
 		}
-		if werr != nil {
-			return nil, werr
-		}
-		created = append(created, w.Paths()...)
+		writers = append(writers, w)
 		return w, nil
 	}
+	sampleFormat := format
+	if format == "json" {
+		sampleFormat = "jsonl"
+	}
 	sink := &shardSink{}
-	if sink.pt, err = newWriter("verilog_pt"); err != nil {
+	if sink.pt, err = newWriter("verilog_pt", format); err != nil {
 		return err
 	}
-	if sink.bug, err = newWriter("verilog_bug"); err != nil {
+	if sink.bug, err = newWriter("verilog_bug", format); err != nil {
 		return err
 	}
-	if sink.all, err = newWriter("sva_samples"); err != nil {
+	if sink.all, err = newWriter("sva_samples", sampleFormat); err != nil {
 		return err
 	}
 	st, err := augment.RunStream(cfg, sink)
@@ -351,7 +276,7 @@ func runSharded(cfg augment.Config, outDir string, shards int, format string) (e
 		return err
 	}
 	ptCount, bugCount := sink.pt.Count(), sink.bug.Count()
-	for _, w := range []shardWriter{sink.pt, sink.bug, sink.all} {
+	for _, w := range []*dataset.Writer{sink.pt, sink.bug, sink.all} {
 		if cerr := w.Close(); cerr != nil {
 			return cerr
 		}
@@ -360,18 +285,18 @@ func runSharded(cfg augment.Config, outDir string, shards int, format string) (e
 	// Split pass: route the combined sample stream by module name.
 	side := augment.Split(cfg, &sink.names)
 	samplePaths := sink.all.Paths()
-	trainW, err := newWriter("sva_bug")
+	trainW, err := newWriter("sva_bug", format)
 	if err != nil {
 		return err
 	}
-	evalW, err := newWriter("sva_eval_machine")
+	evalW, err := newWriter("sva_eval_machine", format)
 	if err != nil {
 		return err
 	}
 	dt, de := dataset.NewDistribution(), dataset.NewDistribution()
 	// The sample shards are re-streamed interleaved, restoring production
-	// order: for a fixed seed the routed datasets come out identical to
-	// the monolithic JSON mode's, entry for entry, at any -shards count.
+	// order: for a fixed seed the routed datasets hold the entries
+	// augment.Run collects, in its order, at any -shards count.
 	route := func(s dataset.SVASample) error {
 		switch side(s.Module, s.TrainOnly()) {
 		case dataset.SideTrain:
@@ -391,7 +316,7 @@ func runSharded(cfg augment.Config, outDir string, shards int, format string) (e
 	if err != nil {
 		return err
 	}
-	humanW, err := newWriter("sva_eval_human")
+	humanW, err := newWriter("sva_eval_human", format)
 	if err != nil {
 		return err
 	}
@@ -402,7 +327,7 @@ func runSharded(cfg augment.Config, outDir string, shards int, format string) (e
 		}
 	}
 	trainCount, evalCount := trainW.Count(), evalW.Count()
-	for _, w := range []shardWriter{trainW, evalW, humanW} {
+	for _, w := range []*dataset.Writer{trainW, evalW, humanW} {
 		if cerr := w.Close(); cerr != nil {
 			return cerr
 		}
@@ -416,6 +341,6 @@ func runSharded(cfg augment.Config, outDir string, shards int, format string) (e
 	printStats(st, ptCount, bugCount, trainCount, evalCount, len(human))
 	fmt.Println("Table II distribution:")
 	fmt.Println(dataset.FormatTableIIDist(dt, de))
-	fmt.Printf("%s datasets written to %s/ (%d shards each)\n", format, outDir, shards)
+	fmt.Printf("%s datasets written to %s/ (%d shards each)\n", format, outDir, len(trainW.Paths()))
 	return nil
 }

@@ -1,13 +1,16 @@
 // Command svaeval emits the SVA-Eval benchmark (machine-generated plus the
 // 38 hand-crafted human cases) as a single JSON file, the open-source
-// artefact the paper releases for the community.
+// artefact the paper releases for the community. -out must name a .json
+// file; it is written through dataset.Writer, which first removes any
+// other format's files of the same base (<base>-*.jsonl, <base>-*.bin).
 package main
 
 import (
 	"flag"
 	"fmt"
 	"log"
-	"os"
+	"path/filepath"
+	"strings"
 
 	"repro/internal/augment"
 	"repro/internal/dataset"
@@ -22,6 +25,11 @@ func main() {
 		runs = flag.Int("runs", 16, "random runs per bounded check")
 	)
 	flag.Parse()
+	dir, name := filepath.Split(*out)
+	base, ok := strings.CutSuffix(name, ".json")
+	if !ok {
+		log.Fatalf("-out %q does not name a .json file", *out)
+	}
 
 	cfg := augment.Config{Seed: *seed, RandomRuns: *runs}
 	res, err := augment.Run(cfg)
@@ -33,16 +41,27 @@ func main() {
 		log.Fatal(err)
 	}
 	bench := append(res.SVAEvalMachine, human...)
-
-	f, err := os.Create(*out)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer f.Close()
-	if err := dataset.WriteJSON(f, bench); err != nil {
+	if err := write(dir, base, bench); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("SVA-Eval written to %s: %d machine + %d human = %d cases\n",
 		*out, len(res.SVAEvalMachine), len(human), len(bench))
 	fmt.Println(dataset.FormatTableII(nil, bench))
+}
+
+// write writes the benchmark to <dir>/<base>.json as one indented JSON
+// array. A failed close loses buffered writes (e.g. on a full disk), so
+// it is reported, not dropped.
+func write(dir, base string, bench []dataset.SVASample) error {
+	w, err := dataset.NewWriter(dir, base, "json", 1)
+	if err != nil {
+		return err
+	}
+	for i := range bench {
+		if err := w.Write(&bench[i]); err != nil {
+			w.Close()
+			return err
+		}
+	}
+	return w.Close()
 }

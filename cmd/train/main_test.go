@@ -13,18 +13,8 @@ import (
 // the given format ("jsonl" or "bin").
 func writeShards(t *testing.T, dir, format string) {
 	t.Helper()
-	newWriter := func(base string) interface {
-		Write(v any) error
-		Close() error
-	} {
-		if format == "bin" {
-			w, err := dataset.NewBinWriter(dir, base, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return w
-		}
-		w, err := dataset.NewShardedWriter(dir, base, 1)
+	newWriter := func(base string) *dataset.Writer {
+		w, err := dataset.NewWriter(dir, base, format, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -42,7 +32,7 @@ func writeShards(t *testing.T, dir, format string) {
 	if err := sva.Write(&dataset.SVASample{ID: "m_bug0", Module: "m", Syn: "Var"}); err != nil {
 		t.Fatal(err)
 	}
-	for _, w := range []interface{ Close() error }{pt, bug, sva} {
+	for _, w := range []*dataset.Writer{pt, bug, sva} {
 		if err := w.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -75,8 +65,10 @@ func TestLoadTrainingDataRejectsMixedFormats(t *testing.T) {
 	dir := t.TempDir()
 	writeShards(t, dir, "jsonl")
 	// Add a binary shard beside sva_bug's JSONL shard: same base, mixed
-	// formats.
-	w, err := dataset.NewBinWriter(dir, "sva_bug", 1)
+	// formats. The writer removes its base's other formats, so the shard
+	// is written elsewhere and moved in.
+	other := t.TempDir()
+	w, err := dataset.NewWriter(other, "sva_bug", "bin", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,6 +76,9 @@ func TestLoadTrainingDataRejectsMixedFormats(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(w.Paths()[0], filepath.Join(dir, "sva_bug-00001.bin")); err != nil {
 		t.Fatal(err)
 	}
 	_, _, _, err = loadTrainingData(dir)

@@ -36,8 +36,10 @@
 // at about 11.9 MiB for the catalog and 13.7 MiB with 200 generated
 // designs on a 2-core Xeon. The emitted stream is byte-identical for a
 // fixed seed regardless of the worker count. Run collects the stream into
-// an Output; RunStream hands it to a caller Sink (cmd/augment streams it
-// into sharded files).
+// an Output, holding every dataset in memory (cmd/svaeval, cmd/bench and
+// tests use it); RunStream hands it to a caller Sink. cmd/augment streams
+// it through dataset.Writer in every -format, json included, so it holds
+// no dataset.
 package augment
 
 import (

@@ -1,21 +1,18 @@
 package dataset
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 
 	"repro/internal/dataset/binfmt"
 )
 
-// This file is the binary serialisation layer: the same sharded,
-// round-robin dataset streams as the JSONL layer, but encoded in the
-// binfmt container (length-prefixed records, per-shard string
-// interning, footer offset index). The generic readers (ForEachShard,
-// ReadShards, Load) autodetect the format of every shard file from
-// its magic bytes, so the two layers interoperate transparently.
+// This file is the binary record codec and random-access reader: dataset
+// entries encoded in the binfmt container (length-prefixed records,
+// per-shard string interning, footer offset index). Writer streams them
+// into shards; the generic readers (ForEachShard, ReadShards, Load)
+// autodetect the format of every shard file from its magic bytes.
 
 // Record type tags and the per-record format version. The version is
 // bumped when a type's field layout changes; readers reject versions
@@ -27,11 +24,6 @@ const (
 
 	recVersion = 1
 )
-
-// binShardFile formats the path of binary shard i for a dataset base.
-func binShardFile(dir, base string, i int) string {
-	return filepath.Join(dir, fmt.Sprintf("%s-%05d.bin", base, i))
-}
 
 // EncodeRecord appends one dataset entry (a PTEntry, BugEntry or
 // SVASample, by value or pointer) to a binfmt record encoder. The
@@ -144,93 +136,6 @@ func DecodeRecord(d *binfmt.Decoder) (any, error) {
 	default:
 		return nil, fmt.Errorf("dataset: unknown record type tag %d", tag)
 	}
-}
-
-// BinWriter streams dataset entries into binary shard files named
-// <base>-00000.bin, ..., mirroring ShardedWriter: round-robin
-// assignment, deterministic output for a fixed entry stream, not safe
-// for concurrent use. Memory stays flat except for the per-shard
-// intern tables, which grow with distinct repeated strings (module
-// names, specs, golden code), not with record count.
-type BinWriter struct {
-	paths []string
-	files []*os.File
-	bufs  []*bufio.Writer
-	ws    []*binfmt.Writer
-	next  int
-	count int
-}
-
-// NewBinWriter creates (truncating) the binary shard files. shards <= 0
-// means a single shard.
-func NewBinWriter(dir, base string, shards int) (*BinWriter, error) {
-	if shards <= 0 {
-		shards = 1
-	}
-	w := &BinWriter{}
-	for i := 0; i < shards; i++ {
-		path := binShardFile(dir, base, i)
-		f, err := os.Create(path)
-		if err != nil {
-			w.Close()
-			return nil, err
-		}
-		buf := bufio.NewWriter(f)
-		bw, err := binfmt.NewWriter(buf)
-		if err != nil {
-			f.Close()
-			w.Close()
-			return nil, err
-		}
-		w.paths = append(w.paths, path)
-		w.files = append(w.files, f)
-		w.bufs = append(w.bufs, buf)
-		w.ws = append(w.ws, bw)
-	}
-	return w, nil
-}
-
-// Write appends one entry as a binary record to the next shard.
-func (w *BinWriter) Write(v any) error {
-	bw := w.ws[w.next]
-	if err := EncodeRecord(bw.Record(), v); err != nil {
-		return err
-	}
-	if err := bw.Commit(); err != nil {
-		return err
-	}
-	w.next = (w.next + 1) % len(w.ws)
-	w.count++
-	return nil
-}
-
-// Count returns the number of entries written so far.
-func (w *BinWriter) Count() int { return w.count }
-
-// Paths returns the shard file paths in shard order.
-func (w *BinWriter) Paths() []string { return w.paths }
-
-// Close writes every shard's footer, flushes and closes the files,
-// reporting the first error.
-func (w *BinWriter) Close() error {
-	var first error
-	for i, f := range w.files {
-		if w.ws[i] != nil {
-			if err := w.ws[i].Close(); err != nil && first == nil {
-				first = err
-			}
-		}
-		if err := w.bufs[i].Flush(); err != nil && first == nil {
-			first = err
-		}
-		if err := f.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	w.files = nil
-	w.bufs = nil
-	w.ws = nil
-	return first
 }
 
 // BinReader opens one binary shard for random access: Count records,

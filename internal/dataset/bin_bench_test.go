@@ -38,17 +38,7 @@ func benchWriteRead(b *testing.B, format string, phase string) {
 	samples := benchSamples(256)
 	dir := b.TempDir()
 	write := func() []string {
-		var w interface {
-			Write(v any) error
-			Paths() []string
-			Close() error
-		}
-		var err error
-		if format == "bin" {
-			w, err = NewBinWriter(dir, "bench", 4)
-		} else {
-			w, err = NewShardedWriter(dir, "bench", 4)
-		}
+		w, err := NewWriter(dir, "bench", format, 4)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -195,7 +195,7 @@ func TestBinWriterRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	in := sampleFixture(17)
 	for _, shards := range []int{1, 3, 4, 17, 32} {
-		w, err := NewBinWriter(dir, "sva", shards)
+		w, err := NewWriter(dir, "sva", "bin", shards)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -233,7 +233,7 @@ func TestBinWriterRoundTrip(t *testing.T) {
 func TestBinWriterDeterministic(t *testing.T) {
 	in := sampleFixture(11)
 	write := func(dir string) {
-		w, err := NewBinWriter(dir, "ds", 3)
+		w, err := NewWriter(dir, "ds", "bin", 3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -270,7 +270,7 @@ func TestBinWriterDeterministic(t *testing.T) {
 func TestBinReaderRandomAccess(t *testing.T) {
 	dir := t.TempDir()
 	in := sampleFixture(13)
-	w, err := NewBinWriter(dir, "sva", 1)
+	w, err := NewWriter(dir, "sva", "bin", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +319,7 @@ func TestBinReaderRandomAccess(t *testing.T) {
 func TestLoadBinShards(t *testing.T) {
 	dir := t.TempDir()
 	in := sampleFixture(9)
-	w, err := NewBinWriter(dir, "sva_bug", 2)
+	w, err := NewWriter(dir, "sva_bug", "bin", 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,16 +351,17 @@ func TestLoadBinShards(t *testing.T) {
 func TestLoadRejectsMixedAndCorrupt(t *testing.T) {
 	dir := t.TempDir()
 	in := sampleFixture(6)
-	jw, err := NewShardedWriter(dir, "sva_bug", 1)
+	jw, err := NewWriter(dir, "sva_bug", "jsonl", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bw, err := NewBinWriter(dir, "sva_bug", 1)
+	// A writer removes its base's other formats, so the bin shard is
+	// written elsewhere and moved in beside the jsonl one.
+	other := t.TempDir()
+	bw, err := NewWriter(other, "sva_bug", "bin", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The bin writer names files .bin, the jsonl writer .jsonl, so both
-	// coexist under one base.
 	for i := range in {
 		if err := jw.Write(&in[i]); err != nil {
 			t.Fatal(err)
@@ -373,6 +374,9 @@ func TestLoadRejectsMixedAndCorrupt(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := bw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(bw.Paths()[0], filepath.Join(dir, "sva_bug-00000.bin")); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Load[SVASample](dir, "sva_bug"); err == nil || !strings.Contains(err.Error(), "mixes formats") {
@@ -391,7 +395,7 @@ func TestLoadRejectsMixedAndCorrupt(t *testing.T) {
 
 	// A truncated binary shard must also fail loudly.
 	trunc := t.TempDir()
-	w2, err := NewBinWriter(trunc, "sva_bug", 1)
+	w2, err := NewWriter(trunc, "sva_bug", "bin", 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -321,13 +321,6 @@ func FormatTableIIDist(dt, de Distribution) string {
 // Serialisation
 // ---------------------------------------------------------------------------
 
-// WriteJSON streams any dataset slice as indented JSON.
-func WriteJSON(w io.Writer, v any) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(v)
-}
-
 // ReadSamples decodes an SVA sample slice from JSON.
 func ReadSamples(r io.Reader) ([]SVASample, error) {
 	var out []SVASample

@@ -1,7 +1,7 @@
 package dataset
 
 import (
-	"bytes"
+	"os"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -167,11 +167,14 @@ func TestBugEntryForms(t *testing.T) {
 
 func TestJSONRoundTrip(t *testing.T) {
 	samples := []SVASample{sample("m1", 30, "Op", true, false), sample("m2", 80, "Var", false, true)}
-	var buf bytes.Buffer
-	if err := WriteJSON(&buf, samples); err != nil {
+	dir := t.TempDir()
+	w := writeEntries(t, dir, "sva", "json", 1, samples)
+	f, err := os.Open(w.Paths()[0])
+	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadSamples(&buf)
+	defer f.Close()
+	back, err := ReadSamples(f)
 	if err != nil {
 		t.Fatal(err)
 	}

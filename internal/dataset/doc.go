@@ -7,21 +7,24 @@
 // # On-disk formats
 //
 // A dataset <base> exists in exactly one of three formats per
-// directory; Load refuses mixed or ambiguous layouts so a stale build
+// directory. One Writer (NewWriter) writes all three: it streams every
+// format with flat memory, and before creating its files it removes
+// every file of <base> in any format, so a directory holds one format per
+// base. Load in turn refuses mixed or ambiguous layouts, so a stale build
 // in one format can never silently shadow a fresh one in another.
 //
-//   - Monolithic JSON: one indented <base>.json array (WriteJSON /
-//     ReadSamples). The default cmd/augment output — human-readable,
-//     but the whole dataset lives in memory on both ends.
+//   - Monolithic JSON: one indented <base>.json array (Writer "json" /
+//     ReadSamples, Load). The default cmd/augment output: human-readable,
+//     streamed on write, but the whole array lives in memory on read.
 //
-//   - JSONL shards: <base>-00000.jsonl, ... (ShardedWriter /
+//   - JSONL shards: <base>-00000.jsonl, ... (Writer "jsonl" /
 //     ReadShards). One JSON object per line, entries assigned
 //     round-robin by index, so shard contents are a pure function of
 //     the entry stream and a fixed stream yields byte-identical
 //     shards at any worker count. Readers interleave the shards to
 //     reassemble production order with O(1) memory.
 //
-//   - Binary shards: <base>-00000.bin, ... (BinWriter / BinReader /
+//   - Binary shards: <base>-00000.bin, ... (Writer "bin" / BinReader /
 //     ReadShards), the internal/dataset/binfmt container. Same
 //     round-robin sharding and determinism contract as JSONL, but
 //     records are length-prefixed varint-framed binary with per-shard
@@ -44,8 +47,7 @@
 // json.Marshal output equals the original's. Log text survives
 // exactly — the packed trace encoding verifies its own rendering at
 // write time and falls back to raw text when a line cannot be
-// reproduced. Binary writing is deterministic: one entry stream, one
-// byte stream, whatever the producing pipeline's worker count — the
-// guarantee the JSONL layer established, extended to the binary
-// layer.
+// reproduced. Writing is deterministic in every format: one entry
+// stream, one byte stream, whatever the producing pipeline's worker
+// count.
 package dataset

@@ -28,7 +28,7 @@ func TestShardedWriterRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	in := sampleFixture(17)
 	for _, shards := range []int{1, 3, 4, 17, 32} {
-		w, err := NewShardedWriter(dir, "sva", shards)
+		w, err := NewWriter(dir, "sva", "jsonl", shards)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,7 +66,7 @@ func TestShardedWriterRoundTrip(t *testing.T) {
 func TestShardedWriterDeterministic(t *testing.T) {
 	in := sampleFixture(11)
 	write := func(dir string) {
-		w, err := NewShardedWriter(dir, "ds", 3)
+		w, err := NewWriter(dir, "ds", "jsonl", 3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,31 +103,9 @@ func TestShardedWriterDeterministic(t *testing.T) {
 func TestLoadBothFormats(t *testing.T) {
 	in := sampleFixture(9)
 
-	monoDir := t.TempDir()
-	f, err := os.Create(filepath.Join(monoDir, "sva_bug.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteJSON(f, in); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	shardDir := t.TempDir()
-	w, err := NewShardedWriter(shardDir, "sva_bug", 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range in {
-		if err := w.Write(&in[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
+	monoDir, shardDir := t.TempDir(), t.TempDir()
+	writeEntries(t, monoDir, "sva_bug", "json", 1, in)
+	writeEntries(t, shardDir, "sva_bug", "jsonl", 2, in)
 
 	for _, dir := range []string{monoDir, shardDir} {
 		got, err := Load[SVASample](dir, "sva_bug")
@@ -176,7 +154,7 @@ func TestReadJSONLTolerant(t *testing.T) {
 	big := sampleFixture(1)
 	big[0].Logs = strings.Repeat("x", 1<<20) // 1 MiB entry on one line
 	dir := t.TempDir()
-	w, err := NewShardedWriter(dir, "big", 1)
+	w, err := NewWriter(dir, "big", "jsonl", 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package dataset
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -10,26 +9,16 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/dataset/binfmt"
 )
 
-// This file is the JSONL streaming serialisation layer plus the
-// format-agnostic shard readers: datasets written as sharded JSONL
-// (one JSON object per line, entries distributed round-robin over
-// numbered shard files) instead of one monolithic indented JSON array.
-// Shard files append-stream with O(1) memory, shard assignment is a
-// pure function of the entry index — so a fixed entry stream always
-// produces byte-identical shards — and readers can reassemble the
-// original stream order by interleaving. The readers below
-// (ForEachShard, ReadShards, Load) also accept the binary shards of
-// bin.go, telling the formats apart by each file's magic bytes.
-
-// shardFile formats the path of shard i for a dataset base name.
-func shardFile(dir, base string, i int) string {
-	return filepath.Join(dir, fmt.Sprintf("%s-%05d.jsonl", base, i))
-}
+// This file holds the format-agnostic readers. Shard files of either
+// kind, JSONL or binary, hold entries assigned round-robin by index
+// (see Writer), so readers reassemble the original stream order by
+// interleaving the shards, holding one entry per shard in memory; each
+// file's format is told by its magic bytes, never by its name. Load also
+// reads the monolithic <base>.json array.
 
 // ShardPaths lists the existing shard files for a dataset base name in
 // dir — both the <base>-NNNNN.jsonl and <base>-NNNNN.bin kinds — in
@@ -46,99 +35,6 @@ func ShardPaths(dir, base string) ([]string, error) {
 	}
 	sort.Strings(paths)
 	return paths, nil
-}
-
-// ShardedWriter streams dataset entries into a fixed set of JSONL shard
-// files named <base>-00000.jsonl, <base>-00001.jsonl, ... Entries are
-// assigned round-robin, so shard contents depend only on the entry stream,
-// never on timing. Not safe for concurrent use; the augmentation
-// pipeline's writer stage is single-goroutine by design.
-type ShardedWriter struct {
-	paths []string
-	files []*os.File
-	bufs  []*bufio.Writer
-	next  int
-	count int
-}
-
-// NewShardedWriter creates (truncating) the shard files. shards <= 0 means
-// a single shard.
-func NewShardedWriter(dir, base string, shards int) (*ShardedWriter, error) {
-	if shards <= 0 {
-		shards = 1
-	}
-	w := &ShardedWriter{}
-	for i := 0; i < shards; i++ {
-		path := shardFile(dir, base, i)
-		f, err := os.Create(path)
-		if err != nil {
-			w.Close()
-			return nil, err
-		}
-		w.paths = append(w.paths, path)
-		w.files = append(w.files, f)
-		// The default 4 KiB buffer: a writer holds one per shard for the
-		// whole run, and a larger one would only save write calls.
-		w.bufs = append(w.bufs, bufio.NewWriter(f))
-	}
-	return w, nil
-}
-
-// jsonLineEncoder pairs a reusable buffer with a JSON encoder bound to
-// it, so Write never allocates a fresh marshal result per entry.
-type jsonLineEncoder struct {
-	buf bytes.Buffer
-	enc *json.Encoder
-}
-
-var jsonLinePool = sync.Pool{New: func() any {
-	e := &jsonLineEncoder{}
-	e.enc = json.NewEncoder(&e.buf)
-	return e
-}}
-
-// Write appends one entry as a JSON line to the next shard. The entry
-// is encoded into a pooled buffer first (json.Encoder emits exactly
-// json.Marshal's bytes plus the terminating newline), keeping the
-// encode allocation out of the per-record hot path.
-func (w *ShardedWriter) Write(v any) error {
-	e := jsonLinePool.Get().(*jsonLineEncoder)
-	defer func() {
-		e.buf.Reset()
-		jsonLinePool.Put(e)
-	}()
-	if err := e.enc.Encode(v); err != nil {
-		return err
-	}
-	if _, err := w.bufs[w.next].Write(e.buf.Bytes()); err != nil {
-		return err
-	}
-	w.next = (w.next + 1) % len(w.bufs)
-	w.count++
-	return nil
-}
-
-// Count returns the number of entries written so far.
-func (w *ShardedWriter) Count() int { return w.count }
-
-// Paths returns the shard file paths in shard order.
-func (w *ShardedWriter) Paths() []string { return w.paths }
-
-// Close flushes and closes every shard, reporting the first error — a
-// failed flush (e.g. a full disk) must not be mistaken for success.
-func (w *ShardedWriter) Close() error {
-	var first error
-	for i, f := range w.files {
-		if err := w.bufs[i].Flush(); err != nil && first == nil {
-			first = err
-		}
-		if err := f.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	w.files = nil
-	w.bufs = nil
-	return first
 }
 
 // shardStream pulls entries of one shard file in either on-disk
