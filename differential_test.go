@@ -2,6 +2,7 @@ package repro
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -40,10 +41,11 @@ func diffStim(d *compile.Design, seed int64, depth int) sim.VecStimulus {
 }
 
 // assertDifferential runs one design through the compiled slot-indexed plan
-// (sim.RunVecCtx) and the reference interpreter (sim.RunReferenceCtx) and requires
-// byte-identical traces and identical SVA verdicts. The reference trace
-// carries no plan, so sva.Check on it also exercises the interpretive
-// expression path against the compiled one.
+// (sim.RunVecCtx) and the reference interpreter (sim.RunReferenceCtx) in
+// both value domains and requires byte-identical traces, both planes on
+// every row, and identical SVA verdicts. The reference trace carries no
+// plan, so sva.Check on it also exercises the interpretive expression path
+// against the compiled one.
 func assertDifferential(t *testing.T, name, src string, seed int64) {
 	t.Helper()
 	d, diags, err := compile.Compile(src)
@@ -52,9 +54,16 @@ func assertDifferential(t *testing.T, name, src string, seed int64) {
 	}
 	dRef, _, _ := compile.Compile(src)
 	stim := diffStim(d, seed, 24)
+	for _, mode := range []sim.Mode{sim.TwoState, sim.FourState} {
+		assertDifferentialIn(t, fmt.Sprintf("%s %v", name, mode), d, dRef, stim, mode)
+	}
+}
 
-	tr, errPlan := sim.RunVecCtx(context.Background(), d, stim, sim.TwoState)
-	ref, errRef := sim.RunReferenceCtx(context.Background(), dRef, stim, sim.TwoState)
+// assertDifferentialIn is assertDifferential in one value domain.
+func assertDifferentialIn(t *testing.T, name string, d, dRef *compile.Design, stim sim.VecStimulus, mode sim.Mode) {
+	t.Helper()
+	tr, errPlan := sim.RunVecCtx(context.Background(), d, stim, mode)
+	ref, errRef := sim.RunReferenceCtx(context.Background(), dRef, stim, mode)
 	if (errPlan == nil) != (errRef == nil) {
 		t.Fatalf("%s: plan err=%v, reference err=%v", name, errPlan, errRef)
 	}
@@ -66,10 +75,11 @@ func assertDifferential(t *testing.T, name, src string, seed int64) {
 	}
 	for c := 0; c < tr.Len(); c++ {
 		for _, sigName := range d.Order {
-			got, _ := tr.Value(c, sigName)
-			want, _ := ref.Value(c, sigName)
+			got, _ := tr.Value4(c, sigName)
+			want, _ := ref.Value4(c, sigName)
 			if got != want {
-				t.Fatalf("%s: cycle %d signal %s: plan=%#x reference=%#x", name, c, sigName, got, want)
+				t.Fatalf("%s: cycle %d signal %s: plan=%#x/unk %#x reference=%#x/unk %#x",
+					name, c, sigName, got.Val, got.Unk, want.Val, want.Unk)
 			}
 		}
 	}
@@ -87,7 +97,7 @@ func assertDifferential(t *testing.T, name, src string, seed int64) {
 	}
 	for i := range resPlan.Failures {
 		p, r := resPlan.Failures[i], resRef.Failures[i]
-		if p.Assert.Name != r.Assert.Name || p.StartCycle != r.StartCycle || p.FailCycle != r.FailCycle {
+		if p.Assert.Name != r.Assert.Name || p.StartCycle != r.StartCycle || p.FailCycle != r.FailCycle || p.Unknown != r.Unknown {
 			t.Fatalf("%s: failure %d differs: plan=%+v reference=%+v", name, i, p, r)
 		}
 	}
@@ -99,68 +109,12 @@ func assertDifferential(t *testing.T, name, src string, seed int64) {
 			t.Fatalf("%s: attempts[%s]: plan=%d reference=%d", name, k, v, resRef.Attempts[k])
 		}
 	}
-
-	assertLaneLeg(t, name, d, stim, tr, resPlan)
-}
-
-// assertLaneLeg adds the third engine: the same stimulus packed into a
-// two-lane batch (both lanes identical, so predication follows exactly the
-// scalar branch structure and the lane engine must accept whatever the plan
-// accepted) and demuxed back, byte-compared against the plan trace and its
-// SVA verdicts.
-func assertLaneLeg(t *testing.T, name string, d *compile.Design, stim sim.VecStimulus, tr *sim.Trace, resPlan *sva.Result) {
-	t.Helper()
-	ls, err := sim.PackStimuli([]sim.VecStimulus{stim, stim})
-	if err != nil {
-		t.Fatalf("%s: pack: %v", name, err)
-	}
-	lt, err := sim.RunLanesCtx(context.Background(), d, ls, sim.TwoState)
-	if err != nil {
-		// No lane plan at all is a legitimate fallback; a runtime error on a
-		// uniform batch the plan simulated fine is a divergence.
-		if !sim.LanesOK(d, sim.TwoState) {
-			return
-		}
-		t.Fatalf("%s: lane run failed where plan passed: %v", name, err)
-	}
-	for l := 0; l < 2; l++ {
-		dm := lt.Demux(l)
-		if dm.Len() != tr.Len() {
-			t.Fatalf("%s: lane %d trace len %d vs plan %d", name, l, dm.Len(), tr.Len())
-		}
-		for c := 0; c < tr.Len(); c++ {
-			for _, sigName := range d.Order {
-				got, _ := dm.Value(c, sigName)
-				want, _ := tr.Value(c, sigName)
-				if got != want {
-					t.Fatalf("%s: lane %d cycle %d signal %s: lane=%#x plan=%#x", name, l, c, sigName, got, want)
-				}
-			}
-		}
-		resLane, err := sva.Check(dm)
-		if err != nil {
-			t.Fatalf("%s: lane %d sva: %v", name, l, err)
-		}
-		if len(resLane.Failures) != len(resPlan.Failures) {
-			t.Fatalf("%s: lane %d: %d failures vs plan %d", name, l, len(resLane.Failures), len(resPlan.Failures))
-		}
-		for i := range resLane.Failures {
-			p, r := resLane.Failures[i], resPlan.Failures[i]
-			if p.Assert.Name != r.Assert.Name || p.StartCycle != r.StartCycle || p.FailCycle != r.FailCycle {
-				t.Fatalf("%s: lane %d failure %d differs: lane=%+v plan=%+v", name, l, i, p, r)
-			}
-		}
-		for k, v := range resPlan.Attempts {
-			if resLane.Attempts[k] != v {
-				t.Fatalf("%s: lane %d attempts[%s]: lane=%d plan=%d", name, l, k, resLane.Attempts[k], v)
-			}
-		}
-	}
 }
 
 // TestDifferentialPlanVsReference drives every corpus golden design — and a
 // sample of single-site mutants of each — through both simulator backends
-// with a fixed seed and requires identical traces and SVA verdicts.
+// in both value domains with a fixed seed and requires identical traces
+// and SVA verdicts.
 // Hierarchical blueprints reassemble each mutant with their child modules
 // (SourceWith) and add a sample of the hierarchical mutation classes.
 func TestDifferentialPlanVsReference(t *testing.T) {
@@ -181,8 +135,8 @@ func TestDifferentialPlanVsReference(t *testing.T) {
 
 // TestHierarchicalDifferentialBothDomains holds every hierarchical corpus
 // design — flattened through elaboration — byte-identical across the
-// compiled plan, the lane engine, and the reference interpreter in both
-// value domains, with both planes (Val and Unk) compared on every row.
+// compiled plan and the reference interpreter in both value domains, with
+// both planes (Val and Unk) compared on every row.
 func TestHierarchicalDifferentialBothDomains(t *testing.T) {
 	hier := 0
 	for i, bp := range corpus.Catalog() {
@@ -216,33 +170,6 @@ func TestHierarchicalDifferentialBothDomains(t *testing.T) {
 					if got != want {
 						t.Fatalf("%s %v: cycle %d signal %s: plan=%#x/unk %#x reference=%#x/unk %#x",
 							bp.Name(), mode, c, sigName, got.Val, got.Unk, want.Val, want.Unk)
-					}
-				}
-			}
-			ls, err := sim.PackStimuli([]sim.VecStimulus{stim, stim})
-			if err != nil {
-				t.Fatalf("%s %v: pack: %v", bp.Name(), mode, err)
-			}
-			lt, err := sim.RunLanesCtx(context.Background(), d, ls, mode)
-			if err != nil {
-				if !sim.LanesOK(d, mode) {
-					continue
-				}
-				t.Fatalf("%s %v: lane run failed where plan passed: %v", bp.Name(), mode, err)
-			}
-			for l := 0; l < 2; l++ {
-				dm := lt.Demux(l)
-				if dm.Len() != tr.Len() {
-					t.Fatalf("%s %v: lane %d trace len %d vs plan %d", bp.Name(), mode, l, dm.Len(), tr.Len())
-				}
-				for c := 0; c < tr.Len(); c++ {
-					for _, sigName := range d.Order {
-						got, _ := dm.Value4(c, sigName)
-						want, _ := tr.Value4(c, sigName)
-						if got != want {
-							t.Fatalf("%s %v: lane %d cycle %d signal %s: lane=%#x/unk %#x plan=%#x/unk %#x",
-								bp.Name(), mode, l, c, sigName, got.Val, got.Unk, want.Val, want.Unk)
-						}
 					}
 				}
 			}

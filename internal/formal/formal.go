@@ -13,10 +13,9 @@
 //     its outputs (Differ, which skips the exhaustive branch), used to
 //     separate real functional bugs from no-ops.
 //
-// Both run the schedule one stimulus at a time on the scalar engine, each
+// Both run the schedule one stimulus at a time on the compiled plan, each
 // stimulus checked before the next is built: Check on one sva.Checker,
-// Differ on one sim.VecRunner per design. The lane engine is not used
-// here; no production path runs it.
+// Differ on one sim.VecRunner per design.
 package formal
 
 import (
@@ -67,7 +66,8 @@ type Options struct {
 	// fast path.
 	FourState bool `json:"four_state,omitempty"`
 	// Deprecated: Lanes is ignored and Normalized zeroes it. Every check
-	// runs its stimuli one at a time on the scalar checker.
+	// runs its stimuli one at a time on the scalar checker; the field goes
+	// when the benchmark module stops setting it (ROADMAP item 10).
 	Lanes int `json:"-"`
 }
 

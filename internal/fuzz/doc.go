@@ -40,13 +40,6 @@
 // failure logs under the same random vector stimulus, in the two-state
 // and then the four-state domain — the corpus-wide differential test,
 // extended to arbitrary generated programs.
-// The lane-parallel engine (sim.RunLanesCtx) rides along as a third leg in
-// both value domains: the same stimulus is packed into a ragged batch
-// with random siblings, every demuxed lane is held to its own scalar plan
-// run, and the batched SVA checker's per-lane verdict masks must match
-// the per-lane scalar checker. A lane-engine error passes vacuously (the
-// documented scalar-fallback contract), but a lane success over a
-// stimulus the scalar engine rejects is itself a violation.
 //
 // Formal consistency (FormalConsistency): a counterexample reported by
 // the bounded model checker must replay as a failure of the named

@@ -152,17 +152,9 @@ func EngineEquivalence(src string, seed int64) error {
 		return violation("engine-equivalence", "sim-error-4state", src, "plan err=%v, reference err=%v", err3, err4)
 	}
 	if err3 == nil {
-		if v := compareTraces(src, d1, tr3, tr4, "-4state"); v != nil {
-			return v
-		}
+		return compareTraces(src, d1, tr3, tr4, "-4state")
 	}
-
-	// Third engine: a ragged lane batch — the same stimulus plus random
-	// siblings — with every lane demuxed and held to its own scalar run.
-	if v := laneEquivalence(src, d1, vec, rng, sim.TwoState, "-lane"); v != nil {
-		return v
-	}
-	return laneEquivalence(src, d1, vec, rng, sim.FourState, "-lane-4state")
+	return nil
 }
 
 // sameError reports whether two engines' run errors agree: both nil, or
@@ -172,73 +164,6 @@ func sameError(a, b error) bool {
 		return a == b
 	}
 	return a.Error() == b.Error()
-}
-
-// laneEquivalence packs vec with freshly generated sibling stimuli into one
-// lane batch, runs it through the lane engine, and compares every demuxed
-// lane (trace, SVA verdicts, logs) against a scalar plan run of the same
-// stimulus. It also holds the batched SVA checker to the per-lane scalar
-// verdicts. A lane-engine error is the documented fallback path (predicated
-// execution evaluates a superset of each lane's expressions) and passes
-// vacuously — but a lane success paired with any scalar error, or any
-// mismatch after demux, is a violation.
-func laneEquivalence(src string, d *compile.Design, vec sim.VecStimulus, rng *rand.Rand, mode sim.Mode, suffix string) error {
-	stims := []sim.VecStimulus{vec}
-	for extra := rng.Intn(7); extra > 0; extra-- {
-		sib := randomStimulus(d, rng, len(vec.Rows))
-		stims = append(stims, sib)
-	}
-	ls, err := sim.PackStimuli(stims)
-	if err != nil {
-		return violation("engine-equivalence", "lane-pack"+suffix, src, "pack: %v", err)
-	}
-	lt, laneErr := sim.RunLanesCtx(context.Background(), d, ls, mode)
-	if laneErr != nil {
-		return nil // fallback contract: callers rerun lanes on the scalar engine
-	}
-	var wantFailed uint64
-	wantAttempted := map[string]uint64{}
-	svaOK := true
-	for l := range stims {
-		tr, err := sim.RunVecCtx(context.Background(), d, stims[l], mode)
-		if err != nil {
-			return violation("engine-equivalence", "lane-sim-error"+suffix, src,
-				"lane batch passed but lane %d errs on the scalar engine: %v", l, err)
-		}
-		if v := compareTraces(src, d, lt.Demux(l), tr, suffix); v != nil {
-			return v
-		}
-		res, err := sva.Check(tr)
-		if err != nil {
-			svaOK = false
-			continue
-		}
-		if res.Failed() {
-			wantFailed |= 1 << uint(l)
-		}
-		for name := range res.Attempts {
-			wantAttempted[name] |= 1 << uint(l)
-		}
-	}
-	lres, err := sva.CheckLanes(lt)
-	if err != nil || !svaOK {
-		return nil // batched checking falls back per lane
-	}
-	if lres.Failed != wantFailed {
-		return violation("engine-equivalence", "lane-sva-mask"+suffix, src,
-			"CheckLanes failed mask %#x, per-lane scalar %#x", lres.Failed, wantFailed)
-	}
-	for name, w := range wantAttempted {
-		if lres.Attempted[name] != w {
-			return violation("engine-equivalence", "lane-sva-mask"+suffix, src,
-				"CheckLanes attempted[%s]=%#x, per-lane scalar %#x", name, lres.Attempted[name], w)
-		}
-	}
-	if len(lres.Attempted) != len(wantAttempted) {
-		return violation("engine-equivalence", "lane-sva-mask"+suffix, src,
-			"CheckLanes attempted set %v, per-lane scalar %v", lres.Attempted, wantAttempted)
-	}
-	return nil
 }
 
 // compareTraces holds a plan trace and a reference trace to bitwise

@@ -7,7 +7,9 @@
 // $stable(r0) while the per-lane scalar checker (domain ticks applied)
 // reported none. Lane checking now declines multi-clock designs so
 // callers fall back to demuxed scalar checking. Found by the first seed
-// of the hierarchical generator; minimized by hand.
+// of the hierarchical generator; minimized by hand. The lane engine has
+// since been removed; the program stays as a scalar regression for
+// per-domain assertion ticks on a multi-clock design.
 module fz_leaf0 (
     input clk,
     input d,

@@ -24,8 +24,12 @@ func checkPlans(t testing.TB, name, src string) bool {
 	if err != nil || compile.HasErrors(diags) {
 		return false
 	}
-	if p := PlanOf(d); p == nil || p.fourState() == nil {
-		t.Errorf("%s compiles but has no plan in both value domains", name)
+	p, err := planOf(d)
+	if err == nil {
+		_, err = p.fourState()
+	}
+	if err != nil {
+		t.Errorf("%s compiles but has no plan in both value domains: %v", name, err)
 		return true
 	}
 	stim := rampStimulus(d, 4)

@@ -52,46 +52,44 @@
 // only an AST changed after elaboration can be, instead of running it on a
 // second engine.
 //
-// Every lowering — the plan and the lane engine, in either value domain —
-// runs through one front end (lower.go). It walks the design's
-// statements, assignment targets and expressions and hands each engine
-// the lowered operands, the constant part-select bounds, replication
-// counts and $past depths, which hold no x and so have one value in both
-// domains, and the static widths masks depend on. A construct compile
-// never lets through panics with its position, and the lowering recovers
-// it into an error: PlanOf returns nil and a VecRunner's runs report it,
-// so a gap between compile and the planner cannot crash a caller. The engines are
-// emitters behind a small build-time interface: given operands the front
-// end has already lowered, an emitter returns the closure its machine runs
-// for a block, if, case, assignment, whole-signal store by write mode, bit,
-// slice or concat store, or expression kernel. Static widths are memoised
-// per lowering, so building a plan is linear in the expression size
-// however deeply operators nest. The front end itself creates no
-// closure a cycle runs, so each engine's per-cycle code stays specialised
-// to its own state layout and pays no dispatch.
+// Both value domains' lowerings run through one front end (lower.go). It
+// walks the design's statements, assignment targets and expressions and
+// hands the domain's emitter the lowered operands, the constant
+// part-select bounds, replication counts and $past depths, which hold no x
+// and so have one value in both domains, and the static widths masks
+// depend on. A construct compile never lets through panics with its
+// position, and the lowering recovers it into an error: PlanOf returns nil
+// and a VecRunner's runs report it, so a gap between compile and the
+// planner cannot crash a caller. The emitter sits behind a small
+// build-time interface: given operands the front end has already lowered,
+// it returns the closure the machine runs for a block, if, case,
+// assignment, whole-signal store by write mode, bit, slice or concat
+// store, or expression kernel. Static widths are memoised per lowering, so
+// building a plan is linear in the expression size however deeply
+// operators nest. The front end itself creates no closure a cycle runs, so
+// the per-cycle code stays specialised to the machine's state layout and
+// pays no dispatch.
 //
 // # Entry points and the run loop
 //
-// Four functions run a simulation, each in a value domain: RunVecCtx on
-// the compiled plan, RunReferenceCtx and RunReferenceBranches on the
+// Three functions run a simulation, each in a value domain: RunVecCtx on
+// the compiled plan, and RunReferenceCtx and RunReferenceBranches on the
 // reference interpreter (the oracle of the differential tests,
-// internal/fuzz and internal/lint's branch contract), and RunLanesCtx on
-// the lane engine. The scalar three take one stimulus form, VecStimulus: a
-// fixed input list and one dense row of values per cycle. Each checks the
-// stimulus once, before the first cycle, in one order shared by plan and
-// reference: every row holds one value per input, then every column names
-// an input of the design, so a bad stimulus fails with the same error on
-// either engine, even with no rows. Each cycle then drives Inputs[i] from Rows[c][i], masked to its
-// width and fully known; an input the stimulus does not list is never
-// driven. The lane engine takes a LaneStimulus, which PackStimuli builds
-// from 1..64 VecStimulus values after the same row check. All of them
-// reach one per-cycle loop (run.go): poll for cancellation, capture the
-// domain clocks, apply the row's inputs, settle, sample the row and the
-// fired mask, run the edge. Each engine — plan, reference interpreter,
-// lanes, in either value domain — supplies only that step set, one call
-// per step per cycle, so its settle and edge loops stay monomorphic. An
-// error inside a cycle is reported as "cycle N: <cause>"; a cancelled run
-// returns ctx.Err().
+// internal/fuzz and internal/lint's branch contract). They take one
+// stimulus form, VecStimulus: a fixed input list and one dense row of
+// values per cycle. Each checks the stimulus once, before the first cycle,
+// in one order shared by plan and reference: every row holds one value per
+// input, then every column names an input of the design, so a bad stimulus
+// fails with the same error on either engine, even with no rows. Each
+// cycle then drives Inputs[i] from Rows[c][i], masked to its width and
+// fully known; an input the stimulus does not list is never driven. All of
+// them reach one per-cycle loop (run.go): poll for cancellation, capture
+// the domain clocks, apply the row's inputs, settle, sample the row and
+// the fired mask, run the edge. Each engine — plan or reference
+// interpreter, in either value domain — supplies only that step set, one
+// call per step per cycle, so its settle and edge loops stay monomorphic.
+// An error inside a cycle is reported as "cycle N: <cause>"; a cancelled
+// run returns ctx.Err().
 //
 // # Reusable scalar run state
 //
@@ -106,51 +104,10 @@
 // Result are valid until the next check on the same checker, and a
 // failing outcome's are detached and belong to the caller for good.
 //
-// # Lane-parallel execution
-//
-// PlanLanes/RunLanesCtx add a third backend: a bit-sliced,
-// structure-of-arrays engine that advances up to 64 independent stimuli
-// (lanes) per pass. Signals that are one bit wide are packed one lane per
-// bit of a uint64, so a single bitwise word operation evaluates all lanes
-// at once; wider signals and operators with carry or comparison chains
-// fall back to a 64-entry per-lane array evaluated with the same scalar
-// helpers the plan uses. Control flow is predicated: both branches of an
-// if execute under complementary write masks, so a packed batch never
-// branches on data. One lane machine, one statement layer and one
-// compiled-expression form serve both value domains: a packed expression
-// yields a value word and an Unk word, a per-lane one a value vector and
-// an Unk vector. In four-state the Unk planes are live; in two-state the
-// Unk word is 0 and the vector absent, and the same store, control and
-// shared expression formulas run with every lane known. Only the kernels
-// whose semantics really differ are written per domain — number, ternary,
-// index, unary, binary and the reductions: x literals, div/mod by zero,
-// the x-merge of ?: and an unknown index — and the four-state ones apply
-// the shared v4.go per-bit formulas word-wide over paired Val/Unk planes.
-// Both domains' kernels are emitters of the same front end as the plan, so
-// a design lowers to lanes exactly when its constructs lower to the plan of
-// the same domain.
-//
-// The contract is byte-identity, not best-effort: LaneTrace.Demux(l) must
-// equal the scalar plan trace of LaneStimulusAt(l) for every lane, and
-// sva.CheckLanes, which runs the scalar checker's monitor over packed
-// truth words, must reproduce the per-lane scalar verdicts. Anything
-// the lane lowering cannot express exactly — and any runtime evaluation
-// error, since predication evaluates a superset of each lane's
-// expressions — is reported as an error for the whole batch, whose
-// stimuli a caller then runs on the scalar engine. No production path
-// runs the lane engine; it is kept for the benchmark's traced lane rows
-// and the differential tests. LanesOK reports lowering support up
-// front; PackStimuli accepts 1..64 stimuli of equal depth and replicates
-// the last lane to fill the word, with ActiveMask masking the padding back
-// out at the API boundary, and RunLanesCtx rejects a LaneStimulus whose
-// rows do not match its depth, inputs and lanes before the first cycle.
-// Results are therefore identical with lanes on or off; only throughput
-// changes.
-//
 // # Clock domains
 //
 // Elaboration groups a design's sequential blocks by clock event into
-// Design.Domains (at most 64), and every engine shares one multi-clock
+// Design.Domains (at most 64), and both engines share one multi-clock
 // seam (domains.go). Clocks are ordinary 1-bit input ports driven by the
 // stimulus; there is no separate clock generator. A single-domain design
 // never allocates any domain tracking and takes exactly the pre-existing
@@ -171,13 +128,6 @@
 // The SVA checker samples each assertion only at its own clock domain's
 // tick cycles (Trace.DomainCycles); rows where the domain did not tick
 // are invisible to the property, exactly as in event-driven simulation.
-// The lane engine handles multi-clock designs natively — fired masks
-// become per-domain lane masks, so different lanes can tick different
-// subsets of domains on the same row — but sva.CheckLanes declines them
-// with an error: it advances every lane's monitor on the same rows, and
-// per-lane clock stimuli make the tick subsequences diverge across lanes.
-// LanesOK therefore rejects multi-clock designs, whose stimuli a caller
-// runs on the scalar engine.
 //
 // # Value domains
 //

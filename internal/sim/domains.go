@@ -5,7 +5,7 @@ import (
 	"repro/internal/verilog"
 )
 
-// This file is the multi-clock seam shared by every engine. A single-domain
+// This file is the multi-clock seam shared by both engines. A single-domain
 // design never allocates any of these trackers and takes exactly the
 // pre-existing code path: each stimulus row is one implicit tick of the one
 // clock. A multi-clock design (compile.Design.MultiClock) instead derives a
@@ -13,7 +13,7 @@ import (
 // between the previous row and the current one, and the edge runs only the
 // sequential blocks whose domain fired.
 //
-// The transition rule, identical across all engines: a posedge domain fires
+// The transition rule, identical on both engines: a posedge domain fires
 // on a 0->1 transition of its clock bit, a negedge domain on 1->0. In
 // four-state mode a transition involving an unknown sample (either side)
 // never fires, so an x-driven clock holds its registers at x-reset state
@@ -26,17 +26,14 @@ import (
 const firedAll = ^uint64(0)
 
 // clocks tracks a multi-clock design's domain clocks across one run.
-// Every quantity is a word: a packed 64-lane word on the lane engine, and
-// the slot value itself — a one-lane word — on the scalar engines, whose
-// fired mask takes bit 0 of each domain's word (Trace.record). Elaboration
-// validated every domain clock as a 1-bit input port, so a scalar word is
-// 0 or 1. clocksOf returns nil for single-domain designs.
+// Elaboration validated every domain clock as a 1-bit input port, so each
+// captured clock value, and its unknown bit, is 0 or 1. clocksOf returns
+// nil for single-domain designs.
 type clocks struct {
 	slots []int32
 	neg   []bool
-	prevV []uint64 // committed clock word per domain before this cycle's inputs
-	prevU []uint64 // its unknown plane (stays 0 in two-state runs)
-	fired []uint64 // scratch: per-domain fired words of the coming edge
+	prevV []uint64 // committed clock value per domain before this cycle's inputs
+	prevU []uint64 // its unknown bit (stays 0 in two-state runs)
 }
 
 func clocksOf(d *compile.Design) *clocks {
@@ -49,7 +46,6 @@ func clocksOf(d *compile.Design) *clocks {
 		neg:   make([]bool, n),
 		prevV: make([]uint64, n),
 		prevU: make([]uint64, n),
-		fired: make([]uint64, n),
 	}
 	for k, dom := range d.Domains {
 		ck.slots[k] = int32(d.Signals[dom.Signal].Slot)
@@ -58,7 +54,7 @@ func clocksOf(d *compile.Design) *clocks {
 	return ck
 }
 
-// capture records the committed clock words before a cycle's inputs are
+// capture records the committed clock values before a cycle's inputs are
 // applied. unks is nil in two-state runs; the first capture sees the
 // machine's initial state.
 func (ck *clocks) capture(vals, unks []uint64) {
@@ -70,10 +66,10 @@ func (ck *clocks) capture(vals, unks []uint64) {
 	}
 }
 
-// fire computes the per-domain fired words of the coming edge from the
-// captured words and the post-input clock state. The returned slice is
-// scratch reused across cycles; callers that retain it must copy.
-func (ck *clocks) fire(vals, unks []uint64) []uint64 {
+// fire returns the fired mask of the coming edge (bit k set when domain k
+// ticks) from the captured values and the post-input clock state.
+func (ck *clocks) fire(vals, unks []uint64) uint64 {
+	var fired uint64
 	for k, slot := range ck.slots {
 		cur := vals[slot]
 		f := cur &^ ck.prevV[k]
@@ -84,7 +80,7 @@ func (ck *clocks) fire(vals, unks []uint64) []uint64 {
 		if unks != nil {
 			f &^= unks[slot]
 		}
-		ck.fired[k] = f
+		fired |= (f & 1) << uint(k)
 	}
-	return ck.fired
+	return fired
 }

@@ -148,7 +148,7 @@ func TestSingleClockFiredNil(t *testing.T) {
 	}
 }
 
-// multiClockVecStim builds a deterministic per-lane stimulus for the cross
+// multiClockVecStim builds a deterministic seeded stimulus for the cross
 // design: alternating clk_a, period-4 clk_b, LCG data/reset bits.
 func multiClockVecStim(d *compile.Design, seed uint64, depth int) VecStimulus {
 	names := []string{"clk_a", "clk_b", "rst_n", "d"}
@@ -181,81 +181,67 @@ func boolU64(b bool) uint64 {
 	return 0
 }
 
-// TestMultiClockDifferential holds all four engines byte-identical on the
+// TestMultiClockDifferential holds both engines byte-identical on the
 // two-clock design in both value domains: compiled plan vs reference
-// interpreter, one VecRunner reused across every lane's stimulus (every
-// other trace detached and rechecked after the later runs) vs one-shot
-// runs, and lane batch demux vs scalar runs, including the recorded fired
-// planes.
+// interpreter, and one VecRunner reused across every stimulus (every other
+// trace detached and rechecked after the later runs) vs one-shot runs,
+// including the recorded fired planes.
 func TestMultiClockDifferential(t *testing.T) {
 	d := mustCompile(t, twoClockSrc)
-	const depth, lanes = 32, 8
-	stims := make([]VecStimulus, lanes)
-	for l := range stims {
-		stims[l] = multiClockVecStim(d, uint64(l)+1, depth)
+	const depth, n = 32, 8
+	stims := make([]VecStimulus, n)
+	for i := range stims {
+		stims[i] = multiClockVecStim(d, uint64(i)+1, depth)
 	}
 	for _, mode := range []Mode{TwoState, FourState} {
-		// Scalar plan vs reference interpreter, per lane stimulus.
-		scalar := make([]*Trace, lanes)
+		scalar := make([]*Trace, n)
 		runner := NewVecRunner(d, mode)
-		detached := make([]*Trace, lanes)
-		for l, vs := range stims {
+		detached := make([]*Trace, n)
+		for i, vs := range stims {
 			pt, err := RunVecCtx(context.Background(), d, vs, mode)
 			if err != nil {
-				t.Fatalf("mode %v lane %d plan: %v", mode, l, err)
+				t.Fatalf("mode %v stimulus %d plan: %v", mode, i, err)
 			}
 			rt, err := RunReferenceCtx(context.Background(), d, vs, mode)
 			if err != nil {
-				t.Fatalf("mode %v lane %d reference: %v", mode, l, err)
+				t.Fatalf("mode %v stimulus %d reference: %v", mode, i, err)
 			}
-			diffTraces(t, pt, rt, mode, l, "plan vs reference")
+			diffTraces(t, pt, rt, mode, i, "plan vs reference")
 			reused, err := runner.Run(context.Background(), vs)
 			if err != nil {
-				t.Fatalf("mode %v lane %d reused runner: %v", mode, l, err)
+				t.Fatalf("mode %v stimulus %d reused runner: %v", mode, i, err)
 			}
-			diffTraces(t, reused, pt, mode, l, "reused runner vs one-shot")
-			if l%2 == 1 {
+			diffTraces(t, reused, pt, mode, i, "reused runner vs one-shot")
+			if i%2 == 1 {
 				runner.Detach()
-				detached[l] = reused
+				detached[i] = reused
 			}
-			scalar[l] = pt
+			scalar[i] = pt
 		}
-		for l, tr := range detached {
+		for i, tr := range detached {
 			if tr != nil {
-				diffTraces(t, tr, scalar[l], mode, l, "detached trace after later runs vs one-shot")
+				diffTraces(t, tr, scalar[i], mode, i, "detached trace after later runs vs one-shot")
 			}
-		}
-		// Lane batch vs scalar, demuxed per lane.
-		ls, err := PackStimuli(stims)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lt, err := RunLanesCtx(context.Background(), d, ls, mode)
-		if err != nil {
-			t.Fatalf("mode %v lanes: %v", mode, err)
-		}
-		for l := 0; l < lanes; l++ {
-			diffTraces(t, lt.Demux(l), scalar[l], mode, l, "lanes vs plan")
 		}
 	}
 }
 
-func diffTraces(t *testing.T, a, b *Trace, mode Mode, lane int, what string) {
+func diffTraces(t *testing.T, a, b *Trace, mode Mode, stim int, what string) {
 	t.Helper()
 	if a.Len() != b.Len() {
-		t.Fatalf("mode %v lane %d %s: length %d vs %d", mode, lane, what, a.Len(), b.Len())
+		t.Fatalf("mode %v stimulus %d %s: length %d vs %d", mode, stim, what, a.Len(), b.Len())
 	}
 	for c := 0; c < a.Len(); c++ {
 		if a.Fired(c) != b.Fired(c) {
-			t.Fatalf("mode %v lane %d %s: cycle %d fired %b vs %b",
-				mode, lane, what, c, a.Fired(c), b.Fired(c))
+			t.Fatalf("mode %v stimulus %d %s: cycle %d fired %b vs %b",
+				mode, stim, what, c, a.Fired(c), b.Fired(c))
 		}
 		for _, name := range a.Design.Order {
 			av, _ := a.Value4(c, name)
 			bv, _ := b.Value4(c, name)
 			if av != bv {
-				t.Fatalf("mode %v lane %d %s: cycle %d signal %s: %v vs %v",
-					mode, lane, what, c, name, av, bv)
+				t.Fatalf("mode %v stimulus %d %s: cycle %d signal %s: %v vs %v",
+					mode, stim, what, c, name, av, bv)
 			}
 		}
 	}

@@ -22,7 +22,7 @@ func runBoth4(t *testing.T, src, cols string, rows [][]uint64) *Trace {
 	if err != nil {
 		t.Fatalf("RunVecCtx: %v", err)
 	}
-	if PlanOf(d1) != nil && PlanOf(d1).fourState() != nil && tr1.Mode() != FourState {
+	if tr1.Mode() != FourState {
 		t.Fatalf("plan-backed four-state trace reports mode %v", tr1.Mode())
 	}
 	tr2, err := RunReferenceCtx(context.Background(), d2, stim, FourState)

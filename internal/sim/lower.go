@@ -7,20 +7,17 @@ import (
 	"repro/internal/verilog"
 )
 
-// This file is the lowering front end shared by the four execution engines:
-// the scalar plan and the lane engine, each in both value domains. Each
-// engine has one machine, statement layer and expression form for both
-// domains (plan.go, lanes.go), and keeps apart only the four-state kernels
-// whose formulas differ (plan4.go, lanes4.go). It walks the design's AST
-// and hands each engine's emitter the lowered operands, the part-select
-// bounds, replication counts and $past depths, and the static widths masks
-// depend on. It decides nothing about plannability: internal/compile alone
-// decides what a design may hold and folds every constant, with the folder
-// (compile.Fold) the front end reads the constants back through, so every
-// design that compiles lowers. Emitters are called only while a plan is
-// built, and the front end creates no closure a simulation cycle runs, so
-// the per-cycle loop executes engine code specialised to one machine
-// layout and pays no dispatch.
+// This file is the lowering front end of the execution plan, shared by
+// both value domains. It walks the design's AST and hands the domain's
+// emitter the lowered operands, the part-select bounds, replication counts
+// and $past depths, and the static widths masks depend on. It decides
+// nothing about plannability: internal/compile alone decides what a design
+// may hold and folds every constant, with the folder (compile.Fold) the
+// front end reads the constants back through, so every design that
+// compiles lowers. Emitters are called only while a plan is built, and the
+// front end creates no closure a simulation cycle runs, so the per-cycle
+// loop executes plan code specialised to one machine layout and pays no
+// dispatch.
 
 // errUnplannable is the panic a lowering raises on a construct
 // internal/compile never lets through, which only a design whose AST was
@@ -55,106 +52,105 @@ const (
 	wSeqNBA                       // seq nonblocking: program-order commit only
 )
 
-// emitter is one engine's build-time interface to the front end. E is a
-// compiled expression, S a compiled statement (continuous assignments
-// included) and T a compiled assignment target (a store receiving the
-// unmasked value). Every argument is already lowered; an emitter reports
-// false only for an operator outside the AST's closed sets.
-type emitter[E, S, T any] interface {
-	number(x *verilog.Number) E
-	param(v uint64) E
-	signal(sig *compile.Signal) E
+// emitter is a value domain's build-time interface to the front end: it
+// returns the compiled expression (evalFn), statement (stmtFn, continuous
+// assignments included) or assignment target (stmtVFn, a store receiving
+// the unmasked value) for operands the front end has already lowered. An
+// emitter reports false only for an operator outside the AST's closed
+// sets.
+type emitter interface {
+	number(x *verilog.Number) evalFn
+	param(v uint64) evalFn
+	signal(sig *compile.Signal) evalFn
 	// unary applies op to an operand whose static width mask is mask.
-	unary(op verilog.UnaryOp, x E, mask uint64) (E, bool)
+	unary(op verilog.UnaryOp, x evalFn, mask uint64) (evalFn, bool)
 	// binary applies op; w is the static width the operator masks to
 	// (the wider operand for ~^, the left operand for >>>), else 0.
-	binary(op verilog.BinaryOp, a, b E, w int) (E, bool)
-	ternary(cond, x, y E) E
-	index(x, idx E) E
-	slice(x E, shift uint, mask uint64) E
+	binary(op verilog.BinaryOp, a, b evalFn, w int) (evalFn, bool)
+	ternary(cond, x, y evalFn) evalFn
+	index(x, idx evalFn) evalFn
+	slice(x evalFn, shift uint, mask uint64) evalFn
 	// concat joins elems MSB first; element i is masks[i] wide and shifts
 	// the accumulated value left by widths[i].
-	concat(elems []E, widths []uint, masks []uint64) E
-	repl(x E, reps int, w uint, mask uint64) E
+	concat(elems []evalFn, widths []uint, masks []uint64) evalFn
+	repl(x evalFn, reps int, w uint, mask uint64) evalFn
 	// reduce lowers $countones, $onehot, $onehot0 and $isunknown over an
 	// operand with static width mask mask.
-	reduce(name string, x E, mask uint64) E
+	reduce(name string, x evalFn, mask uint64) evalFn
 	// past lowers $past(x, n) for a constant depth n, already in range.
-	past(pos verilog.Pos, x E, n uint64) E
+	past(pos verilog.Pos, x evalFn, n uint64) evalFn
 	// sampled lowers $rose, $fell, $stable and $changed.
-	sampled(pos verilog.Pos, name string, x E) E
+	sampled(pos verilog.Pos, name string, x evalFn) evalFn
 	// fail is an expression that reports err when evaluated: a part-select
 	// whose lsb lies at bit 64 or beyond.
-	fail(err error) E
+	fail(err error) evalFn
 
-	nop() S
-	block(body []S) S
-	// ifStmt lowers if (cond) then else els; els is the zero S when the
+	nop() stmtFn
+	block(body []stmtFn) stmtFn
+	// ifStmt lowers if (cond) then else els; els is nil when the
 	// statement has no else branch.
-	ifStmt(cond E, then, els S) S
-	// caseStmt lowers a case statement; deflt is the zero S without a
-	// default arm.
-	caseStmt(subj E, arms []caseArm[E, S], deflt S) S
-	// packs reports whether the emitter's assign writes rhs into sig, the
-	// whole-signal target of an assignment (nil for any other target),
-	// itself (word-wide in the lane engines, fused in the scalar plan); the
-	// assignment then lowers no store and receives the zero T.
-	packs(rhs E, sig *compile.Signal) bool
-	// assign lowers an assignment of rhs through store under mode (wAssign
-	// for a continuous assignment); sig is as for packs.
-	assign(rhs E, mode writeMode, sig *compile.Signal, store T) S
+	ifStmt(cond evalFn, then, els stmtFn) stmtFn
+	// caseStmt lowers a case statement; deflt is nil without a default
+	// arm.
+	caseStmt(subj evalFn, arms []caseArm, deflt stmtFn) stmtFn
+	// assign lowers an assignment of rhs under mode (wAssign for a
+	// continuous assignment). sig is the whole-signal target of the
+	// assignment, whose masked write assign fuses, and store is then nil;
+	// for any other target sig is nil and rhs goes through store.
+	assign(rhs evalFn, mode writeMode, sig *compile.Signal, store stmtVFn) stmtFn
 
 	// store writes a whole signal under mode, masking to its width.
-	store(sig *compile.Signal, mode writeMode) T
-	// storeIndex writes bit idx of sig through inner, the whole-signal
-	// store; an unknown index or one >= 64 writes nothing.
-	storeIndex(sig *compile.Signal, idx E, mode writeMode, inner T) T
+	store(sig *compile.Signal, mode writeMode) stmtVFn
+	// storeIndex writes bit idx of sig; an unknown index or one >= 64
+	// writes nothing.
+	storeIndex(sig *compile.Signal, idx evalFn, mode writeMode) stmtVFn
 	// storeSlice writes the bits of sig under sm (the part-select mask,
 	// already shifted into place) from the value shifted left by shift.
-	storeSlice(sig *compile.Signal, shift uint, sm uint64, mode writeMode, inner T) T
+	storeSlice(sig *compile.Signal, shift uint, sm uint64, mode writeMode) stmtVFn
 	// storeConcat writes part i from the value shifted right by shifts[i]
 	// and masked by masks[i], in order.
-	storeConcat(parts []T, shifts []uint, masks []uint64) T
+	storeConcat(parts []stmtVFn, shifts []uint, masks []uint64) stmtVFn
 }
 
 // caseArm is one labelled case item.
-type caseArm[E, S any] struct {
-	labels []E
-	body   S
+type caseArm struct {
+	labels []evalFn
+	body   stmtFn
 }
 
 // program is the part of a lowering a machine runs every cycle: the
 // continuous assignments and the comb and seq always blocks.
-type program[S any] struct {
-	assigns []S
-	combs   []S
-	seqs    []S
+type program struct {
+	assigns []stmtFn
+	combs   []stmtFn
+	seqs    []stmtFn
 }
 
-// lowered is one engine's lowering of a design.
-type lowered[E, S any] struct {
-	program[S]
+// lowered is a value domain's lowering of a design.
+type lowered struct {
+	program
 
 	// sva maps every expression reachable from the design's assertions
 	// (terms, disable-iff) to its compiled form, keyed by AST node
 	// identity.
-	sva map[verilog.Expr]E
+	sva map[verilog.Expr]evalFn
 }
 
-// lower runs the front end over d for one emitter. err is the
-// errUnplannable of a construct that does not lower, which internal/compile
-// never lets through; any other panic is a bug and propagates.
-func lower[E, S, T any](d *compile.Design, em emitter[E, S, T]) (l lowered[E, S], err error) {
+// lower runs the front end over d for one value domain's emitter. err is
+// the errUnplannable of a construct that does not lower, which
+// internal/compile never lets through; any other panic is a bug and
+// propagates.
+func lower(d *compile.Design, em emitter) (l lowered, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			u, ok := r.(errUnplannable)
 			if !ok {
 				panic(r)
 			}
-			l, err = lowered[E, S]{}, u
+			l, err = lowered{}, u
 		}
 	}()
-	f := &lowerer[E, S, T]{planCompiler: planCompiler{d: d}, em: em}
+	f := &lowerer{d: d, em: em}
 	for _, as := range d.Assigns {
 		l.assigns = append(l.assigns, f.assign(as.LHS, as.RHS, wAssign))
 	}
@@ -164,7 +160,7 @@ func lower[E, S, T any](d *compile.Design, em emitter[E, S, T]) (l lowered[E, S]
 	for _, al := range d.SeqAlways {
 		l.seqs = append(l.seqs, f.stmt(al.Body, true))
 	}
-	l.sva = map[verilog.Expr]E{}
+	l.sva = map[verilog.Expr]evalFn{}
 	sva := func(e verilog.Expr) {
 		if e != nil {
 			l.sva[e] = f.expr(e)
@@ -185,28 +181,22 @@ func lower[E, S, T any](d *compile.Design, em emitter[E, S, T]) (l lowered[E, S]
 	return l, nil
 }
 
-// planCompiler holds the design-level analysis every lowering shares:
-// constants and static widths.
-type planCompiler struct {
-	d *compile.Design
+// lowerer is the front end's walk of one design for one emitter.
+type lowerer struct {
+	d  *compile.Design
+	em emitter
 
 	// widths memoises staticWidth for operator nodes, so one lowering
 	// computes each node's width once however deeply expressions nest.
 	widths map[verilog.Expr]int
 }
 
-// lowerer is the front end's walk for one emitter.
-type lowerer[E, S, T any] struct {
-	planCompiler
-	em emitter[E, S, T]
-}
-
 // constant reads back a part-select bound, replication count or $past
 // depth through compile.Fold, the folder internal/compile accepted it
 // with; both value domains use its value, as compile rejects a constant
 // that could hold x.
-func (c *planCompiler) constant(e verilog.Expr) uint64 {
-	v, ok := compile.Fold(e, c.d.Params)
+func (f *lowerer) constant(e verilog.Expr) uint64 {
+	v, ok := compile.Fold(e, f.d.Params)
 	if !ok {
 		panic(unplannable(e, "non-constant %s", verilog.ExprString(e)))
 	}
@@ -215,8 +205,8 @@ func (c *planCompiler) constant(e verilog.Expr) uint64 {
 
 // bounds reads back a part-select's bounds, which internal/compile
 // accepted in descending order.
-func (c *planCompiler) bounds(x *verilog.Slice) (hi, lo uint64) {
-	hi, lo = c.constant(x.Hi), c.constant(x.Lo)
+func (f *lowerer) bounds(x *verilog.Slice) (hi, lo uint64) {
+	hi, lo = f.constant(x.Hi), f.constant(x.Lo)
 	if lo > hi {
 		panic(unplannable(x, "reversed part-select [%d:%d]", hi, lo))
 	}
@@ -226,24 +216,24 @@ func (c *planCompiler) bounds(x *verilog.Slice) (hi, lo uint64) {
 // staticWidth mirrors ExprWidth at plan-compile time, with the constants
 // internal/compile folded. Both value domains mask by these two-state
 // widths.
-func (c *planCompiler) staticWidth(e verilog.Expr) int {
+func (f *lowerer) staticWidth(e verilog.Expr) int {
 	switch e.(type) {
 	case *verilog.Number, *verilog.Ident, *verilog.Index, *verilog.Slice:
-		return c.nodeWidth(e) // no operand widths to revisit
+		return f.nodeWidth(e) // no operand widths to revisit
 	}
-	if w, hit := c.widths[e]; hit {
+	if w, hit := f.widths[e]; hit {
 		return w
 	}
-	w := c.nodeWidth(e)
-	if c.widths == nil {
-		c.widths = map[verilog.Expr]int{}
+	w := f.nodeWidth(e)
+	if f.widths == nil {
+		f.widths = map[verilog.Expr]int{}
 	}
-	c.widths[e] = w
+	f.widths[e] = w
 	return w
 }
 
 // nodeWidth computes e's static width from its operands' static widths.
-func (c *planCompiler) nodeWidth(e verilog.Expr) int {
+func (f *lowerer) nodeWidth(e verilog.Expr) int {
 	switch x := e.(type) {
 	case *verilog.Number:
 		if x.Width > 0 {
@@ -251,7 +241,7 @@ func (c *planCompiler) nodeWidth(e verilog.Expr) int {
 		}
 		return 32
 	case *verilog.Ident:
-		if sig := c.d.Signals[x.Name]; sig != nil && sig.Width > 0 {
+		if sig := f.d.Signals[x.Name]; sig != nil && sig.Width > 0 {
 			return sig.Width
 		}
 		return 32
@@ -261,7 +251,7 @@ func (c *planCompiler) nodeWidth(e verilog.Expr) int {
 			verilog.UnaryRedXor, verilog.UnaryRedXnor:
 			return 1
 		}
-		return c.staticWidth(x.X)
+		return f.staticWidth(x.X)
 	case *verilog.Binary:
 		switch x.Op {
 		case verilog.BinLogAnd, verilog.BinLogOr, verilog.BinEq, verilog.BinNe,
@@ -269,24 +259,24 @@ func (c *planCompiler) nodeWidth(e verilog.Expr) int {
 			verilog.BinGt, verilog.BinGe:
 			return 1
 		case verilog.BinShl, verilog.BinShr, verilog.BinAShr:
-			return c.staticWidth(x.X)
+			return f.staticWidth(x.X)
 		}
-		return max(c.staticWidth(x.X), c.staticWidth(x.Y))
+		return max(f.staticWidth(x.X), f.staticWidth(x.Y))
 	case *verilog.Ternary:
-		return max(c.staticWidth(x.X), c.staticWidth(x.Y))
+		return max(f.staticWidth(x.X), f.staticWidth(x.Y))
 	case *verilog.Index:
 		return 1
 	case *verilog.Slice:
-		hi, lo := c.bounds(x)
+		hi, lo := f.bounds(x)
 		return int(hi-lo) + 1
 	case *verilog.Concat:
 		w := 0
 		for _, el := range x.Elems {
-			w += c.staticWidth(el)
+			w += f.staticWidth(el)
 		}
 		return w
 	case *verilog.Repl:
-		return int(c.constant(x.Count)) * c.staticWidth(x.Elem)
+		return int(f.constant(x.Count)) * f.staticWidth(x.Elem)
 	case *verilog.Call:
 		switch x.Name {
 		case "$rose", "$fell", "$stable", "$changed", "$onehot", "$onehot0", "$isunknown":
@@ -295,7 +285,7 @@ func (c *planCompiler) nodeWidth(e verilog.Expr) int {
 			return 32
 		}
 		if len(x.Args) > 0 {
-			return c.staticWidth(x.Args[0])
+			return f.staticWidth(x.Args[0])
 		}
 		return 32
 	}
@@ -306,12 +296,12 @@ func (c *planCompiler) nodeWidth(e verilog.Expr) int {
 // Statements and assignment targets
 // ---------------------------------------------------------------------------
 
-func (f *lowerer[E, S, T]) stmt(s verilog.Stmt, seq bool) S {
+func (f *lowerer) stmt(s verilog.Stmt, seq bool) stmtFn {
 	switch x := s.(type) {
 	case nil:
 		return f.em.nop()
 	case *verilog.Block:
-		body := make([]S, 0, len(x.Stmts))
+		body := make([]stmtFn, 0, len(x.Stmts))
 		for _, sub := range x.Stmts {
 			body = append(body, f.stmt(sub, seq))
 		}
@@ -332,61 +322,58 @@ func (f *lowerer[E, S, T]) stmt(s verilog.Stmt, seq bool) S {
 		return f.assign(x.LHS, x.RHS, mode)
 	case *verilog.If:
 		cond, then := f.expr(x.Cond), f.stmt(x.Then, seq)
-		var els S
+		var els stmtFn
 		if x.Else != nil {
 			els = f.stmt(x.Else, seq)
 		}
 		return f.em.ifStmt(cond, then, els)
 	case *verilog.Case:
 		subj := f.expr(x.Subject)
-		arms := make([]caseArm[E, S], 0, len(x.Items))
-		var deflt S
+		arms := make([]caseArm, 0, len(x.Items))
+		var deflt stmtFn
 		for _, item := range x.Items {
 			body := f.stmt(item.Body, seq)
 			if item.Exprs == nil {
 				deflt = body
 				continue
 			}
-			labels := make([]E, 0, len(item.Exprs))
+			labels := make([]evalFn, 0, len(item.Exprs))
 			for _, le := range item.Exprs {
 				labels = append(labels, f.expr(le))
 			}
-			arms = append(arms, caseArm[E, S]{labels: labels, body: body})
+			arms = append(arms, caseArm{labels: labels, body: body})
 		}
 		return f.em.caseStmt(subj, arms, deflt)
 	}
 	panic(unplannable(nil, "statement %T", s))
 }
 
-// assign lowers an assignment's RHS and, unless the emitter packs the RHS
-// into the whole signal the target names (sig, else nil), its target.
-func (f *lowerer[E, S, T]) assign(lhs, rhs verilog.Expr, mode writeMode) S {
+// assign lowers an assignment's RHS and, unless the target is a whole
+// signal, whose write the emitter fuses into the assignment, its target.
+func (f *lowerer) assign(lhs, rhs verilog.Expr, mode writeMode) stmtFn {
 	r := f.expr(rhs)
-	var sig *compile.Signal
 	if id, ok := lhs.(*verilog.Ident); ok {
-		sig = f.d.Signals[id.Name]
+		if sig := f.d.Signals[id.Name]; sig != nil {
+			return f.em.assign(r, mode, sig, nil)
+		}
 	}
-	var store T
-	if !f.em.packs(r, sig) {
-		store = f.store(lhs, mode)
-	}
-	return f.em.assign(r, mode, sig, store)
+	return f.em.assign(r, mode, nil, f.store(lhs, mode))
 }
 
 // store lowers an assignment target. The store receives the unmasked RHS
 // value and applies the mode's write discipline.
-func (f *lowerer[E, S, T]) store(lhs verilog.Expr, mode writeMode) T {
+func (f *lowerer) store(lhs verilog.Expr, mode writeMode) stmtVFn {
 	switch x := lhs.(type) {
 	case *verilog.Ident:
 		return f.em.store(f.targetSignal(x), mode)
 	case *verilog.Index:
 		sig := f.targetSignal(x.X)
-		return f.em.storeIndex(sig, f.expr(x.Idx), mode, f.em.store(sig, mode))
+		return f.em.storeIndex(sig, f.expr(x.Idx), mode)
 	case *verilog.Slice:
 		sig := f.targetSignal(x.X)
 		hi, lo := f.bounds(x)
 		sm := maskFor(int(hi-lo)+1) << lo
-		return f.em.storeSlice(sig, uint(lo), sm, mode, f.em.store(sig, mode))
+		return f.em.storeSlice(sig, uint(lo), sm, mode)
 	case *verilog.Concat:
 		total := 0
 		widths := make([]int, len(x.Elems))
@@ -394,7 +381,7 @@ func (f *lowerer[E, S, T]) store(lhs verilog.Expr, mode writeMode) T {
 			widths[i] = f.staticWidth(el)
 			total += widths[i]
 		}
-		parts := make([]T, len(x.Elems))
+		parts := make([]stmtVFn, len(x.Elems))
 		shifts := make([]uint, len(x.Elems))
 		masks := make([]uint64, len(x.Elems))
 		shift := total
@@ -409,7 +396,7 @@ func (f *lowerer[E, S, T]) store(lhs verilog.Expr, mode writeMode) T {
 
 // targetSignal resolves the signal a whole, bit or part-select target
 // writes.
-func (f *lowerer[E, S, T]) targetSignal(x verilog.Expr) *compile.Signal {
+func (f *lowerer) targetSignal(x verilog.Expr) *compile.Signal {
 	if id, ok := x.(*verilog.Ident); ok && f.d.Signals[id.Name] != nil {
 		return f.d.Signals[id.Name]
 	}
@@ -420,7 +407,7 @@ func (f *lowerer[E, S, T]) targetSignal(x verilog.Expr) *compile.Signal {
 // Expressions
 // ---------------------------------------------------------------------------
 
-func (f *lowerer[E, S, T]) expr(e verilog.Expr) E {
+func (f *lowerer) expr(e verilog.Expr) evalFn {
 	switch x := e.(type) {
 	case *verilog.Number:
 		return f.em.number(x)
@@ -461,7 +448,7 @@ func (f *lowerer[E, S, T]) expr(e verilog.Expr) E {
 		}
 		return f.em.slice(a, uint(lo), maskFor(int(hi-lo)+1))
 	case *verilog.Concat:
-		elems := make([]E, len(x.Elems))
+		elems := make([]evalFn, len(x.Elems))
 		widths := make([]uint, len(x.Elems))
 		masks := make([]uint64, len(x.Elems))
 		for i, el := range x.Elems {
@@ -479,7 +466,7 @@ func (f *lowerer[E, S, T]) expr(e verilog.Expr) E {
 	panic(unplannable(e, "expression %T does not lower", e))
 }
 
-func (f *lowerer[E, S, T]) call(x *verilog.Call) E {
+func (f *lowerer) call(x *verilog.Call) evalFn {
 	if len(x.Args) == 0 {
 		panic(unplannable(x, "%s without arguments", x.Name))
 	}

@@ -37,25 +37,20 @@ type Plan struct {
 	// lowered holds the two-state continuous assignments, comb and seq
 	// blocks and the assertion-reachable expressions (sva), which
 	// Trace.CompileExpr4 resolves through at the API boundary.
-	lowered[evalFn, stmtFn]
+	lowered
 
 	// seqDomain[i] is the clock-domain index of seqs[i] (aligned with
 	// design.SeqAlways and design.DomainOf); nil for single-domain designs,
 	// whose edges run every block unconditionally.
 	seqDomain []int
 
-	// once4/p4 hold the lazily-built four-state lowering (plan4.go). It is
-	// built on the first four-state run so two-state plan construction and
-	// execution pay nothing for it.
+	// once4 builds the four-state lowering (plan4.go) into p4, or the
+	// error that lowering stopped at into err4, on the first four-state
+	// run, so two-state plan construction and execution pay nothing for
+	// it.
 	once4 sync.Once
 	p4    *plan4
-
-	// onceL/pl hold the lazily-built lane-parallel lowering of each value
-	// domain (lanes.go), indexed by Mode and cached with the same
-	// once-per-plan discipline so concurrent lane batches share one
-	// compiled artifact.
-	onceL [2]sync.Once
-	pl    [2]*LanePlan
+	err4  error
 }
 
 // evalFn evaluates a compiled expression against the machine state, in
@@ -109,9 +104,9 @@ func planOf(d *compile.Design) (*Plan, error) {
 // per call or per slot.
 type mach struct {
 	p    *Plan
-	prog *program[stmtFn] // the blocks of the run's value domain
-	vals []uint64         // committed state; during trace eval, aliases rows[idx]
-	unks []uint64         // committed Unk plane; during trace eval, rows4[idx]
+	prog *program // the blocks of the run's value domain
+	vals []uint64 // committed state; during trace eval, aliases rows[idx]
+	unks []uint64 // committed Unk plane; during trace eval, rows4[idx]
 
 	// Blocking-assignment overlay: reads inside a block see ovlVal[s] when
 	// ovlGen[s] == gen. gen is bumped to invalidate the whole overlay.
@@ -164,7 +159,7 @@ func (m *mach) setup(p *Plan, mode Mode) {
 		m.unks, m.ovlUnk, m.nbaUnk = nil, nil, nil
 		return
 	}
-	p4 := p.fourState()
+	p4, _ := p.fourState()
 	m.prog = &p4.program
 	m.unks = zeroed(m.unks, n)
 	m.ovlUnk = zeroed(m.ovlUnk, n)
@@ -374,11 +369,11 @@ func evalAt(m *mach, fn evalFn, idx int) (v, u uint64) {
 // lowering returns the plan's lowering of mode's value domain, building the
 // four-state one on first use; nil when that could not be lowered, which
 // happens only for a design whose AST was changed after elaboration.
-func (p *Plan) lowering(mode Mode) *lowered[evalFn, stmtFn] {
+func (p *Plan) lowering(mode Mode) *lowered {
 	if mode == TwoState {
 		return &p.lowered
 	}
-	if p4 := p.fourState(); p4 != nil {
+	if p4, _ := p.fourState(); p4 != nil {
 		return &p4.lowered
 	}
 	return nil
@@ -445,7 +440,7 @@ type planKernels interface {
 
 // planEmitters holds each value domain's scalar emitter. Emitters keep no
 // state, so every plan build shares them.
-var planEmitters = [2]emitter[evalFn, stmtFn, stmtVFn]{
+var planEmitters = [2]emitter{
 	TwoState:  &planCore{planKernels: &planEmitter{}},
 	FourState: &planCore{four: true, planKernels: &plan4Emitter{}},
 }
@@ -487,7 +482,7 @@ func (*planCore) ifStmt(cond evalFn, then, els stmtFn) stmtFn {
 // caseStmt runs the first arm with a label equal to the subject, where
 // equality is case equality over both words, like the four-state
 // interpreter.
-func (*planCore) caseStmt(subj evalFn, arms []caseArm[evalFn, stmtFn], deflt stmtFn) stmtFn {
+func (*planCore) caseStmt(subj evalFn, arms []caseArm, deflt stmtFn) stmtFn {
 	return func(m *mach) {
 		sv, su := subj(m)
 		for i := range arms {
@@ -506,9 +501,6 @@ func (*planCore) caseStmt(subj evalFn, arms []caseArm[evalFn, stmtFn], deflt stm
 		}
 	}
 }
-
-// packs reports a whole-signal target, whose masked write assign fuses.
-func (*planCore) packs(_ evalFn, sig *compile.Signal) bool { return sig != nil }
 
 // assign fuses a whole-signal target's masked write into the assignment
 // closure, specialised per write mode, so the store costs no call.
@@ -552,7 +544,7 @@ func (*planCore) store(sig *compile.Signal, mode writeMode) stmtVFn {
 
 // storeIndex writes bit idx of sig; an unknown index, or one past the
 // widest signal, writes nothing.
-func (*planCore) storeIndex(sig *compile.Signal, idxFn evalFn, mode writeMode, _ stmtVFn) stmtVFn {
+func (*planCore) storeIndex(sig *compile.Signal, idxFn evalFn, mode writeMode) stmtVFn {
 	slot, mask := int32(sig.Slot), sig.Mask()
 	return func(m *mach, v, u uint64) {
 		idx, iu := idxFn(m)
@@ -565,7 +557,7 @@ func (*planCore) storeIndex(sig *compile.Signal, idxFn evalFn, mode writeMode, _
 	}
 }
 
-func (*planCore) storeSlice(sig *compile.Signal, shift uint, sm uint64, mode writeMode, _ stmtVFn) stmtVFn {
+func (*planCore) storeSlice(sig *compile.Signal, shift uint, sm uint64, mode writeMode) stmtVFn {
 	slot, mask := int32(sig.Slot), sig.Mask()
 	return func(m *mach, v, u uint64) {
 		cv, cu := m.rmw(slot, mode)

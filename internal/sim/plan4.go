@@ -23,14 +23,15 @@ type plan4 struct {
 	initUnk []uint64 // per-slot initial unknown masks (x until reset/init)
 
 	// lowered mirrors Plan.lowered; sva serves four-state trace evaluation.
-	lowered[evalFn, stmtFn]
+	lowered
 }
 
 // fourState returns the plan's four-state lowering, building it on first
-// use; nil when some construct could not be lowered (see lowering).
-func (p *Plan) fourState() *plan4 {
-	p.once4.Do(func() { p.p4, _ = buildPlan4(p) })
-	return p.p4
+// use, or the error its lowering stopped at, which only a design whose AST
+// was changed after elaboration reaches.
+func (p *Plan) fourState() (*plan4, error) {
+	p.once4.Do(func() { p.p4, p.err4 = buildPlan4(p) })
+	return p.p4, p.err4
 }
 
 func buildPlan4(p *Plan) (*plan4, error) {

@@ -11,7 +11,7 @@ import (
 
 // plannableModule is the fixture every plannability row splices its body
 // into: one clock, a multi-bit input and register, a dynamic index source
-// and single-bit signals for the packed lane paths.
+// and single-bit signals.
 const plannableModule = `module m (
     input clk,
     input [7:0] v,
@@ -25,24 +25,23 @@ BODY
 endmodule
 `
 
-// plannability is one engine-acceptance row: which lowerings accept the
-// construct. lanes2/lanes4 are the lane plans themselves; ok2/ok4 are
-// LanesOK, which also rejects multi-clock designs.
+// plannability is one plan-acceptance row: which value domains' lowerings
+// accept the construct.
 type plannability struct {
-	plan, plan4, lanes2, lanes4, ok2, ok4 bool
+	plan, plan4 bool
 }
 
 var (
-	acceptAll = plannability{true, true, true, true, true, true}
+	acceptAll = plannability{true, true}
 	rejectAll = plannability{}
 )
 
 // TestPlannabilityTable pins the boundary between internal/compile and the
 // planner: every construct the parser produces either compiles and lowers
-// on every engine or is a compile error with a positioned diagnostic, so no
-// design that compiles falls between the two. A diag row pins the whole
-// diagnostic log of its source. A want row pins which of PlanOf, the
-// four-state plan, the two lane plans and LanesOK accept the construct;
+// in both value domains or is a compile error with a positioned
+// diagnostic, so no design that compiles falls between the two. A diag row
+// pins the whole diagnostic log of its source. A want row pins which of
+// PlanOf and the four-state plan accept the construct;
 // a row with a plan in both value domains must also simulate, in each, as
 // the reference interpreter does; those that reject something are
 // constructs the parser and elaborator
@@ -247,14 +246,11 @@ func TestPlannabilityTable(t *testing.T) {
 			var got plannability
 			if p := PlanOf(d); p != nil {
 				got.plan = true
-				got.plan4 = p.fourState() != nil
-				got.lanes2 = p.lanes(TwoState) != nil
-				got.lanes4 = p.lanes(FourState) != nil
+				_, err := p.fourState()
+				got.plan4 = err == nil
 			}
-			got.ok2 = LanesOK(d, TwoState)
-			got.ok4 = LanesOK(d, FourState)
 			if got != row.want {
-				t.Errorf("accepted by plan/plan4/lanes2/lanes4/LanesOK2/LanesOK4 = %v, want %v", got, row.want)
+				t.Errorf("accepted by plan/plan4 = %v, want %v", got, row.want)
 			}
 			if !got.plan || !got.plan4 {
 				return

@@ -32,7 +32,7 @@ func TestStaticWidthAgreesWithExprWidth(t *testing.T) {
 			t.Fatalf("%s: %v", bp.Name(), err)
 		}
 		env := simEnv{s: s}
-		c := &planCompiler{d: d}
+		c := &lowerer{d: d}
 		check := func(e verilog.Expr) {
 			verilog.WalkExpr(e, func(sub verilog.Expr) {
 				if w, got := c.staticWidth(sub), ExprWidth(sub, env); got != w {

@@ -142,83 +142,3 @@ func boolToU(b bool) int {
 	}
 	return 0
 }
-
-// TestQuickLanePackDemuxRoundTrip: packing 1..64 stimuli into a lane batch
-// and demuxing any lane back must reproduce the original stimulus exactly
-// (masked to each input's width), including ragged batches that fill only
-// part of the final word.
-func TestQuickLanePackDemuxRoundTrip(t *testing.T) {
-	d, diags, err := compile.Compile(quickCounterSrc)
-	if err != nil || compile.HasErrors(diags) {
-		t.Fatal("fixture broken")
-	}
-	inputs := d.Inputs(false) // all inputs, clock included, mixed widths
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(64)
-		depth := 1 + rng.Intn(8)
-		stims := make([]VecStimulus, n)
-		for j := range stims {
-			rows := make([][]uint64, depth)
-			for c := range rows {
-				row := make([]uint64, len(inputs))
-				for i := range row {
-					row[i] = rng.Uint64() // deliberately unmasked
-				}
-				rows[c] = row
-			}
-			stims[j] = VecStimulus{Inputs: inputs, Rows: rows}
-		}
-		ls, err := PackStimuli(stims)
-		if err != nil || ls.N != n || ls.Depth != depth {
-			return false
-		}
-		for j := 0; j < n; j++ {
-			back := ls.LaneStimulusAt(j)
-			if len(back.Rows) != depth {
-				return false
-			}
-			for c := 0; c < depth; c++ {
-				for i, in := range inputs {
-					if back.Rows[c][i] != stims[j].Rows[c][i]&in.Mask() {
-						return false
-					}
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestQuickLanePackRejectsBadBatches: the packer enforces the 1..64 bound
-// and identical stimulus shapes across lanes.
-func TestQuickLanePackRejectsBadBatches(t *testing.T) {
-	d, _, err := compile.Compile(quickCounterSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inputs := d.Inputs(true)
-	mk := func(depth int) VecStimulus {
-		rows := make([][]uint64, depth)
-		for c := range rows {
-			rows[c] = make([]uint64, len(inputs))
-		}
-		return VecStimulus{Inputs: inputs, Rows: rows}
-	}
-	if _, err := PackStimuli(nil); err == nil {
-		t.Fatal("empty batch accepted")
-	}
-	big := make([]VecStimulus, 65)
-	for i := range big {
-		big[i] = mk(4)
-	}
-	if _, err := PackStimuli(big); err == nil {
-		t.Fatal("65-lane batch accepted")
-	}
-	if _, err := PackStimuli([]VecStimulus{mk(4), mk(5)}); err == nil {
-		t.Fatal("mismatched depths accepted")
-	}
-}

@@ -8,12 +8,12 @@ import (
 	"repro/internal/compile"
 )
 
-// This file holds the one simulation run loop and the four entry points
-// that reach it. Every engine — the compiled plan in either value domain,
-// the reference interpreter and the lane engine in either value domain —
-// advances a run through drive, which owns the per-cycle sequence; an
-// engine supplies only its step set. Each step is one call per cycle, so
-// the settle and edge loops behind it stay monomorphic.
+// This file holds the one simulation run loop and the three entry points
+// that reach it. Both engines — the compiled plan in either value domain
+// and the reference interpreter — advance a run through drive, which owns
+// the per-cycle sequence; an engine supplies only its step set. Each step
+// is one call per cycle, so the settle and edge loops behind it stay
+// monomorphic.
 
 // stepper is one engine's per-cycle step set.
 type stepper interface {
@@ -102,8 +102,8 @@ type VecRunner struct {
 func NewVecRunner(d *compile.Design, mode Mode) *VecRunner {
 	v := &VecRunner{d: d, mode: mode}
 	p, err := planOf(d)
-	if err == nil && p.lowering(mode) == nil {
-		_, err = buildPlan4(p) // rebuilt for its error, off every path compile lets a design reach
+	if err == nil && mode == FourState {
+		_, err = p.fourState()
 	}
 	if err != nil {
 		v.err = fmt.Errorf("sim: design has no %v execution plan: %w", mode, err)
@@ -171,39 +171,6 @@ func RunReferenceBranches(d *compile.Design, stim VecStimulus, mode Mode) (*Trac
 	return tr, r.s.branches, nil
 }
 
-// RunLanesCtx simulates a lane batch in the given value domain. Any
-// execution error (unsettled logic, failing sampled-value call in any lane
-// — lane mode evaluates a superset of each lane's scalar expressions under
-// predication) aborts the whole batch; callers re-run the lanes one by one
-// on the scalar engine, which reproduces scalar behaviour exactly. A
-// cancelled batch returns ctx.Err().
-func RunLanesCtx(ctx context.Context, d *compile.Design, ls *LaneStimulus, mode Mode) (*LaneTrace, error) {
-	if err := ls.checkShape(); err != nil {
-		return nil, err
-	}
-	p := PlanOf(d)
-	if p == nil {
-		return nil, fmt.Errorf("sim: design has no execution plan (lane mode unavailable)")
-	}
-	lp := p.lanes(mode)
-	if lp == nil {
-		return nil, fmt.Errorf("sim: design has no %v lane plan (lane mode unavailable)", mode)
-	}
-	lt := &LaneTrace{Design: d, plan: p, lp: lp, n: ls.N, rows: make([]laneRow, 0, ls.Depth)}
-	r := &laneRun{m: newLmach(lp), ls: ls, lt: lt, ck: clocksOf(d)}
-	var err error
-	if r.slots, err = inputSlots(d, ls.Inputs); err != nil {
-		return nil, err
-	}
-	if err := r.settle(); err != nil {
-		return nil, err
-	}
-	if err := drive(ctx, r, ls.Depth); err != nil {
-		return nil, err
-	}
-	return lt, nil
-}
-
 // inputSlots resolves a driven input list to state slots once per run. A
 // nil entry, which is what d.Signals yields for a misspelt name, is an
 // error.
@@ -232,10 +199,7 @@ func (t *Trace) record(c int, vals, unk []uint64, ck *clocks) uint64 {
 	if ck == nil {
 		return firedAll
 	}
-	var f uint64 // bit k: domain k's one-lane fired word
-	for k, w := range ck.fire(vals, unk) {
-		f |= (w & 1) << uint(k)
-	}
+	f := ck.fire(vals, unk)
 	t.fired = append(t.fired, f)
 	return f
 }
@@ -363,56 +327,3 @@ func (r *refRun) sample(c int) {
 }
 
 func (r *refRun) edge() error { return r.s.edge(r.fired) }
-
-// laneRun is the lane engine's step set, in either value domain.
-type laneRun struct {
-	m     *lmach
-	ls    *LaneStimulus
-	slots []int32
-	lt    *LaneTrace
-	ck    *clocks
-	fired []uint64 // per-domain fired lane masks; nil for single-domain batches
-}
-
-func (r *laneRun) capture() {
-	if r.ck != nil {
-		r.ck.capture(r.m.bits, r.m.ubits)
-	}
-}
-
-// apply drives row c into every lane; lanes >= N replicate lane N-1 so
-// word kernels never see garbage.
-func (r *laneRun) apply(c int) error {
-	ls, m := r.ls, r.m
-	for i, slot := range r.slots {
-		if m.lp.isBit[slot] {
-			m.bits[slot] = replicateLanes(ls.Bits[c][i], ls.N)
-			if m.ubits != nil {
-				m.ubits[slot] = 0
-			}
-			continue
-		}
-		dst := m.wide[slot]
-		copy(dst, ls.Wide[c][i])
-		for l := ls.N; l < 64; l++ {
-			dst[l] = dst[ls.N-1]
-		}
-		if m.uwide != nil {
-			clear(m.uwide[slot])
-		}
-	}
-	return nil
-}
-
-func (r *laneRun) settle() error { return r.m.settleLanes() }
-
-func (r *laneRun) sample(int) {
-	m := r.m
-	r.lt.rows = append(r.lt.rows, snapshotLaneRow(m.laneRow))
-	if r.ck != nil {
-		r.fired = r.ck.fire(m.bits, m.ubits)
-		r.lt.fired = append(r.lt.fired, slices.Clone(r.fired))
-	}
-}
-
-func (r *laneRun) edge() error { return r.m.edgeLanes(r.fired) }

@@ -11,21 +11,16 @@ import (
 	"repro/internal/verilog"
 )
 
-// term is one property expression compiled for the monitor: over a scalar
-// trace (fn4, lane 0) or over a lane batch (fn).
+// term is one property expression compiled for the monitor over a trace.
 type term struct {
 	expr verilog.Expr
-	fn4  sim.CompiledExpr4
-	fn   sim.CompiledLaneBool
+	fn   sim.CompiledExpr4
 }
 
-// eval evaluates the term at one sampled cycle: bit l of t is set when lane
-// l's value is true (nonzero and known), bit l of x when it sampled x.
+// eval evaluates the term at one sampled cycle as lane-0 words: t is 1
+// when the value is true (nonzero and known), x is 1 when it sampled x.
 func (tm *term) eval(c int) (t, x uint64, err error) {
-	if tm.fn4 == nil {
-		return tm.fn(c)
-	}
-	v, err := tm.fn4(c)
+	v, err := tm.fn(c)
 	if v.IsTrue() {
 		t = 1
 	} else if v.IsXBool() {
@@ -79,55 +74,54 @@ func newProperty(a *compile.ResolvedAssert, compile func(verilog.Expr) term) pro
 }
 
 // monitor is a property's bounded attempt automaton. It advances one tick
-// of the assertion's clock at a time and keeps each pending attempt as a
-// word of lanes still matching, in a ring indexed by the attempt's start
-// tick modulo the ring's length (a power of two). Every tick starts an
-// attempt in every lane; an attempt leaves its word when a term does not
-// match or the disable condition holds (uncounted), when a consequent term
-// is not true (a counted failure) or when its last term passes (a counted
-// pass). Attempts still pending when the ticks run out are neither.
+// of the assertion's clock at a time and keeps each pending attempt in a
+// ring indexed by the attempt's start tick modulo the ring's length (a
+// power of two). Every tick starts an attempt; an attempt leaves the ring
+// when a term does not match or the disable condition holds (uncounted),
+// when a consequent term is not true (a counted failure) or when its last
+// term passes (a counted pass). Attempts still pending when the ticks run
+// out are neither. An attempt's liveness is a word whose bit 0 is the one
+// stimulus a check runs.
 //
 // A monitor's state is plain words and counters, so copying its ring
 // copies the automaton. One monitor runs the properties of a check one
 // after another, reusing its ring and event buffer.
 type monitor struct {
-	p     *property
-	ring  []attempt // the pending attempts
-	lanes uint64    // the lanes every tick starts an attempt in
+	p    *property
+	ring []attempt // the pending attempts
 
-	counted uint64  // lanes with at least one counted attempt
-	count   int     // counted attempts, summed over lanes
-	fails   []event // failures in tick order
-	err     error   // the evaluation error of the earliest erring attempt
-	errAt   int     // that attempt's start tick
+	count int     // counted attempts
+	fails []event // failures in tick order
+	err   error   // the evaluation error of the earliest erring attempt
+	errAt int     // that attempt's start tick
 }
 
-// attempt is one pending attempt: the lanes still matching and the cycle
-// it started at.
+// attempt is one pending attempt: whether it still matches (bit 0) and
+// the cycle it started at.
 type attempt struct {
 	alive uint64
 	begun int
 }
 
-// event is one failing term evaluation: the attempts of lanes started at
-// cycle start fail at cycle, x marking the lanes where term sampled x.
+// event is one failing term evaluation: the attempt started at cycle start
+// fails at cycle, x set when term sampled x.
 type event struct {
 	start, cycle int
 	term         verilog.Expr
-	lanes, x     uint64
+	x            uint64
 }
 
 // reset readies the monitor to run p over at most ticks ticks. The ring
 // needs as many slots as attempts can be pending at once: the span, or
 // every tick of a shorter run.
-func (m *monitor) reset(p *property, ticks int, lanes uint64) {
+func (m *monitor) reset(p *property, ticks int) {
 	n := 1 << bits.Len(uint(max(1, min(p.span, ticks))-1))
 	if cap(m.ring) < n {
 		m.ring = make([]attempt, n)
 	}
 	m.ring = m.ring[:n]
 	clear(m.ring)
-	m.p, m.lanes, m.counted, m.count, m.fails, m.err = p, lanes, 0, 0, m.fails[:0], nil
+	m.p, m.count, m.fails, m.err = p, 0, m.fails[:0], nil
 }
 
 // tick advances the monitor over tick p, sampled at cycle c. A term, and
@@ -143,7 +137,7 @@ func (m *monitor) tick(p, c int) bool {
 	if m.err != nil && p >= m.errAt+m.p.span-1 {
 		return false
 	}
-	ring[p&mask] = attempt{alive: m.lanes, begun: c}
+	ring[p&mask] = attempt{alive: 1, begun: c}
 	var dis uint64
 	var disErr error
 	disDone := m.p.dis.expr == nil
@@ -176,13 +170,11 @@ func (m *monitor) tick(p, c int) bool {
 			continue
 		}
 		if bad := att.alive &^ t; st.cons && bad != 0 {
-			m.counted |= bad
-			m.count += bits.OnesCount64(bad)
-			m.fails = append(m.fails, event{start: att.begun, cycle: c, term: st.expr, lanes: bad, x: x & bad})
+			m.count++
+			m.fails = append(m.fails, event{start: att.begun, cycle: c, term: st.expr, x: x & bad})
 		}
 		if att.alive &= t; k == len(steps)-1 {
-			m.counted |= att.alive
-			m.count += bits.OnesCount64(att.alive)
+			m.count += int(att.alive)
 			att.alive = 0
 		}
 	}

@@ -19,15 +19,15 @@ import (
 )
 
 // tally counts what a differential run covered, so a test can require that
-// it compared failures, multi-clock traces and packed batches rather than
-// passing vacuously.
+// it compared failures and multi-clock traces rather than passing
+// vacuously.
 type tally struct {
-	traces, failing, multiClock, errs, batches int
+	traces, failing, multiClock, errs int
 }
 
-// monitorDiff compiles src and holds sva.Check, a reused sva.Checker and
-// sva.CheckLanes to the oracles on up to maxStims random stimuli in both
-// value domains. Programs that do not compile are out of scope.
+// monitorDiff compiles src and holds sva.Check and a reused sva.Checker to
+// the oracle on up to maxStims random stimuli in both value domains.
+// Programs that do not compile are out of scope.
 func monitorDiff(t testing.TB, name, src string, seed int64, maxStims int, nt *tally) {
 	t.Helper()
 	d, diags, err := compile.Compile(src)
@@ -70,59 +70,7 @@ func monitorDiff(t testing.TB, name, src string, seed int64, maxStims int, nt *t
 				nt.multiClock++
 			}
 		}
-		lanesDiff(t, name, d, stims, mode, nt)
 	}
-}
-
-// lanesDiff packs stims into one batch and holds sva.CheckLanes to the
-// per-start lane oracle and each lane's bits to the scalar oracle on the
-// demuxed lane.
-func lanesDiff(t testing.TB, name string, d *compile.Design, stims []sim.VecStimulus, mode sim.Mode, nt *tally) {
-	t.Helper()
-	ls, err := sim.PackStimuli(stims)
-	if err != nil {
-		t.Fatalf("%s: pack: %v", name, err)
-	}
-	lt, err := sim.RunLanesCtx(context.Background(), d, ls, mode)
-	if err != nil {
-		return // the scalar engine decides a batch the lane engine cannot run
-	}
-	got, gotErr := sva.CheckLanes(lt)
-	want, wantErr := oracleLanes(lt)
-	if gotErr != nil {
-		// The monitor evaluates a subset of the words the oracle evaluates
-		// up front, so it may succeed where the oracle errs, never the
-		// reverse.
-		if wantErr == nil {
-			t.Fatalf("%s: mode %v: CheckLanes: %v; the lane oracle succeeds", name, mode, gotErr)
-		}
-		return
-	}
-	if wantErr == nil && (got.Failed != want.Failed || !maps.Equal(got.Attempted, want.Attempted)) {
-		t.Fatalf("%s: mode %v: CheckLanes failed %#x attempted %v; lane oracle failed %#x attempted %v",
-			name, mode, got.Failed, got.Attempted, want.Failed, want.Attempted)
-	}
-	var failed uint64
-	attempted := map[string]uint64{}
-	for l := range stims {
-		res, err := oracleCheck(lt.Demux(l))
-		if err != nil {
-			return // the batch would fall back to scalar checks
-		}
-		if res.Failed() {
-			failed |= 1 << uint(l)
-		}
-		for a, n := range res.Attempts {
-			if n > 0 {
-				attempted[a] |= 1 << uint(l)
-			}
-		}
-	}
-	if got.Failed != failed || !maps.Equal(got.Attempted, attempted) {
-		t.Fatalf("%s: mode %v: CheckLanes failed %#x attempted %v; per-lane oracle failed %#x attempted %v",
-			name, mode, got.Failed, got.Attempted, failed, attempted)
-	}
-	nt.batches++
 }
 
 // sameResult requires a check to equal the oracle's: error text, failures
@@ -220,8 +168,8 @@ func TestMonitorMatchesOracleCorpus(t *testing.T) {
 		monitorDiff(t, filepath.Base(p), string(src), int64(i), 6, &nt)
 	}
 	t.Logf("compared %+v", nt)
-	if nt.failing == 0 || nt.multiClock == 0 || nt.batches == 0 {
-		t.Fatalf("the differential compared no failing, multi-clock or packed runs: %+v", nt)
+	if nt.failing == 0 || nt.multiClock == 0 {
+		t.Fatalf("the differential compared no failing or multi-clock runs: %+v", nt)
 	}
 }
 

@@ -1,20 +1,17 @@
 package sva_test
 
 import (
-	"fmt"
-
 	"repro/internal/compile"
 	"repro/internal/sim"
 	"repro/internal/sva"
 	"repro/internal/verilog"
 )
 
-// This file keeps the per-attempt checkers the monitor replaced, as
-// oracles: oracleCheck walks every attempt from its own start over a
-// trace, and oracleLanes does the same over packed truth words. They are
-// deliberately naive — each re-evaluates a cycle's terms once per attempt
-// that reaches it — so the monitor is held to a definition, not to a
-// second optimisation of itself.
+// This file keeps the per-attempt checker the monitor replaced, as an
+// oracle: oracleCheck walks every attempt from its own start over a trace.
+// It is deliberately naive — it re-evaluates a cycle's terms once per
+// attempt that reaches it — so the monitor is held to a definition, not to
+// a second optimisation of itself.
 
 // oracleCheck is sva.Check computed one attempt at a time: for each
 // assertion in order, every start tick in order, the attempt's terms in
@@ -112,103 +109,4 @@ func oracleAttempt(a compile.ResolvedAssert, ticks []int, start int, disable sim
 		}
 	}
 	return nil, true, nil
-}
-
-// oracleLanes is sva.CheckLanes computed one start position at a time over
-// truth words evaluated up front for every cycle.
-func oracleLanes(lt *sim.LaneTrace) (*sva.LaneResult, error) {
-	if lt.Design.MultiClock() {
-		return nil, fmt.Errorf("oracle: multi-clock lane batch")
-	}
-	n, active := lt.Len(), lt.ActiveMask()
-	words := func(e verilog.Expr) ([]uint64, error) {
-		fn := lt.CompileLaneBool(e)
-		if fn == nil {
-			return nil, fmt.Errorf("oracle: %s is not lane-compiled", verilog.ExprString(e))
-		}
-		tw := make([]uint64, n)
-		for c := range tw {
-			t, _, err := fn(c)
-			if err != nil {
-				return nil, err
-			}
-			tw[c] = t
-		}
-		return tw, nil
-	}
-	res := &sva.LaneResult{Attempted: map[string]uint64{}}
-	for _, a := range lt.Design.Asserts {
-		var dis []uint64
-		if a.DisableIff != nil {
-			var err error
-			if dis, err = words(a.DisableIff); err != nil {
-				return nil, err
-			}
-		}
-		terms := func(ts []verilog.SeqTerm) ([][]uint64, error) {
-			var out [][]uint64
-			for _, t := range ts {
-				w, err := words(t.Expr)
-				if err != nil {
-					return nil, err
-				}
-				out = append(out, w)
-			}
-			return out, nil
-		}
-		ante, err := terms(a.Seq.Antecedent)
-		if err != nil {
-			return nil, err
-		}
-		cons, err := terms(a.Seq.Consequent)
-		if err != nil {
-			return nil, err
-		}
-		var attempted uint64
-		for start := 0; start < n; start++ {
-			alive, cursor, pending := active, start, false
-			// step moves the cursor d cycles on and drops the lanes disabled
-			// there; it reports false when the attempt is pending or dead.
-			step := func(d int) bool {
-				if cursor += d; cursor >= n {
-					pending = true
-					return false
-				}
-				if dis != nil {
-					alive &^= dis[cursor]
-				}
-				return alive != 0
-			}
-			if a.Seq.Impl != verilog.ImplNone {
-				for i, t := range a.Seq.Antecedent {
-					if !step(t.DelayFromPrev) {
-						break
-					}
-					alive &= ante[i][cursor]
-				}
-				if pending || alive == 0 {
-					continue
-				}
-				if a.Seq.Impl == verilog.ImplNonOverlap {
-					cursor++
-				}
-			}
-			for i, t := range a.Seq.Consequent {
-				if !step(t.DelayFromPrev) {
-					break
-				}
-				fail := alive &^ cons[i][cursor]
-				res.Failed |= fail
-				attempted |= fail
-				alive &= cons[i][cursor]
-			}
-			if !pending {
-				attempted |= alive
-			}
-		}
-		if attempted != 0 {
-			res.Attempted[a.Name] |= attempted
-		}
-	}
-	return res, nil
 }

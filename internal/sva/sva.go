@@ -10,13 +10,12 @@
 // of ticks — its ##N delays, plus one for |=> — and no more attempts than
 // that are pending at once. The monitor advances one tick of the
 // assertion's clock at a time, starts an attempt at every tick and keeps
-// the pending ones as 64-lane words of lanes still matching, evaluating
-// each term at most once per tick and only when a pending attempt needs
-// it. A tick is every trace row, or on a multi-clock trace each row whose
-// following edge fired the assertion's clock domain. Check and Checker
-// feed it one lane from a trace; CheckLanes feeds it packed truth words
-// from a lane batch. The per-attempt checkers it replaced are kept in the
-// package's tests as the oracle it must match byte for byte.
+// the pending ones in a ring, evaluating each term at most once per tick
+// and only when a pending attempt needs it. A tick is every trace row, or
+// on a multi-clock trace each row whose following edge fired the
+// assertion's clock domain. Check and Checker feed it a trace's compiled
+// terms. The per-attempt checker it replaced is kept in the package's
+// tests as the oracle it must match byte for byte.
 //
 // Together with internal/sim and internal/formal this package plays the
 // role SymbiYosys plays in the paper: deciding whether a bug/SVA pair
@@ -128,7 +127,7 @@ type binding struct {
 // disable-iff condition does not disable.
 func (b *binding) bind(tr *sim.Trace) {
 	b.tr, b.props = tr, slices.Grow(b.props[:0], len(tr.Design.Asserts))
-	word := func(e verilog.Expr) term { return term{expr: e, fn4: tr.CompileExpr4(e)} }
+	word := func(e verilog.Expr) term { return term{expr: e, fn: tr.CompileExpr4(e)} }
 	for i := range tr.Design.Asserts {
 		b.props = append(b.props, newProperty(&tr.Design.Asserts[i], word))
 	}
@@ -141,7 +140,7 @@ func (b *binding) check(res *Result) error {
 	n, m := b.tr.Len(), &b.m
 	for i := range b.props {
 		dom := assertDomain(b.tr.Design, b.props[i].a)
-		m.reset(&b.props[i], n, 1)
+		m.reset(&b.props[i], n)
 		p := 0
 		for c := 0; c < n; c++ {
 			if dom >= 0 && b.tr.Fired(c)>>uint(dom)&1 == 0 {
