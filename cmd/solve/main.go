@@ -74,7 +74,9 @@ func main() {
 			if err := vcd.Write(vf, res.Trace, vcd.Options{}); err != nil {
 				log.Fatal(err)
 			}
-			vf.Close()
+			if err := vf.Close(); err != nil {
+				log.Fatal(err)
+			}
 			fmt.Printf("counterexample waveform written to %s\n", *vcdPath)
 		}
 	}

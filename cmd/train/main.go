@@ -90,8 +90,11 @@ func save(m *model.Model, path string) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer f.Close()
 	if err := m.Save(f); err != nil {
+		log.Fatal(err)
+	}
+	// A model whose close fails may not be on disk: report it as an error.
+	if err := f.Close(); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("saved %s (%s)\n", path, m.Name())

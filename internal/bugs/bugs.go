@@ -416,7 +416,7 @@ func (c *collector) identSite(ep *verilog.Expr, x *verilog.Ident, cx ctx) {
 	candidates := func(sameWidth bool, limit int) int {
 		count := 0
 		consider := func(cand string) bool {
-			if cand == x.Name || isClockReset(cand) {
+			if cand == x.Name || compile.IsClockOrReset(cand) {
 				return false
 			}
 			if sameWidth != (c.widths[cand] == w) {
@@ -463,14 +463,6 @@ func (c *collector) addIdentSwap(ep *verilog.Expr, from, to string, cx ctx) {
 			*target = &verilog.Ident{Name: to}
 		},
 	})
-}
-
-func isClockReset(name string) bool {
-	switch strings.ToLower(name) {
-	case "clk", "clock", "rst", "rst_n", "reset", "reset_n":
-		return true
-	}
-	return false
 }
 
 // numberSite perturbs a constant: +1, -1 (when nonzero), and lowest-bit

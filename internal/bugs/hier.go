@@ -3,8 +3,10 @@ package bugs
 import (
 	"fmt"
 	"iter"
+	"slices"
 	"strings"
 
+	"repro/internal/compile"
 	"repro/internal/verilog"
 )
 
@@ -89,7 +91,7 @@ func rewireCandidates(m *verilog.Module, children childPorts, clocks []string) [
 	var out []string
 	add := func(name string) {
 		lower := strings.ToLower(name)
-		if name == "" || seen[name] || isClockReset(name) || containsStr(clocks, name) ||
+		if name == "" || seen[name] || compile.IsClockOrReset(name) || slices.Contains(clocks, name) ||
 			strings.Contains(lower, "rst") || strings.Contains(lower, "reset") {
 			return
 		}
@@ -129,7 +131,7 @@ func portRewires(inst *verilog.Instance, ports []*verilog.Port, widths map[strin
 	aff := instOutputs(inst, ports)
 	for i := range inst.Conns {
 		p := connPort(inst, ports, i)
-		if p == nil || p.Dir != verilog.DirInput || isClockReset(p.Name) || isClockName(p.Name) {
+		if p == nil || p.Dir != verilog.DirInput || compile.IsClockOrReset(p.Name) || compile.IsClock(p.Name) {
 			continue
 		}
 		from, ok := inst.Conns[i].Expr.(*verilog.Ident)
@@ -205,12 +207,12 @@ func portSwaps(inst *verilog.Instance, ports []*verilog.Port) []mutator {
 	aff := instOutputs(inst, ports)
 	for i := 0; i < len(inst.Conns); i++ {
 		pi := connPort(inst, ports, i)
-		if pi == nil || pi.Dir != verilog.DirInput || isClockReset(pi.Name) || inst.Conns[i].Expr == nil {
+		if pi == nil || pi.Dir != verilog.DirInput || compile.IsClockOrReset(pi.Name) || inst.Conns[i].Expr == nil {
 			continue
 		}
 		for j := i + 1; j < len(inst.Conns); j++ {
 			pj := connPort(inst, ports, j)
-			if pj == nil || pj.Dir != verilog.DirInput || isClockReset(pj.Name) || inst.Conns[j].Expr == nil {
+			if pj == nil || pj.Dir != verilog.DirInput || compile.IsClockOrReset(pj.Name) || inst.Conns[j].Expr == nil {
 				continue
 			}
 			if rangeKey(pi.Range) != rangeKey(pj.Range) {
@@ -295,7 +297,7 @@ func topClocks(m *verilog.Module, children childPorts) []string {
 			ports := children[x.Module]
 			for i, pc := range x.Conns {
 				p := connPort(x, ports, i)
-				if p == nil || p.Dir != verilog.DirInput || !isClockName(p.Name) {
+				if p == nil || p.Dir != verilog.DirInput || !compile.IsClock(p.Name) {
 					continue
 				}
 				if ident, ok := pc.Expr.(*verilog.Ident); ok {
@@ -307,15 +309,6 @@ func topClocks(m *verilog.Module, children childPorts) []string {
 	return out
 }
 
-// isClockName reports whether a child port name is a clock by convention.
-func isClockName(name string) bool {
-	switch strings.ToLower(name) {
-	case "clk", "clock", "clk_i", "i_clk":
-		return true
-	}
-	return false
-}
-
 // alwaysReclocks yields SynCdc mutators: a sequential block's clock event
 // redirected to another clock in the design. The register then samples in
 // the wrong domain — a bug that only exists once there are two domains,
@@ -325,7 +318,7 @@ func alwaysReclocks(a *verilog.Always, m *verilog.Module, clocks []string) []mut
 	aff := assignedBelow(a.Body)
 	for ei := range a.Events {
 		ev := &a.Events[ei]
-		if ev.Edge != verilog.EdgePos || !containsStr(clocks, ev.Signal) {
+		if ev.Edge != verilog.EdgePos || !slices.Contains(clocks, ev.Signal) {
 			continue
 		}
 		for _, other := range clocks {
@@ -354,11 +347,11 @@ func connReclocks(inst *verilog.Instance, ports []*verilog.Port, clocks []string
 	aff := instOutputs(inst, ports)
 	for i := range inst.Conns {
 		p := connPort(inst, ports, i)
-		if p == nil || p.Dir != verilog.DirInput || !isClockName(p.Name) {
+		if p == nil || p.Dir != verilog.DirInput || !compile.IsClock(p.Name) {
 			continue
 		}
 		ident, ok := inst.Conns[i].Expr.(*verilog.Ident)
-		if !ok || !containsStr(clocks, ident.Name) {
+		if !ok || !slices.Contains(clocks, ident.Name) {
 			continue
 		}
 		for _, other := range clocks {
@@ -378,13 +371,4 @@ func connReclocks(inst *verilog.Instance, ports []*verilog.Port, clocks []string
 		}
 	}
 	return muts
-}
-
-func containsStr(xs []string, s string) bool {
-	for _, x := range xs {
-		if x == s {
-			return true
-		}
-	}
-	return false
 }

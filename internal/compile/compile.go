@@ -236,15 +236,26 @@ func LeafName(name string) string {
 	return name
 }
 
+// IsClock reports whether a signal name follows the clock naming
+// conventions used throughout the corpus (clk, clock, clk_i, i_clk).
+// Hierarchical names match on their leaf segment.
+func IsClock(name string) bool {
+	switch strings.ToLower(LeafName(name)) {
+	case "clk", "clock", "clk_i", "i_clk":
+		return true
+	}
+	return false
+}
+
 // IsClockOrReset reports whether a signal name follows the clock/reset
 // naming conventions used throughout the corpus (clk, clock, rst, rst_n,
 // reset...). Hierarchical names match on their leaf segment, so a
 // flattened child's "u0.rst_n" is still recognised as a reset.
 func IsClockOrReset(name string) bool {
-	n := strings.ToLower(LeafName(name))
-	switch n {
-	case "clk", "clock", "clk_i", "i_clk":
+	if IsClock(name) {
 		return true
+	}
+	switch strings.ToLower(LeafName(name)) {
 	case "rst", "rst_n", "reset", "reset_n", "rstn", "arst_n", "i_rst", "rst_ni":
 		return true
 	}

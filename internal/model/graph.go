@@ -1,6 +1,9 @@
 package model
 
 import (
+	"maps"
+	"slices"
+
 	"repro/internal/verilog"
 )
 
@@ -8,10 +11,9 @@ import (
 // built from the parsed buggy module. The localiser uses it to compute
 // cone-of-influence distances from the failing assertion's signals.
 type depGraph struct {
-	// readers[s] lists the signals read by logic that drives s.
+	// drivers[s] lists the signals read by logic that drives s.
 	drivers map[string][]string
-	// lineOf maps each signal to the printed lines that drive it
-	// (1-based), so cone distances translate to line scores.
+	// declared holds the module's port and net names.
 	declared map[string]bool
 }
 
@@ -30,7 +32,7 @@ func buildDepGraph(m *verilog.Module) *depGraph {
 	}
 	addEdge := func(dst string, srcs map[string]bool) {
 		for s := range srcs {
-			if !containsStr(g.drivers[dst], s) {
+			if !slices.Contains(g.drivers[dst], s) {
 				g.drivers[dst] = append(g.drivers[dst], s)
 			}
 		}
@@ -59,7 +61,7 @@ func buildDepGraph(m *verilog.Module) *depGraph {
 				addEdge(dst, srcs)
 			}
 		case *verilog.If:
-			sub := cloneSet(conds)
+			sub := maps.Clone(conds)
 			for c := range verilog.ExprIdents(x.Cond) {
 				sub[c] = true
 			}
@@ -68,7 +70,7 @@ func buildDepGraph(m *verilog.Module) *depGraph {
 				visitStmt(x.Else, sub)
 			}
 		case *verilog.Case:
-			sub := cloneSet(conds)
+			sub := maps.Clone(conds)
 			for c := range verilog.ExprIdents(x.Subject) {
 				sub[c] = true
 			}
@@ -93,14 +95,6 @@ func buildDepGraph(m *verilog.Module) *depGraph {
 		}
 	}
 	return g
-}
-
-func cloneSet(s map[string]bool) map[string]bool {
-	out := make(map[string]bool, len(s))
-	for k := range s {
-		out[k] = true
-	}
-	return out
 }
 
 // coneDistances returns, for every signal, the shortest driver-graph

@@ -2,7 +2,8 @@ package model
 
 import (
 	"math"
-	"strings"
+
+	"repro/internal/verilog"
 )
 
 // NGramLM is the pretraining product: an interpolated trigram language
@@ -70,15 +71,15 @@ func (lm *NGramLM) prob(prev2, prev1, t string) float64 {
 }
 
 // Surprisal returns the average negative log2 probability per token of a
-// line. Higher means less typical Verilog.
-func (lm *NGramLM) Surprisal(line string) float64 {
-	toks := tokenizeText(strings.TrimSpace(line))
+// lexed line. Higher means less typical Verilog.
+func (lm *NGramLM) Surprisal(toks []verilog.Token) float64 {
 	if len(toks) == 0 {
 		return 0
 	}
 	prev1, prev2 := lmBOS, lmBOS
 	sum := 0.0
-	for _, t := range toks {
+	for _, tok := range toks {
+		t := tokenText(tok)
 		p := lm.prob(prev2, prev1, t)
 		if p <= 0 {
 			p = 1e-9

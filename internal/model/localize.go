@@ -1,8 +1,10 @@
 package model
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"repro/internal/verilog"
@@ -12,7 +14,8 @@ import (
 // localiser scores it.
 type lineContext struct {
 	Text      string
-	No        int // 1-based
+	Toks      []verilog.Token // Text lexed once, for every later use
+	No        int             // 1-based
 	Assigned  []string
 	ConeDist  int // min driver-graph distance of an assigned signal to the assertion signals; -1 unknown
 	Mentions  int // how many assertion signals the line mentions directly
@@ -164,7 +167,7 @@ func parseProblem(code, logs string, lm *NGramLM) *problemView {
 			if p.Name+"_assertion" == facts.AssertName || p.Name == facts.AssertName {
 				collect := func(e verilog.Expr) {
 					for s := range verilog.ExprIdents(e) {
-						if !containsStr(sigs, s) {
+						if !slices.Contains(sigs, s) {
 							sigs = append(sigs, s)
 						}
 					}
@@ -196,24 +199,19 @@ func parseProblem(code, logs string, lm *NGramLM) *problemView {
 	if cone != nil {
 		var rest []string
 		for _, d := range declared {
-			if _, ok := cone[d]; ok && !containsStr(pv.assertSigs, d) {
+			if _, ok := cone[d]; ok && !slices.Contains(pv.assertSigs, d) {
 				inCone = append(inCone, d)
-			} else if !containsStr(pv.assertSigs, d) {
+			} else if !slices.Contains(pv.assertSigs, d) {
 				rest = append(rest, d)
 			}
 		}
-		sortStrings(inCone)
-		// stable sort by distance
-		for i := 1; i < len(inCone); i++ {
-			for j := i; j > 0 && cone[inCone[j]] < cone[inCone[j-1]]; j-- {
-				inCone[j], inCone[j-1] = inCone[j-1], inCone[j]
-			}
-		}
+		slices.Sort(inCone)
+		slices.SortStableFunc(inCone, func(a, b string) int { return cmp.Compare(cone[a], cone[b]) })
 		declared = rest
 	}
 	ordered := append([]string(nil), pv.assertSigs...)
 	ordered = append(ordered, inCone...)
-	sortStrings(params)
+	slices.Sort(params)
 	ordered = append(ordered, params...)
 	pv.declared = orderSignals(append(declared, params...), ordered)
 
@@ -233,8 +231,8 @@ func parseProblem(code, logs string, lm *NGramLM) *problemView {
 		if !isStatementLine(raw) {
 			continue
 		}
-		lc := &lineContext{Text: raw, No: i + 1}
-		lc.Assigned = affectedOfLineText(t)
+		lc := &lineContext{Text: raw, Toks: tokenizeLine(t), No: i + 1}
+		lc.Assigned = assignedTargets(lc.Toks)
 		lc.ConeDist = -1
 		if cone != nil {
 			for _, a := range lc.Assigned {
@@ -243,14 +241,14 @@ func parseProblem(code, logs string, lm *NGramLM) *problemView {
 				}
 			}
 		}
-		for _, tok := range tokenizeLine(t) {
-			if tok.Kind == verilog.TokIdent && containsStr(pv.assertSigs, tok.Text) {
+		for _, tok := range lc.Toks {
+			if tok.Kind == verilog.TokIdent && slices.Contains(pv.assertSigs, tok.Text) {
 				lc.Mentions++
 			}
 		}
 		if lm != nil && lm.Trained() {
 			lc.HasLM = true
-			lc.Surprisal = lm.Surprisal(t)
+			lc.Surprisal = lm.Surprisal(lc.Toks)
 		}
 		pv.candidates = append(pv.candidates, lc)
 	}
@@ -273,23 +271,14 @@ func orderSignals(declared, priority []string) []string {
 			rest = append(rest, d)
 		}
 	}
-	sortStrings(rest)
+	slices.Sort(rest)
 	return append(first, rest...)
 }
 
-func sortStrings(xs []string) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
-}
-
-// affectedOfLineText extracts assignment-target names from one line of
-// source text (mirrors augment.affectedOfLine but local to the engine).
-func affectedOfLineText(line string) []string {
+// assignedTargets extracts assignment-target names from one lexed line
+// (augment.affectedOfLine's counterpart over tokens).
+func assignedTargets(toks []verilog.Token) []string {
 	var out []string
-	toks := tokenizeLine(line)
 	for i := 1; i < len(toks); i++ {
 		if toks[i].Kind == verilog.TokLE || toks[i].Kind == verilog.TokEq {
 			// walk back over a possible select to the base identifier
@@ -303,7 +292,7 @@ func affectedOfLineText(line string) []string {
 					depth--
 				case verilog.TokIdent:
 					if depth == 0 {
-						if !containsStr(out, toks[j].Text) {
+						if !slices.Contains(out, toks[j].Text) {
 							out = append(out, toks[j].Text)
 						}
 						j = -1

@@ -1,6 +1,7 @@
 package model
 
 import (
+	"slices"
 	"strings"
 )
 
@@ -40,7 +41,7 @@ func parseLogs(logs string) logFacts {
 			for _, kv := range strings.Fields(rest) {
 				if i := strings.IndexByte(kv, '='); i > 0 {
 					sig := kv[:i]
-					if !containsStr(f.Signals, sig) {
+					if !slices.Contains(f.Signals, sig) {
 						f.Signals = append(f.Signals, sig)
 					}
 				}
@@ -48,13 +49,4 @@ func parseLogs(logs string) logFacts {
 		}
 	}
 	return f
-}
-
-func containsStr(xs []string, s string) bool {
-	for _, x := range xs {
-		if x == s {
-			return true
-		}
-	}
-	return false
 }

@@ -5,9 +5,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 
+	"repro/internal/compile"
 	"repro/internal/dataset"
 	"repro/internal/verilog"
 )
@@ -139,10 +141,10 @@ func (m *Model) SFT(svaBug []dataset.SVASample, verilogBug []dataset.BugEntry) {
 		for _, lc := range pv.candidates {
 			isBuggy := lc.No == s.LineNo
 			m.Loc.Observe(lc, isBuggy)
-			m.Patterns.ObserveLine(lc.Text, isBuggy)
+			m.Patterns.ObserveLine(lc.Toks, isBuggy)
 		}
 		// The golden fix is healthy code by construction.
-		m.Patterns.ObserveLine(s.FixedLine, false)
+		m.Patterns.ObserveLine(tokenizeLine(s.FixedLine), false)
 		m.Patterns.Learn(s.BuggyLine, s.FixedLine, s.Syn)
 	}
 	for i := range verilogBug {
@@ -177,8 +179,7 @@ func (m *Model) generate(p Problem) []Candidate {
 	var cands []Candidate
 	for _, lc := range pv.candidates {
 		lineTrim := strings.TrimSpace(lc.Text)
-		toks := tokenizeLine(lineTrim)
-		idFills := lineIdentFills(toks, pv.declared)
+		idFills := lineIdentFills(lc.Toks, pv.declared)
 		patFills := idFills
 		if len(patFills) > 6 {
 			patFills = patFills[:6]
@@ -186,7 +187,7 @@ func (m *Model) generate(p Problem) []Candidate {
 		locScore := m.Loc.Score(lc)
 		base := m.Sharpness * m.WLoc * locScore
 		if m.HasSFT {
-			base += m.Sharpness * m.WSusp * m.Patterns.Suspicion(lineTrim)
+			base += m.Sharpness * m.WSusp * m.Patterns.Suspicion(lc.Toks)
 			base += m.Sharpness * m.WCone * coneBonus(lc.ConeDist)
 			mentions := float64(lc.Mentions)
 			if mentions > 2 {
@@ -200,45 +201,24 @@ func (m *Model) generate(p Problem) []Candidate {
 			}
 			base += m.PriorStrength * (m.WCone*coneBonus(lc.ConeDist) + 0.4*mentions)
 		}
+		add := func(fix string, logit float64, patKey, syn string) {
+			cands = append(cands, Candidate{LineNo: lc.No, LineText: lineTrim, Fix: fix, Logit: logit, PatKey: patKey, Syn: syn})
+		}
 
 		if m.HasSFT {
-			for _, pat := range m.Patterns.order {
-				bind, ok := unify(pat.Before, toks)
-				if !ok {
-					continue
-				}
-				for _, fix := range applyPattern(pat, bind, patFills, "") {
-					if fix == lineTrim {
-						continue
+			// Whole-line patterns, then span-pattern rewrites: these
+			// generalise to line shapes never seen whole, at a precision
+			// discount. Healthy-looking fixes are preferred: the engine
+			// has seen the idiomatic form of most statements.
+			for _, t := range []*patTable{&m.Patterns.line, &m.Patterns.span} {
+				for _, f := range t.fixes(lineTrim, lc.Toks, patFills) {
+					logit := m.WPat * t.condLogP(f.pat)
+					if t.span {
+						logit -= m.SpanPenalty
 					}
-					// Healthy-looking fixes are preferred: the engine has
-					// seen the idiomatic form of most statements.
-					fixHealth := -m.Patterns.Suspicion(fix)
-					logit := base + m.Sharpness*(m.WPat*m.Patterns.CondLogP(pat)+0.5*fixHealth+m.dpoAdj[pat.key()])
-					cands = append(cands, Candidate{
-						LineNo:   lc.No,
-						LineText: lineTrim,
-						Fix:      fix,
-						Logit:    logit,
-						PatKey:   pat.key(),
-						Syn:      pat.dominantSyn(),
-					})
+					logit = logit - 0.5*m.Patterns.Suspicion(tokenizeLine(f.fix)) + m.dpoAdj[f.pat.key]
+					add(f.fix, base+m.Sharpness*logit, f.pat.key, f.pat.dominantSyn())
 				}
-			}
-		}
-		if m.HasSFT {
-			// Span-pattern rewrites: generalisation to line shapes never
-			// seen whole, at a precision discount.
-			for _, sf := range m.Patterns.SpanFixes(lineTrim, patFills) {
-				logit := base + m.Sharpness*(m.WPat*m.Patterns.SpanCondLogP(sf.Pat)-m.SpanPenalty-0.5*m.Patterns.Suspicion(sf.Fix)+m.dpoAdj[sf.Key])
-				cands = append(cands, Candidate{
-					LineNo:   lc.No,
-					LineText: lineTrim,
-					Fix:      sf.Fix,
-					Logit:    logit,
-					PatKey:   sf.Key,
-					Syn:      sf.Pat.dominantSyn(),
-				})
 			}
 		}
 		// Generic fallback edits: the only source for the base model, a
@@ -247,19 +227,13 @@ func (m *Model) generate(p Problem) []Candidate {
 		if m.HasSFT {
 			bias = m.GenericBias
 		}
-		lineFills := lineIdentFills(toks, idFills)
-		for _, g := range genericEdits(lineTrim, lineFills) {
+		lineFills := lineIdentFills(lc.Toks, idFills)
+		for _, g := range genericEdits(lineTrim, lc.Toks, lineFills) {
 			logit := base + bias + g.bias
 			if m.HasSFT {
-				logit += m.Sharpness * 0.5 * -m.Patterns.Suspicion(g.fix)
+				logit += m.Sharpness * 0.5 * -m.Patterns.Suspicion(tokenizeLine(g.fix))
 			}
-			cands = append(cands, Candidate{
-				LineNo:   lc.No,
-				LineText: lineTrim,
-				Fix:      g.fix,
-				Logit:    logit,
-				Syn:      g.syn,
-			})
+			add(g.fix, logit, "", g.syn)
 		}
 	}
 	return dedupCandidates(cands)
@@ -287,25 +261,31 @@ func coneBonus(dist int) float64 {
 func lineIdentFills(toks []verilog.Token, declared []string) []string {
 	var out []string
 	for _, t := range toks {
-		if t.Kind == verilog.TokIdent && !isClockResetName(t.Text) && !containsStr(out, t.Text) {
+		if t.Kind == verilog.TokIdent && !compile.IsClockOrReset(t.Text) && !slices.Contains(out, t.Text) {
 			out = append(out, t.Text)
 		}
 	}
 	for _, d := range declared {
-		if !containsStr(out, d) {
+		if !slices.Contains(out, d) {
 			out = append(out, d)
 		}
 	}
 	return out
 }
 
+// lineFix identifies a candidate: its line number and fix.
+type lineFix struct {
+	no  int
+	fix string
+}
+
 // dedupCandidates merges duplicate (line, fix) proposals, keeping the
 // strongest logit so probability mass is not double counted.
 func dedupCandidates(cands []Candidate) []Candidate {
-	best := map[string]int{}
+	best := map[lineFix]int{}
 	var out []Candidate
 	for _, c := range cands {
-		key := fmt.Sprintf("%d\x00%s", c.LineNo, c.Fix)
+		key := lineFix{c.LineNo, c.Fix}
 		if idx, seen := best[key]; seen {
 			if c.Logit > out[idx].Logit {
 				out[idx] = c
@@ -335,12 +315,12 @@ var opSwapTable = map[string][]string{
 	"<<": {">>"}, ">>": {"<<"},
 }
 
-// genericEdits proposes untrained heuristic fixes for a line, modelling the
-// general debugging repertoire a pretrained code model brings: operator
-// swaps at every site, identifier substitution, constant nudges, negation
-// toggles, off-by-one rewrites and condition-clause surgery.
-func genericEdits(line string, idFills []string) []genericEdit {
-	toks := tokenizeLine(line)
+// genericEdits proposes untrained heuristic fixes for a line and its
+// tokens, modelling the general debugging repertoire a pretrained code
+// model brings: operator swaps at every site, identifier substitution,
+// constant nudges, negation toggles, off-by-one rewrites and
+// condition-clause surgery.
+func genericEdits(line string, toks []verilog.Token, idFills []string) []genericEdit {
 	if len(toks) == 0 {
 		return nil
 	}
@@ -416,7 +396,7 @@ func genericEdits(line string, idFills []string) []genericEdit {
 	// fills whose name resembles the replaced identifier (T_YELLOW ->
 	// T_GREEN, s0 -> s1): the naming cue every reviewer uses.
 	for i, tok := range toks {
-		if tok.Kind != verilog.TokIdent || isClockResetName(tok.Text) {
+		if tok.Kind != verilog.TokIdent || compile.IsClockOrReset(tok.Text) {
 			continue
 		}
 		fills := rankBySimilarity(tok.Text, idFills, 6)
@@ -447,7 +427,7 @@ func genericEdits(line string, idFills []string) []genericEdit {
 			add(rebuild(func(cp []string) []string {
 				return append(cp[:n-3], ";")
 			}), -0.3, "Value")
-		} else if arrowIdx >= 0 || containsStr(surface, "=") {
+		} else if arrowIdx >= 0 || slices.Contains(surface, "=") {
 			for _, op := range []string{"-", "+"} {
 				op := op
 				add(rebuild(func(cp []string) []string {
@@ -490,7 +470,7 @@ func genericEdits(line string, idFills []string) []genericEdit {
 			return append(cp[:idx], cp[j:]...)
 		}), -0.2, "Op")
 	}
-	if i := indexOf(surface, "if"); i >= 0 && i+1 < len(surface) && surface[i+1] == "(" {
+	if i := slices.Index(surface, "if"); i >= 0 && i+1 < len(surface) && surface[i+1] == "(" {
 		// Locate the matching close paren of the condition.
 		d := 0
 		close := -1
@@ -610,30 +590,25 @@ func nameAffinity(a, b string) int {
 	return score
 }
 
-func indexOf(xs []string, s string) int {
-	for i, x := range xs {
-		if x == s {
-			return i
-		}
-	}
-	return -1
-}
-
-func isClockResetName(name string) bool {
-	switch strings.ToLower(name) {
-	case "clk", "clock", "rst", "rst_n", "reset", "reset_n":
-		return true
-	}
-	return false
-}
-
 // Solve generates n responses for the problem by temperature sampling over
 // the candidate set. Deterministic for a fixed rng.
 func (m *Model) Solve(p Problem, n int, temp float64, rng *rand.Rand) []Response {
+	return m.sample(p, m.candidates(p), n, temp, rng)
+}
+
+// candidates generates the problem's candidate set and, when the model
+// reasons, reranks it by mental verification.
+func (m *Model) candidates(p Problem) []Candidate {
 	cands := m.generate(p)
 	if (m.HasSFT || m.StructuralPrior) && m.ReasonDepth > 0 {
 		m.rerank(p, cands)
 	}
+	return cands
+}
+
+// sample draws n responses from the candidates, which it sorts into a
+// stable order first.
+func (m *Model) sample(p Problem, cands []Candidate, n int, temp float64, rng *rand.Rand) []Response {
 	out := make([]Response, 0, n)
 	if len(cands) == 0 {
 		for i := 0; i < n; i++ {
@@ -641,7 +616,6 @@ func (m *Model) Solve(p Problem, n int, temp float64, rng *rand.Rand) []Response
 		}
 		return out
 	}
-	// Stable order before sampling.
 	sort.SliceStable(cands, func(i, j int) bool {
 		if cands[i].LineNo != cands[j].LineNo {
 			return cands[i].LineNo < cands[j].LineNo
@@ -650,7 +624,7 @@ func (m *Model) Solve(p Problem, n int, temp float64, rng *rand.Rand) []Response
 	})
 	probs := softmax(cands, temp*m.TempScale)
 	for i := 0; i < n; i++ {
-		c := cands[sample(probs, rng)]
+		c := cands[drawIndex(probs, rng)]
 		r := Response{
 			BugLine:     c.LineNo,
 			BugLineText: c.LineText,
@@ -709,7 +683,7 @@ func softmax(cands []Candidate, temp float64) []float64 {
 	return probs
 }
 
-func sample(probs []float64, rng *rand.Rand) int {
+func drawIndex(probs []float64, rng *rand.Rand) int {
 	x := rng.Float64()
 	acc := 0.0
 	for i, p := range probs {
@@ -748,20 +722,22 @@ func (m *Model) DPO(train []dataset.SVASample, n int, temp float64, beta float64
 	rng := rand.New(rand.NewSource(seed))
 	for i := range train {
 		s := &train[i]
-		resp := m.Solve(ProblemOf(s), n, temp, rng)
-		cands := m.generate(ProblemOf(s))
-		// Re-associate sampled responses with their pattern keys, and find
-		// the candidate that generates the golden answer: it is the
-		// "chosen" side of every preference pair for this input.
-		keyOf := map[string]string{}
+		// Key the candidates by (line, fix), and find the one that
+		// generates the golden answer: it is the "chosen" side of every
+		// preference pair for this input. Each (line, fix) pair is one
+		// candidate, so the keys do not depend on the candidates' order.
+		p := ProblemOf(s)
+		cands := m.candidates(p)
+		keyOf := map[lineFix]string{}
 		goldenKey := ""
 		for _, c := range cands {
-			keyOf[fmt.Sprint(c.LineNo)+"\x00"+c.Fix] = c.PatKey
+			keyOf[lineFix{c.LineNo, c.Fix}] = c.PatKey
 			if strings.TrimSpace(c.LineText) == strings.TrimSpace(s.BuggyLine) &&
 				strings.TrimSpace(c.Fix) == strings.TrimSpace(s.FixedLine) {
 				goldenKey = c.PatKey
 			}
 		}
+		resp := m.sample(p, cands, n, temp, rng)
 		wrongKeys := map[string]int{}
 		anyWrong := false
 		for _, r := range resp {
@@ -769,7 +745,7 @@ func (m *Model) DPO(train []dataset.SVASample, n int, temp float64, beta float64
 				continue
 			}
 			anyWrong = true
-			if key := keyOf[fmt.Sprint(r.BugLine)+"\x00"+r.Fix]; key != "" && key != goldenKey {
+			if key := keyOf[lineFix{r.BugLine, r.Fix}]; key != "" && key != goldenKey {
 				wrongKeys[key]++
 			}
 		}

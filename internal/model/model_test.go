@@ -175,9 +175,19 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err := m.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
+	saved := bytes.Clone(buf.Bytes())
 	loaded, err := Load(&buf)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// Re-saving the loaded model reproduces the file byte for byte, so
+	// every table, its order and its totals survive the round trip.
+	var resaved bytes.Buffer
+	if err := loaded.Save(&resaved); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(resaved.Bytes(), saved) {
+		t.Fatalf("re-saved model differs: %d bytes, want %d", resaved.Len(), len(saved))
 	}
 	if loaded.Name() != m.Name() || loaded.Patterns.Len() != m.Patterns.Len() ||
 		loaded.Patterns.SpanLen() != m.Patterns.SpanLen() || loaded.Sharpness != m.Sharpness {
@@ -290,7 +300,7 @@ func TestGenericEditsCoverFamilies(t *testing.T) {
 	}
 	for _, tc := range cases {
 		found := false
-		for _, g := range genericEdits(tc.line, fills) {
+		for _, g := range genericEdits(tc.line, tokenizeLine(tc.line), fills) {
 			if g.fix == tc.want {
 				found = true
 				break
@@ -298,7 +308,7 @@ func TestGenericEditsCoverFamilies(t *testing.T) {
 		}
 		if !found {
 			var got []string
-			for _, g := range genericEdits(tc.line, fills) {
+			for _, g := range genericEdits(tc.line, tokenizeLine(tc.line), fills) {
 				got = append(got, g.fix)
 			}
 			t.Errorf("line %q: missing edit %q in %v", tc.line, tc.want, got)

@@ -1,8 +1,8 @@
 package model
 
 import (
-	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -29,10 +29,7 @@ type patEntry struct {
 	// Syn records the dominant Table I class seen with this pattern, for
 	// CoT phrasing.
 	Syn map[string]int
-}
-
-func (p *patEntry) key() string {
-	return strings.Join(p.Before, "\x00") + "\x01" + strings.Join(p.After, "\x00")
+	key string // the pattern's key in its table, which DPO adjusts
 }
 
 func (p *patEntry) dominantSyn() string {
@@ -50,6 +47,96 @@ func (p *patEntry) dominantSyn() string {
 	return best
 }
 
+// patTable is one table of edit patterns. Whole-line patterns must match
+// a candidate line entirely. Span patterns are minimal differing token
+// windows with one token of context, which match anywhere in a line and
+// generalise edits to line shapes never seen whole; their keys carry the
+// prefix "span:".
+type patTable struct {
+	span  bool
+	byKey map[string]*patEntry
+	order []*patEntry // insertion order for determinism
+	// beforeTotal counts pattern observations per Before template,
+	// normalising P(fix template | buggy template).
+	beforeTotal map[string]int
+}
+
+func newPatTable(span bool) patTable {
+	return patTable{span: span, byKey: map[string]*patEntry{}, beforeTotal: map[string]int{}}
+}
+
+// keyOf returns the key of a template pair in the table.
+func (t *patTable) keyOf(before, after []string) string {
+	key := strings.Join(before, "\x00") + "\x01" + strings.Join(after, "\x00")
+	if t.span {
+		return "span:" + key
+	}
+	return key
+}
+
+// add appends a new pattern to the table.
+func (t *patTable) add(e *patEntry) {
+	e.key = t.keyOf(e.Before, e.After)
+	t.byKey[e.key] = e
+	t.order = append(t.order, e)
+}
+
+// learn counts one observation of a template pair.
+func (t *patTable) learn(before, after []string, syn string) {
+	t.beforeTotal[strings.Join(before, "\x00")]++
+	if e := t.byKey[t.keyOf(before, after)]; e != nil {
+		e.Count++
+		e.Syn[syn]++
+		return
+	}
+	t.add(&patEntry{Before: before, After: after, Count: 1, Syn: map[string]int{syn: 1}})
+}
+
+// condLogP returns log P(fix template | buggy template) for a pattern.
+func (t *patTable) condLogP(p *patEntry) float64 {
+	tot := t.beforeTotal[strings.Join(p.Before, "\x00")]
+	return math.Log((float64(p.Count) + 0.5) / (float64(tot) + 1))
+}
+
+// patFix is one rewrite of a line and the pattern it came from.
+type patFix struct {
+	fix string
+	pat *patEntry
+}
+
+// fixes applies the table's patterns to a lexed line, dropping rewrites
+// equal to the line itself. A span pattern is tried at every position and
+// its rendering spliced into the line's surface tokens.
+func (t *patTable) fixes(line string, toks []verilog.Token, idFills []string) []patFix {
+	surface := make([]string, len(toks))
+	for i, tok := range toks {
+		surface[i] = tokenText(tok)
+	}
+	var out []patFix
+	for _, pat := range t.order {
+		last := len(toks) - len(pat.Before)
+		if !t.span && last != 0 {
+			continue
+		}
+		for i := 0; i <= last; i++ {
+			bind, ok := unify(pat.Before, toks[i:i+len(pat.Before)])
+			if !ok {
+				continue
+			}
+			for _, mid := range applyPattern(pat, bind, idFills) {
+				rebuilt := make([]string, 0, len(surface)+len(mid))
+				rebuilt = append(rebuilt, surface[:i]...)
+				rebuilt = append(rebuilt, mid...)
+				rebuilt = append(rebuilt, surface[i+len(pat.Before):]...)
+				if fix := renderTokens(rebuilt); fix != line {
+					out = append(out, patFix{fix: fix, pat: pat})
+				}
+			}
+		}
+	}
+	return out
+}
+
 // PatternStore holds the SFT-learned edit patterns plus line-template
 // statistics: how often each abstracted line shape was seen as the buggy
 // line versus as healthy code. The ratio ("suspicion") is the engine's
@@ -58,8 +145,9 @@ func (p *patEntry) dominantSyn() string {
 // cross-signal `<ID1> <= <ID2> + <NUM1> ;` shape is a frequent Var-bug
 // signature. The repeated-placeholder abstraction keeps the two distinct.
 type PatternStore struct {
-	byKey map[string]*patEntry
-	order []*patEntry // insertion order for determinism
+	// line holds the precise whole-line patterns; span backs them up on
+	// novel designs (the SVA-Eval-Human scenario).
+	line, span patTable
 
 	lineGood  map[string]int
 	lineBuggy map[string]int
@@ -68,83 +156,81 @@ type PatternStore struct {
 	// (`x <= x + 1`), which share the fully abstract template.
 	lineGoodX  map[string]int
 	lineBuggyX map[string]int
-	// beforeTotal counts pattern observations per Before template,
-	// normalising P(fix template | buggy template).
-	beforeTotal map[string]int
-
-	// Span patterns: minimal differing token windows with one token of
-	// context, generalising edits to line shapes never seen whole. They
-	// back up the precise whole-line patterns on novel designs (the
-	// SVA-Eval-Human scenario).
-	spanByKey       map[string]*patEntry
-	spanOrder       []*patEntry
-	spanBeforeTotal map[string]int
 }
 
 // newPatternStore returns an empty store.
 func newPatternStore() *PatternStore {
 	return &PatternStore{
-		byKey:       map[string]*patEntry{},
-		lineGood:    map[string]int{},
-		lineBuggy:   map[string]int{},
-		lineGoodX:   map[string]int{},
-		lineBuggyX:  map[string]int{},
-		beforeTotal: map[string]int{},
-		spanByKey:   map[string]*patEntry{},
-
-		spanBeforeTotal: map[string]int{},
+		line:       newPatTable(false),
+		span:       newPatTable(true),
+		lineGood:   map[string]int{},
+		lineBuggy:  map[string]int{},
+		lineGoodX:  map[string]int{},
+		lineBuggyX: map[string]int{},
 	}
 }
 
-// abstractLine maps a source line to its template key (identifiers and
-// numbers replaced by consistent placeholders).
-func abstractLine(line string) string { return abstractLineKey(line, true) }
+// placeholders numbers identifiers and numbers in first-seen order, one
+// sequence each, so a repeated name maps to a repeated placeholder.
+type placeholders struct{ ids, nums map[string]string }
 
-// abstractLineExact keeps numbers concrete, abstracting identifiers only.
-func abstractLineExact(line string) string { return abstractLineKey(line, false) }
-
-func abstractLineKey(line string, abstractNums bool) string {
-	toks := tokenizeLine(strings.TrimSpace(line))
-	if len(toks) == 0 {
-		return ""
+// of returns the placeholder of name in the sequence of prefix (phIdent
+// or phNum).
+func (ph *placeholders) of(prefix, name string) string {
+	m := &ph.ids
+	if prefix == phNum {
+		m = &ph.nums
 	}
-	idMap := map[string]string{}
-	numMap := map[string]string{}
+	if *m == nil {
+		*m = map[string]string{}
+	}
+	p, seen := (*m)[name]
+	if !seen {
+		p = prefix + strconv.Itoa(len(*m)+1) + ">"
+		(*m)[name] = p
+	}
+	return p
+}
+
+// abstract maps tokens to template tokens: identifiers and numbers become
+// placeholders, everything else its surface text.
+func (ph *placeholders) abstract(toks []verilog.Token) []string {
 	out := make([]string, len(toks))
 	for i, t := range toks {
 		switch t.Kind {
 		case verilog.TokIdent:
-			ph, seen := idMap[t.Text]
-			if !seen {
-				ph = fmt.Sprintf("%s%d>", phIdent, len(idMap)+1)
-				idMap[t.Text] = ph
-			}
-			out[i] = ph
+			out[i] = ph.of(phIdent, t.Text)
 		case verilog.TokNumber:
-			if !abstractNums {
-				out[i] = t.Text
-				break
-			}
-			ph, seen := numMap[t.Text]
-			if !seen {
-				ph = fmt.Sprintf("%s%d>", phNum, len(numMap)+1)
-				numMap[t.Text] = ph
-			}
-			out[i] = ph
+			out[i] = ph.of(phNum, t.Text)
 		default:
 			out[i] = tokenText(t)
 		}
 	}
-	return strings.Join(out, "\x00")
+	return out
 }
 
-// ObserveLine counts one training line as buggy or healthy.
-func (ps *PatternStore) ObserveLine(line string, buggy bool) {
-	key := abstractLine(line)
+// lineKeys maps a lexed line to its two template keys: key abstracts
+// identifiers and numbers, keyX (the exact-number channel) identifiers
+// only. An empty line has empty keys.
+func lineKeys(toks []verilog.Token) (key, keyX string) {
+	var ph placeholders
+	abs := ph.abstract(toks)
+	exact := make([]string, len(toks))
+	for i, t := range toks {
+		exact[i] = abs[i]
+		if t.Kind == verilog.TokNumber {
+			exact[i] = t.Text
+		}
+	}
+	return strings.Join(abs, "\x00"), strings.Join(exact, "\x00")
+}
+
+// ObserveLine counts one lexed training line as buggy or healthy.
+func (ps *PatternStore) ObserveLine(toks []verilog.Token, buggy bool) {
+	key, keyX := lineKeys(toks)
 	if key == "" {
 		return
 	}
-	keyX := abstractLineExact(line)
 	if buggy {
 		ps.lineBuggy[key]++
 		ps.lineBuggyX[keyX]++
@@ -154,11 +240,11 @@ func (ps *PatternStore) ObserveLine(line string, buggy bool) {
 	}
 }
 
-// Suspicion returns the log-odds that a line's template is a bug
+// Suspicion returns the log-odds that a lexed line's template is a bug
 // signature, combining the fully abstract channel with the exact-number
 // channel.
-func (ps *PatternStore) Suspicion(line string) float64 {
-	key := abstractLine(line)
+func (ps *PatternStore) Suspicion(toks []verilog.Token) float64 {
+	key, keyX := lineKeys(toks)
 	if key == "" {
 		return 0
 	}
@@ -166,94 +252,68 @@ func (ps *PatternStore) Suspicion(line string) float64 {
 		return math.Log((float64(b) + 0.5) / (float64(g) + 0.5))
 	}
 	s := logOdds(ps.lineBuggy[key], ps.lineGood[key])
-	keyX := abstractLineExact(line)
 	sx := logOdds(ps.lineBuggyX[keyX], ps.lineGoodX[keyX])
 	return 0.5*s + 0.7*sx
 }
 
-// CondLogP returns log P(fix template | buggy template) for a pattern.
-func (ps *PatternStore) CondLogP(p *patEntry) float64 {
-	tot := ps.beforeTotal[strings.Join(p.Before, "\x00")]
-	return math.Log((float64(p.Count) + 0.5) / (float64(tot) + 1))
-}
+// Len returns the number of distinct whole-line patterns.
+func (ps *PatternStore) Len() int { return len(ps.line.order) }
 
-// SpanCondLogP is the span-pattern analogue of CondLogP.
-func (ps *PatternStore) SpanCondLogP(p *patEntry) float64 {
-	tot := ps.spanBeforeTotal[strings.Join(p.Before, "\x00")]
-	return math.Log((float64(p.Count) + 0.5) / (float64(tot) + 1))
-}
+// SpanLen returns the number of distinct span patterns.
+func (ps *PatternStore) SpanLen() int { return len(ps.span.order) }
 
-// Len returns the number of distinct patterns.
-func (ps *PatternStore) Len() int { return len(ps.order) }
-
-// TotalCount returns the total observation count across patterns.
+// TotalCount returns the total observation count across whole-line
+// patterns.
 func (ps *PatternStore) TotalCount() int {
 	n := 0
-	for _, p := range ps.order {
+	for _, p := range ps.line.order {
 		n += p.Count
 	}
 	return n
 }
 
-// Learn abstracts a (buggy line, fixed line) pair into a template pair and
-// counts it. Pairs whose fix template needs more than one unbound
+// Learn abstracts a (buggy line, fixed line) pair into a template pair,
+// with placeholders shared across the pair, and counts it and its
+// differing span. Pairs whose fix template needs more than one unbound
 // placeholder are skipped (too unconstrained to reapply).
 func (ps *PatternStore) Learn(buggyLine, fixedLine, syn string) {
-	before, after, ok := abstractPair(buggyLine, fixedLine)
-	if !ok {
+	bToks, fToks := tokenizeLine(buggyLine), tokenizeLine(fixedLine)
+	if len(bToks) == 0 || len(fToks) == 0 {
 		return
 	}
-	ps.learnSpan(before, after, syn)
-	e := &patEntry{Before: before, After: after}
-	ps.beforeTotal[strings.Join(before, "\x00")]++
-	if exist, dup := ps.byKey[e.key()]; dup {
-		exist.Count++
-		exist.Syn[syn]++
+	var ph placeholders
+	before, after := ph.abstract(bToks), ph.abstract(fToks)
+	if unbound(before, after) > 1 {
 		return
 	}
-	e.Count = 1
-	e.Syn = map[string]int{syn: 1}
-	ps.byKey[e.key()] = e
-	ps.order = append(ps.order, e)
-}
-
-// SpanLen returns the number of distinct span patterns.
-func (ps *PatternStore) SpanLen() int { return len(ps.spanOrder) }
-
-// learnSpan extracts the minimal differing token window (plus one token of
-// context on each side) from an abstracted pair and counts it.
-func (ps *PatternStore) learnSpan(before, after []string, syn string) {
-	bs, as, ok := diffSpan(before, after)
-	if !ok {
-		return
-	}
-	bs, as = renumberSpan(bs, as)
-	// Reject spans with more than one unbound placeholder.
-	seen := map[string]bool{}
-	for _, t := range bs {
-		seen[t] = true
-	}
-	unbound := 0
-	for _, t := range as {
-		if isPlaceholder(t) && !seen[t] {
-			unbound++
+	if bs, as, ok := diffSpan(before, after); ok {
+		// Renumber the placeholders within the span.
+		var spanPh placeholders
+		for _, toks := range [][]string{bs, as} {
+			for i, t := range toks {
+				if strings.HasPrefix(t, phIdent) {
+					toks[i] = spanPh.of(phIdent, t)
+				} else if strings.HasPrefix(t, phNum) {
+					toks[i] = spanPh.of(phNum, t)
+				}
+			}
+		}
+		if unbound(bs, as) <= 1 {
+			ps.span.learn(bs, as, syn)
 		}
 	}
-	if unbound > 1 {
-		return
+	ps.line.learn(before, after, syn)
+}
+
+// unbound counts the placeholders of after that before does not bind.
+func unbound(before, after []string) int {
+	n := 0
+	for _, t := range after {
+		if isPlaceholder(t) && !slices.Contains(before, t) {
+			n++
+		}
 	}
-	e := &patEntry{Before: bs, After: as}
-	ps.spanBeforeTotal[strings.Join(bs, "\x00")]++
-	key := "span:" + e.key()
-	if exist, dup := ps.spanByKey[key]; dup {
-		exist.Count++
-		exist.Syn[syn]++
-		return
-	}
-	e.Count = 1
-	e.Syn = map[string]int{syn: 1}
-	ps.spanByKey[key] = e
-	ps.spanOrder = append(ps.spanOrder, e)
+	return n
 }
 
 // diffSpan returns the differing window of two token sequences with one
@@ -289,190 +349,6 @@ func diffSpan(before, after []string) (bs, as []string, ok bool) {
 		return nil, nil, false
 	}
 	return bs, as, true
-}
-
-// renumberSpan renormalises placeholder numbering within a span pair.
-func renumberSpan(bs, as []string) ([]string, []string) {
-	idMap := map[string]string{}
-	numMap := map[string]string{}
-	ren := func(toks []string) []string {
-		out := make([]string, len(toks))
-		for i, t := range toks {
-			switch {
-			case strings.HasPrefix(t, phIdent):
-				ph, seen := idMap[t]
-				if !seen {
-					ph = fmt.Sprintf("%s%d>", phIdent, len(idMap)+1)
-					idMap[t] = ph
-				}
-				out[i] = ph
-			case strings.HasPrefix(t, phNum):
-				ph, seen := numMap[t]
-				if !seen {
-					ph = fmt.Sprintf("%s%d>", phNum, len(numMap)+1)
-					numMap[t] = ph
-				}
-				out[i] = ph
-			default:
-				out[i] = t
-			}
-		}
-		return out
-	}
-	return ren(bs), ren(as)
-}
-
-// unifyAt matches a span template at position i of a token line.
-func unifyAt(template []string, toks []verilog.Token, i int) (map[string]string, bool) {
-	if i+len(template) > len(toks) {
-		return nil, false
-	}
-	return unify(template, toks[i:i+len(template)])
-}
-
-// ApplySpans proposes fixes by matching span patterns anywhere in the
-// line. Each result carries the span pattern it came from.
-type SpanFix struct {
-	Fix   string
-	Pat   *patEntry
-	Key   string
-	Count int
-}
-
-// SpanFixes computes all span-pattern rewrites of a line.
-func (ps *PatternStore) SpanFixes(line string, idFills []string) []SpanFix {
-	toks := tokenizeLine(line)
-	if len(toks) == 0 {
-		return nil
-	}
-	surface := make([]string, len(toks))
-	for i, t := range toks {
-		surface[i] = tokenText(t)
-	}
-	var out []SpanFix
-	for _, pat := range ps.spanOrder {
-		for i := 0; i+len(pat.Before) <= len(toks); i++ {
-			bind, ok := unifyAt(pat.Before, toks, i)
-			if !ok {
-				continue
-			}
-			for _, mid := range applyPatternTokens(pat, bind, idFills) {
-				rebuilt := make([]string, 0, len(surface)+len(mid))
-				rebuilt = append(rebuilt, surface[:i]...)
-				rebuilt = append(rebuilt, mid...)
-				rebuilt = append(rebuilt, surface[i+len(pat.Before):]...)
-				fix := renderTokens(rebuilt)
-				if fix != line {
-					out = append(out, SpanFix{Fix: fix, Pat: pat, Key: "span:" + pat.key(), Count: pat.Count})
-				}
-			}
-		}
-	}
-	return out
-}
-
-// applyPatternTokens renders the After template to token lists (one per
-// unbound fill), for span splicing.
-func applyPatternTokens(p *patEntry, bind map[string]string, idFills []string) [][]string {
-	unboundPh := ""
-	for _, t := range p.After {
-		if isPlaceholder(t) && bind[t] == "" {
-			unboundPh = t
-			break
-		}
-	}
-	render := func(extra map[string]string) []string {
-		toks := make([]string, len(p.After))
-		for i, t := range p.After {
-			if isPlaceholder(t) {
-				if v := bind[t]; v != "" {
-					toks[i] = v
-				} else if v := extra[t]; v != "" {
-					toks[i] = v
-				} else {
-					toks[i] = t
-				}
-			} else {
-				toks[i] = t
-			}
-		}
-		return toks
-	}
-	if unboundPh == "" {
-		return [][]string{render(nil)}
-	}
-	var fills []string
-	if strings.HasPrefix(unboundPh, phIdent) {
-		fills = idFills
-	} else {
-		base := ""
-		for _, t := range p.Before {
-			if strings.HasPrefix(t, phNum) && !containsStr(p.After, t) && bind[t] != "" {
-				base = bind[t]
-				break
-			}
-		}
-		fills = numVariants(base)
-	}
-	var out [][]string
-	for _, f := range fills {
-		out = append(out, render(map[string]string{unboundPh: f}))
-	}
-	return out
-}
-
-// abstractPair tokenizes both lines and replaces identifiers and numbers
-// with consistent placeholders shared across the pair.
-func abstractPair(buggyLine, fixedLine string) (before, after []string, ok bool) {
-	bToks := tokenizeLine(buggyLine)
-	fToks := tokenizeLine(fixedLine)
-	if len(bToks) == 0 || len(fToks) == 0 {
-		return nil, nil, false
-	}
-	idMap := map[string]string{}
-	numMap := map[string]string{}
-	abstract := func(toks []verilog.Token) []string {
-		out := make([]string, len(toks))
-		for i, t := range toks {
-			switch t.Kind {
-			case verilog.TokIdent:
-				ph, seen := idMap[t.Text]
-				if !seen {
-					ph = fmt.Sprintf("%s%d>", phIdent, len(idMap)+1)
-					idMap[t.Text] = ph
-				}
-				out[i] = ph
-			case verilog.TokNumber:
-				ph, seen := numMap[t.Text]
-				if !seen {
-					ph = fmt.Sprintf("%s%d>", phNum, len(numMap)+1)
-					numMap[t.Text] = ph
-				}
-				out[i] = ph
-			default:
-				out[i] = tokenText(t)
-			}
-		}
-		return out
-	}
-	before = abstract(bToks)
-	after = abstract(fToks)
-
-	// Count placeholders appearing in After but not Before (unbound).
-	seen := map[string]bool{}
-	for _, t := range before {
-		seen[t] = true
-	}
-	unbound := 0
-	for _, t := range after {
-		if isPlaceholder(t) && !seen[t] {
-			unbound++
-		}
-	}
-	if unbound > 1 {
-		return nil, nil, false
-	}
-	return before, after, true
 }
 
 // unify matches a pattern's Before template against a concrete token line.
@@ -511,10 +387,10 @@ func unify(template []string, toks []verilog.Token) (map[string]string, bool) {
 	return bind, true
 }
 
-// applyPattern renders the After template under the bindings. When an
-// unbound placeholder remains, one rendering per fill candidate is
-// produced. Returns rendered fix lines.
-func applyPattern(p *patEntry, bind map[string]string, idFills []string, numSeed string) []string {
+// applyPattern renders the After template under the bindings to surface
+// tokens. When an unbound placeholder remains, one rendering per fill
+// candidate is produced.
+func applyPattern(p *patEntry, bind map[string]string, idFills []string) [][]string {
 	unboundPh := ""
 	for _, t := range p.After {
 		if isPlaceholder(t) && bind[t] == "" {
@@ -522,45 +398,37 @@ func applyPattern(p *patEntry, bind map[string]string, idFills []string, numSeed
 			break
 		}
 	}
-	render := func(extra map[string]string) string {
+	render := func(fill string) []string {
 		toks := make([]string, len(p.After))
 		for i, t := range p.After {
-			if isPlaceholder(t) {
-				if v := bind[t]; v != "" {
-					toks[i] = v
-				} else if v := extra[t]; v != "" {
-					toks[i] = v
-				} else {
-					toks[i] = t // unresolved: will fail to compile, harmless
-				}
-			} else {
-				toks[i] = t
+			toks[i] = t // an unresolved placeholder fails to compile, harmlessly
+			if v := bind[t]; isPlaceholder(t) && v != "" {
+				toks[i] = v
+			} else if t == unboundPh && fill != "" {
+				toks[i] = fill
 			}
 		}
-		return renderTokens(toks)
+		return toks
 	}
 	if unboundPh == "" {
-		return []string{render(nil)}
+		return [][]string{render("")}
 	}
-	var fills []string
-	if strings.HasPrefix(unboundPh, phIdent) {
-		fills = idFills
-	} else {
+	fills := idFills
+	if strings.HasPrefix(unboundPh, phNum) {
 		// Unbound number: derive variants from the replaced number (a NUM
-		// placeholder present in Before but absent from After), falling
-		// back to the seed.
-		base := numSeed
+		// placeholder present in Before but absent from After).
+		base := ""
 		for _, t := range p.Before {
-			if strings.HasPrefix(t, phNum) && !containsStr(p.After, t) && bind[t] != "" {
+			if strings.HasPrefix(t, phNum) && !slices.Contains(p.After, t) && bind[t] != "" {
 				base = bind[t]
 				break
 			}
 		}
 		fills = numVariants(base)
 	}
-	var out []string
+	var out [][]string
 	for _, f := range fills {
-		out = append(out, render(map[string]string{unboundPh: f}))
+		out = append(out, render(f))
 	}
 	return out
 }
@@ -598,7 +466,7 @@ func numVariants(text string) []string {
 	var out []string
 	add := func(x uint64) {
 		s := format(x)
-		if s != text && !containsStr(out, s) {
+		if s != text && !slices.Contains(out, s) {
 			out = append(out, s)
 		}
 	}

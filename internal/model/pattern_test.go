@@ -1,6 +1,7 @@
 package model
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -71,17 +72,19 @@ func TestPatternLearnAndApply(t *testing.T) {
 		t.Fatalf("patterns = %d, want 1", ps.Len())
 	}
 	// The learned pattern must generalise to a different design's line.
-	line := "else if (!done) ready <= 1;"
-	toks := tokenizeLine(line)
-	pat := ps.order[0]
-	bind, ok := unify(pat.Before, toks)
-	if !ok {
-		t.Fatalf("pattern failed to unify with %q", line)
-	}
-	fixes := applyPattern(pat, bind, nil, "")
+	fixes := lineFixes(ps, "else if (!done) ready <= 1;", nil)
 	if len(fixes) != 1 || fixes[0] != "else if (done) ready <= 1;" {
 		t.Fatalf("fixes = %v", fixes)
 	}
+}
+
+// lineFixes returns the whole-line pattern rewrites of line.
+func lineFixes(ps *PatternStore, line string, idFills []string) []string {
+	var out []string
+	for _, f := range ps.line.fixes(line, tokenizeLine(line), idFills) {
+		out = append(out, f.fix)
+	}
+	return out
 }
 
 func TestPatternUnboundIdent(t *testing.T) {
@@ -89,13 +92,7 @@ func TestPatternUnboundIdent(t *testing.T) {
 	// Var bug: wrong signal; the fix introduces an identifier absent from
 	// the buggy line.
 	ps.Learn("assign y = wrong;", "assign y = right;", "Var")
-	pat := ps.order[0]
-	toks := tokenizeLine("assign out = bogus;")
-	bind, ok := unify(pat.Before, toks)
-	if !ok {
-		t.Fatal("unify failed")
-	}
-	fixes := applyPattern(pat, bind, []string{"alpha", "beta"}, "")
+	fixes := lineFixes(ps, "assign out = bogus;", []string{"alpha", "beta"})
 	if len(fixes) != 2 {
 		t.Fatalf("fixes = %v, want 2 (one per fill)", fixes)
 	}
@@ -107,13 +104,7 @@ func TestPatternUnboundIdent(t *testing.T) {
 func TestPatternUnboundNumber(t *testing.T) {
 	ps := newPatternStore()
 	ps.Learn("count <= 4'd9;", "count <= 4'd8;", "Value")
-	pat := ps.order[0]
-	toks := tokenizeLine("limit <= 4'd5;")
-	bind, ok := unify(pat.Before, toks)
-	if !ok {
-		t.Fatal("unify failed")
-	}
-	fixes := applyPattern(pat, bind, nil, "")
+	fixes := lineFixes(ps, "limit <= 4'd5;", nil)
 	if len(fixes) == 0 {
 		t.Fatal("no fixes")
 	}
@@ -137,8 +128,8 @@ func TestPatternCounts(t *testing.T) {
 	if ps.Len() != 2 {
 		t.Fatalf("patterns = %d, want 2", ps.Len())
 	}
-	if ps.order[0].Count != 3 {
-		t.Errorf("count = %d, want 3", ps.order[0].Count)
+	if ps.line.order[0].Count != 3 {
+		t.Errorf("count = %d, want 3", ps.line.order[0].Count)
 	}
 	if ps.TotalCount() != 4 {
 		t.Errorf("total = %d, want 4", ps.TotalCount())
@@ -156,12 +147,12 @@ func TestTooManyUnboundRejected(t *testing.T) {
 func TestNumVariants(t *testing.T) {
 	vs := numVariants("4'd9")
 	for _, want := range []string{"4'd10", "4'd8"} {
-		if !containsStr(vs, want) {
+		if !slices.Contains(vs, want) {
 			t.Errorf("variants %v missing %s", vs, want)
 		}
 	}
 	vs = numVariants("3")
-	if !containsStr(vs, "4") || !containsStr(vs, "2") {
+	if !slices.Contains(vs, "4") || !slices.Contains(vs, "2") {
 		t.Errorf("plain decimal variants: %v", vs)
 	}
 	if got := numVariants(""); len(got) == 0 {

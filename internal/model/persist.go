@@ -92,15 +92,15 @@ func (m *Model) Save(w io.Writer) error {
 		LineBuggy:       m.Patterns.lineBuggy,
 		LineGoodX:       m.Patterns.lineGoodX,
 		LineBuggyX:      m.Patterns.lineBuggyX,
-		BeforeTotal:     m.Patterns.beforeTotal,
-		SpanBeforeTotal: m.Patterns.spanBeforeTotal,
+		BeforeTotal:     m.Patterns.line.beforeTotal,
+		SpanBeforeTotal: m.Patterns.span.beforeTotal,
 
 		DPOAdj: m.dpoAdj,
 	}
-	for _, p := range m.Patterns.order {
+	for _, p := range m.Patterns.line.order {
 		snap.Patterns = append(snap.Patterns, patternJSON{Before: p.Before, After: p.After, Count: p.Count, Syn: p.Syn})
 	}
-	for _, p := range m.Patterns.spanOrder {
+	for _, p := range m.Patterns.span.order {
 		snap.SpanPatterns = append(snap.SpanPatterns, patternJSON{Before: p.Before, After: p.After, Count: p.Count, Syn: p.Syn})
 	}
 	enc := json.NewEncoder(w)
@@ -131,30 +131,25 @@ func Load(r io.Reader) (*Model, error) {
 		m.Loc.buggyFeat, m.Loc.allFeat = snap.LocBuggyFeat, snap.LocAllFeat
 		m.Loc.buggyLines, m.Loc.allLines = snap.LocBuggyLines, snap.LocAllLines
 	}
-	restore := func(list []patternJSON, span bool) {
+	restore := func(t *patTable, list []patternJSON, beforeTotal map[string]int) {
 		for _, pj := range list {
 			e := &patEntry{Before: pj.Before, After: pj.After, Count: pj.Count, Syn: pj.Syn}
 			if e.Syn == nil {
 				e.Syn = map[string]int{}
 			}
-			if span {
-				m.Patterns.spanByKey["span:"+e.key()] = e
-				m.Patterns.spanOrder = append(m.Patterns.spanOrder, e)
-			} else {
-				m.Patterns.byKey[e.key()] = e
-				m.Patterns.order = append(m.Patterns.order, e)
-			}
+			t.add(e)
+		}
+		if beforeTotal != nil {
+			t.beforeTotal = beforeTotal
 		}
 	}
-	restore(snap.Patterns, false)
-	restore(snap.SpanPatterns, true)
+	restore(&m.Patterns.line, snap.Patterns, snap.BeforeTotal)
+	restore(&m.Patterns.span, snap.SpanPatterns, snap.SpanBeforeTotal)
 	if snap.LineGood != nil {
 		m.Patterns.lineGood = snap.LineGood
 		m.Patterns.lineBuggy = snap.LineBuggy
 		m.Patterns.lineGoodX = snap.LineGoodX
 		m.Patterns.lineBuggyX = snap.LineBuggyX
-		m.Patterns.beforeTotal = snap.BeforeTotal
-		m.Patterns.spanBeforeTotal = snap.SpanBeforeTotal
 	}
 	if snap.DPOAdj != nil {
 		m.dpoAdj = snap.DPOAdj

@@ -17,16 +17,12 @@ type term struct {
 	fn   sim.CompiledExpr4
 }
 
-// eval evaluates the term at one sampled cycle as lane-0 words: t is 1
-// when the value is true (nonzero and known), x is 1 when it sampled x.
-func (tm *term) eval(c int) (t, x uint64, err error) {
+// eval evaluates the term at one sampled cycle: t when the value is true
+// (nonzero and known), x when it sampled x.
+func (tm *term) eval(c int) (t, x bool, err error) {
 	v, err := tm.fn(c)
-	if v.IsTrue() {
-		t = 1
-	} else if v.IsXBool() {
-		x = 1
-	}
-	return t, x, err
+	t = v.IsTrue()
+	return t, !t && v.IsXBool(), err
 }
 
 // property is one assertion laid out for a monitor: its terms in attempt
@@ -80,10 +76,9 @@ func newProperty(a *compile.ResolvedAssert, compile func(verilog.Expr) term) pro
 // when a term does not match or the disable condition holds (uncounted),
 // when a consequent term is not true (a counted failure) or when its last
 // term passes (a counted pass). Attempts still pending when the ticks run
-// out are neither. An attempt's liveness is a word whose bit 0 is the one
-// stimulus a check runs.
+// out are neither.
 //
-// A monitor's state is plain words and counters, so copying its ring
+// A monitor's state is plain values and counters, so copying its ring
 // copies the automaton. One monitor runs the properties of a check one
 // after another, reusing its ring and event buffer.
 type monitor struct {
@@ -96,10 +91,10 @@ type monitor struct {
 	errAt int     // that attempt's start tick
 }
 
-// attempt is one pending attempt: whether it still matches (bit 0) and
-// the cycle it started at.
+// attempt is one pending attempt: whether it still matches and the cycle
+// it started at.
 type attempt struct {
-	alive uint64
+	alive bool
 	begun int
 }
 
@@ -108,7 +103,7 @@ type attempt struct {
 type event struct {
 	start, cycle int
 	term         verilog.Expr
-	x            uint64
+	x            bool
 }
 
 // reset readies the monitor to run p over at most ticks ticks. The ring
@@ -137,8 +132,8 @@ func (m *monitor) tick(p, c int) bool {
 	if m.err != nil && p >= m.errAt+m.p.span-1 {
 		return false
 	}
-	ring[p&mask] = attempt{alive: 1, begun: c}
-	var dis uint64
+	ring[p&mask] = attempt{alive: true, begun: c}
+	var dis bool
 	var disErr error
 	disDone := m.p.dis.expr == nil
 	for k := range steps {
@@ -148,16 +143,17 @@ func (m *monitor) tick(p, c int) bool {
 			break
 		}
 		att := &ring[s&mask]
-		if att.alive == 0 {
+		if !att.alive {
 			continue
 		}
 		if !disDone {
 			dis, _, disErr = m.p.dis.eval(c) // an x disable condition does not disable
 			disDone = true
 		}
-		t, x, err := uint64(0), uint64(0), disErr
+		t, x, err := false, false, disErr
 		if err == nil {
-			if att.alive &^= dis; att.alive == 0 {
+			if dis {
+				att.alive = false
 				continue
 			}
 			t, x, err = st.eval(c)
@@ -166,16 +162,18 @@ func (m *monitor) tick(p, c int) bool {
 			if m.err == nil || s < m.errAt {
 				m.err, m.errAt = err, s
 			}
-			att.alive = 0
+			att.alive = false
 			continue
 		}
-		if bad := att.alive &^ t; st.cons && bad != 0 {
+		if !t {
+			if st.cons {
+				m.count++
+				m.fails = append(m.fails, event{start: att.begun, cycle: c, term: st.expr, x: x})
+			}
+			att.alive = false
+		} else if k == len(steps)-1 {
 			m.count++
-			m.fails = append(m.fails, event{start: att.begun, cycle: c, term: st.expr, x: x & bad})
-		}
-		if att.alive &= t; k == len(steps)-1 {
-			m.count += int(att.alive)
-			att.alive = 0
+			att.alive = false
 		}
 	}
 	return true
@@ -186,7 +184,7 @@ func (m *monitor) tick(p, c int) bool {
 func (m *monitor) failures(out []Failure) []Failure {
 	slices.SortFunc(m.fails, func(a, b event) int { return cmp.Compare(a.start, b.start) })
 	for _, e := range m.fails {
-		out = append(out, Failure{Assert: *m.p.a, StartCycle: e.start, FailCycle: e.cycle, Term: e.term, Unknown: e.x != 0})
+		out = append(out, Failure{Assert: *m.p.a, StartCycle: e.start, FailCycle: e.cycle, Term: e.term, Unknown: e.x})
 	}
 	return out
 }
