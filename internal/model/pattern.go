@@ -177,17 +177,17 @@ type placeholders struct{ ids, nums map[string]string }
 // of returns the placeholder of name in the sequence of prefix (phIdent
 // or phNum).
 func (ph *placeholders) of(prefix, name string) string {
-	m := &ph.ids
+	if ph.ids == nil {
+		ph.ids, ph.nums = map[string]string{}, map[string]string{}
+	}
+	m := ph.ids
 	if prefix == phNum {
-		m = &ph.nums
+		m = ph.nums
 	}
-	if *m == nil {
-		*m = map[string]string{}
-	}
-	p, seen := (*m)[name]
+	p, seen := m[name]
 	if !seen {
-		p = prefix + strconv.Itoa(len(*m)+1) + ">"
-		(*m)[name] = p
+		p = prefix + strconv.Itoa(len(m)+1) + ">"
+		m[name] = p
 	}
 	return p
 }
