@@ -491,6 +491,38 @@ func BenchmarkCompile(b *testing.B) {
 	b.SetBytes(int64(len(src)))
 }
 
+// BenchmarkPlanBuild measures plan construction over the whole catalog:
+// each op builds every golden's execution plan in both value domains, the
+// two-state plan and its four-state lowering, from designs compiled
+// outside the timer, so neither compiling nor a cached plan counts.
+func BenchmarkPlanBuild(b *testing.B) {
+	var srcs []string
+	for _, bp := range corpus.Catalog() {
+		srcs = append(srcs, bp.Source())
+	}
+	designs := make([]*compile.Design, len(srcs))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		for j, src := range srcs {
+			d, diags, err := compile.Compile(src)
+			if err != nil || compile.HasErrors(diags) || d == nil {
+				b.Fatal("compile failed")
+			}
+			designs[j] = d
+		}
+		b.StartTimer()
+		for _, d := range designs {
+			if sim.PlanOf(d) == nil {
+				b.Fatal("unplannable golden")
+			}
+			sim.NewVecRunner(d, sim.FourState) // builds the four-state lowering
+		}
+	}
+	b.ReportMetric(float64(len(designs)), "designs/op")
+}
+
 // BenchmarkSolveLatency measures single-problem inference latency of the
 // trained solver, the interactive-use figure of merit.
 func BenchmarkSolveLatency(b *testing.B) {

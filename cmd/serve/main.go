@@ -37,7 +37,7 @@
 // input column twice with 422, and so are /check options past their caps
 // (maxCheckDepth, maxRandomRuns, maxExhaustiveBits, maxConstBits). A
 // /check or /stimulus still running after 30 s (checkDeadline) is
-// cancelled with 503. The -lanes flag is accepted and ignored.
+// cancelled with 503.
 package main
 
 import (
@@ -75,7 +75,6 @@ func main() {
 		rate     = flag.Float64("rate", 50, "per-client request rate limit per second (0 = unlimited)")
 		burst    = flag.Float64("burst", 100, "per-client token-bucket burst size")
 	)
-	flag.Int("lanes", 64, "ignored: every /stimulus request runs on the scalar checker")
 	flag.Parse()
 
 	svc := verify.New(*workers)

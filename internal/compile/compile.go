@@ -495,7 +495,12 @@ func (e *elaborator) run() {
 		d.Signals[name].Slot = i
 	}
 
-	// Pass 4: behavioural items and assertions.
+	// Pass 4: behavioural items and assertions. A wire's initialiser,
+	// already a continuous assignment, is checked here, where every
+	// signal it may read is declared.
+	for _, as := range d.Assigns {
+		e.checkExpr(as.RHS, as.Pos)
+	}
 	props := map[string]*verilog.PropertyDecl{}
 	for _, it := range m.Items {
 		if p, ok := it.(*verilog.PropertyDecl); ok {

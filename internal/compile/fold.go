@@ -103,7 +103,7 @@ func fold(expr verilog.Expr, names Names) (folded, bool) {
 		}
 		m := maskFor(a.w)
 		v := a.v & m
-		out := folded{w: unaryWidth(x.Op, a.w), x: a.x}
+		out := folded{w: UnaryWidth(x.Op, a.w), x: a.x}
 		switch x.Op {
 		case verilog.UnaryLogicalNot:
 			out.v = boolVal(v == 0)
@@ -188,7 +188,7 @@ func foldBinary(x *verilog.Binary, names Names) (folded, bool) {
 	if !ok {
 		return b, false
 	}
-	out := folded{w: binaryWidth(x.Op, a.w, b.w), x: a.x | b.x}
+	out := folded{w: BinaryWidth(x.Op, a.w, b.w), x: a.x | b.x}
 	switch x.Op {
 	case verilog.BinAdd:
 		out.v = a.v + b.v
@@ -262,11 +262,11 @@ func foldWidthOK(e verilog.Expr, names Names) (int, bool) {
 		return w, true
 	case *verilog.Unary:
 		w, ok := foldWidthOK(x.X, names)
-		return unaryWidth(x.Op, w), ok
+		return UnaryWidth(x.Op, w), ok
 	case *verilog.Binary:
 		a, ok1 := foldWidthOK(x.X, names)
 		b, ok2 := foldWidthOK(x.Y, names)
-		return binaryWidth(x.Op, a, b), ok1 && ok2
+		return BinaryWidth(x.Op, a, b), ok1 && ok2
 	case *verilog.Ternary:
 		a, ok1 := foldWidthOK(x.X, names)
 		b, ok2 := foldWidthOK(x.Y, names)
@@ -289,9 +289,13 @@ func foldWidthOK(e verilog.Expr, names Names) (int, bool) {
 	return 32, false
 }
 
-// unaryWidth is the width of op applied to a w-bit operand: 1 for ! and
-// the reductions, w otherwise.
-func unaryWidth(op verilog.UnaryOp, w int) int {
+// UnaryWidth is the self-determined width of op applied to a w-bit
+// operand: 1 for ! and the reductions, w otherwise. It and BinaryWidth are
+// the production width rule: the folder computes constant widths with
+// them, and internal/sim's planner the width of every expression it
+// lowers. sim.ExprWidth, the reference interpreter's own spelling, is the
+// oracle tests hold them to.
+func UnaryWidth(op verilog.UnaryOp, w int) int {
 	switch op {
 	case verilog.UnaryLogicalNot, verilog.UnaryRedAnd, verilog.UnaryRedOr,
 		verilog.UnaryRedXor, verilog.UnaryRedXnor:
@@ -300,9 +304,10 @@ func unaryWidth(op verilog.UnaryOp, w int) int {
 	return w
 }
 
-// binaryWidth is the width of op over operands a and b bits wide: 1 for the
-// logical and comparison operators, a for the shifts, the wider otherwise.
-func binaryWidth(op verilog.BinaryOp, a, b int) int {
+// BinaryWidth is the self-determined width of op over operands a and b
+// bits wide: 1 for the logical and comparison operators, a for the shifts,
+// the wider otherwise. See UnaryWidth.
+func BinaryWidth(op verilog.BinaryOp, a, b int) int {
 	switch op {
 	case verilog.BinLogAnd, verilog.BinLogOr, verilog.BinEq, verilog.BinNe,
 		verilog.BinCaseEq, verilog.BinCaseNe, verilog.BinLt, verilog.BinLe,

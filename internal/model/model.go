@@ -204,6 +204,17 @@ func (m *Model) generate(p Problem) []Candidate {
 		add := func(fix string, logit float64, patKey, syn string) {
 			cands = append(cands, Candidate{LineNo: lc.No, LineText: lineTrim, Fix: fix, Logit: logit, PatKey: patKey, Syn: syn})
 		}
+		// A line's patterns and generic edits often propose the same fix;
+		// each distinct fix is lexed and scored once.
+		fixSusp := map[string]float64{}
+		suspicion := func(fix string) float64 {
+			v, ok := fixSusp[fix]
+			if !ok {
+				v = m.Patterns.Suspicion(tokenizeLine(fix))
+				fixSusp[fix] = v
+			}
+			return v
+		}
 
 		if m.HasSFT {
 			// Whole-line patterns, then span-pattern rewrites: these
@@ -216,7 +227,7 @@ func (m *Model) generate(p Problem) []Candidate {
 					if t.span {
 						logit -= m.SpanPenalty
 					}
-					logit = logit - 0.5*m.Patterns.Suspicion(tokenizeLine(f.fix)) + m.dpoAdj[f.pat.key]
+					logit = logit - 0.5*suspicion(f.fix) + m.dpoAdj[f.pat.key]
 					add(f.fix, base+m.Sharpness*logit, f.pat.key, f.pat.dominantSyn())
 				}
 			}
@@ -231,7 +242,7 @@ func (m *Model) generate(p Problem) []Candidate {
 		for _, g := range genericEdits(lineTrim, lc.Toks, lineFills) {
 			logit := base + bias + g.bias
 			if m.HasSFT {
-				logit += m.Sharpness * 0.5 * -m.Patterns.Suspicion(tokenizeLine(g.fix))
+				logit += m.Sharpness * 0.5 * -suspicion(g.fix)
 			}
 			add(g.fix, logit, "", g.syn)
 		}
@@ -623,6 +634,7 @@ func (m *Model) sample(p Problem, cands []Candidate, n int, temp float64, rng *r
 		return cands[i].Fix < cands[j].Fix
 	})
 	probs := softmax(cands, temp*m.TempScale)
+	assertName := parseLogs(p.Logs).AssertName
 	for i := 0; i < n; i++ {
 		c := cands[drawIndex(probs, rng)]
 		r := Response{
@@ -634,15 +646,15 @@ func (m *Model) sample(p Problem, cands []Candidate, n int, temp float64, rng *r
 		if rng.Float64() >= m.FormatCompliance {
 			r.FormatOK = false
 		}
-		r.CoT = m.cotFor(p, c)
+		r.CoT = cotFor(assertName, c)
 		out = append(out, r)
 	}
 	return out
 }
 
-func (m *Model) cotFor(p Problem, c Candidate) string {
-	facts := parseLogs(p.Logs)
-	name := facts.AssertName
+// cotFor writes the chain of thought for candidate c of a problem whose
+// logs name the failing assertion name, empty when they name none.
+func cotFor(name string, c Candidate) string {
 	if name == "" {
 		name = "the failing assertion"
 	}

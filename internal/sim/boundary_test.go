@@ -16,8 +16,9 @@ import (
 )
 
 // checkPlans fails t when src compiles but has no plan in both value
-// domains, or a four-cycle run of it on the plan reports a plan error. It
-// reports whether src compiled.
+// domains, lowers an expression with a width other than ExprWidth's, or
+// a four-cycle run of it on the plan reports a plan error. It reports
+// whether src compiled.
 func checkPlans(t testing.TB, name, src string) bool {
 	t.Helper()
 	d, diags, err := compile.Compile(src)
@@ -32,6 +33,7 @@ func checkPlans(t testing.TB, name, src string) bool {
 		t.Errorf("%s compiles but has no plan in both value domains: %v", name, err)
 		return true
 	}
+	checkWidths(t, name, d)
 	stim := rampStimulus(d, 4)
 	for _, mode := range []Mode{TwoState, FourState} {
 		var u errUnplannable
@@ -40,6 +42,79 @@ func checkPlans(t testing.TB, name, src string) bool {
 		}
 	}
 	return true
+}
+
+// checkWidths holds the planner's widths to the interpreter's ExprWidth:
+// every subexpression of d's assignments, statements and assertions,
+// constant bounds, counts and $past depths included, must lower on its
+// own with the width ExprWidth gives it, and every assignment target must
+// store that many bits. A drift between the two would silently diverge
+// the plan's masking from the reference's. Names resolve through
+// designEnv, so a design the reference simulator refuses to construct is
+// checked too.
+func checkWidths(t testing.TB, name string, d *compile.Design) {
+	t.Helper()
+	f := &lowerer{d: d, em: planEmitters[TwoState]}
+	env := designEnv{d}
+	expr := func(e verilog.Expr) {
+		verilog.WalkExpr(e, func(sub verilog.Expr) {
+			_, got := f.expr(sub)
+			if want := ExprWidth(sub, env); got != want {
+				t.Errorf("%s: %s lowers %d bits wide, ExprWidth %d", name, verilog.ExprString(sub), got, want)
+			}
+		})
+	}
+	target := func(lhs, rhs verilog.Expr) {
+		_, got := f.store(lhs, wComb)
+		if want := ExprWidth(lhs, env); got != want {
+			t.Errorf("%s: target %s stores %d bits, ExprWidth %d", name, verilog.ExprString(lhs), got, want)
+		}
+		expr(lhs)
+		expr(rhs)
+	}
+	for _, as := range d.Assigns {
+		target(as.LHS, as.RHS)
+	}
+	for _, al := range append(append([]*verilog.Always{}, d.CombAlways...), d.SeqAlways...) {
+		verilog.WalkStmt(al.Body, func(st verilog.Stmt) {
+			switch x := st.(type) {
+			case *verilog.Blocking:
+				target(x.LHS, x.RHS)
+			case *verilog.NonBlocking:
+				target(x.LHS, x.RHS)
+			default:
+				verilog.StmtExprs(st, expr)
+			}
+		})
+	}
+	for i := range d.Asserts {
+		a := &d.Asserts[i]
+		expr(a.DisableIff)
+		if a.Seq != nil {
+			for _, tm := range a.Seq.Antecedent {
+				expr(tm.Expr)
+			}
+			for _, tm := range a.Seq.Consequent {
+				expr(tm.Expr)
+			}
+		}
+	}
+}
+
+// designEnv resolves names for ExprWidth from a design alone: a parameter
+// has its value, and a signal its declared width.
+type designEnv struct{ d *compile.Design }
+
+func (e designEnv) Value(name string) (uint64, bool) {
+	v, ok := e.d.Params[name]
+	return v, ok
+}
+
+func (e designEnv) Width(name string) int {
+	if sig := e.d.Signals[name]; sig != nil {
+		return sig.Width
+	}
+	return 0
 }
 
 // rampStimulus drives every input of d, clocks included, for n cycles:

@@ -57,7 +57,8 @@
 // hands the domain's emitter the lowered operands, the constant
 // part-select bounds, replication counts and $past depths, which hold no x
 // and so have one value in both domains, and the static widths masks
-// depend on. A construct compile never lets through panics with its
+// depend on, which lowering each expression returns bottom-up from
+// internal/compile's operator width rules. A construct compile never lets through panics with its
 // position, and the lowering recovers it into an error: PlanOf returns nil
 // and a VecRunner's runs report it, so a gap between compile and the
 // planner cannot crash a caller. The emitter sits behind a small

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 
 	"repro/internal/compile"
@@ -10,7 +11,11 @@ import (
 // This file is the lowering front end of the execution plan, shared by
 // both value domains. It walks the design's AST and hands the domain's
 // emitter the lowered operands, the part-select bounds, replication counts
-// and $past depths, and the static widths masks depend on. It decides
+// and $past depths, and the static widths masks depend on. Each node's
+// width comes back from lowering its operands, bottom-up, through
+// internal/compile's operator rules (compile.UnaryWidth, BinaryWidth), so
+// no subtree is walked twice and building a plan is linear in expression
+// depth. It decides
 // nothing about plannability: internal/compile alone decides what a design
 // may hold and folds every constant, with the folder (compile.Fold) the
 // front end reads the constants back through, so every design that
@@ -64,8 +69,8 @@ type emitter interface {
 	signal(sig *compile.Signal) evalFn
 	// unary applies op to an operand whose static width mask is mask.
 	unary(op verilog.UnaryOp, x evalFn, mask uint64) (evalFn, bool)
-	// binary applies op; w is the static width the operator masks to
-	// (the wider operand for ~^, the left operand for >>>), else 0.
+	// binary applies op; w is the operator's static width
+	// (compile.BinaryWidth), which ~^ and >>> mask to.
 	binary(op verilog.BinaryOp, a, b evalFn, w int) (evalFn, bool)
 	ternary(cond, x, y evalFn) evalFn
 	index(x, idx evalFn) evalFn
@@ -163,7 +168,7 @@ func lower(d *compile.Design, em emitter) (l lowered, err error) {
 	l.sva = map[verilog.Expr]evalFn{}
 	sva := func(e verilog.Expr) {
 		if e != nil {
-			l.sva[e] = f.expr(e)
+			l.sva[e], _ = f.expr(e)
 		}
 	}
 	for i := range d.Asserts {
@@ -185,10 +190,6 @@ func lower(d *compile.Design, em emitter) (l lowered, err error) {
 type lowerer struct {
 	d  *compile.Design
 	em emitter
-
-	// widths memoises staticWidth for operator nodes, so one lowering
-	// computes each node's width once however deeply expressions nest.
-	widths map[verilog.Expr]int
 }
 
 // constant reads back a part-select bound, replication count or $past
@@ -211,85 +212,6 @@ func (f *lowerer) bounds(x *verilog.Slice) (hi, lo uint64) {
 		panic(unplannable(x, "reversed part-select [%d:%d]", hi, lo))
 	}
 	return hi, lo
-}
-
-// staticWidth mirrors ExprWidth at plan-compile time, with the constants
-// internal/compile folded. Both value domains mask by these two-state
-// widths.
-func (f *lowerer) staticWidth(e verilog.Expr) int {
-	switch e.(type) {
-	case *verilog.Number, *verilog.Ident, *verilog.Index, *verilog.Slice:
-		return f.nodeWidth(e) // no operand widths to revisit
-	}
-	if w, hit := f.widths[e]; hit {
-		return w
-	}
-	w := f.nodeWidth(e)
-	if f.widths == nil {
-		f.widths = map[verilog.Expr]int{}
-	}
-	f.widths[e] = w
-	return w
-}
-
-// nodeWidth computes e's static width from its operands' static widths.
-func (f *lowerer) nodeWidth(e verilog.Expr) int {
-	switch x := e.(type) {
-	case *verilog.Number:
-		if x.Width > 0 {
-			return x.Width
-		}
-		return 32
-	case *verilog.Ident:
-		if sig := f.d.Signals[x.Name]; sig != nil && sig.Width > 0 {
-			return sig.Width
-		}
-		return 32
-	case *verilog.Unary:
-		switch x.Op {
-		case verilog.UnaryLogicalNot, verilog.UnaryRedAnd, verilog.UnaryRedOr,
-			verilog.UnaryRedXor, verilog.UnaryRedXnor:
-			return 1
-		}
-		return f.staticWidth(x.X)
-	case *verilog.Binary:
-		switch x.Op {
-		case verilog.BinLogAnd, verilog.BinLogOr, verilog.BinEq, verilog.BinNe,
-			verilog.BinCaseEq, verilog.BinCaseNe, verilog.BinLt, verilog.BinLe,
-			verilog.BinGt, verilog.BinGe:
-			return 1
-		case verilog.BinShl, verilog.BinShr, verilog.BinAShr:
-			return f.staticWidth(x.X)
-		}
-		return max(f.staticWidth(x.X), f.staticWidth(x.Y))
-	case *verilog.Ternary:
-		return max(f.staticWidth(x.X), f.staticWidth(x.Y))
-	case *verilog.Index:
-		return 1
-	case *verilog.Slice:
-		hi, lo := f.bounds(x)
-		return int(hi-lo) + 1
-	case *verilog.Concat:
-		w := 0
-		for _, el := range x.Elems {
-			w += f.staticWidth(el)
-		}
-		return w
-	case *verilog.Repl:
-		return int(f.constant(x.Count)) * f.staticWidth(x.Elem)
-	case *verilog.Call:
-		switch x.Name {
-		case "$rose", "$fell", "$stable", "$changed", "$onehot", "$onehot0", "$isunknown":
-			return 1
-		case "$countones":
-			return 32
-		}
-		if len(x.Args) > 0 {
-			return f.staticWidth(x.Args[0])
-		}
-		return 32
-	}
-	panic(unplannable(e, "expression %T has no width", e))
 }
 
 // ---------------------------------------------------------------------------
@@ -321,14 +243,15 @@ func (f *lowerer) stmt(s verilog.Stmt, seq bool) stmtFn {
 		}
 		return f.assign(x.LHS, x.RHS, mode)
 	case *verilog.If:
-		cond, then := f.expr(x.Cond), f.stmt(x.Then, seq)
+		cond, _ := f.expr(x.Cond)
+		then := f.stmt(x.Then, seq)
 		var els stmtFn
 		if x.Else != nil {
 			els = f.stmt(x.Else, seq)
 		}
 		return f.em.ifStmt(cond, then, els)
 	case *verilog.Case:
-		subj := f.expr(x.Subject)
+		subj, _ := f.expr(x.Subject)
 		arms := make([]caseArm, 0, len(x.Items))
 		var deflt stmtFn
 		for _, item := range x.Items {
@@ -339,7 +262,8 @@ func (f *lowerer) stmt(s verilog.Stmt, seq bool) stmtFn {
 			}
 			labels := make([]evalFn, 0, len(item.Exprs))
 			for _, le := range item.Exprs {
-				labels = append(labels, f.expr(le))
+				label, _ := f.expr(le)
+				labels = append(labels, label)
 			}
 			arms = append(arms, caseArm{labels: labels, body: body})
 		}
@@ -351,45 +275,45 @@ func (f *lowerer) stmt(s verilog.Stmt, seq bool) stmtFn {
 // assign lowers an assignment's RHS and, unless the target is a whole
 // signal, whose write the emitter fuses into the assignment, its target.
 func (f *lowerer) assign(lhs, rhs verilog.Expr, mode writeMode) stmtFn {
-	r := f.expr(rhs)
+	r, _ := f.expr(rhs)
 	if id, ok := lhs.(*verilog.Ident); ok {
 		if sig := f.d.Signals[id.Name]; sig != nil {
 			return f.em.assign(r, mode, sig, nil)
 		}
 	}
-	return f.em.assign(r, mode, nil, f.store(lhs, mode))
+	store, _ := f.store(lhs, mode)
+	return f.em.assign(r, mode, nil, store)
 }
 
-// store lowers an assignment target. The store receives the unmasked RHS
-// value and applies the mode's write discipline.
-func (f *lowerer) store(lhs verilog.Expr, mode writeMode) stmtVFn {
+// store lowers an assignment target and returns its width. The store
+// receives the unmasked RHS value and applies the mode's write discipline.
+func (f *lowerer) store(lhs verilog.Expr, mode writeMode) (stmtVFn, int) {
 	switch x := lhs.(type) {
 	case *verilog.Ident:
-		return f.em.store(f.targetSignal(x), mode)
+		sig := f.targetSignal(x)
+		return f.em.store(sig, mode), sig.Width
 	case *verilog.Index:
 		sig := f.targetSignal(x.X)
-		return f.em.storeIndex(sig, f.expr(x.Idx), mode)
+		idx, _ := f.expr(x.Idx)
+		return f.em.storeIndex(sig, idx, mode), 1
 	case *verilog.Slice:
 		sig := f.targetSignal(x.X)
 		hi, lo := f.bounds(x)
-		sm := maskFor(int(hi-lo)+1) << lo
-		return f.em.storeSlice(sig, uint(lo), sm, mode)
+		w := int(hi-lo) + 1
+		return f.em.storeSlice(sig, uint(lo), maskFor(w)<<lo, mode), w
 	case *verilog.Concat:
+		// LSB part first, so each part's shift is the width of the parts
+		// lowered before it.
+		n := len(x.Elems)
+		parts, shifts, masks := make([]stmtVFn, n), make([]uint, n), make([]uint64, n)
 		total := 0
-		widths := make([]int, len(x.Elems))
-		for i, el := range x.Elems {
-			widths[i] = f.staticWidth(el)
-			total += widths[i]
+		for i := n - 1; i >= 0; i-- {
+			var w int
+			parts[i], w = f.store(x.Elems[i], mode)
+			shifts[i], masks[i] = uint(total), maskFor(w)
+			total += w
 		}
-		parts := make([]stmtVFn, len(x.Elems))
-		shifts := make([]uint, len(x.Elems))
-		masks := make([]uint64, len(x.Elems))
-		shift := total
-		for i, el := range x.Elems {
-			shift -= widths[i]
-			parts[i], shifts[i], masks[i] = f.store(el, mode), uint(shift), maskFor(widths[i])
-		}
-		return f.em.storeConcat(parts, shifts, masks)
+		return f.em.storeConcat(parts, shifts, masks), total
 	}
 	panic(unplannable(lhs, "assignment target %T", lhs))
 }
@@ -407,85 +331,96 @@ func (f *lowerer) targetSignal(x verilog.Expr) *compile.Signal {
 // Expressions
 // ---------------------------------------------------------------------------
 
-func (f *lowerer) expr(e verilog.Expr) evalFn {
+// expr lowers e and returns its static width: the self-determined width
+// the interpreter's ExprWidth gives it, with the constants internal/compile
+// folded. Both value domains mask by these two-state widths.
+func (f *lowerer) expr(e verilog.Expr) (evalFn, int) {
 	switch x := e.(type) {
 	case *verilog.Number:
-		return f.em.number(x)
+		return f.em.number(x), cmp.Or(x.Width, 32)
 	case *verilog.Ident:
 		if sig := f.d.Signals[x.Name]; sig != nil {
-			return f.em.signal(sig)
+			return f.em.signal(sig), sig.Width
 		}
 		if v, ok := f.d.Params[x.Name]; ok {
-			return f.em.param(v)
+			return f.em.param(v), 32
 		}
 	case *verilog.Unary:
-		if fn, ok := f.em.unary(x.Op, f.expr(x.X), maskFor(f.staticWidth(x.X))); ok {
-			return fn
+		a, w := f.expr(x.X)
+		if fn, ok := f.em.unary(x.Op, a, maskFor(w)); ok {
+			return fn, compile.UnaryWidth(x.Op, w)
 		}
 	case *verilog.Binary:
-		a, b := f.expr(x.X), f.expr(x.Y)
-		var w int
-		switch x.Op {
-		case verilog.BinXnor:
-			w = max(f.staticWidth(x.X), f.staticWidth(x.Y))
-		case verilog.BinAShr:
-			w = f.staticWidth(x.X)
-		}
+		a, wa := f.expr(x.X)
+		b, wb := f.expr(x.Y)
+		w := compile.BinaryWidth(x.Op, wa, wb)
 		if fn, ok := f.em.binary(x.Op, a, b, w); ok {
-			return fn
+			return fn, w
 		}
 	case *verilog.Ternary:
-		cond, a, b := f.expr(x.Cond), f.expr(x.X), f.expr(x.Y)
-		return f.em.ternary(cond, a, b)
+		cond, _ := f.expr(x.Cond)
+		a, wa := f.expr(x.X)
+		b, wb := f.expr(x.Y)
+		return f.em.ternary(cond, a, b), max(wa, wb)
 	case *verilog.Index:
-		a, idx := f.expr(x.X), f.expr(x.Idx)
-		return f.em.index(a, idx)
+		a, _ := f.expr(x.X)
+		idx, _ := f.expr(x.Idx)
+		return f.em.index(a, idx), 1
 	case *verilog.Slice:
-		a := f.expr(x.X)
+		a, _ := f.expr(x.X)
 		hi, lo := f.bounds(x)
+		w := int(hi-lo) + 1
 		if lo >= 64 {
-			return f.em.fail(evalErrf(x.Pos, "invalid slice [%d:%d]", hi, lo))
+			return f.em.fail(evalErrf(x.Pos, "invalid slice [%d:%d]", hi, lo)), w
 		}
-		return f.em.slice(a, uint(lo), maskFor(int(hi-lo)+1))
+		return f.em.slice(a, uint(lo), maskFor(w)), w
 	case *verilog.Concat:
-		elems := make([]evalFn, len(x.Elems))
-		widths := make([]uint, len(x.Elems))
-		masks := make([]uint64, len(x.Elems))
+		n := len(x.Elems)
+		elems, widths, masks := make([]evalFn, n), make([]uint, n), make([]uint64, n)
+		total := 0
 		for i, el := range x.Elems {
-			w := f.staticWidth(el)
-			elems[i], widths[i], masks[i] = f.expr(el), uint(w), maskFor(w)
+			var w int
+			elems[i], w = f.expr(el)
+			widths[i], masks[i] = uint(w), maskFor(w)
+			total += w
 		}
-		return f.em.concat(elems, widths, masks)
+		return f.em.concat(elems, widths, masks), total
 	case *verilog.Repl:
-		n, w := f.constant(x.Count), f.staticWidth(x.Elem)
+		n := f.constant(x.Count)
+		a, w := f.expr(x.Elem)
 		// At most 64 repetitions, matching the interpreter's i < 64 bound.
-		return f.em.repl(f.expr(x.Elem), int(min(n, 64)), uint(w), maskFor(w))
+		return f.em.repl(a, int(min(n, 64)), uint(w), maskFor(w)), int(n) * w
 	case *verilog.Call:
 		return f.call(x)
 	}
 	panic(unplannable(e, "expression %T does not lower", e))
 }
 
-func (f *lowerer) call(x *verilog.Call) evalFn {
+// call lowers a system function call and returns its width: 1 for the
+// sampled-value functions and the one-bit reductions, 32 for $countones,
+// and its argument's width for $signed, $unsigned and $past.
+func (f *lowerer) call(x *verilog.Call) (evalFn, int) {
 	if len(x.Args) == 0 {
 		panic(unplannable(x, "%s without arguments", x.Name))
 	}
-	arg := x.Args[0]
+	a, w := f.expr(x.Args[0])
 	switch x.Name {
 	case "$signed", "$unsigned":
-		return f.expr(arg)
-	case "$countones", "$onehot", "$onehot0", "$isunknown":
-		return f.em.reduce(x.Name, f.expr(arg), maskFor(f.staticWidth(arg)))
+		return a, w
+	case "$countones":
+		return f.em.reduce(x.Name, a, maskFor(w)), 32
+	case "$onehot", "$onehot0", "$isunknown":
+		return f.em.reduce(x.Name, a, maskFor(w)), 1
 	case "$past":
-		a, n := f.expr(arg), uint64(1)
+		n := uint64(1)
 		if len(x.Args) > 1 {
 			if n = f.constant(x.Args[1]); n == 0 || n > maxPastDepth {
 				panic(unplannable(x, "$past depth %d out of range [1, %d]", n, uint64(maxPastDepth)))
 			}
 		}
-		return f.em.past(x.Pos, a, n)
+		return f.em.past(x.Pos, a, n), w
 	case "$rose", "$fell", "$stable", "$changed":
-		return f.em.sampled(x.Pos, x.Name, f.expr(arg))
+		return f.em.sampled(x.Pos, x.Name, a), 1
 	}
 	panic(unplannable(x, "system function %s", x.Name))
 }

@@ -10,62 +10,8 @@ import (
 	"time"
 
 	"repro/internal/compile"
-	"repro/internal/corpus"
 	"repro/internal/testenv"
-	"repro/internal/verilog"
 )
-
-// TestStaticWidthAgreesWithExprWidth pins the planner's compile-time width
-// oracle to the interpreter's ExprWidth over every expression of every
-// corpus design: every width staticWidth computes, with the constants
-// internal/compile folded, must be the width the interpreter computes at
-// runtime. Drift between the two would silently diverge the compiled and
-// interpretive backends' masking.
-func TestStaticWidthAgreesWithExprWidth(t *testing.T) {
-	for _, bp := range corpus.Catalog() {
-		d, diags, err := compile.Compile(bp.Source())
-		if err != nil || compile.HasErrors(diags) || d == nil {
-			t.Fatalf("%s: fixture broken", bp.Name())
-		}
-		s, err := newSimulator(d, TwoState)
-		if err != nil {
-			t.Fatalf("%s: %v", bp.Name(), err)
-		}
-		env := simEnv{s: s}
-		c := &lowerer{d: d}
-		check := func(e verilog.Expr) {
-			verilog.WalkExpr(e, func(sub verilog.Expr) {
-				if w, got := c.staticWidth(sub), ExprWidth(sub, env); got != w {
-					t.Errorf("%s: staticWidth(%s)=%d but ExprWidth=%d",
-						bp.Name(), verilog.ExprString(sub), w, got)
-				}
-			})
-		}
-		for _, as := range d.Assigns {
-			check(as.LHS)
-			check(as.RHS)
-		}
-		for _, al := range append(append([]*verilog.Always{}, d.CombAlways...), d.SeqAlways...) {
-			verilog.WalkStmt(al.Body, func(st verilog.Stmt) {
-				verilog.StmtExprs(st, check)
-			})
-		}
-		for i := range d.Asserts {
-			a := &d.Asserts[i]
-			if a.DisableIff != nil {
-				check(a.DisableIff)
-			}
-			if a.Seq != nil {
-				for _, tm := range a.Seq.Antecedent {
-					check(tm.Expr)
-				}
-				for _, tm := range a.Seq.Consequent {
-					check(tm.Expr)
-				}
-			}
-		}
-	}
-}
 
 // The compiled Index evaluation must evaluate its base expression before
 // the index short-circuit, so error effects (here: an invalid slice as the
@@ -90,27 +36,21 @@ endmodule
 
 // TestPlanBuildLinearInDepth: building both value domains' plans for an
 // expression nested 4N operators deep takes well under the 16x of a walk
-// that revisits every operand's subtree at every level. Each depth's time
-// is the best of several interleaved builds, after an untimed build has
-// grown the goroutine stack, with the collector off so no GC cycle or
-// stack scan lands in one build and not the other. A quadratic build fails
-// every measurement; a linear one fails only when the machine is busy for
-// a whole measurement, so the test takes the best of three.
+// that revisits every operand's subtree at every level. It nests three
+// shapes: a unary chain, a left-associative binary chain and nested
+// concatenations, whose widths each level sums from its operands'. Each
+// depth's time is the best of several interleaved builds, after an
+// untimed build has grown the goroutine stack, with the collector off so
+// no GC cycle or stack scan lands in one build and not the other. A
+// quadratic build fails every measurement; a linear one fails only when
+// the machine is busy for a whole measurement, so the test takes the best
+// of three.
 func TestPlanBuildLinearInDepth(t *testing.T) {
 	if testenv.Race {
 		t.Skip("the race detector distorts timings")
 	}
 	const n, trials = 500, 7
-	designs := func(depth int) []*compile.Design {
-		src := fmt.Sprintf("module deep (input [7:0] a, output [7:0] y);\n    assign y = %sa%s;\nendmodule\n",
-			strings.Repeat("~(", depth), strings.Repeat(")", depth))
-		ds := make([]*compile.Design, trials+1)
-		for i := range ds {
-			ds[i] = mustCompile(t, src)
-		}
-		return ds
-	}
-	build := func(d *compile.Design) time.Duration {
+	build := func(t *testing.T, d *compile.Design) time.Duration {
 		start := time.Now()
 		p, err := buildPlan(d)
 		if err == nil {
@@ -121,28 +61,47 @@ func TestPlanBuildLinearInDepth(t *testing.T) {
 		}
 		return time.Since(start)
 	}
-	smallDs, largeDs := designs(n), designs(4*n)
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	build(largeDs[trials])
-	var ratios []float64
-	for len(ratios) < 3 {
-		var small, large time.Duration
-		for i := 0; i < trials; i++ {
-			if el := build(smallDs[i]); i == 0 || el < small {
-				small = el
+	// Each expression is open repeated depth times, then a, then close
+	// repeated depth times.
+	for _, shape := range []struct{ name, open, close string }{
+		{"unary", "~(", ")"},
+		{"binary", "", " ~^ a"},
+		{"concat", "{", ", a}"},
+	} {
+		t.Run(shape.name, func(t *testing.T) {
+			designs := func(depth int) []*compile.Design {
+				src := fmt.Sprintf("module deep (input [7:0] a, output [7:0] y);\n    assign y = %sa%s;\nendmodule\n",
+					strings.Repeat(shape.open, depth), strings.Repeat(shape.close, depth))
+				ds := make([]*compile.Design, trials+1)
+				for i := range ds {
+					ds[i] = mustCompile(t, src)
+				}
+				return ds
 			}
-			if el := build(largeDs[i]); i == 0 || el < large {
-				large = el
+			smallDs, largeDs := designs(n), designs(4*n)
+			build(t, largeDs[trials])
+			var ratios []float64
+			for len(ratios) < 3 {
+				var small, large time.Duration
+				for i := 0; i < trials; i++ {
+					if el := build(t, smallDs[i]); i == 0 || el < small {
+						small = el
+					}
+					if el := build(t, largeDs[i]); i == 0 || el < large {
+						large = el
+					}
+				}
+				t.Logf("depth %d: %v, depth %d: %v", n, small, 4*n, large)
+				ratios = append(ratios, float64(large)/float64(small))
+				if ratios[len(ratios)-1] < 8 {
+					return
+				}
 			}
-		}
-		t.Logf("depth %d: %v, depth %d: %v", n, small, 4*n, large)
-		ratios = append(ratios, float64(large)/float64(small))
-		if ratios[len(ratios)-1] < 8 {
-			return
-		}
+			t.Errorf("plan build at depth %d took %.1fx the time at depth %d in each of three measurements (%.1f); want < 8x (linear is 4x)",
+				4*n, ratios[0], n, ratios)
+		})
 	}
-	t.Errorf("plan build at depth %d took %.1fx the time at depth %d in each of three measurements (%.1f); want < 8x (linear is 4x)",
-		4*n, ratios[0], n, ratios)
 }
 
 // TestPlanBuildAllocs bounds what building a design's two-state plan and
