@@ -33,7 +33,7 @@ func checkPlans(t testing.TB, name, src string) bool {
 		t.Errorf("%s compiles but has no plan in both value domains: %v", name, err)
 		return true
 	}
-	checkWidths(t, name, d)
+	checkWidths(t, name, d, designEnv{d})
 	stim := rampStimulus(d, 4)
 	for _, mode := range []Mode{TwoState, FourState} {
 		var u errUnplannable
@@ -49,13 +49,13 @@ func checkPlans(t testing.TB, name, src string) bool {
 // constant bounds, counts and $past depths included, must lower on its
 // own with the width ExprWidth gives it, and every assignment target must
 // store that many bits. A drift between the two would silently diverge
-// the plan's masking from the reference's. Names resolve through
-// designEnv, so a design the reference simulator refuses to construct is
-// checked too.
-func checkWidths(t testing.TB, name string, d *compile.Design) {
+// the plan's masking from the reference's. Names resolve through env:
+// designEnv checks a design the reference simulator refuses to construct
+// too, and a simulator's own environment checks the widths it resolves
+// as it runs.
+func checkWidths(t testing.TB, name string, d *compile.Design, env Env) {
 	t.Helper()
 	f := &lowerer{d: d, em: planEmitters[TwoState]}
-	env := designEnv{d}
 	expr := func(e verilog.Expr) {
 		verilog.WalkExpr(e, func(sub verilog.Expr) {
 			_, got := f.expr(sub)

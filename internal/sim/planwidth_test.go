@@ -10,8 +10,29 @@ import (
 	"time"
 
 	"repro/internal/compile"
+	"repro/internal/corpus"
 	"repro/internal/testenv"
 )
+
+// TestStaticWidthAgreesWithExprWidth pins the planner's widths to the
+// interpreter's ExprWidth over every expression of every corpus design,
+// with names resolved by the reference simulator built for the design:
+// the width each expression lowers with must be the width the
+// interpreter computes at runtime. Drift between the two would silently
+// diverge the compiled and interpretive backends' masking.
+func TestStaticWidthAgreesWithExprWidth(t *testing.T) {
+	for _, bp := range corpus.Catalog() {
+		d, diags, err := compile.Compile(bp.Source())
+		if err != nil || compile.HasErrors(diags) || d == nil {
+			t.Fatalf("%s: fixture broken", bp.Name())
+		}
+		s, err := newSimulator(d, TwoState)
+		if err != nil {
+			t.Fatalf("%s: %v", bp.Name(), err)
+		}
+		checkWidths(t, bp.Name(), d, simEnv{s: s})
+	}
+}
 
 // The compiled Index evaluation must evaluate its base expression before
 // the index short-circuit, so error effects (here: an invalid slice as the
